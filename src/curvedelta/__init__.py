@@ -8,7 +8,7 @@ interval bounds, the isoperimetric comparison against the equal-length
 circle, the perturbed Green function, and the unitary scattering block.
 """
 
-from .assembly import (OperatorMatrix, boundary_matrix, circle_mode_eigenvalues,
+from .assembly import (boundary_matrix, circle_mode_eigenvalues,
                        circle_operator_matrix, comparison_matrix, odd_harmonic_sums,
                        smoothing_matrix)
 from .curves import (ArcGrid, Curve, chord, chord_mean_inequality, circle_chord,
@@ -16,8 +16,7 @@ from .curves import (ArcGrid, Curve, chord, chord_mean_inequality, circle_chord,
                      make_circle, make_ellipse, make_grid, reparametrize_arclength,
                      scale_to_length)
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
-from .kernels import (circle_top_eigenvalue, comparison_kernel, green_kernel,
-                      scattering_kernel, smoothing_kernel, spectral_sqrt)
+from .kernels import green_kernel, scattering_kernel, smoothing_kernel, spectral_sqrt
 from .resolvent import (BoxGrid, correction_singular_values, default_box_bounds,
                         fit_decay_slope, layer_singular_values, make_box,
                         perturbed_green, single_layer_potential)
@@ -31,19 +30,18 @@ from .spectral import (BoundState, CountReport, EigenSystem,
 __all__ = [
     "ArcGrid", "BoundState", "BoxGrid", "ConfigError", "CountReport", "Curve",
     "CurveError", "EigenSystem", "InvariantError", "NumericsError",
-    "OperatorMatrix", "ScatteringBlock", "asymptotic_count_bounds",
-    "boundary_matrix", "chord", "chord_mean_inequality", "choose_reference_energy",
-    "circle_chord", "circle_deviation", "circle_mode_eigenvalues",
-    "circle_operator_matrix", "circle_top_eigenvalue", "comparison_kernel",
+    "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix", "chord",
+    "chord_mean_inequality", "choose_reference_energy", "circle_chord",
+    "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
     "comparison_matrix", "correction_singular_values", "count_bound_states",
     "curve_from_json_dict", "curve_to_json_dict", "default_box_bounds", "eigen",
     "eigenvalue_at", "eigenvalue_curve", "find_bound_states", "fit_decay_slope",
     "green_kernel", "interval_index", "isoperimetric_compare",
     "layer_singular_values", "make_box", "make_circle", "make_ellipse",
-    "make_grid", "odd_harmonic_sums", "perturbed_green", "reparametrize_arclength",
-    "scale_to_length", "scattering_block", "scattering_kernel",
-    "scattering_layer_matrix", "single_layer_potential", "smoothing_kernel",
-    "smoothing_matrix", "spectral_sqrt",
+    "make_grid", "odd_harmonic_sums", "perturbed_green",
+    "reparametrize_arclength", "scale_to_length", "scattering_block",
+    "scattering_kernel", "scattering_layer_matrix", "single_layer_potential",
+    "smoothing_kernel", "smoothing_matrix", "spectral_sqrt",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,13 @@
 """Dense matrices discretizing the boundary operator on an arc-length grid.
 
 The log-singular part of the operator is never quadrated: it is carried by
-the circle operator at energy zero, which is assembled exactly from its
-eigen decomposition in the discrete trigonometric basis.  The remaining
-kernels are bounded; they are discretized with the periodic trapezoid rule.
+the circle operator at energy zero, assembled exactly from its closed-form
+mode eigenvalues.  On the equispaced grid that operator is a symmetric
+circulant, as is the smoothing matrix, so each is built from one length-N
+row and expanded by index (Toeplitz) gather.  The remaining comparison
+kernel is bounded; it is evaluated on the grid's cached curve chords, minus
+the circulant circle term, and discretized with the periodic trapezoid rule.
+Every part is exactly symmetric by construction.
 
 Chord functions of a smooth closed curve behave like |u| near the diagonal,
 so a plain trapezoid rule on those kernels carries an O(h^2) Euler-Maclaurin
@@ -14,41 +18,14 @@ term identically and leaves O(h^4) errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .curves import ArcGrid, Curve, circle_chord
 from .errors import ConfigError
 from .kernels import green_kernel, smoothing_kernel
-
-FOUR_PI = 4.0 * np.pi
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense symmetric (or complex symmetric) operator matrix on a grid."""
-
-    data: np.ndarray
-    lam: complex
-    label: str
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    # floating addition commutes, so (A + A.T)/2 is bit-exactly symmetric
-    return 0.5 * (a + a.T)
-
-
-def _finalize(a: np.ndarray, lam, label: str) -> OperatorMatrix:
-    a = _symmetrized(a)
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{label}: non-finite matrix entries")
-    return OperatorMatrix(data=a, lam=lam, label=label)
 
 
 def kink_correction(slope, weight: float):
@@ -81,35 +58,24 @@ def circle_mode_eigenvalues(radius: float, pair_count: int) -> tuple[float, np.n
     return nu0, nu0 - odd_harmonic_sums(pair_count) / np.pi
 
 
-def circle_operator_matrix(radius: float, grid: ArcGrid) -> OperatorMatrix:
+def circle_operator_matrix(radius: float, grid: ArcGrid) -> np.ndarray:
     """Boundary operator of the circle at energy zero, assembled exactly.
 
-    Built as F diag(nu) F^T where the columns of F are the orthonormal
-    discrete trigonometric basis on the equispaced grid.  The constant mode
-    carries ln(4R)/(2 pi); the cos/sin pair at wavenumber k carries the
-    closed-form pair eigenvalue.  Degenerate pairs are exact by
-    construction, with the top alternating mode unpaired for even N.
+    The operator is diagonalized by the discrete Fourier modes of the
+    equispaced grid: the constant mode carries ln(4R)/(2 pi), wavenumbers
+    k and N - k carry the closed-form pair eigenvalue of min(k, N - k), and
+    the top alternating mode is unpaired for even N.  The inverse real FFT
+    of those N/2 + 1 eigenvalues is the first row of the symmetric
+    circulant, expanded to the full matrix by Toeplitz gather.
     """
     n = grid.n
     if n % 2 != 0:
         raise ConfigError("circle operator needs an even grid size")
     nu0, nu_pairs = circle_mode_eigenvalues(radius, n // 2)
-    j = np.arange(n)
-    cols = [np.full(n, 1.0 / math.sqrt(n))]
-    values = [nu0]
-    for k in range(1, n // 2):
-        ang = 2.0 * np.pi * k * j / n
-        cols.append(math.sqrt(2.0 / n) * np.cos(ang))
-        cols.append(math.sqrt(2.0 / n) * np.sin(ang))
-        values.extend([nu_pairs[k - 1]] * 2)
-    cols.append(((-1.0) ** j) / math.sqrt(n))
-    values.append(nu_pairs[n // 2 - 1])
-    basis = np.stack(cols, axis=1)
-    mat = (basis * np.asarray(values)) @ basis.T
-    return _finalize(mat, 0.0, f"circle_operator R={radius:g}")
+    return toeplitz(np.fft.irfft(np.concatenate([[nu0], nu_pairs]), n))
 
 
-def smoothing_matrix(radius: float, lam: float, grid: ArcGrid) -> OperatorMatrix:
+def smoothing_matrix(radius: float, lam: float, grid: ArcGrid) -> np.ndarray:
     """Trapezoid matrix of the smoothing kernel on circle chords.
 
     Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal takes
@@ -118,23 +84,21 @@ def smoothing_matrix(radius: float, lam: float, grid: ArcGrid) -> OperatorMatrix
     """
     if lam > 0:
         raise ConfigError("smoothing_matrix requires lam <= 0")
-    s = grid.nodes
     w = grid.weight
-    length = 2.0 * np.pi * radius
-    c = circle_chord(length, np.abs(s[:, None] - s[None, :]))
-    mat = w * smoothing_kernel(lam, c)
+    k = np.arange(grid.n)
+    chords = circle_chord(2.0 * np.pi * radius, np.minimum(k, grid.n - k) * w)
+    row = w * smoothing_kernel(lam, chords)
     slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
     corr = kink_correction(slope, w)
     # the O(h^2) correction must stay subordinate to the analytic diagonal;
     # beyond sqrt(-lam) ~ 1/h the kernel's boundary layer is unresolved and
     # an uncapped correction would flip the diagonal's sign
     diag_limit = w * math.sqrt(-lam) / (4.0 * np.pi)
-    corr = max(corr, -0.5 * diag_limit)
-    mat[np.diag_indices_from(mat)] += corr
-    return _finalize(mat, lam, f"smoothing R={radius:g}")
+    row[0] += max(corr, -0.5 * diag_limit)
+    return toeplitz(row)
 
 
-def comparison_matrix(curve: Curve, lam: float, grid: ArcGrid) -> OperatorMatrix:
+def comparison_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
     """Trapezoid matrix of the curve-vs-circle kernel difference.
 
     Off-diagonal entries w * [G_lam(curve chord) - G_lam(circle chord)];
@@ -144,24 +108,17 @@ def comparison_matrix(curve: Curve, lam: float, grid: ArcGrid) -> OperatorMatrix
     """
     if lam > 0:
         raise ConfigError("comparison_matrix requires lam <= 0")
-    n = grid.n
-    w = grid.weight
     if curve.is_circle:
-        return _finalize(np.zeros((n, n)), lam, "comparison (circle)")
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    c_curve = np.sqrt(np.sum(diff * diff, axis=-1))
-    c_circle = circle_chord(grid.length, np.abs(grid.nodes[:, None] - grid.nodes[None, :]))
-    off = ~np.eye(n, dtype=bool)
-    mat = np.zeros((n, n))
-    mat[off] = w * (green_kernel(lam, c_curve[off]) - green_kernel(lam, c_circle[off]))
+        return np.zeros((grid.n, grid.n))
+    w = grid.weight
+    mat = w * grid.chord_difference(lambda r: green_kernel(lam, r))
     kappa_circle = 2.0 * np.pi / grid.length
     slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
     mat[np.diag_indices_from(mat)] = kink_correction(slopes, w)
-    return _finalize(mat, lam, "comparison")
+    return mat
 
 
-def boundary_matrix(curve: Curve, lam: float, grid: ArcGrid) -> OperatorMatrix:
+def boundary_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
     """Regularized boundary operator of the curve at energy lam <= 0.
 
     Assembled from the exact algebra: comparison part plus the circle
@@ -173,14 +130,9 @@ def boundary_matrix(curve: Curve, lam: float, grid: ArcGrid) -> OperatorMatrix:
     if lam > 0:
         raise ConfigError("boundary_matrix requires lam <= 0")
     radius = grid.length / (2.0 * np.pi)
-    mat = circle_operator_matrix(radius, grid).data - smoothing_matrix(radius, lam, grid).data
+    mat = circle_operator_matrix(radius, grid) - smoothing_matrix(radius, lam, grid)
     if not curve.is_circle:
-        mat = mat + comparison_matrix(curve, lam, grid).data
-    return _finalize(mat, lam, f"boundary lam={lam:g}")
-
-
-def dump_matrix_csv(mat: OperatorMatrix, path) -> None:
-    """Debug dump: header with (N, lam, label), then the dense entries."""
-    with open(path, "w") as fh:
-        fh.write(f"# n={mat.n} lam={mat.lam} label={mat.label}\n")
-        np.savetxt(fh, mat.data, delimiter=",", fmt="%.17g")
+        mat += comparison_matrix(curve, lam, grid)
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
+    return mat

@@ -15,10 +15,12 @@ circle of equal length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import toeplitz
 
 from .errors import ConfigError, CurveError
 
@@ -252,9 +254,7 @@ def _check_self_intersection(curve: Curve) -> None:
     n = 1024
     L = curve.total_length
     s = np.arange(n) * L / n
-    pts = curve.point_at_arclength(s)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = _pairwise_distances(curve.point_at_arclength(s))
     ds = np.abs(s[:, None] - s[None, :])
     ds = np.minimum(ds, L - ds)
     far = ds > L / 64.0
@@ -262,12 +262,29 @@ def _check_self_intersection(curve: Curve) -> None:
         raise CurveError("curve self-intersects (or nearly touches itself)")
 
 
+def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+    """(N, N) Euclidean distances between the rows of `pts`; exactly
+    symmetric, with an exactly zero diagonal."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # -- arc-length grids ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ArcGrid:
-    """Equispaced arc-length nodes with the uniform trapezoid weight."""
+    """Equispaced arc-length nodes with the uniform trapezoid weight.
+
+    Also the one holder of the energy-independent chord geometry: the curve
+    chords and the chords of the equal-length circle are computed on first
+    use and shared, read-only, by every assembly on this grid.
+    """
 
     curve: Curve
     nodes: np.ndarray       # (N,) arc-length values s_j = (j-1) L / N
@@ -282,6 +299,34 @@ class ArcGrid:
     @property
     def length(self) -> float:
         return self.n * self.weight
+
+    @cached_property
+    def chords(self) -> np.ndarray:
+        """(N, N) curve chords |sigma(s_i) - sigma(s_j)|, zero on the diagonal."""
+        return _read_only(_pairwise_distances(self.points))
+
+    @cached_property
+    def circle_chord_row(self) -> np.ndarray:
+        """(N,) chords of the equal-length circle at arc separations
+        min(k, N - k) h: the first row of the circulant circle chord matrix."""
+        k = np.arange(self.n)
+        return _read_only(circle_chord(self.length, np.minimum(k, self.n - k) * self.weight))
+
+    def chord_difference(self, kernel) -> np.ndarray:
+        """kernel(curve chord) - kernel(circle chord) for every node pair.
+
+        `kernel` maps an array of positive chords elementwise.  The diagonal,
+        where both chords vanish, is zero; the circle term is the circulant
+        spanned by one row, so the kernel is evaluated on N circle chords.
+        """
+        n = self.n
+        off = ~np.eye(n, dtype=bool)
+        out = np.zeros((n, n))
+        out[off] = kernel(self.chords[off])
+        circle_row = np.zeros(n)
+        circle_row[1:] = kernel(self.circle_chord_row[1:])
+        out -= toeplitz(circle_row)
+        return out
 
 
 def make_grid(curve: Curve, n: int) -> ArcGrid:
@@ -317,16 +362,6 @@ def circle_chord(length: float, ds):
     return 2.0 * R * np.abs(np.sin(np.pi * np.asarray(ds, dtype=float) / length))
 
 
-def _chord_matrices(grid: ArcGrid):
-    """Pairwise chords of the curve and of the equal-length circle."""
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    c_curve = np.sqrt(np.sum(diff * diff, axis=-1))
-    s = grid.nodes
-    c_circle = circle_chord(grid.length, np.abs(s[:, None] - s[None, :]))
-    return c_curve, c_circle
-
-
 def circle_deviation(curve: Curve, grid: ArcGrid) -> float:
     """Squared L^2 distance between the curve's Coulomb kernel and the circle's.
 
@@ -340,12 +375,7 @@ def circle_deviation(curve: Curve, grid: ArcGrid) -> float:
     the diagonal entries are set to 0.  Zero for a circle, positive and
     rigid-motion invariant otherwise.
     """
-    c_curve, c_circle = _chord_matrices(grid)
-    n = grid.n
-    off = ~np.eye(n, dtype=bool)
-    integrand = np.zeros((n, n))
-    integrand[off] = (1.0 / (4.0 * np.pi * c_curve[off])
-                      - 1.0 / (4.0 * np.pi * c_circle[off]))
+    integrand = grid.chord_difference(lambda r: 1.0 / (4.0 * np.pi * r))
     return float(grid.weight ** 2 * np.sum(integrand ** 2))
 
 

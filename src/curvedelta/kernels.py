@@ -13,9 +13,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
-from .curves import Curve, chord, circle_chord
 from .errors import ConfigError
 
 # switch to a 3-term Taylor expansion once |exponent| * r drops below this,
@@ -46,37 +44,6 @@ def green_kernel(lam, r):
     return complex(out) if out.ndim == 0 else out
 
 
-def circle_top_eigenvalue(lam: float, radius: float) -> float:
-    """Largest eigenvalue of the circle's boundary operator at energy lam <= 0.
-
-    Equals
-
-        int_0^{pi/2} (e^{-sqrt(-lam) 2R sin s} - 1) / (2 pi sin s) ds
-            + ln(4R) / (2 pi),
-
-    evaluated with adaptive Gauss-Kronrod quadrature to absolute tolerance
-    1e-12; the integrand extends continuously by -sqrt(-lam) R / pi at s = 0.
-    The eigenfunction is the constant function; the value decreases to
-    -infinity as lam -> -infinity.
-    """
-    if lam > 0:
-        raise ConfigError("circle_top_eigenvalue requires lam <= 0")
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    const = math.log(4.0 * radius) / (2.0 * np.pi)
-    if lam == 0:
-        return const
-    a = math.sqrt(-lam)
-
-    def integrand(s):
-        if s == 0.0:
-            return -a * radius / np.pi
-        return np.expm1(-a * 2.0 * radius * np.sin(s)) / (2.0 * np.pi * np.sin(s))
-
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val + const
-
-
 def smoothing_kernel(lam, r):
     """(1 - e^{-sqrt(-lam) r}) / (4 pi r), extended by sqrt(-lam)/(4 pi) at r = 0.
 
@@ -95,25 +62,6 @@ def smoothing_kernel(lam, r):
         -np.expm1(-x) / (4.0 * np.pi * safe_r),
     )
     return float(out) if out.ndim == 0 else out
-
-
-def comparison_kernel(curve: Curve, lam: float, s: float, t: float) -> float:
-    """Difference of resolvent kernels between curve chords and circle chords.
-
-    G_lam(|sigma(s) - sigma(t)|) - G_lam(|tau(s) - tau(t)|), where tau is the
-    arc-length circle of the same length; 0 on the diagonal, where both
-    chords agree to second order.
-    """
-    if lam > 0:
-        raise ConfigError("comparison_kernel requires lam <= 0")
-    L = curve.total_length
-    ds = abs(float(s) - float(t)) % L
-    ds = min(ds, L - ds)
-    if ds == 0.0:
-        return 0.0
-    c_curve = float(chord(curve, s, t))
-    c_circ = float(circle_chord(L, ds))
-    return float(green_kernel(lam, c_curve) - green_kernel(lam, c_circ))
 
 
 def scattering_kernel(lam, eta: float, r):

@@ -135,7 +135,7 @@ def perturbed_green(curve: Curve, grid: ArcGrid, lam: float, alpha: float,
                             "lam is at or near a bound-state energy")
     gx = green_kernel(lam, np.linalg.norm(grid.points - x, axis=1))
     gy = green_kernel(lam, np.linalg.norm(grid.points - y, axis=1))
-    system = alpha * np.eye(grid.n) - bmat.data
+    system = alpha * np.eye(grid.n) - bmat
     correction = grid.weight * float(gx @ np.linalg.solve(system, gy))
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
@@ -174,7 +174,7 @@ def correction_singular_values(curve: Curve, grid: ArcGrid, box: BoxGrid,
     if np.min(np.abs(spec.values - alpha)) < 1e-8:
         raise NumericsError("alpha too close to the boundary spectrum")
     r = np.linalg.qr(g, mode="r")
-    system = alpha * np.eye(grid.n) - bmat.data
+    system = alpha * np.eye(grid.n) - bmat
     core = r @ np.linalg.solve(system, r.T)
     return scipy.linalg.svdvals(core)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import OperatorMatrix, boundary_matrix, kink_correction, _finalize
+from .assembly import boundary_matrix, kink_correction
 from .curves import ArcGrid, Curve
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
@@ -33,7 +33,7 @@ ETA_MARGIN = 1e-6         # required spectral distance of alpha from B_eta
 
 
 def scattering_layer_matrix(curve: Curve, grid: ArcGrid, lam,
-                            eta: float) -> OperatorMatrix:
+                            eta: float) -> np.ndarray:
     """Trapezoid matrix of the scattering kernel; complex symmetric for lam > 0.
 
     The diagonal takes the analytic kernel limit plus the kink correction
@@ -43,16 +43,14 @@ def scattering_layer_matrix(curve: Curve, grid: ArcGrid, lam,
     """
     if eta >= 0:
         raise ConfigError("reference energy eta must be negative")
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    chords = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(chords, 0.0)
     w = grid.weight
-    mat = w * scattering_kernel(lam, eta, chords)
+    mat = w * scattering_kernel(lam, eta, grid.chords)
     lamc = complex(lam)
     slope = (eta - lamc.real) / (8.0 * np.pi)
     mat[np.diag_indices_from(mat)] += kink_correction(slope, w)
-    return _finalize(mat, lam, f"scattering lam={lam} eta={eta:g}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"scattering lam={lam} eta={eta:g}: non-finite matrix entries")
+    return mat
 
 
 def choose_reference_energy(curve: Curve, grid: ArcGrid, alpha: float,
@@ -92,11 +90,10 @@ def scattering_block(curve: Curve, grid: ArcGrid, lam: float, alpha: float,
     """Assemble S'(lam) at energy lam >= 0, coupling alpha, reference eta."""
     if lam < 0:
         raise ConfigError("scattering block is defined for lam >= 0")
-    n_mat = scattering_layer_matrix(curve, grid, lam, eta).data
-    b_mat = boundary_matrix(curve, eta, grid).data
+    n_mat = scattering_layer_matrix(curve, grid, lam, eta)
+    b_mat = boundary_matrix(curve, eta, grid)
 
-    imag_part = 0.5 * (n_mat.imag + n_mat.imag.T)
-    vals, vecs = scipy.linalg.eigh(imag_part)
+    vals, vecs = scipy.linalg.eigh(n_mat.imag)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     top = vals[0] if len(vals) else 0.0
     if top <= 0.0:

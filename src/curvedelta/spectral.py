@@ -17,7 +17,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .assembly import OperatorMatrix, boundary_matrix, odd_harmonic_sums
+from .assembly import boundary_matrix, odd_harmonic_sums
 from .curves import ArcGrid, Curve, circle_deviation, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
@@ -51,30 +51,30 @@ class EigenSystem:
         return groups
 
 
-def eigen(mat: OperatorMatrix, vectors: bool = True) -> EigenSystem:
+def eigen(mat: np.ndarray, vectors: bool = True) -> EigenSystem:
     """Full symmetric eigendecomposition, sorted nonincreasingly."""
     try:
         if vectors:
-            vals, vecs = scipy.linalg.eigh(mat.data)
+            vals, vecs = scipy.linalg.eigh(mat)
         else:
-            vals = scipy.linalg.eigh(mat.data, eigvals_only=True)
+            vals = scipy.linalg.eigh(mat, eigvals_only=True)
             vecs = None
     except scipy.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigensolver failed on {mat.label}: {exc}") from exc
+        raise NumericsError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     if vecs is not None:
         vecs = vecs[:, order]
-    return EigenSystem(values=vals, vectors=vecs, trusted_count=mat.n // 4)
+    return EigenSystem(values=vals, vectors=vecs, trusted_count=mat.shape[0] // 4)
 
 
-def eigenvalue_at(mat: OperatorMatrix, k: int) -> float:
+def eigenvalue_at(mat: np.ndarray, k: int) -> float:
     """k-th largest eigenvalue (1-based) without the full decomposition."""
-    n = mat.n
+    n = mat.shape[0]
     if not 1 <= k <= n:
         raise ConfigError("eigenvalue index out of range")
     idx = n - k
-    vals = scipy.linalg.eigh(mat.data, eigvals_only=True,
+    vals = scipy.linalg.eigh(mat, eigvals_only=True,
                              subset_by_index=[idx, idx], driver="evr")
     return float(vals[0])
 

@@ -1,0 +1,87 @@
+"""Reference implementations the tests compare the library against.
+
+Each one evaluates a quantity by a route independent of the library's
+assembly: adaptive quadrature, pointwise kernels, or the dense trigonometric
+basis.  None of them is used by the library itself.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+
+from curvedelta import (ConfigError, Curve, chord, circle_chord,
+                        circle_mode_eigenvalues, green_kernel)
+
+
+def circle_top_eigenvalue(lam: float, radius: float) -> float:
+    """Largest eigenvalue of the circle's boundary operator at energy lam <= 0.
+
+    Equals
+
+        int_0^{pi/2} (e^{-sqrt(-lam) 2R sin s} - 1) / (2 pi sin s) ds
+            + ln(4R) / (2 pi),
+
+    evaluated with adaptive Gauss-Kronrod quadrature to absolute tolerance
+    1e-12; the integrand extends continuously by -sqrt(-lam) R / pi at s = 0.
+    The eigenfunction is the constant function; the value decreases to
+    -infinity as lam -> -infinity.
+    """
+    if lam > 0:
+        raise ConfigError("circle_top_eigenvalue requires lam <= 0")
+    if radius <= 0:
+        raise ConfigError("radius must be positive")
+    const = math.log(4.0 * radius) / (2.0 * np.pi)
+    if lam == 0:
+        return const
+    a = math.sqrt(-lam)
+
+    def integrand(s):
+        if s == 0.0:
+            return -a * radius / np.pi
+        return np.expm1(-a * 2.0 * radius * np.sin(s)) / (2.0 * np.pi * np.sin(s))
+
+    val, _ = quad(integrand, 0.0, np.pi / 2.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val + const
+
+
+def comparison_kernel(curve: Curve, lam: float, s: float, t: float) -> float:
+    """Difference of resolvent kernels between curve chords and circle chords.
+
+    G_lam(|sigma(s) - sigma(t)|) - G_lam(|tau(s) - tau(t)|), where tau is the
+    arc-length circle of the same length; 0 on the diagonal, where both
+    chords agree to second order.
+    """
+    if lam > 0:
+        raise ConfigError("comparison_kernel requires lam <= 0")
+    L = curve.total_length
+    ds = abs(float(s) - float(t)) % L
+    ds = min(ds, L - ds)
+    if ds == 0.0:
+        return 0.0
+    c_curve = float(chord(curve, s, t))
+    c_circ = float(circle_chord(L, ds))
+    return float(green_kernel(lam, c_curve) - green_kernel(lam, c_circ))
+
+
+def circle_operator_reference(radius: float, n: int) -> np.ndarray:
+    """Circle operator at energy zero built as F diag(nu) F^T.
+
+    The columns of F are the orthonormal discrete trigonometric basis on the
+    equispaced n-node grid: the constant, the cos/sin pair at each
+    wavenumber k < n/2, and the unpaired alternating mode.  O(n^3).
+    """
+    nu0, nu_pairs = circle_mode_eigenvalues(radius, n // 2)
+    j = np.arange(n)
+    cols = [np.full(n, 1.0 / math.sqrt(n))]
+    values = [nu0]
+    for k in range(1, n // 2):
+        ang = 2.0 * np.pi * k * j / n
+        cols.append(math.sqrt(2.0 / n) * np.cos(ang))
+        cols.append(math.sqrt(2.0 / n) * np.sin(ang))
+        values.extend([nu_pairs[k - 1]] * 2)
+    cols.append(((-1.0) ** j) / math.sqrt(n))
+    values.append(nu_pairs[n // 2 - 1])
+    basis = np.stack(cols, axis=1)
+    mat = (basis * np.asarray(values)) @ basis.T
+    return 0.5 * (mat + mat.T)

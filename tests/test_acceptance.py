@@ -16,12 +16,13 @@ import pytest
 from curvedelta import (asymptotic_count_bounds, boundary_matrix,
                         chord_mean_inequality, choose_reference_energy,
                         circle_deviation, circle_mode_eigenvalues,
-                        circle_top_eigenvalue, correction_singular_values,
+                        correction_singular_values,
                         count_bound_states, eigen, find_bound_states,
                         fit_decay_slope, green_kernel, isoperimetric_compare,
                         layer_singular_values, make_box, make_circle, make_grid,
                         perturbed_green, scattering_block)
 from curvedelta.cli import main as cli_main
+from oracles import circle_top_eigenvalue
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
 

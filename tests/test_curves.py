@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from curvedelta import (CurveError, chord, chord_mean_inequality, circle_chord,
                         circle_deviation, make_circle, make_ellipse, make_grid,
@@ -51,6 +52,8 @@ def test_circle_chord_law_on_grid():
     direct = np.linalg.norm(g.points[:, None, :] - g.points[None, :, :], axis=2)
     law = circle_chord(c.total_length, pair)
     assert np.max(np.abs(direct - law)) < 1e-12
+    assert np.max(np.abs(g.chords - law)) < 1e-12
+    assert np.max(np.abs(toeplitz(g.circle_chord_row) - law)) < 1e-12
 
 
 def test_reparametrize_circle_is_identity():

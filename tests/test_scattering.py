@@ -8,17 +8,17 @@ from curvedelta import (ConfigError, NumericsError, boundary_matrix,
 
 class TestLayerMatrix:
     def test_equal_energies_zero(self, circle, circle_grid):
-        mat = scattering_layer_matrix(circle, circle_grid, -1.0, -1.0).data
+        mat = scattering_layer_matrix(circle, circle_grid, -1.0, -1.0)
         assert np.max(np.abs(mat)) == 0.0
 
     def test_negative_energy_real_symmetric(self, circle, circle_grid):
-        mat = scattering_layer_matrix(circle, circle_grid, -2.0, -1.0).data
+        mat = scattering_layer_matrix(circle, circle_grid, -2.0, -1.0)
         assert not np.iscomplexobj(mat)
         assert np.array_equal(mat, mat.T)
 
     def test_imaginary_part_entrywise(self, circle, circle_grid):
         # Im entries are w sin(r_ij)/(4 pi r_ij) with w/(4 pi) on the diagonal
-        mat = scattering_layer_matrix(circle, circle_grid, 1.0, -1.0).data
+        mat = scattering_layer_matrix(circle, circle_grid, 1.0, -1.0)
         pts = circle_grid.points
         w = circle_grid.weight
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
