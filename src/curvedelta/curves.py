@@ -97,7 +97,6 @@ class Curve:
         self._table: _ArcTable | None = None
         # a circle built by make_circle is unit-speed natively
         self.unit_speed = bool(is_circle)
-        self.curvature_bound: float | None = 1.0 / radius if is_circle else None
 
     # -- evaluation in the native parameter -------------------------------
 
@@ -245,8 +244,6 @@ def reparametrize_arclength(curve: Curve, tol: float = 1e-8) -> Curve:
     dev = np.abs(np.linalg.norm(tangent, axis=-1) - 1.0).max()
     if dev >= tol:
         raise CurveError(f"unit-speed check failed: max | |sigma'| - 1 | = {dev:.3e}")
-
-    out.curvature_bound = float(out.curvature(tfine).max())
     return out
 
 

@@ -16,15 +16,17 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import brentq
 
 from .assembly import boundary_matrix, odd_harmonic_sums
 from .curves import ArcGrid, Curve, circle_deviation, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
 ROOT_TOL = 1e-10
-BISECT_WIDTH = 1e-8
-PAIRING_TOL = 1e-9
 MONOTONE_TOL = 1e-10
+# Brent's method stops once the bracket is below xtol + rtol * |root|
+BRENT_XTOL = 1e-14
+BRENT_RTOL = 4.0 * np.finfo(float).eps
 ENDPOINT_TOL = 1e-12
 MAX_FLOOR_DOUBLINGS = 60
 
@@ -39,16 +41,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray | None
     trusted_count: int
-
-    def multiplicity_groups(self, tol: float = PAIRING_TOL) -> list[tuple[int, int]]:
-        """(start index, size) of clusters of eigenvalues within tol."""
-        groups = []
-        start = 0
-        for i in range(1, len(self.values) + 1):
-            if i == len(self.values) or abs(self.values[i] - self.values[start]) > tol:
-                groups.append((start, i - start))
-                start = i
-        return groups
 
 
 def eigen(mat: np.ndarray, vectors: bool = True) -> EigenSystem:
@@ -122,66 +114,63 @@ def _top_eigenvalue_floor(curve: Curve, grid: ArcGrid, alpha: float) -> float:
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
 
 
+def _zero_energy_count(curve: Curve, grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
+    """Energy-zero spectrum and its count above alpha; refuses at n/4."""
+    if alpha == 0:
+        raise ConfigError("coupling alpha must be nonzero")
+    spec = eigen(boundary_matrix(curve, 0.0, grid), vectors=False)
+    count = int(np.sum(spec.values[:spec.trusted_count] > alpha))
+    if count >= spec.trusted_count:
+        raise NumericsError("count reaches the trusted range n/4; refusing to "
+                            "undercount - refine the grid")
+    return spec, count
+
+
 def find_bound_states(curve: Curve, grid: ArcGrid, alpha: float,
-                      lam_floor: float | None = None,
                       max_states: int | None = None,
                       root_tol: float = ROOT_TOL) -> list[BoundState]:
     """All bound states at coupling alpha, sorted by energy.
 
     For each k with nu_k(0) > alpha the unique root of nu_k(lam) = alpha is
-    bracketed by bisection down to width 1e-8 and polished with three secant
-    steps; monotonicity of the branch makes the bracket unconditionally
-    safe and is asserted at every step.
+    found by Brent's method on [floor, 0], where even the top branch is
+    below alpha at the floor.  Monotonicity of the branch makes the bracket
+    safe; every branch value is checked against the nearest samples on both
+    sides (Brent's method takes far fewer samples than bisection, so the
+    check sees fewer points), and every root is re-verified against a full
+    eigensolve.
     """
-    if alpha == 0:
-        raise ConfigError("coupling alpha must be nonzero")
-    zero_spec = eigen(boundary_matrix(curve, 0.0, grid), vectors=False)
-    trusted = zero_spec.trusted_count
-    n_roots = int(np.sum(zero_spec.values[:trusted] > alpha))
-    if n_roots >= trusted:
-        raise NumericsError("bound-state count reaches the trusted range n/4; "
-                            "refusing to undercount - refine the grid")
+    zero_spec, n_roots = _zero_energy_count(curve, grid, alpha)
     if max_states is not None:
         n_roots = min(n_roots, max_states)
     if n_roots == 0:
         return []
 
-    if lam_floor is None:
-        lam_floor = _top_eigenvalue_floor(curve, grid, alpha)
-    elif eigenvalue_at(boundary_matrix(curve, lam_floor, grid), 1) >= alpha:
-        lam_floor = _top_eigenvalue_floor(curve, grid, alpha)
-
+    lam_floor = _top_eigenvalue_floor(curve, grid, alpha)
     states = []
     for k in range(1, n_roots + 1):
-        nu_of = lambda lam: eigenvalue_at(boundary_matrix(curve, lam, grid), k)
-        lo, hi = lam_floor, 0.0
-        g_lo = nu_of(lo) - alpha
-        g_hi = zero_spec.values[k - 1] - alpha
-        if g_lo >= 0 or g_hi <= 0:
+        samples = {lam_floor: eigenvalue_at(boundary_matrix(curve, lam_floor, grid), k) - alpha,
+                   0.0: zero_spec.values[k - 1] - alpha}
+        if samples[lam_floor] >= 0 or samples[0.0] <= 0:
             raise NumericsError(f"root bracket invalid for mode {k}")
-        while hi - lo > BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            g_mid = nu_of(mid) - alpha
-            if not (g_lo - MONOTONE_TOL <= g_mid <= g_hi + MONOTONE_TOL):
-                raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
-            if g_mid < 0:
-                lo, g_lo = mid, g_mid
-            else:
-                hi, g_hi = mid, g_mid
-        # secant polish; stays inside the bracket by monotonicity
-        xa, ga, xb, gb = lo, g_lo, hi, g_hi
-        for _ in range(3):
-            if gb == ga:
-                break
-            xc = xb - gb * (xb - xa) / (gb - ga)
-            xc = min(max(xc, lo), hi)
-            gc = nu_of(xc) - alpha
-            xa, ga, xb, gb = xb, gb, xc, gc
-        root = xb
+
+        def g(lam: float) -> float:
+            if lam not in samples:
+                value = eigenvalue_at(boundary_matrix(curve, lam, grid), k) - alpha
+                below = samples[max(x for x in samples if x < lam)]
+                above = samples[min(x for x in samples if x > lam)]
+                if not below - MONOTONE_TOL <= value <= above + MONOTONE_TOL:
+                    raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
+                samples[lam] = value
+            return samples[lam]
+
+        root, result = brentq(g, lam_floor, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
+                              full_output=True, disp=False)
+        if not result.converged:
+            raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
         full = eigen(boundary_matrix(curve, root, grid))
         residual = abs(full.values[k - 1] - alpha)
         if residual >= root_tol:
-            raise NumericsError(f"root polish left residual {residual:.2e} for mode {k}")
+            raise NumericsError(f"root left residual {residual:.2e} for mode {k}")
         states.append(BoundState(index=k, energy=root, alpha=alpha,
                                  coefficients=full.vectors[:, k - 1],
                                  residual=residual))
@@ -283,14 +272,7 @@ def count_bound_states(curve: Curve, grid: ArcGrid, alpha: float) -> CountReport
     rather than undercounting when the count reaches that range).  For a
     circle the result is cross-checked against the closed-form 2r + 1.
     """
-    if alpha == 0:
-        raise ConfigError("coupling alpha must be nonzero")
-    spec = eigen(boundary_matrix(curve, 0.0, grid), vectors=False)
-    trusted = spec.trusted_count
-    count = int(np.sum(spec.values[:trusted] > alpha))
-    if count >= trusted:
-        raise NumericsError("count reaches the trusted range n/4; refusing to "
-                            "undercount - refine the grid")
+    _, count = _zero_energy_count(curve, grid, alpha)
 
     deviation = circle_deviation(curve, grid)
     radius = grid.length / (2.0 * np.pi)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvedelta import spectral
 from curvedelta import (make_circle, make_ellipse, make_grid,
                         reparametrize_arclength, scale_to_length)
 
@@ -24,3 +25,24 @@ def ellipse():
 @pytest.fixture(scope="session")
 def ellipse_grid(ellipse):
     return make_grid(ellipse, 256)
+
+
+@pytest.fixture
+def humped_branches(monkeypatch):
+    """Lift every eigenvalue branch by +1 for -2 < lam < -0.01.
+
+    The hump puts nu_k(lam) above nu_k(0) strictly inside the bound-state
+    bracket, so a root finder that checks monotonicity must refuse.
+    """
+    energies = []
+    real_matrix, real_value = spectral.boundary_matrix, spectral.eigenvalue_at
+
+    def matrix(curve, lam, grid):
+        energies.append(lam)
+        return real_matrix(curve, lam, grid)
+
+    def value(mat, k):
+        return real_value(mat, k) + (1.0 if -2.0 < energies[-1] < -0.01 else 0.0)
+
+    monkeypatch.setattr(spectral, "boundary_matrix", matrix)
+    monkeypatch.setattr(spectral, "eigenvalue_at", value)

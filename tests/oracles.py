@@ -2,7 +2,8 @@
 
 Each one evaluates a quantity by a route independent of the library's
 assembly: adaptive quadrature, pointwise kernels, or the dense trigonometric
-basis.  None of them is used by the library itself.
+basis.  None of them is used by the library itself; neither is the
+eigenvalue-clustering helper at the end.
 """
 
 import math
@@ -12,6 +13,8 @@ from scipy.integrate import quad
 
 from curvedelta import (ConfigError, Curve, chord, circle_chord,
                         circle_mode_eigenvalues, green_kernel)
+
+PAIRING_TOL = 1e-9
 
 
 def circle_top_eigenvalue(lam: float, radius: float) -> float:
@@ -85,3 +88,14 @@ def circle_operator_reference(radius: float, n: int) -> np.ndarray:
     basis = np.stack(cols, axis=1)
     mat = (basis * np.asarray(values)) @ basis.T
     return 0.5 * (mat + mat.T)
+
+
+def multiplicity_groups(values, tol: float = PAIRING_TOL) -> list[tuple[int, int]]:
+    """(start index, size) of clusters of sorted eigenvalues within tol."""
+    groups = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or abs(values[i] - values[start]) > tol:
+            groups.append((start, i - start))
+            start = i
+    return groups

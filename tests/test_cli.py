@@ -80,6 +80,10 @@ class TestBoundStates:
         assert main(["bound-states", "--curve", circle_file, "--alpha", "0",
                      "--out", str(tmp_path)]) == 2
 
+    def test_non_monotone_branch_exits_3(self, circle_file, tmp_path, humped_branches):
+        assert main(["bound-states", "--curve", circle_file, "--n", "256",
+                     "--alpha", "0.1", "--out", str(tmp_path)]) == 3
+
     def test_determinism(self, circle_file, tmp_path):
         args = ["bound-states", "--curve", circle_file, "--n", "64",
                 "--alpha", "0.1,-0.2"]

@@ -1,15 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from curvedelta import spectral
 from curvedelta import (ConfigError, NumericsError,
                         asymptotic_count_bounds, boundary_matrix,
                         count_bound_states, eigen,
                         eigenvalue_at, eigenvalue_curve, find_bound_states,
                         interval_index, isoperimetric_compare, make_circle,
                         make_grid)
-from oracles import circle_top_eigenvalue
+from oracles import circle_top_eigenvalue, multiplicity_groups
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
 
@@ -35,7 +37,7 @@ class TestEigen:
 
     def test_multiplicity_pairs_on_circle(self, circle, circle_grid):
         spec = eigen(boundary_matrix(circle, 0.0, circle_grid), vectors=False)
-        groups = spec.multiplicity_groups()
+        groups = multiplicity_groups(spec.values)
         assert groups[0] == (0, 1)          # constant mode is simple
         assert groups[1] == (1, 2)          # first pair doubly degenerate
         assert groups[2] == (3, 2)
@@ -95,10 +97,17 @@ class TestBoundStates:
         with pytest.raises(ConfigError):
             find_bound_states(circle, circle_grid, 0.0)
 
-    def test_floor_extension(self, circle, circle_grid):
-        # a floor that does not bracket yet is extended automatically
-        states = find_bound_states(circle, circle_grid, -0.2, lam_floor=-0.01)
-        assert len(states) == 3
+    def test_refuses_non_monotone_branch(self, circle, circle_grid, humped_branches):
+        with pytest.raises(NumericsError, match="monotonicity violated"):
+            find_bound_states(circle, circle_grid, 0.1)
+
+    def test_refuses_unconverged_root(self, circle, circle_grid, monkeypatch):
+        def unconverged(f, a, b, **kwargs):
+            return 0.5 * (a + b), SimpleNamespace(converged=False, flag="convergence error")
+
+        monkeypatch.setattr(spectral, "brentq", unconverged)
+        with pytest.raises(NumericsError, match="did not converge"):
+            find_bound_states(circle, circle_grid, 0.1)
 
 
 class TestIntervalIndex:
@@ -155,10 +164,12 @@ class TestCounting:
             report = count_bound_states(ellipse, ellipse_grid, alpha)
             assert report.lower <= report.count <= report.upper
 
-    def test_refuses_when_count_hits_trusted_range(self, circle):
+    @pytest.mark.parametrize("solve", [count_bound_states, find_bound_states],
+                             ids=lambda solve: solve.__name__)
+    def test_refuses_when_count_hits_trusted_range(self, circle, solve):
         tiny = make_grid(circle, 16)
         with pytest.raises(NumericsError):
-            count_bound_states(circle, tiny, -0.5)
+            solve(circle, tiny, -0.5)
 
     def test_zero_coupling_rejected(self, circle, circle_grid):
         with pytest.raises(ConfigError):
