@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import toeplitz
 
 from .errors import ConfigError, CurveError
 
-# Threshold for the self-intersection guard: points whose arc separation
-# exceeds L/64 must stay at least this fraction of L apart in space.
+# Threshold for the self-intersection guard: points at least L/64 apart in
+# arc length must stay more than this fraction of L apart in space.
 SELF_INTERSECTION_TOL = 1e-9
 
 
@@ -248,22 +249,49 @@ def reparametrize_arclength(curve: Curve, tol: float = 1e-8) -> Curve:
 
 
 def _check_self_intersection(curve: Curve) -> None:
+    """Reject a curve whose far-apart points come within SELF_INTERSECTION_TOL * L.
+
+    On n = 1024 equispaced arc-length nodes the far set is every pair at index
+    shift k with n/64 <= k <= n/2, so each pair at arc separation >= L/64
+    appears once (the n/2 pairs twice).  This is a superset of the
+    float-rounded `ds > L/64` set of a full n x n comparison, which misses
+    some pairs at exactly L/64.  Row k - n/64 of the squared-distance table
+    holds |sigma(s_{i+k}) - sigma(s_i)|^2, read from windows of the doubled
+    coordinate rows, so no n x n array or mask is formed.
+    """
     n = 1024
     L = curve.total_length
-    s = np.arange(n) * L / n
-    dist = _pairwise_distances(curve.point_at_arclength(s))
-    ds = np.abs(s[:, None] - s[None, :])
-    ds = np.minimum(ds, L - ds)
-    far = ds > L / 64.0
-    if dist[far].min() <= SELF_INTERSECTION_TOL * L:
+    pts = curve.point_at_arclength(np.arange(n) * L / n)
+    shifts = slice(n // 64, n // 2 + 1)
+    sq = np.zeros((shifts.stop - shifts.start, n))
+    d = np.empty_like(sq)
+    for x in pts.T:
+        np.subtract(sliding_window_view(np.concatenate([x, x]), n)[shifts], x, out=d)
+        d *= d
+        sq += d
+    if np.sqrt(sq.min()) <= SELF_INTERSECTION_TOL * L:
         raise CurveError("curve self-intersects (or nearly touches itself)")
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    """(N, N) Euclidean distances between the rows of `pts`; exactly
-    symmetric, with an exactly zero diagonal."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def _pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """(P, N) Euclidean distances between the rows of `a` (P, 3) and `b`
+    (N, 3); `b` defaults to `a`, and the result is then exactly symmetric
+    with an exactly zero diagonal.
+
+    The one place that computes pairwise distances: dx^2 + dy^2 + dz^2 is
+    accumulated into one (P, N) array a coordinate at a time, in the order
+    of a summed (P, N, 3) broadcast difference, so the result is bitwise
+    equal to it without forming that temporary.
+    """
+    b = a if b is None else b
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    d = np.empty_like(out)
+    for c in range(1, a.shape[1]):
+        np.subtract.outer(a[:, c], b[:, c], out=d)
+        d *= d
+        out += d
+    return np.sqrt(out, out=out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -280,7 +308,9 @@ class ArcGrid:
 
     Also the one holder of the energy-independent chord geometry: the curve
     chords and the chords of the equal-length circle are computed on first
-    use and shared, read-only, by every assembly on this grid.
+    use and shared, read-only, by every assembly on this grid.  The
+    energy-zero spectrum, which every bound-state count and root search at
+    any coupling starts from, is kept here too.
     """
 
     curve: Curve
@@ -303,6 +333,12 @@ class ArcGrid:
         return _read_only(_pairwise_distances(self.points))
 
     @cached_property
+    def zero_energy_spectra(self) -> dict:
+        """Energy-zero boundary spectra on this grid, keyed by curve; filled
+        by the spectral layer, which every coupling alpha reads."""
+        return {}
+
+    @cached_property
     def circle_chord_row(self) -> np.ndarray:
         """(N,) chords of the equal-length circle at arc separations
         min(k, N - k) h: the first row of the circulant circle chord matrix."""
@@ -313,16 +349,18 @@ class ArcGrid:
         """kernel(curve chord) - kernel(circle chord) for every node pair.
 
         `kernel` maps an array of positive chords elementwise.  The diagonal,
-        where both chords vanish, is zero; the circle term is the circulant
-        spanned by one row, so the kernel is evaluated on N circle chords.
+        where both chords vanish, is zero: the kernel sees a placeholder
+        chord 1 there, and the entry is overwritten.  The circle term is the
+        circulant spanned by one row, so the kernel is evaluated on N circle
+        chords.
         """
-        n = self.n
-        off = ~np.eye(n, dtype=bool)
-        out = np.zeros((n, n))
-        out[off] = kernel(self.chords[off])
-        circle_row = np.zeros(n)
+        chords = self.chords.copy()
+        np.fill_diagonal(chords, 1.0)
+        out = kernel(chords)
+        circle_row = np.zeros(self.n)
         circle_row[1:] = kernel(self.circle_chord_row[1:])
         out -= toeplitz(circle_row)
+        np.fill_diagonal(out, 0.0)
         return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix
-from .curves import ArcGrid, Curve
+from .curves import ArcGrid, Curve, _pairwise_distances
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
 from .spectral import eigen
@@ -85,8 +85,7 @@ def _distance_to_curve(pts: np.ndarray, grid: ArcGrid) -> np.ndarray:
     out = np.empty(len(pts))
     block = max(1, ENTRY_CAP // max(1, grid.n))
     for start in range(0, len(pts), block):
-        chunk = pts[start:start + block]
-        d = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=2)
+        d = _pairwise_distances(pts[start:start + block], grid.points)
         out[start:start + block] = d.min(axis=1)
     return out
 
@@ -146,7 +145,7 @@ def _layer_factor(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
     if n_entries > ENTRY_CAP:
         raise NumericsError(f"box x curve product {n_entries} exceeds the "
                             f"memory guard {ENTRY_CAP}")
-    dists = np.linalg.norm(box.points[:, None, :] - grid.points[None, :, :], axis=2)
+    dists = _pairwise_distances(box.points, grid.points)
     return np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, dists)
 
 

@@ -103,22 +103,34 @@ class BoundState:
     residual: float
 
 
-def _top_eigenvalue_floor(curve: Curve, grid: ArcGrid, alpha: float) -> float:
-    """Energy at which even the top eigenvalue branch is below alpha."""
+def _top_eigenvalue_floor(curve: Curve, grid: ArcGrid,
+                          alpha: float) -> tuple[float, np.ndarray]:
+    """Energy at which even the top eigenvalue branch is below alpha, with
+    the boundary matrix assembled there."""
     lam = -1.0
     for _ in range(MAX_FLOOR_DOUBLINGS):
-        if eigenvalue_at(boundary_matrix(curve, lam, grid), 1) < alpha:
-            return lam
+        mat = boundary_matrix(curve, lam, grid)
+        if eigenvalue_at(mat, 1) < alpha:
+            return lam, mat
         lam *= 2.0
     raise NumericsError("could not find an energy floor below alpha "
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
 
 
 def _zero_energy_count(curve: Curve, grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
-    """Energy-zero spectrum and its count above alpha; refuses at n/4."""
+    """Energy-zero spectrum and its count above alpha; refuses at n/4.
+
+    The spectrum does not depend on alpha, so it is computed once per grid
+    and curve and kept in `grid.zero_energy_spectra`: counting and root
+    finding at any number of couplings share one assembly and eigensolve.
+    """
     if alpha == 0:
         raise ConfigError("coupling alpha must be nonzero")
-    spec = eigen(boundary_matrix(curve, 0.0, grid), vectors=False)
+    spec = grid.zero_energy_spectra.get(curve)
+    if spec is None:
+        spec = eigen(boundary_matrix(curve, 0.0, grid), vectors=False)
+        spec.values.flags.writeable = False
+        grid.zero_energy_spectra[curve] = spec
     count = int(np.sum(spec.values[:spec.trusted_count] > alpha))
     if count >= spec.trusted_count:
         raise NumericsError("count reaches the trusted range n/4; refusing to "
@@ -145,29 +157,35 @@ def find_bound_states(curve: Curve, grid: ArcGrid, alpha: float,
     if n_roots == 0:
         return []
 
-    lam_floor = _top_eigenvalue_floor(curve, grid, alpha)
+    lam_floor, floor_mat = _top_eigenvalue_floor(curve, grid, alpha)
     states = []
     for k in range(1, n_roots + 1):
-        samples = {lam_floor: eigenvalue_at(boundary_matrix(curve, lam_floor, grid), k) - alpha,
+        samples = {lam_floor: eigenvalue_at(floor_mat, k) - alpha,
                    0.0: zero_spec.values[k - 1] - alpha}
         if samples[lam_floor] >= 0 or samples[0.0] <= 0:
             raise NumericsError(f"root bracket invalid for mode {k}")
+        # the latest (lam, matrix) on each side of the root; Brent's method
+        # returns one of its two bracket ends, almost always one of these
+        latest = {}
 
         def g(lam: float) -> float:
             if lam not in samples:
-                value = eigenvalue_at(boundary_matrix(curve, lam, grid), k) - alpha
+                mat = boundary_matrix(curve, lam, grid)
+                value = eigenvalue_at(mat, k) - alpha
                 below = samples[max(x for x in samples if x < lam)]
                 above = samples[min(x for x in samples if x > lam)]
                 if not below - MONOTONE_TOL <= value <= above + MONOTONE_TOL:
                     raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
                 samples[lam] = value
+                latest[value > 0] = (lam, mat)
             return samples[lam]
 
         root, result = brentq(g, lam_floor, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
                               full_output=True, disp=False)
         if not result.converged:
             raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
-        full = eigen(boundary_matrix(curve, root, grid))
+        mat = next((m for lam, m in latest.values() if lam == root), None)
+        full = eigen(boundary_matrix(curve, root, grid) if mat is None else mat)
         residual = abs(full.values[k - 1] - alpha)
         if residual >= root_tol:
             raise NumericsError(f"root left residual {residual:.2e} for mode {k}")

@@ -1,18 +1,21 @@
 """Reference implementations the tests compare the library against.
 
 Each one evaluates a quantity by a route independent of the library's
-assembly: adaptive quadrature, pointwise kernels, or the dense trigonometric
-basis.  None of them is used by the library itself; neither is the
-eigenvalue-clustering helper at the end.
+assembly: adaptive quadrature, pointwise kernels, the dense trigonometric
+basis, or the full (P, N, 3) broadcasts and n x n masks that the library's
+distance tables avoid.  None of them is used by the library itself; neither
+is the eigenvalue-clustering helper at the end.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
-from curvedelta import (ConfigError, Curve, chord, circle_chord,
+from curvedelta import (ArcGrid, ConfigError, Curve, CurveError, chord, circle_chord,
                         circle_mode_eigenvalues, green_kernel)
+from curvedelta.curves import SELF_INTERSECTION_TOL
 
 PAIRING_TOL = 1e-9
 
@@ -99,3 +102,38 @@ def multiplicity_groups(values, tol: float = PAIRING_TOL) -> list[tuple[int, int
             groups.append((start, i - start))
             start = i
     return groups
+
+
+def broadcast_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """(P, N) distances between the rows of a and b through the full
+    (P, N, 3) broadcast difference."""
+    b = a if b is None else b
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+def self_intersection_reference(curve: Curve) -> None:
+    """The n x n self-intersection guard: raises CurveError when two of 1024
+    equispaced nodes with float-rounded arc separation ds > L/64 lie within
+    SELF_INTERSECTION_TOL * L of each other."""
+    n = 1024
+    L = curve.total_length
+    s = np.arange(n) * L / n
+    dist = broadcast_distances(curve.point_at_arclength(s))
+    ds = np.abs(s[:, None] - s[None, :])
+    ds = np.minimum(ds, L - ds)
+    far = ds > L / 64.0
+    if dist[far].min() <= SELF_INTERSECTION_TOL * L:
+        raise CurveError("curve self-intersects (or nearly touches itself)")
+
+
+def chord_difference_reference(grid: ArcGrid, kernel) -> np.ndarray:
+    """kernel(curve chord) - kernel(circle chord), the kernel evaluated on
+    the gathered off-diagonal chords and scattered back."""
+    n = grid.n
+    off = ~np.eye(n, dtype=bool)
+    out = np.zeros((n, n))
+    out[off] = kernel(grid.chords[off])
+    circle_row = np.zeros(n)
+    circle_row[1:] = kernel(grid.circle_chord_row[1:])
+    out -= toeplitz(circle_row)
+    return out

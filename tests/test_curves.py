@@ -5,9 +5,14 @@ import pytest
 from scipy.linalg import toeplitz
 
 from curvedelta import (CurveError, chord, chord_mean_inequality, circle_chord,
-                        circle_deviation, make_circle, make_ellipse, make_grid,
-                        reparametrize_arclength, scale_to_length)
-from curvedelta.curves import Curve
+                        circle_deviation, green_kernel, make_box, make_circle,
+                        make_ellipse, make_grid, reparametrize_arclength,
+                        scale_to_length)
+from curvedelta.curves import (SELF_INTERSECTION_TOL, Curve, _ArcTable,
+                               _check_self_intersection, _pairwise_distances,
+                               _panel_count)
+from oracles import (broadcast_distances, chord_difference_reference,
+                     self_intersection_reference)
 
 
 def test_circle_circumference():
@@ -82,6 +87,112 @@ def test_self_intersection_detected():
                  period=2.0 * math.pi)
     with pytest.raises(CurveError):
         reparametrize_arclength(fig8)
+
+
+def _with_arc_table(raw: Curve) -> Curve:
+    """`raw` with the arc-length table reparametrize_arclength attaches,
+    without its checks."""
+    out = Curve(raw.a0, raw.cos_coeff, raw.sin_coeff, raw.period)
+    out._table = _ArcTable(out, panels=_panel_count(out))
+    out.unit_speed = True
+    return out
+
+
+def _rejects(check, curve) -> bool:
+    try:
+        check(curve)
+    except CurveError:
+        return True
+    return False
+
+
+class _NodeCurve:
+    """The guard's view of a curve: 1024 nodes on the unit circle, with node
+    j moved off the plane to `gap` above node i."""
+
+    n = 1024
+    total_length = 2.0 * math.pi
+
+    def __init__(self, i: int, j: int, gap: float):
+        ang = 2.0 * math.pi * np.arange(self.n) / self.n
+        self.nodes = np.stack([np.cos(ang), np.sin(ang), np.zeros(self.n)], axis=1)
+        self.nodes[j] = self.nodes[i] + [0.0, 0.0, gap]
+
+    def point_at_arclength(self, s):
+        idx = np.rint(np.asarray(s) * self.n / self.total_length).astype(int) % self.n
+        return self.nodes[idx]
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_pairwise_distances_match_broadcast_square(ellipse, n):
+    pts = make_grid(ellipse, n).points
+    dist = _pairwise_distances(pts)
+    assert np.array_equal(dist, broadcast_distances(pts))
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
+
+
+def test_pairwise_distances_match_broadcast_box(ellipse, ellipse_grid):
+    box = make_box(ellipse, ellipse_grid, n=24, lam=-1.0)
+    assert np.array_equal(_pairwise_distances(box.points, ellipse_grid.points),
+                          broadcast_distances(box.points, ellipse_grid.points))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_chord_difference_matches_masked_build(ellipse_grid, lam):
+    kernel = lambda r: green_kernel(lam, r)
+    assert np.array_equal(ellipse_grid.chord_difference(kernel),
+                          chord_difference_reference(ellipse_grid, kernel))
+
+
+def test_guard_matches_reference_on_figure_eight():
+    fig8 = _with_arc_table(Curve(a0=[0.0, 0.0, 0.0],
+                                 cos_coeff=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                 sin_coeff=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+                                 period=2.0 * math.pi))
+    assert _rejects(_check_self_intersection, fig8)
+    assert _rejects(self_intersection_reference, fig8)
+
+
+def _shift_pair_in_reference_far_set(shift: int) -> int:
+    """First node i whose pair (i, i + shift) has float-rounded arc separation
+    above L/64, so the reference guard compares it too."""
+    n, L = _NodeCurve.n, _NodeCurve.total_length
+    s = np.arange(n) * L / n
+    ds = np.abs(s[shift:] - s[:n - shift])
+    ds = np.minimum(ds, L - ds)
+    return int(np.flatnonzero(ds > L / 64.0)[0])
+
+
+@pytest.mark.parametrize("shift", [1024 // 64, 1024 // 2])
+@pytest.mark.parametrize("factor, rejected", [(1.0 - 1e-6, True), (1.0 + 1e-6, False)])
+def test_guard_matches_reference_at_touching_gap(shift, factor, rejected):
+    i = _shift_pair_in_reference_far_set(shift)
+    curve = _NodeCurve(i, i + shift, factor * SELF_INTERSECTION_TOL * _NodeCurve.total_length)
+    assert _rejects(_check_self_intersection, curve) is rejected
+    assert _rejects(self_intersection_reference, curve) is rejected
+
+
+def test_guard_far_set_includes_every_shift_n_over_64_pair():
+    # s_16 - s_0 rounds to exactly L/64, which the reference's ds > L/64 misses
+    curve = _NodeCurve(0, 1024 // 64, 0.5 * SELF_INTERSECTION_TOL * _NodeCurve.total_length)
+    assert _rejects(_check_self_intersection, curve)
+    assert not _rejects(self_intersection_reference, curve)
+
+
+def test_guard_matches_reference_on_seeded_draws():
+    # the unit circle plus N(0, 0.12^2) on the mode-2/3 coefficients, length 2 pi
+    rng = np.random.default_rng(20161)
+    for _ in range(200):
+        cos = np.zeros((3, 3))
+        sin = np.zeros((3, 3))
+        cos[0, 0] = sin[0, 1] = 1.0
+        cos[1:] += 0.12 * rng.standard_normal((2, 3))
+        sin[1:] += 0.12 * rng.standard_normal((2, 3))
+        raw = scale_to_length(Curve(np.zeros(3), cos, sin, 2.0 * math.pi), 2.0 * math.pi)
+        curve = _with_arc_table(raw)
+        assert (_rejects(_check_self_intersection, curve)
+                is _rejects(self_intersection_reference, curve))
 
 
 def test_irregular_curve_detected():

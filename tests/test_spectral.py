@@ -97,6 +97,27 @@ class TestBoundStates:
         with pytest.raises(ConfigError):
             find_bound_states(circle, circle_grid, 0.0)
 
+    def test_no_energy_assembled_twice(self, ellipse, monkeypatch):
+        # counting and root finding share the grid's energy-zero spectrum;
+        # each search reuses its floor matrix and its bracket-end matrices
+        grid = make_grid(ellipse, 128)
+        energies = []
+        real_matrix = spectral.boundary_matrix
+
+        def matrix(curve, lam, grid):
+            energies.append(lam)
+            return real_matrix(curve, lam, grid)
+
+        monkeypatch.setattr(spectral, "boundary_matrix", matrix)
+        for alpha in (-0.05, -0.15):
+            report = count_bound_states(ellipse, grid, alpha)
+            start = len(energies)
+            states = find_bound_states(ellipse, grid, alpha)
+            assert len(states) == report.count > 0
+            searched = energies[start:]
+            assert len(searched) == len(set(searched))
+        assert energies.count(0.0) == 1
+
     def test_refuses_non_monotone_branch(self, circle, circle_grid, humped_branches):
         with pytest.raises(NumericsError, match="monotonicity violated"):
             find_bound_states(circle, circle_grid, 0.1)

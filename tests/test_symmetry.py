@@ -1,0 +1,83 @@
+"""Exact symmetry laws of the discretized boundary operator, checked on
+random regular Fourier curves.
+
+A rigid motion leaves every chord, hence every eigenvalue, unchanged; a
+homothety sigma -> c sigma maps the operator at energy lam to the one at
+c^2 lam, shifted by ln c / (2 pi) through the log-singular circle part.
+Both laws hold exactly for the discretization, so the bound is roundoff.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from curvedelta import (Curve, CurveError, boundary_matrix, eigen, make_grid,
+                        reparametrize_arclength, scale_to_length)
+
+N = 64
+LAMS = (0.0, -1.0)
+TOL = 1e-12
+
+SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+mode_coefficients = st.lists(st.floats(-0.1, 0.1), min_size=12, max_size=12)
+angles = st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3)
+translations = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+def _raw_curve(coefficients) -> Curve:
+    """The unit circle plus the given mode-2/3 coefficients, length 2 pi."""
+    cos = np.zeros((3, 3))
+    sin = np.zeros((3, 3))
+    cos[0, 0] = sin[0, 1] = 1.0
+    cos[1:] += np.reshape(coefficients[:6], (2, 3))
+    sin[1:] += np.reshape(coefficients[6:], (2, 3))
+    return scale_to_length(Curve(np.zeros(3), cos, sin, 2.0 * math.pi), 2.0 * math.pi)
+
+
+def _arclength(raw: Curve) -> Curve:
+    try:
+        return reparametrize_arclength(raw)
+    except CurveError:
+        reject()
+
+
+def _rotation(a: float, b: float, c: float) -> np.ndarray:
+    def about(axis, t):
+        i, j = [k for k in range(3) if k != axis]
+        r = np.eye(3)
+        r[i, i] = r[j, j] = math.cos(t)
+        r[i, j], r[j, i] = -math.sin(t), math.sin(t)
+        return r
+    return about(2, a) @ about(1, b) @ about(2, c)
+
+
+def _top_values(curve: Curve, lam: float) -> np.ndarray:
+    return eigen(boundary_matrix(curve, lam, make_grid(curve, N)), vectors=False).values[:N // 4]
+
+
+@SETTINGS
+@given(mode_coefficients, angles, translations)
+def test_rigid_motion_invariance(coefficients, euler, shift):
+    raw = _raw_curve(coefficients)
+    rot = _rotation(*euler)
+    moved = Curve(a0=rot @ raw.a0 + np.asarray(shift), cos_coeff=raw.cos_coeff @ rot.T,
+                  sin_coeff=raw.sin_coeff @ rot.T, period=raw.period)
+    curve, moved = _arclength(raw), _arclength(moved)
+    assert np.max(np.abs(make_grid(moved, N).chords - make_grid(curve, N).chords)) <= TOL
+    for lam in LAMS:
+        assert np.max(np.abs(_top_values(moved, lam) - _top_values(curve, lam))) <= TOL
+
+
+@SETTINGS
+@given(mode_coefficients, st.floats(0.5, 2.0))
+def test_scaling_law(coefficients, c):
+    raw = _raw_curve(coefficients)
+    scaled = Curve(a0=c * raw.a0, cos_coeff=c * raw.cos_coeff, sin_coeff=c * raw.sin_coeff,
+                   period=c * raw.period)
+    curve, scaled = _arclength(raw), _arclength(scaled)
+    for lam in LAMS:
+        expected = _top_values(curve, c * c * lam) + math.log(c) / (2.0 * math.pi)
+        assert np.max(np.abs(_top_values(scaled, lam) - expected)) <= TOL
