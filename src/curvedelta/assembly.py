@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .curves import ArcGrid, Curve, circle_chord
+from .curves import ArcGrid, circle_chord
 from .errors import ConfigError
 from .kernels import green_kernel, smoothing_kernel
 
@@ -58,25 +58,28 @@ def circle_mode_eigenvalues(radius: float, pair_count: int) -> tuple[float, np.n
     return nu0, nu0 - odd_harmonic_sums(pair_count) / np.pi
 
 
-def circle_operator_matrix(radius: float, grid: ArcGrid) -> np.ndarray:
-    """Boundary operator of the circle at energy zero, assembled exactly.
+def circle_operator_matrix(grid: ArcGrid) -> np.ndarray:
+    """Boundary operator of the equal-length circle at energy zero, assembled
+    exactly.
 
-    The operator is diagonalized by the discrete Fourier modes of the
-    equispaced grid: the constant mode carries ln(4R)/(2 pi), wavenumbers
-    k and N - k carry the closed-form pair eigenvalue of min(k, N - k), and
-    the top alternating mode is unpaired for even N.  The inverse real FFT
+    The operator of the circle of radius R = L/(2 pi) is diagonalized by
+    the discrete Fourier modes of the equispaced grid: the constant mode
+    carries ln(4R)/(2 pi), wavenumbers k and N - k carry the closed-form
+    pair eigenvalue of min(k, N - k), and the top alternating mode is
+    unpaired for even N.  The inverse real FFT
     of those N/2 + 1 eigenvalues is the first row of the symmetric
     circulant, expanded to the full matrix by Toeplitz gather.
     """
     n = grid.n
     if n % 2 != 0:
         raise ConfigError("circle operator needs an even grid size")
-    nu0, nu_pairs = circle_mode_eigenvalues(radius, n // 2)
+    nu0, nu_pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), n // 2)
     return toeplitz(np.fft.irfft(np.concatenate([[nu0], nu_pairs]), n))
 
 
-def smoothing_matrix(radius: float, lam: float, grid: ArcGrid) -> np.ndarray:
-    """Trapezoid matrix of the smoothing kernel on circle chords.
+def smoothing_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
+    """Trapezoid matrix of the smoothing kernel on the chords of the circle
+    of radius R = L/(2 pi).
 
     Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal takes
     the analytic limit w sqrt(-lam)/(4 pi) plus the kink correction with
@@ -86,6 +89,9 @@ def smoothing_matrix(radius: float, lam: float, grid: ArcGrid) -> np.ndarray:
         raise ConfigError("smoothing_matrix requires lam <= 0")
     w = grid.weight
     k = np.arange(grid.n)
+    # the circumference 2 pi R can differ from L in the last bit, so these
+    # chords can differ from grid.circle_chord_row by an ulp
+    radius = grid.length / (2.0 * np.pi)
     chords = circle_chord(2.0 * np.pi * radius, np.minimum(k, grid.n - k) * w)
     row = w * smoothing_kernel(lam, chords)
     slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
@@ -98,7 +104,7 @@ def smoothing_matrix(radius: float, lam: float, grid: ArcGrid) -> np.ndarray:
     return toeplitz(row)
 
 
-def comparison_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
+def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     """Trapezoid matrix of the curve-vs-circle kernel difference.
 
     Off-diagonal entries w * [G_lam(curve chord) - G_lam(circle chord)];
@@ -108,7 +114,7 @@ def comparison_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
     """
     if lam > 0:
         raise ConfigError("comparison_matrix requires lam <= 0")
-    if curve.is_circle:
+    if grid.curve.is_circle:
         return np.zeros((grid.n, grid.n))
     w = grid.weight
     mat = w * grid.chord_difference(lambda r: green_kernel(lam, r))
@@ -118,8 +124,8 @@ def comparison_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
     return mat
 
 
-def boundary_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
-    """Regularized boundary operator of the curve at energy lam <= 0.
+def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
+    """Regularized boundary operator of the grid's curve at energy lam <= 0.
 
     Assembled from the exact algebra: comparison part plus the circle
     operator at the same energy, the latter split into its energy-zero
@@ -129,10 +135,9 @@ def boundary_matrix(curve: Curve, lam: float, grid: ArcGrid) -> np.ndarray:
     """
     if lam > 0:
         raise ConfigError("boundary_matrix requires lam <= 0")
-    radius = grid.length / (2.0 * np.pi)
-    mat = circle_operator_matrix(radius, grid) - smoothing_matrix(radius, lam, grid)
-    if not curve.is_circle:
-        mat += comparison_matrix(curve, lam, grid)
+    mat = circle_operator_matrix(grid) - smoothing_matrix(lam, grid)
+    if not grid.curve.is_circle:
+        mat += comparison_matrix(lam, grid)
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
     return mat

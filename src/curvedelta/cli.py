@@ -4,7 +4,8 @@ Commands: spectrum | bound-states | scattering | isoperimetric | probe | d-sigma
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 invariant violation.  All numbers are written with 15 significant digits
 and no time-dependent fields, so identical configurations produce
-byte-identical output files.
+byte-identical output files.  Each command declares only the options and
+the --tol-override keys it reads; any other exits 2.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import sys
 import numpy as np
 
 from .assembly import boundary_matrix, circle_mode_eigenvalues
-from .curves import circle_deviation, curve_from_json_dict, make_grid
+from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .resolvent import (correction_singular_values, fit_decay_slope,
                         layer_singular_values, make_box)
-from .scattering import choose_reference_energy, scattering_block
-from .spectral import count_bound_states, eigen, find_bound_states, isoperimetric_compare
+from .scattering import RANK_TOL, choose_reference_energy, scattering_block
+from .spectral import (ROOT_TOL, count_bound_states, eigen, find_bound_states,
+                       isoperimetric_compare)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +43,9 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
-def _load_curve(path: str, reparam_tol: float = 1e-8):
+def _load_grid(args, tols: dict):
+    """The grid of --n nodes on the curve of the --curve file."""
+    path = args.curve
     if not os.path.exists(path):
         raise ConfigError(f"curve file not found: {path}")
     try:
@@ -49,7 +53,7 @@ def _load_curve(path: str, reparam_tol: float = 1e-8):
             spec = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"curve file is not valid JSON: {exc}") from exc
-    return curve_from_json_dict(spec, reparam_tol=reparam_tol)
+    return make_grid(curve_from_json_dict(spec, reparam_tol=tols["reparam_tol"]), args.n)
 
 
 def _write_rows(path: str, meta: str, header: list[str], rows) -> None:
@@ -68,37 +72,35 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _tolerances(args) -> dict:
-    out = {}
+    """The subcommand's tolerances: its defaults, with --tol-override applied."""
+    out = dict(args.tolerances)
     for item in args.tol_override or []:
         if "=" not in item:
             raise ConfigError(f"bad tolerance override {item!r}, expected KEY=VAL")
         key, val = item.split("=", 1)
+        if key not in out:
+            raise ConfigError(f"{args.command} reads no tolerance {key!r}; "
+                              f"it reads {sorted(out)}")
         try:
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
-    allowed = {"root_tol", "rank_tol", "reparam_tol"}
-    unknown = set(out) - allowed
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     return out
 
 
 def cmd_spectrum(args) -> int:
-    tols = _tolerances(args)
-    curve = _load_curve(args.curve, tols.get("reparam_tol", 1e-8))
-    grid = make_grid(curve, args.n)
+    grid = _load_grid(args, _tolerances(args))
     lams = _float_list(args.lam) if args.lam else [0.0]
     if any(lam > 0 for lam in lams):
         raise ConfigError("spectrum energies must satisfy lam <= 0")
     summary = {}
     for i, lam in enumerate(lams):
-        spec = eigen(boundary_matrix(curve, lam, grid), vectors=False)
+        spec = eigen(boundary_matrix(lam, grid), vectors=False)
         trusted = spec.trusted_count
         rows = []
         closed = None
-        if curve.is_circle and lam == 0.0:
-            nu0, pairs = circle_mode_eigenvalues(curve.radius, trusted // 2 + 1)
+        if grid.curve.is_circle and lam == 0.0:
+            nu0, pairs = circle_mode_eigenvalues(grid.curve.radius, trusted // 2 + 1)
             closed = [nu0] + [pairs[(k - 2) // 2] for k in range(2, trusted + 1)]
         for k in range(1, trusted + 1):
             row = [k, spec.values[k - 1]]
@@ -119,17 +121,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bound_states(args) -> int:
     tols = _tolerances(args)
-    curve = _load_curve(args.curve, tols.get("reparam_tol", 1e-8))
-    grid = make_grid(curve, args.n)
+    grid = _load_grid(args, tols)
     if not args.alpha:
         raise ConfigError("bound-states requires --alpha")
     alphas = _float_list(args.alpha)
     state_rows, count_rows = [], []
     for alpha in alphas:
-        report = count_bound_states(curve, grid, alpha)
-        states = find_bound_states(curve, grid, alpha,
-                                   max_states=args.max_states,
-                                   root_tol=tols.get("root_tol", 1e-10))
+        report = count_bound_states(grid, alpha)
+        states = find_bound_states(grid, alpha, max_states=args.max_states,
+                                   root_tol=tols["root_tol"])
         if args.max_states is None and len(states) != report.count:
             raise InvariantError(
                 f"root count {len(states)} disagrees with the eigenvalue count "
@@ -154,8 +154,7 @@ def cmd_bound_states(args) -> int:
 
 def cmd_scattering(args) -> int:
     tols = _tolerances(args)
-    curve = _load_curve(args.curve, tols.get("reparam_tol", 1e-8))
-    grid = make_grid(curve, args.n)
+    grid = _load_grid(args, tols)
     if not args.alpha:
         raise ConfigError("scattering requires --alpha")
     alpha = _float_list(args.alpha)[0]
@@ -163,11 +162,10 @@ def cmd_scattering(args) -> int:
     if any(lam < 0 for lam in lams):
         raise ConfigError("scattering energies must satisfy lam >= 0")
     candidates = _float_list(args.eta) if args.eta else [-1.0, -4.0, -16.0]
-    eta = choose_reference_energy(curve, grid, alpha, candidates)
+    eta = choose_reference_energy(grid, alpha, candidates)
     rows = []
     for i, lam in enumerate(lams):
-        block = scattering_block(curve, grid, lam, alpha, eta,
-                                 rank_tol=tols.get("rank_tol", 1e-10))
+        block = scattering_block(grid, lam, alpha, eta, rank_tol=tols["rank_tol"])
         rows.append([lam, eta, block.retained_dim, block.unitarity_defect,
                      block.min_channel_eigenvalue, block.condition])
         if args.dump_smatrix:
@@ -188,13 +186,11 @@ def cmd_scattering(args) -> int:
 
 
 def cmd_isoperimetric(args) -> int:
-    tols = _tolerances(args)
-    curve = _load_curve(args.curve, tols.get("reparam_tol", 1e-8))
-    grid = make_grid(curve, args.n)
+    grid = _load_grid(args, _tolerances(args))
     if not args.alpha:
         raise ConfigError("isoperimetric requires --alpha")
     alpha = _float_list(args.alpha)[0]
-    lam_curve, lam_circle, gap = isoperimetric_compare(curve, grid, alpha)
+    lam_curve, lam_circle, gap = isoperimetric_compare(grid, alpha)
     _write_rows(os.path.join(args.out, "isoperimetric.csv"),
                 f"isoperimetric alpha={_fmt(alpha)} n={grid.n}",
                 ["alpha", "energy_curve", "energy_circle", "gap"],
@@ -205,17 +201,15 @@ def cmd_isoperimetric(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    tols = _tolerances(args)
-    curve = _load_curve(args.curve, tols.get("reparam_tol", 1e-8))
-    grid = make_grid(curve, args.n)
+    grid = _load_grid(args, _tolerances(args))
     lam = _float_list(args.lam)[0] if args.lam else -1.0
     alpha = _float_list(args.alpha)[0] if args.alpha else -0.5
     bounds = None
     if args.box_lo is not None and args.box_hi is not None:
         bounds = (args.box_lo, args.box_hi)
-    box = make_box(curve, grid, n=args.box_n, bounds=bounds, lam=lam)
-    s_corr = correction_singular_values(curve, grid, box, lam, alpha)
-    s_layer = layer_singular_values(curve, grid, box, lam)
+    box = make_box(grid, n=args.box_n, bounds=bounds, lam=lam)
+    s_corr = correction_singular_values(grid, box, lam, alpha)
+    s_layer = layer_singular_values(grid, box, lam)
     _write_rows(os.path.join(args.out, "probe_correction.csv"),
                 f"correction singular values lam={_fmt(lam)} alpha={_fmt(alpha)}",
                 ["k", "s"], [[k + 1, s_corr[k]] for k in range(len(s_corr))])
@@ -239,14 +233,20 @@ def cmd_probe(args) -> int:
 
 
 def cmd_d_sigma(args) -> int:
-    tols = _tolerances(args)
-    curve = _load_curve(args.curve, tols.get("reparam_tol", 1e-8))
-    grid = make_grid(curve, args.n)
-    value = circle_deviation(curve, grid)
+    grid = _load_grid(args, _tolerances(args))
+    value = circle_deviation(grid)
     _write_json(os.path.join(args.out, "d_sigma.json"),
                 {"n": grid.n, "value": value})
     sys.stdout.write(_fmt(value) + "\n")
     return EXIT_OK
+
+
+# value options a subcommand may declare: flag -> (attribute, help)
+VALUE_OPTIONS = {
+    "--alpha": ("alpha", "coupling value(s), comma separated"),
+    "--lambda": ("lam", "energy value(s), comma separated"),
+    "--eta": ("eta", "reference energy candidates, comma separated"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,44 +256,42 @@ def _build_parser() -> argparse.ArgumentParser:
                     "supported on a closed curve in R^3.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary, values=(), tolerances=None):
+        """Subparser with the common options, the value options it reads, and
+        the defaults of the tolerances it reads (reparam_tol always)."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--curve", required=True, help="curve JSON file")
         p.add_argument("--n", type=int, default=256, help="grid size (even)")
-        p.add_argument("--alpha", help="coupling value(s), comma separated")
-        p.add_argument("--lambda", dest="lam", help="energy value(s), comma separated")
-        p.add_argument("--eta", help="reference energy candidates, comma separated")
+        for flag in values:
+            dest, text = VALUE_OPTIONS[flag]
+            p.add_argument(flag, dest=dest, help=text)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol-override", action="append",
                        help="KEY=VAL tolerance override (repeatable)")
+        p.set_defaults(func=func,
+                       tolerances={"reparam_tol": REPARAM_TOL, **(tolerances or {})})
+        return p
 
-    p = sub.add_parser("spectrum", help="eigenvalue tables per energy")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
+    command("spectrum", cmd_spectrum, "eigenvalue tables per energy", ["--lambda"])
 
-    p = sub.add_parser("bound-states", help="bound states and counting per alpha")
-    common(p)
+    p = command("bound-states", cmd_bound_states, "bound states and counting per alpha",
+                ["--alpha"], {"root_tol": ROOT_TOL})
     p.add_argument("--max-states", type=int, default=None)
-    p.set_defaults(func=cmd_bound_states)
 
-    p = sub.add_parser("scattering", help="scattering block per energy")
-    common(p)
+    p = command("scattering", cmd_scattering, "scattering block per energy",
+                ["--alpha", "--lambda", "--eta"], {"rank_tol": RANK_TOL})
     p.add_argument("--dump-smatrix", action="store_true")
-    p.set_defaults(func=cmd_scattering)
 
-    p = sub.add_parser("isoperimetric", help="principal eigenvalue vs the circle")
-    common(p)
-    p.set_defaults(func=cmd_isoperimetric)
+    command("isoperimetric", cmd_isoperimetric, "principal eigenvalue vs the circle",
+            ["--alpha"])
 
-    p = sub.add_parser("probe", help="singular-value decay of the resolvent correction")
-    common(p)
+    p = command("probe", cmd_probe, "singular-value decay of the resolvent correction",
+                ["--alpha", "--lambda"])
     p.add_argument("--box-lo", type=float, default=None)
     p.add_argument("--box-hi", type=float, default=None)
     p.add_argument("--box-n", type=int, default=24)
-    p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("d-sigma", help="kernel deviation from the equal-length circle")
-    common(p)
-    p.set_defaults(func=cmd_d_sigma)
+    command("d-sigma", cmd_d_sigma, "kernel deviation from the equal-length circle")
 
     return parser
 

@@ -28,6 +28,8 @@ from .errors import ConfigError, CurveError
 # Threshold for the self-intersection guard: points at least L/64 apart in
 # arc length must stay more than this fraction of L apart in space.
 SELF_INTERSECTION_TOL = 1e-9
+# Largest accepted deviation of the reparametrized speed from 1.
+REPARAM_TOL = 1e-8
 
 
 class _ArcTable:
@@ -206,7 +208,7 @@ def _panel_count(curve: Curve) -> int:
     return max(256, 16 * curve.cos_coeff.shape[0])
 
 
-def reparametrize_arclength(curve: Curve, tol: float = 1e-8) -> Curve:
+def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     """Attach an arc-length table and validate the unit-speed property.
 
     Raises CurveError on irregular (vanishing velocity) or self-intersecting
@@ -306,11 +308,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ArcGrid:
     """Equispaced arc-length nodes with the uniform trapezoid weight.
 
-    Also the one holder of the energy-independent chord geometry: the curve
-    chords and the chords of the equal-length circle are computed on first
-    use and shared, read-only, by every assembly on this grid.  The
-    energy-zero spectrum, which every bound-state count and root search at
-    any coupling starts from, is kept here too.
+    The one handle on the discretized curve: every operator of the curve is
+    computed from a grid, and `curve` is the curve it samples.  Also the one
+    holder of the energy-independent chord geometry: the curve chords and
+    the chords of the equal-length circle are computed on first use and
+    shared, read-only, by every assembly on this grid.  The energy-zero
+    spectrum, which every bound-state count and root search at any coupling
+    starts from, is kept here too.
     """
 
     curve: Curve
@@ -332,11 +336,13 @@ class ArcGrid:
         """(N, N) curve chords |sigma(s_i) - sigma(s_j)|, zero on the diagonal."""
         return _read_only(_pairwise_distances(self.points))
 
-    @cached_property
-    def zero_energy_spectra(self) -> dict:
-        """Energy-zero boundary spectra on this grid, keyed by curve; filled
-        by the spectral layer, which every coupling alpha reads."""
-        return {}
+    def zero_energy_spectrum(self, solve):
+        """The energy-zero spectrum on this grid: `solve(self)` on the first
+        call, the same object on every later one."""
+        # kept where cached_property keeps its values; the dataclass is frozen
+        if "_zero_energy_spectrum" not in self.__dict__:
+            self.__dict__["_zero_energy_spectrum"] = solve(self)
+        return self.__dict__["_zero_energy_spectrum"]
 
     @cached_property
     def circle_chord_row(self) -> np.ndarray:
@@ -384,20 +390,13 @@ def make_grid(curve: Curve, n: int) -> ArcGrid:
 # -- geometric quantities --------------------------------------------------
 
 
-def chord(curve: Curve, s, t):
-    """Euclidean distance |sigma(s) - sigma(t)| at arc lengths s, t."""
-    ps = curve.point_at_arclength(s)
-    pt = curve.point_at_arclength(t)
-    return np.linalg.norm(ps - pt, axis=-1)
-
-
 def circle_chord(length: float, ds):
     """Chord of the circle of circumference `length` at arc separation ds."""
     R = length / (2.0 * np.pi)
     return 2.0 * R * np.abs(np.sin(np.pi * np.asarray(ds, dtype=float) / length))
 
 
-def circle_deviation(curve: Curve, grid: ArcGrid) -> float:
+def circle_deviation(grid: ArcGrid) -> float:
     """Squared L^2 distance between the curve's Coulomb kernel and the circle's.
 
     Double integral over [0, L]^2 of
@@ -414,7 +413,7 @@ def circle_deviation(curve: Curve, grid: ArcGrid) -> float:
     return float(grid.weight ** 2 * np.sum(integrand ** 2))
 
 
-def chord_mean_inequality(curve: Curve, grid: ArcGrid, u: float):
+def chord_mean_inequality(grid: ArcGrid, u: float):
     """Both sides of the chord-average comparison at arc shift u.
 
     lhs = integral over one period of |sigma(s+u) - sigma(s)| ds,
@@ -424,7 +423,7 @@ def chord_mean_inequality(curve: Curve, grid: ArcGrid, u: float):
     L = grid.length
     if not (0.0 < u < L):
         raise ConfigError("shift u must lie strictly inside (0, L)")
-    shifted = curve.point_at_arclength(grid.nodes + u)
+    shifted = grid.curve.point_at_arclength(grid.nodes + u)
     lhs = grid.weight * float(np.sum(np.linalg.norm(shifted - grid.points, axis=-1)))
     rhs = (L ** 2 / np.pi) * np.sin(np.pi * u / L)
     return lhs, rhs
@@ -443,7 +442,7 @@ def curve_to_json_dict(curve: Curve) -> dict:
     }
 
 
-def curve_from_json_dict(spec: dict, reparam_tol: float = 1e-8) -> Curve:
+def curve_from_json_dict(spec: dict, reparam_tol: float = REPARAM_TOL) -> Curve:
     """Build (and arc-length parametrize) a curve from its JSON description."""
     try:
         kind = spec["kind"]

@@ -21,7 +21,7 @@ from .errors import ConfigError
 _SERIES_CUTOFF = 1e-6
 
 
-def spectral_sqrt(lam) -> complex:
+def _spectral_sqrt(lam) -> complex:
     """sqrt(lam) with Im >= 0; boundary values on [0, inf) from above."""
     w = cmath.sqrt(lam)
     if w.imag < 0.0:
@@ -30,18 +30,14 @@ def spectral_sqrt(lam) -> complex:
 
 
 def green_kernel(lam, r):
-    """Free resolvent kernel e^{i sqrt(lam) r} / (4 pi r); real for lam <= 0."""
+    """Free resolvent kernel e^{-sqrt(-lam) r} / (4 pi r) at real lam <= 0."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ConfigError("green_kernel requires r > 0")
-    lamc = complex(lam)
-    if lamc.imag == 0.0 and lamc.real <= 0.0:
-        a = math.sqrt(-lamc.real)
-        out = np.exp(-a * r) / (4.0 * np.pi * r)
-        return float(out) if out.ndim == 0 else out
-    k = spectral_sqrt(lam)
-    out = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    return complex(out) if out.ndim == 0 else out
+    if lam > 0:
+        raise ConfigError("green_kernel requires lam <= 0")
+    out = np.exp(-math.sqrt(-lam) * r) / (4.0 * np.pi * r)
+    return float(out) if out.ndim == 0 else out
 
 
 def smoothing_kernel(lam, r):
@@ -73,7 +69,7 @@ def scattering_kernel(lam, eta: float, r):
     if eta >= 0:
         raise ConfigError("scattering_kernel requires eta < 0")
     r = np.asarray(r, dtype=float)
-    kx = 1j * spectral_sqrt(lam)              # exponent slope for lam
+    kx = 1j * _spectral_sqrt(lam)             # exponent slope for lam
     ky = complex(-math.sqrt(-eta))            # exponent slope for eta
     scale = abs(kx) + abs(ky)
     small = scale * r < _SERIES_CUTOFF

@@ -1,5 +1,5 @@
-"""Off-curve probes: layer potentials, the perturbed Green function, and the
-singular-value decay of the resolvent correction compressed to a box.
+"""Off-curve probes: the perturbed Green function, and the singular-value
+decay of the layer map and of the resolvent correction compressed to a box.
 
 The ambient operator lives on L^2(R^3); the probe truncates to a box
 enclosing the curve with a margin of several decay lengths (the kernel
@@ -17,12 +17,13 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix
-from .curves import ArcGrid, Curve, _pairwise_distances
+from .curves import ArcGrid, _pairwise_distances
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
 from .spectral import eigen
 
 ENTRY_CAP = 20_000_000  # box points x curve nodes memory guard
+SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,18 @@ class BoxGrid:
         return (self.hi - self.lo) / self.n
 
 
-def default_box_bounds(curve: Curve, lam: float) -> tuple[float, float]:
+def _default_box_bounds(grid: ArcGrid, lam: float) -> tuple[float, float]:
     """Cube enclosing the curve with margin 2/sqrt(-lam) on every side."""
     if lam >= 0:
         raise ConfigError("box probes need lam < 0")
+    curve = grid.curve
     s = np.linspace(0.0, curve.total_length, 512, endpoint=False)
     pts = curve.point_at_arclength(s)
     margin = 2.0 / np.sqrt(-lam)
     return float(pts.min() - margin), float(pts.max() + margin)
 
 
-def make_box(curve: Curve, grid: ArcGrid, n: int = 24,
+def make_box(grid: ArcGrid, n: int = 24,
              bounds: tuple[float, float] | None = None,
              lam: float = -1.0,
              exclusion_radius: float | None = None) -> BoxGrid:
@@ -62,7 +64,7 @@ def make_box(curve: Curve, grid: ArcGrid, n: int = 24,
     lattice spacing) are dropped and counted.
     """
     if bounds is None:
-        lo, hi = default_box_bounds(curve, lam)
+        lo, hi = _default_box_bounds(grid, lam)
     else:
         lo, hi = float(bounds[0]), float(bounds[1])
     if hi <= lo or n < 2:
@@ -90,26 +92,22 @@ def _distance_to_curve(pts: np.ndarray, grid: ArcGrid) -> np.ndarray:
     return out
 
 
-def single_layer_potential(curve: Curve, grid: ArcGrid, lam: float,
-                           coefficients, x) -> float:
-    """Potential of the density `coefficients` at an off-curve point x.
+def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
+    """alpha I - B(lam), the system of the resolvent correction.
 
-    Trapezoid quadrature of the resolvent kernel against the node values;
-    the point must keep a distance of at least twice the grid spacing from
-    the curve so the kernel stays resolved.
+    Refuses when alpha lies within SPECTRUM_MARGIN of the spectrum of
+    B(lam), that is when lam is at or near a bound-state energy.
     """
-    if lam >= 0:
-        raise ConfigError("single_layer_potential needs lam < 0")
-    x = np.asarray(x, dtype=float).reshape(3)
-    dists = np.linalg.norm(grid.points - x, axis=1)
-    if dists.min() <= 2.0 * grid.weight:
-        raise ConfigError("evaluation point too close to the curve")
-    coefficients = np.asarray(coefficients, dtype=float)
-    return float(grid.weight * np.sum(coefficients * green_kernel(lam, dists)))
+    bmat = boundary_matrix(lam, grid)
+    spec = eigen(bmat, vectors=False)
+    margin = np.min(np.abs(spec.values - alpha))
+    if margin < SPECTRUM_MARGIN:
+        raise NumericsError(f"alpha within {margin:.2e} of the boundary spectrum; "
+                            "lam is at or near a bound-state energy")
+    return alpha * np.eye(grid.n) - bmat
 
 
-def perturbed_green(curve: Curve, grid: ArcGrid, lam: float, alpha: float,
-                    x, y) -> float:
+def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
     """Green function of the interaction operator at energy lam < 0.
 
     Free kernel plus the discrete resolvent correction
@@ -126,15 +124,9 @@ def perturbed_green(curve: Curve, grid: ArcGrid, lam: float, alpha: float,
     y = np.asarray(y, dtype=float).reshape(3)
     if np.array_equal(x, y):
         raise ConfigError("x and y must differ")
-    bmat = boundary_matrix(curve, lam, grid)
-    spec = eigen(bmat, vectors=False)
-    margin = np.min(np.abs(spec.values - alpha))
-    if margin < 1e-8:
-        raise NumericsError(f"alpha within {margin:.2e} of the boundary spectrum; "
-                            "lam is at or near a bound-state energy")
+    system = _resolvent_system(grid, lam, alpha)
     gx = green_kernel(lam, np.linalg.norm(grid.points - x, axis=1))
     gy = green_kernel(lam, np.linalg.norm(grid.points - y, axis=1))
-    system = alpha * np.eye(grid.n) - bmat
     correction = grid.weight * float(gx @ np.linalg.solve(system, gy))
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
@@ -149,16 +141,15 @@ def _layer_factor(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
     return np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, dists)
 
 
-def layer_singular_values(curve: Curve, grid: ArcGrid, box: BoxGrid,
-                          lam: float) -> np.ndarray:
+def layer_singular_values(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
     """Singular values of the box-compressed layer map itself."""
     if lam >= 0:
         raise ConfigError("probe needs lam < 0")
     return scipy.linalg.svdvals(_layer_factor(grid, box, lam))
 
 
-def correction_singular_values(curve: Curve, grid: ArcGrid, box: BoxGrid,
-                               lam: float, alpha: float) -> np.ndarray:
+def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
+                               alpha: float) -> np.ndarray:
     """Singular values of the box-compressed resolvent correction.
 
     The correction K = G (alpha - B)^{-1} G^T has rank at most the number of
@@ -168,12 +159,8 @@ def correction_singular_values(curve: Curve, grid: ArcGrid, box: BoxGrid,
     if lam >= 0:
         raise ConfigError("probe needs lam < 0")
     g = _layer_factor(grid, box, lam)
-    bmat = boundary_matrix(curve, lam, grid)
-    spec = eigen(bmat, vectors=False)
-    if np.min(np.abs(spec.values - alpha)) < 1e-8:
-        raise NumericsError("alpha too close to the boundary spectrum")
+    system = _resolvent_system(grid, lam, alpha)
     r = np.linalg.qr(g, mode="r")
-    system = alpha * np.eye(grid.n) - bmat
     core = r @ np.linalg.solve(system, r.T)
     return scipy.linalg.svdvals(core)
 

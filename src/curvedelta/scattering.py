@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix, kink_correction
-from .curves import ArcGrid, Curve
+from .curves import ArcGrid
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
 from .spectral import eigen
@@ -32,8 +32,7 @@ CONDITION_LIMIT = 1e12    # flags lam at or near the exceptional set
 ETA_MARGIN = 1e-6         # required spectral distance of alpha from B_eta
 
 
-def scattering_layer_matrix(curve: Curve, grid: ArcGrid, lam,
-                            eta: float) -> np.ndarray:
+def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     """Trapezoid matrix of the scattering kernel; complex symmetric for lam > 0.
 
     The diagonal takes the analytic kernel limit plus the kink correction
@@ -53,8 +52,7 @@ def scattering_layer_matrix(curve: Curve, grid: ArcGrid, lam,
     return mat
 
 
-def choose_reference_energy(curve: Curve, grid: ArcGrid, alpha: float,
-                            candidates) -> float:
+def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
     """First candidate eta < 0 whose boundary operator keeps alpha at a
     spectral distance above the invertibility margin."""
     candidates = list(candidates)
@@ -63,7 +61,7 @@ def choose_reference_energy(curve: Curve, grid: ArcGrid, alpha: float,
     for eta in candidates:
         if eta >= 0:
             raise ConfigError("reference energy candidates must be negative")
-        spec = eigen(boundary_matrix(curve, eta, grid), vectors=False)
+        spec = eigen(boundary_matrix(eta, grid), vectors=False)
         if np.min(np.abs(spec.values - alpha)) > ETA_MARGIN:
             return float(eta)
     raise NumericsError("no candidate reference energy keeps alpha away from "
@@ -85,13 +83,13 @@ class ScatteringBlock:
     condition: float              # condition number of N + B_eta - alpha
 
 
-def scattering_block(curve: Curve, grid: ArcGrid, lam: float, alpha: float,
-                     eta: float, rank_tol: float = RANK_TOL) -> ScatteringBlock:
+def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
+                     rank_tol: float = RANK_TOL) -> ScatteringBlock:
     """Assemble S'(lam) at energy lam >= 0, coupling alpha, reference eta."""
     if lam < 0:
         raise ConfigError("scattering block is defined for lam >= 0")
-    n_mat = scattering_layer_matrix(curve, grid, lam, eta)
-    b_mat = boundary_matrix(curve, eta, grid)
+    n_mat = scattering_layer_matrix(grid, lam, eta)
+    b_mat = boundary_matrix(eta, grid)
 
     vals, vecs = scipy.linalg.eigh(n_mat.imag)
     vals, vecs = vals[::-1], vecs[:, ::-1]

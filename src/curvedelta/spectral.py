@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from .assembly import boundary_matrix, odd_harmonic_sums
-from .curves import ArcGrid, Curve, circle_deviation, make_circle, make_grid
+from .curves import ArcGrid, circle_deviation, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
 ROOT_TOL = 1e-10
@@ -71,22 +71,6 @@ def eigenvalue_at(mat: np.ndarray, k: int) -> float:
     return float(vals[0])
 
 
-def eigenvalue_curve(curve: Curve, grid: ArcGrid, k: int, lams) -> list[tuple[float, float]]:
-    """Samples of the k-th eigenvalue branch; asserts strict growth in lam."""
-    lams = sorted(float(x) for x in lams)
-    if any(lam > 0 for lam in lams):
-        raise ConfigError("eigenvalue branches are defined for lam <= 0")
-    if k > grid.n // 4:
-        raise ConfigError("mode index beyond the trusted range n/4")
-    samples = [(lam, eigenvalue_at(boundary_matrix(curve, lam, grid), k)) for lam in lams]
-    for (lam_a, nu_a), (lam_b, nu_b) in zip(samples, samples[1:]):
-        if nu_b - nu_a <= -MONOTONE_TOL:
-            raise NumericsError(
-                f"eigenvalue branch {k} not increasing between lam={lam_a:g} and "
-                f"{lam_b:g} (grid under-resolved)")
-    return samples
-
-
 @dataclass(frozen=True)
 class BoundState:
     """One negative eigenvalue of the interaction operator.
@@ -103,13 +87,12 @@ class BoundState:
     residual: float
 
 
-def _top_eigenvalue_floor(curve: Curve, grid: ArcGrid,
-                          alpha: float) -> tuple[float, np.ndarray]:
+def _top_eigenvalue_floor(grid: ArcGrid, alpha: float) -> tuple[float, np.ndarray]:
     """Energy at which even the top eigenvalue branch is below alpha, with
     the boundary matrix assembled there."""
     lam = -1.0
     for _ in range(MAX_FLOOR_DOUBLINGS):
-        mat = boundary_matrix(curve, lam, grid)
+        mat = boundary_matrix(lam, grid)
         if eigenvalue_at(mat, 1) < alpha:
             return lam, mat
         lam *= 2.0
@@ -117,20 +100,23 @@ def _top_eigenvalue_floor(curve: Curve, grid: ArcGrid,
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
 
 
-def _zero_energy_count(curve: Curve, grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
+def _zero_energy_spectrum(grid: ArcGrid) -> EigenSystem:
+    """Eigenvalues of B(0) on the grid, read-only."""
+    spec = eigen(boundary_matrix(0.0, grid), vectors=False)
+    spec.values.flags.writeable = False
+    return spec
+
+
+def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
     """Energy-zero spectrum and its count above alpha; refuses at n/4.
 
     The spectrum does not depend on alpha, so it is computed once per grid
-    and curve and kept in `grid.zero_energy_spectra`: counting and root
-    finding at any number of couplings share one assembly and eigensolve.
+    and kept on it: counting and root finding at any number of couplings
+    share one assembly and eigensolve.
     """
     if alpha == 0:
         raise ConfigError("coupling alpha must be nonzero")
-    spec = grid.zero_energy_spectra.get(curve)
-    if spec is None:
-        spec = eigen(boundary_matrix(curve, 0.0, grid), vectors=False)
-        spec.values.flags.writeable = False
-        grid.zero_energy_spectra[curve] = spec
+    spec = grid.zero_energy_spectrum(_zero_energy_spectrum)
     count = int(np.sum(spec.values[:spec.trusted_count] > alpha))
     if count >= spec.trusted_count:
         raise NumericsError("count reaches the trusted range n/4; refusing to "
@@ -138,7 +124,7 @@ def _zero_energy_count(curve: Curve, grid: ArcGrid, alpha: float) -> tuple[Eigen
     return spec, count
 
 
-def find_bound_states(curve: Curve, grid: ArcGrid, alpha: float,
+def find_bound_states(grid: ArcGrid, alpha: float,
                       max_states: int | None = None,
                       root_tol: float = ROOT_TOL) -> list[BoundState]:
     """All bound states at coupling alpha, sorted by energy.
@@ -151,13 +137,13 @@ def find_bound_states(curve: Curve, grid: ArcGrid, alpha: float,
     check sees fewer points), and every root is re-verified against a full
     eigensolve.
     """
-    zero_spec, n_roots = _zero_energy_count(curve, grid, alpha)
+    zero_spec, n_roots = _zero_energy_count(grid, alpha)
     if max_states is not None:
         n_roots = min(n_roots, max_states)
     if n_roots == 0:
         return []
 
-    lam_floor, floor_mat = _top_eigenvalue_floor(curve, grid, alpha)
+    lam_floor, floor_mat = _top_eigenvalue_floor(grid, alpha)
     states = []
     for k in range(1, n_roots + 1):
         samples = {lam_floor: eigenvalue_at(floor_mat, k) - alpha,
@@ -170,7 +156,7 @@ def find_bound_states(curve: Curve, grid: ArcGrid, alpha: float,
 
         def g(lam: float) -> float:
             if lam not in samples:
-                mat = boundary_matrix(curve, lam, grid)
+                mat = boundary_matrix(lam, grid)
                 value = eigenvalue_at(mat, k) - alpha
                 below = samples[max(x for x in samples if x < lam)]
                 above = samples[min(x for x in samples if x > lam)]
@@ -185,7 +171,7 @@ def find_bound_states(curve: Curve, grid: ArcGrid, alpha: float,
         if not result.converged:
             raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
         mat = next((m for lam, m in latest.values() if lam == root), None)
-        full = eigen(boundary_matrix(curve, root, grid) if mat is None else mat)
+        full = eigen(boundary_matrix(root, grid) if mat is None else mat)
         residual = abs(full.values[k - 1] - alpha)
         if residual >= root_tol:
             raise NumericsError(f"root left residual {residual:.2e} for mode {k}")
@@ -202,7 +188,7 @@ def _count_threshold(radius: float) -> float:
     return math.log(4.0 * radius) / (2.0 * np.pi)
 
 
-def interval_index(x: float, radius: float) -> int:
+def _interval_index(x: float, radius: float) -> int:
     """Index r >= -1 of the half-open partition interval containing x.
 
     The intervals are bounded by ln(4R)/(2 pi) minus (1/pi) times the
@@ -282,7 +268,7 @@ class CountReport:
     vanishes: bool            # alpha - deviation at or above the threshold
 
 
-def count_bound_states(curve: Curve, grid: ArcGrid, alpha: float) -> CountReport:
+def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
     """Count negative eigenvalues at coupling alpha and check the sandwich.
 
     The count equals the number of eigenvalues of the energy-zero boundary
@@ -290,13 +276,13 @@ def count_bound_states(curve: Curve, grid: ArcGrid, alpha: float) -> CountReport
     rather than undercounting when the count reaches that range).  For a
     circle the result is cross-checked against the closed-form 2r + 1.
     """
-    _, count = _zero_energy_count(curve, grid, alpha)
+    _, count = _zero_energy_count(grid, alpha)
 
-    deviation = circle_deviation(curve, grid)
+    deviation = circle_deviation(grid)
     radius = grid.length / (2.0 * np.pi)
     t0 = _count_threshold(radius)
-    r_index = interval_index(alpha + deviation, radius)
-    l_index = interval_index(alpha - deviation, radius)
+    r_index = _interval_index(alpha + deviation, radius)
+    l_index = _interval_index(alpha - deviation, radius)
     lower = 2 * r_index + 1
     upper = 2 * l_index + 1
 
@@ -311,15 +297,15 @@ def count_bound_states(curve: Curve, grid: ArcGrid, alpha: float) -> CountReport
                 f"count {count} escapes the sandwich [{lower}, {upper}] "
                 f"(deviation {deviation:.3e})")
 
-    if curve.is_circle:
-        expected = 0 if alpha >= t0 else 2 * interval_index(alpha, radius) + 1
+    if grid.curve.is_circle:
+        expected = 0 if alpha >= t0 else 2 * _interval_index(alpha, radius) + 1
         if count != expected:
             raise InvariantError(
                 f"circle count {count} differs from closed form {expected}")
 
     endpoint_flag = False
     for x in (alpha + deviation, alpha - deviation):
-        left, right = _interval_endpoints(interval_index(x, radius), radius)
+        left, right = _interval_endpoints(_interval_index(x, radius), radius)
         if min(abs(x - left), abs(x - right)) < ENDPOINT_TOL:
             endpoint_flag = True
 
@@ -334,9 +320,9 @@ def count_bound_states(curve: Curve, grid: ArcGrid, alpha: float) -> CountReport
                        vanishes=vanishes)
 
 
-def isoperimetric_compare(curve: Curve, grid: ArcGrid,
-                          alpha: float) -> tuple[float, float, float]:
-    """Principal bound-state energies of the curve and the equal-length circle.
+def isoperimetric_compare(grid: ArcGrid, alpha: float) -> tuple[float, float, float]:
+    """Principal bound-state energies of the grid's curve and the
+    equal-length circle.
 
     Returns (energy_curve, energy_circle, gap) with gap = circle - curve;
     the circle uniquely maximizes the principal eigenvalue among closed
@@ -347,10 +333,9 @@ def isoperimetric_compare(curve: Curve, grid: ArcGrid,
     radius = grid.length / (2.0 * np.pi)
     if alpha >= _count_threshold(radius):
         raise ConfigError("alpha too large: neither operator has bound states")
-    circle = make_circle(radius)
-    circle_grid = make_grid(circle, grid.n)
-    curve_states = find_bound_states(curve, grid, alpha, max_states=1)
-    circle_states = find_bound_states(circle, circle_grid, alpha, max_states=1)
+    circle_grid = make_grid(make_circle(radius), grid.n)
+    curve_states = find_bound_states(grid, alpha, max_states=1)
+    circle_states = find_bound_states(circle_grid, alpha, max_states=1)
     if not curve_states or not circle_states:
         raise NumericsError("no bound state found for the comparison")
     lam_curve = curve_states[0].energy

@@ -37,9 +37,9 @@ def humped_branches(monkeypatch):
     energies = []
     real_matrix, real_value = spectral.boundary_matrix, spectral.eigenvalue_at
 
-    def matrix(curve, lam, grid):
+    def matrix(lam, grid):
         energies.append(lam)
-        return real_matrix(curve, lam, grid)
+        return real_matrix(lam, grid)
 
     def value(mat, k):
         return real_value(mat, k) + (1.0 if -2.0 < energies[-1] < -0.01 else 0.0)

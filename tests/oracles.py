@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the library against.
 
 Each one evaluates a quantity by a route independent of the library's
-assembly: adaptive quadrature, pointwise kernels, the dense trigonometric
-basis, or the full (P, N, 3) broadcasts and n x n masks that the library's
-distance tables avoid.  None of them is used by the library itself; neither
-is the eigenvalue-clustering helper at the end.
+assembly: adaptive quadrature, pointwise kernels and chords, the dense
+trigonometric basis, node sums of the layer potential, or the full
+(P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
+distance tables avoid.  None of them is used by the library itself;
+neither is the eigenvalue-clustering helper at the end.
 """
 
 import math
@@ -12,8 +13,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+from scipy.spatial.distance import cdist
 
-from curvedelta import (ArcGrid, ConfigError, Curve, CurveError, chord, circle_chord,
+from curvedelta import (ArcGrid, ConfigError, Curve, CurveError, circle_chord,
                         circle_mode_eigenvalues, green_kernel)
 from curvedelta.curves import SELF_INTERSECTION_TOL
 
@@ -51,6 +53,13 @@ def circle_top_eigenvalue(lam: float, radius: float) -> float:
     return val + const
 
 
+def chord(curve: Curve, s, t):
+    """Euclidean distance |sigma(s) - sigma(t)| at arc lengths s, t."""
+    ps = curve.point_at_arclength(s)
+    pt = curve.point_at_arclength(t)
+    return np.linalg.norm(ps - pt, axis=-1)
+
+
 def comparison_kernel(curve: Curve, lam: float, s: float, t: float) -> float:
     """Difference of resolvent kernels between curve chords and circle chords.
 
@@ -68,6 +77,23 @@ def comparison_kernel(curve: Curve, lam: float, s: float, t: float) -> float:
     c_curve = float(chord(curve, s, t))
     c_circ = float(circle_chord(L, ds))
     return float(green_kernel(lam, c_curve) - green_kernel(lam, c_circ))
+
+
+def single_layer_potential(grid: ArcGrid, lam: float, coefficients, x) -> float:
+    """Potential of the density `coefficients` at an off-curve point x.
+
+    Trapezoid quadrature of the resolvent kernel against the node values;
+    the point must keep a distance of at least twice the grid spacing from
+    the curve so the kernel stays resolved.
+    """
+    if lam >= 0:
+        raise ConfigError("single_layer_potential needs lam < 0")
+    x = np.asarray(x, dtype=float).reshape(3)
+    dists = np.linalg.norm(grid.points - x, axis=1)
+    if dists.min() <= 2.0 * grid.weight:
+        raise ConfigError("evaluation point too close to the curve")
+    coefficients = np.asarray(coefficients, dtype=float)
+    return float(grid.weight * np.sum(coefficients * green_kernel(lam, dists)))
 
 
 def circle_operator_reference(radius: float, n: int) -> np.ndarray:
@@ -114,11 +140,13 @@ def broadcast_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
 def self_intersection_reference(curve: Curve) -> None:
     """The n x n self-intersection guard: raises CurveError when two of 1024
     equispaced nodes with float-rounded arc separation ds > L/64 lie within
-    SELF_INTERSECTION_TOL * L of each other."""
+    SELF_INTERSECTION_TOL * L of each other.  The distance table comes from
+    scipy's cdist, not from the library's distance helper."""
     n = 1024
     L = curve.total_length
     s = np.arange(n) * L / n
-    dist = broadcast_distances(curve.point_at_arclength(s))
+    pts = curve.point_at_arclength(s)
+    dist = cdist(pts, pts)
     ds = np.abs(s[:, None] - s[None, :])
     ds = np.minimum(ds, L - ds)
     far = ds > L / 64.0

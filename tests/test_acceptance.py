@@ -67,24 +67,24 @@ def ellipse_grids(ellipse):
 
 
 @pytest.fixture(scope="module")
-def found_states(circle, ellipse, circle_grids, ellipse_grids):
+def found_states(circle_grids, ellipse_grids):
     """Bound states located during the counting criteria (4 and 5)."""
     runs = []
     g_c = circle_grids[256]
     for alpha, cap in ((0.2, None), (0.1, None), (-0.05, None), (-0.2, None),
                        (-0.5, 5)):
-        states = find_bound_states(circle, g_c, alpha, max_states=cap)
-        runs.append((circle, g_c, alpha, states))
+        states = find_bound_states(g_c, alpha, max_states=cap)
+        runs.append((g_c, alpha, states))
     g_e = ellipse_grids[256]
     for alpha, cap in ((-0.3, None), (-0.6, 10)):
-        states = find_bound_states(ellipse, g_e, alpha, max_states=cap)
-        runs.append((ellipse, g_e, alpha, states))
+        states = find_bound_states(g_e, alpha, max_states=cap)
+        runs.append((g_e, alpha, states))
     return runs
 
 
-def test_criterion_01_circle_eigenvalue_oracle(circle, circle_grids):
+def test_criterion_01_circle_eigenvalue_oracle(circle_grids):
     start = time.monotonic()
-    spec = eigen(boundary_matrix(circle, 0.0, circle_grids[256]), vectors=False)
+    spec = eigen(boundary_matrix(0.0, circle_grids[256]), vectors=False)
     elapsed = time.monotonic() - start
     nu0, pairs = circle_mode_eigenvalues(1.0, 10)
     closed = [nu0]
@@ -96,18 +96,18 @@ def test_criterion_01_circle_eigenvalue_oracle(circle, circle_grids):
             f"max err {err:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_02_top_eigenvalue_is_quadrature_constant(circle, circle_grids):
+def test_criterion_02_top_eigenvalue_is_quadrature_constant(circle_grids):
     worst = 0.0
     for lam in (-0.25, -1.0, -4.0, -16.0):
-        spec = eigen(boundary_matrix(circle, lam, circle_grids[256]), vectors=False)
+        spec = eigen(boundary_matrix(lam, circle_grids[256]), vectors=False)
         worst = max(worst, abs(spec.values[0] - circle_top_eigenvalue(lam, 1.0)))
     _report(2, worst < 1e-7,
             "top eigenvalue matches adaptive quadrature at four energies",
             f"max dev {worst:.2e}")
 
 
-def test_criterion_03_log_asymptotics(circle, circle_grids):
-    spec = eigen(boundary_matrix(circle, 0.0, circle_grids[1024]), vectors=False)
+def test_criterion_03_log_asymptotics(circle_grids):
+    spec = eigen(boundary_matrix(0.0, circle_grids[1024]), vectors=False)
     ks = np.arange(32, 129)
     slope = float(np.polyfit(np.log(ks), spec.values[ks - 1], 1)[0])
     target = -1.0 / (2.0 * math.pi)
@@ -116,11 +116,11 @@ def test_criterion_03_log_asymptotics(circle, circle_grids):
             f"slope {slope:.6f}, rel dev {rel:.3%}")
 
 
-def test_criterion_04_circle_counting_exact(circle, circle_grids):
+def test_criterion_04_circle_counting_exact(circle_grids):
     ok = True
     details = []
     for alpha in (0.2, 0.1, -0.05, -0.2, -0.5, -0.8):
-        report = count_bound_states(circle, circle_grids[1024], alpha)
+        report = count_bound_states(circle_grids[1024], alpha)
         expected = closed_form_circle_count(alpha)
         details.append(f"{alpha:g}:{report.count}={expected}")
         ok = ok and report.count == expected
@@ -128,23 +128,23 @@ def test_criterion_04_circle_counting_exact(circle, circle_grids):
             " ".join(details))
 
 
-def test_criterion_05_ellipse_counting_sandwich(ellipse, ellipse_grids):
+def test_criterion_05_ellipse_counting_sandwich(ellipse_grids):
     ok = True
     details = []
     for alpha in (-0.3, -0.6):
-        report = count_bound_states(ellipse, ellipse_grids[256], alpha)
+        report = count_bound_states(ellipse_grids[256], alpha)
         details.append(f"{alpha:g}: {report.lower}<={report.count}<={report.upper}")
         ok = ok and report.lower <= report.count <= report.upper
     _report(5, ok, "ellipse counts satisfy the interval sandwich", " ".join(details))
 
 
-def test_criterion_06_asymptotic_count_sandwich(circle, circle_grids):
+def test_criterion_06_asymptotic_count_sandwich(circle_grids):
     ok = True
     details = []
     elapsed_largest = 0.0
     for alpha in (-0.3, -0.5, -0.8):
         start = time.monotonic()
-        report = count_bound_states(circle, circle_grids[2048], alpha)
+        report = count_bound_states(circle_grids[2048], alpha)
         elapsed = time.monotonic() - start
         if alpha == -0.8:
             elapsed_largest = elapsed
@@ -159,9 +159,9 @@ def test_criterion_06_asymptotic_count_sandwich(circle, circle_grids):
 def test_criterion_07_birman_schwinger_residual(found_states):
     worst = 0.0
     total = 0
-    for curve, grid, alpha, states in found_states:
+    for grid, alpha, states in found_states:
         for st in states:
-            spec = eigen(boundary_matrix(curve, st.energy, grid), vectors=False)
+            spec = eigen(boundary_matrix(st.energy, grid), vectors=False)
             worst = max(worst, float(np.min(np.abs(spec.values - alpha))))
             total += 1
     _report(7, total > 0 and worst < 1e-8,
@@ -169,11 +169,11 @@ def test_criterion_07_birman_schwinger_residual(found_states):
             f"{total} states, worst dist {worst:.2e}")
 
 
-def test_criterion_08_monotonicity_suite(circle, ellipse, circle_grids, ellipse_grids):
+def test_criterion_08_monotonicity_suite(circle_grids, ellipse_grids):
     lams = (-16.0, -4.0, -1.0, -0.25, 0.0)
     ok = True
-    for curve, grid in ((circle, circle_grids[256]), (ellipse, ellipse_grids[256])):
-        spectra = [eigen(boundary_matrix(curve, lam, grid), vectors=False).values
+    for grid in (circle_grids[256], ellipse_grids[256]):
+        spectra = [eigen(boundary_matrix(lam, grid), vectors=False).values
                    for lam in lams]
         for k in (1, 2, 5, 10):
             seq = [s[k - 1] for s in spectra]
@@ -185,27 +185,27 @@ def test_criterion_09_isoperimetric(ellipse, ellipse_grids):
     alpha = -0.5
     gaps = {}
     for n in (256, 512):
-        _, _, gaps[n] = isoperimetric_compare(ellipse, ellipse_grids[n], alpha)
+        _, _, gaps[n] = isoperimetric_compare(ellipse_grids[n], alpha)
     shift = abs(gaps[512] - gaps[256])
     ok = gaps[256] > 0 and gaps[512] > 0 and gaps[512] > 10.0 * shift
     L = ellipse.total_length
     chord_ok = True
     for u in (L / 8.0, L / 4.0, L / 2.0):
-        lhs, rhs = chord_mean_inequality(ellipse, ellipse_grids[512], u)
+        lhs, rhs = chord_mean_inequality(ellipse_grids[512], u)
         chord_ok = chord_ok and lhs < rhs
     _report(9, ok and chord_ok,
             "circle maximizes the principal eigenvalue; chord inequality holds",
             f"gap {gaps[512]:.6f}, shift {shift:.2e}")
 
 
-def test_criterion_10_scattering_unitarity(circle, circle_grids):
+def test_criterion_10_scattering_unitarity(circle_grids):
     grid = circle_grids[256]
     alpha = -0.5
-    eta = choose_reference_energy(circle, grid, alpha, [-1.0, -4.0, -16.0])
+    eta = choose_reference_energy(grid, alpha, [-1.0, -4.0, -16.0])
     ok = True
     details = []
     for lam in (0.5, 1.0, 2.0):
-        blk = scattering_block(circle, grid, lam, alpha, eta)
+        blk = scattering_block(grid, lam, alpha, eta)
         top = blk.channel_eigenvalues[0]
         ok = (ok and blk.unitarity_defect < 1e-6
               and blk.min_channel_eigenvalue >= -1e-10 * top)
@@ -214,21 +214,21 @@ def test_criterion_10_scattering_unitarity(circle, circle_grids):
             " ".join(details))
 
 
-def test_criterion_11_green_symmetry(circle, circle_grids):
+def test_criterion_11_green_symmetry(circle_grids):
     x = np.array([1.9, 0.4, 0.7])
     y = np.array([-0.3, -2.1, 0.2])
-    gxy = perturbed_green(circle, circle_grids[256], -2.0, -0.5, x, y)
-    gyx = perturbed_green(circle, circle_grids[256], -2.0, -0.5, y, x)
+    gxy = perturbed_green(circle_grids[256], -2.0, -0.5, x, y)
+    gyx = perturbed_green(circle_grids[256], -2.0, -0.5, y, x)
     rel = abs(gxy - gyx) / abs(gxy)
     _report(11, rel < 1e-10, "perturbed Green function symmetric in its arguments",
             f"rel asym {rel:.2e}")
 
 
-def test_criterion_12_singular_value_probe(circle, circle_grids):
+def test_criterion_12_singular_value_probe(circle_grids):
     grid = circle_grids[256]
-    box = make_box(circle, grid, n=24, bounds=(-3.0, 3.0), lam=-1.0)
-    s_corr = correction_singular_values(circle, grid, box, -1.0, -0.5)
-    s_layer = layer_singular_values(circle, grid, box, -1.0)
+    box = make_box(grid, n=24, bounds=(-3.0, 3.0), lam=-1.0)
+    s_corr = correction_singular_values(grid, box, -1.0, -0.5)
+    s_layer = layer_singular_values(grid, box, -1.0)
     slope_corr = fit_decay_slope(s_corr)
     slope_layer = fit_decay_slope(s_layer)
     _report(12, slope_corr <= -1.8 and slope_layer <= -0.9,
@@ -236,10 +236,10 @@ def test_criterion_12_singular_value_probe(circle, circle_grids):
             f"slopes {slope_corr:.2f} / {slope_layer:.2f}")
 
 
-def test_criterion_13_circle_deviation(circle, ellipse, circle_grids, ellipse_grids):
-    d_circle = circle_deviation(circle, circle_grids[256])
-    d256 = circle_deviation(ellipse, ellipse_grids[256])
-    d512 = circle_deviation(ellipse, ellipse_grids[512])
+def test_criterion_13_circle_deviation(circle_grids, ellipse_grids):
+    d_circle = circle_deviation(circle_grids[256])
+    d256 = circle_deviation(ellipse_grids[256])
+    d512 = circle_deviation(ellipse_grids[512])
     stable = abs(d256 - d512) < 5e-4 * abs(d512)
     _report(13, d_circle < 1e-12 and d256 > 0 and stable,
             "kernel deviation: zero for the circle, grid-stable for the ellipse",

@@ -21,30 +21,30 @@ def test_odd_harmonic_sums():
 
 
 class TestCircleOperator:
-    def test_top_eigenvalue(self, circle, circle_grid):
-        spec = eigen(circle_operator_matrix(1.0, circle_grid), vectors=False)
+    def test_top_eigenvalue(self, circle_grid):
+        spec = eigen(circle_operator_matrix(circle_grid), vectors=False)
         assert spec.values[0] == pytest.approx(LN4_OVER_2PI, abs=1e-12)
 
     def test_first_pair_degenerate(self, circle_grid):
-        spec = eigen(circle_operator_matrix(1.0, circle_grid), vectors=False)
+        spec = eigen(circle_operator_matrix(circle_grid), vectors=False)
         expected = LN4_OVER_2PI - 1.0 / math.pi
         assert spec.values[1] == pytest.approx(expected, abs=1e-12)
         assert spec.values[2] == pytest.approx(expected, abs=1e-12)
 
     def test_top_seven_match_closed_form(self, circle_grid):
-        spec = eigen(circle_operator_matrix(1.0, circle_grid), vectors=False)
+        spec = eigen(circle_operator_matrix(circle_grid), vectors=False)
         nu0, pairs = circle_mode_eigenvalues(1.0, 4)
         closed = [nu0, pairs[0], pairs[0], pairs[1], pairs[1], pairs[2], pairs[2]]
         assert np.max(np.abs(spec.values[:7] - closed)) < 1e-8
 
     def test_constant_vector_is_eigenvector(self, circle_grid):
-        mat = circle_operator_matrix(1.0, circle_grid)
+        mat = circle_operator_matrix(circle_grid)
         ones = np.ones(circle_grid.n)
         assert np.max(np.abs(mat @ ones - LN4_OVER_2PI * ones)) < 1e-12
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_circulant_build_matches_trig_basis(self, circle, n):
-        mat = circle_operator_matrix(1.0, make_grid(circle, n))
+        mat = circle_operator_matrix(make_grid(circle, n))
         assert np.max(np.abs(mat - circle_operator_reference(1.0, n))) < 1e-13
         assert np.array_equal(mat, mat.T)
 
@@ -55,12 +55,12 @@ class TestCircleOperator:
 
 class TestSmoothingMatrix:
     def test_zero_energy_is_zero_matrix(self, circle_grid):
-        mat = smoothing_matrix(1.0, 0.0, circle_grid)
+        mat = smoothing_matrix(0.0, circle_grid)
         assert np.all(mat == 0.0)
 
     def test_entry_bounds(self, circle_grid):
         lam = -1.0
-        mat = smoothing_matrix(1.0, lam, circle_grid)
+        mat = smoothing_matrix(lam, circle_grid)
         cap = circle_grid.weight * math.sqrt(-lam) / (4.0 * math.pi)
         assert np.all(mat >= -1e-15)
         assert np.all(mat <= cap * (1.0 + 1e-12))
@@ -70,7 +70,7 @@ class TestSmoothingMatrix:
         sums = []
         for n in (256, 512):
             g = make_grid(circle, n)
-            mat = smoothing_matrix(1.0, -1.0, g)
+            mat = smoothing_matrix(-1.0, g)
             sums.append(mat.sum(axis=1).mean())
         assert abs(sums[0] - sums[1]) < 1e-8
 
@@ -78,49 +78,49 @@ class TestSmoothingMatrix:
         # the diagonal correction must not flip the sign of the diagonal
         # when the kernel's boundary layer falls below the grid resolution
         for lam in (-1e6, -1e12):
-            mat = smoothing_matrix(1.0, lam, circle_grid)
+            mat = smoothing_matrix(lam, circle_grid)
             assert mat.diagonal().min() >= 0.0
 
 
 class TestComparisonMatrix:
-    def test_circle_gives_exact_zeros(self, circle, circle_grid):
-        mat = comparison_matrix(circle, -1.0, circle_grid)
+    def test_circle_gives_exact_zeros(self, circle_grid):
+        mat = comparison_matrix(-1.0, circle_grid)
         assert np.all(mat == 0.0)
 
-    def test_norm_bounded_by_deviation_root(self, ellipse, ellipse_grid):
+    def test_norm_bounded_by_deviation_root(self, ellipse_grid):
         # Hilbert-Schmidt bound: ||D_lam||_2 <= sqrt(deviation) for every lam,
         # since the kernel difference only shrinks as lam decreases
-        dev = circle_deviation(ellipse, ellipse_grid)
+        dev = circle_deviation(ellipse_grid)
         for lam in (0.0, -1.0, -10.0, -100.0):
-            nrm = np.linalg.norm(comparison_matrix(ellipse, lam, ellipse_grid), 2)
+            nrm = np.linalg.norm(comparison_matrix(lam, ellipse_grid), 2)
             assert nrm <= math.sqrt(dev) * 1.05
 
-    def test_norm_decreases_with_energy(self, ellipse, ellipse_grid):
-        norms = [np.linalg.norm(comparison_matrix(ellipse, lam, ellipse_grid), 2)
+    def test_norm_decreases_with_energy(self, ellipse_grid):
+        norms = [np.linalg.norm(comparison_matrix(lam, ellipse_grid), 2)
                  for lam in (0.0, -1.0, -10.0, -100.0)]
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
 class TestBoundaryMatrix:
-    def test_circle_zero_energy_equals_circle_operator(self, circle, circle_grid):
-        b = boundary_matrix(circle, 0.0, circle_grid)
-        b0 = circle_operator_matrix(1.0, circle_grid)
+    def test_circle_zero_energy_equals_circle_operator(self, circle_grid):
+        b = boundary_matrix(0.0, circle_grid)
+        b0 = circle_operator_matrix(circle_grid)
         assert np.array_equal(b, b0)
 
-    def test_circle_decomposition_consistency(self, circle, circle_grid):
-        b = boundary_matrix(circle, -1.0, circle_grid)
-        parts = (circle_operator_matrix(1.0, circle_grid)
-                 - smoothing_matrix(1.0, -1.0, circle_grid))
+    def test_circle_decomposition_consistency(self, circle_grid):
+        b = boundary_matrix(-1.0, circle_grid)
+        parts = (circle_operator_matrix(circle_grid)
+                 - smoothing_matrix(-1.0, circle_grid))
         assert np.max(np.abs(b - parts)) <= 1e-14
 
-    def test_exact_symmetry(self, ellipse, ellipse_grid, circle, circle_grid):
-        for mat in (boundary_matrix(ellipse, -1.0, ellipse_grid),
-                    boundary_matrix(circle, -2.5, circle_grid),
-                    scattering_layer_matrix(ellipse, ellipse_grid, 1.0, -1.0)):
+    def test_exact_symmetry(self, ellipse_grid, circle_grid):
+        for mat in (boundary_matrix(-1.0, ellipse_grid),
+                    boundary_matrix(-2.5, circle_grid),
+                    scattering_layer_matrix(ellipse_grid, 1.0, -1.0)):
             assert np.array_equal(mat, mat.T)
 
-    def test_top_eigenvalue_matches_quadrature(self, circle, circle_grid):
-        nu1 = eigenvalue_at(boundary_matrix(circle, -1.0, circle_grid), 1)
+    def test_top_eigenvalue_matches_quadrature(self, circle_grid):
+        nu1 = eigenvalue_at(boundary_matrix(-1.0, circle_grid), 1)
         assert abs(nu1 - circle_top_eigenvalue(-1.0, 1.0)) < 1e-7
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
@@ -128,34 +128,34 @@ class TestBoundaryMatrix:
         tops = []
         for n in (256, 512):
             g = make_grid(circle, n)
-            spec = eigen(boundary_matrix(circle, lam, g), vectors=False)
+            spec = eigen(boundary_matrix(lam, g), vectors=False)
             tops.append(spec.values[:20])
         assert np.max(np.abs(tops[0] - tops[1])) < 1e-6
 
-    def test_minmax_sandwich_against_circle(self, ellipse, ellipse_grid):
+    def test_minmax_sandwich_against_circle(self, ellipse_grid):
         # Weyl: adding the comparison part moves eigenvalues at most its norm
-        spec = eigen(boundary_matrix(ellipse, 0.0, ellipse_grid), vectors=False)
-        circle_spec = eigen(circle_operator_matrix(1.0, ellipse_grid), vectors=False)
-        shift = np.linalg.norm(comparison_matrix(ellipse, 0.0, ellipse_grid), 2)
+        spec = eigen(boundary_matrix(0.0, ellipse_grid), vectors=False)
+        circle_spec = eigen(circle_operator_matrix(ellipse_grid), vectors=False)
+        shift = np.linalg.norm(comparison_matrix(0.0, ellipse_grid), 2)
         trusted = ellipse_grid.n // 4
         diffs = np.abs(spec.values[:trusted] - circle_spec.values[:trusted])
         assert np.max(diffs) <= shift * (1.0 + 1e-10)
 
-    def test_rejects_positive_energy(self, circle, circle_grid):
+    def test_rejects_positive_energy(self, circle_grid):
         with pytest.raises(ConfigError):
-            boundary_matrix(circle, 0.5, circle_grid)
+            boundary_matrix(0.5, circle_grid)
 
 
-def test_operator_matrix_finite_guard(circle, circle_grid):
+def test_operator_matrix_finite_guard(circle_grid):
     with pytest.raises(ConfigError):
-        boundary_matrix(circle, float("nan"), circle_grid)
+        boundary_matrix(float("nan"), circle_grid)
 
 
-def test_grid_chords_shared_read_only(ellipse, ellipse_grid):
+def test_grid_chords_shared_read_only(ellipse_grid):
     chords = ellipse_grid.chords
     before = chords.copy()
-    comparison_matrix(ellipse, -1.0, ellipse_grid)
-    scattering_layer_matrix(ellipse, ellipse_grid, 1.0, -1.0)
+    comparison_matrix(-1.0, ellipse_grid)
+    scattering_layer_matrix(ellipse_grid, 1.0, -1.0)
     assert ellipse_grid.chords is chords
     assert np.array_equal(chords, before)
     with pytest.raises(ValueError):

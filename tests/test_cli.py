@@ -155,3 +155,44 @@ class TestDSigma:
 def test_unknown_tolerance_key(circle_file, tmp_path):
     assert main(["bound-states", "--curve", circle_file, "--alpha", "0.1",
                  "--tol-override", "bogus=1", "--out", str(tmp_path)]) == 2
+
+
+# options each command needs to run, so an exit 2 comes from the option tested
+REQUIRED = {"spectrum": [], "bound-states": ["--alpha", "0.1"],
+            "scattering": ["--alpha", "-0.5"], "isoperimetric": ["--alpha", "-0.5"],
+            "probe": [], "d-sigma": []}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("spectrum", "--alpha"), ("spectrum", "--eta"),
+    ("bound-states", "--lambda"), ("bound-states", "--eta"),
+    ("isoperimetric", "--lambda"), ("isoperimetric", "--eta"),
+    ("probe", "--eta"),
+    ("d-sigma", "--alpha"), ("d-sigma", "--lambda"), ("d-sigma", "--eta"),
+])
+def test_unread_option_exits_2(circle_file, tmp_path, capsys, command, option):
+    assert main([command, "--curve", circle_file, *REQUIRED[command], option, "-1",
+                 "--out", str(tmp_path)]) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [
+    ("spectrum", "root_tol"), ("spectrum", "rank_tol"),
+    ("bound-states", "rank_tol"), ("scattering", "root_tol"),
+    ("isoperimetric", "root_tol"), ("isoperimetric", "rank_tol"),
+    ("probe", "root_tol"), ("probe", "rank_tol"),
+    ("d-sigma", "root_tol"), ("d-sigma", "rank_tol"),
+])
+def test_unread_tolerance_key_exits_2(circle_file, tmp_path, capsys, command, key):
+    assert main([command, "--curve", circle_file, *REQUIRED[command],
+                 "--tol-override", f"{key}=1e-9", "--out", str(tmp_path)]) == 2
+    assert f"reads no tolerance '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("bound-states", "root_tol"), ("scattering", "rank_tol"), ("d-sigma", "reparam_tol"),
+])
+def test_read_tolerance_key_accepted(circle_file, tmp_path, command, key):
+    assert main([command, "--curve", circle_file, "--n", "64", *REQUIRED[command],
+                 "--tol-override", f"{key}=1e-9", "--out", str(tmp_path)]) == 0

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from curvedelta import (CurveError, chord, chord_mean_inequality, circle_chord,
+from curvedelta import (CurveError, chord_mean_inequality, circle_chord,
                         circle_deviation, green_kernel, make_box, make_circle,
                         make_ellipse, make_grid, reparametrize_arclength,
                         scale_to_length)
 from curvedelta.curves import (SELF_INTERSECTION_TOL, Curve, _ArcTable,
                                _check_self_intersection, _pairwise_distances,
                                _panel_count)
-from oracles import (broadcast_distances, chord_difference_reference,
+from oracles import (broadcast_distances, chord, chord_difference_reference,
                      self_intersection_reference)
 
 
@@ -132,8 +132,8 @@ def test_pairwise_distances_match_broadcast_square(ellipse, n):
     assert np.all(np.diag(dist) == 0.0)
 
 
-def test_pairwise_distances_match_broadcast_box(ellipse, ellipse_grid):
-    box = make_box(ellipse, ellipse_grid, n=24, lam=-1.0)
+def test_pairwise_distances_match_broadcast_box(ellipse_grid):
+    box = make_box(ellipse_grid, n=24, lam=-1.0)
     assert np.array_equal(_pairwise_distances(box.points, ellipse_grid.points),
                           broadcast_distances(box.points, ellipse_grid.points))
 
@@ -216,19 +216,19 @@ def test_scale_circle_stays_unit_speed():
     assert chord(doubled, 0.0, 2.0 * math.pi) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_deviation_circle_vanishes(circle, circle_grid):
-    assert circle_deviation(circle, circle_grid) < 1e-12
+def test_deviation_circle_vanishes(circle_grid):
+    assert circle_deviation(circle_grid) < 1e-12
 
 
 def test_deviation_ellipse_positive_and_grid_stable(ellipse):
-    d256 = circle_deviation(ellipse, make_grid(ellipse, 256))
-    d512 = circle_deviation(ellipse, make_grid(ellipse, 512))
+    d256 = circle_deviation(make_grid(ellipse, 256))
+    d512 = circle_deviation(make_grid(ellipse, 512))
     assert d256 > 0.0
     assert abs(d256 - d512) < 5e-4 * abs(d512)  # 3 significant digits
 
 
 def test_deviation_rigid_motion_invariant(ellipse):
-    d_ref = circle_deviation(ellipse, make_grid(ellipse, 128))
+    d_ref = circle_deviation(make_grid(ellipse, 128))
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
                     [math.sin(theta), math.cos(theta), 0.0],
@@ -242,7 +242,7 @@ def test_deviation_rigid_motion_invariant(ellipse):
                   sin_coeff=ellipse.sin_coeff @ rot.T,
                   period=ellipse.period)
     moved = reparametrize_arclength(moved)
-    d_moved = circle_deviation(moved, make_grid(moved, 128))
+    d_moved = circle_deviation(make_grid(moved, 128))
     assert abs(d_moved - d_ref) < 1e-10
 
 
@@ -258,9 +258,9 @@ def test_deviation_integrand_vanishes_toward_diagonal(ellipse):
     assert vals[2] < 1e-5
 
 
-def test_chord_mean_equality_on_circle(circle, circle_grid):
+def test_chord_mean_equality_on_circle(circle_grid):
     for u in (0.8, math.pi, 4.4):
-        lhs, rhs = chord_mean_inequality(circle, circle_grid, u)
+        lhs, rhs = chord_mean_inequality(circle_grid, u)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -268,15 +268,15 @@ def test_chord_mean_strict_inequality_on_ellipse(ellipse):
     g_coarse = make_grid(ellipse, 128)
     g = make_grid(ellipse, 256)
     u = ellipse.total_length / 2.0
-    lhs, rhs = chord_mean_inequality(ellipse, g, u)
-    lhs_c, _ = chord_mean_inequality(ellipse, g_coarse, u)
+    lhs, rhs = chord_mean_inequality(g, u)
+    lhs_c, _ = chord_mean_inequality(g_coarse, u)
     quad_err = abs(lhs - lhs_c)
     assert rhs - lhs > 10.0 * max(quad_err, 1e-14)
 
 
-def test_chord_mean_small_shift_limit(ellipse, ellipse_grid):
+def test_chord_mean_small_shift_limit(ellipse_grid):
     u = 1e-6
-    lhs, rhs = chord_mean_inequality(ellipse, ellipse_grid, u)
+    lhs, rhs = chord_mean_inequality(ellipse_grid, u)
     assert lhs < 1e-4 and rhs < 1e-4
 
 

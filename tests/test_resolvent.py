@@ -7,21 +7,22 @@ import curvedelta.resolvent as resolvent_mod
 from curvedelta import (ConfigError, NumericsError, correction_singular_values,
                         find_bound_states, fit_decay_slope, green_kernel,
                         layer_singular_values, make_box, make_grid,
-                        perturbed_green, single_layer_potential)
+                        perturbed_green)
+from oracles import single_layer_potential
 
 
 @pytest.fixture(scope="module")
-def default_box(circle, circle_grid):
-    return make_box(circle, circle_grid, n=24, bounds=(-3.0, 3.0), lam=-1.0)
+def default_box(circle_grid):
+    return make_box(circle_grid, n=24, bounds=(-3.0, 3.0), lam=-1.0)
 
 
 class TestBoxGrid:
-    def test_default_bounds_margin(self, circle, circle_grid):
-        box = make_box(circle, circle_grid, n=8, lam=-1.0)
+    def test_default_bounds_margin(self, circle_grid):
+        box = make_box(circle_grid, n=8, lam=-1.0)
         assert box.lo == pytest.approx(-3.0, abs=1e-6)
         assert box.hi == pytest.approx(3.0, abs=1e-6)
 
-    def test_exclusion(self, circle, circle_grid, default_box):
+    def test_exclusion(self, circle_grid, default_box):
         dists = np.linalg.norm(
             default_box.points[:, None, :] - circle_grid.points[None, :, :], axis=2)
         assert dists.min(axis=1).min() > default_box.exclusion_radius
@@ -29,9 +30,9 @@ class TestBoxGrid:
 
 
 class TestSingleLayerPotential:
-    def test_zero_density(self, circle, circle_grid):
+    def test_zero_density(self, circle_grid):
         x = np.array([0.0, 0.0, 2.0])
-        assert single_layer_potential(circle, circle_grid, -1.0,
+        assert single_layer_potential(circle_grid, -1.0,
                                       np.zeros(circle_grid.n), x) == 0.0
 
     def test_axis_symmetry_oracle(self, circle, circle_grid):
@@ -39,58 +40,68 @@ class TestSingleLayerPotential:
         # integral collapses to L * kernel
         z = 1.5
         x = np.array([0.0, 0.0, z])
-        val = single_layer_potential(circle, circle_grid, -1.0,
+        val = single_layer_potential(circle_grid, -1.0,
                                      np.ones(circle_grid.n), x)
         expected = circle.total_length * green_kernel(-1.0, math.hypot(1.0, z))
         assert val == pytest.approx(expected, rel=1e-14)
 
-    def test_linearity(self, circle, circle_grid):
+    def test_linearity(self, circle_grid):
         rng = np.random.default_rng(7)
         h = rng.standard_normal(circle_grid.n)
         x = np.array([0.4, -0.3, 1.9])
-        v1 = single_layer_potential(circle, circle_grid, -1.0, h, x)
-        v2 = single_layer_potential(circle, circle_grid, -1.0, 2.0 * h, x)
+        v1 = single_layer_potential(circle_grid, -1.0, h, x)
+        v2 = single_layer_potential(circle_grid, -1.0, 2.0 * h, x)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
-    def test_rejects_point_near_curve(self, circle, circle_grid):
+    def test_rejects_point_near_curve(self, circle_grid):
         with pytest.raises(ConfigError):
-            single_layer_potential(circle, circle_grid, -1.0,
+            single_layer_potential(circle_grid, -1.0,
                                    np.ones(circle_grid.n), np.array([1.0, 0.0, 1e-3]))
+
+    def test_probe_layer_map_rows(self, ellipse_grid):
+        # row x of the probe's layer map, applied to a density, is sqrt(cell
+        # volume) times the node-sum layer potential at x
+        box = make_box(ellipse_grid, n=8, lam=-1.0)
+        g = resolvent_mod._layer_factor(ellipse_grid, box, -1.0)
+        h = np.random.default_rng(3).standard_normal(ellipse_grid.n)
+        expected = [math.sqrt(box.cell_volume) * single_layer_potential(ellipse_grid, -1.0, h, x)
+                    for x in box.points]
+        assert np.max(np.abs(g @ h - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestPerturbedGreen:
     X = np.array([1.7, 0.3, 0.4])
     Y = np.array([-0.2, -1.9, 0.6])
 
-    def test_symmetry(self, circle, circle_grid):
-        gxy = perturbed_green(circle, circle_grid, -2.0, -0.5, self.X, self.Y)
-        gyx = perturbed_green(circle, circle_grid, -2.0, -0.5, self.Y, self.X)
+    def test_symmetry(self, circle_grid):
+        gxy = perturbed_green(circle_grid, -2.0, -0.5, self.X, self.Y)
+        gyx = perturbed_green(circle_grid, -2.0, -0.5, self.Y, self.X)
         assert abs(gxy - gyx) / abs(gxy) < 1e-10
 
-    def test_weak_interaction_limit(self, circle, circle_grid):
+    def test_weak_interaction_limit(self, circle_grid):
         gfree = green_kernel(-2.0, np.linalg.norm(self.X - self.Y))
-        val = perturbed_green(circle, circle_grid, -2.0, 1e6, self.X, self.Y)
+        val = perturbed_green(circle_grid, -2.0, 1e6, self.X, self.Y)
         assert abs(val - gfree) <= 1e-4 * abs(gfree)
 
-    def test_pole_growth_near_bound_state(self, circle, circle_grid):
-        state = find_bound_states(circle, circle_grid, 0.1)[0]
+    def test_pole_growth_near_bound_state(self, circle_grid):
+        state = find_bound_states(circle_grid, 0.1)[0]
         gfree = lambda lam: green_kernel(lam, np.linalg.norm(self.X - self.Y))
         corrections = []
         for step in (0.03, 0.01, 0.003):
             lam = state.energy + step
-            val = perturbed_green(circle, circle_grid, lam, 0.1, self.X, self.Y)
+            val = perturbed_green(circle_grid, lam, 0.1, self.X, self.Y)
             corrections.append(abs(val - gfree(lam)))
         assert corrections[0] < corrections[1] < corrections[2]
 
-    def test_rejects_energy_on_bound_state(self, circle, circle_grid):
-        state = find_bound_states(circle, circle_grid, 0.1)[0]
+    def test_rejects_energy_on_bound_state(self, circle_grid):
+        state = find_bound_states(circle_grid, 0.1)[0]
         with pytest.raises(NumericsError):
-            perturbed_green(circle, circle_grid, state.energy, 0.1, self.X, self.Y)
+            perturbed_green(circle_grid, state.energy, 0.1, self.X, self.Y)
 
-    def test_correction_falls_off_with_coupling(self, circle, circle_grid):
+    def test_correction_falls_off_with_coupling(self, circle_grid):
         # the interaction decouples like 1/alpha
         gfree = green_kernel(-2.0, np.linalg.norm(self.X - self.Y))
-        corr = [abs(perturbed_green(circle, circle_grid, -2.0, alpha,
+        corr = [abs(perturbed_green(circle_grid, -2.0, alpha,
                                     self.X, self.Y) - gfree)
                 for alpha in (1e4, 1e5, 1e6)]
         for a, b in zip(corr, corr[1:]):
@@ -98,32 +109,32 @@ class TestPerturbedGreen:
 
 
 class TestSingularValues:
-    def test_nonincreasing(self, circle, circle_grid, default_box):
-        s = correction_singular_values(circle, circle_grid, default_box, -1.0, -0.5)
+    def test_nonincreasing(self, circle_grid, default_box):
+        s = correction_singular_values(circle_grid, default_box, -1.0, -0.5)
         assert np.all(np.diff(s) <= 1e-18)
 
-    def test_correction_decay_slope(self, circle, circle_grid, default_box):
-        s = correction_singular_values(circle, circle_grid, default_box, -1.0, -0.5)
+    def test_correction_decay_slope(self, circle_grid, default_box):
+        s = correction_singular_values(circle_grid, default_box, -1.0, -0.5)
         assert fit_decay_slope(s) <= -1.8
 
-    def test_layer_decay_slope(self, circle, circle_grid, default_box):
-        s = layer_singular_values(circle, circle_grid, default_box, -1.0)
+    def test_layer_decay_slope(self, circle_grid, default_box):
+        s = layer_singular_values(circle_grid, default_box, -1.0)
         assert fit_decay_slope(s) <= -0.9
 
-    def test_box_refinement_stability(self, circle, circle_grid):
+    def test_box_refinement_stability(self, circle_grid):
         # refine the lattice while holding the excluded tube fixed
         tops = []
         for n in (16, 24):
-            box = make_box(circle, circle_grid, n=n, bounds=(-3.0, 3.0),
+            box = make_box(circle_grid, n=n, bounds=(-3.0, 3.0),
                            exclusion_radius=1.0)
-            s = correction_singular_values(circle, circle_grid, box, -1.0, -0.5)
+            s = correction_singular_values(circle_grid, box, -1.0, -0.5)
             tops.append(s[:5])
         assert np.max(np.abs(tops[1] - tops[0]) / tops[1]) < 0.05
 
-    def test_memory_guard(self, circle, circle_grid, default_box, monkeypatch):
+    def test_memory_guard(self, circle_grid, default_box, monkeypatch):
         monkeypatch.setattr(resolvent_mod, "ENTRY_CAP", 1000)
         with pytest.raises(NumericsError):
-            layer_singular_values(circle, circle_grid, default_box, -1.0)
+            layer_singular_values(circle_grid, default_box, -1.0)
 
     def test_fit_window_guard(self):
         with pytest.raises(ConfigError):

@@ -7,18 +7,18 @@ from curvedelta import (ConfigError, NumericsError, boundary_matrix,
 
 
 class TestLayerMatrix:
-    def test_equal_energies_zero(self, circle, circle_grid):
-        mat = scattering_layer_matrix(circle, circle_grid, -1.0, -1.0)
+    def test_equal_energies_zero(self, circle_grid):
+        mat = scattering_layer_matrix(circle_grid, -1.0, -1.0)
         assert np.max(np.abs(mat)) == 0.0
 
-    def test_negative_energy_real_symmetric(self, circle, circle_grid):
-        mat = scattering_layer_matrix(circle, circle_grid, -2.0, -1.0)
+    def test_negative_energy_real_symmetric(self, circle_grid):
+        mat = scattering_layer_matrix(circle_grid, -2.0, -1.0)
         assert not np.iscomplexobj(mat)
         assert np.array_equal(mat, mat.T)
 
-    def test_imaginary_part_entrywise(self, circle, circle_grid):
+    def test_imaginary_part_entrywise(self, circle_grid):
         # Im entries are w sin(r_ij)/(4 pi r_ij) with w/(4 pi) on the diagonal
-        mat = scattering_layer_matrix(circle, circle_grid, 1.0, -1.0)
+        mat = scattering_layer_matrix(circle_grid, 1.0, -1.0)
         pts = circle_grid.points
         w = circle_grid.weight
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -28,70 +28,70 @@ class TestLayerMatrix:
         expected[~off] = w / (4.0 * np.pi)
         assert np.max(np.abs(mat.imag - expected)) < 1e-13
 
-    def test_rejects_nonnegative_reference(self, circle, circle_grid):
+    def test_rejects_nonnegative_reference(self, circle_grid):
         with pytest.raises(ConfigError):
-            scattering_layer_matrix(circle, circle_grid, 1.0, 0.5)
+            scattering_layer_matrix(circle_grid, 1.0, 0.5)
 
 
 class TestChooseReferenceEnergy:
-    def test_default_candidates(self, circle, circle_grid):
-        eta = choose_reference_energy(circle, circle_grid, -0.5, [-1.0, -4.0, -16.0])
+    def test_default_candidates(self, circle_grid):
+        eta = choose_reference_energy(circle_grid, -0.5, [-1.0, -4.0, -16.0])
         assert eta == -1.0
 
-    def test_far_coupling_takes_first(self, circle, circle_grid):
-        assert choose_reference_energy(circle, circle_grid, -50.0, [-1.0, -4.0]) == -1.0
+    def test_far_coupling_takes_first(self, circle_grid):
+        assert choose_reference_energy(circle_grid, -50.0, [-1.0, -4.0]) == -1.0
 
-    def test_empty_candidates(self, circle, circle_grid):
+    def test_empty_candidates(self, circle_grid):
         with pytest.raises(ConfigError):
-            choose_reference_energy(circle, circle_grid, -0.5, [])
+            choose_reference_energy(circle_grid, -0.5, [])
 
-    def test_all_candidates_fail(self, circle, circle_grid):
-        spec = eigen(boundary_matrix(circle, -1.0, circle_grid), vectors=False)
+    def test_all_candidates_fail(self, circle_grid):
+        spec = eigen(boundary_matrix(-1.0, circle_grid), vectors=False)
         alpha = float(spec.values[4])   # sits exactly on the spectrum at eta=-1
         with pytest.raises(NumericsError):
-            choose_reference_energy(circle, circle_grid, alpha, [-1.0])
+            choose_reference_energy(circle_grid, alpha, [-1.0])
 
 
 class TestScatteringBlock:
-    def test_threshold_energy_empty_block(self, circle, circle_grid):
-        blk = scattering_block(circle, circle_grid, 0.0, -0.5, -1.0)
+    def test_threshold_energy_empty_block(self, circle_grid):
+        blk = scattering_block(circle_grid, 0.0, -0.5, -1.0)
         assert blk.retained_dim == 0
         assert blk.matrix.shape == (0, 0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
-    def test_unitarity(self, circle, circle_grid, lam):
-        blk = scattering_block(circle, circle_grid, lam, -0.5, -1.0)
+    def test_unitarity(self, circle_grid, lam):
+        blk = scattering_block(circle_grid, lam, -0.5, -1.0)
         assert blk.retained_dim > 0
         assert blk.unitarity_defect < 1e-6
 
-    def test_channel_psd(self, circle, circle_grid):
-        blk = scattering_block(circle, circle_grid, 1.0, -0.5, -1.0)
+    def test_channel_psd(self, circle_grid):
+        blk = scattering_block(circle_grid, 1.0, -0.5, -1.0)
         top = blk.channel_eigenvalues[0]
         assert blk.min_channel_eigenvalue >= -1e-10 * top
 
-    def test_channel_trace_tail(self, circle, circle_grid):
+    def test_channel_trace_tail(self, circle_grid):
         # finite-dimensional echo of trace-class decay of Im N
-        blk = scattering_block(circle, circle_grid, 1.0, -0.5, -1.0)
+        blk = scattering_block(circle_grid, 1.0, -0.5, -1.0)
         vals = np.abs(blk.channel_eigenvalues)
         tail = vals[circle_grid.n // 4:].sum()
         assert tail < 1e-8 * vals.sum()
 
-    def test_reference_energy_independence(self, circle, circle_grid):
-        b1 = scattering_block(circle, circle_grid, 1.0, -0.5, -1.0)
-        b2 = scattering_block(circle, circle_grid, 1.0, -0.5, -4.0)
+    def test_reference_energy_independence(self, circle_grid):
+        b1 = scattering_block(circle_grid, 1.0, -0.5, -1.0)
+        b2 = scattering_block(circle_grid, 1.0, -0.5, -4.0)
         assert b1.retained_dim == b2.retained_dim
         assert np.linalg.norm(b1.matrix - b2.matrix, 2) < 1e-5
 
-    def test_weak_interaction_limit(self, circle, circle_grid):
-        blk = scattering_block(circle, circle_grid, 1.0, 1e6, -1.0)
+    def test_weak_interaction_limit(self, circle_grid):
+        blk = scattering_block(circle_grid, 1.0, 1e6, -1.0)
         dev = np.linalg.norm(blk.matrix - np.eye(blk.retained_dim), 2)
         assert dev < 1e-4
 
-    def test_ellipse_unitarity(self, ellipse, ellipse_grid):
-        eta = choose_reference_energy(ellipse, ellipse_grid, -0.5, [-1.0, -4.0, -16.0])
-        blk = scattering_block(ellipse, ellipse_grid, 1.0, -0.5, eta)
+    def test_ellipse_unitarity(self, ellipse_grid):
+        eta = choose_reference_energy(ellipse_grid, -0.5, [-1.0, -4.0, -16.0])
+        blk = scattering_block(ellipse_grid, 1.0, -0.5, eta)
         assert blk.unitarity_defect < 1e-6
 
-    def test_negative_energy_rejected(self, circle, circle_grid):
+    def test_negative_energy_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
-            scattering_block(circle, circle_grid, -1.0, -0.5, -1.0)
+            scattering_block(circle_grid, -1.0, -0.5, -1.0)

@@ -8,9 +8,10 @@ from curvedelta import spectral
 from curvedelta import (ConfigError, NumericsError,
                         asymptotic_count_bounds, boundary_matrix,
                         count_bound_states, eigen,
-                        eigenvalue_at, eigenvalue_curve, find_bound_states,
-                        interval_index, isoperimetric_compare, make_circle,
+                        eigenvalue_at, find_bound_states,
+                        isoperimetric_compare, make_circle,
                         make_grid)
+from curvedelta.spectral import _interval_index
 from oracles import circle_top_eigenvalue, multiplicity_groups
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
@@ -25,8 +26,8 @@ class TestEigen:
         spec = eigen(np.zeros((16, 16)))
         assert np.all(spec.values == 0.0)
 
-    def test_residuals_and_norms(self, ellipse, ellipse_grid):
-        mat = boundary_matrix(ellipse, -1.0, ellipse_grid)
+    def test_residuals_and_norms(self, ellipse_grid):
+        mat = boundary_matrix(-1.0, ellipse_grid)
         spec = eigen(mat)
         scale = np.linalg.norm(mat, 2)
         for k in range(spec.trusted_count):
@@ -35,67 +36,63 @@ class TestEigen:
             assert resid < 1e-9 * scale
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
-    def test_multiplicity_pairs_on_circle(self, circle, circle_grid):
-        spec = eigen(boundary_matrix(circle, 0.0, circle_grid), vectors=False)
+    def test_multiplicity_pairs_on_circle(self, circle_grid):
+        spec = eigen(boundary_matrix(0.0, circle_grid), vectors=False)
         groups = multiplicity_groups(spec.values)
         assert groups[0] == (0, 1)          # constant mode is simple
         assert groups[1] == (1, 2)          # first pair doubly degenerate
         assert groups[2] == (3, 2)
 
-    def test_eigenvalue_at_matches_full(self, circle, circle_grid):
-        mat = boundary_matrix(circle, -1.0, circle_grid)
+    def test_eigenvalue_at_matches_full(self, circle_grid):
+        mat = boundary_matrix(-1.0, circle_grid)
         spec = eigen(mat, vectors=False)
         for k in (1, 2, 7):
             assert eigenvalue_at(mat, k) == pytest.approx(spec.values[k - 1], abs=1e-12)
 
 
 class TestEigenvalueCurve:
-    def test_top_branch_is_quadrature_constant(self, circle, circle_grid):
-        samples = eigenvalue_curve(circle, circle_grid, 1, [0.0, -1.0, -4.0, -16.0])
-        for lam, nu in samples:
+    def test_top_branch_is_quadrature_constant(self, circle_grid):
+        for lam in (0.0, -1.0, -4.0, -16.0):
+            nu = eigenvalue_at(boundary_matrix(lam, circle_grid), 1)
             assert abs(nu - circle_top_eigenvalue(lam, 1.0)) < 1e-7
 
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_strict_monotonicity(self, ellipse, ellipse_grid, k):
-        samples = eigenvalue_curve(ellipse, ellipse_grid, k, [-100.0, -1.0, 0.0])
-        nus = [nu for _, nu in samples]
+    def test_strict_monotonicity(self, ellipse_grid, k):
+        nus = [eigenvalue_at(boundary_matrix(lam, ellipse_grid), k)
+               for lam in (-100.0, -1.0, 0.0)]
         assert nus[0] < nus[1] < nus[2]
-
-    def test_rejects_untrusted_mode(self, circle, circle_grid):
-        with pytest.raises(ConfigError):
-            eigenvalue_curve(circle, circle_grid, circle_grid.n // 4 + 1, [0.0])
 
 
 class TestBoundStates:
-    def test_supercritical_coupling_empty(self, circle, circle_grid):
-        assert find_bound_states(circle, circle_grid, LN4_OVER_2PI + 1e-3) == []
-        assert find_bound_states(circle, circle_grid, 0.5) == []
+    def test_supercritical_coupling_empty(self, circle_grid):
+        assert find_bound_states(circle_grid, LN4_OVER_2PI + 1e-3) == []
+        assert find_bound_states(circle_grid, 0.5) == []
 
-    def test_single_state_in_first_interval(self, circle, circle_grid):
-        states = find_bound_states(circle, circle_grid, 0.1)
+    def test_single_state_in_first_interval(self, circle_grid):
+        states = find_bound_states(circle_grid, 0.1)
         assert len(states) == 1
         assert states[0].energy < 0.0
 
-    def test_birman_schwinger_residual(self, circle, circle_grid):
-        for st in find_bound_states(circle, circle_grid, 0.1):
-            spec = eigen(boundary_matrix(circle, st.energy, circle_grid), vectors=False)
+    def test_birman_schwinger_residual(self, circle_grid):
+        for st in find_bound_states(circle_grid, 0.1):
+            spec = eigen(boundary_matrix(st.energy, circle_grid), vectors=False)
             assert np.min(np.abs(spec.values - st.alpha)) < 1e-8
 
-    def test_degenerate_pair_energies_coincide(self, circle, circle_grid):
-        states = find_bound_states(circle, circle_grid, -0.2)
+    def test_degenerate_pair_energies_coincide(self, circle_grid):
+        states = find_bound_states(circle_grid, -0.2)
         assert len(states) == 3
         # modes 2 and 3 are the doubly degenerate pair
         assert abs(states[1].energy - states[2].energy) < 1e-8
-        report = count_bound_states(circle, circle_grid, -0.2)
+        report = count_bound_states(circle_grid, -0.2)
         assert report.count == len(states)
 
-    def test_states_sorted_by_energy(self, circle, circle_grid):
-        energies = [st.energy for st in find_bound_states(circle, circle_grid, -0.2)]
+    def test_states_sorted_by_energy(self, circle_grid):
+        energies = [st.energy for st in find_bound_states(circle_grid, -0.2)]
         assert energies == sorted(energies)
 
-    def test_zero_coupling_rejected(self, circle, circle_grid):
+    def test_zero_coupling_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
-            find_bound_states(circle, circle_grid, 0.0)
+            find_bound_states(circle_grid, 0.0)
 
     def test_no_energy_assembled_twice(self, ellipse, monkeypatch):
         # counting and root finding share the grid's energy-zero spectrum;
@@ -104,45 +101,45 @@ class TestBoundStates:
         energies = []
         real_matrix = spectral.boundary_matrix
 
-        def matrix(curve, lam, grid):
+        def matrix(lam, grid):
             energies.append(lam)
-            return real_matrix(curve, lam, grid)
+            return real_matrix(lam, grid)
 
         monkeypatch.setattr(spectral, "boundary_matrix", matrix)
         for alpha in (-0.05, -0.15):
-            report = count_bound_states(ellipse, grid, alpha)
+            report = count_bound_states(grid, alpha)
             start = len(energies)
-            states = find_bound_states(ellipse, grid, alpha)
+            states = find_bound_states(grid, alpha)
             assert len(states) == report.count > 0
             searched = energies[start:]
             assert len(searched) == len(set(searched))
         assert energies.count(0.0) == 1
 
-    def test_refuses_non_monotone_branch(self, circle, circle_grid, humped_branches):
+    def test_refuses_non_monotone_branch(self, circle_grid, humped_branches):
         with pytest.raises(NumericsError, match="monotonicity violated"):
-            find_bound_states(circle, circle_grid, 0.1)
+            find_bound_states(circle_grid, 0.1)
 
-    def test_refuses_unconverged_root(self, circle, circle_grid, monkeypatch):
+    def test_refuses_unconverged_root(self, circle_grid, monkeypatch):
         def unconverged(f, a, b, **kwargs):
             return 0.5 * (a + b), SimpleNamespace(converged=False, flag="convergence error")
 
         monkeypatch.setattr(spectral, "brentq", unconverged)
         with pytest.raises(NumericsError, match="did not converge"):
-            find_bound_states(circle, circle_grid, 0.1)
+            find_bound_states(circle_grid, 0.1)
 
 
 class TestIntervalIndex:
     def test_threshold_maps_to_minus_one(self):
-        assert interval_index(LN4_OVER_2PI, 1.0) == -1
-        assert interval_index(10.0, 1.0) == -1
+        assert _interval_index(LN4_OVER_2PI, 1.0) == -1
+        assert _interval_index(10.0, 1.0) == -1
 
     def test_left_endpoint_belongs_to_interval(self):
         x = LN4_OVER_2PI - 1.0 / math.pi
-        assert interval_index(x, 1.0) == 0
+        assert _interval_index(x, 1.0) == 0
 
     def test_monotone_in_argument(self):
         xs = np.linspace(LN4_OVER_2PI - 1e-9, -1.2, 200)
-        rs = [interval_index(float(x), 1.0) for x in xs]
+        rs = [_interval_index(float(x), 1.0) for x in xs]
         assert all(b >= a for a, b in zip(rs, rs[1:]))
         assert rs[0] == 0
         assert rs[-1] > 100
@@ -160,29 +157,29 @@ class TestAsymptoticBounds:
         with pytest.raises(ConfigError):
             asymptotic_count_bounds(1.0, edge, 0.0)
 
-    def test_counts_inside_bounds(self, circle, circle_grid):
+    def test_counts_inside_bounds(self, circle_grid):
         for alpha in (-0.3, -0.5):
-            report = count_bound_states(circle, circle_grid, alpha)
+            report = count_bound_states(circle_grid, alpha)
             lower, upper = asymptotic_count_bounds(1.0, alpha)
             assert lower < report.count < upper
 
 
 class TestCounting:
-    def test_circle_small_count(self, circle, circle_grid):
-        assert count_bound_states(circle, circle_grid, 0.1).count == 1
+    def test_circle_small_count(self, circle_grid):
+        assert count_bound_states(circle_grid, 0.1).count == 1
 
-    def test_circle_count_odd(self, circle, circle_grid):
-        report = count_bound_states(circle, circle_grid, -0.5)
+    def test_circle_count_odd(self, circle_grid):
+        report = count_bound_states(circle_grid, -0.5)
         assert report.count % 2 == 1
         assert report.count == 2 * report.r_index + 1   # circle: deviation ~ 0
 
-    def test_ellipse_above_threshold_vanishes(self, ellipse, ellipse_grid):
-        report = count_bound_states(ellipse, ellipse_grid, 0.25)
+    def test_ellipse_above_threshold_vanishes(self, ellipse_grid):
+        report = count_bound_states(ellipse_grid, 0.25)
         assert report.vanishes and report.count == 0
 
-    def test_ellipse_sandwich(self, ellipse, ellipse_grid):
+    def test_ellipse_sandwich(self, ellipse_grid):
         for alpha in (-0.3, -0.6):
-            report = count_bound_states(ellipse, ellipse_grid, alpha)
+            report = count_bound_states(ellipse_grid, alpha)
             assert report.lower <= report.count <= report.upper
 
     @pytest.mark.parametrize("solve", [count_bound_states, find_bound_states],
@@ -190,31 +187,31 @@ class TestCounting:
     def test_refuses_when_count_hits_trusted_range(self, circle, solve):
         tiny = make_grid(circle, 16)
         with pytest.raises(NumericsError):
-            solve(circle, tiny, -0.5)
+            solve(tiny, -0.5)
 
-    def test_zero_coupling_rejected(self, circle, circle_grid):
+    def test_zero_coupling_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
-            count_bound_states(circle, circle_grid, 0.0)
+            count_bound_states(circle_grid, 0.0)
 
 
 class TestIsoperimetric:
-    def test_ellipse_gap_positive(self, ellipse, ellipse_grid):
-        lam_curve, lam_circle, gap = isoperimetric_compare(ellipse, ellipse_grid, -0.5)
+    def test_ellipse_gap_positive(self, ellipse_grid):
+        lam_curve, lam_circle, gap = isoperimetric_compare(ellipse_grid, -0.5)
         assert lam_curve < lam_circle < 0.0
         assert gap > 0.0
 
-    def test_circle_against_itself(self, circle, circle_grid):
-        _, _, gap = isoperimetric_compare(circle, circle_grid, -0.5)
+    def test_circle_against_itself(self, circle_grid):
+        _, _, gap = isoperimetric_compare(circle_grid, -0.5)
         assert abs(gap) < 2e-10
 
-    def test_supercritical_coupling_rejected(self, ellipse, ellipse_grid):
+    def test_supercritical_coupling_rejected(self, ellipse_grid):
         with pytest.raises(ConfigError):
-            isoperimetric_compare(ellipse, ellipse_grid, LN4_OVER_2PI + 0.1)
+            isoperimetric_compare(ellipse_grid, LN4_OVER_2PI + 0.1)
 
 
-def test_resolvent_correction_surrogate_decay(circle, circle_grid):
+def test_resolvent_correction_surrogate_decay(circle_grid):
     # 1/(alpha - nu_1(-1)) falls off like 1/alpha for large alpha
-    nu1 = eigenvalue_at(boundary_matrix(circle, -1.0, circle_grid), 1)
+    nu1 = eigenvalue_at(boundary_matrix(-1.0, circle_grid), 1)
     vals = [1.0 / (alpha - nu1) for alpha in (10.0, 100.0, 1000.0)]
     for a, b in zip(vals, vals[1:]):
         assert a / b == pytest.approx(10.0, rel=0.2)

@@ -1,0 +1,45 @@
+"""The public surface: the exported names, and the grid as the one handle on
+the discretized curve."""
+
+import inspect
+
+import pytest
+
+import curvedelta
+from curvedelta import assembly, curves, resolvent, scattering, spectral
+
+
+def test_exported_names():
+    assert sorted(curvedelta.__all__) == [
+        "ArcGrid", "BoundState", "BoxGrid", "ConfigError", "CountReport", "Curve",
+        "CurveError", "EigenSystem", "InvariantError", "NumericsError",
+        "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
+        "choose_reference_energy", "chord_mean_inequality", "circle_chord",
+        "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
+        "comparison_matrix", "correction_singular_values", "count_bound_states",
+        "curve_from_json_dict", "curve_to_json_dict", "eigen", "eigenvalue_at",
+        "find_bound_states", "fit_decay_slope", "green_kernel",
+        "isoperimetric_compare", "layer_singular_values", "make_box", "make_circle",
+        "make_ellipse", "make_grid", "odd_harmonic_sums", "perturbed_green",
+        "reparametrize_arclength", "scale_to_length", "scattering_block",
+        "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
+        "smoothing_matrix",
+    ]
+    assert all(hasattr(curvedelta, name) for name in curvedelta.__all__)
+
+
+def _functions(module):
+    return [(name, fn) for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__]
+
+
+@pytest.mark.parametrize("module", [assembly, curves, resolvent, scattering, spectral],
+                         ids=lambda module: module.__name__)
+def test_grid_is_the_only_handle_on_the_curve(module):
+    # the grid carries its curve and its length, so a curve or a radius next
+    # to it could only disagree with it
+    with_grid = {name: set(inspect.signature(fn).parameters)
+                 for name, fn in _functions(module)
+                 if "grid" in inspect.signature(fn).parameters}
+    assert with_grid
+    assert [name for name, params in with_grid.items() if params & {"curve", "radius"}] == []

@@ -55,7 +55,7 @@ def _rotation(a: float, b: float, c: float) -> np.ndarray:
 
 
 def _top_values(curve: Curve, lam: float) -> np.ndarray:
-    return eigen(boundary_matrix(curve, lam, make_grid(curve, N)), vectors=False).values[:N // 4]
+    return eigen(boundary_matrix(lam, make_grid(curve, N)), vectors=False).values[:N // 4]
 
 
 @SETTINGS
