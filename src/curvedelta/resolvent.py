@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix
-from .curves import ArcGrid, _pairwise_distances
+from .curves import ArcGrid, _pairwise_distances, _read_only
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
 from .spectral import eigen
@@ -28,7 +28,11 @@ SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
 
 @dataclass(frozen=True)
 class BoxGrid:
-    """Uniform lattice of cell centers in a cube, minus a tube around the curve."""
+    """Uniform lattice of cell centers in a cube, minus a tube around the curve.
+
+    The R factor of the last layer map probed on the box is kept on it
+    (`_layer_r`).
+    """
 
     lo: float
     hi: float
@@ -125,27 +129,44 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
     if np.array_equal(x, y):
         raise ConfigError("x and y must differ")
     system = _resolvent_system(grid, lam, alpha)
-    gx = green_kernel(lam, np.linalg.norm(grid.points - x, axis=1))
-    gy = green_kernel(lam, np.linalg.norm(grid.points - y, axis=1))
+    gx, gy = green_kernel(lam, _pairwise_distances(np.stack([x, y]), grid.points))
     correction = grid.weight * float(gx @ np.linalg.solve(system, gy))
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
 
 def _layer_factor(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
     """Semi-discrete layer map: rows are box cells, columns curve nodes."""
-    n_entries = len(box.points) * grid.n
-    if n_entries > ENTRY_CAP:
-        raise NumericsError(f"box x curve product {n_entries} exceeds the "
-                            f"memory guard {ENTRY_CAP}")
     dists = _pairwise_distances(box.points, grid.points)
     return np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, dists)
 
 
+def _layer_r(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
+    """R of the layer map G = Q R, read-only.
+
+    Both probe spectra come from R: G has the singular values of R, and the
+    correction compresses through R.  So G is built and factored once per
+    probe: R is kept on the box for the last grid object and lam asked for.
+    The memory guard is checked first, so a box that a fresh build would
+    refuse is refused on a memo hit too.
+    """
+    n_entries = len(box.points) * grid.n
+    if n_entries > ENTRY_CAP:
+        raise NumericsError(f"box x curve product {n_entries} exceeds the "
+                            f"memory guard {ENTRY_CAP}")
+    memo = box.__dict__.get("_layer_r")
+    if memo is None or memo[0] is not grid or memo[1] != lam:
+        r = _read_only(np.linalg.qr(_layer_factor(grid, box, lam), mode="r"))
+        # kept where cached_property keeps its values; the dataclass is frozen
+        memo = box.__dict__["_layer_r"] = (grid, lam, r)
+    return memo[2]
+
+
 def layer_singular_values(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
-    """Singular values of the box-compressed layer map itself."""
+    """Singular values of the box-compressed layer map itself, computed
+    from its R factor."""
     if lam >= 0:
         raise ConfigError("probe needs lam < 0")
-    return scipy.linalg.svdvals(_layer_factor(grid, box, lam))
+    return scipy.linalg.svdvals(_layer_r(grid, box, lam))
 
 
 def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
@@ -158,9 +179,8 @@ def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
     """
     if lam >= 0:
         raise ConfigError("probe needs lam < 0")
-    g = _layer_factor(grid, box, lam)
+    r = _layer_r(grid, box, lam)
     system = _resolvent_system(grid, lam, alpha)
-    r = np.linalg.qr(g, mode="r")
     core = r @ np.linalg.solve(system, r.T)
     return scipy.linalg.svdvals(core)
 

@@ -4,20 +4,27 @@ Each one evaluates a quantity by a route independent of the library's
 assembly: adaptive quadrature, pointwise kernels and chords, the dense
 trigonometric basis, node sums of the layer potential, or the full
 (P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
-distance tables avoid.  None of them is used by the library itself;
-neither is the eigenvalue-clustering helper at the end.
+distance tables avoid.  The scattering and probe references repeat the
+dense linear algebra the library's factorizations replace: a full SVD for
+the condition number with a separate solve, and singular values of the
+whole layer map.  None of them is used by the library itself; neither is
+the eigenvalue-clustering helper.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.spatial.distance import cdist
 
-from curvedelta import (ArcGrid, ConfigError, Curve, CurveError, circle_chord,
-                        circle_mode_eigenvalues, green_kernel)
+from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, CurveError,
+                        NumericsError, ScatteringBlock, boundary_matrix,
+                        circle_chord, circle_mode_eigenvalues, green_kernel,
+                        scattering_layer_matrix)
 from curvedelta.curves import SELF_INTERSECTION_TOL
+from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
 
 PAIRING_TOL = 1e-9
 
@@ -165,3 +172,42 @@ def chord_difference_reference(grid: ArcGrid, kernel) -> np.ndarray:
     circle_row[1:] = kernel(grid.circle_chord_row[1:])
     out -= toeplitz(circle_row)
     return out
+
+
+def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: float,
+                               rank_tol: float = RANK_TOL) -> ScatteringBlock:
+    """The scattering block at lam > 0 through the 2-norm condition number
+    (a full complex SVD) and a separate `scipy.linalg.solve` of
+    N + B_eta - alpha.
+
+    `condition` holds kappa_2.  scipy's solve recognizes the exactly complex
+    symmetric system and factors it with ?sytrf at the optimal workspace, so
+    its solution is the one the library's single factorization gives.
+    """
+    n_mat = scattering_layer_matrix(grid, lam, eta)
+    vals, vecs = scipy.linalg.eigh(n_mat.imag)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    retained = int(np.sum(vals > rank_tol * vals[0]))
+    system = n_mat + boundary_matrix(eta, grid) - alpha * np.eye(grid.n)
+    condition = float(np.linalg.cond(system))
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        raise NumericsError(f"condition {condition:.2e} at lam={lam:g}")
+    half = vecs[:, :retained] * np.sqrt(vals[:retained])
+    solved = scipy.linalg.solve(system, half.astype(complex))
+    block = np.eye(retained, dtype=complex) - 2j * (half.T @ solved)
+    defect = float(np.linalg.norm(block.conj().T @ block - np.eye(retained), 2))
+    return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=retained,
+                           matrix=block, unitarity_defect=defect,
+                           channel_eigenvalues=vals.copy(),
+                           min_channel_eigenvalue=float(vals[-1]), condition=condition)
+
+
+def probe_singular_values_reference(grid: ArcGrid, box: BoxGrid, lam: float,
+                                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(layer, correction) singular values of the probe from the layer map G
+    itself: svdvals(G), and svdvals(R (alpha - B)^{-1} R^T) with G = Q R.
+    G is built here from cdist distances."""
+    g = np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, cdist(box.points, grid.points))
+    r = np.linalg.qr(g, mode="r")
+    system = alpha * np.eye(grid.n) - boundary_matrix(lam, grid)
+    return scipy.linalg.svdvals(g), scipy.linalg.svdvals(r @ np.linalg.solve(system, r.T))

@@ -2,8 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+import curvedelta.resolvent as resolvent_mod
+import curvedelta.scattering as scattering_mod
 from curvedelta import curve_to_json_dict
 from curvedelta.cli import main
 
@@ -114,6 +117,12 @@ class TestScattering:
         dim = int(math.isqrt(len(rows)))
         assert dim * dim == len(rows) and dim > 0
 
+    def test_condition_refusal_exits_3(self, circle_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(scattering_mod, "CONDITION_LIMIT", 1.0)
+        assert main(["scattering", "--curve", circle_file, "--n", "64",
+                     "--alpha", "-0.5", "--lambda", "1.0",
+                     "--out", str(tmp_path)]) == 3
+
 
 class TestIsoperimetric:
     def test_gap_reported(self, ellipse_file, tmp_path):
@@ -134,6 +143,25 @@ class TestProbe:
         assert summary["slope_correction"] <= -1.8
         assert summary["slope_layer"] <= -0.9
         assert "upper-envelope" in summary["note"]
+
+    def test_one_layer_map_and_one_qr(self, circle_file, tmp_path, monkeypatch):
+        # the correction and the layer spectra share one G and its R factor
+        calls = {"layer": 0, "qr": 0}
+        real_layer, real_qr = resolvent_mod._layer_factor, np.linalg.qr
+
+        def layer(*args):
+            calls["layer"] += 1
+            return real_layer(*args)
+
+        def qr(*args, **kwargs):
+            calls["qr"] += 1
+            return real_qr(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent_mod, "_layer_factor", layer)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        assert main(["probe", "--curve", circle_file, "--n", "64",
+                     "--box-n", "12", "--out", str(tmp_path)]) == 0
+        assert calls == {"layer": 1, "qr": 1}
 
 
 class TestDSigma:

@@ -8,7 +8,7 @@ from curvedelta import (ConfigError, NumericsError, correction_singular_values,
                         find_bound_states, fit_decay_slope, green_kernel,
                         layer_singular_values, make_box, make_grid,
                         perturbed_green)
-from oracles import single_layer_potential
+from oracles import probe_singular_values_reference, single_layer_potential
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,25 @@ class TestSingularValues:
             s = correction_singular_values(circle_grid, box, -1.0, -0.5)
             tops.append(s[:5])
         assert np.max(np.abs(tops[1] - tops[0]) / tops[1]) < 0.05
+
+    def test_matches_layer_map_reference(self, circle_grid, default_box):
+        # the R factor carries the singular values of G itself
+        layer = layer_singular_values(circle_grid, default_box, -1.0)
+        corr = correction_singular_values(circle_grid, default_box, -1.0, -0.5)
+        ref_layer, ref_corr = probe_singular_values_reference(
+            circle_grid, default_box, -1.0, -0.5)
+        assert np.max(np.abs(layer - ref_layer)) <= 1e-13 * ref_layer[0]
+        assert abs(fit_decay_slope(layer) - fit_decay_slope(ref_layer)) <= 1e-9
+        assert abs(fit_decay_slope(corr) - fit_decay_slope(ref_corr)) <= 1e-9
+
+    def test_box_reprobed_at_other_grid_or_energy(self, circle_grid, ellipse_grid):
+        # the R kept on a box serves only the grid object and lam it came from
+        box = make_box(circle_grid, n=10, bounds=(-3.0, 3.0), exclusion_radius=0.5)
+        for grid, lam in [(circle_grid, -1.0), (ellipse_grid, -1.0),
+                          (circle_grid, -2.0), (circle_grid, -1.0)]:
+            layer = layer_singular_values(grid, box, lam)
+            ref_layer, _ = probe_singular_values_reference(grid, box, lam, -0.5)
+            assert np.max(np.abs(layer - ref_layer)) <= 1e-13 * ref_layer[0]
 
     def test_memory_guard(self, circle_grid, default_box, monkeypatch):
         monkeypatch.setattr(resolvent_mod, "ENTRY_CAP", 1000)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import curvedelta.scattering as scattering_mod
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
                         choose_reference_energy, eigen, scattering_block,
                         scattering_layer_matrix)
+from oracles import scattering_block_reference
 
 
 class TestLayerMatrix:
@@ -95,3 +97,36 @@ class TestScatteringBlock:
     def test_negative_energy_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
             scattering_block(circle_grid, -1.0, -0.5, -1.0)
+
+    def test_refuses_above_condition_limit(self, circle_grid, monkeypatch):
+        monkeypatch.setattr(scattering_mod, "CONDITION_LIMIT", 1.0)
+        with pytest.raises(NumericsError, match="numerically singular"):
+            scattering_block(circle_grid, 1.0, -0.5, -1.0)
+
+    def test_refuses_exact_zero_pivot(self, circle_grid, monkeypatch):
+        # N = i diag(1, 0, ..., 0), B = 0, alpha = 0: one retained channel
+        # and an exactly singular system
+        n = circle_grid.n
+        n_mat = np.zeros((n, n), dtype=complex)
+        n_mat[0, 0] = 1j
+        monkeypatch.setattr(scattering_mod, "scattering_layer_matrix",
+                            lambda grid, lam, eta: n_mat.copy())
+        monkeypatch.setattr(scattering_mod, "boundary_matrix",
+                            lambda lam, grid: np.zeros((n, n)))
+        with pytest.raises(NumericsError, match="exactly singular"):
+            scattering_block(circle_grid, 1.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("grid_name", ["circle_grid", "ellipse_grid"])
+    def test_matches_condition_and_solve_reference(self, request, grid_name, lam):
+        # one LDL^T factorization gives the block of the SVD + solve path
+        # bit for bit; only the condition number changes, to an estimate
+        # of its 1-norm counterpart, which lies within [1, 10] x kappa_2 here
+        grid = request.getfixturevalue(grid_name)
+        blk = scattering_block(grid, lam, -0.5, -1.0)
+        ref = scattering_block_reference(grid, lam, -0.5, -1.0)
+        assert blk.retained_dim == ref.retained_dim > 0
+        assert np.array_equal(blk.matrix, ref.matrix)
+        assert np.array_equal(blk.unitarity_defect, ref.unitarity_defect)
+        assert np.array_equal(blk.channel_eigenvalues, ref.channel_eigenvalues)
+        assert 1.0 <= blk.condition / ref.condition <= 10.0
