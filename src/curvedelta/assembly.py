@@ -70,16 +70,23 @@ def circle_operator_matrix(grid: ArcGrid) -> np.ndarray:
     of those N/2 + 1 eigenvalues is the first row of the symmetric
     circulant, expanded to the full matrix by Toeplitz gather.
     """
+    return toeplitz(np.fft.irfft(_circle_modes(grid), grid.n))
+
+
+def _circle_modes(grid: ArcGrid) -> np.ndarray:
+    """Eigenvalues of the equal-length circle's operator at energy zero on
+    the grid, by wavenumber 0, 1, ..., N/2 (wavenumbers k and N - k share
+    one value)."""
     n = grid.n
     if n % 2 != 0:
         raise ConfigError("circle operator needs an even grid size")
     nu0, nu_pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), n // 2)
-    return toeplitz(np.fft.irfft(np.concatenate([[nu0], nu_pairs]), n))
+    return np.concatenate([[nu0], nu_pairs])
 
 
-def smoothing_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
-    """Trapezoid matrix of the smoothing kernel on the chords of the circle
-    of radius R = L/(2 pi).
+def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
+    """First row of the smoothing matrix, the symmetric circulant of the
+    smoothing kernel on the chords of the circle of radius R = L/(2 pi).
 
     Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal takes
     the analytic limit w sqrt(-lam)/(4 pi) plus the kink correction with
@@ -101,7 +108,27 @@ def smoothing_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     # an uncapped correction would flip the diagonal's sign
     diag_limit = w * math.sqrt(-lam) / (4.0 * np.pi)
     row[0] += max(corr, -0.5 * diag_limit)
-    return toeplitz(row)
+    return row
+
+
+def smoothing_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
+    """Trapezoid matrix of the smoothing kernel: the circulant spanned by
+    `smoothing_row`."""
+    return toeplitz(smoothing_row(lam, grid))
+
+
+def circle_boundary_modes(lam: float, grid: ArcGrid) -> np.ndarray:
+    """Eigenvalues of B(lam) on a circle grid, by wavenumber 0, 1, ..., N/2.
+
+    On the circle B(lam) is the symmetric circulant of the energy-zero mode
+    values minus the smoothing row, so its eigenvalues are those mode values
+    minus the real FFT of that row, and no N x N matrix is formed.
+    Wavenumbers 1 to N/2 - 1 are the doubly degenerate cos/sin pairs.
+    """
+    modes = _circle_modes(grid) - np.fft.rfft(smoothing_row(lam, grid)).real
+    if not np.all(np.isfinite(modes)):
+        raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
+    return modes
 
 
 def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:

@@ -17,14 +17,14 @@ import sys
 
 import numpy as np
 
-from .assembly import boundary_matrix, circle_mode_eigenvalues
+from .assembly import circle_mode_eigenvalues
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .resolvent import (correction_singular_values, fit_decay_slope,
                         layer_singular_values, make_box)
 from .scattering import RANK_TOL, choose_reference_energy, scattering_block
-from .spectral import (ROOT_TOL, count_bound_states, eigen, find_bound_states,
-                       isoperimetric_compare)
+from .spectral import (ROOT_TOL, boundary_spectrum, count_bound_states,
+                       find_bound_states, isoperimetric_compare)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,7 +95,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("spectrum energies must satisfy lam <= 0")
     summary = {}
     for i, lam in enumerate(lams):
-        spec = eigen(boundary_matrix(lam, grid), vectors=False)
+        spec = boundary_spectrum(lam, grid)
         trusted = spec.trusted_count
         rows = []
         closed = None

@@ -25,7 +25,7 @@ from .assembly import boundary_matrix, kink_correction
 from .curves import ArcGrid
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
-from .spectral import eigen
+from .spectral import boundary_spectrum
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds LAPACK's 1-norm
@@ -65,7 +65,7 @@ def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
     for eta in candidates:
         if eta >= 0:
             raise ConfigError("reference energy candidates must be negative")
-        spec = eigen(boundary_matrix(eta, grid), vectors=False)
+        spec = boundary_spectrum(eta, grid)
         if np.min(np.abs(spec.values - alpha)) > ETA_MARGIN:
             return float(eta)
     raise NumericsError("no candidate reference energy keeps alpha away from "

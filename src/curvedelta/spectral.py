@@ -12,13 +12,14 @@ energy-zero operator above alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .assembly import boundary_matrix, odd_harmonic_sums
+from .assembly import boundary_matrix, circle_boundary_modes, odd_harmonic_sums
 from .curves import ArcGrid, circle_deviation, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
@@ -87,14 +88,80 @@ class BoundState:
     residual: float
 
 
-def _top_eigenvalue_floor(grid: ArcGrid, alpha: float) -> tuple[float, np.ndarray]:
-    """Energy at which even the top eigenvalue branch is below alpha, with
-    the boundary matrix assembled there."""
+class _Operator:
+    """B(lam) on one grid, as the eigenvalue code reads it.
+
+    The one place that chooses how.  On a circle grid B(lam) is a symmetric
+    circulant: its eigenvalues come from `circle_boundary_modes`, each
+    wavenumber 1 to N/2 - 1 listed twice, and its eigenvectors are the
+    unit-norm real Fourier modes, cos before sin within a pair; no matrix is
+    formed.  On any other grid B(lam) is assembled on first use and read by
+    dense symmetric eigensolves.
+    """
+
+    def __init__(self, lam: float, grid: ArcGrid):
+        self.lam = lam
+        self.grid = grid
+        self._waves = None
+        if grid.curve.is_circle:
+            n = grid.n
+            modes = circle_boundary_modes(lam, grid)
+            waves = np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
+            # stable, so the two entries of a pair stay adjacent, cos first
+            self._waves = waves[np.argsort(-modes[waves], kind="stable")]
+            self._values = modes[self._waves]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return boundary_matrix(self.lam, self.grid)
+
+    @cached_property
+    def _system(self) -> EigenSystem:
+        return eigen(self.matrix)
+
+    def spectrum(self) -> EigenSystem:
+        """All eigenvalues, nonincreasing, without eigenvectors."""
+        if self._waves is None:
+            return eigen(self.matrix, vectors=False)
+        return EigenSystem(values=self._values, vectors=None,
+                           trusted_count=self.grid.n // 4)
+
+    def branch_value(self, k: int) -> float:
+        """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
+        the eigenvalue branches that the floor and the root search sample."""
+        if self._waves is None:
+            return eigenvalue_at(self.matrix, k)
+        return float(self._values[k - 1])
+
+    def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
+        """The k-th largest eigenvalue and a unit eigenvector for it."""
+        if self._waves is None:
+            return self._system.values[k - 1], self._system.vectors[:, k - 1]
+        n = self.grid.n
+        m = self._waves[k - 1]
+        phase = 2.0 * np.pi * m * np.arange(n) / n
+        if m == 0 or 2 * m == n:
+            vector = np.cos(phase) / math.sqrt(n)
+        elif k == 1 or self._waves[k - 2] != m:
+            vector = np.cos(phase) * math.sqrt(2.0 / n)
+        else:
+            vector = np.sin(phase) * math.sqrt(2.0 / n)
+        return self._values[k - 1], vector
+
+
+def boundary_spectrum(lam: float, grid: ArcGrid) -> EigenSystem:
+    """Eigenvalues of B(lam) on the grid, nonincreasing, without eigenvectors."""
+    return _Operator(lam, grid).spectrum()
+
+
+def _top_eigenvalue_floor(grid: ArcGrid, alpha: float) -> _Operator:
+    """B(lam) at an energy where even the top eigenvalue branch is below
+    alpha."""
     lam = -1.0
     for _ in range(MAX_FLOOR_DOUBLINGS):
-        mat = boundary_matrix(lam, grid)
-        if eigenvalue_at(mat, 1) < alpha:
-            return lam, mat
+        op = _Operator(lam, grid)
+        if op.branch_value(1) < alpha:
+            return op
         lam *= 2.0
     raise NumericsError("could not find an energy floor below alpha "
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
@@ -102,7 +169,7 @@ def _top_eigenvalue_floor(grid: ArcGrid, alpha: float) -> tuple[float, np.ndarra
 
 def _zero_energy_spectrum(grid: ArcGrid) -> EigenSystem:
     """Eigenvalues of B(0) on the grid, read-only."""
-    spec = eigen(boundary_matrix(0.0, grid), vectors=False)
+    spec = boundary_spectrum(0.0, grid)
     spec.values.flags.writeable = False
     return spec
 
@@ -135,7 +202,10 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     safe; every branch value is checked against the nearest samples on both
     sides (Brent's method takes far fewer samples than bisection, so the
     check sees fewer points), and every root is re-verified against a full
-    eigensolve.
+    eigensolve.  A branch whose value at the previous root equals the
+    previous branch's exactly, as the two branches of a circle's degenerate
+    pair do, has that root too (each branch is strictly increasing), so a
+    pair is solved once and its two states share one energy.
     """
     zero_spec, n_roots = _zero_energy_count(grid, alpha)
     if max_states is not None:
@@ -143,41 +213,48 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     if n_roots == 0:
         return []
 
-    lam_floor, floor_mat = _top_eigenvalue_floor(grid, alpha)
+    floor = _top_eigenvalue_floor(grid, alpha)
     states = []
+    at_root = None
     for k in range(1, n_roots + 1):
-        samples = {lam_floor: eigenvalue_at(floor_mat, k) - alpha,
+        if at_root is not None and at_root.eigenpair(k)[0] == at_root.eigenpair(k - 1)[0]:
+            value, vector = at_root.eigenpair(k)
+            states.append(BoundState(index=k, energy=at_root.lam, alpha=alpha,
+                                     coefficients=vector, residual=abs(value - alpha)))
+            continue
+        samples = {floor.lam: floor.branch_value(k) - alpha,
                    0.0: zero_spec.values[k - 1] - alpha}
-        if samples[lam_floor] >= 0 or samples[0.0] <= 0:
+        if samples[floor.lam] >= 0 or samples[0.0] <= 0:
             raise NumericsError(f"root bracket invalid for mode {k}")
-        # the latest (lam, matrix) on each side of the root; Brent's method
+        # the latest operator on each side of the root; Brent's method
         # returns one of its two bracket ends, almost always one of these
         latest = {}
 
         def g(lam: float) -> float:
             if lam not in samples:
-                mat = boundary_matrix(lam, grid)
-                value = eigenvalue_at(mat, k) - alpha
+                op = _Operator(lam, grid)
+                value = op.branch_value(k) - alpha
                 below = samples[max(x for x in samples if x < lam)]
                 above = samples[min(x for x in samples if x > lam)]
                 if not below - MONOTONE_TOL <= value <= above + MONOTONE_TOL:
                     raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
                 samples[lam] = value
-                latest[value > 0] = (lam, mat)
+                latest[value > 0] = op
             return samples[lam]
 
-        root, result = brentq(g, lam_floor, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
+        root, result = brentq(g, floor.lam, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
                               full_output=True, disp=False)
         if not result.converged:
             raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
-        mat = next((m for lam, m in latest.values() if lam == root), None)
-        full = eigen(boundary_matrix(root, grid) if mat is None else mat)
-        residual = abs(full.values[k - 1] - alpha)
+        at_root = next((op for op in latest.values() if op.lam == root), None)
+        if at_root is None:
+            at_root = _Operator(root, grid)
+        value, vector = at_root.eigenpair(k)
+        residual = abs(value - alpha)
         if residual >= root_tol:
             raise NumericsError(f"root left residual {residual:.2e} for mode {k}")
         states.append(BoundState(index=k, energy=root, alpha=alpha,
-                                 coefficients=full.vectors[:, k - 1],
-                                 residual=residual))
+                                 coefficients=vector, residual=residual))
     return sorted(states, key=lambda st: st.energy)
 
 

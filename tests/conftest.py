@@ -32,17 +32,13 @@ def humped_branches(monkeypatch):
     """Lift every eigenvalue branch by +1 for -2 < lam < -0.01.
 
     The hump puts nu_k(lam) above nu_k(0) strictly inside the bound-state
-    bracket, so a root finder that checks monotonicity must refuse.
+    bracket, so a root finder that checks monotonicity must refuse.  It is
+    applied where the floor and the root search evaluate a branch, on the
+    circle's FFT path and on the dense path alike.
     """
-    energies = []
-    real_matrix, real_value = spectral.boundary_matrix, spectral.eigenvalue_at
+    real_value = spectral._Operator.branch_value
 
-    def matrix(lam, grid):
-        energies.append(lam)
-        return real_matrix(lam, grid)
+    def value(op, k):
+        return real_value(op, k) + (1.0 if -2.0 < op.lam < -0.01 else 0.0)
 
-    def value(mat, k):
-        return real_value(mat, k) + (1.0 if -2.0 < energies[-1] < -0.01 else 0.0)
-
-    monkeypatch.setattr(spectral, "boundary_matrix", matrix)
-    monkeypatch.setattr(spectral, "eigenvalue_at", value)
+    monkeypatch.setattr(spectral._Operator, "branch_value", value)

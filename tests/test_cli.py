@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import curvedelta
 import curvedelta.resolvent as resolvent_mod
 import curvedelta.scattering as scattering_mod
 from curvedelta import curve_to_json_dict
@@ -83,8 +85,11 @@ class TestBoundStates:
         assert main(["bound-states", "--curve", circle_file, "--alpha", "0",
                      "--out", str(tmp_path)]) == 2
 
-    def test_non_monotone_branch_exits_3(self, circle_file, tmp_path, humped_branches):
-        assert main(["bound-states", "--curve", circle_file, "--n", "256",
+    @pytest.mark.parametrize("curve_file", ["circle_file", "ellipse_file"])
+    def test_non_monotone_branch_exits_3(self, curve_file, tmp_path, humped_branches,
+                                         request):
+        assert main(["bound-states", "--curve", request.getfixturevalue(curve_file),
+                     "--n", "256",
                      "--alpha", "0.1", "--out", str(tmp_path)]) == 3
 
     def test_determinism(self, circle_file, tmp_path):
@@ -162,6 +167,64 @@ class TestProbe:
         assert main(["probe", "--curve", circle_file, "--n", "64",
                      "--box-n", "12", "--out", str(tmp_path)]) == 0
         assert calls == {"layer": 1, "qr": 1}
+
+
+class TestCircleFFTPath:
+    """The circle's spectra, counts, floors and roots come from its mode
+    values: no dense eigensolve and no boundary matrix on the circle."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"eigh": 0, "boundary_matrix": 0}
+        real_eigh, real_matrix = scipy.linalg.eigh, curvedelta.assembly.boundary_matrix
+
+        def eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return real_eigh(*args, **kwargs)
+
+        def matrix(*args, **kwargs):
+            calls["boundary_matrix"] += 1
+            return real_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        for module in (curvedelta.assembly, curvedelta.spectral, curvedelta.cli,
+                       curvedelta.scattering, curvedelta.resolvent):
+            if getattr(module, "boundary_matrix", None) is real_matrix:
+                monkeypatch.setattr(module, "boundary_matrix", matrix)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--lambda", "0,-1,-16"],
+        ["bound-states", "--alpha", "0.1,-0.23"],
+    ], ids=lambda argv: argv[0])
+    def test_no_eigh_and_no_matrix_on_the_circle(self, circle_file, tmp_path, calls, argv):
+        assert main([argv[0], "--curve", circle_file, "--n", "256", *argv[1:],
+                     "--out", str(tmp_path)]) == 0
+        assert calls == {"eigh": 0, "boundary_matrix": 0}
+
+    def test_isoperimetric_circle_half(self, ellipse_file, tmp_path, calls, monkeypatch):
+        # the ellipse half assembles its own grid only; the circle half of
+        # the comparison, run on its own, makes no call at all
+        grids = []
+        counted = curvedelta.spectral.boundary_matrix
+
+        def matrix(lam, grid):
+            grids.append(grid)
+            return counted(lam, grid)
+
+        monkeypatch.setattr(curvedelta.spectral, "boundary_matrix", matrix)
+        assert main(["isoperimetric", "--curve", ellipse_file, "--n", "128",
+                     "--alpha", "-0.15", "--out", str(tmp_path)]) == 0
+        assert grids and not any(grid.curve.is_circle for grid in grids)
+        circle_grid = curvedelta.make_grid(curvedelta.make_circle(1.0), 256)
+        calls.update(eigh=0, boundary_matrix=0)
+        assert curvedelta.isoperimetric_compare(circle_grid, -0.15)[2] == 0.0
+        assert calls == {"eigh": 0, "boundary_matrix": 0}
+
+    def test_counters_see_the_dense_path(self, ellipse_file, tmp_path, calls):
+        assert main(["spectrum", "--curve", ellipse_file, "--n", "64",
+                     "--lambda", "0,-1", "--out", str(tmp_path)]) == 0
+        assert calls == {"eigh": 2, "boundary_matrix": 2}
 
 
 class TestDSigma:

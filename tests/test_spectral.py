@@ -7,11 +7,11 @@ import pytest
 from curvedelta import spectral
 from curvedelta import (ConfigError, NumericsError,
                         asymptotic_count_bounds, boundary_matrix,
-                        count_bound_states, eigen,
+                        circle_mode_eigenvalues, count_bound_states, eigen,
                         eigenvalue_at, find_bound_states,
                         isoperimetric_compare, make_circle,
                         make_grid)
-from curvedelta.spectral import _interval_index
+from curvedelta.spectral import ROOT_TOL, _interval_index, boundary_spectrum
 from oracles import circle_top_eigenvalue, multiplicity_groups
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
@@ -115,9 +115,10 @@ class TestBoundStates:
             assert len(searched) == len(set(searched))
         assert energies.count(0.0) == 1
 
-    def test_refuses_non_monotone_branch(self, circle_grid, humped_branches):
+    @pytest.mark.parametrize("grid", ["circle_grid", "ellipse_grid"])
+    def test_refuses_non_monotone_branch(self, grid, humped_branches, request):
         with pytest.raises(NumericsError, match="monotonicity violated"):
-            find_bound_states(circle_grid, 0.1)
+            find_bound_states(request.getfixturevalue(grid), 0.1)
 
     def test_refuses_unconverged_root(self, circle_grid, monkeypatch):
         def unconverged(f, a, b, **kwargs):
@@ -126,6 +127,47 @@ class TestBoundStates:
         monkeypatch.setattr(spectral, "brentq", unconverged)
         with pytest.raises(NumericsError, match="did not converge"):
             find_bound_states(circle_grid, 0.1)
+
+
+class TestCircleFFT:
+    """On a circle grid every eigenvalue comes from the real FFT of the
+    smoothing row, and every eigenvector is a real Fourier mode."""
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_spectrum_matches_dense(self, circle, n):
+        grid = make_grid(circle, n)
+        for lam in (0.0, -1.0, -4.0, -16.0, -600.0):
+            fft = boundary_spectrum(lam, grid)
+            dense = eigen(boundary_matrix(lam, grid), vectors=False)
+            assert fft.trusted_count == dense.trusted_count
+            assert np.max(np.abs(fft.values - dense.values)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.1, -0.15, -0.23])
+    def test_bound_states_against_dense_operator(self, circle_grid, alpha):
+        states = find_bound_states(circle_grid, alpha)
+        assert len(states) == count_bound_states(circle_grid, alpha).count
+        for st in states:
+            mat = boundary_matrix(st.energy, circle_grid)
+            dense = eigen(mat, vectors=False)
+            assert abs(dense.values[st.index - 1] - alpha) < ROOT_TOL
+            v = st.coefficients
+            assert np.linalg.norm(mat @ v - alpha * v) < 1e-10
+
+    def test_pairs_solved_once(self, circle_grid):
+        states = find_bound_states(circle_grid, -0.23)
+        assert [st.index for st in states] == [1, 2, 3, 4, 5]
+        for first, second in ((states[1], states[2]), (states[3], states[4])):
+            assert first.energy == second.energy
+            # cos then sin of one wavenumber: orthonormal within the pair
+            gram = np.array([[a @ b for b in (first.coefficients, second.coefficients)]
+                             for a in (first.coefficients, second.coefficients)])
+            assert np.max(np.abs(gram - np.eye(2))) < 1e-13
+        assert np.allclose(states[0].coefficients, 1.0 / math.sqrt(circle_grid.n))
+
+    def test_closed_form_at_zero_energy(self, circle_grid):
+        nu0, pairs = circle_mode_eigenvalues(1.0, 4)
+        closed = [nu0, pairs[0], pairs[0], pairs[1], pairs[1], pairs[2], pairs[2]]
+        assert np.array_equal(boundary_spectrum(0.0, circle_grid).values[:7], closed)
 
 
 class TestIntervalIndex:
