@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .curves import ArcGrid, circle_chord
+from .curves import ArcGrid
 from .errors import ConfigError
 from .kernels import green_kernel, smoothing_kernel
 
@@ -95,12 +95,7 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     if lam > 0:
         raise ConfigError("smoothing_matrix requires lam <= 0")
     w = grid.weight
-    k = np.arange(grid.n)
-    # the circumference 2 pi R can differ from L in the last bit, so these
-    # chords can differ from grid.circle_chord_row by an ulp
-    radius = grid.length / (2.0 * np.pi)
-    chords = circle_chord(2.0 * np.pi * radius, np.minimum(k, grid.n - k) * w)
-    row = w * smoothing_kernel(lam, chords)
+    row = w * smoothing_kernel(lam, grid.circle_chord_row)
     slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
     corr = kink_correction(slope, w)
     # the O(h^2) correction must stay subordinate to the analytic diagonal;
