@@ -112,17 +112,17 @@ class _Operator:
             self._values = modes[self._waves]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
+    def _matrix(self) -> np.ndarray:
         return boundary_matrix(self.lam, self.grid)
 
     @cached_property
     def _system(self) -> EigenSystem:
-        return eigen(self.matrix)
+        return eigen(self._matrix)
 
     def spectrum(self) -> EigenSystem:
         """All eigenvalues, nonincreasing, without eigenvectors."""
         if self._waves is None:
-            return eigen(self.matrix, vectors=False)
+            return eigen(self._matrix, vectors=False)
         return EigenSystem(values=self._values, vectors=None,
                            trusted_count=self.grid.n // 4)
 
@@ -130,7 +130,7 @@ class _Operator:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
         the eigenvalue branches that the floor and the root search sample."""
         if self._waves is None:
-            return eigenvalue_at(self.matrix, k)
+            return eigenvalue_at(self._matrix, k)
         return float(self._values[k - 1])
 
     def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
@@ -191,6 +191,40 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
     return spec, count
 
 
+def _branch_root(grid: ArcGrid, alpha: float, k: int, floor: _Operator,
+                 zero_value: float) -> _Operator:
+    """B at the root of nu_k(lam) = alpha, by Brent's method on [floor, 0].
+
+    Every branch value is checked against the nearest samples on both sides
+    (Brent's method takes far fewer samples than bisection, so the check
+    sees fewer points).
+    """
+    samples = {floor.lam: floor.branch_value(k) - alpha, 0.0: zero_value - alpha}
+    if samples[floor.lam] >= 0 or samples[0.0] <= 0:
+        raise NumericsError(f"root bracket invalid for mode {k}")
+    # the latest operator on each side of the root; Brent's method returns
+    # one of its two bracket ends, almost always one of these
+    latest = {}
+
+    def g(lam: float) -> float:
+        if lam not in samples:
+            op = _Operator(lam, grid)
+            value = op.branch_value(k) - alpha
+            below = samples[max(x for x in samples if x < lam)]
+            above = samples[min(x for x in samples if x > lam)]
+            if not below - MONOTONE_TOL <= value <= above + MONOTONE_TOL:
+                raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
+            samples[lam] = value
+            latest[value > 0] = op
+        return samples[lam]
+
+    root, result = brentq(g, floor.lam, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
+                          full_output=True, disp=False)
+    if not result.converged:
+        raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
+    return next((op for op in latest.values() if op.lam == root), None) or _Operator(root, grid)
+
+
 def find_bound_states(grid: ArcGrid, alpha: float,
                       max_states: int | None = None,
                       root_tol: float = ROOT_TOL) -> list[BoundState]:
@@ -199,13 +233,11 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     For each k with nu_k(0) > alpha the unique root of nu_k(lam) = alpha is
     found by Brent's method on [floor, 0], where even the top branch is
     below alpha at the floor.  Monotonicity of the branch makes the bracket
-    safe; every branch value is checked against the nearest samples on both
-    sides (Brent's method takes far fewer samples than bisection, so the
-    check sees fewer points), and every root is re-verified against a full
-    eigensolve.  A branch whose value at the previous root equals the
-    previous branch's exactly, as the two branches of a circle's degenerate
-    pair do, has that root too (each branch is strictly increasing), so a
-    pair is solved once and its two states share one energy.
+    safe, and every root is re-verified against a full eigensolve.  A branch
+    whose value at the previous root equals the previous branch's exactly,
+    as the two branches of a circle's degenerate pair do, has that root too
+    (each branch is strictly increasing), so a pair is solved once and its
+    two states share one energy.
     """
     zero_spec, n_roots = _zero_energy_count(grid, alpha)
     if max_states is not None:
@@ -217,43 +249,13 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     states = []
     at_root = None
     for k in range(1, n_roots + 1):
-        if at_root is not None and at_root.eigenpair(k)[0] == at_root.eigenpair(k - 1)[0]:
-            value, vector = at_root.eigenpair(k)
-            states.append(BoundState(index=k, energy=at_root.lam, alpha=alpha,
-                                     coefficients=vector, residual=abs(value - alpha)))
-            continue
-        samples = {floor.lam: floor.branch_value(k) - alpha,
-                   0.0: zero_spec.values[k - 1] - alpha}
-        if samples[floor.lam] >= 0 or samples[0.0] <= 0:
-            raise NumericsError(f"root bracket invalid for mode {k}")
-        # the latest operator on each side of the root; Brent's method
-        # returns one of its two bracket ends, almost always one of these
-        latest = {}
-
-        def g(lam: float) -> float:
-            if lam not in samples:
-                op = _Operator(lam, grid)
-                value = op.branch_value(k) - alpha
-                below = samples[max(x for x in samples if x < lam)]
-                above = samples[min(x for x in samples if x > lam)]
-                if not below - MONOTONE_TOL <= value <= above + MONOTONE_TOL:
-                    raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
-                samples[lam] = value
-                latest[value > 0] = op
-            return samples[lam]
-
-        root, result = brentq(g, floor.lam, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
-                              full_output=True, disp=False)
-        if not result.converged:
-            raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
-        at_root = next((op for op in latest.values() if op.lam == root), None)
-        if at_root is None:
-            at_root = _Operator(root, grid)
+        if at_root is None or at_root.eigenpair(k)[0] != at_root.eigenpair(k - 1)[0]:
+            at_root = _branch_root(grid, alpha, k, floor, zero_spec.values[k - 1])
         value, vector = at_root.eigenpair(k)
         residual = abs(value - alpha)
         if residual >= root_tol:
             raise NumericsError(f"root left residual {residual:.2e} for mode {k}")
-        states.append(BoundState(index=k, energy=root, alpha=alpha,
+        states.append(BoundState(index=k, energy=at_root.lam, alpha=alpha,
                                  coefficients=vector, residual=residual))
     return sorted(states, key=lambda st: st.energy)
 

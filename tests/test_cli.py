@@ -87,10 +87,11 @@ class TestBoundStates:
 
     @pytest.mark.parametrize("curve_file", ["circle_file", "ellipse_file"])
     def test_non_monotone_branch_exits_3(self, curve_file, tmp_path, humped_branches,
-                                         request):
+                                         request, capsys):
         assert main(["bound-states", "--curve", request.getfixturevalue(curve_file),
                      "--n", "256",
                      "--alpha", "0.1", "--out", str(tmp_path)]) == 3
+        assert "monotonicity violated" in capsys.readouterr().err
 
     def test_determinism(self, circle_file, tmp_path):
         args = ["bound-states", "--curve", circle_file, "--n", "64",

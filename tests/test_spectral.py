@@ -153,9 +153,18 @@ class TestCircleFFT:
             v = st.coefficients
             assert np.linalg.norm(mat @ v - alpha * v) < 1e-10
 
-    def test_pairs_solved_once(self, circle_grid):
+    def test_pairs_solved_once(self, circle_grid, monkeypatch):
+        searches = []
+        real_root = spectral._branch_root
+
+        def branch_root(grid, alpha, k, *args):
+            searches.append(k)
+            return real_root(grid, alpha, k, *args)
+
+        monkeypatch.setattr(spectral, "_branch_root", branch_root)
         states = find_bound_states(circle_grid, -0.23)
         assert [st.index for st in states] == [1, 2, 3, 4, 5]
+        assert searches == [1, 2, 4]
         for first, second in ((states[1], states[2]), (states[3], states[4])):
             assert first.energy == second.energy
             # cos then sin of one wavenumber: orthonormal within the pair
