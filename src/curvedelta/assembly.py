@@ -5,9 +5,15 @@ the circle operator at energy zero, assembled exactly from its closed-form
 mode eigenvalues.  On the equispaced grid that operator is a symmetric
 circulant, as is the smoothing matrix, so each is built from one length-N
 row and expanded by index (Toeplitz) gather.  The remaining comparison
-kernel is bounded; it is evaluated on the grid's cached curve chords, minus
-the circulant circle term, and discretized with the periodic trapezoid rule.
-Every part is exactly symmetric by construction.
+kernel is bounded; it is evaluated on the curve chords, minus the circulant
+circle term, and discretized with the periodic trapezoid rule.  Every part
+is exactly symmetric by construction.  `boundary_matrix` and
+`comparison_matrix` fill their output a row block of about 1 MB at a time
+(`curves._blockwise`), each block evaluated from the diagonal on and
+completed from the transposed rows above, so no second N x N array is
+allocated and the kernels run on half the table; `circle_operator_matrix`
+and `smoothing_matrix` are the full circulants of the two rows, which the
+assembly itself does not form.
 
 Chord functions of a smooth closed curve behave like |u| near the diagonal,
 so a plain trapezoid rule on those kernels carries an O(h^2) Euler-Maclaurin
@@ -23,7 +29,7 @@ import math
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .curves import ArcGrid
+from .curves import ArcGrid, _block_diagonal, _blockwise, _toeplitz_block
 from .errors import ConfigError
 from .kernels import green_kernel, smoothing_kernel
 
@@ -126,24 +132,34 @@ def circle_boundary_modes(lam: float, grid: ArcGrid) -> np.ndarray:
     return modes
 
 
+def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice) -> np.ndarray:
+    """Rows `rows` and columns `cols` of the comparison matrix of a
+    non-circle grid."""
+    w = grid.weight
+    block = grid.chord_difference(lambda r: green_kernel(lam, r), rows, cols)
+    block *= w
+    kappa_circle = 2.0 * np.pi / grid.length
+    diag = _block_diagonal(rows, cols)
+    slopes = (grid.curvatures[rows][diag[0]] ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
+    block[diag] = kink_correction(slopes, w)
+    return block
+
+
 def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     """Trapezoid matrix of the curve-vs-circle kernel difference.
 
     Off-diagonal entries w * [G_lam(curve chord) - G_lam(circle chord)];
     zero diagonal up to the curvature kink correction: the kernel behaves
     like (kappa(s)^2 - kappa_circle^2) |u| / (96 pi) near the diagonal.
-    Identically zero when the curve is the circle itself.
+    Identically zero when the curve is the circle itself.  Built a row
+    block at a time.
     """
     if lam > 0:
         raise ConfigError("comparison_matrix requires lam <= 0")
     if grid.curve.is_circle:
         return np.zeros((grid.n, grid.n))
-    w = grid.weight
-    mat = w * grid.chord_difference(lambda r: green_kernel(lam, r))
-    kappa_circle = 2.0 * np.pi / grid.length
-    slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
-    mat[np.diag_indices_from(mat)] = kink_correction(slopes, w)
-    return mat
+    return _blockwise(grid.n, grid.n, lambda rows, cols: _comparison_block(lam, grid, rows, cols),
+                      symmetric=True)
 
 
 def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -154,12 +170,26 @@ def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     diagonalization minus the smoothing matrix.  Both curve and circle are
     sampled at the same arc-length values, so the arc-length identification
     between them is the identity on grid indices.
+
+    The circle part is the symmetric Toeplitz matrix of one row, the inverse
+    real FFT of the mode values minus the smoothing row.  Each block of the
+    output is that row gathered, plus the block of comparison entries on a
+    non-circle grid; every entry is the sum the full-matrix build forms, so
+    the result is bitwise the same, and as exactly symmetric as that build.
     """
     if lam > 0:
         raise ConfigError("boundary_matrix requires lam <= 0")
-    mat = circle_operator_matrix(grid) - smoothing_matrix(lam, grid)
-    if not grid.curve.is_circle:
-        mat += comparison_matrix(lam, grid)
+    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
+
+    def block(rows, cols):
+        circle_part = _toeplitz_block(circle_row, rows, cols)
+        if grid.curve.is_circle:
+            return circle_part
+        out = _comparison_block(lam, grid, rows, cols)
+        out += circle_part
+        return out
+
+    mat = _blockwise(grid.n, grid.n, block, symmetric=True)
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
     return mat

@@ -195,7 +195,10 @@ def cmd_isoperimetric(args) -> int:
                 f"isoperimetric alpha={_fmt(alpha)} n={grid.n}",
                 ["alpha", "energy_curve", "energy_circle", "gap"],
                 [[alpha, lam_curve, lam_circle, gap]])
-    if gap <= 0:
+    if grid.curve.is_circle:
+        if gap != 0:
+            raise InvariantError(f"circle compared with itself: gap {gap:.3e} not zero")
+    elif gap <= 0:
         raise InvariantError(f"principal-eigenvalue gap {gap:.3e} not positive")
     return EXIT_OK
 

@@ -21,7 +21,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import toeplitz
 
 from .errors import ConfigError, CurveError
 
@@ -150,9 +149,6 @@ class Curve:
 
     def point_at_arclength(self, s):
         return self.point(self.param_at_arclength(s))
-
-    def curvature_at_arclength(self, s):
-        return self.curvature(self.param_at_arclength(s))
 
 
 def make_circle(radius: float) -> Curve:
@@ -296,6 +292,58 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     return np.sqrt(out, out=out)
 
 
+# Bytes of one row block of a kernel table: 1 MB, so that a block and the
+# few block-sized temporaries of a kernel evaluation stay within a core's
+# L2 cache.
+BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive row slices covering a table of `rows` rows of `row_bytes`
+    bytes each, each slice about BLOCK_BYTES (at least one row); the last
+    may be shorter."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _blockwise(rows: int, cols: int, block, dtype=float,
+               symmetric: bool = False) -> np.ndarray:
+    """(rows, cols) table of `dtype` filled a row block at a time: the
+    entries in the rows r of a block of `_row_blocks` and the columns c are
+    `block(r, c)`.
+
+    Each block is evaluated and copied in before the next one, so no
+    temporary larger than a few blocks is alive beside the table.  A
+    `symmetric` table is square with entry (i, j) bitwise equal to (j, i):
+    each block is evaluated from its diagonal on (c starts at r.start), and
+    its columns left of that are copied from the rows above, transposed.
+    """
+    out = np.empty((rows, cols), dtype=dtype)
+    for r in _row_blocks(rows, cols * out.itemsize):
+        c = slice(r.start if symmetric else 0, cols)
+        out[r, c] = block(r, c)
+        if symmetric:
+            out[r, :r.start] = out[:r.start, r].T
+    return out
+
+
+def _block_diagonal(rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Index, within the block of table rows `rows` and columns `cols`, of
+    the entries (i, i) it holds."""
+    i = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+    return i - rows.start, i - cols.start
+
+
+def _toeplitz_block(row: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Rows `rows` and columns `cols` of the symmetric Toeplitz matrix
+    toeplitz(row), entry (i, j) = row[|i - j|], as a read-only strided view
+    of one length-2N-1 vector (the gather scipy's toeplitz makes for the
+    whole matrix)."""
+    n = len(row)
+    windows = sliding_window_view(np.concatenate([row[:0:-1], row]), cols.stop - cols.start)
+    return windows[n - rows.stop + cols.start:n - rows.start + cols.start][::-1]
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -310,11 +358,14 @@ class ArcGrid:
 
     The one handle on the discretized curve: every operator of the curve is
     computed from a grid, and `curve` is the curve it samples.  Also the one
-    holder of the energy-independent chord geometry: the curve chords and
-    the chords of the equal-length circle are computed on first use and
-    shared, read-only, by every assembly on this grid.  The energy-zero
-    spectrum, which every bound-state count and root search at any coupling
-    starts from, is kept here too.
+    source of the chord geometry: the row of chords of the equal-length
+    circle is computed on first use and shared, read-only, by every
+    assembly on this grid, and the curve chords are handed out a row block
+    at a time (`chord_block`), so an assembly on a grid larger than one
+    block never holds a second N x N table beside its output.  The
+    energy-zero spectrum, which every
+    bound-state count and root search at any coupling starts from, is kept
+    here too.
     """
 
     curve: Curve
@@ -333,7 +384,9 @@ class ArcGrid:
 
     @cached_property
     def chords(self) -> np.ndarray:
-        """(N, N) curve chords |sigma(s_i) - sigma(s_j)|, zero on the diagonal."""
+        """(N, N) curve chords |sigma(s_i) - sigma(s_j)|, zero on the
+        diagonal, kept read-only after the first call.  The assemblies read
+        it through `chord_block`, and only when it fits in one block."""
         return _read_only(_pairwise_distances(self.points))
 
     def zero_energy_spectrum(self, solve):
@@ -351,8 +404,24 @@ class ArcGrid:
         k = np.arange(self.n)
         return _read_only(circle_chord(self.length, np.minimum(k, self.n - k) * self.weight))
 
-    def chord_difference(self, kernel) -> np.ndarray:
-        """kernel(curve chord) - kernel(circle chord) for every node pair.
+    def chord_block(self, rows: slice, cols: slice) -> np.ndarray:
+        """Rows `rows` and columns `cols` of the curve chord table, as a new
+        array bitwise equal to that block of `chords`.
+
+        A table that fits in one block (N <= 362) is computed once and kept:
+        it costs no more memory than one block, and a root search assembles
+        dozens of times on one grid.  A larger table is computed block by
+        block from the points, because keeping it would double the memory of
+        every assembly on the grid.
+        """
+        if 8 * self.n * self.n <= BLOCK_BYTES:
+            return self.chords[rows, cols].copy()
+        return _pairwise_distances(self.points[rows], self.points[cols])
+
+    def chord_difference(self, kernel, rows: slice = slice(None),
+                         cols: slice = slice(None)) -> np.ndarray:
+        """kernel(curve chord) - kernel(circle chord) for the node pairs in
+        rows `rows` and columns `cols` (all of them by default).
 
         `kernel` maps an array of positive chords elementwise.  The diagonal,
         where both chords vanish, is zero: the kernel sees a placeholder
@@ -360,13 +429,16 @@ class ArcGrid:
         circulant spanned by one row, so the kernel is evaluated on N circle
         chords.
         """
-        chords = self.chords.copy()
-        np.fill_diagonal(chords, 1.0)
+        rows = slice(*rows.indices(self.n))
+        cols = slice(*cols.indices(self.n))
+        chords = self.chord_block(rows, cols)
+        diag = _block_diagonal(rows, cols)
+        chords[diag] = 1.0
         out = kernel(chords)
         circle_row = np.zeros(self.n)
         circle_row[1:] = kernel(self.circle_chord_row[1:])
-        out -= toeplitz(circle_row)
-        np.fill_diagonal(out, 0.0)
+        out -= _toeplitz_block(circle_row, rows, cols)
+        out[diag] = 0.0
         return out
 
 
@@ -378,12 +450,13 @@ def make_grid(curve: Curve, n: int) -> ArcGrid:
         raise CurveError("grid requires a unit-speed curve; call reparametrize_arclength")
     L = curve.total_length
     s = np.arange(n) * (L / n)
+    t = curve.param_at_arclength(s)
     return ArcGrid(
         curve=curve,
         nodes=s,
         weight=L / n,
-        points=curve.point_at_arclength(s),
-        curvatures=curve.curvature_at_arclength(s),
+        points=curve.point(t),
+        curvatures=curve.curvature(t),
     )
 
 
@@ -409,8 +482,11 @@ def circle_deviation(grid: ArcGrid) -> float:
     the diagonal entries are set to 0.  Zero for a circle, positive and
     rigid-motion invariant otherwise.
     """
-    integrand = grid.chord_difference(lambda r: 1.0 / (4.0 * np.pi * r))
-    return float(grid.weight ** 2 * np.sum(integrand ** 2))
+    integrand = _blockwise(grid.n, grid.n, lambda rows, cols: grid.chord_difference(
+        lambda r: 1.0 / (4.0 * np.pi * r), rows, cols), symmetric=True)
+    integrand *= integrand
+    # one sum over the whole table: a blockwise sum would round differently
+    return float(grid.weight ** 2 * np.sum(integrand))
 
 
 def chord_mean_inequality(grid: ArcGrid, u: float):

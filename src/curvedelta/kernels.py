@@ -29,6 +29,13 @@ def _spectral_sqrt(lam) -> complex:
     return w
 
 
+def _real_energy(lam) -> bool:
+    """Whether lam is real and negative, where the oscillating kernels are
+    real."""
+    lamc = complex(lam)
+    return lamc.imag == 0.0 and lamc.real < 0.0
+
+
 def green_kernel(lam, r):
     """Free resolvent kernel e^{-sqrt(-lam) r} / (4 pi r) at real lam <= 0."""
     r = np.asarray(r, dtype=float)
@@ -75,15 +82,15 @@ def scattering_kernel(lam, eta: float, r):
     small = scale * r < _SERIES_CUTOFF
     safe_r = np.where(small, 1.0, r)
     # both exponentials through the complex path so equal slopes cancel exactly
-    x = kx * r
-    y = ky * r
-    series = (kx - ky) * (1.0 + (x + y) / 2.0 + (x * x + x * y + y * y) / 6.0)
-    out = np.where(
-        small,
-        series / (4.0 * np.pi),
-        (np.exp(x) - np.exp(y)) / (4.0 * np.pi * safe_r),
-    )
-    lamc = complex(lam)
-    if lamc.imag == 0.0 and lamc.real < 0.0:
+    x = np.asarray(kx * r)
+    y = np.asarray(ky * r)
+    # the series only where it is selected: the diagonal of a chord table
+    xs, ys = x[small], y[small]
+    out = np.exp(x, out=x)
+    out -= np.exp(y, out=y)
+    out /= 4.0 * np.pi * safe_r
+    series = (kx - ky) * (1.0 + (xs + ys) / 2.0 + (xs * xs + xs * ys + ys * ys) / 6.0)
+    out[small] = series / (4.0 * np.pi)
+    if _real_energy(lam):
         out = out.real
     return out if out.ndim else out[()]

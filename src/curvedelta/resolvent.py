@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix
-from .curves import ArcGrid, _pairwise_distances, _read_only
+from .curves import (ArcGrid, _blockwise, _pairwise_distances, _read_only,
+                     _row_blocks)
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
 from .spectral import eigen
@@ -65,7 +66,9 @@ def make_box(grid: ArcGrid, n: int = 24,
     """Sample the box on an n^3 lattice of cell centers.
 
     Points closer to the curve than the exclusion radius (default twice the
-    lattice spacing) are dropped and counted.
+    lattice spacing) are dropped and counted.  Each point's distance to the
+    curve is the minimum over one row block of the lattice-by-node distance
+    table at a time.
     """
     if bounds is None:
         lo, hi = _default_box_bounds(grid, lam)
@@ -80,20 +83,13 @@ def make_box(grid: ArcGrid, n: int = 24,
     axis = lo + (np.arange(n) + 0.5) * spacing
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    dists = _distance_to_curve(pts, grid)
+    dists = np.empty(len(pts))
+    for rows in _row_blocks(len(pts), 8 * grid.n):       # float64 distance rows
+        dists[rows] = _pairwise_distances(pts[rows], grid.points).min(axis=1)
     keep = dists > excl
     return BoxGrid(lo=lo, hi=hi, n=n, points=pts[keep],
                    cell_volume=spacing ** 3, exclusion_radius=excl,
                    n_excluded=int(np.sum(~keep)))
-
-
-def _distance_to_curve(pts: np.ndarray, grid: ArcGrid) -> np.ndarray:
-    out = np.empty(len(pts))
-    block = max(1, ENTRY_CAP // max(1, grid.n))
-    for start in range(0, len(pts), block):
-        d = _pairwise_distances(pts[start:start + block], grid.points)
-        out[start:start + block] = d.min(axis=1)
-    return out
 
 
 def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
@@ -135,9 +131,11 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
 
 
 def _layer_factor(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
-    """Semi-discrete layer map: rows are box cells, columns curve nodes."""
-    dists = _pairwise_distances(box.points, grid.points)
-    return np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, dists)
+    """Semi-discrete layer map: rows are box cells, columns curve nodes;
+    built a row block at a time."""
+    scale = np.sqrt(box.cell_volume) * grid.weight
+    return _blockwise(len(box.points), grid.n, lambda rows, cols: scale * green_kernel(
+        lam, _pairwise_distances(box.points[rows], grid.points[cols])))
 
 
 def _layer_r(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:

@@ -22,9 +22,9 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix, kink_correction
-from .curves import ArcGrid
+from .curves import ArcGrid, _block_diagonal, _blockwise
 from .errors import ConfigError, NumericsError
-from .kernels import scattering_kernel
+from .kernels import _real_energy, scattering_kernel
 from .spectral import boundary_spectrum
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
@@ -42,15 +42,23 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     The diagonal takes the analytic kernel limit plus the kink correction
     with slope (eta - lam)/(8 pi); the correction is real, so the imaginary
     part of the matrix is exactly the positive semidefinite trapezoid matrix
-    of sin(sqrt(lam) r)/(4 pi r).
+    of sin(sqrt(lam) r)/(4 pi r).  Built a row block at a time.
     """
     if eta >= 0:
         raise ConfigError("reference energy eta must be negative")
     w = grid.weight
-    mat = w * scattering_kernel(lam, eta, grid.chords)
     lamc = complex(lam)
     slope = (eta - lamc.real) / (8.0 * np.pi)
-    mat[np.diag_indices_from(mat)] += kink_correction(slope, w)
+    corr = kink_correction(slope, w)
+
+    def block(rows, cols):
+        out = scattering_kernel(lam, eta, grid.chord_block(rows, cols))
+        out *= w
+        out[_block_diagonal(rows, cols)] += corr
+        return out
+
+    mat = _blockwise(grid.n, grid.n, block, float if _real_energy(lam) else complex,
+                     symmetric=True)
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"scattering lam={lam} eta={eta:g}: non-finite matrix entries")
     return mat

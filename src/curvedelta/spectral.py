@@ -406,15 +406,19 @@ def isoperimetric_compare(grid: ArcGrid, alpha: float) -> tuple[float, float, fl
     Returns (energy_curve, energy_circle, gap) with gap = circle - curve;
     the circle uniquely maximizes the principal eigenvalue among closed
     curves of fixed length, so a positive gap is expected for any
-    non-circular input.  Comparing a circle against itself is allowed and
-    gives a gap of zero up to root tolerance.
+    non-circular input.  A circle grid is its own equal-length circle: its
+    principal state is computed once and the gap is exactly zero (a circle
+    rebuilt from the length L = N h can differ from the input by an ulp).
     """
     radius = grid.length / (2.0 * np.pi)
     if alpha >= _count_threshold(radius):
         raise ConfigError("alpha too large: neither operator has bound states")
-    circle_grid = make_grid(make_circle(radius), grid.n)
     curve_states = find_bound_states(grid, alpha, max_states=1)
-    circle_states = find_bound_states(circle_grid, alpha, max_states=1)
+    if grid.curve.is_circle:
+        circle_states = curve_states
+    else:
+        circle_grid = make_grid(make_circle(radius), grid.n)
+        circle_states = find_bound_states(circle_grid, alpha, max_states=1)
     if not curve_states or not circle_states:
         raise NumericsError("no bound state found for the comparison")
     lam_curve = curve_states[0].energy

@@ -7,8 +7,12 @@ trigonometric basis, node sums of the layer potential, or the full
 distance tables avoid.  The scattering and probe references repeat the
 dense linear algebra the library's factorizations replace: a full SVD for
 the condition number with a separate solve, and singular values of the
-whole layer map.  None of them is used by the library itself; neither is
-the eigenvalue-clustering helper.
+whole layer map.  The full-table references (`*_full`) are the library's
+earlier one-pass builds of B(lam), the comparison matrix, the scattering
+kernel and layer matrix, the probe's layer map and the box's distance
+minimum; the library now fills each table a row block at a time and must
+match them bit for bit.  None of them is used by the library itself;
+neither is the eigenvalue-clustering helper.
 """
 
 import math
@@ -21,9 +25,12 @@ from scipy.spatial.distance import cdist
 
 from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, CurveError,
                         NumericsError, ScatteringBlock, boundary_matrix,
-                        circle_chord, circle_mode_eigenvalues, green_kernel,
-                        scattering_layer_matrix)
-from curvedelta.curves import SELF_INTERSECTION_TOL
+                        circle_chord, circle_mode_eigenvalues,
+                        circle_operator_matrix, green_kernel,
+                        scattering_layer_matrix, smoothing_matrix)
+from curvedelta.assembly import kink_correction
+from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
+from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
 
 PAIRING_TOL = 1e-9
@@ -211,3 +218,68 @@ def probe_singular_values_reference(grid: ArcGrid, box: BoxGrid, lam: float,
     r = np.linalg.qr(g, mode="r")
     system = alpha * np.eye(grid.n) - boundary_matrix(lam, grid)
     return scipy.linalg.svdvals(g), scipy.linalg.svdvals(r @ np.linalg.solve(system, r.T))
+
+
+def comparison_matrix_full(lam: float, grid: ArcGrid) -> np.ndarray:
+    """The comparison matrix from the whole chord table in one pass."""
+    if grid.curve.is_circle:
+        return np.zeros((grid.n, grid.n))
+    w = grid.weight
+    mat = w * chord_difference_reference(grid, lambda r: green_kernel(lam, r))
+    kappa_circle = 2.0 * np.pi / grid.length
+    slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
+    mat[np.diag_indices_from(mat)] = kink_correction(slopes, w)
+    return mat
+
+
+def boundary_matrix_full(lam: float, grid: ArcGrid) -> np.ndarray:
+    """B(lam) as the difference of the full circle operator and smoothing
+    matrices, plus the full comparison matrix."""
+    mat = circle_operator_matrix(grid) - smoothing_matrix(lam, grid)
+    if not grid.curve.is_circle:
+        mat += comparison_matrix_full(lam, grid)
+    return mat
+
+
+def scattering_kernel_full(lam, eta: float, r):
+    """The scattering kernel with its r -> 0 series evaluated at every entry
+    and selected by np.where."""
+    r = np.asarray(r, dtype=float)
+    kx = 1j * _spectral_sqrt(lam)
+    ky = complex(-math.sqrt(-eta))
+    small = (abs(kx) + abs(ky)) * r < _SERIES_CUTOFF
+    safe_r = np.where(small, 1.0, r)
+    x = kx * r
+    y = ky * r
+    series = (kx - ky) * (1.0 + (x + y) / 2.0 + (x * x + x * y + y * y) / 6.0)
+    out = np.where(small, series / (4.0 * np.pi),
+                   (np.exp(x) - np.exp(y)) / (4.0 * np.pi * safe_r))
+    lamc = complex(lam)
+    if lamc.imag == 0.0 and lamc.real < 0.0:
+        out = out.real
+    return out if out.ndim else out[()]
+
+
+def scattering_layer_matrix_full(grid: ArcGrid, lam, eta: float) -> np.ndarray:
+    """The scattering layer matrix from the whole chord table in one pass."""
+    w = grid.weight
+    mat = w * scattering_kernel_full(lam, eta, grid.chords)
+    slope = (eta - complex(lam).real) / (8.0 * np.pi)
+    mat[np.diag_indices_from(mat)] += kink_correction(slope, w)
+    return mat
+
+
+def layer_factor_full(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
+    """The probe's layer map from the whole box-to-node distance table."""
+    dists = _pairwise_distances(box.points, grid.points)
+    return np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, dists)
+
+
+def box_points_full(grid: ArcGrid, box: BoxGrid) -> tuple[np.ndarray, int]:
+    """(retained points, excluded count) of `box`'s lattice, from the minimum
+    over the whole lattice-to-node distance table."""
+    axis = box.lo + (np.arange(box.n) + 0.5) * box.spacing
+    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    keep = _pairwise_distances(pts, grid.points).min(axis=1) > box.exclusion_radius
+    return pts[keep], int(np.sum(~keep))

@@ -1,0 +1,276 @@
+"""Row-blocked builds of the chord-kernel tables.
+
+Every table the library builds a row block at a time must equal, bit for
+bit, the one-pass build kept in `oracles` (the `*_full` references), on
+grids smaller than one block, on grids whose last block is ragged, and at
+the benchmark's sizes.  Memory tests pin the point of blocking: the peak
+traced allocation of a build stays near the size of its output.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import curvedelta.curves as curves_mod
+import curvedelta.resolvent as resolvent_mod
+from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, boundary_matrix,
+                        circle_deviation, comparison_matrix, green_kernel,
+                        make_box, make_grid, reparametrize_arclength,
+                        scale_to_length, scattering_kernel,
+                        scattering_layer_matrix)
+from curvedelta.curves import _ArcTable, _row_blocks
+from oracles import (box_points_full, boundary_matrix_full,
+                     chord_difference_reference, comparison_matrix_full,
+                     layer_factor_full, scattering_kernel_full,
+                     scattering_layer_matrix_full)
+
+# 24 kB blocks: 30 rows of a float64 table at N = 100 and 12 at N = 250,
+# so both grids end in a ragged block; N = 16 stays within one block
+SMALL_BLOCK_BYTES = 24 * 1024
+LAMBDAS = (0.0, -1.0, -4.0, -16.0, -600.0)
+SCATTERING_LAMBDAS = (0.0, 0.5, 1.0, 2.0, -2.0)
+
+
+@pytest.fixture(scope="module")
+def wobble():
+    """A non-planar curve with modes 1-3, length 2 pi, arc-length
+    parametrized."""
+    cos = [[1.0, 0.0, 0.0], [0.12, -0.05, 0.08], [0.0, 0.06, -0.04]]
+    sin = [[0.0, 1.0, 0.0], [0.03, 0.1, -0.07], [-0.05, 0.0, 0.06]]
+    raw = Curve(np.zeros(3), cos, sin, 2.0 * np.pi)
+    return reparametrize_arclength(scale_to_length(raw, 2.0 * np.pi))
+
+
+@pytest.fixture(scope="module")
+def curves(circle, ellipse, wobble):
+    return {"circle": circle, "ellipse": ellipse, "wobble": wobble}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(curves_mod, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+
+
+def test_row_blocks_cover_rows_with_a_ragged_tail():
+    assert _row_blocks(250, 8 * 250) == [slice(0, 250)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves_mod, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+        blocks = _row_blocks(250, 8 * 250)
+        assert [b.stop - b.start for b in blocks] == [12] * 20 + [10]
+        assert blocks[0].start == 0 and blocks[-1].stop == 250
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(_row_blocks(16, 8 * 16)) == 1
+        # a row wider than a block still makes progress, one row at a time
+        assert len(_row_blocks(3, 10 * SMALL_BLOCK_BYTES)) == 3
+
+
+@pytest.mark.parametrize("n", [16, 100, 250])
+@pytest.mark.parametrize("name", ["circle", "ellipse", "wobble"])
+def test_boundary_and_comparison_bitwise_small_grids(curves, name, n, small_blocks):
+    grid = make_grid(curves[name], n)
+    for lam in LAMBDAS:
+        assert np.array_equal(boundary_matrix(lam, grid), boundary_matrix_full(lam, grid))
+        assert np.array_equal(comparison_matrix(lam, grid), comparison_matrix_full(lam, grid))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_boundary_bitwise_benchmark_sizes(wobble, n):
+    grid = make_grid(wobble, n)
+    for lam in (0.0, -4.0):
+        assert np.array_equal(boundary_matrix(lam, grid), boundary_matrix_full(lam, grid))
+
+
+@pytest.mark.parametrize("n", [16, 100, 250])
+@pytest.mark.parametrize("name", ["circle", "ellipse", "wobble"])
+def test_scattering_layer_bitwise_small_grids(curves, name, n, small_blocks):
+    grid = make_grid(curves[name], n)
+    for lam in SCATTERING_LAMBDAS:
+        mat = scattering_layer_matrix(grid, lam, -1.0)
+        ref = scattering_layer_matrix_full(grid, lam, -1.0)
+        assert mat.dtype == ref.dtype
+        assert np.array_equal(mat, ref)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_scattering_layer_bitwise_benchmark_sizes(ellipse, n):
+    grid = make_grid(ellipse, n)
+    for lam in SCATTERING_LAMBDAS:
+        assert np.array_equal(scattering_layer_matrix(grid, lam, -1.0),
+                              scattering_layer_matrix_full(grid, lam, -1.0))
+
+
+@pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j])
+def test_scattering_kernel_bitwise(lam):
+    # zero, series-range and ordinary chords, in one array and one at a time
+    r = np.array([[0.0, 1e-9, 3e-7], [1e-3, 0.5, 2.0]])
+    out = scattering_kernel(lam, -1.0, r)
+    ref = scattering_kernel_full(lam, -1.0, r)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert np.array_equal(out, ref)
+    for x in (0.0, 1e-9, 0.7):
+        value = scattering_kernel(lam, -1.0, x)
+        expected = scattering_kernel_full(lam, -1.0, x)
+        assert type(value) is type(expected)
+        # a 0-d chord gets the value the same chord gets inside an array;
+        # the one-pass kernel's numpy-scalar arithmetic can differ from
+        # that by an ulp in the series range at complex lam
+        assert value == scattering_kernel(lam, -1.0, np.array([x]))[0]
+        if complex(lam).imag == 0.0:
+            assert value == expected
+
+
+def test_scattering_kernel_real_below_zero():
+    assert not np.iscomplexobj(scattering_kernel(-2.0, -1.0, np.array([0.0, 0.5])))
+    assert isinstance(scattering_kernel(-2.0, -1.0, 0.5), np.floating)
+
+
+@pytest.mark.parametrize("n", [16, 100, 250])
+def test_chord_difference_rows_and_deviation(ellipse, n, small_blocks):
+    grid = make_grid(ellipse, n)
+    kernel = lambda r: green_kernel(-1.0, r)
+    full = chord_difference_reference(grid, kernel)
+    for rows in _row_blocks(n, 8 * n):
+        assert np.array_equal(grid.chord_difference(kernel, rows), full[rows])
+        # from the diagonal on, as a symmetric table is filled, and a column
+        # range that holds no diagonal entry of some blocks
+        for cols in (slice(rows.start, n), slice(n // 2, n)):
+            assert np.array_equal(grid.chord_difference(kernel, rows, cols), full[rows, cols])
+            assert np.array_equal(grid.chord_block(rows, cols), grid.chords[rows, cols])
+    integrand = chord_difference_reference(grid, lambda r: 1.0 / (4.0 * np.pi * r))
+    assert circle_deviation(grid) == float(grid.weight ** 2 * np.sum(integrand ** 2))
+
+
+@pytest.mark.parametrize("n", [16, 100, 256])
+def test_box_and_layer_map_bitwise(ellipse, n, small_blocks):
+    grid = make_grid(ellipse, n)
+    box = make_box(grid, n=12, lam=-1.0)
+    points, excluded = box_points_full(grid, box)
+    assert np.array_equal(box.points, points) and box.n_excluded == excluded
+    assert np.array_equal(resolvent_mod._layer_factor(grid, box, -1.0),
+                          layer_factor_full(grid, box, -1.0))
+
+
+def test_box_and_layer_map_bitwise_default_blocks(ellipse_grid):
+    box = make_box(ellipse_grid, n=24, lam=-1.0)
+    points, excluded = box_points_full(ellipse_grid, box)
+    assert np.array_equal(box.points, points) and box.n_excluded == excluded
+    assert np.array_equal(resolvent_mod._layer_factor(ellipse_grid, box, -1.0),
+                          layer_factor_full(ellipse_grid, box, -1.0))
+
+
+def test_chord_table_kept_only_when_it_fits_one_block(ellipse):
+    # a one-block grid keeps its chords for the many assemblies of a root
+    # search; a larger grid never holds the N x N table
+    small, large = make_grid(ellipse, 256), make_grid(ellipse, 1024)
+    boundary_matrix(-1.0, small)
+    scattering_layer_matrix(large, 1.0, -1.0)
+    boundary_matrix(-1.0, large)
+    assert "chords" in small.__dict__
+    assert "chords" not in large.__dict__
+
+
+# -- refusals survive blocking ----------------------------------------------
+
+
+def _with_repeated_node(grid: ArcGrid, i: int, j: int) -> ArcGrid:
+    points = grid.points.copy()
+    points[j] = points[i]
+    return ArcGrid(curve=grid.curve, nodes=grid.nodes, weight=grid.weight,
+                   points=points, curvatures=grid.curvatures)
+
+
+def test_zero_chord_in_last_block_refused(ellipse, small_blocks):
+    # nodes 3 and 247 coincide: the zero chord lies in the ragged last block
+    grid = _with_repeated_node(make_grid(ellipse, 250), 3, 247)
+    with pytest.raises(ConfigError, match="r > 0"):
+        comparison_matrix(-1.0, grid)
+    with pytest.raises(ConfigError, match="r > 0"):
+        boundary_matrix(-1.0, grid)
+
+
+def test_box_point_on_a_node_refused(ellipse, small_blocks):
+    grid = make_grid(ellipse, 100)
+    box = make_box(grid, n=6, lam=-1.0)
+    points = box.points.copy()
+    points[-1] = grid.points[40]
+    on_node = BoxGrid(lo=box.lo, hi=box.hi, n=box.n, points=points,
+                      cell_volume=box.cell_volume,
+                      exclusion_radius=box.exclusion_radius, n_excluded=box.n_excluded)
+    with pytest.raises(ConfigError, match="r > 0"):
+        resolvent_mod._layer_factor(grid, on_node, -1.0)
+
+
+def test_non_finite_energy_refused(ellipse, small_blocks):
+    grid = make_grid(ellipse, 100)
+    with pytest.raises(ConfigError, match="non-finite"):
+        scattering_layer_matrix(grid, float("nan"), -1.0)
+    with pytest.raises(ConfigError, match="non-finite"):
+        boundary_matrix(float("nan"), grid)
+
+
+def test_green_kernel_refuses_nonpositive_chords():
+    with pytest.raises(ConfigError):
+        green_kernel(-1.0, np.array([[0.5, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ConfigError):
+        green_kernel(-1.0, -0.5)
+
+
+# -- memory -----------------------------------------------------------------
+
+
+def _peak_bytes(build):
+    """(result, peak traced bytes allocated while `build()` ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_boundary_matrix_peak_memory(ellipse):
+    grid = make_grid(ellipse, 2048)
+    grid.circle_chord_row
+    mat, peak = _peak_bytes(lambda: boundary_matrix(-1.0, grid))
+    assert peak <= 1.5 * mat.nbytes
+
+
+def test_scattering_layer_matrix_peak_memory(ellipse):
+    grid = make_grid(ellipse, 1024)
+    mat, peak = _peak_bytes(lambda: scattering_layer_matrix(grid, 1.0, -1.0))
+    assert peak <= 1.5 * mat.nbytes
+
+
+def test_layer_map_peak_memory(ellipse_grid):
+    box = make_box(ellipse_grid, n=24, lam=-1.0)
+    g, peak = _peak_bytes(lambda: resolvent_mod._layer_factor(ellipse_grid, box, -1.0))
+    assert peak <= 1.5 * g.nbytes
+
+
+def test_make_box_peak_memory(ellipse_grid):
+    n = 24
+    _, peak = _peak_bytes(lambda: make_box(ellipse_grid, n=n, lam=-1.0))
+    assert peak <= 0.5 * (n ** 3) * ellipse_grid.n * 8
+
+
+# -- grid construction --------------------------------------------------------
+
+
+def test_make_grid_reads_the_arc_table_once(ellipse, monkeypatch):
+    calls = []
+    real = _ArcTable.param_at
+
+    def param_at(table, s):
+        calls.append(len(s))
+        return real(table, s)
+
+    monkeypatch.setattr(_ArcTable, "param_at", param_at)
+    grid = make_grid(ellipse, 128)
+    assert calls == [128]
+    monkeypatch.undo()
+    t = ellipse.param_at_arclength(grid.nodes)
+    assert np.array_equal(grid.points, ellipse.point_at_arclength(grid.nodes))
+    assert np.array_equal(grid.curvatures, ellipse.curvature(t))

@@ -138,6 +138,19 @@ class TestIsoperimetric:
         header, rows = _read_rows(tmp_path / "isoperimetric.csv")
         assert float(rows[0][header.index("gap")]) > 0.0
 
+    @pytest.mark.parametrize("radius,n,alpha", [
+        (1.0, 256, 0.1), (1.0, 256, -0.15), (2.5, 1000, -0.4)])
+    def test_circle_against_itself_exits_0(self, tmp_path, radius, n, alpha):
+        # a circle grid is its own equal-length circle: the gap is exactly 0
+        # (a circle rebuilt from the length N h differs by an ulp at R = 2.5)
+        curve = tmp_path / "circle.json"
+        curve.write_text(json.dumps({"kind": "circle", "radius": radius}))
+        assert main(["isoperimetric", "--curve", str(curve), "--n", str(n),
+                     "--alpha", str(alpha), "--out", str(tmp_path)]) == 0
+        header, rows = _read_rows(tmp_path / "isoperimetric.csv")
+        assert float(rows[0][header.index("gap")]) == 0.0
+        assert rows[0][header.index("energy_curve")] == rows[0][header.index("energy_circle")]
+
 
 class TestProbe:
     def test_slopes_populated(self, circle_file, tmp_path):
