@@ -23,7 +23,7 @@ from .scattering import (ScatteringBlock, choose_reference_energy,
                          scattering_block, scattering_layer_matrix)
 from .spectral import (BoundState, CountReport, EigenSystem,
                        asymptotic_count_bounds, count_bound_states, eigen,
-                       eigenvalue_at, find_bound_states, isoperimetric_compare)
+                       find_bound_states, isoperimetric_compare)
 
 __all__ = [
     "ArcGrid", "BoundState", "BoxGrid", "ConfigError", "CountReport", "Curve",
@@ -32,7 +32,7 @@ __all__ = [
     "choose_reference_energy", "chord_mean_inequality", "circle_chord",
     "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
     "comparison_matrix", "correction_singular_values", "count_bound_states",
-    "curve_from_json_dict", "curve_to_json_dict", "eigen", "eigenvalue_at",
+    "curve_from_json_dict", "curve_to_json_dict", "eigen",
     "find_bound_states", "fit_decay_slope", "green_kernel",
     "isoperimetric_compare", "layer_singular_values", "make_box", "make_circle",
     "make_ellipse", "make_grid", "odd_harmonic_sums", "perturbed_green",

@@ -38,9 +38,12 @@ def _fmt(x) -> str:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"non-finite value in {text!r}")
+    return values
 
 
 def _load_grid(args, tols: dict):

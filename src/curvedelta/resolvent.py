@@ -99,7 +99,7 @@ def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
     B(lam), that is when lam is at or near a bound-state energy.
     """
     bmat = boundary_matrix(lam, grid)
-    spec = eigen(bmat, vectors=False)
+    spec = eigen(bmat)
     margin = np.min(np.abs(spec.values - alpha))
     if margin < SPECTRUM_MARGIN:
         raise NumericsError(f"alpha within {margin:.2e} of the boundary spectrum; "

@@ -122,7 +122,9 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                min_channel_eigenvalue=min_channel,
                                condition=0.0)
 
-    system = n_mat + b_mat - alpha * np.eye(grid.n)
+    system = n_mat                  # N + B_eta - alpha, in the layer matrix's storage
+    system += b_mat
+    system[np.diag_indices(grid.n)] -= alpha
     sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
         ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (system,))
     # the system is exactly complex symmetric: one Bunch-Kaufman LDL^T

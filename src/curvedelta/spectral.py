@@ -19,8 +19,9 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .assembly import boundary_matrix, circle_boundary_modes, odd_harmonic_sums
-from .curves import ArcGrid, circle_deviation, make_circle, make_grid
+from .assembly import (boundary_matrix, circle_boundary_modes, comparison_matrix,
+                       odd_harmonic_sums)
+from .curves import ArcGrid, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
 ROOT_TOL = 1e-10
@@ -37,28 +38,19 @@ EULER_GAMMA = 0.577216
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues in nonincreasing order with matching eigenvector columns."""
+    """Eigenvalues in nonincreasing order."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
     trusted_count: int
 
 
-def eigen(mat: np.ndarray, vectors: bool = True) -> EigenSystem:
-    """Full symmetric eigendecomposition, sorted nonincreasingly."""
+def eigen(mat: np.ndarray) -> EigenSystem:
+    """All eigenvalues of a symmetric matrix, nonincreasing."""
     try:
-        if vectors:
-            vals, vecs = scipy.linalg.eigh(mat)
-        else:
-            vals = scipy.linalg.eigh(mat, eigvals_only=True)
-            vecs = None
+        vals = scipy.linalg.eigh(mat, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericsError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    if vecs is not None:
-        vecs = vecs[:, order]
-    return EigenSystem(values=vals, vectors=vecs, trusted_count=mat.shape[0] // 4)
+    return EigenSystem(values=vals[::-1], trusted_count=mat.shape[0] // 4)
 
 
 def eigenvalue_at(mat: np.ndarray, k: int) -> float:
@@ -115,16 +107,11 @@ class _Operator:
     def _matrix(self) -> np.ndarray:
         return boundary_matrix(self.lam, self.grid)
 
-    @cached_property
-    def _system(self) -> EigenSystem:
-        return eigen(self._matrix)
-
     def spectrum(self) -> EigenSystem:
         """All eigenvalues, nonincreasing, without eigenvectors."""
         if self._waves is None:
-            return eigen(self._matrix, vectors=False)
-        return EigenSystem(values=self._values, vectors=None,
-                           trusted_count=self.grid.n // 4)
+            return eigen(self._matrix)
+        return EigenSystem(values=self._values, trusted_count=self.grid.n // 4)
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
@@ -134,10 +121,13 @@ class _Operator:
         return float(self._values[k - 1])
 
     def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
-        """The k-th largest eigenvalue and a unit eigenvector for it."""
-        if self._waves is None:
-            return self._system.values[k - 1], self._system.vectors[:, k - 1]
+        """The k-th largest eigenvalue and a unit eigenvector for it; on a
+        dense grid one subset solve whose value is bitwise `branch_value(k)`."""
         n = self.grid.n
+        if self._waves is None:
+            vals, vecs = scipy.linalg.eigh(self._matrix, subset_by_index=[n - k, n - k],
+                                           driver="evr")
+            return float(vals[0]), vecs[:, 0]
         m = self._waves[k - 1]
         phase = 2.0 * np.pi * m * np.arange(n) / n
         if m == 0 or 2 * m == n:
@@ -233,7 +223,7 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     For each k with nu_k(0) > alpha the unique root of nu_k(lam) = alpha is
     found by Brent's method on [floor, 0], where even the top branch is
     below alpha at the floor.  Monotonicity of the branch makes the bracket
-    safe, and every root is re-verified against a full eigensolve.  A branch
+    safe, and every root is re-verified by an eigensolve at the root.  A branch
     whose value at the previous root equals the previous branch's exactly,
     as the two branches of a circle's degenerate pair do, has that root too
     (each branch is strictly increasing), so a pair is solved once and its
@@ -249,7 +239,7 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     states = []
     at_root = None
     for k in range(1, n_roots + 1):
-        if at_root is None or at_root.eigenpair(k)[0] != at_root.eigenpair(k - 1)[0]:
+        if at_root is None or at_root.branch_value(k) != value:
             at_root = _branch_root(grid, alpha, k, floor, zero_spec.values[k - 1])
         value, vector = at_root.eigenpair(k)
         residual = abs(value - alpha)
@@ -335,7 +325,7 @@ class CountReport:
 
     alpha: float
     count: int
-    deviation: float          # computed kernel deviation from the circle
+    deviation: float          # ||D_0||_F, the shift from the circle's operator
     radius: float             # comparison circle radius L/(2 pi)
     r_index: int              # interval index of alpha + deviation
     l_index: int              # interval index of alpha - deviation
@@ -354,10 +344,14 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
     operator above alpha (within the trusted range n/4; the call refuses
     rather than undercounting when the count reaches that range).  For a
     circle the result is cross-checked against the closed-form 2r + 1.
+
+    The sandwich shifts alpha by s = ||D_0||_F of the energy-zero comparison
+    matrix: B(0) is the circle's operator plus D_0, so by Weyl's inequality
+    each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.
     """
     _, count = _zero_energy_count(grid, alpha)
 
-    deviation = circle_deviation(grid)
+    deviation = float(np.linalg.norm(comparison_matrix(0.0, grid)))
     radius = grid.length / (2.0 * np.pi)
     t0 = _count_threshold(radius)
     r_index = _interval_index(alpha + deviation, radius)

@@ -4,6 +4,7 @@ import pytest
 from curvedelta import spectral
 from curvedelta import (make_circle, make_ellipse, make_grid,
                         reparametrize_arclength, scale_to_length)
+from oracles import seeded_fourier_curve
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,13 @@ def ellipse():
 @pytest.fixture(scope="session")
 def ellipse_grid(ellipse):
     return make_grid(ellipse, 256)
+
+
+@pytest.fixture(scope="session")
+def defect_grid():
+    """N = 256 grid on the seed-7 curve, where the count sandwich once
+    escaped at alpha = -0.2."""
+    return make_grid(seeded_fourier_curve(7), 256)
 
 
 @pytest.fixture

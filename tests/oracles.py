@@ -12,7 +12,7 @@ earlier one-pass builds of B(lam), the comparison matrix, the scattering
 kernel and layer matrix, the probe's layer map and the box's distance
 minimum; the library now fills each table a row block at a time and must
 match them bit for bit.  None of them is used by the library itself;
-neither is the eigenvalue-clustering helper.
+neither is the eigenvalue-clustering helper nor the seeded-curve draw.
 """
 
 import math
@@ -27,6 +27,7 @@ from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, CurveError,
                         NumericsError, ScatteringBlock, boundary_matrix,
                         circle_chord, circle_mode_eigenvalues,
                         circle_operator_matrix, green_kernel,
+                        reparametrize_arclength, scale_to_length,
                         scattering_layer_matrix, smoothing_matrix)
 from curvedelta.assembly import kink_correction
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
@@ -195,7 +196,7 @@ def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: flo
     vals, vecs = scipy.linalg.eigh(n_mat.imag)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     retained = int(np.sum(vals > rank_tol * vals[0]))
-    system = n_mat + boundary_matrix(eta, grid) - alpha * np.eye(grid.n)
+    system = scattering_system_reference(grid, lam, alpha, eta)
     condition = float(np.linalg.cond(system))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise NumericsError(f"condition {condition:.2e} at lam={lam:g}")
@@ -207,6 +208,14 @@ def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: flo
                            matrix=block, unitarity_defect=defect,
                            channel_eigenvalues=vals.copy(),
                            min_channel_eigenvalue=float(vals[-1]), condition=condition)
+
+
+def scattering_system_reference(grid: ArcGrid, lam: float, alpha: float,
+                                eta: float) -> np.ndarray:
+    """N + B_eta - alpha as one out-of-place expression, through an identity
+    matrix, its multiple and the sum."""
+    return (scattering_layer_matrix(grid, lam, eta) + boundary_matrix(eta, grid)
+            - alpha * np.eye(grid.n))
 
 
 def probe_singular_values_reference(grid: ArcGrid, box: BoxGrid, lam: float,
@@ -283,3 +292,29 @@ def box_points_full(grid: ArcGrid, box: BoxGrid) -> tuple[np.ndarray, int]:
     pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
     keep = _pairwise_distances(pts, grid.points).min(axis=1) > box.exclusion_radius
     return pts[keep], int(np.sum(~keep))
+
+
+def fourier_mode_curve(coefficients) -> Curve:
+    """The unit circle plus the given 12 mode-2/3 coefficients (cos block,
+    then sin block), scaled to length 2 pi; not arc-length parametrized."""
+    cos = np.zeros((3, 3))
+    sin = np.zeros((3, 3))
+    cos[0, 0] = sin[0, 1] = 1.0
+    cos[1:] += np.reshape(coefficients[:6], (2, 3))
+    sin[1:] += np.reshape(coefficients[6:], (2, 3))
+    return scale_to_length(Curve(np.zeros(3), cos, sin, 2.0 * math.pi), 2.0 * math.pi)
+
+
+def seeded_fourier_curve(seed: int) -> Curve:
+    """The first draw from default_rng(seed) that `reparametrize_arclength`
+    accepts, arc-length parametrized: mode-2/3 coefficients from
+    N(0, 0.12^2), the 6 cos ones first.  These are the seeded curves of the
+    benchmark; seed 7 gives its count-sandwich curve."""
+    rng = np.random.default_rng(seed)
+    while True:
+        cos = 0.12 * rng.standard_normal(6)
+        sin = 0.12 * rng.standard_normal(6)
+        try:
+            return reparametrize_arclength(fourier_mode_curve(np.concatenate([cos, sin])))
+        except CurveError:
+            continue

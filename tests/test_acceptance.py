@@ -84,7 +84,7 @@ def found_states(circle_grids, ellipse_grids):
 
 def test_criterion_01_circle_eigenvalue_oracle(circle_grids):
     start = time.monotonic()
-    spec = eigen(boundary_matrix(0.0, circle_grids[256]), vectors=False)
+    spec = eigen(boundary_matrix(0.0, circle_grids[256]))
     elapsed = time.monotonic() - start
     nu0, pairs = circle_mode_eigenvalues(1.0, 10)
     closed = [nu0]
@@ -99,7 +99,7 @@ def test_criterion_01_circle_eigenvalue_oracle(circle_grids):
 def test_criterion_02_top_eigenvalue_is_quadrature_constant(circle_grids):
     worst = 0.0
     for lam in (-0.25, -1.0, -4.0, -16.0):
-        spec = eigen(boundary_matrix(lam, circle_grids[256]), vectors=False)
+        spec = eigen(boundary_matrix(lam, circle_grids[256]))
         worst = max(worst, abs(spec.values[0] - circle_top_eigenvalue(lam, 1.0)))
     _report(2, worst < 1e-7,
             "top eigenvalue matches adaptive quadrature at four energies",
@@ -107,7 +107,7 @@ def test_criterion_02_top_eigenvalue_is_quadrature_constant(circle_grids):
 
 
 def test_criterion_03_log_asymptotics(circle_grids):
-    spec = eigen(boundary_matrix(0.0, circle_grids[1024]), vectors=False)
+    spec = eigen(boundary_matrix(0.0, circle_grids[1024]))
     ks = np.arange(32, 129)
     slope = float(np.polyfit(np.log(ks), spec.values[ks - 1], 1)[0])
     target = -1.0 / (2.0 * math.pi)
@@ -161,7 +161,7 @@ def test_criterion_07_birman_schwinger_residual(found_states):
     total = 0
     for grid, alpha, states in found_states:
         for st in states:
-            spec = eigen(boundary_matrix(st.energy, grid), vectors=False)
+            spec = eigen(boundary_matrix(st.energy, grid))
             worst = max(worst, float(np.min(np.abs(spec.values - alpha))))
             total += 1
     _report(7, total > 0 and worst < 1e-8,
@@ -173,7 +173,7 @@ def test_criterion_08_monotonicity_suite(circle_grids, ellipse_grids):
     lams = (-16.0, -4.0, -1.0, -0.25, 0.0)
     ok = True
     for grid in (circle_grids[256], ellipse_grids[256]):
-        spectra = [eigen(boundary_matrix(lam, grid), vectors=False).values
+        spectra = [eigen(boundary_matrix(lam, grid)).values
                    for lam in lams]
         for k in (1, 2, 5, 10):
             seq = [s[k - 1] for s in spectra]

@@ -5,9 +5,10 @@ import pytest
 
 from curvedelta import (ConfigError, boundary_matrix, circle_deviation,
                         circle_mode_eigenvalues, circle_operator_matrix,
-                        comparison_matrix, eigen, eigenvalue_at, make_circle,
+                        comparison_matrix, eigen, make_circle,
                         make_grid, odd_harmonic_sums, scattering_layer_matrix,
                         smoothing_matrix)
+from curvedelta.spectral import eigenvalue_at
 from oracles import circle_operator_reference, circle_top_eigenvalue
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
@@ -22,17 +23,17 @@ def test_odd_harmonic_sums():
 
 class TestCircleOperator:
     def test_top_eigenvalue(self, circle_grid):
-        spec = eigen(circle_operator_matrix(circle_grid), vectors=False)
+        spec = eigen(circle_operator_matrix(circle_grid))
         assert spec.values[0] == pytest.approx(LN4_OVER_2PI, abs=1e-12)
 
     def test_first_pair_degenerate(self, circle_grid):
-        spec = eigen(circle_operator_matrix(circle_grid), vectors=False)
+        spec = eigen(circle_operator_matrix(circle_grid))
         expected = LN4_OVER_2PI - 1.0 / math.pi
         assert spec.values[1] == pytest.approx(expected, abs=1e-12)
         assert spec.values[2] == pytest.approx(expected, abs=1e-12)
 
     def test_top_seven_match_closed_form(self, circle_grid):
-        spec = eigen(circle_operator_matrix(circle_grid), vectors=False)
+        spec = eigen(circle_operator_matrix(circle_grid))
         nu0, pairs = circle_mode_eigenvalues(1.0, 4)
         closed = [nu0, pairs[0], pairs[0], pairs[1], pairs[1], pairs[2], pairs[2]]
         assert np.max(np.abs(spec.values[:7] - closed)) < 1e-8
@@ -128,14 +129,14 @@ class TestBoundaryMatrix:
         tops = []
         for n in (256, 512):
             g = make_grid(circle, n)
-            spec = eigen(boundary_matrix(lam, g), vectors=False)
+            spec = eigen(boundary_matrix(lam, g))
             tops.append(spec.values[:20])
         assert np.max(np.abs(tops[0] - tops[1])) < 1e-6
 
     def test_minmax_sandwich_against_circle(self, ellipse_grid):
         # Weyl: adding the comparison part moves eigenvalues at most its norm
-        spec = eigen(boundary_matrix(0.0, ellipse_grid), vectors=False)
-        circle_spec = eigen(circle_operator_matrix(ellipse_grid), vectors=False)
+        spec = eigen(boundary_matrix(0.0, ellipse_grid))
+        circle_spec = eigen(circle_operator_matrix(ellipse_grid))
         shift = np.linalg.norm(comparison_matrix(0.0, ellipse_grid), 2)
         trusted = ellipse_grid.n // 4
         diffs = np.abs(spec.values[:trusted] - circle_spec.values[:trusted])

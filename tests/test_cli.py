@@ -93,6 +93,17 @@ class TestBoundStates:
                      "--alpha", "0.1", "--out", str(tmp_path)]) == 3
         assert "monotonicity violated" in capsys.readouterr().err
 
+    def test_ellipse_count_inside_its_sandwich(self, ellipse_file, tmp_path):
+        # the 2:1 ellipse of the README exited 4 here: "count 4 escapes the
+        # sandwich [3, 3]"
+        assert main(["bound-states", "--curve", ellipse_file, "--n", "256",
+                     "--alpha", "-0.2", "--out", str(tmp_path)]) == 0
+        _, rows = _read_rows(tmp_path / "bound_states.csv")
+        assert len(rows) == 4
+        header, counts = _read_rows(tmp_path / "counts.csv")
+        row = dict(zip(header, counts[0]))
+        assert (row["lower"], row["count"], row["upper"]) == ("3", "4", "5")
+
     def test_determinism(self, circle_file, tmp_path):
         args = ["bound-states", "--curve", circle_file, "--n", "64",
                 "--alpha", "0.1,-0.2"]
@@ -255,6 +266,17 @@ class TestDSigma:
                      "--out", out]) == 0
         payload = json.loads((tmp_path / "d_sigma.json").read_text())
         assert payload["value"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["scattering", "--alpha", "-0.5", "--lambda", "inf"],
+    ["bound-states", "--alpha", "nan"],
+], ids=lambda argv: argv[0])
+def test_non_finite_value_exits_2(ellipse_file, tmp_path, capsys, argv):
+    # refused while parsing, before any kernel sees it and warns
+    assert main([argv[0], "--curve", ellipse_file, "--n", "64", *argv[1:],
+                 "--out", str(tmp_path)]) == 2
+    assert "non-finite value" in capsys.readouterr().err
 
 
 def test_unknown_tolerance_key(circle_file, tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import curvedelta.scattering as scattering_mod
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
                         choose_reference_energy, eigen, scattering_block,
                         scattering_layer_matrix)
-from oracles import scattering_block_reference
+from oracles import scattering_block_reference, scattering_system_reference
 
 
 class TestLayerMatrix:
@@ -48,7 +49,7 @@ class TestChooseReferenceEnergy:
             choose_reference_energy(circle_grid, -0.5, [])
 
     def test_all_candidates_fail(self, circle_grid):
-        spec = eigen(boundary_matrix(-1.0, circle_grid), vectors=False)
+        spec = eigen(boundary_matrix(-1.0, circle_grid))
         alpha = float(spec.values[4])   # sits exactly on the spectrum at eta=-1
         with pytest.raises(NumericsError):
             choose_reference_energy(circle_grid, alpha, [-1.0])
@@ -130,3 +131,25 @@ class TestScatteringBlock:
         assert np.array_equal(blk.unitarity_defect, ref.unitarity_defect)
         assert np.array_equal(blk.channel_eigenvalues, ref.channel_eigenvalues)
         assert 1.0 <= blk.condition / ref.condition <= 10.0
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_system_formed_in_place_bitwise(self, ellipse_grid, lam, monkeypatch):
+        # N + B_eta - alpha built in the layer matrix's storage is the
+        # out-of-place sum, bit for bit
+        factored = []
+        real_funcs = scipy.linalg.get_lapack_funcs
+
+        def get_lapack_funcs(names, arrays):
+            sytrf, *rest = real_funcs(names, arrays)
+
+            def recording_sytrf(a, **kwargs):
+                factored.append(a.copy())
+                return sytrf(a, **kwargs)
+            return (recording_sytrf, *rest)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        scattering_block(ellipse_grid, lam, -0.3, -1.0)
+        ref = scattering_system_reference(ellipse_grid, lam, -0.3, -1.0)
+        assert len(factored) == 1
+        assert factored[0].dtype == ref.dtype
+        assert np.array_equal(factored[0], ref)

@@ -3,18 +3,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, reject, settings
+from hypothesis import strategies
 
 from curvedelta import spectral
-from curvedelta import (ConfigError, NumericsError,
-                        asymptotic_count_bounds, boundary_matrix,
+from curvedelta import (ConfigError, CurveError, NumericsError,
+                        asymptotic_count_bounds, boundary_matrix, comparison_matrix,
                         circle_mode_eigenvalues, count_bound_states, eigen,
-                        eigenvalue_at, find_bound_states,
+                        find_bound_states,
                         isoperimetric_compare, make_circle,
-                        make_grid)
-from curvedelta.spectral import ROOT_TOL, _interval_index, boundary_spectrum
-from oracles import circle_top_eigenvalue, multiplicity_groups
+                        make_grid, reparametrize_arclength)
+from curvedelta.spectral import ROOT_TOL, _interval_index, boundary_spectrum, eigenvalue_at
+from oracles import circle_top_eigenvalue, fourier_mode_curve, multiplicity_groups
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
+SANDWICH_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
+                             database=None)
 
 
 class TestEigen:
@@ -26,18 +31,22 @@ class TestEigen:
         spec = eigen(np.zeros((16, 16)))
         assert np.all(spec.values == 0.0)
 
-    def test_residuals_and_norms(self, ellipse_grid):
-        mat = boundary_matrix(-1.0, ellipse_grid)
-        spec = eigen(mat)
-        scale = np.linalg.norm(mat, 2)
-        for k in range(spec.trusted_count):
-            v = spec.vectors[:, k]
-            resid = np.linalg.norm(mat @ v - spec.values[k] * v)
-            assert resid < 1e-9 * scale
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    def test_residuals_and_norms(self, ellipse_grid, defect_grid):
+        # a dense grid's eigenpair comes from one subset solve whose value is
+        # the branch value the root search samples, bit for bit
+        for grid in (ellipse_grid, defect_grid):
+            op = spectral._Operator(-1.0, grid)
+            mat = boundary_matrix(-1.0, grid)
+            scale = np.linalg.norm(mat, 2)
+            for k in range(1, grid.n // 4 + 1):
+                nu, v = op.eigenpair(k)
+                resid = np.linalg.norm(mat @ v - nu * v)
+                assert resid < 1e-9 * scale
+                assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+                assert nu == eigenvalue_at(mat, k)
 
     def test_multiplicity_pairs_on_circle(self, circle_grid):
-        spec = eigen(boundary_matrix(0.0, circle_grid), vectors=False)
+        spec = eigen(boundary_matrix(0.0, circle_grid))
         groups = multiplicity_groups(spec.values)
         assert groups[0] == (0, 1)          # constant mode is simple
         assert groups[1] == (1, 2)          # first pair doubly degenerate
@@ -45,7 +54,7 @@ class TestEigen:
 
     def test_eigenvalue_at_matches_full(self, circle_grid):
         mat = boundary_matrix(-1.0, circle_grid)
-        spec = eigen(mat, vectors=False)
+        spec = eigen(mat)
         for k in (1, 2, 7):
             assert eigenvalue_at(mat, k) == pytest.approx(spec.values[k - 1], abs=1e-12)
 
@@ -75,7 +84,7 @@ class TestBoundStates:
 
     def test_birman_schwinger_residual(self, circle_grid):
         for st in find_bound_states(circle_grid, 0.1):
-            spec = eigen(boundary_matrix(st.energy, circle_grid), vectors=False)
+            spec = eigen(boundary_matrix(st.energy, circle_grid))
             assert np.min(np.abs(spec.values - st.alpha)) < 1e-8
 
     def test_degenerate_pair_energies_coincide(self, circle_grid):
@@ -128,6 +137,24 @@ class TestBoundStates:
         with pytest.raises(NumericsError, match="did not converge"):
             find_bound_states(circle_grid, 0.1)
 
+    def test_dense_roots_read_one_eigenpair(self, ellipse_grid, monkeypatch):
+        # the only eigenvectors a dense grid computes are single eigenpairs
+        # at the roots: no full eigendecomposition of B(lam)
+        full_with_vectors = []
+        real_eigh = scipy.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            if not kwargs.get("eigvals_only") and kwargs.get("subset_by_index") is None:
+                full_with_vectors.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        states = find_bound_states(ellipse_grid, -0.23)
+        assert len(states) == 5 and full_with_vectors == []
+        for st in states:
+            assert st.residual < ROOT_TOL
+            assert st.coefficients.shape == (ellipse_grid.n,)
+
 
 class TestCircleFFT:
     """On a circle grid every eigenvalue comes from the real FFT of the
@@ -138,7 +165,7 @@ class TestCircleFFT:
         grid = make_grid(circle, n)
         for lam in (0.0, -1.0, -4.0, -16.0, -600.0):
             fft = boundary_spectrum(lam, grid)
-            dense = eigen(boundary_matrix(lam, grid), vectors=False)
+            dense = eigen(boundary_matrix(lam, grid))
             assert fft.trusted_count == dense.trusted_count
             assert np.max(np.abs(fft.values - dense.values)) < 1e-13
 
@@ -148,7 +175,7 @@ class TestCircleFFT:
         assert len(states) == count_bound_states(circle_grid, alpha).count
         for st in states:
             mat = boundary_matrix(st.energy, circle_grid)
-            dense = eigen(mat, vectors=False)
+            dense = eigen(mat)
             assert abs(dense.values[st.index - 1] - alpha) < ROOT_TOL
             v = st.coefficients
             assert np.linalg.norm(mat @ v - alpha * v) < 1e-10
@@ -225,8 +252,48 @@ class TestCounting:
         assert report.count == 2 * report.r_index + 1   # circle: deviation ~ 0
 
     def test_ellipse_above_threshold_vanishes(self, ellipse_grid):
-        report = count_bound_states(ellipse_grid, 0.25)
+        report = count_bound_states(ellipse_grid, 0.3)
         assert report.vanishes and report.count == 0
+        # 0.25 - ||D_0||_F lies below ln(4R)/(2 pi): no claim to vanish there
+        report = count_bound_states(ellipse_grid, 0.25)
+        assert not report.vanishes and report.count == 0
+        assert report.lower <= 0 <= report.upper
+
+    @pytest.mark.parametrize("grid_name", ["ellipse_grid", "defect_grid"])
+    def test_sandwich_holds_where_it_once_escaped(self, request, grid_name):
+        # shifted by the squared HS distance d, both counts escaped [3, 3]
+        grid = request.getfixturevalue(grid_name)
+        report = count_bound_states(grid, -0.2)
+        assert report.deviation == np.linalg.norm(comparison_matrix(0.0, grid))
+        assert (report.lower, report.count, report.upper) == (3, 4, 5)
+        assert len(find_bound_states(grid, -0.2)) == 4
+
+    def test_circle_shift_is_zero(self, circle_grid):
+        report = count_bound_states(circle_grid, -0.2)
+        assert report.deviation == 0.0
+        assert report.lower == report.count == report.upper
+
+    @SANDWICH_SETTINGS
+    @given(coefficients=strategies.lists(strategies.floats(-0.15, 0.15), min_size=12,
+                                        max_size=12),
+           alphas=strategies.lists(strategies.floats(-0.3, 0.4), min_size=2, max_size=5))
+    def test_sandwich_property(self, coefficients, alphas):
+        try:
+            curve = reparametrize_arclength(fourier_mode_curve(coefficients))
+        except CurveError:
+            reject()
+        grid = make_grid(curve, 128)
+        counts = []
+        for alpha in sorted(alphas):
+            if alpha == 0.0:
+                continue
+            report = count_bound_states(grid, alpha)
+            if report.vanishes:     # upper = 2 l + 1 = -1 carries no claim
+                assert report.count == 0
+            else:
+                assert report.lower <= report.count <= report.upper
+            counts.append(report.count)
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_ellipse_sandwich(self, ellipse_grid):
         for alpha in (-0.3, -0.6):

@@ -1,7 +1,11 @@
 """The public surface: the exported names, and the grid as the one handle on
 the discretized curve."""
 
+import importlib
+import importlib.util
 import inspect
+import pathlib
+import sys
 
 import pytest
 
@@ -17,7 +21,7 @@ def test_exported_names():
         "choose_reference_energy", "chord_mean_inequality", "circle_chord",
         "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
         "comparison_matrix", "correction_singular_values", "count_bound_states",
-        "curve_from_json_dict", "curve_to_json_dict", "eigen", "eigenvalue_at",
+        "curve_from_json_dict", "curve_to_json_dict", "eigen",
         "find_bound_states", "fit_decay_slope", "green_kernel",
         "isoperimetric_compare", "layer_singular_values", "make_box", "make_circle",
         "make_ellipse", "make_grid", "odd_harmonic_sums", "perturbed_green",
@@ -26,6 +30,21 @@ def test_exported_names():
         "smoothing_matrix",
     ]
     assert all(hasattr(curvedelta, name) for name in curvedelta.__all__)
+
+
+def test_tracer_names_resolve(monkeypatch):
+    # perfbench/tracer.py wraps library functions by name with getattr, so a
+    # deleted or renamed one would break `--trace 1`
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)   # for its dataclass
+    spec.loader.exec_module(tracer)
+    names = [name.split(".") for name in tracer.REPORTED if not name.startswith("linalg.")]
+    assert names
+    missing = [f"{layer}.{attr}" for layer, attr in names
+               if not hasattr(importlib.import_module(f"curvedelta.{layer}"), attr)]
+    assert missing == []
 
 
 def _functions(module):

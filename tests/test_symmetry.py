@@ -14,7 +14,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from curvedelta import (Curve, CurveError, boundary_matrix, eigen, make_grid,
-                        reparametrize_arclength, scale_to_length)
+                        reparametrize_arclength)
+from oracles import fourier_mode_curve
 
 N = 64
 LAMS = (0.0, -1.0)
@@ -25,16 +26,6 @@ SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=N
 mode_coefficients = st.lists(st.floats(-0.1, 0.1), min_size=12, max_size=12)
 angles = st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3)
 translations = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
-
-
-def _raw_curve(coefficients) -> Curve:
-    """The unit circle plus the given mode-2/3 coefficients, length 2 pi."""
-    cos = np.zeros((3, 3))
-    sin = np.zeros((3, 3))
-    cos[0, 0] = sin[0, 1] = 1.0
-    cos[1:] += np.reshape(coefficients[:6], (2, 3))
-    sin[1:] += np.reshape(coefficients[6:], (2, 3))
-    return scale_to_length(Curve(np.zeros(3), cos, sin, 2.0 * math.pi), 2.0 * math.pi)
 
 
 def _arclength(raw: Curve) -> Curve:
@@ -55,13 +46,13 @@ def _rotation(a: float, b: float, c: float) -> np.ndarray:
 
 
 def _top_values(curve: Curve, lam: float) -> np.ndarray:
-    return eigen(boundary_matrix(lam, make_grid(curve, N)), vectors=False).values[:N // 4]
+    return eigen(boundary_matrix(lam, make_grid(curve, N))).values[:N // 4]
 
 
 @SETTINGS
 @given(mode_coefficients, angles, translations)
 def test_rigid_motion_invariance(coefficients, euler, shift):
-    raw = _raw_curve(coefficients)
+    raw = fourier_mode_curve(coefficients)
     rot = _rotation(*euler)
     moved = Curve(a0=rot @ raw.a0 + np.asarray(shift), cos_coeff=raw.cos_coeff @ rot.T,
                   sin_coeff=raw.sin_coeff @ rot.T, period=raw.period)
@@ -74,7 +65,7 @@ def test_rigid_motion_invariance(coefficients, euler, shift):
 @SETTINGS
 @given(mode_coefficients, st.floats(0.5, 2.0))
 def test_scaling_law(coefficients, c):
-    raw = _raw_curve(coefficients)
+    raw = fourier_mode_curve(coefficients)
     scaled = Curve(a0=c * raw.a0, cos_coeff=c * raw.cos_coeff, sin_coeff=c * raw.sin_coeff,
                    period=c * raw.period)
     curve, scaled = _arclength(raw), _arclength(scaled)
