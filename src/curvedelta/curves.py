@@ -365,7 +365,8 @@ class ArcGrid:
     block never holds a second N x N table beside its output.  The
     energy-zero spectrum, which every
     bound-state count and root search at any coupling starts from, is kept
-    here too.
+    here too, and so is B at the last reference energy of the scattering
+    blocks.
     """
 
     curve: Curve
@@ -396,6 +397,17 @@ class ArcGrid:
         if "_zero_energy_spectrum" not in self.__dict__:
             self.__dict__["_zero_energy_spectrum"] = solve(self)
         return self.__dict__["_zero_energy_spectrum"]
+
+    def reference_boundary(self, eta: float, build):
+        """B(eta) on this grid, read-only: `build(eta, self)` unless the last
+        call asked for the same eta, then the same array.  One entry, so the
+        scattering blocks of a run at one reference energy share one
+        assembly and at most one N x N table is kept."""
+        # kept where cached_property keeps its values; the dataclass is frozen
+        memo = self.__dict__.get("_reference_boundary")
+        if memo is None or memo[0] != eta:
+            memo = self.__dict__["_reference_boundary"] = (eta, _read_only(build(eta, self)))
+        return memo[1]
 
     @cached_property
     def circle_chord_row(self) -> np.ndarray:

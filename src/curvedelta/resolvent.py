@@ -7,6 +7,11 @@ falls off like e^{-sqrt(-lam) r}) and excludes a thin tube around the
 curve so all sampled kernels stay bounded.  The box/tube compression is a
 Galerkin restriction of the true operator, so measured decay certifies
 upper-envelope behavior only; the summaries record this.
+
+Every dense product, factorization and spectrum here goes through numpy's
+linear algebra and none through scipy's: the two libraries ship separate
+OpenBLAS builds, each with its own thread pool, and a threaded call into
+one runs slower while the other's idle pool still spins.
 """
 
 from __future__ import annotations
@@ -14,14 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import boundary_matrix
 from .curves import (ArcGrid, _blockwise, _pairwise_distances, _read_only,
                      _row_blocks)
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
-from .spectral import eigen
 
 ENTRY_CAP = 20_000_000  # box points x curve nodes memory guard
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
@@ -99,8 +102,7 @@ def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
     B(lam), that is when lam is at or near a bound-state energy.
     """
     bmat = boundary_matrix(lam, grid)
-    spec = eigen(bmat)
-    margin = np.min(np.abs(spec.values - alpha))
+    margin = np.min(np.abs(np.linalg.eigvalsh(bmat) - alpha))
     if margin < SPECTRUM_MARGIN:
         raise NumericsError(f"alpha within {margin:.2e} of the boundary spectrum; "
                             "lam is at or near a bound-state energy")
@@ -164,7 +166,7 @@ def layer_singular_values(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray
     from its R factor."""
     if lam >= 0:
         raise ConfigError("probe needs lam < 0")
-    return scipy.linalg.svdvals(_layer_r(grid, box, lam))
+    return np.linalg.svd(_layer_r(grid, box, lam), compute_uv=False)
 
 
 def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
@@ -180,7 +182,7 @@ def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
     r = _layer_r(grid, box, lam)
     system = _resolvent_system(grid, lam, alpha)
     core = r @ np.linalg.solve(system, r.T)
-    return scipy.linalg.svdvals(core)
+    return np.linalg.svd(core, compute_uv=False)
 
 
 def fit_decay_slope(values: np.ndarray, k_lo: int = 8, k_hi: int = 48) -> float:

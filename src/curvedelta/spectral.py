@@ -351,7 +351,9 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
     """
     _, count = _zero_energy_count(grid, alpha)
 
-    deviation = float(np.linalg.norm(comparison_matrix(0.0, grid)))
+    d0 = comparison_matrix(0.0, grid).ravel()
+    # scipy's BLAS, as every eigensolve here: numpy's would wake a second pool
+    deviation = math.sqrt(scipy.linalg.get_blas_funcs("dot", (d0,))(d0, d0))
     radius = grid.length / (2.0 * np.pi)
     t0 = _count_threshold(radius)
     r_index = _interval_index(alpha + deviation, radius)

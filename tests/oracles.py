@@ -5,9 +5,9 @@ assembly: adaptive quadrature, pointwise kernels and chords, the dense
 trigonometric basis, node sums of the layer potential, or the full
 (P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
 distance tables avoid.  The scattering and probe references repeat the
-dense linear algebra the library's factorizations replace: a full SVD for
-the condition number with a separate solve, and singular values of the
-whole layer map.  The full-table references (`*_full`) are the library's
+dense linear algebra the library's sketches and factorizations replace: a
+full eigendecomposition of Im N, a full SVD for the condition number with
+a separate solve, and singular values of the whole layer map.  The full-table references (`*_full`) are the library's
 earlier one-pass builds of B(lam), the comparison matrix, the scattering
 kernel and layer matrix, the probe's layer map and the box's distance
 minimum; the library now fills each table a row block at a time and must
@@ -184,9 +184,9 @@ def chord_difference_reference(grid: ArcGrid, kernel) -> np.ndarray:
 
 def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                rank_tol: float = RANK_TOL) -> ScatteringBlock:
-    """The scattering block at lam > 0 through the 2-norm condition number
-    (a full complex SVD) and a separate `scipy.linalg.solve` of
-    N + B_eta - alpha.
+    """The scattering block at lam > 0 through a full `eigh` of Im N with
+    all N vectors, the 2-norm condition number (a full complex SVD) and a
+    separate `scipy.linalg.solve` of N + B_eta - alpha.
 
     `condition` holds kappa_2.  scipy's solve recognizes the exactly complex
     symmetric system and factors it with ?sytrf at the optimal workspace, so
@@ -216,6 +216,19 @@ def scattering_system_reference(grid: ArcGrid, lam: float, alpha: float,
     matrix, its multiple and the sum."""
     return (scattering_layer_matrix(grid, lam, eta) + boundary_matrix(eta, grid)
             - alpha * np.eye(grid.n))
+
+
+def scattering_condition_reference(grid: ArcGrid, lam: float, alpha: float,
+                                   eta: float) -> float:
+    """LAPACK's 1-norm condition estimate of N + B_eta - alpha: ?sycon on
+    one ?sytrf factorization of the out-of-place system, at the optimal
+    workspace."""
+    system = scattering_system_reference(grid, lam, alpha, eta)
+    sytrf, sytrf_lwork, sycon = scipy.linalg.get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "sycon"), (system,))
+    factors, pivots, _ = sytrf(system, lwork=int(sytrf_lwork(grid.n)[0].real))
+    rcond, _ = sycon(factors, pivots, np.linalg.norm(system, 1))
+    return 1.0 / float(rcond)
 
 
 def probe_singular_values_reference(grid: ArcGrid, box: BoxGrid, lam: float,

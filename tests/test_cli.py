@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -134,6 +135,13 @@ class TestScattering:
         dim = int(math.isqrt(len(rows)))
         assert dim * dim == len(rows) and dim > 0
 
+    def test_non_psd_channel_matrix_exits_3(self, ellipse_file, tmp_path, non_psd_channels,
+                                            capsys):
+        assert main(["scattering", "--curve", ellipse_file, "--n", "64",
+                     "--alpha", "-0.5", "--lambda", "1.0",
+                     "--out", str(tmp_path)]) == 3
+        assert "not positive semidefinite" in capsys.readouterr().err
+
     def test_condition_refusal_exits_3(self, circle_file, tmp_path, monkeypatch):
         monkeypatch.setattr(scattering_mod, "CONDITION_LIMIT", 1.0)
         assert main(["scattering", "--curve", circle_file, "--n", "64",
@@ -192,6 +200,28 @@ class TestProbe:
         assert main(["probe", "--curve", circle_file, "--n", "64",
                      "--box-n", "12", "--out", str(tmp_path)]) == 0
         assert calls == {"layer": 1, "qr": 1}
+
+    def test_no_scipy_linalg_call(self, ellipse_file, tmp_path, monkeypatch):
+        # a probe stays in numpy's BLAS pool: every scipy.linalg function,
+        # also where a curvedelta module holds it by name, is counted
+        calls = []
+        for name in scipy.linalg.__all__:
+            real = getattr(scipy.linalg, name)
+            if not inspect.isfunction(real):
+                continue
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counted)
+            for module in (curvedelta.assembly, curvedelta.curves, curvedelta.kernels,
+                           curvedelta.resolvent, curvedelta.spectral, curvedelta.cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        assert main(["probe", "--curve", ellipse_file, "--n", "64",
+                     "--box-n", "12", "--out", str(tmp_path)]) == 0
+        assert calls == []
 
 
 class TestCircleFFTPath:

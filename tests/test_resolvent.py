@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import curvedelta.resolvent as resolvent_mod
 from curvedelta import (ConfigError, NumericsError, correction_singular_values,
@@ -140,6 +141,17 @@ class TestSingularValues:
         assert np.max(np.abs(layer - ref_layer)) <= 1e-13 * ref_layer[0]
         assert abs(fit_decay_slope(layer) - fit_decay_slope(ref_layer)) <= 1e-9
         assert abs(fit_decay_slope(corr) - fit_decay_slope(ref_corr)) <= 1e-9
+
+    def test_numpy_singular_values_match_scipy(self, circle_grid, default_box):
+        # the probe takes its singular values from numpy to stay in numpy's
+        # BLAS pool; on the probe's R and its compressed core numpy's gesdd
+        # gives scipy's svdvals bit for bit (a mismatch names a differing
+        # LAPACK build in the numpy and scipy wheels)
+        r = resolvent_mod._layer_r(circle_grid, default_box, -1.0)
+        core = r @ np.linalg.solve(resolvent_mod._resolvent_system(circle_grid, -1.0, -0.5), r.T)
+        for mat in (r, core):
+            assert np.array_equal(np.linalg.svd(mat, compute_uv=False),
+                                  scipy.linalg.svdvals(mat))
 
     def test_box_reprobed_at_other_grid_or_energy(self, circle_grid, ellipse_grid):
         # the R kept on a box serves only the grid object and lam it came from

@@ -4,9 +4,10 @@ import scipy.linalg
 
 import curvedelta.scattering as scattering_mod
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
-                        choose_reference_energy, eigen, scattering_block,
-                        scattering_layer_matrix)
-from oracles import scattering_block_reference, scattering_system_reference
+                        choose_reference_energy, eigen, make_grid,
+                        scattering_block, scattering_layer_matrix)
+from oracles import (scattering_block_reference, scattering_condition_reference,
+                     scattering_system_reference)
 
 
 class TestLayerMatrix:
@@ -73,11 +74,60 @@ class TestScatteringBlock:
         assert blk.min_channel_eigenvalue >= -1e-10 * top
 
     def test_channel_trace_tail(self, circle_grid):
-        # finite-dimensional echo of trace-class decay of Im N
+        # finite-dimensional echo of trace-class decay of Im N: the Ritz
+        # values capture all of its trace but a sliver
         blk = scattering_block(circle_grid, 1.0, -0.5, -1.0)
-        vals = np.abs(blk.channel_eigenvalues)
-        tail = vals[circle_grid.n // 4:].sum()
-        assert tail < 1e-8 * vals.sum()
+        trace = np.trace(scattering_layer_matrix(circle_grid, 1.0, -1.0).imag)
+        assert trace - blk.channel_eigenvalues.sum() < 1e-8 * trace
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_min_channel_eigenvalue_is_the_certified_shift(self, ellipse_grid, lam):
+        blk = scattering_block(ellipse_grid, lam, -0.5, -1.0)
+        im = scattering_layer_matrix(ellipse_grid, lam, -1.0).imag
+        assert blk.min_channel_eigenvalue == -scattering_mod.PSD_SHIFT * np.trace(im) / ellipse_grid.n
+        assert blk.min_channel_eigenvalue <= scipy.linalg.eigvalsh(im)[0]
+
+    def test_refuses_non_psd_channel_matrix(self, ellipse_grid, non_psd_channels):
+        with pytest.raises(NumericsError, match="not positive semidefinite"):
+            scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
+
+    def test_narrow_sketch_widens(self, ellipse_grid, monkeypatch):
+        # 13 channels do not fit a 4-column sketch: the certificate fails
+        # until the width has doubled past them
+        monkeypatch.setattr(scattering_mod, "SKETCH_WIDTH", 4)
+        blk = scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
+        ref = scattering_block_reference(ellipse_grid, 1.0, -0.5, -1.0)
+        assert len(blk.channel_eigenvalues) > 4
+        assert blk.retained_dim == ref.retained_dim == 13
+
+    def test_channel_signs_and_determinism(self, ellipse_grid):
+        im = np.asfortranarray(scattering_layer_matrix(ellipse_grid, 1.0, -1.0).imag)
+        _, vecs, _ = scattering_mod._channel_space(im, scattering_mod.RANK_TOL)
+        peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+        assert np.all(peaks > 0)
+        b1 = scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
+        b2 = scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
+        assert np.array_equal(b1.matrix, b2.matrix)
+        assert np.array_equal(b1.channel_eigenvalues, b2.channel_eigenvalues)
+        assert b1.unitarity_defect == b2.unitarity_defect
+
+    def test_reference_boundary_assembled_once(self, ellipse, monkeypatch):
+        # the blocks of a run at one eta share one read-only B(eta)
+        grid = make_grid(ellipse, 128)
+        built = []
+        real_matrix = scattering_mod.boundary_matrix
+
+        def matrix(lam, grid):
+            built.append(lam)
+            return real_matrix(lam, grid)
+
+        monkeypatch.setattr(scattering_mod, "boundary_matrix", matrix)
+        for lam in (0.5, 1.0, 2.0):
+            scattering_block(grid, lam, -0.5, -1.0)
+        assert built == [-1.0]
+        scattering_block(grid, 1.0, -0.5, -4.0)
+        assert built == [-1.0, -4.0]
+        assert not grid.reference_boundary(-4.0, matrix).flags.writeable
 
     def test_reference_energy_independence(self, circle_grid):
         b1 = scattering_block(circle_grid, 1.0, -0.5, -1.0)
@@ -106,8 +156,10 @@ class TestScatteringBlock:
 
     def test_refuses_exact_zero_pivot(self, circle_grid, monkeypatch):
         # N = i diag(1, 0, ..., 0), B = 0, alpha = 0: one retained channel
-        # and an exactly singular system
-        n = circle_grid.n
+        # and an exactly singular system; a fresh grid, since B(eta) is
+        # kept on the grid
+        grid = make_grid(circle_grid.curve, circle_grid.n)
+        n = grid.n
         n_mat = np.zeros((n, n), dtype=complex)
         n_mat[0, 0] = 1j
         monkeypatch.setattr(scattering_mod, "scattering_layer_matrix",
@@ -115,22 +167,28 @@ class TestScatteringBlock:
         monkeypatch.setattr(scattering_mod, "boundary_matrix",
                             lambda lam, grid: np.zeros((n, n)))
         with pytest.raises(NumericsError, match="exactly singular"):
-            scattering_block(circle_grid, 1.0, 0.0, -1.0)
+            scattering_block(grid, 1.0, 0.0, -1.0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("grid_name", ["circle_grid", "ellipse_grid"])
     def test_matches_condition_and_solve_reference(self, request, grid_name, lam):
-        # one LDL^T factorization gives the block of the SVD + solve path
-        # bit for bit; only the condition number changes, to an estimate
-        # of its 1-norm counterpart, which lies within [1, 10] x kappa_2 here
+        # the sketched channel space and one LDL^T factorization against a
+        # full eigh of Im N, an SVD and a separate solve: the same channels,
+        # the same scattering phases and defect up to roundoff, and the
+        # condition estimate of one ?sytrf of the same system, within
+        # [1, 10] x kappa_2 here
         grid = request.getfixturevalue(grid_name)
         blk = scattering_block(grid, lam, -0.5, -1.0)
         ref = scattering_block_reference(grid, lam, -0.5, -1.0)
-        assert blk.retained_dim == ref.retained_dim > 0
-        assert np.array_equal(blk.matrix, ref.matrix)
-        assert np.array_equal(blk.unitarity_defect, ref.unitarity_defect)
-        assert np.array_equal(blk.channel_eigenvalues, ref.channel_eigenvalues)
+        g = blk.retained_dim
+        assert g == ref.retained_dim > 0
+        assert blk.condition == scattering_condition_reference(grid, lam, -0.5, -1.0)
         assert 1.0 <= blk.condition / ref.condition <= 10.0
+        top = ref.channel_eigenvalues[0]
+        assert np.max(np.abs(blk.channel_eigenvalues[:g] - ref.channel_eigenvalues[:g])) <= 1e-14 * top
+        assert abs(blk.unitarity_defect - ref.unitarity_defect) <= 1e-14
+        phases = [np.sort(np.angle(scipy.linalg.eigvals(b.matrix))) for b in (blk, ref)]
+        assert np.max(np.abs(phases[0] - phases[1])) <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_system_formed_in_place_bitwise(self, ellipse_grid, lam, monkeypatch):
