@@ -9,8 +9,7 @@ circle, the perturbed Green function, and the unitary scattering block.
 """
 
 from .assembly import (boundary_matrix, circle_mode_eigenvalues,
-                       circle_operator_matrix, comparison_matrix, odd_harmonic_sums,
-                       smoothing_matrix)
+                       circle_operator_matrix, comparison_matrix, smoothing_matrix)
 from .curves import (ArcGrid, Curve, chord_mean_inequality, circle_chord,
                      circle_deviation, curve_from_json_dict, curve_to_json_dict,
                      make_circle, make_ellipse, make_grid, reparametrize_arclength,
@@ -35,7 +34,7 @@ __all__ = [
     "curve_from_json_dict", "curve_to_json_dict", "eigen",
     "find_bound_states", "fit_decay_slope", "green_kernel",
     "isoperimetric_compare", "layer_singular_values", "make_box", "make_circle",
-    "make_ellipse", "make_grid", "odd_harmonic_sums", "perturbed_green",
+    "make_ellipse", "make_grid", "perturbed_green",
     "reparametrize_arclength", "scale_to_length", "scattering_block",
     "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
     "smoothing_matrix",

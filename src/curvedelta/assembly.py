@@ -96,10 +96,11 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
 
     Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal takes
     the analytic limit w sqrt(-lam)/(4 pi) plus the kink correction with
-    slope -lam/(8 pi) (the kernel's radial derivative at zero chord).
+    slope -lam/(8 pi) (the kernel's radial derivative at zero chord).  Every
+    path to B(lam), dense or circulant, reads this row, and refuses here.
     """
     if lam > 0:
-        raise ConfigError("smoothing_matrix requires lam <= 0")
+        raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
     w = grid.weight
     row = w * smoothing_kernel(lam, grid.circle_chord_row)
     slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
@@ -177,8 +178,6 @@ def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     non-circle grid; every entry is the sum the full-matrix build forms, so
     the result is bitwise the same, and as exactly symmetric as that build.
     """
-    if lam > 0:
-        raise ConfigError("boundary_matrix requires lam <= 0")
     circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
 
     def block(rows, cols):

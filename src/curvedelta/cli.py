@@ -43,7 +43,17 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"bad numeric list {text!r}") from exc
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"non-finite value in {text!r}")
+    if not values:
+        raise ConfigError(f"no number in {text!r}")
     return values
+
+
+def _one_float(text: str, flag: str) -> float:
+    """The one number of a single-valued option."""
+    values = _float_list(text)
+    if len(values) != 1:
+        raise ConfigError(f"{flag} takes one value, got {text!r}")
+    return values[0]
 
 
 def _load_grid(args, tols: dict):
@@ -103,8 +113,9 @@ def cmd_spectrum(args) -> int:
         rows = []
         closed = None
         if grid.curve.is_circle and lam == 0.0:
-            nu0, pairs = circle_mode_eigenvalues(grid.curve.radius, trusted // 2 + 1)
-            closed = [nu0] + [pairs[(k - 2) // 2] for k in range(2, trusted + 1)]
+            # nu_0, nu_1, nu_1, nu_2, nu_2, ...: each pair's level twice
+            nu0, pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), trusted // 2)
+            closed = np.concatenate([[nu0], pairs])[np.arange(1, trusted + 1) // 2]
         for k in range(1, trusted + 1):
             row = [k, spec.values[k - 1]]
             if closed is not None:
@@ -116,7 +127,7 @@ def cmd_spectrum(args) -> int:
         entry = {"lam": lam, "file": os.path.basename(path)}
         if closed is not None:
             entry["max_closed_form_deviation"] = float(
-                np.max(np.abs(spec.values[:trusted] - np.asarray(closed))))
+                np.max(np.abs(spec.values[:trusted] - closed)))
         summary[str(i)] = entry
     _write_json(os.path.join(args.out, "spectrum_summary.json"), summary)
     return EXIT_OK
@@ -160,7 +171,7 @@ def cmd_scattering(args) -> int:
     grid = _load_grid(args, tols)
     if not args.alpha:
         raise ConfigError("scattering requires --alpha")
-    alpha = _float_list(args.alpha)[0]
+    alpha = _one_float(args.alpha, "--alpha")
     lams = _float_list(args.lam) if args.lam else [1.0]
     if any(lam < 0 for lam in lams):
         raise ConfigError("scattering energies must satisfy lam >= 0")
@@ -192,7 +203,7 @@ def cmd_isoperimetric(args) -> int:
     grid = _load_grid(args, _tolerances(args))
     if not args.alpha:
         raise ConfigError("isoperimetric requires --alpha")
-    alpha = _float_list(args.alpha)[0]
+    alpha = _one_float(args.alpha, "--alpha")
     lam_curve, lam_circle, gap = isoperimetric_compare(grid, alpha)
     _write_rows(os.path.join(args.out, "isoperimetric.csv"),
                 f"isoperimetric alpha={_fmt(alpha)} n={grid.n}",
@@ -208,11 +219,11 @@ def cmd_isoperimetric(args) -> int:
 
 def cmd_probe(args) -> int:
     grid = _load_grid(args, _tolerances(args))
-    lam = _float_list(args.lam)[0] if args.lam else -1.0
-    alpha = _float_list(args.alpha)[0] if args.alpha else -0.5
-    bounds = None
-    if args.box_lo is not None and args.box_hi is not None:
-        bounds = (args.box_lo, args.box_hi)
+    lam = _one_float(args.lam, "--lambda") if args.lam else -1.0
+    alpha = _one_float(args.alpha, "--alpha") if args.alpha else -0.5
+    if (args.box_lo is None) != (args.box_hi is None):
+        raise ConfigError("--box-lo and --box-hi are given together or not at all")
+    bounds = None if args.box_lo is None else (args.box_lo, args.box_hi)
     box = make_box(grid, n=args.box_n, bounds=bounds, lam=lam)
     s_corr = correction_singular_values(grid, box, lam, alpha)
     s_layer = layer_singular_values(grid, box, lam)

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .assembly import (boundary_matrix, circle_boundary_modes, comparison_matrix,
-                       odd_harmonic_sums)
+from .assembly import (boundary_matrix, circle_boundary_modes, circle_mode_eigenvalues,
+                       comparison_matrix)
 from .curves import ArcGrid, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
@@ -31,6 +31,7 @@ BRENT_XTOL = 1e-14
 BRENT_RTOL = 4.0 * np.finfo(float).eps
 ENDPOINT_TOL = 1e-12
 MAX_FLOOR_DOUBLINGS = 60
+MAX_CIRCLE_LEVELS = 10 ** 7
 
 # paper-precision Euler-Mascheroni constant used in the asymptotic count
 EULER_GAMMA = 0.577216
@@ -171,8 +172,8 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
     and kept on it: counting and root finding at any number of couplings
     share one assembly and eigensolve.
     """
-    if alpha == 0:
-        raise ConfigError("coupling alpha must be nonzero")
+    if alpha == 0 or math.isnan(alpha):
+        raise ConfigError("coupling alpha must be a nonzero number")
     spec = grid.zero_energy_spectrum(_zero_energy_spectrum)
     count = int(np.sum(spec.values[:spec.trusted_count] > alpha))
     if count >= spec.trusted_count:
@@ -253,49 +254,27 @@ def find_bound_states(grid: ArcGrid, alpha: float,
 # -- counting ---------------------------------------------------------------
 
 
-def _count_threshold(radius: float) -> float:
-    return math.log(4.0 * radius) / (2.0 * np.pi)
+def _circle_levels(radius: float, floor: float) -> np.ndarray:
+    """The equal-length circle's energy-zero levels [nu_0, nu_1, nu_2, ...]
+    from `circle_mode_eigenvalues`, long enough that the last is <= floor.
 
-
-def _interval_index(x: float, radius: float) -> int:
-    """Index r >= -1 of the half-open partition interval containing x.
-
-    The intervals are bounded by ln(4R)/(2 pi) minus (1/pi) times the
-    partial sums of 1/(2j-1); each interval is closed on the left and open
-    on the right, and x >= ln(4R)/(2 pi) maps to r = -1.  Partial sums are
-    accumulated in extended precision; the half-open comparison happens on
-    the float64 endpoint values.
+    nu_0 = ln(4R)/(2 pi) is the constant mode's and nu_r the r-th pair's.
     """
-    t0 = _count_threshold(radius)
-    if x >= t0:
-        return -1
-    block = 1024
-    count = 0
-    carry = np.longdouble(0.0)
-    j0 = 1
+    pairs = 1024
     while True:
-        j = np.arange(j0, j0 + block, dtype=np.longdouble)
-        sums = carry + np.cumsum(1.0 / (2.0 * j - 1.0))
-        endpoints = t0 - np.asarray(sums, dtype=float) / np.pi
-        above = int(np.sum(endpoints > x))
-        count += above
-        if above < block:
-            return count
-        carry = sums[-1]
-        j0 += block
-        if j0 > 10 ** 7:
+        nu0, nu_pairs = circle_mode_eigenvalues(radius, pairs)
+        if nu_pairs[-1] <= floor:
+            return np.concatenate([[nu0], nu_pairs])
+        if pairs >= MAX_CIRCLE_LEVELS:
             raise NumericsError("interval index out of tractable range")
+        pairs = min(2 * pairs, MAX_CIRCLE_LEVELS)
 
 
-def _interval_endpoints(r: int, radius: float) -> tuple[float, float]:
-    """Left and right endpoints of interval r (right = +inf for r = -1)."""
-    t0 = _count_threshold(radius)
-    if r == -1:
-        return t0, math.inf
-    sums = odd_harmonic_sums(r + 1)
-    left = t0 - float(sums[r]) / np.pi
-    right = t0 - (float(sums[r - 1]) / np.pi if r >= 1 else 0.0)
-    return left, right
+def _interval_index(x: float, levels: np.ndarray) -> int:
+    """Index r >= -1 of the interval [levels[r+1], levels[r]) containing x,
+    with levels[-1] read as +infinity: x >= nu_0 maps to r = -1.  `levels`
+    must reach down to x."""
+    return int(np.count_nonzero(levels > x)) - 1
 
 
 def asymptotic_count_bounds(radius: float, alpha: float,
@@ -309,7 +288,8 @@ def asymptotic_count_bounds(radius: float, alpha: float,
 
     with gamma the Euler-Mascheroni constant.
     """
-    if not alpha + deviation < _count_threshold(radius) - 1.0 / np.pi:
+    _, (nu1,) = circle_mode_eigenvalues(radius, 1)
+    if not alpha + deviation < nu1:
         raise ConfigError("asymptotic bounds need alpha + deviation below "
                           "ln(4R)/(2 pi) - 1/pi")
     c = math.exp(2.0 * np.pi * deviation)
@@ -347,7 +327,9 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
 
     The sandwich shifts alpha by s = ||D_0||_F of the energy-zero comparison
     matrix: B(0) is the circle's operator plus D_0, so by Weyl's inequality
-    each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.
+    each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.  The
+    intervals, the endpoint flag, the circle check and the asymptotic
+    precondition all read one table of the circle's levels.
     """
     _, count = _zero_energy_count(grid, alpha)
 
@@ -355,13 +337,13 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
     # scipy's BLAS, as every eigensolve here: numpy's would wake a second pool
     deviation = math.sqrt(scipy.linalg.get_blas_funcs("dot", (d0,))(d0, d0))
     radius = grid.length / (2.0 * np.pi)
-    t0 = _count_threshold(radius)
-    r_index = _interval_index(alpha + deviation, radius)
-    l_index = _interval_index(alpha - deviation, radius)
+    levels = _circle_levels(radius, alpha - deviation)
+    r_index = _interval_index(alpha + deviation, levels)
+    l_index = _interval_index(alpha - deviation, levels)
     lower = 2 * r_index + 1
     upper = 2 * l_index + 1
 
-    vanishes = alpha - deviation >= t0
+    vanishes = l_index == -1
     if vanishes:
         if count != 0:
             raise InvariantError(
@@ -373,19 +355,19 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
                 f"(deviation {deviation:.3e})")
 
     if grid.curve.is_circle:
-        expected = 0 if alpha >= t0 else 2 * _interval_index(alpha, radius) + 1
+        expected = max(0, 2 * _interval_index(alpha, levels) + 1)
         if count != expected:
             raise InvariantError(
                 f"circle count {count} differs from closed form {expected}")
 
     endpoint_flag = False
-    for x in (alpha + deviation, alpha - deviation):
-        left, right = _interval_endpoints(_interval_index(x, radius), radius)
-        if min(abs(x - left), abs(x - right)) < ENDPOINT_TOL:
+    for x, r in ((alpha + deviation, r_index), (alpha - deviation, l_index)):
+        right = levels[r] if r >= 0 else math.inf
+        if min(abs(x - levels[r + 1]), abs(x - right)) < ENDPOINT_TOL:
             endpoint_flag = True
 
     asym_lower = asym_upper = None
-    if alpha + deviation < t0 - 1.0 / np.pi:
+    if alpha + deviation < levels[1]:
         asym_lower, asym_upper = asymptotic_count_bounds(radius, alpha, deviation)
 
     return CountReport(alpha=alpha, count=count, deviation=deviation,
@@ -407,7 +389,7 @@ def isoperimetric_compare(grid: ArcGrid, alpha: float) -> tuple[float, float, fl
     rebuilt from the length L = N h can differ from the input by an ulp).
     """
     radius = grid.length / (2.0 * np.pi)
-    if alpha >= _count_threshold(radius):
+    if alpha >= circle_mode_eigenvalues(radius, 0)[0]:
         raise ConfigError("alpha too large: neither operator has bound states")
     curve_states = find_bound_states(grid, alpha, max_states=1)
     if grid.curve.is_circle:

@@ -6,8 +6,8 @@ import pytest
 from curvedelta import (ConfigError, boundary_matrix, circle_deviation,
                         circle_mode_eigenvalues, circle_operator_matrix,
                         comparison_matrix, eigen, make_circle,
-                        make_grid, odd_harmonic_sums, scattering_layer_matrix,
-                        smoothing_matrix)
+                        make_grid, scattering_layer_matrix, smoothing_matrix)
+from curvedelta.assembly import odd_harmonic_sums
 from curvedelta.spectral import eigenvalue_at
 from oracles import circle_operator_reference, circle_top_eigenvalue
 

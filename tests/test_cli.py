@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvedelta
 import curvedelta.resolvent as resolvent_mod
@@ -48,6 +50,14 @@ class TestSpectrum:
         header, rows = _read_rows(tmp_path / "spectrum_0.csv")
         assert header == ["k", "nu", "nu_closed_form"]
         assert len(rows) == 64
+
+    def test_closed_form_column_is_the_fft_spectrum(self, circle_file, tmp_path):
+        # both read the levels at R = L/(2 pi) of the grid; at N = 200 the
+        # circle's own radius differs from it in the last bit
+        assert main(["spectrum", "--curve", circle_file, "--n", "200",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+        assert summary["0"]["max_closed_form_deviation"] == 0
 
     def test_missing_curve_file(self, tmp_path):
         assert main(["spectrum", "--curve", str(tmp_path / "nope.json"),
@@ -307,6 +317,38 @@ def test_non_finite_value_exits_2(ellipse_file, tmp_path, capsys, argv):
     assert main([argv[0], "--curve", ellipse_file, "--n", "64", *argv[1:],
                  "--out", str(tmp_path)]) == 2
     assert "non-finite value" in capsys.readouterr().err
+
+
+MALFORMED = [
+    (["scattering", "--alpha", ","], "no number"),
+    (["isoperimetric", "--alpha", ","], "no number"),
+    (["probe", "--lambda", ","], "no number"),
+    (["bound-states", "--alpha", ","], "no number"),
+    (["spectrum", "--lambda", ","], "no number"),
+    (["scattering", "--alpha=-0.5,-0.3"], "--alpha takes one value"),
+    (["probe", "--box-lo", "-3"], "--box-lo and --box-hi"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED,
+                         ids=[" ".join(argv) for argv, _ in MALFORMED])
+def test_malformed_values_exit_2(circle_file, tmp_path, capsys, argv, message):
+    assert main([argv[0], "--curve", circle_file, "--n", "16", *argv[1:],
+                 "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["spectrum", "bound-states", "scattering",
+                                "isoperimetric", "probe", "d-sigma"]),
+       option=st.sampled_from(["--alpha", "--lambda", "--eta"]),
+       parts=st.lists(st.sampled_from(["", "x", "inf", "1e400", "nan", "1", "2",
+                                       "-0.5", "-0.3", "0.1"]), min_size=1, max_size=3))
+def test_exit_code_contract(circle_file, tmp_path_factory, command, option, parts):
+    # any value of any option on any command: an exit code, never an exception
+    out = str(tmp_path_factory.mktemp("contract"))
+    assert main([command, "--curve", circle_file, "--n", "16", *REQUIRED[command],
+                 f"{option}={','.join(parts)}", "--out", out]) in (0, 2, 3, 4)
 
 
 def test_unknown_tolerance_key(circle_file, tmp_path):

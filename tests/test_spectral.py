@@ -14,7 +14,8 @@ from curvedelta import (ConfigError, CurveError, NumericsError,
                         find_bound_states,
                         isoperimetric_compare, make_circle,
                         make_grid, reparametrize_arclength)
-from curvedelta.spectral import ROOT_TOL, _interval_index, boundary_spectrum, eigenvalue_at
+from curvedelta.spectral import (ROOT_TOL, _circle_levels, _interval_index,
+                                 boundary_spectrum, eigenvalue_at)
 from oracles import circle_top_eigenvalue, fourier_mode_curve, multiplicity_groups
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
@@ -205,22 +206,46 @@ class TestCircleFFT:
         closed = [nu0, pairs[0], pairs[0], pairs[1], pairs[1], pairs[2], pairs[2]]
         assert np.array_equal(boundary_spectrum(0.0, circle_grid).values[:7], closed)
 
+    @pytest.mark.parametrize("grid", ["circle_grid", "ellipse_grid"])
+    def test_positive_energy_refused_with_one_message(self, grid, request):
+        # the circulant path and the dense one refuse alike
+        with pytest.raises(ConfigError, match=r"^B\(lam\) requires lam <= 0, got lam=0.5$"):
+            boundary_spectrum(0.5, request.getfixturevalue(grid))
+
 
 class TestIntervalIndex:
+    # the unit circle's levels down to -1.5: 8193 of them
+    LEVELS = _circle_levels(1.0, -1.5)
+
     def test_threshold_maps_to_minus_one(self):
-        assert _interval_index(LN4_OVER_2PI, 1.0) == -1
-        assert _interval_index(10.0, 1.0) == -1
+        assert _interval_index(LN4_OVER_2PI, self.LEVELS) == -1
+        assert _interval_index(10.0, self.LEVELS) == -1
 
     def test_left_endpoint_belongs_to_interval(self):
         x = LN4_OVER_2PI - 1.0 / math.pi
-        assert _interval_index(x, 1.0) == 0
+        assert _interval_index(x, self.LEVELS) == 0
 
     def test_monotone_in_argument(self):
         xs = np.linspace(LN4_OVER_2PI - 1e-9, -1.2, 200)
-        rs = [_interval_index(float(x), 1.0) for x in xs]
+        rs = [_interval_index(float(x), self.LEVELS) for x in xs]
         assert all(b >= a for a, b in zip(rs, rs[1:]))
         assert rs[0] == 0
         assert rs[-1] > 100
+
+    def test_levels_are_the_circle_modes(self):
+        nu0, pairs = circle_mode_eigenvalues(1.0, 8192)
+        assert np.array_equal(self.LEVELS, np.concatenate([[nu0], pairs]))
+        # 1024 pairs, doubled while the last level is above the floor
+        assert self.LEVELS[4096] > -1.5 >= self.LEVELS[-1]
+
+    def test_every_level_and_its_neighbours_inside_their_interval(self):
+        # the index and the endpoints read one table, so the sums agree to
+        # the last bit even where two summation orders would not (m >= 1713)
+        bounds = np.concatenate([[math.inf], self.LEVELS])
+        for level in self.LEVELS[:4097]:
+            for x in (np.nextafter(level, -math.inf), level, np.nextafter(level, math.inf)):
+                r = _interval_index(float(x), self.LEVELS)
+                assert bounds[r + 2] <= x < bounds[r + 1]
 
 
 class TestAsymptoticBounds:
@@ -310,6 +335,11 @@ class TestCounting:
     def test_zero_coupling_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
             count_bound_states(circle_grid, 0.0)
+
+    def test_nan_coupling_rejected(self, circle_grid):
+        # no level is <= nan, so the circle's level table could not end
+        with pytest.raises(ConfigError, match="nonzero number"):
+            count_bound_states(circle_grid, math.nan)
 
 
 class TestIsoperimetric:

@@ -25,7 +25,7 @@ def test_exported_names():
         "curve_from_json_dict", "curve_to_json_dict", "eigen",
         "find_bound_states", "fit_decay_slope", "green_kernel",
         "isoperimetric_compare", "layer_singular_values", "make_box", "make_circle",
-        "make_ellipse", "make_grid", "odd_harmonic_sums", "perturbed_green",
+        "make_ellipse", "make_grid", "perturbed_green",
         "reparametrize_arclength", "scale_to_length", "scattering_block",
         "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
         "smoothing_matrix",
@@ -63,6 +63,16 @@ def test_grid_is_the_only_handle_on_the_curve(module):
                  if "grid" in inspect.signature(fn).parameters}
     assert with_grid
     assert [name for name, params in with_grid.items() if params & {"curve", "radius"}] == []
+
+
+def test_only_curves_reads_the_radius():
+    # R = L/(2 pi) comes from the grid's length; a circle's own radius can
+    # differ from it in the last bit, where n (L/n) != L
+    src = pathlib.Path(curvedelta.__file__).parent
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if any(isinstance(node, ast.Attribute) and node.attr == "radius"
+                            for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == ["curves.py"]
 
 
 def _linalg_calls(module, package: str) -> set[str]:

@@ -72,3 +72,32 @@ def test_scaling_law(coefficients, c):
     for lam in LAMS:
         expected = _top_values(curve, c * c * lam) + math.log(c) / (2.0 * math.pi)
         assert np.max(np.abs(_top_values(scaled, lam) - expected)) <= TOL
+
+
+@SETTINGS
+@given(mode_coefficients)
+def test_orientation_reversal(coefficients):
+    # sigma(-t): the grid runs through the same nodes backwards
+    raw = fourier_mode_curve(coefficients)
+    reversed_ = Curve(a0=raw.a0, cos_coeff=raw.cos_coeff, sin_coeff=-raw.sin_coeff,
+                      period=raw.period)
+    curve, reversed_ = _arclength(raw), _arclength(reversed_)
+    for lam in LAMS:
+        assert np.max(np.abs(_top_values(reversed_, lam) - _top_values(curve, lam))) <= TOL
+
+
+@SETTINGS
+@given(mode_coefficients, st.integers(1, N - 1))
+def test_start_point_shift(coefficients, k):
+    # sigma(t + t0) with t0 the parameter k grid steps along: the grid's
+    # nodes are the same, numbered from node k
+    raw = fourier_mode_curve(coefficients)
+    curve = _arclength(raw)
+    t0 = float(curve.param_at_arclength(k * curve.total_length / N))
+    phase = 2.0 * math.pi * np.arange(1, raw.cos_coeff.shape[0] + 1)[:, None] * t0 / raw.period
+    c, s = np.cos(phase), np.sin(phase)
+    shifted = _arclength(Curve(a0=raw.a0, cos_coeff=c * raw.cos_coeff + s * raw.sin_coeff,
+                               sin_coeff=c * raw.sin_coeff - s * raw.cos_coeff,
+                               period=raw.period))
+    for lam in LAMS:
+        assert np.max(np.abs(_top_values(shifted, lam) - _top_values(curve, lam))) <= TOL
