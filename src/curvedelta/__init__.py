@@ -20,13 +20,13 @@ from .resolvent import (BoxGrid, correction_singular_values, fit_decay_slope,
                         layer_singular_values, make_box, perturbed_green)
 from .scattering import (ScatteringBlock, choose_reference_energy,
                          scattering_block, scattering_layer_matrix)
-from .spectral import (BoundState, CountReport, EigenSystem,
-                       asymptotic_count_bounds, count_bound_states, eigen,
-                       find_bound_states, isoperimetric_compare)
+from .spectral import (BoundState, CountReport, asymptotic_count_bounds,
+                       count_bound_states, eigen, find_bound_states,
+                       isoperimetric_compare)
 
 __all__ = [
     "ArcGrid", "BoundState", "BoxGrid", "ConfigError", "CountReport", "Curve",
-    "CurveError", "EigenSystem", "InvariantError", "NumericsError",
+    "CurveError", "InvariantError", "NumericsError",
     "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
     "choose_reference_energy", "chord_mean_inequality", "circle_chord",
     "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",

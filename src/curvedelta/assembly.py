@@ -47,9 +47,17 @@ def kink_correction(slope, weight: float):
 
 def odd_harmonic_sums(count: int) -> np.ndarray:
     """Partial sums of 1/(2j-1) for j = 1..count, accumulated in extended
-    precision (80-bit on x86) before rounding to float64."""
-    j = np.arange(1, count + 1, dtype=np.longdouble)
-    return np.asarray(np.cumsum(1.0 / (2.0 * j - 1.0)), dtype=float)
+    precision (80-bit on x86) before rounding to float64.
+
+    Every step runs in place in one extended-precision buffer, so the peak
+    is that buffer plus the float64 result.
+    """
+    terms = np.arange(1, count + 1, dtype=np.longdouble)
+    terms *= 2.0
+    terms -= 1.0
+    np.reciprocal(terms, out=terms)
+    np.cumsum(terms, out=terms)
+    return terms.astype(float)
 
 
 def circle_mode_eigenvalues(radius: float, pair_count: int) -> tuple[float, np.ndarray]:

@@ -20,11 +20,11 @@ import numpy as np
 from .assembly import circle_mode_eigenvalues
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
-from .resolvent import (correction_singular_values, fit_decay_slope,
+from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
                         layer_singular_values, make_box)
 from .scattering import RANK_TOL, choose_reference_energy, scattering_block
 from .spectral import (ROOT_TOL, boundary_spectrum, count_bound_states,
-                       find_bound_states, isoperimetric_compare)
+                       find_bound_states, isoperimetric_compare, trusted_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,10 +106,10 @@ def cmd_spectrum(args) -> int:
     lams = _float_list(args.lam) if args.lam else [0.0]
     if any(lam > 0 for lam in lams):
         raise ConfigError("spectrum energies must satisfy lam <= 0")
+    trusted = trusted_count(grid.n)
     summary = {}
     for i, lam in enumerate(lams):
         spec = boundary_spectrum(lam, grid)
-        trusted = spec.trusted_count
         rows = []
         closed = None
         if grid.curve.is_circle and lam == 0.0:
@@ -117,7 +117,7 @@ def cmd_spectrum(args) -> int:
             nu0, pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), trusted // 2)
             closed = np.concatenate([[nu0], pairs])[np.arange(1, trusted + 1) // 2]
         for k in range(1, trusted + 1):
-            row = [k, spec.values[k - 1]]
+            row = [k, spec[k - 1]]
             if closed is not None:
                 row.append(closed[k - 1])
             rows.append(row)
@@ -127,7 +127,7 @@ def cmd_spectrum(args) -> int:
         entry = {"lam": lam, "file": os.path.basename(path)}
         if closed is not None:
             entry["max_closed_form_deviation"] = float(
-                np.max(np.abs(spec.values[:trusted] - closed)))
+                np.max(np.abs(spec[:trusted] - closed)))
         summary[str(i)] = entry
     _write_json(os.path.join(args.out, "spectrum_summary.json"), summary)
     return EXIT_OK
@@ -239,7 +239,7 @@ def cmd_probe(args) -> int:
         "box": {"lo": box.lo, "hi": box.hi, "n": box.n,
                 "exclusion_radius": box.exclusion_radius,
                 "points": int(len(box.points)), "excluded": box.n_excluded},
-        "fit_window": [8, 48],
+        "fit_window": list(FIT_WINDOW),
         "slope_correction": fit_decay_slope(s_corr),
         "slope_layer": fit_decay_slope(s_layer),
         "note": ("box/tube compression of the ambient operator; measured decay "

@@ -349,10 +349,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kept(owner, name: str, key, build):
+    """`build()`, kept on `owner` as its `name` result for `key`.
+
+    The one place a computed result is kept on a grid or a box.  Each name
+    holds one entry: a call with the key of that entry returns the kept
+    result, a call with another key builds and replaces it.  Keys compare
+    with ==, and grids and boxes by identity.  An array result is kept
+    read-only, since every later caller shares it.
+    """
+    # kept where cached_property keeps its values; the dataclasses are frozen
+    entry = owner.__dict__.get(name)
+    if entry is None or entry[0] != key:
+        value = build()
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+        entry = owner.__dict__[name] = (key, value)
+    return entry[1]
+
+
 # -- arc-length grids ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcGrid:
     """Equispaced arc-length nodes with the uniform trapezoid weight.
 
@@ -362,11 +381,10 @@ class ArcGrid:
     circle is computed on first use and shared, read-only, by every
     assembly on this grid, and the curve chords are handed out a row block
     at a time (`chord_block`), so an assembly on a grid larger than one
-    block never holds a second N x N table beside its output.  The
-    energy-zero spectrum, which every
-    bound-state count and root search at any coupling starts from, is kept
-    here too, and so is B at the last reference energy of the scattering
-    blocks.
+    block never holds a second N x N table beside its output.  It holds
+    only geometry: the operator results computed once per grid are kept on
+    it through `_kept` by the modules that compute them.  Grids compare
+    and hash by identity.
     """
 
     curve: Curve
@@ -389,25 +407,6 @@ class ArcGrid:
         diagonal, kept read-only after the first call.  The assemblies read
         it through `chord_block`, and only when it fits in one block."""
         return _read_only(_pairwise_distances(self.points))
-
-    def zero_energy_spectrum(self, solve):
-        """The energy-zero spectrum on this grid: `solve(self)` on the first
-        call, the same object on every later one."""
-        # kept where cached_property keeps its values; the dataclass is frozen
-        if "_zero_energy_spectrum" not in self.__dict__:
-            self.__dict__["_zero_energy_spectrum"] = solve(self)
-        return self.__dict__["_zero_energy_spectrum"]
-
-    def reference_boundary(self, eta: float, build):
-        """B(eta) on this grid, read-only: `build(eta, self)` unless the last
-        call asked for the same eta, then the same array.  One entry, so the
-        scattering blocks of a run at one reference energy share one
-        assembly and at most one N x N table is kept."""
-        # kept where cached_property keeps its values; the dataclass is frozen
-        memo = self.__dict__.get("_reference_boundary")
-        if memo is None or memo[0] != eta:
-            memo = self.__dict__["_reference_boundary"] = (eta, _read_only(build(eta, self)))
-        return memo[1]
 
     @cached_property
     def circle_chord_row(self) -> np.ndarray:

@@ -21,21 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import boundary_matrix
-from .curves import (ArcGrid, _blockwise, _pairwise_distances, _read_only,
-                     _row_blocks)
+from .curves import ArcGrid, _blockwise, _kept, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
 
 ENTRY_CAP = 20_000_000  # box points x curve nodes memory guard
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
+FIT_WINDOW = (8, 48)    # first and last index k of the singular-value decay fit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxGrid:
     """Uniform lattice of cell centers in a cube, minus a tube around the curve.
 
     The R factor of the last layer map probed on the box is kept on it
-    (`_layer_r`).
+    (`_layer_r`).  Boxes compare and hash by identity.
     """
 
     lo: float
@@ -145,20 +145,16 @@ def _layer_r(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
 
     Both probe spectra come from R: G has the singular values of R, and the
     correction compresses through R.  So G is built and factored once per
-    probe: R is kept on the box for the last grid object and lam asked for.
-    The memory guard is checked first, so a box that a fresh build would
-    refuse is refused on a memo hit too.
+    probe: R is kept on the box for the last grid and lam asked for.  The
+    memory guard is checked first, so a box that a fresh build would refuse
+    is refused when R is kept too.
     """
     n_entries = len(box.points) * grid.n
     if n_entries > ENTRY_CAP:
         raise NumericsError(f"box x curve product {n_entries} exceeds the "
                             f"memory guard {ENTRY_CAP}")
-    memo = box.__dict__.get("_layer_r")
-    if memo is None or memo[0] is not grid or memo[1] != lam:
-        r = _read_only(np.linalg.qr(_layer_factor(grid, box, lam), mode="r"))
-        # kept where cached_property keeps its values; the dataclass is frozen
-        memo = box.__dict__["_layer_r"] = (grid, lam, r)
-    return memo[2]
+    return _kept(box, "layer_r", (grid, lam),
+                 lambda: np.linalg.qr(_layer_factor(grid, box, lam), mode="r"))
 
 
 def layer_singular_values(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
@@ -185,11 +181,12 @@ def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
     return np.linalg.svd(core, compute_uv=False)
 
 
-def fit_decay_slope(values: np.ndarray, k_lo: int = 8, k_hi: int = 48) -> float:
-    """Least-squares slope of log s_k against log k over k in [k_lo, k_hi].
+def fit_decay_slope(values: np.ndarray) -> float:
+    """Least-squares slope of log s_k against log k over k in FIT_WINDOW.
 
     The window excludes the preasymptotic head and the truncation floor.
     """
+    k_lo, k_hi = FIT_WINDOW
     values = np.asarray(values, dtype=float)
     if len(values) < k_hi:
         raise ConfigError("not enough singular values for the fit window")

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_matrix, kink_correction
-from .curves import ArcGrid, _block_diagonal, _blockwise
+from .curves import ArcGrid, _block_diagonal, _blockwise, _kept
 from .errors import ConfigError, NumericsError
 from .kernels import _real_energy, scattering_kernel
 from .spectral import boundary_spectrum
@@ -84,8 +84,7 @@ def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
     for eta in candidates:
         if eta >= 0:
             raise ConfigError("reference energy candidates must be negative")
-        spec = boundary_spectrum(eta, grid)
-        if np.min(np.abs(spec.values - alpha)) > ETA_MARGIN:
+        if np.min(np.abs(boundary_spectrum(eta, grid) - alpha)) > ETA_MARGIN:
             return float(eta)
     raise NumericsError("no candidate reference energy keeps alpha away from "
                         "the spectrum")
@@ -180,7 +179,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                condition=0.0)
 
     system = n_mat                  # N + B_eta - alpha, in the layer matrix's storage
-    system += grid.reference_boundary(eta, boundary_matrix)
+    system += _kept(grid, "reference_boundary", eta, lambda: boundary_matrix(eta, grid))
     system[np.diag_indices(grid.n)] -= alpha
     sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
         ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (system,))

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .assembly import (boundary_matrix, circle_boundary_modes, circle_mode_eigenvalues,
                        comparison_matrix)
-from .curves import ArcGrid, make_circle, make_grid
+from .curves import ArcGrid, _kept, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
 ROOT_TOL = 1e-10
@@ -37,21 +37,18 @@ MAX_CIRCLE_LEVELS = 10 ** 7
 EULER_GAMMA = 0.577216
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues in nonincreasing order."""
-
-    values: np.ndarray
-    trusted_count: int
+def trusted_count(n: int) -> int:
+    """Number of leading eigenvalues trusted on an n-node grid, n // 4."""
+    return n // 4
 
 
-def eigen(mat: np.ndarray) -> EigenSystem:
+def eigen(mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, nonincreasing."""
     try:
         vals = scipy.linalg.eigh(mat, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericsError(f"eigensolver failed: {exc}") from exc
-    return EigenSystem(values=vals[::-1], trusted_count=mat.shape[0] // 4)
+    return vals[::-1]
 
 
 def eigenvalue_at(mat: np.ndarray, k: int) -> float:
@@ -108,11 +105,11 @@ class _Operator:
     def _matrix(self) -> np.ndarray:
         return boundary_matrix(self.lam, self.grid)
 
-    def spectrum(self) -> EigenSystem:
+    def spectrum(self) -> np.ndarray:
         """All eigenvalues, nonincreasing, without eigenvectors."""
         if self._waves is None:
             return eigen(self._matrix)
-        return EigenSystem(values=self._values, trusted_count=self.grid.n // 4)
+        return self._values
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
@@ -140,7 +137,7 @@ class _Operator:
         return self._values[k - 1], vector
 
 
-def boundary_spectrum(lam: float, grid: ArcGrid) -> EigenSystem:
+def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
     """Eigenvalues of B(lam) on the grid, nonincreasing, without eigenvectors."""
     return _Operator(lam, grid).spectrum()
 
@@ -158,14 +155,7 @@ def _top_eigenvalue_floor(grid: ArcGrid, alpha: float) -> _Operator:
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
 
 
-def _zero_energy_spectrum(grid: ArcGrid) -> EigenSystem:
-    """Eigenvalues of B(0) on the grid, read-only."""
-    spec = boundary_spectrum(0.0, grid)
-    spec.values.flags.writeable = False
-    return spec
-
-
-def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
+def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int]:
     """Energy-zero spectrum and its count above alpha; refuses at n/4.
 
     The spectrum does not depend on alpha, so it is computed once per grid
@@ -174,9 +164,10 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[EigenSystem, int]:
     """
     if alpha == 0 or math.isnan(alpha):
         raise ConfigError("coupling alpha must be a nonzero number")
-    spec = grid.zero_energy_spectrum(_zero_energy_spectrum)
-    count = int(np.sum(spec.values[:spec.trusted_count] > alpha))
-    if count >= spec.trusted_count:
+    spec = _kept(grid, "zero_energy_spectrum", None, lambda: boundary_spectrum(0.0, grid))
+    trusted = trusted_count(grid.n)
+    count = int(np.sum(spec[:trusted] > alpha))
+    if count >= trusted:
         raise NumericsError("count reaches the trusted range n/4; refusing to "
                             "undercount - refine the grid")
     return spec, count
@@ -241,7 +232,7 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     at_root = None
     for k in range(1, n_roots + 1):
         if at_root is None or at_root.branch_value(k) != value:
-            at_root = _branch_root(grid, alpha, k, floor, zero_spec.values[k - 1])
+            at_root = _branch_root(grid, alpha, k, floor, zero_spec[k - 1])
         value, vector = at_root.eigenpair(k)
         residual = abs(value - alpha)
         if residual >= root_tol:
@@ -327,15 +318,19 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
 
     The sandwich shifts alpha by s = ||D_0||_F of the energy-zero comparison
     matrix: B(0) is the circle's operator plus D_0, so by Weyl's inequality
-    each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.  The
-    intervals, the endpoint flag, the circle check and the asymptotic
-    precondition all read one table of the circle's levels.
+    each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.  s
+    depends on the grid alone and is kept on it.  The intervals, the
+    endpoint flag, the circle check and the asymptotic precondition all
+    read one table of the circle's levels.
     """
     _, count = _zero_energy_count(grid, alpha)
 
-    d0 = comparison_matrix(0.0, grid).ravel()
-    # scipy's BLAS, as every eigensolve here: numpy's would wake a second pool
-    deviation = math.sqrt(scipy.linalg.get_blas_funcs("dot", (d0,))(d0, d0))
+    def shift() -> float:
+        d0 = comparison_matrix(0.0, grid).ravel()
+        # scipy's BLAS, as every eigensolve here: numpy's would wake a second pool
+        return math.sqrt(scipy.linalg.get_blas_funcs("dot", (d0,))(d0, d0))
+
+    deviation = _kept(grid, "comparison_norm", None, shift)
     radius = grid.length / (2.0 * np.pi)
     levels = _circle_levels(radius, alpha - deviation)
     r_index = _interval_index(alpha + deviation, levels)

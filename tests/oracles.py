@@ -11,7 +11,9 @@ a separate solve, and singular values of the whole layer map.  The full-table re
 earlier one-pass builds of B(lam), the comparison matrix, the scattering
 kernel and layer matrix, the probe's layer map and the box's distance
 minimum; the library now fills each table a row block at a time and must
-match them bit for bit.  None of them is used by the library itself;
+match them bit for bit.  `odd_harmonic_sums_full` is the one-expression
+build of the circle's partial sums, which the library now forms in one
+buffer.  None of them is used by the library itself;
 neither is the eigenvalue-clustering helper nor the seeded-curve draw.
 """
 
@@ -289,6 +291,13 @@ def scattering_layer_matrix_full(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     slope = (eta - complex(lam).real) / (8.0 * np.pi)
     mat[np.diag_indices_from(mat)] += kink_correction(slope, w)
     return mat
+
+
+def odd_harmonic_sums_full(count: int) -> np.ndarray:
+    """Partial sums of 1/(2j-1), j = 1..count, from one extended-precision
+    expression and its temporaries."""
+    j = np.arange(1, count + 1, dtype=np.longdouble)
+    return np.asarray(np.cumsum(1.0 / (2.0 * j - 1.0)), dtype=float)
 
 
 def layer_factor_full(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:

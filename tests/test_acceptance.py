@@ -90,7 +90,7 @@ def test_criterion_01_circle_eigenvalue_oracle(circle_grids):
     closed = [nu0]
     for k in range(1, 11):
         closed.extend([pairs[k - 1]] * 2)
-    err = float(np.max(np.abs(spec.values[:20] - np.asarray(closed[:20]))))
+    err = float(np.max(np.abs(spec[:20] - np.asarray(closed[:20]))))
     _report(1, err < 1e-6 and elapsed < 10.0,
             "circle eigenvalues match the closed form (N=256, 20 largest)",
             f"max err {err:.2e}, {elapsed:.2f}s")
@@ -100,7 +100,7 @@ def test_criterion_02_top_eigenvalue_is_quadrature_constant(circle_grids):
     worst = 0.0
     for lam in (-0.25, -1.0, -4.0, -16.0):
         spec = eigen(boundary_matrix(lam, circle_grids[256]))
-        worst = max(worst, abs(spec.values[0] - circle_top_eigenvalue(lam, 1.0)))
+        worst = max(worst, abs(spec[0] - circle_top_eigenvalue(lam, 1.0)))
     _report(2, worst < 1e-7,
             "top eigenvalue matches adaptive quadrature at four energies",
             f"max dev {worst:.2e}")
@@ -109,7 +109,7 @@ def test_criterion_02_top_eigenvalue_is_quadrature_constant(circle_grids):
 def test_criterion_03_log_asymptotics(circle_grids):
     spec = eigen(boundary_matrix(0.0, circle_grids[1024]))
     ks = np.arange(32, 129)
-    slope = float(np.polyfit(np.log(ks), spec.values[ks - 1], 1)[0])
+    slope = float(np.polyfit(np.log(ks), spec[ks - 1], 1)[0])
     target = -1.0 / (2.0 * math.pi)
     rel = abs(slope - target) / abs(target)
     _report(3, rel < 0.03, "eigenvalue log-slope matches -1/(2 pi) within 3%",
@@ -162,7 +162,7 @@ def test_criterion_07_birman_schwinger_residual(found_states):
     for grid, alpha, states in found_states:
         for st in states:
             spec = eigen(boundary_matrix(st.energy, grid))
-            worst = max(worst, float(np.min(np.abs(spec.values - alpha))))
+            worst = max(worst, float(np.min(np.abs(spec - alpha))))
             total += 1
     _report(7, total > 0 and worst < 1e-8,
             "all located bound states satisfy the spectral residual bound",
@@ -173,7 +173,7 @@ def test_criterion_08_monotonicity_suite(circle_grids, ellipse_grids):
     lams = (-16.0, -4.0, -1.0, -0.25, 0.0)
     ok = True
     for grid in (circle_grids[256], ellipse_grids[256]):
-        spectra = [eigen(boundary_matrix(lam, grid)).values
+        spectra = [eigen(boundary_matrix(lam, grid))
                    for lam in lams]
         for k in (1, 2, 5, 10):
             seq = [s[k - 1] for s in spectra]

@@ -20,6 +20,7 @@ from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, boundary_matrix,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
 from curvedelta.curves import _ArcTable, _row_blocks
+from curvedelta.spectral import _circle_levels
 from oracles import (box_points_full, boundary_matrix_full,
                      chord_difference_reference, comparison_matrix_full,
                      layer_factor_full, scattering_kernel_full,
@@ -254,6 +255,14 @@ def test_make_box_peak_memory(ellipse_grid):
     n = 24
     _, peak = _peak_bytes(lambda: make_box(ellipse_grid, n=n, lam=-1.0))
     assert peak <= 0.5 * (n ** 3) * ellipse_grid.n * 8
+
+
+def test_circle_level_table_peak_memory():
+    # the partial sums run in one extended-precision buffer: 7.3 MB for a
+    # table of 2^18 + 1 levels, where one expression's temporaries took 13.6 MB
+    levels, peak = _peak_bytes(lambda: _circle_levels(1.0, -2.0))
+    assert len(levels) == 2 ** 18 + 1
+    assert peak <= 8e6
 
 
 # -- grid construction --------------------------------------------------------

@@ -191,6 +191,7 @@ class TestProbe:
         assert summary["slope_correction"] <= -1.8
         assert summary["slope_layer"] <= -0.9
         assert "upper-envelope" in summary["note"]
+        assert summary["fit_window"] == list(resolvent_mod.FIT_WINDOW)
 
     def test_one_layer_map_and_one_qr(self, circle_file, tmp_path, monkeypatch):
         # the correction and the layer spectra share one G and its R factor

@@ -170,3 +170,9 @@ class TestSingularValues:
     def test_fit_window_guard(self):
         with pytest.raises(ConfigError):
             fit_decay_slope(np.ones(10))
+
+    def test_fit_reads_the_window(self, monkeypatch):
+        # s_k = k^-2 on k = 2..4 and flat elsewhere: only the window's slope shows
+        values = np.array([1.0, 0.25, 1.0 / 9.0, 1.0 / 16.0, 1.0, 1.0])
+        monkeypatch.setattr(resolvent_mod, "FIT_WINDOW", (2, 4))
+        assert fit_decay_slope(values) == pytest.approx(-2.0, abs=1e-12)

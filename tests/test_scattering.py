@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import curvedelta.scattering as scattering_mod
+from curvedelta import curves
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
                         choose_reference_energy, eigen, make_grid,
                         scattering_block, scattering_layer_matrix)
@@ -51,7 +52,7 @@ class TestChooseReferenceEnergy:
 
     def test_all_candidates_fail(self, circle_grid):
         spec = eigen(boundary_matrix(-1.0, circle_grid))
-        alpha = float(spec.values[4])   # sits exactly on the spectrum at eta=-1
+        alpha = float(spec[4])   # sits exactly on the spectrum at eta=-1
         with pytest.raises(NumericsError):
             choose_reference_energy(circle_grid, alpha, [-1.0])
 
@@ -127,7 +128,7 @@ class TestScatteringBlock:
         assert built == [-1.0]
         scattering_block(grid, 1.0, -0.5, -4.0)
         assert built == [-1.0, -4.0]
-        assert not grid.reference_boundary(-4.0, matrix).flags.writeable
+        assert not curves._kept(grid, "reference_boundary", -4.0, None).flags.writeable
 
     def test_reference_energy_independence(self, circle_grid):
         b1 = scattering_block(circle_grid, 1.0, -0.5, -1.0)

@@ -26,11 +26,11 @@ SANDWICH_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
 class TestEigen:
     def test_ordering_contract(self):
         spec = eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(spec.values, [3.0, 2.0, 1.0])
+        assert np.array_equal(spec, [3.0, 2.0, 1.0])
 
     def test_zero_matrix(self):
         spec = eigen(np.zeros((16, 16)))
-        assert np.all(spec.values == 0.0)
+        assert np.all(spec == 0.0)
 
     def test_residuals_and_norms(self, ellipse_grid, defect_grid):
         # a dense grid's eigenpair comes from one subset solve whose value is
@@ -48,7 +48,7 @@ class TestEigen:
 
     def test_multiplicity_pairs_on_circle(self, circle_grid):
         spec = eigen(boundary_matrix(0.0, circle_grid))
-        groups = multiplicity_groups(spec.values)
+        groups = multiplicity_groups(spec)
         assert groups[0] == (0, 1)          # constant mode is simple
         assert groups[1] == (1, 2)          # first pair doubly degenerate
         assert groups[2] == (3, 2)
@@ -57,7 +57,7 @@ class TestEigen:
         mat = boundary_matrix(-1.0, circle_grid)
         spec = eigen(mat)
         for k in (1, 2, 7):
-            assert eigenvalue_at(mat, k) == pytest.approx(spec.values[k - 1], abs=1e-12)
+            assert eigenvalue_at(mat, k) == pytest.approx(spec[k - 1], abs=1e-12)
 
 
 class TestEigenvalueCurve:
@@ -86,7 +86,7 @@ class TestBoundStates:
     def test_birman_schwinger_residual(self, circle_grid):
         for st in find_bound_states(circle_grid, 0.1):
             spec = eigen(boundary_matrix(st.energy, circle_grid))
-            assert np.min(np.abs(spec.values - st.alpha)) < 1e-8
+            assert np.min(np.abs(spec - st.alpha)) < 1e-8
 
     def test_degenerate_pair_energies_coincide(self, circle_grid):
         states = find_bound_states(circle_grid, -0.2)
@@ -167,8 +167,7 @@ class TestCircleFFT:
         for lam in (0.0, -1.0, -4.0, -16.0, -600.0):
             fft = boundary_spectrum(lam, grid)
             dense = eigen(boundary_matrix(lam, grid))
-            assert fft.trusted_count == dense.trusted_count
-            assert np.max(np.abs(fft.values - dense.values)) < 1e-13
+            assert np.max(np.abs(fft - dense)) < 1e-13
 
     @pytest.mark.parametrize("alpha", [0.1, -0.15, -0.23])
     def test_bound_states_against_dense_operator(self, circle_grid, alpha):
@@ -177,7 +176,7 @@ class TestCircleFFT:
         for st in states:
             mat = boundary_matrix(st.energy, circle_grid)
             dense = eigen(mat)
-            assert abs(dense.values[st.index - 1] - alpha) < ROOT_TOL
+            assert abs(dense[st.index - 1] - alpha) < ROOT_TOL
             v = st.coefficients
             assert np.linalg.norm(mat @ v - alpha * v) < 1e-10
 
@@ -204,7 +203,7 @@ class TestCircleFFT:
     def test_closed_form_at_zero_energy(self, circle_grid):
         nu0, pairs = circle_mode_eigenvalues(1.0, 4)
         closed = [nu0, pairs[0], pairs[0], pairs[1], pairs[1], pairs[2], pairs[2]]
-        assert np.array_equal(boundary_spectrum(0.0, circle_grid).values[:7], closed)
+        assert np.array_equal(boundary_spectrum(0.0, circle_grid)[:7], closed)
 
     @pytest.mark.parametrize("grid", ["circle_grid", "ellipse_grid"])
     def test_positive_energy_refused_with_one_message(self, grid, request):
@@ -292,6 +291,24 @@ class TestCounting:
         assert report.deviation == np.linalg.norm(comparison_matrix(0.0, grid))
         assert (report.lower, report.count, report.upper) == (3, 4, 5)
         assert len(find_bound_states(grid, -0.2)) == 4
+
+    def test_shift_assembled_once_per_grid(self, ellipse, monkeypatch):
+        # s = ||D_0||_F depends on the grid alone: counts at any number of
+        # couplings assemble D_0 once, and root searches never
+        grid = make_grid(ellipse, 256)
+        built = []
+        real_matrix = spectral.comparison_matrix
+
+        def matrix(lam, grid):
+            built.append(lam)
+            return real_matrix(lam, grid)
+
+        monkeypatch.setattr(spectral, "comparison_matrix", matrix)
+        shifts = {count_bound_states(grid, alpha).deviation for alpha in (-0.1, -0.2, -0.3)}
+        find_bound_states(grid, -0.1)
+        isoperimetric_compare(grid, -0.1)
+        assert built == [0.0]
+        assert shifts == {np.linalg.norm(real_matrix(0.0, grid))}
 
     def test_circle_shift_is_zero(self, circle_grid):
         report = count_bound_states(circle_grid, -0.2)

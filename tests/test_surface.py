@@ -1,5 +1,6 @@
-"""The public surface: the exported names, and the grid as the one handle on
-the discretized curve."""
+"""The public surface: the exported names, the grid as the one handle on
+the discretized curve, the one rule for keeping results on it, and the
+README's library example."""
 
 import ast
 import importlib
@@ -8,16 +9,19 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import curvedelta
 from curvedelta import assembly, curves, resolvent, scattering, spectral
 
+SRC = pathlib.Path(curvedelta.__file__).parent
+
 
 def test_exported_names():
     assert sorted(curvedelta.__all__) == [
         "ArcGrid", "BoundState", "BoxGrid", "ConfigError", "CountReport", "Curve",
-        "CurveError", "EigenSystem", "InvariantError", "NumericsError",
+        "CurveError", "InvariantError", "NumericsError",
         "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
         "choose_reference_energy", "chord_mean_inequality", "circle_chord",
         "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
@@ -68,8 +72,7 @@ def test_grid_is_the_only_handle_on_the_curve(module):
 def test_only_curves_reads_the_radius():
     # R = L/(2 pi) comes from the grid's length; a circle's own radius can
     # differ from it in the last bit, where n (L/n) != L
-    src = pathlib.Path(curvedelta.__file__).parent
-    readers = sorted(path.name for path in src.glob("*.py")
+    readers = sorted(path.name for path in SRC.glob("*.py")
                      if any(isinstance(node, ast.Attribute) and node.attr == "radius"
                             for node in ast.walk(ast.parse(path.read_text()))))
     assert readers == ["curves.py"]
@@ -109,3 +112,61 @@ def test_one_blas_pool_per_query():
     assert _linalg_calls(spectral, "numpy") <= {"norm-1"}
     assert _linalg_calls(resolvent, "scipy") == set()
     assert _linalg_calls(resolvent, "numpy") >= {"qr", "solve", "svd", "eigvalsh", "@"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid: grid,
+    lambda grid: curvedelta.make_box(grid, n=4, bounds=(-3.0, 3.0), exclusion_radius=0.1),
+], ids=["ArcGrid", "BoxGrid"])
+def test_grids_compare_by_identity(ellipse, make):
+    # a generated == would compare the arrays and raise on their truth
+    # value, and would leave the type unhashable
+    a = make(curvedelta.make_grid(ellipse, 64))
+    b = make(curvedelta.make_grid(ellipse, 64))
+    assert a != b and a == a
+    assert {a: "a", b: "b"}[b] == "b"
+
+
+def test_one_keeping_rule():
+    # results are kept on a grid or a box through curves._kept alone: any
+    # other use of an instance __dict__ or setattr would be a second memo
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        kept = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and (path.name, node.name) == ("curves.py", "_kept")]
+        inside = {id(node) for fn in kept for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            escape = (isinstance(node, ast.Attribute)
+                      and node.attr in ("__dict__", "__setattr__")
+                      or isinstance(node, ast.Name) and node.id in ("setattr", "vars"))
+            if escape:
+                found.append((path.name, node.lineno, id(node) in inside))
+    assert found and all(in_kept for _, _, in_kept in found), found
+
+
+def test_kept_holds_one_entry_per_name(ellipse):
+    grid = curvedelta.make_grid(ellipse, 64)
+    built = []
+
+    def build(key):
+        built.append(key)
+        return np.full(3, key)
+
+    first = curves._kept(grid, "table", 1.0, lambda: build(1.0))
+    assert curves._kept(grid, "table", 1.0, lambda: build(1.0)) is first
+    assert not first.flags.writeable
+    curves._kept(grid, "table", 2.0, lambda: build(2.0))
+    curves._kept(grid, "table", 1.0, lambda: build(1.0))
+    assert built == [1.0, 2.0, 1.0]
+    assert curves._kept(grid, "norm", 1.0, lambda: 0.5) == 0.5
+
+
+def test_readme_library_example():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["states"]) == 1
+    assert namespace["report"].count == 25
