@@ -16,8 +16,8 @@ from .curves import (ArcGrid, Curve, chord_mean_inequality, circle_chord,
                      scale_to_length)
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .kernels import green_kernel, scattering_kernel, smoothing_kernel
-from .resolvent import (BoxGrid, correction_singular_values, fit_decay_slope,
-                        layer_singular_values, make_box, perturbed_green)
+from .resolvent import (correction_singular_values, fit_decay_slope,
+                        layer_singular_values, perturbed_green)
 from .scattering import (ScatteringBlock, choose_reference_energy,
                          scattering_block, scattering_layer_matrix)
 from .spectral import (BoundState, CountReport, asymptotic_count_bounds,
@@ -25,7 +25,7 @@ from .spectral import (BoundState, CountReport, asymptotic_count_bounds,
                        isoperimetric_compare)
 
 __all__ = [
-    "ArcGrid", "BoundState", "BoxGrid", "ConfigError", "CountReport", "Curve",
+    "ArcGrid", "BoundState", "ConfigError", "CountReport", "Curve",
     "CurveError", "InvariantError", "NumericsError",
     "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
     "choose_reference_energy", "chord_mean_inequality", "circle_chord",
@@ -33,7 +33,7 @@ __all__ = [
     "comparison_matrix", "correction_singular_values", "count_bound_states",
     "curve_from_json_dict", "curve_to_json_dict", "eigen",
     "find_bound_states", "fit_decay_slope", "green_kernel",
-    "isoperimetric_compare", "layer_singular_values", "make_box", "make_circle",
+    "isoperimetric_compare", "layer_singular_values", "make_circle",
     "make_ellipse", "make_grid", "perturbed_green",
     "reparametrize_arclength", "scale_to_length", "scattering_block",
     "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",

@@ -21,7 +21,7 @@ from .assembly import circle_mode_eigenvalues
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
-                        layer_singular_values, make_box)
+                        layer_singular_values)
 from .scattering import RANK_TOL, choose_reference_energy, scattering_block
 from .spectral import (ROOT_TOL, boundary_spectrum, count_bound_states,
                        find_bound_states, isoperimetric_compare, trusted_count)
@@ -223,10 +223,8 @@ def cmd_probe(args) -> int:
     alpha = _one_float(args.alpha, "--alpha") if args.alpha else -0.5
     if (args.box_lo is None) != (args.box_hi is None):
         raise ConfigError("--box-lo and --box-hi are given together or not at all")
-    bounds = None if args.box_lo is None else (args.box_lo, args.box_hi)
-    box = make_box(grid, n=args.box_n, bounds=bounds, lam=lam)
-    s_corr = correction_singular_values(grid, box, lam, alpha)
-    s_layer = layer_singular_values(grid, box, lam)
+    s_corr = correction_singular_values(grid, lam, alpha)
+    s_layer = layer_singular_values(grid, lam)
     _write_rows(os.path.join(args.out, "probe_correction.csv"),
                 f"correction singular values lam={_fmt(lam)} alpha={_fmt(alpha)}",
                 ["k", "s"], [[k + 1, s_corr[k]] for k in range(len(s_corr))])
@@ -236,14 +234,11 @@ def cmd_probe(args) -> int:
     summary = {
         "lam": lam,
         "alpha": alpha,
-        "box": {"lo": box.lo, "hi": box.hi, "n": box.n,
-                "exclusion_radius": box.exclusion_radius,
-                "points": int(len(box.points)), "excluded": box.n_excluded},
         "fit_window": list(FIT_WINDOW),
+        # the window is not scale-free: where it falls on the decay is set by kappa L
+        "kappa_length": float(np.sqrt(-lam) * grid.length),
         "slope_correction": fit_decay_slope(s_corr),
         "slope_layer": fit_decay_slope(s_layer),
-        "note": ("box/tube compression of the ambient operator; measured decay "
-                 "certifies upper-envelope behavior only"),
     }
     _write_json(os.path.join(args.out, "probe_summary.json"), summary)
     return EXIT_OK
@@ -304,9 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("probe", cmd_probe, "singular-value decay of the resolvent correction",
                 ["--alpha", "--lambda"])
-    p.add_argument("--box-lo", type=float, default=None)
-    p.add_argument("--box-hi", type=float, default=None)
-    p.add_argument("--box-n", type=int, default=24)
+    # accepted for older command lines; the exact probe samples no box
+    p.add_argument("--box-lo", type=float, default=None, help="no effect")
+    p.add_argument("--box-hi", type=float, default=None, help="no effect")
+    p.add_argument("--box-n", type=int, default=24, help="no effect")
 
     command("d-sigma", cmd_d_sigma, "kernel deviation from the equal-length circle")
 

@@ -352,11 +352,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _kept(owner, name: str, key, build):
     """`build()`, kept on `owner` as its `name` result for `key`.
 
-    The one place a computed result is kept on a grid or a box.  Each name
-    holds one entry: a call with the key of that entry returns the kept
-    result, a call with another key builds and replaces it.  Keys compare
-    with ==, and grids and boxes by identity.  An array result is kept
-    read-only, since every later caller shares it.
+    The one place a computed result is kept on a grid.  Each name holds
+    one entry: a call with the key of that entry returns the kept result, a
+    call with another key builds and replaces it.  Keys compare with ==,
+    and grids by identity.  An array result is kept read-only, since every
+    later caller shares it.
     """
     # kept where cached_property keeps its values; the dataclasses are frozen
     entry = owner.__dict__.get(name)

@@ -47,6 +47,17 @@ def green_kernel(lam, r):
     return float(out) if out.ndim == 0 else out
 
 
+def green_derivative_kernel(lam, r):
+    """e^{-sqrt(-lam) r}/(8 pi sqrt(-lam)) at real lam < 0, bounded at r = 0:
+    d/dlam of `green_kernel`, so the kernel of (-Delta - lam)^{-2},
+    int G_lam(x, p) G_lam(x, q) dx over R^3 at r = |p - q|."""
+    if not lam < 0:
+        raise ConfigError("green_derivative_kernel requires lam < 0")
+    a = math.sqrt(-lam)
+    out = np.exp(-a * np.asarray(r, dtype=float)) / (8.0 * np.pi * a)
+    return float(out) if out.ndim == 0 else out
+
+
 def smoothing_kernel(lam, r):
     """(1 - e^{-sqrt(-lam) r}) / (4 pi r), extended by sqrt(-lam)/(4 pi) at r = 0.
 

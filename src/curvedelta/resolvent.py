@@ -1,12 +1,14 @@
 """Off-curve probes: the perturbed Green function, and the singular-value
-decay of the layer map and of the resolvent correction compressed to a box.
+decay of the layer map and of the resolvent correction.
 
-The ambient operator lives on L^2(R^3); the probe truncates to a box
-enclosing the curve with a margin of several decay lengths (the kernel
-falls off like e^{-sqrt(-lam) r}) and excludes a thin tube around the
-curve so all sampled kernels stay bounded.  The box/tube compression is a
-Galerkin restriction of the true operator, so measured decay certifies
-upper-envelope behavior only; the summaries record this.
+The layer map Gamma c = sum_j sqrt(w) G_lam(., p_j) c_j takes grid values
+to L^2(R^3); the resolvent correction K = Gamma (alpha - B)^{-1} Gamma^T
+is the operator whose kernel `perturbed_green` adds to the free one.  Both
+spectra come exactly from one N x N matrix, without sampling R^3: since
+(-Delta - lam)^{-2} = d/dlam (-Delta - lam)^{-1}, X = Gamma^T Gamma has the
+bounded kernel `kernels.green_derivative_kernel` on the curve chords.  A
+box lattice (`make_box`) only compresses these operators, which can lower
+their singular values and never raise them; the probe does not use it.
 
 Every dense product, factorization and spectrum here goes through numpy's
 linear algebra and none through scipy's: the two libraries ship separate
@@ -20,23 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import boundary_matrix
-from .curves import ArcGrid, _blockwise, _kept, _pairwise_distances, _row_blocks
+from .assembly import boundary_matrix, kink_correction
+from .curves import ArcGrid, _block_diagonal, _blockwise, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
-from .kernels import green_kernel
+from .kernels import green_derivative_kernel, green_kernel
 
-ENTRY_CAP = 20_000_000  # box points x curve nodes memory guard
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
 FIT_WINDOW = (8, 48)    # first and last index k of the singular-value decay fit
 
 
 @dataclass(frozen=True, eq=False)
 class BoxGrid:
-    """Uniform lattice of cell centers in a cube, minus a tube around the curve.
-
-    The R factor of the last layer map probed on the box is kept on it
-    (`_layer_r`).  Boxes compare and hash by identity.
-    """
+    """Uniform lattice of cell centers in a cube, minus a tube around the
+    curve.  Boxes compare and hash by identity."""
 
     lo: float
     hi: float
@@ -46,21 +44,6 @@ class BoxGrid:
     exclusion_radius: float
     n_excluded: int
 
-    @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / self.n
-
-
-def _default_box_bounds(grid: ArcGrid, lam: float) -> tuple[float, float]:
-    """Cube enclosing the curve with margin 2/sqrt(-lam) on every side."""
-    if lam >= 0:
-        raise ConfigError("box probes need lam < 0")
-    curve = grid.curve
-    s = np.linspace(0.0, curve.total_length, 512, endpoint=False)
-    pts = curve.point_at_arclength(s)
-    margin = 2.0 / np.sqrt(-lam)
-    return float(pts.min() - margin), float(pts.max() + margin)
-
 
 def make_box(grid: ArcGrid, n: int = 24,
              bounds: tuple[float, float] | None = None,
@@ -68,13 +51,17 @@ def make_box(grid: ArcGrid, n: int = 24,
              exclusion_radius: float | None = None) -> BoxGrid:
     """Sample the box on an n^3 lattice of cell centers.
 
-    Points closer to the curve than the exclusion radius (default twice the
-    lattice spacing) are dropped and counted.  Each point's distance to the
-    curve is the minimum over one row block of the lattice-by-node distance
-    table at a time.
+    The default bounds enclose the curve with a margin 2/sqrt(-lam) on
+    every side.  Points closer to the curve than the exclusion radius
+    (default twice the lattice spacing) are dropped and counted.  Each
+    point's distance to the curve is the minimum over one row block of the
+    lattice-by-node distance table at a time.
     """
     if bounds is None:
-        lo, hi = _default_box_bounds(grid, lam)
+        if lam >= 0:
+            raise ConfigError("box probes need lam < 0")
+        pts = grid.curve.point_at_arclength(np.linspace(0.0, grid.length, 512, endpoint=False))
+        lo, hi = float(pts.min() - 2.0 / np.sqrt(-lam)), float(pts.max() + 2.0 / np.sqrt(-lam))
     else:
         lo, hi = float(bounds[0]), float(bounds[1])
     if hi <= lo or n < 2:
@@ -132,53 +119,46 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
 
-def _layer_factor(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
-    """Semi-discrete layer map: rows are box cells, columns curve nodes;
-    built a row block at a time."""
-    scale = np.sqrt(box.cell_volume) * grid.weight
-    return _blockwise(len(box.points), grid.n, lambda rows, cols: scale * green_kernel(
-        lam, _pairwise_distances(box.points[rows], grid.points[cols])))
+def _gram_matrix(grid: ArcGrid, lam: float) -> np.ndarray:
+    """X = Gamma^T Gamma: entries w e^{-kappa r_ij}/(8 pi kappa) on the curve
+    chords r_ij, kappa = sqrt(-lam), built a row block at a time.  The
+    diagonal w/(8 pi kappa) carries the kink correction of the kernel's
+    slope -1/(8 pi) at r = 0."""
+    w = grid.weight
+    corr = kink_correction(-1.0 / (8.0 * np.pi), w)
+
+    def block(rows, cols):
+        out = green_derivative_kernel(lam, grid.chord_block(rows, cols))
+        out *= w
+        out[_block_diagonal(rows, cols)] += corr
+        return out
+
+    return _blockwise(grid.n, grid.n, block, symmetric=True)
 
 
-def _layer_r(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
-    """R of the layer map G = Q R, read-only.
+def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:
+    """Singular values of the layer map, nonincreasing: sqrt(eig X)."""
+    vals = np.linalg.eigvalsh(_gram_matrix(grid, lam))[::-1]
+    if vals[-1] <= 0:
+        raise NumericsError("Gram matrix of the layer map is not positive definite")
+    return np.sqrt(vals)
 
-    Both probe spectra come from R: G has the singular values of R, and the
-    correction compresses through R.  So G is built and factored once per
-    probe: R is kept on the box for the last grid and lam asked for.  The
-    memory guard is checked first, so a box that a fresh build would refuse
-    is refused when R is kept too.
+
+def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
+    """Singular values of the resolvent correction K, nonincreasing.
+
+    With X = L L^T (Cholesky), Gamma = U L^T for an isometry U, so the
+    singular values of K = U L^T (alpha - B)^{-1} L U^T are the absolute
+    eigenvalues of the symmetric N x N core L^T (alpha - B)^{-1} L.
     """
-    n_entries = len(box.points) * grid.n
-    if n_entries > ENTRY_CAP:
-        raise NumericsError(f"box x curve product {n_entries} exceeds the "
-                            f"memory guard {ENTRY_CAP}")
-    return _kept(box, "layer_r", (grid, lam),
-                 lambda: np.linalg.qr(_layer_factor(grid, box, lam), mode="r"))
-
-
-def layer_singular_values(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
-    """Singular values of the box-compressed layer map itself, computed
-    from its R factor."""
-    if lam >= 0:
-        raise ConfigError("probe needs lam < 0")
-    return np.linalg.svd(_layer_r(grid, box, lam), compute_uv=False)
-
-
-def correction_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
-                               alpha: float) -> np.ndarray:
-    """Singular values of the box-compressed resolvent correction.
-
-    The correction K = G (alpha - B)^{-1} G^T has rank at most the number of
-    curve nodes; its singular values equal those of R A R^T with G = Q R,
-    which avoids forming the box-by-box matrix.
-    """
-    if lam >= 0:
-        raise ConfigError("probe needs lam < 0")
-    r = _layer_r(grid, box, lam)
+    gram = _gram_matrix(grid, lam)
     system = _resolvent_system(grid, lam, alpha)
-    core = r @ np.linalg.solve(system, r.T)
-    return np.linalg.svd(core, compute_uv=False)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError("Gram matrix of the layer map is not positive definite") from exc
+    core = low.T @ np.linalg.solve(system, low)
+    return np.sort(np.abs(np.linalg.eigvalsh(core)))[::-1]
 
 
 def fit_decay_slope(values: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from .assembly import boundary_matrix, kink_correction
 from .curves import ArcGrid, _block_diagonal, _blockwise, _kept
 from .errors import ConfigError, NumericsError
 from .kernels import _real_energy, scattering_kernel
-from .spectral import boundary_spectrum
+from .spectral import boundary_spectrum, eigen
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds LAPACK's 1-norm
@@ -75,6 +75,12 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     return mat
 
 
+def _reference_boundary(grid: ArcGrid, eta: float) -> np.ndarray:
+    """B(eta), kept on the grid under eta: the choice of eta and every block
+    of a run at that eta share one assembly."""
+    return _kept(grid, "reference_boundary", eta, lambda: boundary_matrix(eta, grid))
+
+
 def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
     """First candidate eta < 0 whose boundary operator keeps alpha at a
     spectral distance above the invertibility margin."""
@@ -84,7 +90,10 @@ def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
     for eta in candidates:
         if eta >= 0:
             raise ConfigError("reference energy candidates must be negative")
-        if np.min(np.abs(boundary_spectrum(eta, grid) - alpha)) > ETA_MARGIN:
+        # on a dense grid the spectrum is read from the B(eta) the blocks reuse
+        spec = (boundary_spectrum(eta, grid) if grid.curve.is_circle
+                else eigen(_reference_boundary(grid, eta)))
+        if np.min(np.abs(spec - alpha)) > ETA_MARGIN:
             return float(eta)
     raise NumericsError("no candidate reference energy keeps alpha away from "
                         "the spectrum")
@@ -160,7 +169,8 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
 
     The channel space is the span of the Ritz vectors of Im N with Ritz
     values above rank_tol times the top one, from a certified sketch
-    (`_channel_space`).  B(eta) is assembled once per grid and eta.
+    (`_channel_space`).  B(eta) is assembled once per grid and eta
+    (`_reference_boundary`).
     """
     if lam < 0:
         raise ConfigError("scattering block is defined for lam >= 0")
@@ -179,7 +189,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                condition=0.0)
 
     system = n_mat                  # N + B_eta - alpha, in the layer matrix's storage
-    system += _kept(grid, "reference_boundary", eta, lambda: boundary_matrix(eta, grid))
+    system += _reference_boundary(grid, eta)
     system[np.diag_indices(grid.n)] -= alpha
     sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
         ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (system,))

@@ -4,17 +4,21 @@ Each one evaluates a quantity by a route independent of the library's
 assembly: adaptive quadrature, pointwise kernels and chords, the dense
 trigonometric basis, node sums of the layer potential, or the full
 (P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
-distance tables avoid.  The scattering and probe references repeat the
-dense linear algebra the library's sketches and factorizations replace: a
-full eigendecomposition of Im N, a full SVD for the condition number with
-a separate solve, and singular values of the whole layer map.  The full-table references (`*_full`) are the library's
-earlier one-pass builds of B(lam), the comparison matrix, the scattering
-kernel and layer matrix, the probe's layer map and the box's distance
-minimum; the library now fills each table a row block at a time and must
-match them bit for bit.  `odd_harmonic_sums_full` is the one-expression
-build of the circle's partial sums, which the library now forms in one
-buffer.  None of them is used by the library itself;
-neither is the eigenvalue-clustering helper nor the seeded-curve draw.
+distance tables avoid.  The scattering references repeat the dense linear
+algebra the library's sketches and factorizations replace: a full
+eigendecomposition of Im N, and a full SVD for the condition number with a
+separate solve.  The box probe is the library's earlier route to the probe
+spectra: the layer map sampled on a box lattice, its QR and two SVDs.  It
+compresses the operators the library measures exactly, so its singular
+values are lower bounds.  The full-table references (`*_full`) are the
+library's earlier one-pass builds of B(lam), the comparison matrix, the
+scattering kernel and layer matrix, and the box's distance minimum, and a
+one-pass build of the probe's Gram matrix; the library fills each table a
+row block at a time and must match them bit for bit.
+`odd_harmonic_sums_full` is the one-expression build of the circle's
+partial sums, which the library now forms in one buffer.  None of them is
+used by the library itself; neither is the eigenvalue-clustering helper
+nor the seeded-curve draw.
 """
 
 import math
@@ -25,7 +29,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.spatial.distance import cdist
 
-from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, CurveError,
+from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         NumericsError, ScatteringBlock, boundary_matrix,
                         circle_chord, circle_mode_eigenvalues,
                         circle_operator_matrix, green_kernel,
@@ -33,7 +37,8 @@ from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, CurveError,
                         scattering_layer_matrix, smoothing_matrix)
 from curvedelta.assembly import kink_correction
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
-from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt
+from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
+from curvedelta.resolvent import BoxGrid
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
 
 PAIRING_TOL = 1e-9
@@ -233,15 +238,43 @@ def scattering_condition_reference(grid: ArcGrid, lam: float, alpha: float,
     return 1.0 / float(rcond)
 
 
-def probe_singular_values_reference(grid: ArcGrid, box: BoxGrid, lam: float,
-                                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(layer, correction) singular values of the probe from the layer map G
-    itself: svdvals(G), and svdvals(R (alpha - B)^{-1} R^T) with G = Q R.
-    G is built here from cdist distances."""
-    g = np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, cdist(box.points, grid.points))
+def box_layer_map(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
+    """The probe's layer map sampled on the box: rows are box cells x,
+    columns curve nodes p_j, entries sqrt(cell volume) sqrt(w) G_lam(x, p_j),
+    from cdist distances."""
+    return np.sqrt(box.cell_volume * grid.weight) * green_kernel(
+        lam, cdist(box.points, grid.points))
+
+
+def box_probe_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
+                              alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(layer, correction) singular values of the probe compressed to the
+    box: svdvals(G) of `box_layer_map`, and svdvals(R (alpha - B)^{-1} R^T)
+    with G = Q R."""
+    g = box_layer_map(grid, box, lam)
     r = np.linalg.qr(g, mode="r")
     system = alpha * np.eye(grid.n) - boundary_matrix(lam, grid)
     return scipy.linalg.svdvals(g), scipy.linalg.svdvals(r @ np.linalg.solve(system, r.T))
+
+
+def green_square_integral(lam: float, d: float) -> float:
+    """int G_lam(x, p) G_lam(x, q) dx over R^3 for |p - q| = d, by adaptive
+    quadrature in cylindrical coordinates (rho, z) about the axis through p
+    and q, with p and q at z = -d/2 and d/2: the integrand is even in z and
+    the angle gives 2 pi, so the integral is 4 pi times the z >= 0 half,
+    split at the singular point z = d/2."""
+    a = math.sqrt(-lam)
+
+    def g(r):
+        return math.exp(-a * r) / (4.0 * math.pi * r)
+
+    def slab(z):
+        inner = lambda rho: rho * g(math.hypot(rho, z + d / 2.0)) * g(math.hypot(rho, z - d / 2.0))
+        return quad(inner, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    halves = [quad(slab, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+              for lo, hi in ((0.0, d / 2.0), (d / 2.0, np.inf))]
+    return 4.0 * math.pi * sum(halves)
 
 
 def comparison_matrix_full(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -300,16 +333,19 @@ def odd_harmonic_sums_full(count: int) -> np.ndarray:
     return np.asarray(np.cumsum(1.0 / (2.0 * j - 1.0)), dtype=float)
 
 
-def layer_factor_full(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
-    """The probe's layer map from the whole box-to-node distance table."""
-    dists = _pairwise_distances(box.points, grid.points)
-    return np.sqrt(box.cell_volume) * grid.weight * green_kernel(lam, dists)
+def gram_matrix_full(grid: ArcGrid, lam: float) -> np.ndarray:
+    """The probe's Gram matrix from the whole chord table in one pass."""
+    w = grid.weight
+    mat = green_derivative_kernel(lam, grid.chords)
+    mat *= w
+    mat[np.diag_indices_from(mat)] += kink_correction(-1.0 / (8.0 * np.pi), w)
+    return mat
 
 
 def box_points_full(grid: ArcGrid, box: BoxGrid) -> tuple[np.ndarray, int]:
     """(retained points, excluded count) of `box`'s lattice, from the minimum
     over the whole lattice-to-node distance table."""
-    axis = box.lo + (np.arange(box.n) + 0.5) * box.spacing
+    axis = box.lo + (np.arange(box.n) + 0.5) * ((box.hi - box.lo) / box.n)
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
     keep = _pairwise_distances(pts, grid.points).min(axis=1) > box.exclusion_radius

@@ -14,16 +14,17 @@ import pytest
 
 import curvedelta.curves as curves_mod
 import curvedelta.resolvent as resolvent_mod
-from curvedelta import (ArcGrid, BoxGrid, ConfigError, Curve, boundary_matrix,
+from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         circle_deviation, comparison_matrix, green_kernel,
-                        make_box, make_grid, reparametrize_arclength,
+                        make_grid, reparametrize_arclength,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
 from curvedelta.curves import _ArcTable, _row_blocks
+from curvedelta.resolvent import make_box
 from curvedelta.spectral import _circle_levels
 from oracles import (box_points_full, boundary_matrix_full,
                      chord_difference_reference, comparison_matrix_full,
-                     layer_factor_full, scattering_kernel_full,
+                     gram_matrix_full, scattering_kernel_full,
                      scattering_layer_matrix_full)
 
 # 24 kB blocks: 30 rows of a float64 table at N = 100 and 12 at N = 250,
@@ -142,22 +143,24 @@ def test_chord_difference_rows_and_deviation(ellipse, n, small_blocks):
     assert circle_deviation(grid) == float(grid.weight ** 2 * np.sum(integrand ** 2))
 
 
+# the layer map's table is its Gram matrix X, N x N on the grid
 @pytest.mark.parametrize("n", [16, 100, 256])
 def test_box_and_layer_map_bitwise(ellipse, n, small_blocks):
     grid = make_grid(ellipse, n)
     box = make_box(grid, n=12, lam=-1.0)
     points, excluded = box_points_full(grid, box)
     assert np.array_equal(box.points, points) and box.n_excluded == excluded
-    assert np.array_equal(resolvent_mod._layer_factor(grid, box, -1.0),
-                          layer_factor_full(grid, box, -1.0))
+    for lam in (-1.0, -4.0, -600.0):
+        assert np.array_equal(resolvent_mod._gram_matrix(grid, lam),
+                              gram_matrix_full(grid, lam))
 
 
 def test_box_and_layer_map_bitwise_default_blocks(ellipse_grid):
     box = make_box(ellipse_grid, n=24, lam=-1.0)
     points, excluded = box_points_full(ellipse_grid, box)
     assert np.array_equal(box.points, points) and box.n_excluded == excluded
-    assert np.array_equal(resolvent_mod._layer_factor(ellipse_grid, box, -1.0),
-                          layer_factor_full(ellipse_grid, box, -1.0))
+    assert np.array_equal(resolvent_mod._gram_matrix(ellipse_grid, -1.0),
+                          gram_matrix_full(ellipse_grid, -1.0))
 
 
 def test_chord_table_kept_only_when_it_fits_one_block(ellipse):
@@ -188,18 +191,6 @@ def test_zero_chord_in_last_block_refused(ellipse, small_blocks):
         comparison_matrix(-1.0, grid)
     with pytest.raises(ConfigError, match="r > 0"):
         boundary_matrix(-1.0, grid)
-
-
-def test_box_point_on_a_node_refused(ellipse, small_blocks):
-    grid = make_grid(ellipse, 100)
-    box = make_box(grid, n=6, lam=-1.0)
-    points = box.points.copy()
-    points[-1] = grid.points[40]
-    on_node = BoxGrid(lo=box.lo, hi=box.hi, n=box.n, points=points,
-                      cell_volume=box.cell_volume,
-                      exclusion_radius=box.exclusion_radius, n_excluded=box.n_excluded)
-    with pytest.raises(ConfigError, match="r > 0"):
-        resolvent_mod._layer_factor(grid, on_node, -1.0)
 
 
 def test_non_finite_energy_refused(ellipse, small_blocks):
@@ -245,10 +236,11 @@ def test_scattering_layer_matrix_peak_memory(ellipse):
     assert peak <= 1.5 * mat.nbytes
 
 
-def test_layer_map_peak_memory(ellipse_grid):
-    box = make_box(ellipse_grid, n=24, lam=-1.0)
-    g, peak = _peak_bytes(lambda: resolvent_mod._layer_factor(ellipse_grid, box, -1.0))
-    assert peak <= 1.5 * g.nbytes
+def test_layer_map_peak_memory(ellipse):
+    # the layer map's Gram matrix X on a grid larger than one block
+    grid = make_grid(ellipse, 1024)
+    gram, peak = _peak_bytes(lambda: resolvent_mod._gram_matrix(grid, -1.0))
+    assert peak <= 1.5 * gram.nbytes
 
 
 def test_make_box_peak_memory(ellipse_grid):

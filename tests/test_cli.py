@@ -190,27 +190,43 @@ class TestProbe:
         summary = json.loads((tmp_path / "probe_summary.json").read_text())
         assert summary["slope_correction"] <= -1.8
         assert summary["slope_layer"] <= -0.9
-        assert "upper-envelope" in summary["note"]
         assert summary["fit_window"] == list(resolvent_mod.FIT_WINDOW)
+        assert summary["kappa_length"] == pytest.approx(2.0 * math.pi, rel=1e-14)
+        assert sorted(summary) == ["alpha", "fit_window", "kappa_length", "lam",
+                                   "slope_correction", "slope_layer"]
 
-    def test_one_layer_map_and_one_qr(self, circle_file, tmp_path, monkeypatch):
-        # the correction and the layer spectra share one G and its R factor
-        calls = {"layer": 0, "qr": 0}
-        real_layer, real_qr = resolvent_mod._layer_factor, np.linalg.qr
+    def test_box_options_have_no_effect(self, ellipse_file, tmp_path):
+        outputs = []
+        for extra in ([], ["--box-lo", "-2", "--box-hi", "2", "--box-n", "12"]):
+            out = tmp_path / str(len(extra))
+            assert main(["probe", "--curve", ellipse_file, "--n", "64", *extra,
+                         "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("probe_correction.csv", "probe_layer.csv", "probe_summary.json")])
+        assert outputs[0] == outputs[1]
 
-        def layer(*args):
-            calls["layer"] += 1
-            return real_layer(*args)
+    def test_probe_operation_counts(self, circle_file, tmp_path, monkeypatch):
+        # a probe assembles B(lam) once, densely also on the circle, and
+        # takes three symmetric spectra (B's for the margin, X's, the
+        # core's) and one Cholesky of X; no QR or SVD is left.  (Loading a
+        # Fourier curve adds numpy's own eigvalsh call of its Gauss rule.)
+        calls = {"boundary_matrix": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0}
 
-        def qr(*args, **kwargs):
-            calls["qr"] += 1
-            return real_qr(*args, **kwargs)
+        def counted(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(resolvent_mod, "_layer_factor", layer)
-        monkeypatch.setattr(np.linalg, "qr", qr)
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(resolvent_mod, "boundary_matrix")
+        for name in ("eigvalsh", "cholesky", "qr", "svd"):
+            counted(np.linalg, name)
         assert main(["probe", "--curve", circle_file, "--n", "64",
-                     "--box-n", "12", "--out", str(tmp_path)]) == 0
-        assert calls == {"layer": 1, "qr": 1}
+                     "--out", str(tmp_path)]) == 0
+        assert calls == {"boundary_matrix": 1, "eigvalsh": 3, "cholesky": 1, "qr": 0, "svd": 0}
 
     def test_no_scipy_linalg_call(self, ellipse_file, tmp_path, monkeypatch):
         # a probe stays in numpy's BLAS pool: every scipy.linalg function,

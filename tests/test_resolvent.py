@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 
 import curvedelta.resolvent as resolvent_mod
-from curvedelta import (ConfigError, NumericsError, correction_singular_values,
-                        find_bound_states, fit_decay_slope, green_kernel,
-                        layer_singular_values, make_box, make_grid,
-                        perturbed_green)
-from oracles import probe_singular_values_reference, single_layer_potential
+from curvedelta import (ConfigError, NumericsError, boundary_matrix,
+                        correction_singular_values, find_bound_states, fit_decay_slope,
+                        green_kernel, layer_singular_values, make_grid, perturbed_green)
+from curvedelta.resolvent import make_box
+from oracles import box_layer_map, box_probe_singular_values, single_layer_potential
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +60,14 @@ class TestSingleLayerPotential:
                                    np.ones(circle_grid.n), np.array([1.0, 0.0, 1e-3]))
 
     def test_probe_layer_map_rows(self, ellipse_grid):
-        # row x of the probe's layer map, applied to a density, is sqrt(cell
-        # volume) times the node-sum layer potential at x
+        # row x of the box reference's layer map, applied to a density, is
+        # sqrt(cell volume / w) times the node-sum layer potential at x: the
+        # map carries sqrt(w) per node, as the layer map of the exact probe
         box = make_box(ellipse_grid, n=8, lam=-1.0)
-        g = resolvent_mod._layer_factor(ellipse_grid, box, -1.0)
+        g = box_layer_map(ellipse_grid, box, -1.0)
         h = np.random.default_rng(3).standard_normal(ellipse_grid.n)
-        expected = [math.sqrt(box.cell_volume) * single_layer_potential(ellipse_grid, -1.0, h, x)
+        scale = math.sqrt(box.cell_volume / ellipse_grid.weight)
+        expected = [scale * single_layer_potential(ellipse_grid, -1.0, h, x)
                     for x in box.points]
         assert np.max(np.abs(g @ h - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -110,62 +112,106 @@ class TestPerturbedGreen:
 
 
 class TestSingularValues:
-    def test_nonincreasing(self, circle_grid, default_box):
-        s = correction_singular_values(circle_grid, default_box, -1.0, -0.5)
-        assert np.all(np.diff(s) <= 1e-18)
+    def test_nonincreasing(self, circle_grid):
+        for s in (correction_singular_values(circle_grid, -1.0, -0.5),
+                  layer_singular_values(circle_grid, -1.0)):
+            assert len(s) == circle_grid.n
+            assert np.all(np.diff(s) <= 1e-18)
 
-    def test_correction_decay_slope(self, circle_grid, default_box):
-        s = correction_singular_values(circle_grid, default_box, -1.0, -0.5)
+    def test_correction_decay_slope(self, circle_grid):
+        s = correction_singular_values(circle_grid, -1.0, -0.5)
         assert fit_decay_slope(s) <= -1.8
 
-    def test_layer_decay_slope(self, circle_grid, default_box):
-        s = layer_singular_values(circle_grid, default_box, -1.0)
+    def test_layer_decay_slope(self, circle_grid):
+        s = layer_singular_values(circle_grid, -1.0)
         assert fit_decay_slope(s) <= -0.9
 
+    @pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
+    def test_slopes_converge_in_n(self, request, curve_name):
+        # the exact probe discretizes the operators themselves, so the
+        # fitted slopes settle as the grid is refined (measured: 2e-4)
+        curve = request.getfixturevalue(curve_name)
+        slopes = []
+        for n in (256, 512):
+            grid = make_grid(curve, n)
+            slopes.append((fit_decay_slope(correction_singular_values(grid, -1.0, -0.5)),
+                           fit_decay_slope(layer_singular_values(grid, -1.0))))
+        assert np.max(np.abs(np.subtract(*slopes))) <= 1e-3
+
+    def test_gram_matrix_is_the_energy_derivative(self, ellipse):
+        # X = Gamma^T Gamma is dB/dlam: off the diagonal w dG/dlam on the
+        # curve chords, on it w/(8 pi kappa) - w^2/(48 pi) (the smoothing
+        # row's cap is inactive here); central differences of B in lam
+        # (measured: 2.0e-13 off the diagonal, 5.2e-13 on it)
+        grid = make_grid(ellipse, 256)
+        step = 1e-4
+        diff = (boundary_matrix(-3.0 + step, grid) - boundary_matrix(-3.0 - step, grid)) / (2 * step)
+        gap = np.abs(diff - resolvent_mod._gram_matrix(grid, -3.0))
+        off = ~np.eye(grid.n, dtype=bool)
+        assert np.max(gap[off]) <= 1e-12
+        assert np.max(np.diag(gap)) <= 2e-12
+
     def test_box_refinement_stability(self, circle_grid):
-        # refine the lattice while holding the excluded tube fixed
+        # refine the reference's lattice while holding the excluded tube fixed
         tops = []
         for n in (16, 24):
             box = make_box(circle_grid, n=n, bounds=(-3.0, 3.0),
                            exclusion_radius=1.0)
-            s = correction_singular_values(circle_grid, box, -1.0, -0.5)
+            _, s = box_probe_singular_values(circle_grid, box, -1.0, -0.5)
             tops.append(s[:5])
         assert np.max(np.abs(tops[1] - tops[0]) / tops[1]) < 0.05
 
-    def test_matches_layer_map_reference(self, circle_grid, default_box):
-        # the R factor carries the singular values of G itself
-        layer = layer_singular_values(circle_grid, default_box, -1.0)
-        corr = correction_singular_values(circle_grid, default_box, -1.0, -0.5)
-        ref_layer, ref_corr = probe_singular_values_reference(
-            circle_grid, default_box, -1.0, -0.5)
-        assert np.max(np.abs(layer - ref_layer)) <= 1e-13 * ref_layer[0]
-        assert abs(fit_decay_slope(layer) - fit_decay_slope(ref_layer)) <= 1e-9
-        assert abs(fit_decay_slope(corr) - fit_decay_slope(ref_corr)) <= 1e-9
+    def test_box_reference_is_a_lower_bound(self, circle_grid, default_box):
+        # a box compresses the layer map and the correction, so its singular
+        # values lie below the exact ones (measured: at most 0.66 and 0.15 of
+        # them for k <= 200)
+        layer = layer_singular_values(circle_grid, -1.0)
+        corr = correction_singular_values(circle_grid, -1.0, -0.5)
+        box_layer, box_corr = box_probe_singular_values(circle_grid, default_box, -1.0, -0.5)
+        assert np.all(box_layer[:200] < layer[:200])
+        assert np.all(box_corr[:200] < corr[:200])
 
-    def test_numpy_singular_values_match_scipy(self, circle_grid, default_box):
-        # the probe takes its singular values from numpy to stay in numpy's
-        # BLAS pool; on the probe's R and its compressed core numpy's gesdd
-        # gives scipy's svdvals bit for bit (a mismatch names a differing
-        # LAPACK build in the numpy and scipy wheels)
-        r = resolvent_mod._layer_r(circle_grid, default_box, -1.0)
-        core = r @ np.linalg.solve(resolvent_mod._resolvent_system(circle_grid, -1.0, -0.5), r.T)
-        for mat in (r, core):
-            assert np.array_equal(np.linalg.svd(mat, compute_uv=False),
-                                  scipy.linalg.svdvals(mat))
+    def test_numpy_singular_values_match_scipy(self, circle_grid):
+        # the probe takes its spectra from numpy to stay in numpy's BLAS
+        # pool; on the Gram matrix and the core numpy's eigvalsh gives
+        # scipy's eigh with LAPACK's ?syevd bit for bit (a mismatch names a
+        # differing LAPACK build in the numpy and scipy wheels)
+        gram = resolvent_mod._gram_matrix(circle_grid, -1.0)
+        low = np.linalg.cholesky(gram)
+        core = low.T @ np.linalg.solve(
+            resolvent_mod._resolvent_system(circle_grid, -1.0, -0.5), low)
+        for mat in (gram, core):
+            assert np.array_equal(np.linalg.eigvalsh(mat),
+                                  scipy.linalg.eigh(mat, eigvals_only=True, driver="evd"))
 
     def test_box_reprobed_at_other_grid_or_energy(self, circle_grid, ellipse_grid):
-        # the R kept on a box serves only the grid object and lam it came from
+        # one coarse box stays a lower bound on other curves and energies
+        # (measured: at most 0.70 and 0.19 of the exact values for k <= 200)
         box = make_box(circle_grid, n=10, bounds=(-3.0, 3.0), exclusion_radius=0.5)
-        for grid, lam in [(circle_grid, -1.0), (ellipse_grid, -1.0),
-                          (circle_grid, -2.0), (circle_grid, -1.0)]:
-            layer = layer_singular_values(grid, box, lam)
-            ref_layer, _ = probe_singular_values_reference(grid, box, lam, -0.5)
-            assert np.max(np.abs(layer - ref_layer)) <= 1e-13 * ref_layer[0]
+        for grid, lam in [(circle_grid, -1.0), (ellipse_grid, -1.0), (circle_grid, -2.0)]:
+            box_layer, box_corr = box_probe_singular_values(grid, box, lam, -0.5)
+            assert np.all(box_layer[:200] < layer_singular_values(grid, lam)[:200])
+            assert np.all(box_corr[:200] < correction_singular_values(grid, lam, -0.5)[:200])
 
-    def test_memory_guard(self, circle_grid, default_box, monkeypatch):
-        monkeypatch.setattr(resolvent_mod, "ENTRY_CAP", 1000)
-        with pytest.raises(NumericsError):
-            layer_singular_values(circle_grid, default_box, -1.0)
+    def test_indefinite_gram_refused(self, circle_grid, monkeypatch):
+        real_gram = resolvent_mod._gram_matrix
+
+        def shifted(grid, lam):
+            gram = real_gram(grid, lam)
+            return gram - 2.0 * np.linalg.eigvalsh(gram)[0] * np.eye(grid.n)
+
+        monkeypatch.setattr(resolvent_mod, "_gram_matrix", shifted)
+        with pytest.raises(NumericsError, match="not positive definite"):
+            layer_singular_values(circle_grid, -1.0)
+        with pytest.raises(NumericsError, match="not positive definite"):
+            correction_singular_values(circle_grid, -1.0, -0.5)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_nonnegative_energy_refused(self, circle_grid, lam):
+        with pytest.raises(ConfigError, match="lam < 0"):
+            layer_singular_values(circle_grid, lam)
+        with pytest.raises(ConfigError, match="lam < 0"):
+            correction_singular_values(circle_grid, lam, -0.5)
 
     def test_fit_window_guard(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import curvedelta.scattering as scattering_mod
-from curvedelta import curves
+import curvedelta.spectral as spectral_mod
+from curvedelta import curves, curve_to_json_dict
+from curvedelta.cli import main
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
                         choose_reference_energy, eigen, make_grid,
                         scattering_block, scattering_layer_matrix)
@@ -129,6 +133,22 @@ class TestScatteringBlock:
         scattering_block(grid, 1.0, -0.5, -4.0)
         assert built == [-1.0, -4.0]
         assert not curves._kept(grid, "reference_boundary", -4.0, None).flags.writeable
+
+    def test_one_reference_assembly_per_run(self, ellipse, tmp_path, monkeypatch):
+        # the choice of eta reads its spectrum off the B(eta) the blocks
+        # reuse, so a scattering run on a dense grid assembles B(eta) once
+        built = []
+        for module in (scattering_mod, spectral_mod):
+            def matrix(lam, grid, _real=module.boundary_matrix):
+                built.append(lam)
+                return _real(lam, grid)
+
+            monkeypatch.setattr(module, "boundary_matrix", matrix)
+        curve = tmp_path / "ellipse.json"
+        curve.write_text(json.dumps(curve_to_json_dict(ellipse)))
+        assert main(["scattering", "--curve", str(curve), "--n", "128", "--alpha=-0.5",
+                     "--lambda", "0.5,1,2", "--out", str(tmp_path)]) == 0
+        assert built == [-1.0]
 
     def test_reference_energy_independence(self, circle_grid):
         b1 = scattering_block(circle_grid, 1.0, -0.5, -1.0)
