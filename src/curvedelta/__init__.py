@@ -6,6 +6,11 @@ exactly by the circle operator's trigonometric diagonalization.  On top of
 that sit bound-state root finding, negative-eigenvalue counting with
 interval bounds, the isoperimetric comparison against the equal-length
 circle, the perturbed Green function, and the unitary scattering block.
+
+Every dense product, factorization and spectrum goes through scipy's linear
+algebra and none through numpy's: the two libraries ship separate OpenBLAS
+builds, each with its own thread pool, and a threaded call into one runs
+slower while the other's idle pool still spins.
 """
 
 from .assembly import (boundary_matrix, circle_mode_eigenvalues,

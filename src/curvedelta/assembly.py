@@ -7,8 +7,9 @@ circulant, as is the smoothing matrix, so each is built from one length-N
 row and expanded by index (Toeplitz) gather.  The remaining comparison
 kernel is bounded; it is evaluated on the curve chords, minus the circulant
 circle term, and discretized with the periodic trapezoid rule.  Every part
-is exactly symmetric by construction.  `boundary_matrix` and
-`comparison_matrix` fill their output a row block of about 1 MB at a time
+is exactly symmetric by construction.  `boundary_matrix`,
+`comparison_matrix` and `kernel_matrix` (the scattering and probe kernels'
+matrices) fill their output a row block of about 1 MB at a time
 (`curves._blockwise`), each block evaluated from the diagonal on and
 completed from the transposed rows above, so no second N x N array is
 allocated and the kernels run on half the table; `circle_operator_matrix`
@@ -43,6 +44,25 @@ def kink_correction(slope, weight: float):
     O(h^4) accuracy for every Fourier mode at once.
     """
     return weight * weight * slope / 6.0
+
+
+def kernel_matrix(grid: ArcGrid, kernel, slope, dtype=float) -> np.ndarray:
+    """Trapezoid matrix w * kernel(chord) of a kernel of the curve chords,
+    with the kink correction of one-sided slope `slope` on its diagonal.
+
+    `kernel` maps an array of chords elementwise and takes its analytic
+    limit at chord 0.  Built a row block at a time, exactly symmetric.
+    """
+    w = grid.weight
+    corr = kink_correction(slope, w)
+
+    def block(rows, cols):
+        out = kernel(grid.chord_block(rows, cols))
+        out *= w
+        out[_block_diagonal(rows, cols)] += corr
+        return out
+
+    return _blockwise(grid.n, block, dtype)
 
 
 def odd_harmonic_sums(count: int) -> np.ndarray:
@@ -167,8 +187,7 @@ def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
         raise ConfigError("comparison_matrix requires lam <= 0")
     if grid.curve.is_circle:
         return np.zeros((grid.n, grid.n))
-    return _blockwise(grid.n, grid.n, lambda rows, cols: _comparison_block(lam, grid, rows, cols),
-                      symmetric=True)
+    return _blockwise(grid.n, lambda rows, cols: _comparison_block(lam, grid, rows, cols))
 
 
 def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -196,7 +215,7 @@ def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
         out += circle_part
         return out
 
-    mat = _blockwise(grid.n, grid.n, block, symmetric=True)
+    mat = _blockwise(grid.n, block)
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
     return mat

@@ -221,8 +221,6 @@ def cmd_probe(args) -> int:
     grid = _load_grid(args, _tolerances(args))
     lam = _one_float(args.lam, "--lambda") if args.lam else -1.0
     alpha = _one_float(args.alpha, "--alpha") if args.alpha else -0.5
-    if (args.box_lo is None) != (args.box_hi is None):
-        raise ConfigError("--box-lo and --box-hi are given together or not at all")
     s_corr = correction_singular_values(grid, lam, alpha)
     s_layer = layer_singular_values(grid, lam)
     _write_rows(os.path.join(args.out, "probe_correction.csv"),
@@ -300,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("probe", cmd_probe, "singular-value decay of the resolvent correction",
                 ["--alpha", "--lambda"])
     # accepted for older command lines; the exact probe samples no box
-    p.add_argument("--box-lo", type=float, default=None, help="no effect")
-    p.add_argument("--box-hi", type=float, default=None, help="no effect")
     p.add_argument("--box-n", type=int, default=24, help="no effect")
 
     command("d-sigma", cmd_d_sigma, "kernel deviation from the equal-length circle")

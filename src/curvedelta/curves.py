@@ -306,24 +306,20 @@ def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _blockwise(rows: int, cols: int, block, dtype=float,
-               symmetric: bool = False) -> np.ndarray:
-    """(rows, cols) table of `dtype` filled a row block at a time: the
+def _blockwise(n: int, block, dtype=float) -> np.ndarray:
+    """Symmetric (n, n) table of `dtype` filled a row block at a time: the
     entries in the rows r of a block of `_row_blocks` and the columns c are
-    `block(r, c)`.
+    `block(r, c)`, and entry (i, j) is bitwise equal to (j, i).
 
-    Each block is evaluated and copied in before the next one, so no
-    temporary larger than a few blocks is alive beside the table.  A
-    `symmetric` table is square with entry (i, j) bitwise equal to (j, i):
-    each block is evaluated from its diagonal on (c starts at r.start), and
-    its columns left of that are copied from the rows above, transposed.
+    Each block is evaluated from its diagonal on (c starts at r.start) and
+    copied in before the next one, so no temporary larger than a few blocks
+    is alive beside the table; its columns left of the diagonal are copied
+    from the rows above, transposed.
     """
-    out = np.empty((rows, cols), dtype=dtype)
-    for r in _row_blocks(rows, cols * out.itemsize):
-        c = slice(r.start if symmetric else 0, cols)
-        out[r, c] = block(r, c)
-        if symmetric:
-            out[r, :r.start] = out[:r.start, r].T
+    out = np.empty((n, n), dtype=dtype)
+    for r in _row_blocks(n, n * out.itemsize):
+        out[r, r.start:] = block(r, slice(r.start, n))
+        out[r, :r.start] = out[:r.start, r].T
     return out
 
 
@@ -493,8 +489,8 @@ def circle_deviation(grid: ArcGrid) -> float:
     the diagonal entries are set to 0.  Zero for a circle, positive and
     rigid-motion invariant otherwise.
     """
-    integrand = _blockwise(grid.n, grid.n, lambda rows, cols: grid.chord_difference(
-        lambda r: 1.0 / (4.0 * np.pi * r), rows, cols), symmetric=True)
+    integrand = _blockwise(grid.n, lambda rows, cols: grid.chord_difference(
+        lambda r: 1.0 / (4.0 * np.pi * r), rows, cols))
     integrand *= integrand
     # one sum over the whole table: a blockwise sum would round differently
     return float(grid.weight ** 2 * np.sum(integrand))

@@ -9,11 +9,6 @@ spectra come exactly from one N x N matrix, without sampling R^3: since
 bounded kernel `kernels.green_derivative_kernel` on the curve chords.  A
 box lattice (`make_box`) only compresses these operators, which can lower
 their singular values and never raise them; the probe does not use it.
-
-Every dense product, factorization and spectrum here goes through numpy's
-linear algebra and none through scipy's: the two libraries ship separate
-OpenBLAS builds, each with its own thread pool, and a threaded call into
-one runs slower while the other's idle pool still spins.
 """
 
 from __future__ import annotations
@@ -21,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .assembly import boundary_matrix, kink_correction
-from .curves import ArcGrid, _block_diagonal, _blockwise, _pairwise_distances, _row_blocks
+from .assembly import kernel_matrix
+from .curves import ArcGrid, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
 from .kernels import green_derivative_kernel, green_kernel
+from .spectral import _Operator
 
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
 FIT_WINDOW = (8, 48)    # first and last index k of the singular-value decay fit
@@ -83,17 +80,22 @@ def make_box(grid: ArcGrid, n: int = 24,
 
 
 def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
-    """alpha I - B(lam), the system of the resolvent correction.
+    """alpha I - B(lam), the system of the resolvent correction, from one
+    assembly of B(lam).
 
     Refuses when alpha lies within SPECTRUM_MARGIN of the spectrum of
-    B(lam), that is when lam is at or near a bound-state energy.
+    B(lam), that is when lam is at or near a bound-state energy.  The
+    spectrum is read as `spectral._Operator` reads it: on a circle grid
+    from the FFT, with no eigensolve.
     """
-    bmat = boundary_matrix(lam, grid)
-    margin = np.min(np.abs(np.linalg.eigvalsh(bmat) - alpha))
+    op = _Operator(lam, grid)
+    margin = np.min(np.abs(op.spectrum() - alpha))
     if margin < SPECTRUM_MARGIN:
         raise NumericsError(f"alpha within {margin:.2e} of the boundary spectrum; "
                             "lam is at or near a bound-state energy")
-    return alpha * np.eye(grid.n) - bmat
+    system = -op.matrix
+    system[np.diag_indices(grid.n)] += alpha
+    return system
 
 
 def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
@@ -115,30 +117,20 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
         raise ConfigError("x and y must differ")
     system = _resolvent_system(grid, lam, alpha)
     gx, gy = green_kernel(lam, _pairwise_distances(np.stack([x, y]), grid.points))
-    correction = grid.weight * float(gx @ np.linalg.solve(system, gy))
+    correction = grid.weight * float(gx @ scipy.linalg.solve(system, gy, assume_a="sym"))
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
 
 def _gram_matrix(grid: ArcGrid, lam: float) -> np.ndarray:
     """X = Gamma^T Gamma: entries w e^{-kappa r_ij}/(8 pi kappa) on the curve
-    chords r_ij, kappa = sqrt(-lam), built a row block at a time.  The
-    diagonal w/(8 pi kappa) carries the kink correction of the kernel's
-    slope -1/(8 pi) at r = 0."""
-    w = grid.weight
-    corr = kink_correction(-1.0 / (8.0 * np.pi), w)
-
-    def block(rows, cols):
-        out = green_derivative_kernel(lam, grid.chord_block(rows, cols))
-        out *= w
-        out[_block_diagonal(rows, cols)] += corr
-        return out
-
-    return _blockwise(grid.n, grid.n, block, symmetric=True)
+    chords r_ij, kappa = sqrt(-lam).  The diagonal w/(8 pi kappa) carries
+    the kink correction of the kernel's slope -1/(8 pi) at r = 0."""
+    return kernel_matrix(grid, lambda r: green_derivative_kernel(lam, r), -1.0 / (8.0 * np.pi))
 
 
 def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:
     """Singular values of the layer map, nonincreasing: sqrt(eig X)."""
-    vals = np.linalg.eigvalsh(_gram_matrix(grid, lam))[::-1]
+    vals = scipy.linalg.eigh(_gram_matrix(grid, lam), eigvals_only=True, driver="evd")[::-1]
     if vals[-1] <= 0:
         raise NumericsError("Gram matrix of the layer map is not positive definite")
     return np.sqrt(vals)
@@ -149,16 +141,18 @@ def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.nd
 
     With X = L L^T (Cholesky), Gamma = U L^T for an isometry U, so the
     singular values of K = U L^T (alpha - B)^{-1} L U^T are the absolute
-    eigenvalues of the symmetric N x N core L^T (alpha - B)^{-1} L.
+    eigenvalues of the symmetric N x N core L^T (alpha - B)^{-1} L.  The
+    exactly symmetric alpha - B is solved by one LDL^T factorization.
     """
     gram = _gram_matrix(grid, lam)
     system = _resolvent_system(grid, lam, alpha)
     try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
+        low = scipy.linalg.cholesky(gram, lower=True)
+    except scipy.linalg.LinAlgError as exc:
         raise NumericsError("Gram matrix of the layer map is not positive definite") from exc
-    core = low.T @ np.linalg.solve(system, low)
-    return np.sort(np.abs(np.linalg.eigvalsh(core)))[::-1]
+    solved = scipy.linalg.solve(system, low, assume_a="sym")
+    core = scipy.linalg.get_blas_funcs("gemm", (low,))(1.0, low, solved, trans_a=1)
+    return np.sort(np.abs(scipy.linalg.eigh(core, eigvals_only=True, driver="evd")))[::-1]
 
 
 def fit_decay_slope(values: np.ndarray) -> float:

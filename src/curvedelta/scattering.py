@@ -15,11 +15,6 @@ unitary on that subspace away from exceptional energies.  The retained
 range comes from a certified Gaussian sketch of Im N (`_channel_space`),
 not from a full eigendecomposition: the numerical rank of Im N is set by
 sqrt(lam) times the curve's diameter, not by N.
-
-Every dense product, factorization and spectrum here goes through scipy's
-linear algebra and none through numpy's: the two libraries ship separate
-OpenBLAS builds, each with its own thread pool, and a threaded call into
-one runs slower while the other's idle pool still spins.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import boundary_matrix, kink_correction
-from .curves import ArcGrid, _block_diagonal, _blockwise, _kept
+from .assembly import boundary_matrix, kernel_matrix
+from .curves import ArcGrid, _kept
 from .errors import ConfigError, NumericsError
 from .kernels import _real_energy, scattering_kernel
 from .spectral import boundary_spectrum, eigen
@@ -57,19 +52,9 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     """
     if eta >= 0:
         raise ConfigError("reference energy eta must be negative")
-    w = grid.weight
-    lamc = complex(lam)
-    slope = (eta - lamc.real) / (8.0 * np.pi)
-    corr = kink_correction(slope, w)
-
-    def block(rows, cols):
-        out = scattering_kernel(lam, eta, grid.chord_block(rows, cols))
-        out *= w
-        out[_block_diagonal(rows, cols)] += corr
-        return out
-
-    mat = _blockwise(grid.n, grid.n, block, float if _real_energy(lam) else complex,
-                     symmetric=True)
+    slope = (eta - complex(lam).real) / (8.0 * np.pi)
+    mat = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope,
+                        float if _real_energy(lam) else complex)
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"scattering lam={lam} eta={eta:g}: non-finite matrix entries")
     return mat

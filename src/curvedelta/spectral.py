@@ -79,14 +79,15 @@ class BoundState:
 
 
 class _Operator:
-    """B(lam) on one grid, as the eigenvalue code reads it.
+    """B(lam) on one grid, as the eigenvalue code and the probe read it.
 
     The one place that chooses how.  On a circle grid B(lam) is a symmetric
     circulant: its eigenvalues come from `circle_boundary_modes`, each
     wavenumber 1 to N/2 - 1 listed twice, and its eigenvectors are the
     unit-norm real Fourier modes, cos before sin within a pair; no matrix is
-    formed.  On any other grid B(lam) is assembled on first use and read by
-    dense symmetric eigensolves.
+    formed for them.  On any other grid B(lam) is assembled on first use and
+    read by dense symmetric eigensolves.  `matrix` is that one assembly, on
+    any grid, for a caller that needs the entries.
     """
 
     def __init__(self, lam: float, grid: ArcGrid):
@@ -102,20 +103,20 @@ class _Operator:
             self._values = modes[self._waves]
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         return boundary_matrix(self.lam, self.grid)
 
     def spectrum(self) -> np.ndarray:
         """All eigenvalues, nonincreasing, without eigenvectors."""
         if self._waves is None:
-            return eigen(self._matrix)
+            return eigen(self.matrix)
         return self._values
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
         the eigenvalue branches that the floor and the root search sample."""
         if self._waves is None:
-            return eigenvalue_at(self._matrix, k)
+            return eigenvalue_at(self.matrix, k)
         return float(self._values[k - 1])
 
     def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
@@ -123,7 +124,7 @@ class _Operator:
         dense grid one subset solve whose value is bitwise `branch_value(k)`."""
         n = self.grid.n
         if self._waves is None:
-            vals, vecs = scipy.linalg.eigh(self._matrix, subset_by_index=[n - k, n - k],
+            vals, vecs = scipy.linalg.eigh(self.matrix, subset_by_index=[n - k, n - k],
                                            driver="evr")
             return float(vals[0]), vecs[:, 0]
         m = self._waves[k - 1]

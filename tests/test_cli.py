@@ -1,4 +1,4 @@
-import inspect
+import collections
 import json
 import math
 import os
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import curvedelta
 import curvedelta.resolvent as resolvent_mod
 import curvedelta.scattering as scattering_mod
-from curvedelta import curve_to_json_dict
+from curvedelta import boundary_matrix, curve_to_json_dict, make_circle, make_grid
 from curvedelta.cli import main
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
@@ -185,8 +185,7 @@ class TestProbe:
     def test_slopes_populated(self, circle_file, tmp_path):
         out = str(tmp_path)
         assert main(["probe", "--curve", circle_file, "--n", "256",
-                     "--box-lo", "-3", "--box-hi", "3", "--box-n", "20",
-                     "--out", out]) == 0
+                     "--box-n", "20", "--out", out]) == 0
         summary = json.loads((tmp_path / "probe_summary.json").read_text())
         assert summary["slope_correction"] <= -1.8
         assert summary["slope_layer"] <= -0.9
@@ -197,7 +196,7 @@ class TestProbe:
 
     def test_box_options_have_no_effect(self, ellipse_file, tmp_path):
         outputs = []
-        for extra in ([], ["--box-lo", "-2", "--box-hi", "2", "--box-n", "12"]):
+        for extra in ([], ["--box-n", "12"]):
             out = tmp_path / str(len(extra))
             assert main(["probe", "--curve", ellipse_file, "--n", "64", *extra,
                          "--out", str(out)]) == 0
@@ -205,50 +204,79 @@ class TestProbe:
                             ("probe_correction.csv", "probe_layer.csv", "probe_summary.json")])
         assert outputs[0] == outputs[1]
 
-    def test_probe_operation_counts(self, circle_file, tmp_path, monkeypatch):
-        # a probe assembles B(lam) once, densely also on the circle, and
-        # takes three symmetric spectra (B's for the margin, X's, the
-        # core's) and one Cholesky of X; no QR or SVD is left.  (Loading a
-        # Fourier curve adds numpy's own eigvalsh call of its Gauss rule.)
-        calls = {"boundary_matrix": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0}
+    def test_probe_operation_counts(self, circle_file, ellipse_file, tmp_path, monkeypatch):
+        # a probe assembles B(lam) once, densely also on the circle, factors
+        # X (Cholesky) and alpha - B (one symmetric solve) once each, and
+        # takes the spectra of X and of the core; only a non-circle curve
+        # adds B's spectrum for the margin, which the circle reads from its
+        # FFT.  No QR or SVD is left.  Calls on N x N matrices are counted.
+        n = 64
+        calls = []
 
         def counted(module, name):
             real = getattr(module, name)
 
             def call(*args, **kwargs):
-                calls[name] += 1
+                if name == "boundary_matrix" or np.shape(args[0]) == (n, n):
+                    calls.append(name)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, call)
+            for holder in (module, curvedelta.spectral, curvedelta.resolvent):
+                if getattr(holder, name, None) is real:
+                    monkeypatch.setattr(holder, name, call)
 
-        counted(resolvent_mod, "boundary_matrix")
-        for name in ("eigvalsh", "cholesky", "qr", "svd"):
-            counted(np.linalg, name)
-        assert main(["probe", "--curve", circle_file, "--n", "64",
+        counted(curvedelta.assembly, "boundary_matrix")
+        for name in ("eigh", "cholesky", "solve", "qr", "svd", "svdvals"):
+            counted(scipy.linalg, name)
+        counts = {}
+        for label, path in (("circle", circle_file), ("ellipse", ellipse_file)):
+            calls.clear()
+            assert main(["probe", "--curve", path, "--n", str(n),
+                         "--out", str(tmp_path / label)]) == 0
+            counts[label] = collections.Counter(calls)
+        assert counts == {
+            "circle": {"boundary_matrix": 1, "eigh": 2, "cholesky": 1, "solve": 1},
+            "ellipse": {"boundary_matrix": 1, "eigh": 3, "cholesky": 1, "solve": 1},
+        }
+
+    def test_circle_probe_takes_no_eigensolve_of_b(self, circle_file, tmp_path,
+                                                    monkeypatch):
+        # the SPECTRUM_MARGIN check reads B's spectrum on the circle from the
+        # FFT: no eigensolver, numpy's or scipy's, sees B(lam) itself
+        bmat = boundary_matrix(-1.0, make_grid(make_circle(1.0), 64))
+        seen = []
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+            def watched(mat, *args, _real=getattr(module, name), **kwargs):
+                seen.append(np.array_equal(mat, bmat))
+                return _real(mat, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, watched)
+        assert main(["probe", "--curve", circle_file, "--n", "64", "--lambda=-1",
                      "--out", str(tmp_path)]) == 0
-        assert calls == {"boundary_matrix": 1, "eigvalsh": 3, "cholesky": 1, "qr": 0, "svd": 0}
+        assert seen and not any(seen)
 
-    def test_no_scipy_linalg_call(self, ellipse_file, tmp_path, monkeypatch):
-        # a probe stays in numpy's BLAS pool: every scipy.linalg function,
-        # also where a curvedelta module holds it by name, is counted
+    def test_no_numpy_linalg_call_on_matrices(self, ellipse_file, tmp_path, monkeypatch):
+        # a probe's dense linear algebra runs in scipy's BLAS pool: every
+        # numpy.linalg function is counted with the shapes of its matrix
+        # arguments, and only numpy's own 10 x 10 eigvalsh of the Gauss
+        # rule, taken while the Fourier curve loads, is seen
+        n = 64
         calls = []
-        for name in scipy.linalg.__all__:
-            real = getattr(scipy.linalg, name)
-            if not inspect.isfunction(real):
+        for name in np.linalg.__all__:
+            real = getattr(np.linalg, name)
+            if isinstance(real, type) or not callable(real):
                 continue
 
             def counted(*args, _name=name, _real=real, **kwargs):
-                calls.append(_name)
+                calls.append((_name, [np.shape(a) for a in args if np.ndim(a) == 2]))
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.linalg, name, counted)
-            for module in (curvedelta.assembly, curvedelta.curves, curvedelta.kernels,
-                           curvedelta.resolvent, curvedelta.spectral, curvedelta.cli):
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
-        assert main(["probe", "--curve", ellipse_file, "--n", "64",
-                     "--box-n", "12", "--out", str(tmp_path)]) == 0
-        assert calls == []
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert main(["probe", "--curve", ellipse_file, "--n", str(n),
+                     "--out", str(tmp_path)]) == 0
+        assert ("eigvalsh", [(10, 10)]) in calls
+        assert not [call for call in calls if (n, n) in call[1]]
 
 
 class TestCircleFFTPath:
@@ -343,7 +371,7 @@ MALFORMED = [
     (["bound-states", "--alpha", ","], "no number"),
     (["spectrum", "--lambda", ","], "no number"),
     (["scattering", "--alpha=-0.5,-0.3"], "--alpha takes one value"),
-    (["probe", "--box-lo", "-3"], "--box-lo and --box-hi"),
+    (["probe", "--box-lo", "-3"], "unrecognized arguments: --box-lo"),
 ]
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import curvedelta.resolvent as resolvent_mod
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
@@ -171,18 +170,14 @@ class TestSingularValues:
         assert np.all(box_layer[:200] < layer[:200])
         assert np.all(box_corr[:200] < corr[:200])
 
-    def test_numpy_singular_values_match_scipy(self, circle_grid):
-        # the probe takes its spectra from numpy to stay in numpy's BLAS
-        # pool; on the Gram matrix and the core numpy's eigvalsh gives
-        # scipy's eigh with LAPACK's ?syevd bit for bit (a mismatch names a
-        # differing LAPACK build in the numpy and scipy wheels)
-        gram = resolvent_mod._gram_matrix(circle_grid, -1.0)
-        low = np.linalg.cholesky(gram)
-        core = low.T @ np.linalg.solve(
-            resolvent_mod._resolvent_system(circle_grid, -1.0, -0.5), low)
-        for mat in (gram, core):
-            assert np.array_equal(np.linalg.eigvalsh(mat),
-                                  scipy.linalg.eigh(mat, eigvals_only=True, driver="evd"))
+    def test_layer_values_match_numpy_eigvalsh(self, circle_grid, ellipse_grid):
+        # the layer values are scipy's eigh with LAPACK's ?syevd, which gives
+        # numpy's eigvalsh of X bit for bit (a mismatch names a differing
+        # LAPACK build in the numpy and scipy wheels)
+        for grid in (circle_grid, ellipse_grid):
+            gram = resolvent_mod._gram_matrix(grid, -1.0)
+            assert np.array_equal(layer_singular_values(grid, -1.0),
+                                  np.sqrt(np.linalg.eigvalsh(gram)[::-1]))
 
     def test_box_reprobed_at_other_grid_or_energy(self, circle_grid, ellipse_grid):
         # one coarse box stays a lower bound on other curves and energies

@@ -79,40 +79,33 @@ def test_only_curves_reads_the_radius():
     assert readers == ["curves.py"]
 
 
-def _linalg_calls(module, package: str) -> set[str]:
+def _numpy_linalg_calls(path: pathlib.Path) -> set[str]:
     """Names of the `<alias>.linalg.<name>(...)` calls in a module's source,
-    where the alias is any name the module binds to `package`, and of the
-    names it imports from `<package>.linalg`.  A matrix 1-norm,
-    `norm(x, 1)`, reads "norm-1"; for numpy a matrix product reads "@"."""
-    tree = ast.parse(pathlib.Path(module.__file__).read_text())
-    nodes = list(ast.walk(tree))
+    where the alias is any name the module binds to numpy, and of the names
+    it imports from `numpy.linalg`."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
     aliases = {(alias.asname or alias.name).split(".")[0] for node in nodes
                if isinstance(node, ast.Import) for alias in node.names
-               if alias.name.split(".")[0] == package}
+               if alias.name.split(".")[0] == "numpy"}
     names = {alias.name for node in nodes
-             if isinstance(node, ast.ImportFrom) and node.module == f"{package}.linalg"
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
              for alias in node.names}
     for node in nodes:
         func = node.func if isinstance(node, ast.Call) else None
         if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
                 and func.value.attr == "linalg" and isinstance(func.value.value, ast.Name)
                 and func.value.value.id in aliases):
-            one_norm = (func.attr == "norm" and len(node.args) == 2
-                        and isinstance(node.args[1], ast.Constant) and node.args[1].value == 1)
-            names.add("norm-1" if one_norm else func.attr)
-    if package == "numpy" and any(isinstance(node, ast.MatMult) for node in nodes):
-        names.add("@")
+            names.add(func.attr)
     return names
 
 
 def test_one_blas_pool_per_query():
-    # numpy and scipy each load their own OpenBLAS with its own thread pool;
-    # the scattering path (and the spectra it reads) stays in scipy's, the
-    # probe in numpy's.  numpy's matrix 1-norm, a column sum, calls no BLAS.
-    assert _linalg_calls(scattering, "numpy") <= {"norm-1"}
-    assert _linalg_calls(spectral, "numpy") <= {"norm-1"}
-    assert _linalg_calls(resolvent, "scipy") == set()
-    assert _linalg_calls(resolvent, "numpy") == {"cholesky", "solve", "eigvalsh", "norm", "@"}
+    # numpy and scipy each load their own OpenBLAS with its own thread pool,
+    # and every dense factorization, solve and spectrum of the package goes
+    # through scipy's: no module calls numpy.linalg for more than a norm
+    found = {path.name: _numpy_linalg_calls(path) for path in sorted(SRC.glob("*.py"))}
+    assert {"resolvent.py", "scattering.py", "spectral.py"} <= set(found)
+    assert {name: calls - {"norm"} for name, calls in found.items()} == dict.fromkeys(found, set())
 
 
 @pytest.mark.parametrize("make", [
