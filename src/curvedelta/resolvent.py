@@ -83,16 +83,14 @@ def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
     """alpha I - B(lam), the system of the resolvent correction, from one
     assembly of B(lam).
 
-    Refuses when alpha lies within SPECTRUM_MARGIN of the spectrum of
-    B(lam), that is when lam is at or near a bound-state energy.  The
-    spectrum is read as `spectral._Operator` reads it: on a circle grid
-    from the FFT, with no eigensolve.
+    Refuses when `spectral._Operator.clear_of` does not clear alpha by
+    SPECTRUM_MARGIN from the spectrum of B(lam), that is when lam is at or
+    near a bound-state energy; on a circle grid it reads the FFT spectrum.
     """
     op = _Operator(lam, grid)
-    margin = np.min(np.abs(op.spectrum() - alpha))
-    if margin < SPECTRUM_MARGIN:
-        raise NumericsError(f"alpha within {margin:.2e} of the boundary spectrum; "
-                            "lam is at or near a bound-state energy")
+    if not op.clear_of(alpha, SPECTRUM_MARGIN):
+        raise NumericsError(f"alpha within SPECTRUM_MARGIN = {SPECTRUM_MARGIN:g} of the "
+                            "boundary spectrum; lam is at or near a bound-state energy")
     system = -op.matrix
     system[np.diag_indices(grid.n)] += alpha
     return system
@@ -139,20 +137,18 @@ def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:
 def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
     """Singular values of the resolvent correction K, nonincreasing.
 
-    With X = L L^T (Cholesky), Gamma = U L^T for an isometry U, so the
-    singular values of K = U L^T (alpha - B)^{-1} L U^T are the absolute
-    eigenvalues of the symmetric N x N core L^T (alpha - B)^{-1} L.  The
-    exactly symmetric alpha - B is solved by one LDL^T factorization.
+    With X = L L^T, Gamma = U L^T for an isometry U, so the singular values
+    of K are the absolute eigenvalues of L^T (alpha - B)^{-1} L, the
+    reciprocals of those of L^{-1} (alpha - B) L^{-T}: one generalized
+    symmetric-definite eigensolve of (alpha - B, X), which also factors X.
     """
     gram = _gram_matrix(grid, lam)
     system = _resolvent_system(grid, lam, alpha)
     try:
-        low = scipy.linalg.cholesky(gram, lower=True)
+        theta = scipy.linalg.eigh(system, gram, eigvals_only=True, driver="gvd")
     except scipy.linalg.LinAlgError as exc:
         raise NumericsError("Gram matrix of the layer map is not positive definite") from exc
-    solved = scipy.linalg.solve(system, low, assume_a="sym")
-    core = scipy.linalg.get_blas_funcs("gemm", (low,))(1.0, low, solved, trans_a=1)
-    return np.sort(np.abs(scipy.linalg.eigh(core, eigvals_only=True, driver="evd")))[::-1]
+    return np.sort(1.0 / np.abs(theta))[::-1]
 
 
 def fit_decay_slope(values: np.ndarray) -> float:

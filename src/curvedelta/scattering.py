@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import boundary_matrix, kernel_matrix
+from .assembly import kernel_matrix
 from .curves import ArcGrid, _kept
 from .errors import ConfigError, NumericsError
 from .kernels import _real_energy, scattering_kernel
-from .spectral import boundary_spectrum, eigen
+from .spectral import _Operator
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds LAPACK's 1-norm
@@ -60,25 +60,22 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     return mat
 
 
-def _reference_boundary(grid: ArcGrid, eta: float) -> np.ndarray:
+def _reference_boundary(grid: ArcGrid, eta: float) -> _Operator:
     """B(eta), kept on the grid under eta: the choice of eta and every block
-    of a run at that eta share one assembly."""
-    return _kept(grid, "reference_boundary", eta, lambda: boundary_matrix(eta, grid))
+    of a run at that eta share one operator, so one assembly."""
+    return _kept(grid, "reference_boundary", eta, lambda: _Operator(eta, grid))
 
 
 def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
-    """First candidate eta < 0 whose boundary operator keeps alpha at a
-    spectral distance above the invertibility margin."""
+    """First candidate eta < 0 (all checked before any B(eta) is built) whose
+    boundary operator keeps alpha farther than the margin from its spectrum."""
     candidates = list(candidates)
     if not candidates:
         raise ConfigError("empty candidate list for the reference energy")
+    if any(eta >= 0 for eta in candidates):
+        raise ConfigError("reference energy candidates must be negative")
     for eta in candidates:
-        if eta >= 0:
-            raise ConfigError("reference energy candidates must be negative")
-        # on a dense grid the spectrum is read from the B(eta) the blocks reuse
-        spec = (boundary_spectrum(eta, grid) if grid.curve.is_circle
-                else eigen(_reference_boundary(grid, eta)))
-        if np.min(np.abs(spec - alpha)) > ETA_MARGIN:
+        if _reference_boundary(grid, eta).clear_of(alpha, ETA_MARGIN):
             return float(eta)
     raise NumericsError("no candidate reference energy keeps alpha away from "
                         "the spectrum")
@@ -174,7 +171,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                condition=0.0)
 
     system = n_mat                  # N + B_eta - alpha, in the layer matrix's storage
-    system += _reference_boundary(grid, eta)
+    system += _reference_boundary(grid, eta).matrix
     system[np.diag_indices(grid.n)] -= alpha
     sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
         ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (system,))

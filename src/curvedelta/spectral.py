@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .assembly import (boundary_matrix, circle_boundary_modes, circle_mode_eigenvalues,
                        comparison_matrix)
-from .curves import ArcGrid, _kept, make_circle, make_grid
+from .curves import ArcGrid, _kept, _read_only, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
 ROOT_TOL = 1e-10
@@ -79,15 +79,14 @@ class BoundState:
 
 
 class _Operator:
-    """B(lam) on one grid, as the eigenvalue code and the probe read it.
+    """B(lam) on one grid, the one place that assembles or reads it.
 
-    The one place that chooses how.  On a circle grid B(lam) is a symmetric
-    circulant: its eigenvalues come from `circle_boundary_modes`, each
-    wavenumber 1 to N/2 - 1 listed twice, and its eigenvectors are the
-    unit-norm real Fourier modes, cos before sin within a pair; no matrix is
-    formed for them.  On any other grid B(lam) is assembled on first use and
-    read by dense symmetric eigensolves.  `matrix` is that one assembly, on
-    any grid, for a caller that needs the entries.
+    On a circle grid B(lam) is a symmetric circulant: its eigenvalues come
+    from `circle_boundary_modes`, each wavenumber 1 to N/2 - 1 listed twice,
+    and its eigenvectors are the unit-norm real Fourier modes, cos before
+    sin within a pair; no matrix is formed for them.  On any other grid
+    B(lam) is assembled on first use and read by dense symmetric
+    eigensolves.  `matrix` is that one assembly, read-only, on any grid.
     """
 
     def __init__(self, lam: float, grid: ArcGrid):
@@ -104,13 +103,17 @@ class _Operator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return boundary_matrix(self.lam, self.grid)
+        return _read_only(boundary_matrix(self.lam, self.grid))
 
     def spectrum(self) -> np.ndarray:
         """All eigenvalues, nonincreasing, without eigenvectors."""
         if self._waves is None:
             return eigen(self.matrix)
         return self._values
+
+    def clear_of(self, x: float, margin: float) -> bool:
+        """Whether x is farther than margin from the spectrum: the one margin rule."""
+        return bool(np.min(np.abs(self.spectrum() - x)) > margin)
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of

@@ -7,10 +7,13 @@ trigonometric basis, node sums of the layer potential, or the full
 distance tables avoid.  The scattering references repeat the dense linear
 algebra the library's sketches and factorizations replace: a full
 eigendecomposition of Im N, and a full SVD for the condition number with a
-separate solve.  The box probe is the library's earlier route to the probe
-spectra: the layer map sampled on a box lattice, its QR and two SVDs.  It
-compresses the operators the library measures exactly, so its singular
-values are lower bounds.  The full-table references (`*_full`) are the
+separate solve.  The correction reference is the library's earlier
+Cholesky, symmetric-solve and gemm route to the probe's correction
+spectrum, which one generalized eigensolve replaces.  The box probe is
+the library's first route to the probe spectra: the layer map sampled on
+a box lattice, its QR and two SVDs.  It compresses the operators the
+library measures exactly, so its singular values are lower bounds.  The
+full-table references (`*_full`) are the
 library's earlier one-pass builds of B(lam), the comparison matrix, the
 scattering kernel and layer matrix, and the box's distance minimum, and a
 one-pass build of the probe's Gram matrix; the library fills each table a
@@ -38,7 +41,7 @@ from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
 from curvedelta.assembly import kink_correction
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
 from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
-from curvedelta.resolvent import BoxGrid
+from curvedelta.resolvent import BoxGrid, _gram_matrix, _resolvent_system
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
 
 PAIRING_TOL = 1e-9
@@ -255,6 +258,17 @@ def box_probe_singular_values(grid: ArcGrid, box: BoxGrid, lam: float,
     r = np.linalg.qr(g, mode="r")
     system = alpha * np.eye(grid.n) - boundary_matrix(lam, grid)
     return scipy.linalg.svdvals(g), scipy.linalg.svdvals(r @ np.linalg.solve(system, r.T))
+
+
+def correction_singular_values_reference(grid: ArcGrid, lam: float,
+                                         alpha: float) -> np.ndarray:
+    """The correction's singular values by the library's earlier route:
+    X = L L^T (Cholesky), one symmetric solve of (alpha - B) Y = L, the core
+    L^T Y by BLAS gemm, and the |eigenvalues| of the core, nonincreasing."""
+    low = scipy.linalg.cholesky(_gram_matrix(grid, lam), lower=True)
+    solved = scipy.linalg.solve(_resolvent_system(grid, lam, alpha), low, assume_a="sym")
+    core = scipy.linalg.get_blas_funcs("gemm", (low,))(1.0, low, solved, trans_a=1)
+    return np.sort(np.abs(scipy.linalg.eigh(core, eigvals_only=True, driver="evd")))[::-1]
 
 
 def green_square_integral(lam: float, d: float) -> float:

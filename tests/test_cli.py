@@ -152,6 +152,13 @@ class TestScattering:
                      "--out", str(tmp_path)]) == 3
         assert "not positive semidefinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["-1,5", "5,-1", "-1,-4,0"])
+    def test_any_nonnegative_eta_exits_2(self, circle_file, tmp_path, capsys, eta):
+        # every candidate is checked, not only those tried before one fits
+        assert main(["scattering", "--curve", circle_file, "--n", "64",
+                     "--alpha=-0.5", f"--eta={eta}", "--out", str(tmp_path)]) == 2
+        assert "must be negative" in capsys.readouterr().err
+
     def test_condition_refusal_exits_3(self, circle_file, tmp_path, monkeypatch):
         monkeypatch.setattr(scattering_mod, "CONDITION_LIMIT", 1.0)
         assert main(["scattering", "--curve", circle_file, "--n", "64",
@@ -205,11 +212,11 @@ class TestProbe:
         assert outputs[0] == outputs[1]
 
     def test_probe_operation_counts(self, circle_file, ellipse_file, tmp_path, monkeypatch):
-        # a probe assembles B(lam) once, densely also on the circle, factors
-        # X (Cholesky) and alpha - B (one symmetric solve) once each, and
-        # takes the spectra of X and of the core; only a non-circle curve
-        # adds B's spectrum for the margin, which the circle reads from its
-        # FFT.  No QR or SVD is left.  Calls on N x N matrices are counted.
+        # a probe assembles B(lam) once, densely also on the circle, takes
+        # the spectrum of X and one generalized eigensolve of (alpha - B, X);
+        # only a non-circle curve adds B's spectrum for the margin, which
+        # the circle reads from its FFT.  No Cholesky, solve, QR or SVD is
+        # left.  Calls on N x N matrices are counted.
         n = 64
         calls = []
 
@@ -235,8 +242,8 @@ class TestProbe:
                          "--out", str(tmp_path / label)]) == 0
             counts[label] = collections.Counter(calls)
         assert counts == {
-            "circle": {"boundary_matrix": 1, "eigh": 2, "cholesky": 1, "solve": 1},
-            "ellipse": {"boundary_matrix": 1, "eigh": 3, "cholesky": 1, "solve": 1},
+            "circle": {"boundary_matrix": 1, "eigh": 2},
+            "ellipse": {"boundary_matrix": 1, "eigh": 3},
         }
 
     def test_circle_probe_takes_no_eigensolve_of_b(self, circle_file, tmp_path,

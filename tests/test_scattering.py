@@ -54,6 +54,18 @@ class TestChooseReferenceEnergy:
         with pytest.raises(ConfigError):
             choose_reference_energy(circle_grid, -0.5, [])
 
+    @pytest.mark.parametrize("candidates", [[-1.0, 5.0], [5.0, -1.0], [-1.0, -4.0, 0.0]])
+    def test_every_candidate_checked_before_assembly(self, ellipse, candidates,
+                                                     monkeypatch):
+        # a non-negative candidate is refused wherever it stands in the
+        # list, and before any B(eta) is built
+        built = []
+        monkeypatch.setattr(spectral_mod, "boundary_matrix",
+                            lambda lam, grid: built.append(lam))
+        with pytest.raises(ConfigError, match="must be negative"):
+            choose_reference_energy(make_grid(ellipse, 64), -0.5, candidates)
+        assert built == []
+
     def test_all_candidates_fail(self, circle_grid):
         spec = eigen(boundary_matrix(-1.0, circle_grid))
         alpha = float(spec[4])   # sits exactly on the spectrum at eta=-1
@@ -120,30 +132,31 @@ class TestScatteringBlock:
         # the blocks of a run at one eta share one read-only B(eta)
         grid = make_grid(ellipse, 128)
         built = []
-        real_matrix = scattering_mod.boundary_matrix
+        real_matrix = spectral_mod.boundary_matrix
 
         def matrix(lam, grid):
             built.append(lam)
             return real_matrix(lam, grid)
 
-        monkeypatch.setattr(scattering_mod, "boundary_matrix", matrix)
+        monkeypatch.setattr(spectral_mod, "boundary_matrix", matrix)
         for lam in (0.5, 1.0, 2.0):
             scattering_block(grid, lam, -0.5, -1.0)
         assert built == [-1.0]
         scattering_block(grid, 1.0, -0.5, -4.0)
         assert built == [-1.0, -4.0]
-        assert not curves._kept(grid, "reference_boundary", -4.0, None).flags.writeable
+        assert not curves._kept(grid, "reference_boundary", -4.0, None).matrix.flags.writeable
 
     def test_one_reference_assembly_per_run(self, ellipse, tmp_path, monkeypatch):
         # the choice of eta reads its spectrum off the B(eta) the blocks
         # reuse, so a scattering run on a dense grid assembles B(eta) once
         built = []
-        for module in (scattering_mod, spectral_mod):
-            def matrix(lam, grid, _real=module.boundary_matrix):
-                built.append(lam)
-                return _real(lam, grid)
+        real_matrix = spectral_mod.boundary_matrix
 
-            monkeypatch.setattr(module, "boundary_matrix", matrix)
+        def matrix(lam, grid):
+            built.append(lam)
+            return real_matrix(lam, grid)
+
+        monkeypatch.setattr(spectral_mod, "boundary_matrix", matrix)
         curve = tmp_path / "ellipse.json"
         curve.write_text(json.dumps(curve_to_json_dict(ellipse)))
         assert main(["scattering", "--curve", str(curve), "--n", "128", "--alpha=-0.5",
@@ -185,7 +198,7 @@ class TestScatteringBlock:
         n_mat[0, 0] = 1j
         monkeypatch.setattr(scattering_mod, "scattering_layer_matrix",
                             lambda grid, lam, eta: n_mat.copy())
-        monkeypatch.setattr(scattering_mod, "boundary_matrix",
+        monkeypatch.setattr(spectral_mod, "boundary_matrix",
                             lambda lam, grid: np.zeros((n, n)))
         with pytest.raises(NumericsError, match="exactly singular"):
             scattering_block(grid, 1.0, 0.0, -1.0)

@@ -212,6 +212,31 @@ class TestCircleFFT:
             boundary_spectrum(0.5, request.getfixturevalue(grid))
 
 
+class TestClearOf:
+    """The one spectral-margin rule: x is clear of B(lam)'s spectrum by more
+    than m, read as `_Operator` reads the spectrum (the FFT on a circle)."""
+
+    @pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
+    @pytest.mark.parametrize("margin", [1e-8, 1e-6, 1e-3])
+    def test_matches_dense_distance(self, request, curve_name, margin):
+        # on the circle the dense reference is the assembled matrix, so the
+        # FFT answer is checked against it
+        grid = make_grid(request.getfixturevalue(curve_name), 64)
+        op = spectral._Operator(-1.0, grid)
+        dense = eigen(boundary_matrix(-1.0, grid))
+        for k in (1, 2, 7, 16):
+            nu = op.spectrum()[k - 1]
+            for step, clear in ((-2.0, True), (-0.5, False), (0.5, False), (2.0, True)):
+                x = nu + step * margin
+                assert op.clear_of(x, margin) == (np.min(np.abs(dense - x)) > margin) == clear
+
+    def test_distance_equal_to_margin_is_refused(self, ellipse_grid):
+        op = spectral._Operator(-1.0, ellipse_grid)
+        distance = np.min(np.abs(op.spectrum() + 0.5))
+        assert op.clear_of(-0.5, 0.5 * distance)
+        assert not op.clear_of(-0.5, distance)
+
+
 class TestIntervalIndex:
     # the unit circle's levels down to -1.5: 8193 of them
     LEVELS = _circle_levels(1.0, -1.5)

@@ -79,6 +79,22 @@ def test_only_curves_reads_the_radius():
     assert readers == ["curves.py"]
 
 
+def test_one_reader_of_the_boundary_operator():
+    # B(lam) is assembled in spectral._Operator alone, which chooses how its
+    # spectrum is read and holds the one spectral-margin rule
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  and (path.name, cls.name) == ("spectral.py", "_Operator")
+                  for node in ast.walk(cls)}
+        found += [(path.name, node.lineno, id(node) in inside) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "boundary_matrix"]
+    assert [(name, inside) for name, _, inside in found] == [("spectral.py", True)], found
+
+
 def _numpy_linalg_calls(path: pathlib.Path) -> set[str]:
     """Names of the `<alias>.linalg.<name>(...)` calls in a module's source,
     where the alias is any name the module binds to numpy, and of the names
