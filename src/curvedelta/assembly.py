@@ -32,7 +32,7 @@ from scipy.linalg import toeplitz
 
 from .curves import ArcGrid, _block_diagonal, _blockwise, _toeplitz_block
 from .errors import ConfigError
-from .kernels import green_kernel, smoothing_kernel
+from .kernels import green_derivative_kernel, green_kernel, smoothing_kernel
 
 
 def kink_correction(slope, weight: float):
@@ -123,22 +123,71 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     smoothing kernel on the chords of the circle of radius R = L/(2 pi).
 
     Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal takes
-    the analytic limit w sqrt(-lam)/(4 pi) plus the kink correction with
-    slope -lam/(8 pi) (the kernel's radial derivative at zero chord).  Every
-    path to B(lam), dense or circulant, reads this row, and refuses here.
+    the analytic limit w sqrt(-lam)/(4 pi) plus the capped kink correction
+    of `_smoothing_kink`.  Every path to B(lam), dense or circulant, reads
+    this row, and refuses here.
     """
     if lam > 0:
         raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
     w = grid.weight
     row = w * smoothing_kernel(lam, grid.circle_chord_row)
-    slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
-    corr = kink_correction(slope, w)
-    # the O(h^2) correction must stay subordinate to the analytic diagonal;
-    # beyond sqrt(-lam) ~ 1/h the kernel's boundary layer is unresolved and
-    # an uncapped correction would flip the diagonal's sign
-    diag_limit = w * math.sqrt(-lam) / (4.0 * np.pi)
-    row[0] += max(corr, -0.5 * diag_limit)
+    row[0] += max(*_smoothing_kink(lam, w))
     return row
+
+
+def _smoothing_kink(lam: float, w: float) -> tuple[float, float]:
+    """The kink correction of the smoothing row's diagonal and its cap.
+
+    The correction has slope -lam/(8 pi) (the kernel's radial derivative at
+    zero chord).  It must stay subordinate to the analytic diagonal
+    w sqrt(-lam)/(4 pi): beyond sqrt(-lam) ~ 1/h the kernel's boundary layer
+    is unresolved and an uncapped correction would flip the diagonal's
+    sign, so the row adds the larger of the two, and the cap is active
+    where w sqrt(-lam) > 6.
+    """
+    slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
+    diag_limit = w * math.sqrt(-lam) / (4.0 * np.pi)
+    return kink_correction(slope, w), -0.5 * diag_limit
+
+
+def _capped_derivative_diagonal(lam: float, w: float) -> float | None:
+    """The diagonal of B'(lam) where the smoothing row's cap is active, the
+    derivative w/(16 pi sqrt(-lam)) of the capped entry; None elsewhere."""
+    corr, cap = _smoothing_kink(lam, w)
+    return w / (16.0 * np.pi * math.sqrt(-lam)) if corr < cap else None
+
+
+def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True) -> np.ndarray:
+    """B'(lam) = dB/dlam at lam < 0, in closed form.
+
+    Off the diagonal w e^{-kappa r}/(8 pi kappa) on the curve chords r,
+    kappa = sqrt(-lam); on it w/(8 pi kappa) - w^2/(48 pi), the analytic
+    limit plus the kink correction of the kernel's slope -1/(8 pi).  This
+    is the Gram matrix X = Gamma^T Gamma of the layer map, which the probe
+    reads with `capped=False`.  Where the smoothing row's cap is active
+    (w kappa > 6) B(lam)'s diagonal is the capped entry, and with `capped`
+    the diagonal is its derivative w/(16 pi kappa).  A Gram matrix, so
+    positive definite: every eigenvalue branch of B increases in lam.
+    """
+    mat = kernel_matrix(grid, lambda r: green_derivative_kernel(lam, r), -1.0 / (8.0 * np.pi))
+    diag = _capped_derivative_diagonal(lam, grid.weight) if capped else None
+    if diag is not None:
+        mat[np.diag_indices(grid.n)] = diag
+    return mat
+
+
+def circle_derivative_modes(lam: float, grid: ArcGrid) -> np.ndarray:
+    """Eigenvalues of B'(lam) on a circle grid, by wavenumber 0, 1, ..., N/2.
+
+    B'(lam) of the circle is the symmetric circulant of the `boundary_derivative`
+    entries on the circle chord row, so its eigenvalues are the real FFT of
+    that row, exactly the slopes of the circle's branches.
+    """
+    w = grid.weight
+    row = w * green_derivative_kernel(lam, grid.circle_chord_row)
+    diag = _capped_derivative_diagonal(lam, w)
+    row[0] = diag if diag is not None else row[0] + kink_correction(-1.0 / (8.0 * np.pi), w)
+    return np.fft.rfft(row).real
 
 
 def smoothing_matrix(lam: float, grid: ArcGrid) -> np.ndarray:

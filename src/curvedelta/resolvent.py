@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import kernel_matrix
+from .assembly import boundary_derivative
 from .curves import ArcGrid, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
-from .kernels import green_derivative_kernel, green_kernel
+from .kernels import green_kernel
 from .spectral import _Operator
 
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
@@ -122,8 +122,9 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
 def _gram_matrix(grid: ArcGrid, lam: float) -> np.ndarray:
     """X = Gamma^T Gamma: entries w e^{-kappa r_ij}/(8 pi kappa) on the curve
     chords r_ij, kappa = sqrt(-lam).  The diagonal w/(8 pi kappa) carries
-    the kink correction of the kernel's slope -1/(8 pi) at r = 0."""
-    return kernel_matrix(grid, lambda r: green_derivative_kernel(lam, r), -1.0 / (8.0 * np.pi))
+    the kink correction of the kernel's slope -1/(8 pi) at r = 0.  It is
+    the builder of B'(lam), without the smoothing row's cap."""
+    return boundary_derivative(lam, grid, capped=False)
 
 
 def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:

@@ -7,6 +7,12 @@ branch nu_k(lam) is continuous and strictly increasing in lam and tends to
 -infinity, so nu_k(lam) = alpha has exactly one root whenever nu_k(0) > alpha.
 Counting at alpha therefore reduces to counting eigenvalues of the
 energy-zero operator above alpha.
+
+Each root is found by safeguarded Newton steps on the branch, whose slope
+dnu_k/dlam = v_k^T B'(lam) v_k comes from the closed-form B'(lam).  The
+side of the root an energy lies on is read from the inertia of
+B(lam) - alpha, the number of its eigenvalues above alpha, which one LDL^T
+factorization gives without an eigensolve.
 """
 
 from __future__ import annotations
@@ -14,21 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
-from .assembly import (boundary_matrix, circle_boundary_modes, circle_mode_eigenvalues,
-                       comparison_matrix)
+from .assembly import (boundary_derivative, boundary_matrix, circle_boundary_modes,
+                       circle_derivative_modes, circle_mode_eigenvalues, comparison_matrix)
 from .curves import ArcGrid, _kept, _read_only, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
+EPS = np.finfo(float).eps
 ROOT_TOL = 1e-10
 MONOTONE_TOL = 1e-10
-# Brent's method stops once the bracket is below xtol + rtol * |root|
-BRENT_XTOL = 1e-14
-BRENT_RTOL = 4.0 * np.finfo(float).eps
+# the root search stops once its step is below xtol + rtol * |lam|
+ROOT_XTOL = 1e-14
+ROOT_RTOL = 4.0 * EPS
+MAX_ROOT_STEPS = 100
+# inverse iteration stops once the Rayleigh residual is below INVERSE_TOL
+# times ||B||_1, and gives way to a subset eigensolve after INVERSE_STEPS
+INVERSE_TOL = 1e-9
+INVERSE_STEPS = 32
 ENDPOINT_TOL = 1e-12
 MAX_FLOOR_DOUBLINGS = 60
 MAX_CIRCLE_LEVELS = 10 ** 7
@@ -83,16 +95,24 @@ class _Operator:
 
     On a circle grid B(lam) is a symmetric circulant: its eigenvalues come
     from `circle_boundary_modes`, each wavenumber 1 to N/2 - 1 listed twice,
-    and its eigenvectors are the unit-norm real Fourier modes, cos before
-    sin within a pair; no matrix is formed for them.  On any other grid
-    B(lam) is assembled on first use and read by dense symmetric
-    eigensolves.  `matrix` is that one assembly, read-only, on any grid.
+    its branch slopes from `circle_derivative_modes`, and its eigenvectors
+    are the unit-norm real Fourier modes, cos before sin within a pair; no
+    matrix is formed for them.  On any other grid B(lam) is assembled on
+    first use.  Its inertia comes from one Bunch-Kaufman LDL^T
+    factorization of B - x (LAPACK ?sytrf), whose factors are kept for
+    inverse iteration; an eigenpair it cannot certify comes from one subset
+    eigensolve, and the eigenpairs found are kept.  `matrix` is that one
+    assembly, read-only, on any grid.  `guess`, a vector near the
+    eigenvectors sought, starts the inverse iteration.
     """
 
-    def __init__(self, lam: float, grid: ArcGrid):
+    def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None):
         self.lam = lam
         self.grid = grid
+        self._guess = guess
         self._waves = None
+        self._factors = None      # (x, above(x), LDL^T factors) of the latest shift
+        self._pairs = {}          # k -> (nu_k, v_k, whether from an eigensolve)
         if grid.curve.is_circle:
             n = grid.n
             modes = circle_boundary_modes(lam, grid)
@@ -105,40 +125,184 @@ class _Operator:
     def matrix(self) -> np.ndarray:
         return _read_only(boundary_matrix(self.lam, self.grid))
 
+    @cached_property
+    def _derivative(self) -> np.ndarray:
+        """B'(lam): by wavenumber on a circle grid, the dense matrix elsewhere."""
+        if self._waves is None:
+            return boundary_derivative(self.lam, self.grid)
+        return circle_derivative_modes(self.lam, self.grid)
+
+    @cached_property
+    def _scale(self) -> float:
+        """||B||_1 on a dense grid, the spectral radius on a circle grid."""
+        if self._waves is None:
+            return float(scipy.linalg.norm(self.matrix, 1, check_finite=False))
+        return float(np.max(np.abs(self._values)))
+
+    @cached_property
+    def _rounding(self) -> float:
+        """sqrt(n) eps ||B||, the width within which a count or a side is not
+        trusted."""
+        return math.sqrt(self.grid.n) * EPS * self._scale
+
     def spectrum(self) -> np.ndarray:
         """All eigenvalues, nonincreasing, without eigenvectors."""
         if self._waves is None:
             return eigen(self.matrix)
         return self._values
 
+    def _inertia(self, x: float) -> tuple[int, bool, tuple | None]:
+        """The number of eigenvalues above x, whether x is one exactly, and
+        on a dense grid the LDL^T factors of B - x when it is not.
+
+        Bunch-Kaufman's 2 x 2 pivot blocks each hold one positive and one
+        negative eigenvalue, so by Sylvester's law of inertia the count is
+        the positive 1 x 1 pivots plus one per 2 x 2 block.
+        """
+        if self._waves is not None:
+            return int(np.count_nonzero(self._values > x)), bool(np.any(self._values == x)), None
+        n = self.grid.n
+        # B is exactly symmetric, so its transpose is B in Fortran order
+        shifted = np.array(self.matrix.T, order="F")
+        shifted[np.diag_indices(n)] -= x
+        sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), (shifted,))
+        lwork = int(sytrf_lwork(n)[0])
+        ldu, ipiv, info = sytrf(shifted, lwork=lwork, overwrite_a=True)
+        single = ipiv > 0
+        count = int(np.count_nonzero(np.diagonal(ldu)[single] > 0))
+        count += int(np.count_nonzero(~single)) // 2
+        return count, info > 0, (ldu, ipiv) if info == 0 else None
+
+    def above(self, x: float) -> int:
+        """Number of eigenvalues of B(lam) greater than x.  On a dense grid
+        the factors of B - x are kept, so that inverse iteration with shift
+        x can find the branch nearest x."""
+        count, _, factors = self._inertia(x)
+        self._factors = (x, count, factors)
+        return count
+
     def clear_of(self, x: float, margin: float) -> bool:
-        """Whether x is farther than margin from the spectrum: the one margin rule."""
-        return bool(np.min(np.abs(self.spectrum() - x)) > margin)
+        """Whether x is farther than margin from the spectrum: the one margin
+        rule.  Read from two inertias: no eigenvalue lies within the margin
+        when as many lie above x - margin as above x + margin and neither
+        shift is an eigenvalue exactly.  The margin is widened by the
+        rounding width, so a distance equal to it is refused."""
+        reach = margin + self._rounding
+        below, exact_below, _ = self._inertia(x - reach)
+        above, exact_above, _ = self._inertia(x + reach)
+        return below == above and not exact_below and not exact_above
+
+    def _inverse_iteration(self, k: int) -> tuple[float, np.ndarray] | None:
+        """nu_k and v_k by inverse iteration with the kept factors of B - x,
+        or None where they are not certified.
+
+        With above(x) = k - 1, nu_k is the nearest eigenvalue to x below it,
+        and with above(x) = k the nearest above it; the iteration converges
+        to the eigenvalue nearest x, and its Rayleigh quotient certifies
+        nu_k once it lies on nu_k's side of x by more than its residual.
+        Each step reads the Rayleigh quotient and residual of the new
+        iterate u = y/|y|, y = (B - x)^{-1} v, from (B - x) u = v/|y|.
+        """
+        if self._factors is None or self._factors[2] is None or \
+                self._factors[1] not in (k - 1, k):
+            return None
+        x, count, (ldu, ipiv) = self._factors
+        sytrs = scipy.linalg.get_lapack_funcs("sytrs", (ldu,))
+        v = np.ones(self.grid.n) if self._guess is None else self._guess
+        v = v / np.linalg.norm(v)
+        tol = INVERSE_TOL * self._scale
+        for _ in range(INVERSE_STEPS):
+            y, _ = sytrs(ldu, ipiv, v)
+            size = np.linalg.norm(y)
+            y /= size
+            c = float(y @ v)
+            value = x + c / size
+            residual = float(np.linalg.norm(v - c * y)) / size
+            v = y
+            if residual <= tol:
+                break
+        else:
+            return None
+        side = value - x if count == k else x - value
+        return (value, v) if side > residual + self._rounding else None
+
+    def _solve_pairs(self, first: int, last: int) -> None:
+        """Eigenpairs first to last by one subset eigensolve (LAPACK ?syevr),
+        kept as exact."""
+        n = self.grid.n
+        vals, vecs = scipy.linalg.eigh(self.matrix, subset_by_index=[n - last, n - first],
+                                       driver="evr")
+        for j in range(first, last + 1):
+            self._pairs[j] = (float(vals[last - j]), vecs[:, last - j], True)
+
+    def _exact(self, k: int) -> bool:
+        """Whether the kept k-th eigenpair is from an eigensolve."""
+        return self._pairs.get(k, (None, None, False))[2]
+
+    def _pair(self, k: int) -> tuple[float, np.ndarray, bool]:
+        """The kept k-th eigenpair, found by inverse iteration or else by
+        `settle(k)`."""
+        if k not in self._pairs:
+            found = self._inverse_iteration(k)
+            if found is None:
+                self.settle(k)
+            else:
+                self._pairs[k] = (*found, False)
+        return self._pairs[k]
+
+    def settle(self, k: int) -> None:
+        """Make the k-th and the (k+1)-th eigenpairs exact, from one subset
+        eigensolve: at a root, the verified eigenpair and the next branch's
+        start."""
+        last = min(k + 1, self.grid.n)
+        if self._waves is None and not all(self._exact(j) for j in range(k, last + 1)):
+            self._solve_pairs(k, last)
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
         the eigenvalue branches that the floor and the root search sample."""
         if self._waves is None:
-            return eigenvalue_at(self.matrix, k)
+            return self._pair(k)[0]
         return float(self._values[k - 1])
 
-    def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
-        """The k-th largest eigenvalue and a unit eigenvector for it; on a
-        dense grid one subset solve whose value is bitwise `branch_value(k)`."""
-        n = self.grid.n
+    def vector(self, k: int) -> np.ndarray:
+        """The unit eigenvector `branch_value(k)` was read with."""
         if self._waves is None:
-            vals, vecs = scipy.linalg.eigh(self.matrix, subset_by_index=[n - k, n - k],
-                                           driver="evr")
-            return float(vals[0]), vecs[:, 0]
+            return self._pair(k)[1]
+        n = self.grid.n
         m = self._waves[k - 1]
         phase = 2.0 * np.pi * m * np.arange(n) / n
         if m == 0 or 2 * m == n:
-            vector = np.cos(phase) / math.sqrt(n)
-        elif k == 1 or self._waves[k - 2] != m:
-            vector = np.cos(phase) * math.sqrt(2.0 / n)
+            return np.cos(phase) / math.sqrt(n)
+        if k == 1 or self._waves[k - 2] != m:
+            return np.cos(phase) * math.sqrt(2.0 / n)
+        return np.sin(phase) * math.sqrt(2.0 / n)
+
+    def slope(self, k: int) -> float:
+        """dnu_k/dlam = v_k^T B'(lam) v_k; B' is a Gram matrix, so a slope
+        that is not positive refuses.  On a circle grid it is exact, the
+        FFT of the circulant B' row at the branch's wavenumber."""
+        if self._waves is None:
+            v = self.vector(k)
+            # B' is exactly symmetric: its transpose is B' in Fortran order
+            symv = scipy.linalg.get_blas_funcs("symv", (self._derivative,))
+            value = float(v @ symv(1.0, self._derivative.T, v))
         else:
-            vector = np.sin(phase) * math.sqrt(2.0 / n)
-        return self._values[k - 1], vector
+            value = float(self._derivative[self._waves[k - 1]])
+        if not value > 0:
+            raise NumericsError(f"monotonicity violated: mode {k} has slope {value:.3e} "
+                                f"at lam={self.lam:g}")
+        return value
+
+    def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
+        """The k-th largest eigenvalue and a unit eigenvector for it; on a
+        dense grid from a subset eigensolve, one for index k alone unless
+        one that included k is kept."""
+        if self._waves is None:
+            if not self._exact(k):
+                self._solve_pairs(k, k)
+            return self._pairs[k][:2]
+        return float(self._values[k - 1]), self.vector(k)
 
 
 def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -146,14 +310,52 @@ def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
     return _Operator(lam, grid).spectrum()
 
 
-def _top_eigenvalue_floor(grid: ArcGrid, alpha: float) -> _Operator:
-    """B(lam) at an energy where even the top eigenvalue branch is below
-    alpha."""
+class _Point(NamedTuple):
+    """Branch k of B at one energy: nu_k(lam), its slope and its vector."""
+
+    lam: float
+    value: float
+    slope: float
+    vector: np.ndarray
+
+
+def _point(op: _Operator, k: int) -> _Point:
+    return _Point(op.lam, op.branch_value(k), op.slope(k), op.vector(k))
+
+
+def _refuse_side(k: int, gap: float, above: bool) -> None:
+    """Refuse a branch value nu_k - alpha = gap on the wrong side of alpha:
+    by the inertia (or the branch order) nu_k is above alpha when `above`,
+    and a strictly increasing branch is then above it only right of the
+    root."""
+    if (gap <= -MONOTONE_TOL) if above else (gap >= MONOTONE_TOL):
+        raise NumericsError(f"monotonicity violated inside bracket for mode {k}: "
+                            f"nu - alpha = {gap:.3e} against the inertia")
+
+
+def _energy_floor(grid: ArcGrid, alpha: float) -> _Point:
+    """The top branch at an energy where it is below alpha.
+
+    The energies tried are -1, -2, -4, ...; one is a floor when B there has
+    no eigenvalue above alpha.  What each taught is kept on the grid for
+    every coupling: a floor keeps its branch point, a floor for any coupling
+    above its value, and an energy that was no floor is skipped, because
+    the search that tried it went on to a deeper floor, and that floor
+    serves any coupling the skipped energy could serve.
+    """
+    floors = _kept(grid, "energy_floors", None, dict)
     lam = -1.0
     for _ in range(MAX_FLOOR_DOUBLINGS):
-        op = _Operator(lam, grid)
-        if op.branch_value(1) < alpha:
-            return op
+        if lam not in floors:
+            op = _Operator(lam, grid)
+            point = None
+            if op.above(alpha) == 0:
+                point = _point(op, 1)
+                _refuse_side(1, point.value - alpha, above=False)
+            floors[lam] = point
+        point = floors[lam]
+        if point is not None and point.value < alpha:
+            return point
         lam *= 2.0
     raise NumericsError("could not find an energy floor below alpha "
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
@@ -177,38 +379,75 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int]:
     return spec, count
 
 
-def _branch_root(grid: ArcGrid, alpha: float, k: int, floor: _Operator,
+def _newton_target(point: _Point, alpha: float) -> float:
+    """The Newton step from the point for nu_k(lam) = alpha, taken in
+    kappa = sqrt(-lam), where dnu/dkappa = -2 kappa dnu/dlam; +inf where
+    it leaves kappa > 0."""
+    kappa = math.sqrt(-point.lam)
+    step = kappa + (point.value - alpha) / (2.0 * kappa * point.slope)
+    return -step * step if step > 0 else math.inf
+
+
+def _bisect(lo: float, hi: float) -> float:
+    """The energy at the kappa midpoint of the bracket (lo, hi)."""
+    return -(0.5 * (math.sqrt(-lo) + math.sqrt(-hi))) ** 2
+
+
+def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
                  zero_value: float) -> _Operator:
-    """B at the root of nu_k(lam) = alpha, by Brent's method on [floor, 0].
+    """B at the root of nu_k(lam) = alpha in (lower.lam, 0], by safeguarded
+    Newton steps in kappa from the lower point.
 
-    Every branch value is checked against the nearest samples on both sides
-    (Brent's method takes far fewer samples than bisection, so the check
-    sees fewer points).
+    Each step assembles B, counts its eigenvalues above alpha, which puts
+    the energy on one side of the root, and reads nu_k and v_k: by inverse
+    iteration with the factors of that count where it is k - 1 or k, by a
+    subset eigensolve elsewhere.  Where the quadratic convergence of the
+    last two values, g^3 / g_prev^2, puts the next one within the rounding
+    width, that step is expected to be the last: it skips the count and
+    reads the subset eigensolve the root needs anyway.  Every branch value
+    is checked against the count and against the nearest samples on both
+    sides.  A step that leaves the bracket bisects it instead.  The search
+    stops once the step is below ROOT_XTOL + ROOT_RTOL |lam|, or once nu_k
+    is within eps ||B||_1 of alpha, at the operator of its last energy.
     """
-    samples = {floor.lam: floor.branch_value(k) - alpha, 0.0: zero_value - alpha}
-    if samples[floor.lam] >= 0 or samples[0.0] <= 0:
+    samples = {lower.lam: lower.value - alpha, 0.0: zero_value - alpha}
+    if samples[0.0] <= 0:
         raise NumericsError(f"root bracket invalid for mode {k}")
-    # the latest operator on each side of the root; Brent's method returns
-    # one of its two bracket ends, almost always one of these
-    latest = {}
-
-    def g(lam: float) -> float:
-        if lam not in samples:
-            op = _Operator(lam, grid)
-            value = op.branch_value(k) - alpha
-            below = samples[max(x for x in samples if x < lam)]
-            above = samples[min(x for x in samples if x > lam)]
-            if not below - MONOTONE_TOL <= value <= above + MONOTONE_TOL:
-                raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
-            samples[lam] = value
-            latest[value > 0] = op
-        return samples[lam]
-
-    root, result = brentq(g, floor.lam, 0.0, xtol=BRENT_XTOL, rtol=BRENT_RTOL,
-                          full_output=True, disp=False)
-    if not result.converged:
-        raise NumericsError(f"Brent's method did not converge for mode {k}: {result.flag}")
-    return next((op for op in latest.values() if op.lam == root), None) or _Operator(root, grid)
+    _refuse_side(k, samples[lower.lam], above=False)
+    lo, hi = lower.lam, 0.0
+    target = _newton_target(lower, alpha)
+    guess = lower.vector
+    previous, last = samples[lower.lam], False
+    for _ in range(MAX_ROOT_STEPS):
+        if not lo < target < hi:
+            target = _bisect(lo, hi)
+        op = _Operator(target, grid, guess)
+        if last:
+            op.settle(k)
+        else:
+            count = op.above(alpha)
+        point = _point(op, k)
+        gap = point.value - alpha
+        if not last:
+            _refuse_side(k, gap, above=count >= k)
+        below = samples[max(x for x in samples if x < target)]
+        above = samples[min(x for x in samples if x > target)]
+        if not below - MONOTONE_TOL <= gap <= above + MONOTONE_TOL:
+            raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
+        samples[target] = gap
+        lo, hi = (lo, target) if gap > 0 else (target, hi)
+        guess = point.vector
+        step = _newton_target(point, alpha)
+        tol = ROOT_XTOL + ROOT_RTOL * abs(target)
+        # within eps ||B|| of alpha, nu_k is alpha to working precision and
+        # the step measures rounding
+        if abs(step - target) < tol or hi - lo < tol or abs(gap) <= EPS * op._scale:
+            op.settle(k)
+            return op
+        previous, last = gap, abs(gap) ** 3 <= op._rounding * previous ** 2
+        target = step
+    raise NumericsError(f"root search did not converge for mode {k} "
+                        f"in {MAX_ROOT_STEPS} steps")
 
 
 def find_bound_states(grid: ArcGrid, alpha: float,
@@ -217,13 +456,13 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     """All bound states at coupling alpha, sorted by energy.
 
     For each k with nu_k(0) > alpha the unique root of nu_k(lam) = alpha is
-    found by Brent's method on [floor, 0], where even the top branch is
-    below alpha at the floor.  Monotonicity of the branch makes the bracket
-    safe, and every root is re-verified by an eigensolve at the root.  A branch
-    whose value at the previous root equals the previous branch's exactly,
-    as the two branches of a circle's degenerate pair do, has that root too
-    (each branch is strictly increasing), so a pair is solved once and its
-    two states share one energy.
+    found by `_branch_root`, from the energy floor for k = 1 and from the
+    previous root for later k: nu_k <= nu_{k-1} = alpha there, so the
+    roots increase with k.  Every root is re-verified by an eigensolve at
+    the root.  A branch whose value at the previous root equals the
+    previous branch's exactly, as the two branches of a circle's degenerate
+    pair do, has that root too (each branch is strictly increasing), so a
+    pair is solved once and its two states share one energy.
     """
     zero_spec, n_roots = _zero_energy_count(grid, alpha)
     if max_states is not None:
@@ -231,12 +470,14 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     if n_roots == 0:
         return []
 
-    floor = _top_eigenvalue_floor(grid, alpha)
+    lower = _energy_floor(grid, alpha)
     states = []
     at_root = None
     for k in range(1, n_roots + 1):
         if at_root is None or at_root.branch_value(k) != value:
-            at_root = _branch_root(grid, alpha, k, floor, zero_spec[k - 1])
+            if at_root is not None:
+                lower = _point(at_root, k)
+            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1])
         value, vector = at_root.eigenpair(k)
         residual = abs(value - alpha)
         if residual >= root_tol:

@@ -19,7 +19,11 @@ scattering kernel and layer matrix, and the box's distance minimum, and a
 one-pass build of the probe's Gram matrix; the library fills each table a
 row block at a time and must match them bit for bit.
 `odd_harmonic_sums_full` is the one-expression build of the circle's
-partial sums, which the library now forms in one buffer.  None of them is
+partial sums, which the library now forms in one buffer.  The Brent
+reference is the library's earlier bound-state search: derivative-free
+Brent steps on each eigenvalue branch, every sample an assembly and a
+subset eigensolve, which the Newton search on the closed-form B'(lam)
+replaces.  None of them is
 used by the library itself; neither is the eigenvalue-clustering helper
 nor the seeded-curve draw.
 """
@@ -30,6 +34,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
 from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
@@ -43,6 +48,7 @@ from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
 from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
 from curvedelta.resolvent import BoxGrid, _gram_matrix, _resolvent_system
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
+from curvedelta.spectral import eigenvalue_at
 
 PAIRING_TOL = 1e-9
 
@@ -390,3 +396,17 @@ def seeded_fourier_curve(seed: int) -> Curve:
             return reparametrize_arclength(fourier_mode_curve(np.concatenate([cos, sin])))
         except CurveError:
             continue
+
+
+def brent_bound_state_energies(grid: ArcGrid, alpha: float, count: int) -> list[float]:
+    """Energies of the first `count` bound states, by mode index: Brent's
+    method on nu_k(lam) - alpha over [floor, 0] to 1e-14 + 4 eps |lam|, the
+    floor the first of -1, -2, -4, ... where the top branch is below alpha."""
+    def gap(lam, k):
+        return eigenvalue_at(boundary_matrix(lam, grid), k) - alpha
+
+    floor = -1.0
+    while gap(floor, 1) >= 0:
+        floor *= 2.0
+    return [brentq(gap, floor, 0.0, args=(k,), xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+            for k in range(1, count + 1)]

@@ -7,7 +7,9 @@ from curvedelta import (ConfigError, boundary_matrix, circle_deviation,
                         circle_mode_eigenvalues, circle_operator_matrix,
                         comparison_matrix, eigen, make_circle,
                         make_grid, scattering_layer_matrix, smoothing_matrix)
-from curvedelta.assembly import odd_harmonic_sums
+from curvedelta.assembly import (_capped_derivative_diagonal, boundary_derivative,
+                                 circle_derivative_modes, odd_harmonic_sums)
+from curvedelta.resolvent import _gram_matrix
 from curvedelta.spectral import eigenvalue_at
 from oracles import circle_operator_reference, circle_top_eigenvalue, odd_harmonic_sums_full
 
@@ -151,6 +153,45 @@ class TestBoundaryMatrix:
     def test_rejects_positive_energy(self, circle_grid):
         with pytest.raises(ConfigError):
             boundary_matrix(0.5, circle_grid)
+
+
+class TestBoundaryDerivative:
+    """B'(lam) in closed form: the probe's Gram matrix, with the derivative
+    of the smoothing row's capped diagonal where the cap is active."""
+
+    @pytest.mark.parametrize("lam, capped", [(-3.0, False), (-1e5, True)])
+    def test_matches_central_differences(self, ellipse_grid, lam, capped):
+        # the fourth-order central difference of B in lam, step 1e-3 |lam|
+        # (measured: 1.0e-11 and 7.3e-14 of max |B'|); w kappa = 7.7 > 6 at
+        # lam = -1e5 puts the cap in force on the diagonal
+        assert (_capped_derivative_diagonal(lam, ellipse_grid.weight) is not None) == capped
+        step = 1e-3 * abs(lam)
+
+        def b(d):
+            return boundary_matrix(lam + d, ellipse_grid)
+
+        diff = (8.0 * (b(step) - b(-step)) - (b(2 * step) - b(-2 * step))) / (12.0 * step)
+        exact = boundary_derivative(lam, ellipse_grid)
+        assert np.max(np.abs(diff - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("lam", [-3.0, -1e5])
+    def test_gram_matrix_is_the_uncapped_build(self, ellipse_grid, lam):
+        gram = _gram_matrix(ellipse_grid, lam)
+        assert np.array_equal(boundary_derivative(lam, ellipse_grid, capped=False), gram)
+        exact = boundary_derivative(lam, ellipse_grid)
+        off = ~np.eye(ellipse_grid.n, dtype=bool)
+        assert np.array_equal(exact[off], gram[off])
+        assert np.array_equal(np.diag(exact), np.diag(gram)) == (lam == -3.0)
+
+    @pytest.mark.parametrize("lam", [-3.0, -1e5])
+    def test_circle_modes_are_the_dense_spectrum(self, circle_grid, lam):
+        # wavenumbers 1 to N/2 - 1 carry the cos/sin pairs
+        n = circle_grid.n
+        modes = circle_derivative_modes(lam, circle_grid)
+        dense = eigen(boundary_derivative(lam, circle_grid))
+        listed = np.sort(np.concatenate([modes, modes[1:n // 2]]))[::-1]
+        assert np.max(np.abs(listed - dense)) <= 1e-14 * dense[0]
+        assert dense[-1] > 0
 
 
 def test_operator_matrix_finite_guard(circle_grid):

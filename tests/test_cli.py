@@ -214,9 +214,9 @@ class TestProbe:
     def test_probe_operation_counts(self, circle_file, ellipse_file, tmp_path, monkeypatch):
         # a probe assembles B(lam) once, densely also on the circle, takes
         # the spectrum of X and one generalized eigensolve of (alpha - B, X);
-        # only a non-circle curve adds B's spectrum for the margin, which
-        # the circle reads from its FFT.  No Cholesky, solve, QR or SVD is
-        # left.  Calls on N x N matrices are counted.
+        # the margin takes no eigensolve of B: two LDL^T inertias on a
+        # non-circle curve, the FFT on the circle.  No Cholesky, solve, QR
+        # or SVD is left.  Calls on N x N matrices are counted.
         n = 64
         calls = []
 
@@ -243,7 +243,7 @@ class TestProbe:
             counts[label] = collections.Counter(calls)
         assert counts == {
             "circle": {"boundary_matrix": 1, "eigh": 2},
-            "ellipse": {"boundary_matrix": 1, "eigh": 3},
+            "ellipse": {"boundary_matrix": 1, "eigh": 2},
         }
 
     def test_circle_probe_takes_no_eigensolve_of_b(self, circle_file, tmp_path,

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,8 @@ from curvedelta import (ConfigError, CurveError, NumericsError,
                         make_grid, reparametrize_arclength)
 from curvedelta.spectral import (ROOT_TOL, _circle_levels, _interval_index,
                                  boundary_spectrum, eigenvalue_at)
-from oracles import circle_top_eigenvalue, fourier_mode_curve, multiplicity_groups
+from oracles import (brent_bound_state_energies, circle_top_eigenvalue, fourier_mode_curve,
+                     multiplicity_groups, seeded_fourier_curve)
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
 SANDWICH_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
@@ -105,8 +105,9 @@ class TestBoundStates:
             find_bound_states(circle_grid, 0.0)
 
     def test_no_energy_assembled_twice(self, ellipse, monkeypatch):
-        # counting and root finding share the grid's energy-zero spectrum;
-        # each search reuses its floor matrix and its bracket-end matrices
+        # counting and root finding share the grid's energy-zero spectrum,
+        # every search starts from its previous root's matrix, and the
+        # energy floors are kept on the grid for every coupling
         grid = make_grid(ellipse, 128)
         energies = []
         real_matrix = spectral.boundary_matrix
@@ -116,14 +117,13 @@ class TestBoundStates:
             return real_matrix(lam, grid)
 
         monkeypatch.setattr(spectral, "boundary_matrix", matrix)
-        for alpha in (-0.05, -0.15):
+        for alpha in (0.1, -0.05, -0.15, -0.23):
             report = count_bound_states(grid, alpha)
-            start = len(energies)
             states = find_bound_states(grid, alpha)
             assert len(states) == report.count > 0
-            searched = energies[start:]
-            assert len(searched) == len(set(searched))
+        assert len(energies) == len(set(energies))
         assert energies.count(0.0) == 1
+        assert energies.count(-1.0) == 1
 
     @pytest.mark.parametrize("grid", ["circle_grid", "ellipse_grid"])
     def test_refuses_non_monotone_branch(self, grid, humped_branches, request):
@@ -131,10 +131,8 @@ class TestBoundStates:
             find_bound_states(request.getfixturevalue(grid), 0.1)
 
     def test_refuses_unconverged_root(self, circle_grid, monkeypatch):
-        def unconverged(f, a, b, **kwargs):
-            return 0.5 * (a + b), SimpleNamespace(converged=False, flag="convergence error")
-
-        monkeypatch.setattr(spectral, "brentq", unconverged)
+        # one step is never enough: the search runs out of steps and refuses
+        monkeypatch.setattr(spectral, "MAX_ROOT_STEPS", 1)
         with pytest.raises(NumericsError, match="did not converge"):
             find_bound_states(circle_grid, 0.1)
 
@@ -155,6 +153,55 @@ class TestBoundStates:
         for st in states:
             assert st.residual < ROOT_TOL
             assert st.coefficients.shape == (ellipse_grid.n,)
+
+
+class TestNewtonRoots:
+    """The Newton search on the closed-form B'(lam) against Brent's method,
+    and the inertia that brackets every root."""
+
+    CURVES = {"ellipse": None, "seed-7": 7, "seed-101": 101, "seed-202": 202, "seed-303": 303}
+
+    @pytest.fixture(scope="class", params=list(CURVES))
+    def grid(self, request, ellipse):
+        seed = self.CURVES[request.param]
+        return make_grid(ellipse if seed is None else seeded_fourier_curve(seed), 256)
+
+    @pytest.mark.parametrize("alpha", [0.1, -0.05, -0.15, -0.23])
+    def test_roots_match_brent(self, grid, alpha):
+        # measured: 5.4e-14 relative at most
+        states = sorted(find_bound_states(grid, alpha), key=lambda st: st.index)
+        assert states and [st.index for st in states] == list(range(1, len(states) + 1))
+        reference = brent_bound_state_energies(grid, alpha, len(states))
+        for st, energy in zip(states, reference):
+            assert abs(st.energy - energy) <= 1e-12 * abs(energy)
+            assert st.residual < ROOT_TOL
+
+    @pytest.mark.parametrize("alpha", [0.1, -0.23])
+    def test_inertia_brackets_every_root(self, grid, alpha):
+        # just below the k-th root k - 1 eigenvalues of B lie above alpha,
+        # just above it at least k
+        for st in find_bound_states(grid, alpha):
+            step = 1e-8 * abs(st.energy)
+            assert spectral._Operator(st.energy - step, grid).above(alpha) == st.index - 1
+            assert spectral._Operator(st.energy + step, grid).above(alpha) >= st.index
+
+
+class TestInertia:
+    """above(x): the count of eigenvalues of B(lam) above x, from one LDL^T
+    factorization on a dense grid and from the FFT values on a circle."""
+
+    @pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, -30.0])
+    def test_matches_dense_counts(self, request, curve_name, lam):
+        grid = make_grid(request.getfixturevalue(curve_name), 128)
+        dense = eigen(boundary_matrix(lam, grid))
+        op = spectral._Operator(lam, grid)
+        # in the gaps between the top 40 eigenvalues (a circle's pairs have
+        # none), and outside the spectrum
+        gaps = dense[:40] - dense[1:41] > 1e-9
+        middles = 0.5 * (dense[:40] + dense[1:41])[gaps]
+        for x in (*middles, dense[0] + 1.0, dense[-1] - 1.0, -0.23, 0.1):
+            assert op.above(x) == int(np.sum(dense > x))
 
 
 class TestCircleFFT:
