@@ -131,8 +131,8 @@ def _called(node) -> str | None:
 
 def test_every_sytrf_sizes_its_workspace():
     # scipy's default ?sytrf workspace is one column, so LAPACK falls back
-    # to its unblocked code: 81 ms against 22 ms with the queried size at
-    # N = 1024, 0.80 ms against 0.63 ms at N = 256 (1 thread).  Every call
+    # to its unblocked code: 70 ms against 18 ms with the queried size at
+    # N = 1024, 1.02 ms against 0.73 ms at N = 256 (1 thread).  Every call
     # passes an lwork computed, in the same function, from ?sytrf_lwork.
     found = []
     for path in sorted(SRC.glob("*.py")):
