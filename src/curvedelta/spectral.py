@@ -324,10 +324,10 @@ def _point(op: _Operator, k: int) -> _Point:
 
 
 def _refuse_side(k: int, gap: float, above: bool) -> None:
-    """Refuse a branch value nu_k - alpha = gap on the wrong side of alpha:
-    by the inertia (or the branch order) nu_k is above alpha when `above`,
-    and a strictly increasing branch is then above it only right of the
-    root."""
+    """Refuse a branch value nu_k - alpha = gap that contradicts the side
+    of alpha the inertia (or the order of the branches) puts nu_k on,
+    above it when `above`: a strictly increasing branch crosses alpha once,
+    so its value and the count agree on every energy."""
     if (gap <= -MONOTONE_TOL) if above else (gap >= MONOTONE_TOL):
         raise NumericsError(f"monotonicity violated inside bracket for mode {k}: "
                             f"nu - alpha = {gap:.3e} against the inertia")
