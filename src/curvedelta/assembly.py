@@ -210,6 +210,13 @@ def circle_boundary_modes(lam: float, grid: ArcGrid) -> np.ndarray:
     return modes
 
 
+def circle_boundary_row(lam: float, grid: ArcGrid) -> np.ndarray:
+    """First row of the circle part of B(lam), the symmetric circulant of
+    the equal-length circle's operator: the inverse real FFT of the
+    energy-zero mode values minus the smoothing row."""
+    return np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
+
+
 def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice) -> np.ndarray:
     """Rows `rows` and columns `cols` of the comparison matrix of a
     non-circle grid."""
@@ -248,13 +255,13 @@ def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     sampled at the same arc-length values, so the arc-length identification
     between them is the identity on grid indices.
 
-    The circle part is the symmetric Toeplitz matrix of one row, the inverse
-    real FFT of the mode values minus the smoothing row.  Each block of the
-    output is that row gathered, plus the block of comparison entries on a
-    non-circle grid; every entry is the sum the full-matrix build forms, so
-    the result is bitwise the same, and as exactly symmetric as that build.
+    The circle part is the symmetric Toeplitz matrix of one row,
+    `circle_boundary_row`.  Each block of the output is that row gathered,
+    plus the block of comparison entries on a non-circle grid; every entry
+    is the sum the full-matrix build forms, so the result is bitwise the
+    same, and as exactly symmetric as that build.
     """
-    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
+    circle_row = circle_boundary_row(lam, grid)
 
     def block(rows, cols):
         circle_part = _toeplitz_block(circle_row, rows, cols)

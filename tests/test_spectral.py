@@ -212,9 +212,12 @@ class TestCircleFFT:
     def test_spectrum_matches_dense(self, circle, n):
         grid = make_grid(circle, n)
         for lam in (0.0, -1.0, -4.0, -16.0, -600.0):
-            fft = boundary_spectrum(lam, grid)
+            op = spectral._Operator(lam, grid)
             dense = eigen(boundary_matrix(lam, grid))
-            assert np.max(np.abs(fft - dense)) < 1e-13
+            # every mode value, which the inertia reads, and the trusted top
+            # n/4 of them, which the spectrum returns
+            assert np.max(np.abs(op._values - dense)) < 1e-13
+            assert np.array_equal(boundary_spectrum(lam, grid), op._values[:n // 4])
 
     @pytest.mark.parametrize("alpha", [0.1, -0.15, -0.23])
     def test_bound_states_against_dense_operator(self, circle_grid, alpha):
@@ -278,10 +281,117 @@ class TestClearOf:
                 assert op.clear_of(x, margin) == (np.min(np.abs(dense - x)) > margin) == clear
 
     def test_distance_equal_to_margin_is_refused(self, ellipse_grid):
+        # the distance to the full spectrum, of which spectrum() holds the
+        # top n/4 only
         op = spectral._Operator(-1.0, ellipse_grid)
-        distance = np.min(np.abs(op.spectrum() + 0.5))
+        distance = np.min(np.abs(eigen(op.matrix) + 0.5))
         assert op.clear_of(-0.5, 0.5 * distance)
         assert not op.clear_of(-0.5, distance)
+
+
+class TestFourierCompression:
+    """The top n/4 of a dense grid's spectrum from the certified real-Fourier
+    compression, against the dense eigensolve it replaces."""
+
+    LAMS = (0.0, -1.0, -4.0, -16.0)
+
+    @pytest.mark.parametrize("curve_name, n", [
+        ("ellipse", 1024), ("seed 7", 1024), ("seed 101", 1024),
+        ("ellipse", 2048), ("seed 7", 2048), ("ellipse", 1026),
+    ])
+    def test_bound_covers_the_dense_error(self, request, curve_name, n):
+        curve = (request.getfixturevalue(curve_name) if curve_name == "ellipse"
+                 else seeded_fourier_curve(int(curve_name.split()[1])))
+        grid = make_grid(curve, n)
+        for lam in self.LAMS:
+            op = spectral._Operator(lam, grid)
+            values, bound = op._top
+            dense = eigen(op.matrix)[:n // 4]
+            assert 0.0 < bound <= spectral.COMPRESSION_TOL
+            assert np.max(np.abs(values - dense)) <= bound
+            assert np.array_equal(op.spectrum(), values)
+
+    def test_zero_tolerance_forces_the_dense_solve(self, ellipse, monkeypatch):
+        grid = make_grid(ellipse, 1024)
+        assert spectral._Operator(0.0, grid)._top[1] > 0.0
+        monkeypatch.setattr(spectral, "COMPRESSION_TOL", 0.0)
+        op = spectral._Operator(0.0, grid)
+        assert op._top[1] == 0.0
+        assert np.array_equal(op.spectrum(), eigen(op.matrix)[:256])
+
+    @pytest.mark.parametrize("n", [256, 258])
+    def test_kept_modes_on_a_circle(self, circle, n):
+        # on a circle B is diagonal in the real Fourier basis: T holds the
+        # constant and the pairs k <= n // 4, which for n = 2 (mod 4) are
+        # n/2 modes, and the alternating mode is among the discarded ones
+        grid = make_grid(circle, n)
+        kept = n // 4
+        modes = spectral.circle_boundary_modes(-1.0, grid)
+        block, coupling_sq, comparison = spectral._fourier_compression(
+            boundary_matrix(-1.0, grid), spectral.circle_boundary_row(-1.0, grid), kept)
+        assert block.shape == (2 * kept + 1,) * 2
+        assert (n % 4 == 2) == (len(block) == n // 2)
+        expected = np.diag(modes[np.concatenate([[0], np.repeat(np.arange(1, kept + 1), 2)])])
+        assert np.max(np.abs(block - expected)) < 1e-14
+        assert coupling_sq < 1e-28 and comparison == 0.0
+
+    def test_comparison_norm_is_the_assembled_one(self, ellipse_grid):
+        _, _, comparison = spectral._fourier_compression(
+            boundary_matrix(-1.0, ellipse_grid),
+            spectral.circle_boundary_row(-1.0, ellipse_grid), ellipse_grid.n // 4)
+        assert comparison == pytest.approx(
+            np.linalg.norm(comparison_matrix(-1.0, ellipse_grid)), rel=1e-12)
+
+
+class TestCompressedCounts:
+    """A count read from a compressed energy-zero spectrum is the dense
+    one: where alpha is within a value's bound and rounding width, the
+    dense spectrum decides, the n/4 refusal included."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, ellipse):
+        grid = make_grid(ellipse, 1024)
+        op = spectral._Operator(0.0, grid)
+        values, bound = op._top
+        assert bound > 0.0
+        return values.copy(), bound + op._rounding, eigen(op.matrix)[:256]
+
+    @staticmethod
+    def _dense_count(dense, alpha):
+        count = int(np.sum(dense > alpha))
+        return None if count >= len(dense) else count
+
+    @staticmethod
+    def _count(grid, alpha):
+        try:
+            return spectral._zero_energy_count(grid, alpha)[1]
+        except NumericsError:
+            return None
+
+    def test_clear_couplings_read_the_compression(self, ellipse, reference, monkeypatch):
+        values, reach, dense = reference
+        grid = make_grid(ellipse, 1024)
+        solved = []
+        real_eigh = scipy.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            solved.append(len(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        gaps = np.flatnonzero(values[:-1] - values[1:] > 4.0 * reach)[:20]
+        for alpha in 0.5 * (values[gaps] + values[gaps + 1]):
+            assert self._count(grid, alpha) == self._dense_count(dense, alpha)
+        assert solved == [513]
+
+    def test_couplings_within_reach_read_the_dense_spectrum(self, ellipse, reference):
+        values, reach, dense = reference
+        grid = make_grid(ellipse, 1024)
+        for j in (0, 1, 100, 254, 255):
+            for alpha in (values[j] - reach, values[j], values[j] + 0.5 * reach,
+                          values[j] + reach):
+                assert self._count(grid, alpha) == self._dense_count(dense, alpha)
+        assert np.array_equal(spectral._zero_energy_count(grid, values[0] + reach)[0], dense)
 
 
 class TestIntervalIndex:

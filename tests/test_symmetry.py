@@ -5,16 +5,19 @@ A rigid motion leaves every chord, hence every eigenvalue, unchanged; a
 homothety sigma -> c sigma maps the operator at energy lam to the one at
 c^2 lam, shifted by ln c / (2 pi) through the log-singular circle part.
 Both laws hold exactly for the discretization, so the bound is roundoff.
+The laws are checked on the dense eigensolve at N = 64, and the rigid-motion
+and orientation laws also on the compressed spectrum at N = 1024.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from curvedelta import (Curve, CurveError, boundary_matrix, eigen, make_grid,
-                        reparametrize_arclength)
+                        reparametrize_arclength, spectral)
 from oracles import fourier_mode_curve
 
 N = 64
@@ -101,3 +104,43 @@ def test_start_point_shift(coefficients, k):
                                period=raw.period))
     for lam in LAMS:
         assert np.max(np.abs(_top_values(shifted, lam) - _top_values(curve, lam))) <= TOL
+
+
+# Two fixed curves at N = 1024, where `boundary_spectrum` reads the top n/4
+# from the certified Fourier compression rather than the dense eigensolve.
+PRODUCTION_N = 1024
+FIXED_COEFFICIENTS = (
+    [0.08, -0.05, 0.03, 0.06, -0.02, 0.04, -0.07, 0.02, 0.05, -0.03, 0.06, -0.04],
+    [-0.04, 0.09, -0.06, 0.02, 0.05, -0.03, 0.03, -0.08, 0.01, 0.07, -0.05, 0.02],
+)
+
+
+def _production_values(curve: Curve, lam: float) -> np.ndarray:
+    # what `boundary_spectrum` returns, with a nonzero bound: the compressed path
+    op = spectral._Operator(lam, make_grid(curve, PRODUCTION_N))
+    assert op._top[1] > 0.0
+    return op.spectrum()
+
+
+@pytest.mark.parametrize("coefficients", FIXED_COEFFICIENTS, ids=["first", "second"])
+def test_rigid_motion_invariance_of_the_compressed_spectrum(coefficients):
+    raw = fourier_mode_curve(coefficients)
+    rot = _rotation(0.7, 2.1, -1.3)
+    moved = Curve(a0=rot @ raw.a0 + np.array([0.4, -1.1, 0.9]),
+                  cos_coeff=raw.cos_coeff @ rot.T, sin_coeff=raw.sin_coeff @ rot.T,
+                  period=raw.period)
+    curve, moved = reparametrize_arclength(raw), reparametrize_arclength(moved)
+    for lam in LAMS:
+        assert np.max(np.abs(_production_values(moved, lam)
+                             - _production_values(curve, lam))) <= TOL
+
+
+@pytest.mark.parametrize("coefficients", FIXED_COEFFICIENTS, ids=["first", "second"])
+def test_orientation_reversal_of_the_compressed_spectrum(coefficients):
+    raw = fourier_mode_curve(coefficients)
+    reversed_ = Curve(a0=raw.a0, cos_coeff=raw.cos_coeff, sin_coeff=-raw.sin_coeff,
+                      period=raw.period)
+    curve, reversed_ = reparametrize_arclength(raw), reparametrize_arclength(reversed_)
+    for lam in LAMS:
+        assert np.max(np.abs(_production_values(reversed_, lam)
+                             - _production_values(curve, lam))) <= TOL
