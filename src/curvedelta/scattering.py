@@ -139,9 +139,12 @@ def _channel_space(im: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndar
             f"Im N is not positive semidefinite: Im N + {delta:.2e} I has no "
             "Cholesky factorization") from exc
     vecs = gemm(1.0, q, u)
-    # sign fixed by the largest-magnitude entry, not by LAPACK's choice
-    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(width)]
-    vecs *= np.sign(peaks)
+    # sign fixed by the first entry of at least half the largest magnitude,
+    # not by LAPACK's choice; the largest entry itself ties between mirror
+    # nodes of a symmetric curve, where rounding would pick the sign
+    mags = np.abs(vecs)
+    leads = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
+    vecs *= np.sign(vecs[leads, np.arange(width)])
     return theta, vecs, -delta
 
 
