@@ -46,23 +46,26 @@ def kink_correction(slope, weight: float):
     return weight * weight * slope / 6.0
 
 
-def kernel_matrix(grid: ArcGrid, kernel, slope, dtype=float) -> np.ndarray:
+def kernel_matrix(grid: ArcGrid, kernel, slope, tables: int = 1) -> np.ndarray:
     """Trapezoid matrix w * kernel(chord) of a kernel of the curve chords,
     with the kink correction of one-sided slope `slope` on its diagonal.
 
     `kernel` maps an array of chords elementwise and takes its analytic
-    limit at chord 0.  Built a row block at a time, exactly symmetric.
+    limit at chord 0.  With `tables` > 1 it gives that many arrays, and the
+    result is the (tables, n, n) stack of their matrices, the correction on
+    the first one's diagonal.  Built a row block at a time, exactly
+    symmetric.
     """
     w = grid.weight
     corr = kink_correction(slope, w)
 
     def block(rows, cols):
-        out = kernel(grid.chord_block(rows, cols))
+        out = np.asarray(kernel(grid.chord_block(rows, cols)))
         out *= w
-        out[_block_diagonal(rows, cols)] += corr
+        (out[0] if tables > 1 else out)[_block_diagonal(rows, cols)] += corr
         return out
 
-    return _blockwise(grid.n, block, dtype)
+    return _blockwise(grid.n, block, tables)
 
 
 def odd_harmonic_sums(count: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_gr
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
                         layer_singular_values)
-from .scattering import RANK_TOL, choose_reference_energy, scattering_block
+from .scattering import RANK_TOL, UNITARITY_TOL, choose_reference_energy, scattering_block
 from .spectral import (ROOT_TOL, boundary_spectrum, count_bound_states,
                        find_bound_states, isoperimetric_compare, trusted_count)
 
@@ -189,7 +189,7 @@ def cmd_scattering(args) -> int:
             _write_rows(os.path.join(args.out, f"smatrix_{i}.csv"),
                         f"smatrix lam={_fmt(lam)} eta={_fmt(eta)} alpha={_fmt(alpha)}",
                         ["row", "col", "re", "im"], entries)
-        if block.retained_dim and block.unitarity_defect > 1e-6:
+        if block.retained_dim and block.unitarity_defect > UNITARITY_TOL:
             raise InvariantError(
                 f"unitarity defect {block.unitarity_defect:.2e} at lam={lam:g}")
     _write_rows(os.path.join(args.out, "scattering.csv"),

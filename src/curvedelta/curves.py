@@ -306,21 +306,23 @@ def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _blockwise(n: int, block, dtype=float) -> np.ndarray:
-    """Symmetric (n, n) table of `dtype` filled a row block at a time: the
+def _blockwise(n: int, block, tables: int = 1) -> np.ndarray:
+    """Symmetric (n, n) float table filled a row block at a time: the
     entries in the rows r of a block of `_row_blocks` and the columns c are
-    `block(r, c)`, and entry (i, j) is bitwise equal to (j, i).
+    `block(r, c)`, and entry (i, j) is bitwise equal to (j, i).  With
+    `tables` > 1, `block` gives that many tables' entries at once, and the
+    result is the (tables, n, n) stack.
 
     Each block is evaluated from its diagonal on (c starts at r.start) and
     copied in before the next one, so no temporary larger than a few blocks
     is alive beside the table; its columns left of the diagonal are copied
     from the rows above, transposed.
     """
-    out = np.empty((n, n), dtype=dtype)
-    for r in _row_blocks(n, n * out.itemsize):
-        out[r, r.start:] = block(r, slice(r.start, n))
-        out[r, :r.start] = out[:r.start, r].T
-    return out
+    out = np.empty((tables, n, n))
+    for r in _row_blocks(n, tables * n * out.itemsize):
+        out[:, r, r.start:] = block(r, slice(r.start, n))
+        out[:, r, :r.start] = out[:, :r.start, r].transpose(0, 2, 1)
+    return out[0] if tables == 1 else out
 
 
 def _block_diagonal(rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:

@@ -29,13 +29,6 @@ def _spectral_sqrt(lam) -> complex:
     return w
 
 
-def _real_energy(lam) -> bool:
-    """Whether lam is real and negative, where the oscillating kernels are
-    real."""
-    lamc = complex(lam)
-    return lamc.imag == 0.0 and lamc.real < 0.0
-
-
 def green_kernel(lam, r):
     """Free resolvent kernel e^{-sqrt(-lam) r} / (4 pi r) at real lam <= 0."""
     r = np.asarray(r, dtype=float)
@@ -79,29 +72,37 @@ def smoothing_kernel(lam, r):
 
 
 def scattering_kernel(lam, eta: float, r):
-    """(e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r) for a reference eta < 0.
+    """Real and imaginary parts of (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r)
+    for a reference eta < 0, as two real arrays (floats for a 0-d r).
 
-    Extended by (i sqrt(lam) + sqrt(-eta)) / (4 pi) at r = 0.  Real for real
-    lam < 0; for lam >= 0 the imaginary part is sin(sqrt(lam) r)/(4 pi r).
+    With i sqrt(lam) = -b + i k, the first exponential is
+    e^{-b r} (cos kr + i sin kr), so both parts come from real cos, sin and
+    exp; a factor that is 1 (b = 0 or k = 0) is not evaluated, so equal
+    slopes cancel exactly.  Extended by (i sqrt(lam) + sqrt(-eta)) / (4 pi)
+    at r = 0.  The imaginary part is zero for real lam <= 0 and
+    sin(sqrt(lam) r)/(4 pi r) for lam >= 0.
     """
     if eta >= 0:
         raise ConfigError("scattering_kernel requires eta < 0")
-    r = np.asarray(r, dtype=float)
+    scalar = np.ndim(r) == 0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     kx = 1j * _spectral_sqrt(lam)             # exponent slope for lam
-    ky = complex(-math.sqrt(-eta))            # exponent slope for eta
-    scale = abs(kx) + abs(ky)
-    small = scale * r < _SERIES_CUTOFF
-    safe_r = np.where(small, 1.0, r)
-    # both exponentials through the complex path so equal slopes cancel exactly
-    x = np.asarray(kx * r)
-    y = np.asarray(ky * r)
+    ky = -math.sqrt(-eta)                     # exponent slope for eta
+    small = (abs(kx) - ky) * r < _SERIES_CUTOFF
+    denom = 4.0 * np.pi * np.where(small, 1.0, r)
+    re = np.exp(kx.real * r) if kx.real else np.ones_like(r)
+    if kx.imag:
+        im = np.sin(kx.imag * r)
+        im *= re
+        re *= np.cos(kx.imag * r)
+    else:
+        im = np.zeros_like(r)
+    re -= np.exp(ky * r)
+    re /= denom
+    im /= denom
     # the series only where it is selected: the diagonal of a chord table
-    xs, ys = x[small], y[small]
-    out = np.exp(x, out=x)
-    out -= np.exp(y, out=y)
-    out /= 4.0 * np.pi * safe_r
+    xs, ys = kx * r[small], ky * r[small]
     series = (kx - ky) * (1.0 + (xs + ys) / 2.0 + (xs * xs + xs * ys + ys * ys) / 6.0)
-    out[small] = series / (4.0 * np.pi)
-    if _real_energy(lam):
-        out = out.real
-    return out if out.ndim else out[()]
+    series /= 4.0 * np.pi
+    re[small], im[small] = series.real, series.imag
+    return (re[0], im[0]) if scalar else (re, im)

@@ -15,6 +15,18 @@ unitary on that subspace away from exceptional energies.  The retained
 range comes from a certified Gaussian sketch of Im N (`_channel_space`),
 not from a full eigendecomposition: the numerical rank of Im N is set by
 sqrt(lam) times the curve's diameter, not by N.
+
+The system is never factored in complex arithmetic unless it must be.
+With Im N = H H^T on the p sketch channels and A_r = Re N + B_eta - alpha
+real symmetric, the Woodbury identity gives
+
+    H^T (A_r + i H H^T)^{-1} H = M (I + iM)^{-1},   M = H^T A_r^{-1} H,
+
+so one real LDL^T of A_r and one p x p complex symmetric solve give S' on
+all p channels, a Cayley transform of the real symmetric M.  The retained
+block is its leading part, widened along the Ritz values until it is
+unitary to UNITARITY_TOL: its defect is the flux it loses to the channels
+left out.
 """
 
 from __future__ import annotations
@@ -27,37 +39,40 @@ import scipy.linalg
 from .assembly import kernel_matrix
 from .curves import ArcGrid, _kept
 from .errors import ConfigError, NumericsError
-from .kernels import _real_energy, scattering_kernel
+from .kernels import scattering_kernel
 from .spectral import _Operator
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
-# Flags lam at or near the exceptional set.  It bounds LAPACK's 1-norm
-# estimate of the condition number; on the circle and the 2:1 ellipse at
-# lam in {0.5, 1, 2} (N = 256 and 1024) the estimate reads 2.1-3.5 times
-# the 2-norm condition number, well within the decade this limit allows.
+# Flags lam at or near the exceptional set.  It bounds the block's
+# `condition`, LAPACK's 1-norm estimate for A_r times that for I + iM; on
+# the circle and the 2:1 ellipse at lam in {0.5, 1, 2} (N = 256 and 1024)
+# the product reads 2.1-4.7 times the 2-norm condition number of
+# N + B_eta - alpha, and 0.98-1.36 times the 1-norm estimate of that
+# complex system, well within the decade this limit allows.
 CONDITION_LIMIT = 1e12
+UNITARITY_TOL = 1e-6      # largest unitarity defect of a returned block
 ETA_MARGIN = 1e-6         # required spectral distance of alpha from B_eta
 SKETCH_WIDTH = 48         # start width of the channel sketch; doubled as needed
 PSD_SHIFT = 1e-11         # Im N + delta I, delta = PSD_SHIFT x mean diagonal,
                           # must have a Cholesky factorization
 
 
-def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
-    """Trapezoid matrix of the scattering kernel; complex symmetric for lam > 0.
+def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid matrices Re N and Im N of the scattering kernel: two real
+    symmetric tables, built in one row-blocked pass over the chords.
 
     The diagonal takes the analytic kernel limit plus the kink correction
-    with slope (eta - lam)/(8 pi); the correction is real, so the imaginary
-    part of the matrix is exactly the positive semidefinite trapezoid matrix
-    of sin(sqrt(lam) r)/(4 pi r).  Built a row block at a time.
+    with slope (eta - lam)/(8 pi); the correction is real, so Im N is
+    exactly the positive semidefinite trapezoid matrix of
+    sin(sqrt(lam) r)/(4 pi r) for lam >= 0.
     """
     if eta >= 0:
         raise ConfigError("reference energy eta must be negative")
     slope = (eta - complex(lam).real) / (8.0 * np.pi)
-    mat = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope,
-                        float if _real_energy(lam) else complex)
-    if not np.all(np.isfinite(mat)):
+    re, im = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope, tables=2)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ConfigError(f"scattering lam={lam} eta={eta:g}: non-finite matrix entries")
-    return mat
+    return re, im
 
 
 def _reference_boundary(grid: ArcGrid, eta: float) -> _Operator:
@@ -88,15 +103,18 @@ class ScatteringBlock:
     lam: float
     eta: float
     alpha: float
-    retained_dim: int
+    retained_dim: int             # g, widened past rank_tol where needed
     matrix: np.ndarray            # (g, g) complex
-    unitarity_defect: float       # || S'* S' - I ||_2 on the retained space
+    unitarity_defect: float       # || S'* S' - I ||_2 on the retained space,
+                                  # below UNITARITY_TOL
     channel_eigenvalues: np.ndarray  # Ritz values of Im N on the sketch,
                                      # nonincreasing (empty at lam = 0)
     min_channel_eigenvalue: float  # -delta, a certified lower bound on the
                                    # spectrum of Im N (0 at lam = 0)
-    condition: float              # LAPACK 1-norm estimate of the condition
-                                  # number of N + B_eta - alpha (0 if g = 0)
+    condition: float              # LAPACK 1-norm condition estimates of
+                                  # A_r and I + iM, multiplied; that of
+                                  # N + B_eta - alpha where the complex
+                                  # system is factored (0 if g = 0)
 
 
 def _channel_space(im: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -148,21 +166,50 @@ def _channel_space(im: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndar
     return theta, vecs, -delta
 
 
+def _factor(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bunch-Kaufman LDL^T factors and pivots of a real or complex symmetric
+    system, Fortran-ordered and factored in place, and LAPACK's 1-norm
+    estimate of its condition number (inf at an exact zero pivot)."""
+    sytrf, sytrf_lwork, sycon, lange = scipy.linalg.get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "sycon", "lange"), (system,))
+    lwork = int(sytrf_lwork(len(system))[0].real)
+    anorm = lange("1", system)      # without the N x N temporary of np.abs
+    factors, pivots, info = sytrf(system, lwork=lwork, overwrite_a=True)
+    if info > 0:
+        return factors, pivots, np.inf
+    rcond, _ = sycon(factors, pivots, anorm)
+    return factors, pivots, 1.0 / float(rcond) if rcond > 0 else np.inf
+
+
+def _solve(factors: np.ndarray, pivots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of the `_factor`ed system for the columns of rhs."""
+    sytrs = scipy.linalg.get_lapack_funcs("sytrs", (factors,))
+    return sytrs(factors, pivots, rhs.astype(factors.dtype, copy=False))[0]
+
+
 def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                      rank_tol: float = RANK_TOL) -> ScatteringBlock:
     """Assemble S'(lam) at energy lam >= 0, coupling alpha, reference eta.
 
-    The channel space is the span of the Ritz vectors of Im N with Ritz
-    values above rank_tol times the top one, from a certified sketch
-    (`_channel_space`).  B(eta) is assembled once per grid and eta
-    (`_reference_boundary`).
+    H holds the p Ritz vectors of the certified sketch of Im N
+    (`_channel_space`), each scaled by the square root of its Ritz value
+    (clipped at 0).  S' on all p channels comes from one real LDL^T of A_r
+    and the p x p Cayley solve of the module docstring.  The retained block
+    is its leading g x g part: g starts at the count of Ritz values above
+    rank_tol times the top one and grows along them until the block's
+    unitarity defect is below UNITARITY_TOL, or the block is refused.
+    Where A_r or I + iM is singular or the product of their condition
+    estimates is past CONDITION_LIMIT (at a pole of M, say), the complex
+    system N + B_eta - alpha is factored instead, with all of Im N, and
+    refused if it is past that limit itself.  B(eta) is assembled once per
+    grid and eta (`_reference_boundary`).
     """
     if lam < 0:
         raise ConfigError("scattering block is defined for lam >= 0")
-    n_mat = scattering_layer_matrix(grid, lam, eta)
-    im = np.asfortranarray(n_mat.imag)
-    # at lam = 0 Im N vanishes and no channel is open
-    vals, vecs, floor = _channel_space(im, rank_tol) if im.any() else (np.zeros(0), None, 0.0)
+    re, im = scattering_layer_matrix(grid, lam, eta)
+    # at lam = 0 Im N vanishes and no channel is open; im.T is Im N in
+    # Fortran order, and the sketch overwrites it
+    vals, vecs, floor = _channel_space(im.T, rank_tol) if im.any() else (np.zeros(0), None, 0.0)
     del im
     retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) and vals[0] > 0 else 0
     if retained == 0:
@@ -173,38 +220,61 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                min_channel_eigenvalue=floor,
                                condition=0.0)
 
-    system = n_mat                  # N + B_eta - alpha, in the layer matrix's storage
-    system += _reference_boundary(grid, eta).matrix
+    p = len(vals)
+    # the sketch's Ritz values can fall below 0 by rounding
+    half = vecs * np.sqrt(np.maximum(vals, 0.0))
+    boundary = _reference_boundary(grid, eta).matrix
+    system = re                     # A_r = Re N + B_eta - alpha, in place
+    system += boundary
     system[np.diag_indices(grid.n)] -= alpha
-    sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
-        ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (system,))
-    # the system is exactly complex symmetric: one Bunch-Kaufman LDL^T
-    # factorization gives both the condition estimate and the solve, and
-    # its transpose is the same matrix in Fortran order, factored in place
-    lwork = int(sytrf_lwork(grid.n)[0].real)
-    anorm = np.linalg.norm(system, 1)
-    factors, pivots, info = sytrf(system.T, lwork=lwork, overwrite_a=True)
-    if info > 0:
-        raise NumericsError(
-            f"system N + B - alpha is exactly singular at lam={lam:g} "
-            f"(zero pivot {info}); energy on the exceptional set")
-    rcond, _ = sycon(factors, pivots, anorm)
-    condition = 1.0 / float(rcond) if rcond > 0 else np.inf
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise NumericsError(
-            f"system N + B - alpha is numerically singular at lam={lam:g} "
-            f"(condition {condition:.2e}); energy near the exceptional set")
+    # symmetric, so its transpose is the same matrix in Fortran order
+    factors, pivots, condition = _factor(system.T)
+    if condition <= CONDITION_LIMIT:
+        core = scipy.linalg.get_blas_funcs("gemm", (half,))(
+            1.0, half, _solve(factors, pivots, half), trans_a=1)
+        core += core.T
+        core *= 0.5                 # M, exactly symmetric
+        cayley = 1j * core
+        cayley[np.diag_indices(p)] += 1.0
+        cayley_factors, cayley_pivots, cayley_condition = _factor(cayley)
+        condition *= cayley_condition
+        if condition <= CONDITION_LIMIT:
+            coupled = _solve(cayley_factors, cayley_pivots, core)   # M (I + iM)^{-1}
+    if not condition <= CONDITION_LIMIT:
+        # the real path cannot vouch for the system: factor it whole
+        del re, system, factors
+        re, im = scattering_layer_matrix(grid, lam, eta)
+        system = 1j * im
+        system += re
+        system += boundary
+        del re, im
+        system[np.diag_indices(grid.n)] -= alpha
+        factors, pivots, condition = _factor(system.T)
+        if not condition <= CONDITION_LIMIT:
+            kind = "exactly" if condition == np.inf else "numerically"
+            raise NumericsError(
+                f"system N + B - alpha is {kind} singular at lam={lam:g} "
+                f"(condition {condition:.2e}); energy near the exceptional set")
+        half = half.astype(complex)
+        coupled = scipy.linalg.get_blas_funcs("gemm", (half,))(
+            1.0, half, _solve(factors, pivots, half), trans_a=1)
 
-    # columns are sqrt(Im N) modes
-    half = (vecs[:, :retained] * np.sqrt(vals[:retained])).astype(complex)
-    solved, _ = sytrs(factors, pivots, half)
-    zgemm = scipy.linalg.get_blas_funcs("gemm", (half,))
-    block = np.eye(retained, dtype=complex) - 2j * zgemm(1.0, half, solved, trans_a=1)
-    gram = zgemm(1.0, block, block, trans_a=2)
-    gram[np.diag_indices(retained)] -= 1.0
-    defect = float(scipy.linalg.svdvals(gram, check_finite=False)[0])
-    return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=retained,
-                           matrix=block, unitarity_defect=defect,
+    block = -2j * coupled           # S' on all p sketch channels
+    block[np.diag_indices(p)] += 1.0
+    zgemm = scipy.linalg.get_blas_funcs("gemm", (block,))
+    for g in range(retained, p + 1):
+        gram = zgemm(1.0, block[:g, :g], block[:g, :g], trans_a=2)
+        gram[np.diag_indices(g)] -= 1.0
+        defect = float(scipy.linalg.svdvals(gram, check_finite=False)[0])
+        if defect < UNITARITY_TOL:
+            break
+    else:
+        raise NumericsError(
+            f"scattering block at lam={lam:g} not unitary even on all {p} sketch "
+            f"channels (defect {defect:.2e}, condition {condition:.2e}); it cannot "
+            "be widened until unitary")
+    return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=g,
+                           matrix=block[:g, :g].copy(), unitarity_defect=defect,
                            channel_eigenvalues=vals,
                            min_channel_eigenvalue=floor,
                            condition=condition)

@@ -6,18 +6,21 @@ trigonometric basis, node sums of the layer potential, or the full
 (P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
 distance tables avoid.  The scattering references repeat the dense linear
 algebra the library's sketches and factorizations replace: a full
-eigendecomposition of Im N, and a full SVD for the condition number with a
-separate solve.  The correction reference is the library's earlier
+eigendecomposition of Im N, a full SVD for the condition number, and a
+separate solve of the complex system N + B_eta - alpha with all of Im N,
+where the library factors its real part.  The correction reference is the library's earlier
 Cholesky, symmetric-solve and gemm route to the probe's correction
 spectrum, which one generalized eigensolve replaces.  The box probe is
 the library's first route to the probe spectra: the layer map sampled on
 a box lattice, its QR and two SVDs.  It compresses the operators the
 library measures exactly, so its singular values are lower bounds.  The
 full-table references (`*_full`) are the
-library's earlier one-pass builds of B(lam), the comparison matrix, the
-scattering kernel and layer matrix, and the box's distance minimum, and a
-one-pass build of the probe's Gram matrix; the library fills each table a
-row block at a time and must match them bit for bit.
+library's earlier one-pass builds of B(lam), the comparison matrix and the
+box's distance minimum, and a one-pass build of the probe's Gram matrix;
+the library fills each table a row block at a time and must match them bit
+for bit.  The scattering kernel and layer matrix references are the
+library's earlier complex-exponential builds; its real cos, sin and exp
+build must match them within a few ulps.
 `odd_harmonic_sums_full` is the one-expression build of the circle's
 partial sums, which the library now forms in one buffer.  The Brent
 reference is the library's earlier bound-state search: derivative-free
@@ -42,7 +45,7 @@ from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         circle_chord, circle_mode_eigenvalues,
                         circle_operator_matrix, green_kernel,
                         reparametrize_arclength, scale_to_length,
-                        scattering_layer_matrix, smoothing_matrix)
+                        smoothing_matrix)
 from curvedelta.assembly import kink_correction
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
 from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
@@ -200,15 +203,16 @@ def chord_difference_reference(grid: ArcGrid, kernel) -> np.ndarray:
 
 def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                rank_tol: float = RANK_TOL) -> ScatteringBlock:
-    """The scattering block at lam > 0 through a full `eigh` of Im N with
-    all N vectors, the 2-norm condition number (a full complex SVD) and a
-    separate `scipy.linalg.solve` of N + B_eta - alpha.
+    """The scattering block at lam > 0 from the complex layer matrix
+    (`scattering_layer_matrix_full`), a full `eigh` of Im N with all N
+    vectors, the 2-norm condition number (a full complex SVD) and a
+    separate `scipy.linalg.solve` of the complex system N + B_eta - alpha
+    with all of Im N, on the channels above rank_tol times the top one.
 
     `condition` holds kappa_2.  scipy's solve recognizes the exactly complex
-    symmetric system and factors it with ?sytrf at the optimal workspace, so
-    its solution is the one the library's single factorization gives.
+    symmetric system and factors it with ?sytrf at the optimal workspace.
     """
-    n_mat = scattering_layer_matrix(grid, lam, eta)
+    n_mat = scattering_layer_matrix_full(grid, lam, eta)
     vals, vecs = scipy.linalg.eigh(n_mat.imag)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     retained = int(np.sum(vals > rank_tol * vals[0]))
@@ -228,17 +232,18 @@ def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: flo
 
 def scattering_system_reference(grid: ArcGrid, lam: float, alpha: float,
                                 eta: float) -> np.ndarray:
-    """N + B_eta - alpha as one out-of-place expression, through an identity
-    matrix, its multiple and the sum."""
-    return (scattering_layer_matrix(grid, lam, eta) + boundary_matrix(eta, grid)
+    """The complex system N + B_eta - alpha as one out-of-place expression
+    of the complex layer matrix, B(eta), an identity matrix and its
+    multiple."""
+    return (scattering_layer_matrix_full(grid, lam, eta) + boundary_matrix(eta, grid)
             - alpha * np.eye(grid.n))
 
 
 def scattering_condition_reference(grid: ArcGrid, lam: float, alpha: float,
                                    eta: float) -> float:
-    """LAPACK's 1-norm condition estimate of N + B_eta - alpha: ?sycon on
-    one ?sytrf factorization of the out-of-place system, at the optimal
-    workspace."""
+    """LAPACK's 1-norm condition estimate of the complex system
+    N + B_eta - alpha: ?sycon on one complex ?sytrf factorization of the
+    out-of-place system, at the optimal workspace."""
     system = scattering_system_reference(grid, lam, alpha, eta)
     sytrf, sytrf_lwork, sycon = scipy.linalg.get_lapack_funcs(
         ("sytrf", "sytrf_lwork", "sycon"), (system,))

@@ -1,9 +1,12 @@
 """Row-blocked builds of the chord-kernel tables.
 
 Every table the library builds a row block at a time must equal, bit for
-bit, the one-pass build kept in `oracles` (the `*_full` references), on
-grids smaller than one block, on grids whose last block is ragged, and at
-the benchmark's sizes.  Memory tests pin the point of blocking: the peak
+bit, a one-pass build, on grids smaller than one block, on grids whose
+last block is ragged, and at the benchmark's sizes: the ones kept in
+`oracles` (the `*_full` references), and for the scattering layer tables
+the library's kernel on the whole chord table.  Those tables and the
+scattering kernel must also lie within a few ulps of the earlier
+complex-exponential builds kept in `oracles`.  Memory tests pin the point of blocking: the peak
 traced allocation of a build stays near the size of its output.
 """
 
@@ -19,6 +22,7 @@ from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         make_grid, reparametrize_arclength,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
+from curvedelta.assembly import kink_correction
 from curvedelta.curves import _ArcTable, _row_blocks
 from curvedelta.resolvent import make_box
 from curvedelta.spectral import _circle_levels
@@ -32,6 +36,7 @@ from oracles import (box_points_full, boundary_matrix_full,
 SMALL_BLOCK_BYTES = 24 * 1024
 LAMBDAS = (0.0, -1.0, -4.0, -16.0, -600.0)
 SCATTERING_LAMBDAS = (0.0, 0.5, 1.0, 2.0, -2.0)
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -83,48 +88,82 @@ def test_boundary_bitwise_benchmark_sizes(wobble, n):
         assert np.array_equal(boundary_matrix(lam, grid), boundary_matrix_full(lam, grid))
 
 
+def _scattering_layer_one_pass(grid, lam, eta):
+    """Re N and Im N from the library's kernel on the whole chord table in
+    one pass."""
+    w = grid.weight
+    re, im = scattering_kernel(lam, eta, grid.chords)
+    re, im = w * re, w * im
+    re[np.diag_indices(grid.n)] += kink_correction((eta - complex(lam).real) / (8.0 * np.pi), w)
+    return re, im
+
+
+def _assert_ulp_close(parts, ref, r, scale=1.0):
+    """Re and Im of `ref` within 4 ulps of scale/(4 pi r), the size of each
+    exponential term of the scattering kernel (scale/(4 pi) at r = 0)."""
+    bound = 4.0 * EPS * scale / (4.0 * np.pi * np.where(r > 0.0, r, 1.0))
+    assert np.all(np.abs(parts[0] - np.real(ref)) <= bound)
+    assert np.all(np.abs(parts[1] - np.imag(ref)) <= bound)
+
+
 @pytest.mark.parametrize("n", [16, 100, 250])
 @pytest.mark.parametrize("name", ["circle", "ellipse", "wobble"])
 def test_scattering_layer_bitwise_small_grids(curves, name, n, small_blocks):
     grid = make_grid(curves[name], n)
     for lam in SCATTERING_LAMBDAS:
-        mat = scattering_layer_matrix(grid, lam, -1.0)
-        ref = scattering_layer_matrix_full(grid, lam, -1.0)
-        assert mat.dtype == ref.dtype
-        assert np.array_equal(mat, ref)
+        re, im = scattering_layer_matrix(grid, lam, -1.0)
+        ref_re, ref_im = _scattering_layer_one_pass(grid, lam, -1.0)
+        assert re.dtype == im.dtype == np.float64
+        assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_scattering_layer_bitwise_benchmark_sizes(ellipse, n):
     grid = make_grid(ellipse, n)
     for lam in SCATTERING_LAMBDAS:
-        assert np.array_equal(scattering_layer_matrix(grid, lam, -1.0),
-                              scattering_layer_matrix_full(grid, lam, -1.0))
+        re, im = scattering_layer_matrix(grid, lam, -1.0)
+        ref_re, ref_im = _scattering_layer_one_pass(grid, lam, -1.0)
+        assert np.array_equal(re, ref_re) and np.array_equal(im, ref_im)
+
+
+@pytest.mark.parametrize("n", [100, 1024])
+@pytest.mark.parametrize("lam", [-4.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j])
+def test_scattering_layer_matches_complex_build(ellipse, lam, n):
+    # real cos, sin and exp against the complex exponentials of the earlier
+    # build: at most 2.3 of the 4 ulps were used at N = 1024
+    grid = make_grid(ellipse, n)
+    _assert_ulp_close(scattering_layer_matrix(grid, lam, -1.0),
+                      scattering_layer_matrix_full(grid, lam, -1.0), grid.chords, grid.weight)
 
 
 @pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j])
 def test_scattering_kernel_bitwise(lam):
-    # zero, series-range and ordinary chords, in one array and one at a time
+    # zero, series-range and ordinary chords, in one array and one at a
+    # time: a 0-d chord gets the floats the same chord gets in an array
     r = np.array([[0.0, 1e-9, 3e-7], [1e-3, 0.5, 2.0]])
-    out = scattering_kernel(lam, -1.0, r)
-    ref = scattering_kernel_full(lam, -1.0, r)
-    assert out.dtype == ref.dtype and out.shape == ref.shape
-    assert np.array_equal(out, ref)
-    for x in (0.0, 1e-9, 0.7):
+    re, im = scattering_kernel(lam, -1.0, r)
+    assert re.shape == im.shape == r.shape
+    for x, expected in zip(r.ravel(), zip(re.ravel(), im.ravel())):
         value = scattering_kernel(lam, -1.0, x)
-        expected = scattering_kernel_full(lam, -1.0, x)
-        assert type(value) is type(expected)
-        # a 0-d chord gets the value the same chord gets inside an array;
-        # the one-pass kernel's numpy-scalar arithmetic can differ from
-        # that by an ulp in the series range at complex lam
-        assert value == scattering_kernel(lam, -1.0, np.array([x]))[0]
-        if complex(lam).imag == 0.0:
-            assert value == expected
+        assert all(type(v) is np.float64 for v in value)
+        assert value == expected
+
+
+@pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j, 3.0 - 2.0j])
+def test_scattering_kernel_matches_complex_build(lam):
+    # the series range, its edge and chords up to 10, in one array and as
+    # 0-d chords, within 4 ulps of 1/(4 pi r) of the complex exponentials
+    r = np.concatenate([[0.0, 1e-9, 3e-7, 1e-6], np.geomspace(1e-6, 10.0, 2001)])
+    _assert_ulp_close(scattering_kernel(lam, -1.0, r), scattering_kernel_full(lam, -1.0, r), r)
+    for x in (0.0, 1e-9, 0.7):
+        _assert_ulp_close(scattering_kernel(lam, -1.0, x), scattering_kernel_full(lam, -1.0, x),
+                          np.float64(x))
 
 
 def test_scattering_kernel_real_below_zero():
-    assert not np.iscomplexobj(scattering_kernel(-2.0, -1.0, np.array([0.0, 0.5])))
-    assert isinstance(scattering_kernel(-2.0, -1.0, 0.5), np.floating)
+    re, im = scattering_kernel(-2.0, -1.0, np.array([0.0, 0.5]))
+    assert re.dtype == np.float64 and not im.any()
+    assert all(isinstance(v, np.floating) for v in scattering_kernel(-2.0, -1.0, 0.5))
 
 
 @pytest.mark.parametrize("n", [16, 100, 250])
@@ -232,8 +271,8 @@ def test_boundary_matrix_peak_memory(ellipse):
 
 def test_scattering_layer_matrix_peak_memory(ellipse):
     grid = make_grid(ellipse, 1024)
-    mat, peak = _peak_bytes(lambda: scattering_layer_matrix(grid, 1.0, -1.0))
-    assert peak <= 1.5 * mat.nbytes
+    (re, im), peak = _peak_bytes(lambda: scattering_layer_matrix(grid, 1.0, -1.0))
+    assert peak <= 1.5 * (re.nbytes + im.nbytes)
 
 
 def test_layer_map_peak_memory(ellipse):

@@ -159,6 +159,24 @@ class TestScattering:
                      "--alpha=-0.5", f"--eta={eta}", "--out", str(tmp_path)]) == 2
         assert "must be negative" in capsys.readouterr().err
 
+    def test_near_exceptional_energy_never_exits_4(self, seed10_file, tmp_path):
+        # the benchmark's seed-10 curve at lam = 0.5: the channels above
+        # rank_tol leak 2.7e-6, a truncation of the channel space, not a
+        # violated invariant; the block widens until unitary or refuses
+        code = main(["scattering", "--curve", seed10_file, "--n", "1024",
+                     "--alpha", "-0.5", "--lambda", "0.5", "--out", str(tmp_path)])
+        assert code in (0, 3)
+        if code == 0:
+            header, rows = _read_rows(tmp_path / "scattering.csv")
+            assert float(rows[0][header.index("unitarity_defect")]) < scattering_mod.UNITARITY_TOL
+            assert int(rows[0][header.index("retained_dim")]) > 17
+
+    def test_widening_refusal_exits_3(self, circle_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scattering_mod, "UNITARITY_TOL", 0.0)
+        assert main(["scattering", "--curve", circle_file, "--n", "64",
+                     "--alpha", "-0.5", "--lambda", "1.0", "--out", str(tmp_path)]) == 3
+        assert "cannot be widened until unitary" in capsys.readouterr().err
+
     def test_condition_refusal_exits_3(self, circle_file, tmp_path, monkeypatch):
         monkeypatch.setattr(scattering_mod, "CONDITION_LIMIT", 1.0)
         assert main(["scattering", "--curve", circle_file, "--n", "64",
