@@ -30,7 +30,10 @@ the quadratic eigenvalue bound for Hermitian block matrices (C.-K. Li and
 R.-C. Li, Linear Algebra Appl. 395, 2005; R. Mathias, SIAM J. Matrix Anal.
 Appl. 19, 1998) gives nu_j(B) <= nu_j(T) + ||C||_F^2 / eta for every
 trusted j.  Where eta <= 0 or that bound exceeds COMPRESSION_TOL, the
-spectrum comes from the dense eigensolve of B instead.
+spectrum comes from the dense eigensolve of B instead.  Since T is the
+circle's kept modes plus F_K^T D_lam F_K, of norm at most ||D_lam||_F,
+eta is at most the (n/4)-th kept circle mode less the largest discarded
+one; where even that eta cannot pass, T is not solved at all.
 """
 
 from __future__ import annotations
@@ -244,11 +247,18 @@ class _Operator:
         kept = self.grid.n // 4
         block, coupling_sq, comparison = _fourier_compression(
             self.matrix, circle_boundary_row(self.lam, self.grid), kept)
-        values = eigen(block)[:trusted]
-        discarded = circle_boundary_modes(self.lam, self.grid)[kept + 1:]
-        gap = values[-1] - (float(np.max(discarded)) + comparison)
-        if gap > 0 and coupling_sq / gap <= COMPRESSION_TOL:
-            return values, coupling_sq / gap
+        modes = circle_boundary_modes(self.lam, self.grid)
+        discarded = float(np.max(modes[kept + 1:]))
+        # F_K diagonalizes the circle part, and ||F_K^T D F_K|| <= ||D||_F,
+        # so eta is at most the (n/4)-th kept circle mode less the largest
+        # discarded one: where that cannot pass, T is not solved
+        kept_modes = np.sort(np.concatenate([modes[:1], np.repeat(modes[1:kept + 1], 2)]))
+        reach = kept_modes[-trusted] - discarded
+        if reach > 0 and coupling_sq <= COMPRESSION_TOL * reach:
+            values = eigen(block)[:trusted]
+            gap = values[-1] - (discarded + comparison)
+            if gap > 0 and coupling_sq / gap <= COMPRESSION_TOL:
+                return values, coupling_sq / gap
         return self._dense_top(), 0.0
 
     def _dense_top(self) -> np.ndarray:

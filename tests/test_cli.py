@@ -357,11 +357,12 @@ class TestCircleFFTPath:
         assert calls == {"eigh": 0, "boundary_matrix": 0}
 
     def test_counters_see_the_dense_path(self, ellipse_file, tmp_path, calls):
-        # each energy solves the compressed block T, whose certificate fails
-        # at N = 64, and then the dense matrix
+        # at N = 64 the compression certificate cannot pass, which the bound
+        # on its gap shows before T is solved: each energy solves only the
+        # dense matrix
         assert main(["spectrum", "--curve", ellipse_file, "--n", "64",
                      "--lambda", "0,-1", "--out", str(tmp_path)]) == 0
-        assert calls == {"eigh": 4, "boundary_matrix": 2}
+        assert calls == {"eigh": 2, "boundary_matrix": 2}
 
 
 class TestDSigma:

@@ -319,6 +319,49 @@ class TestFourierCompression:
         assert op._top[1] == 0.0
         assert np.array_equal(op.spectrum(), eigen(op.matrix)[:256])
 
+    @staticmethod
+    def _certifies(op) -> bool:
+        """Whether the compression certificate passes, from the eigenvalues
+        of T without the pre-check."""
+        n, lam, grid = op.grid.n, op.lam, op.grid
+        block, coupling_sq, comparison = spectral._fourier_compression(
+            op.matrix, spectral.circle_boundary_row(lam, grid), n // 4)
+        discarded = np.max(spectral.circle_boundary_modes(lam, grid)[n // 4 + 1:])
+        gap = eigen(block)[n // 4 - 1] - (discarded + comparison)
+        return gap > 0 and coupling_sq / gap <= spectral.COMPRESSION_TOL
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_pre_check_keeps_every_certified_grid(self, ellipse, n):
+        # the bound on eta skips the solve of T only where the certificate
+        # fails: the compression serves exactly the grids that certify
+        curves = [ellipse] + [seeded_fourier_curve(seed) for seed in (1, 2, 3, 5)]
+        certified = 0
+        for curve in curves:
+            grid = make_grid(curve, n)
+            for lam in (0.0, -1.0, -4.0):
+                op = spectral._Operator(lam, grid)
+                certifies = self._certifies(op)
+                certified += certifies
+                assert (op._top[1] > 0.0) == certifies
+        assert certified >= (6 if n == 256 else 15)
+
+    def test_grid_the_pre_check_rejects_solves_no_T(self, monkeypatch):
+        # at N = 256 the coupling of the seed-5 curve, 3.5e-9, exceeds
+        # COMPRESSION_TOL times the largest gap the kept circle modes allow
+        grid = make_grid(seeded_fourier_curve(5), 256)
+        op = spectral._Operator(-1.0, grid)
+        assert not self._certifies(op)
+        sizes = []
+        real_eigen = spectral.eigen
+
+        def recording_eigen(mat):
+            sizes.append(len(mat))
+            return real_eigen(mat)
+
+        monkeypatch.setattr(spectral, "eigen", recording_eigen)
+        assert op._top[1] == 0.0
+        assert sizes == [256]
+
     @pytest.mark.parametrize("n", [256, 258])
     def test_kept_modes_on_a_circle(self, circle, n):
         # on a circle B is diagonal in the real Fourier basis: T holds the
