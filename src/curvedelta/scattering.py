@@ -187,6 +187,13 @@ def _solve(factors: np.ndarray, pivots: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return sytrs(factors, pivots, rhs.astype(factors.dtype, copy=False))[0]
 
 
+def _compression(factors: np.ndarray, pivots: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """half^T A^{-1} half for the `_factor`ed system A."""
+    half = half.astype(factors.dtype, copy=False)
+    gemm = scipy.linalg.get_blas_funcs("gemm", (half,))
+    return gemm(1.0, half, _solve(factors, pivots, half), trans_a=1)
+
+
 def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                      rank_tol: float = RANK_TOL) -> ScatteringBlock:
     """Assemble S'(lam) at energy lam >= 0, coupling alpha, reference eta.
@@ -230,8 +237,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
     # symmetric, so its transpose is the same matrix in Fortran order
     factors, pivots, condition = _factor(system.T)
     if condition <= CONDITION_LIMIT:
-        core = scipy.linalg.get_blas_funcs("gemm", (half,))(
-            1.0, half, _solve(factors, pivots, half), trans_a=1)
+        core = _compression(factors, pivots, half)
         core += core.T
         core *= 0.5                 # M, exactly symmetric
         cayley = 1j * core
@@ -255,9 +261,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
             raise NumericsError(
                 f"system N + B - alpha is {kind} singular at lam={lam:g} "
                 f"(condition {condition:.2e}); energy near the exceptional set")
-        half = half.astype(complex)
-        coupled = scipy.linalg.get_blas_funcs("gemm", (half,))(
-            1.0, half, _solve(factors, pivots, half), trans_a=1)
+        coupled = _compression(factors, pivots, half)
 
     block = -2j * coupled           # S' on all p sketch channels
     block[np.diag_indices(p)] += 1.0
