@@ -2,10 +2,13 @@
 
 Commands: spectrum | bound-states | scattering | isoperimetric | probe | d-sigma.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 invariant violation.  All numbers are written with 15 significant digits
-and no time-dependent fields, so identical configurations produce
-byte-identical output files.  Each command declares only the options and
-the --tol-override keys it reads; any other exits 2.
+4 invariant violation.  Numbers are written with 15 significant digits and
+no time-dependent fields, so identical configurations produce
+byte-identical output files.  The one exception is scattering's
+`condition`, an estimate written to 3 significant digits: LAPACK's ?sycon
+can return it with different last digits in different processes from
+bitwise identical factors.  Each command declares only the options and the
+--tol-override keys it reads; any other exits 2.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def cmd_scattering(args) -> int:
     for i, lam in enumerate(lams):
         block = scattering_block(grid, lam, alpha, eta, rank_tol=tols["rank_tol"])
         rows.append([lam, eta, block.retained_dim, block.unitarity_defect,
-                     block.min_channel_eigenvalue, block.condition])
+                     block.min_channel_eigenvalue, format(block.condition, ".3g")])
         if args.dump_smatrix:
             entries = [[r + 1, c + 1, block.matrix[r, c].real, block.matrix[r, c].imag]
                        for r in range(block.retained_dim)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvedelta
+import curvedelta.cli as cli_mod
 import curvedelta.resolvent as resolvent_mod
 import curvedelta.scattering as scattering_mod
 from curvedelta import boundary_matrix, curve_to_json_dict, make_circle, make_grid
@@ -144,6 +145,26 @@ class TestScattering:
         _, rows = _read_rows(tmp_path / "smatrix_0.csv")
         dim = int(math.isqrt(len(rows)))
         assert dim * dim == len(rows) and dim > 0
+
+    def test_condition_written_to_three_digits(self, ellipse_file, tmp_path, monkeypatch):
+        # ?sycon can return the estimate with different last digits in
+        # different processes from bitwise identical factors, so the table
+        # holds 3 digits of it; the refusal reads the unrounded value
+        conditions = []
+        real_block = cli_mod.scattering_block
+
+        def block(*args, **kwargs):
+            found = real_block(*args, **kwargs)
+            conditions.append(found.condition)
+            return found
+
+        monkeypatch.setattr(cli_mod, "scattering_block", block)
+        assert main(["scattering", "--curve", ellipse_file, "--n", "64",
+                     "--alpha=-0.3", "--lambda=0.5,2", "--out", str(tmp_path)]) == 0
+        header, rows = _read_rows(tmp_path / "scattering.csv")
+        written = [row[header.index("condition")] for row in rows]
+        assert written == [format(c, ".3g") for c in conditions]
+        assert all(float(text) == pytest.approx(c, rel=5e-3) for text, c in zip(written, conditions))
 
     def test_non_psd_channel_matrix_exits_3(self, ellipse_file, tmp_path, non_psd_channels,
                                             capsys):
