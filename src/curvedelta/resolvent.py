@@ -22,7 +22,7 @@ from .assembly import boundary_derivative
 from .curves import ArcGrid, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
-from .spectral import _Operator
+from .spectral import _operator
 
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
 FIT_WINDOW = (8, 48)    # first and last index k of the singular-value decay fit
@@ -87,7 +87,7 @@ def _resolvent_system(grid: ArcGrid, lam: float, alpha: float) -> np.ndarray:
     SPECTRUM_MARGIN from the spectrum of B(lam), that is when lam is at or
     near a bound-state energy; on a circle grid it reads the FFT spectrum.
     """
-    op = _Operator(lam, grid)
+    op = _operator(lam, grid)
     if not op.clear_of(alpha, SPECTRUM_MARGIN):
         raise NumericsError(f"alpha within SPECTRUM_MARGIN = {SPECTRUM_MARGIN:g} of the "
                             "boundary spectrum; lam is at or near a bound-state energy")

@@ -40,7 +40,7 @@ from .assembly import kernel_matrix
 from .curves import ArcGrid, _kept
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
-from .spectral import _Operator
+from .spectral import _Operator, _operator
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds the block's
@@ -78,7 +78,7 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> tuple[np.ndarray,
 def _reference_boundary(grid: ArcGrid, eta: float) -> _Operator:
     """B(eta), kept on the grid under eta: the choice of eta and every block
     of a run at that eta share one operator, so one assembly."""
-    return _kept(grid, "reference_boundary", eta, lambda: _Operator(eta, grid))
+    return _kept(grid, "reference_boundary", eta, lambda: _operator(eta, grid))
 
 
 def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:

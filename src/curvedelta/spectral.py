@@ -173,36 +173,23 @@ class BoundState:
 class _Operator:
     """B(lam) on one grid, the one place that assembles or reads it.
 
-    On a circle grid B(lam) is a symmetric circulant: its eigenvalues come
-    from `circle_boundary_modes`, each wavenumber 1 to N/2 - 1 listed twice,
-    its branch slopes from `circle_derivative_modes`, and its eigenvectors
-    are the unit-norm real Fourier modes, cos before sin within a pair; no
-    matrix is formed for them.  On any other grid B(lam) is assembled on
-    first use.  Its trusted top n/4 eigenvalues come from the certified
-    real-Fourier compression of the module docstring, or from the dense
-    eigensolve where the certificate fails.  Its inertia comes from one
-    Bunch-Kaufman LDL^T factorization of B - x (LAPACK ?sytrf), whose
-    factors are kept for inverse iteration; an eigenpair it cannot certify
-    comes from one subset eigensolve, and the eigenpairs found are kept.
-    `spectrum()` returns the trusted top n/4 on every grid.  `matrix` is
-    that one assembly, read-only, on any grid.  `guess`, a vector near the
-    eigenvectors sought, starts the inverse iteration.
+    B(lam) is assembled on first use, and `matrix` is that one assembly,
+    read-only.  Its trusted top n/4 eigenvalues, which `spectrum()`
+    returns, come from the certified real-Fourier compression of the module
+    docstring, or from the dense eigensolve where the certificate fails.
+    Its inertia comes from one Bunch-Kaufman LDL^T factorization of B - x
+    (LAPACK ?sytrf), whose factors are kept for inverse iteration, started
+    from `guess`; an eigenpair it cannot certify comes from one subset
+    eigensolve, and the eigenpairs found are kept.  `_CircleOperator`
+    supplies what a circle grid knows; `_operator` picks the class.
     """
 
     def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None):
         self.lam = lam
         self.grid = grid
         self._guess = guess
-        self._waves = None
         self._factors = None      # (x, above(x), LDL^T factors) of the latest shift
         self._pairs = {}          # k -> (nu_k, v_k, whether from an eigensolve)
-        if grid.curve.is_circle:
-            n = grid.n
-            modes = circle_boundary_modes(lam, grid)
-            waves = np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
-            # stable, so the two entries of a pair stay adjacent, cos first
-            self._waves = waves[np.argsort(-modes[waves], kind="stable")]
-            self._values = modes[self._waves]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -210,17 +197,12 @@ class _Operator:
 
     @cached_property
     def _derivative(self) -> np.ndarray:
-        """B'(lam): by wavenumber on a circle grid, the dense matrix elsewhere."""
-        if self._waves is None:
-            return boundary_derivative(self.lam, self.grid)
-        return circle_derivative_modes(self.lam, self.grid)
+        return boundary_derivative(self.lam, self.grid)
 
     @cached_property
     def _scale(self) -> float:
-        """||B||_1 on a dense grid, the spectral radius on a circle grid."""
-        if self._waves is None:
-            return float(scipy.linalg.norm(self.matrix, 1, check_finite=False))
-        return float(np.max(np.abs(self._values)))
+        """||B||_1."""
+        return float(scipy.linalg.norm(self.matrix, 1, check_finite=False))
 
     @cached_property
     def _rounding(self) -> float:
@@ -237,12 +219,10 @@ class _Operator:
     @cached_property
     def _top(self) -> tuple[np.ndarray, float]:
         """The top n/4 eigenvalues and the certified bound on how far each
-        lies below the eigenvalue of B(lam): the circle's mode values and
-        the dense eigensolve carry bound 0, the compression ||C||_F^2 / eta
-        where that is at most COMPRESSION_TOL."""
+        lies below the eigenvalue of B(lam): the dense eigensolve carries
+        bound 0, the compression ||C||_F^2 / eta where that is at most
+        COMPRESSION_TOL."""
         trusted = trusted_count(self.grid.n)
-        if self._waves is not None:
-            return self._values[:trusted], 0.0
         # the kept wavenumbers k <= n // 4 span 2 (n // 4) + 1 >= n/4 modes
         kept = self.grid.n // 4
         block, coupling_sq, comparison = _fourier_compression(
@@ -267,14 +247,12 @@ class _Operator:
 
     def _inertia(self, x: float) -> tuple[int, bool, tuple | None]:
         """The number of eigenvalues above x, whether x is one exactly, and
-        on a dense grid the LDL^T factors of B - x when it is not.
+        the LDL^T factors of B - x when it is not.
 
         Bunch-Kaufman's 2 x 2 pivot blocks each hold one positive and one
         negative eigenvalue, so by Sylvester's law of inertia the count is
         the positive 1 x 1 pivots plus one per 2 x 2 block.
         """
-        if self._waves is not None:
-            return int(np.count_nonzero(self._values > x)), bool(np.any(self._values == x)), None
         n = self.grid.n
         # B is exactly symmetric, so its transpose is B in Fortran order
         shifted = np.array(self.matrix.T, order="F")
@@ -288,9 +266,9 @@ class _Operator:
         return count, info > 0, (ldu, ipiv) if info == 0 else None
 
     def above(self, x: float) -> int:
-        """Number of eigenvalues of B(lam) greater than x.  On a dense grid
-        the factors of B - x are kept, so that inverse iteration with shift
-        x can find the branch nearest x."""
+        """Number of eigenvalues of B(lam) greater than x.  The factors of
+        B - x, if any, are kept, so that inverse iteration with shift x can
+        find the branch nearest x."""
         count, _, factors = self._inertia(x)
         self._factors = (x, count, factors)
         return count
@@ -369,60 +347,100 @@ class _Operator:
         eigensolve: at a root, the verified eigenpair and the next branch's
         start."""
         last = min(k + 1, self.grid.n)
-        if self._waves is None and not all(self._exact(j) for j in range(k, last + 1)):
+        if not all(self._exact(j) for j in range(k, last + 1)):
             self._solve_pairs(k, last)
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
         the eigenvalue branches that the floor and the root search sample."""
-        if self._waves is None:
-            return self._pair(k)[0]
-        return float(self._values[k - 1])
+        return self._pair(k)[0]
 
     def vector(self, k: int) -> np.ndarray:
         """The unit eigenvector `branch_value(k)` was read with."""
-        if self._waves is None:
-            return self._pair(k)[1]
-        n = self.grid.n
-        m = self._waves[k - 1]
-        phase = 2.0 * np.pi * m * np.arange(n) / n
-        if m == 0 or 2 * m == n:
-            return np.cos(phase) / math.sqrt(n)
-        if k == 1 or self._waves[k - 2] != m:
-            return np.cos(phase) * math.sqrt(2.0 / n)
-        return np.sin(phase) * math.sqrt(2.0 / n)
+        return self._pair(k)[1]
+
+    def _slope(self, k: int) -> float:
+        """v_k^T B'(lam) v_k."""
+        v = self.vector(k)
+        # B' is exactly symmetric: its transpose is B' in Fortran order
+        symv = scipy.linalg.get_blas_funcs("symv", (self._derivative,))
+        return float(v @ symv(1.0, self._derivative.T, v))
 
     def slope(self, k: int) -> float:
         """dnu_k/dlam = v_k^T B'(lam) v_k; B' is a Gram matrix, so a slope
-        that is not positive refuses.  On a circle grid it is exact, the
-        FFT of the circulant B' row at the branch's wavenumber."""
-        if self._waves is None:
-            v = self.vector(k)
-            # B' is exactly symmetric: its transpose is B' in Fortran order
-            symv = scipy.linalg.get_blas_funcs("symv", (self._derivative,))
-            value = float(v @ symv(1.0, self._derivative.T, v))
-        else:
-            value = float(self._derivative[self._waves[k - 1]])
+        that is not positive refuses."""
+        value = self._slope(k)
         if not value > 0:
             raise NumericsError(f"monotonicity violated: mode {k} has slope {value:.3e} "
                                 f"at lam={self.lam:g}")
         return value
 
     def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
-        """The k-th largest eigenvalue and a unit eigenvector for it; on a
-        dense grid from a subset eigensolve, one for index k alone unless
-        one that included k is kept."""
-        if self._waves is None:
-            if not self._exact(k):
-                self._solve_pairs(k, k)
-            return self._pairs[k][:2]
-        return float(self._values[k - 1]), self.vector(k)
+        """The k-th largest eigenvalue and a unit eigenvector for it, from a
+        subset eigensolve, one for index k alone unless one that included k
+        is kept."""
+        if not self._exact(k):
+            self._solve_pairs(k, k)
+        return self._pair(k)[:2]
+
+
+class _CircleOperator(_Operator):
+    """B(lam) on a circle grid, a symmetric circulant whose eigenpairs are
+    known: its eigenvalues come from `circle_boundary_modes`, each
+    wavenumber 1 to N/2 - 1 listed twice, its branch slopes from
+    `circle_derivative_modes`, and its eigenvectors are the unit-norm real
+    Fourier modes, cos before sin within a pair.  No pair is solved for."""
+
+    def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None):
+        super().__init__(lam, grid, guess)
+        n = grid.n
+        modes = circle_boundary_modes(lam, grid)
+        waves = np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
+        # stable, so the two entries of a pair stay adjacent, cos first
+        self._waves = waves[np.argsort(-modes[waves], kind="stable")]
+        self._values = modes[self._waves]
+
+    @cached_property
+    def _scale(self) -> float:
+        return float(np.max(np.abs(self._values)))     # the spectral radius
+
+    @cached_property
+    def _top(self) -> tuple[np.ndarray, float]:
+        return self._values[:trusted_count(self.grid.n)], 0.0
+
+    def _inertia(self, x: float) -> tuple[int, bool, None]:
+        return int(np.count_nonzero(self._values > x)), bool(np.any(self._values == x)), None
+
+    def _exact(self, k: int) -> bool:
+        return True
+
+    def _pair(self, k: int) -> tuple[float, np.ndarray, bool]:
+        """The k-th mode value and its Fourier vector."""
+        n = self.grid.n
+        m = self._waves[k - 1]
+        phase = 2.0 * np.pi * m * np.arange(n) / n
+        if m == 0 or 2 * m == n:
+            vector = np.cos(phase) / math.sqrt(n)
+        elif k == 1 or self._waves[k - 2] != m:
+            vector = np.cos(phase) * math.sqrt(2.0 / n)
+        else:
+            vector = np.sin(phase) * math.sqrt(2.0 / n)
+        return float(self._values[k - 1]), vector, True
+
+    def _slope(self, k: int) -> float:
+        """The FFT of the circulant B' row at the branch's wavenumber."""
+        return float(circle_derivative_modes(self.lam, self.grid)[self._waves[k - 1]])
+
+
+def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None) -> _Operator:
+    """B(lam): the circle's known eigenpairs on a circle grid, else dense."""
+    return (_CircleOperator if grid.curve.is_circle else _Operator)(lam, grid, guess)
 
 
 def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
     """The trusted top n/4 eigenvalues of B(lam) on the grid, nonincreasing,
     without eigenvectors, as `_Operator.spectrum` reads them."""
-    return _Operator(lam, grid).spectrum()
+    return _operator(lam, grid).spectrum()
 
 
 class _Point(NamedTuple):
@@ -462,7 +480,7 @@ def _energy_floor(grid: ArcGrid, alpha: float) -> _Point:
     lam = -1.0
     for _ in range(MAX_FLOOR_DOUBLINGS):
         if lam not in floors:
-            op = _Operator(lam, grid)
+            op = _operator(lam, grid)
             point = None
             if op.above(alpha) == 0:
                 point = _point(op, 1)
@@ -492,7 +510,7 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int]:
         raise ConfigError("coupling alpha must be a nonzero number")
 
     def top():
-        op = _Operator(0.0, grid)
+        op = _operator(0.0, grid)
         values, bound = op._top
         return _read_only(values), bound + op._rounding if bound > 0 else 0.0
 
@@ -549,7 +567,7 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
     for _ in range(MAX_ROOT_STEPS):
         if not lo < target < hi:
             target = _bisect(lo, hi)
-        op = _Operator(target, grid, guess)
+        op = _operator(target, grid, guess)
         if last:
             op.settle(k)
         else:

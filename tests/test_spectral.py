@@ -36,7 +36,7 @@ class TestEigen:
         # a dense grid's eigenpair comes from one subset solve whose value is
         # the branch value the root search samples, bit for bit
         for grid in (ellipse_grid, defect_grid):
-            op = spectral._Operator(-1.0, grid)
+            op = spectral._operator(-1.0, grid)
             mat = boundary_matrix(-1.0, grid)
             scale = np.linalg.norm(mat, 2)
             for k in range(1, grid.n // 4 + 1):
@@ -182,8 +182,8 @@ class TestNewtonRoots:
         # just above it at least k
         for st in find_bound_states(grid, alpha):
             step = 1e-8 * abs(st.energy)
-            assert spectral._Operator(st.energy - step, grid).above(alpha) == st.index - 1
-            assert spectral._Operator(st.energy + step, grid).above(alpha) >= st.index
+            assert spectral._operator(st.energy - step, grid).above(alpha) == st.index - 1
+            assert spectral._operator(st.energy + step, grid).above(alpha) >= st.index
 
 
 class TestInertia:
@@ -195,7 +195,7 @@ class TestInertia:
     def test_matches_dense_counts(self, request, curve_name, lam):
         grid = make_grid(request.getfixturevalue(curve_name), 128)
         dense = eigen(boundary_matrix(lam, grid))
-        op = spectral._Operator(lam, grid)
+        op = spectral._operator(lam, grid)
         # in the gaps between the top 40 eigenvalues (a circle's pairs have
         # none), and outside the spectrum
         gaps = dense[:40] - dense[1:41] > 1e-9
@@ -212,7 +212,7 @@ class TestCircleFFT:
     def test_spectrum_matches_dense(self, circle, n):
         grid = make_grid(circle, n)
         for lam in (0.0, -1.0, -4.0, -16.0, -600.0):
-            op = spectral._Operator(lam, grid)
+            op = spectral._operator(lam, grid)
             dense = eigen(boundary_matrix(lam, grid))
             # every mode value, which the inertia reads, and the trusted top
             # n/4 of them, which the spectrum returns
@@ -250,6 +250,24 @@ class TestCircleFFT:
             assert np.max(np.abs(gram - np.eye(2))) < 1e-13
         assert np.allclose(states[0].coefficients, 1.0 / math.sqrt(circle_grid.n))
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_slopes_match_the_dense_operator(self, circle, n):
+        # the dense operator on a circle grid is the circle's own reference:
+        # v^T B' v of its eigenvectors against the FFT of the circulant B'
+        # row (measured: 1.3e-15 relative at most); B' has no zero-energy
+        # limit, so at lam = 0 both refuse alike
+        grid = make_grid(circle, n)
+        for lam in (0.0, -1.0, -4.0):
+            known, dense = spectral._operator(lam, grid), spectral._Operator(lam, grid)
+            assert type(known) is spectral._CircleOperator and type(dense) is spectral._Operator
+            if lam == 0.0:
+                for op in (known, dense):
+                    with pytest.raises(ConfigError, match="requires lam < 0"):
+                        op.slope(1)
+                continue
+            for k in range(1, n // 4 + 1):
+                assert dense.slope(k) == pytest.approx(known.slope(k), rel=1e-12, abs=0)
+
     def test_closed_form_at_zero_energy(self, circle_grid):
         nu0, pairs = circle_mode_eigenvalues(1.0, 4)
         closed = [nu0, pairs[0], pairs[0], pairs[1], pairs[1], pairs[2], pairs[2]]
@@ -264,7 +282,7 @@ class TestCircleFFT:
 
 class TestClearOf:
     """The one spectral-margin rule: x is clear of B(lam)'s spectrum by more
-    than m, read as `_Operator` reads the spectrum (the FFT on a circle)."""
+    than m, read as `_operator` reads the spectrum (the FFT on a circle)."""
 
     @pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
     @pytest.mark.parametrize("margin", [1e-8, 1e-6, 1e-3])
@@ -272,7 +290,7 @@ class TestClearOf:
         # on the circle the dense reference is the assembled matrix, so the
         # FFT answer is checked against it
         grid = make_grid(request.getfixturevalue(curve_name), 64)
-        op = spectral._Operator(-1.0, grid)
+        op = spectral._operator(-1.0, grid)
         dense = eigen(boundary_matrix(-1.0, grid))
         for k in (1, 2, 7, 16):
             nu = op.spectrum()[k - 1]
@@ -283,7 +301,7 @@ class TestClearOf:
     def test_distance_equal_to_margin_is_refused(self, ellipse_grid):
         # the distance to the full spectrum, of which spectrum() holds the
         # top n/4 only
-        op = spectral._Operator(-1.0, ellipse_grid)
+        op = spectral._operator(-1.0, ellipse_grid)
         distance = np.min(np.abs(eigen(op.matrix) + 0.5))
         assert op.clear_of(-0.5, 0.5 * distance)
         assert not op.clear_of(-0.5, distance)
@@ -304,7 +322,7 @@ class TestFourierCompression:
                  else seeded_fourier_curve(int(curve_name.split()[1])))
         grid = make_grid(curve, n)
         for lam in self.LAMS:
-            op = spectral._Operator(lam, grid)
+            op = spectral._operator(lam, grid)
             values, bound = op._top
             dense = eigen(op.matrix)[:n // 4]
             assert 0.0 < bound <= spectral.COMPRESSION_TOL
@@ -313,9 +331,9 @@ class TestFourierCompression:
 
     def test_zero_tolerance_forces_the_dense_solve(self, ellipse, monkeypatch):
         grid = make_grid(ellipse, 1024)
-        assert spectral._Operator(0.0, grid)._top[1] > 0.0
+        assert spectral._operator(0.0, grid)._top[1] > 0.0
         monkeypatch.setattr(spectral, "COMPRESSION_TOL", 0.0)
-        op = spectral._Operator(0.0, grid)
+        op = spectral._operator(0.0, grid)
         assert op._top[1] == 0.0
         assert np.array_equal(op.spectrum(), eigen(op.matrix)[:256])
 
@@ -339,7 +357,7 @@ class TestFourierCompression:
         for curve in curves:
             grid = make_grid(curve, n)
             for lam in (0.0, -1.0, -4.0):
-                op = spectral._Operator(lam, grid)
+                op = spectral._operator(lam, grid)
                 certifies = self._certifies(op)
                 certified += certifies
                 assert (op._top[1] > 0.0) == certifies
@@ -349,7 +367,7 @@ class TestFourierCompression:
         # at N = 256 the coupling of the seed-5 curve, 3.5e-9, exceeds
         # COMPRESSION_TOL times the largest gap the kept circle modes allow
         grid = make_grid(seeded_fourier_curve(5), 256)
-        op = spectral._Operator(-1.0, grid)
+        op = spectral._operator(-1.0, grid)
         assert not self._certifies(op)
         sizes = []
         real_eigen = spectral.eigen
@@ -394,7 +412,7 @@ class TestCompressedCounts:
     @pytest.fixture(scope="class")
     def reference(self, ellipse):
         grid = make_grid(ellipse, 1024)
-        op = spectral._Operator(0.0, grid)
+        op = spectral._operator(0.0, grid)
         values, bound = op._top
         assert bound > 0.0
         return values.copy(), bound + op._rounding, eigen(op.matrix)[:256]

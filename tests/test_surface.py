@@ -95,6 +95,24 @@ def test_one_reader_of_the_boundary_operator():
     assert [(name, inside) for name, _, inside in found] == [("spectral.py", True)], found
 
 
+def test_no_representation_branch_in_the_operator():
+    # a circle grid's known eigenpairs live in spectral._CircleOperator, and
+    # spectral._operator picks the class: no method of the dense _Operator
+    # reads the circle's wavenumbers or asks whether the grid is a circle,
+    # and besides the factory only the two functions that compare a curve
+    # with its equal-length circle ask that
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    dense = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Operator")
+    assert [node.lineno for node in ast.walk(dense) if isinstance(node, ast.Attribute)
+            and node.attr in ("_waves", "is_circle")] == []
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Attribute) and node.attr == "is_circle"
+                       for node in ast.walk(fn))}
+    assert readers == {"_operator", "count_bound_states", "isoperimetric_compare"}
+    assert spectral._CircleOperator.__bases__ == (spectral._Operator,)
+
+
 def _numpy_linalg_calls(path: pathlib.Path) -> set[str]:
     """Names of the `<alias>.linalg.<name>(...)` calls in a module's source,
     where the alias is any name the module binds to numpy, and of the names

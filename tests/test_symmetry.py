@@ -117,7 +117,7 @@ FIXED_COEFFICIENTS = (
 
 def _production_values(curve: Curve, lam: float) -> np.ndarray:
     # what `boundary_spectrum` returns, with a nonzero bound: the compressed path
-    op = spectral._Operator(lam, make_grid(curve, PRODUCTION_N))
+    op = spectral._operator(lam, make_grid(curve, PRODUCTION_N))
     assert op._top[1] > 0.0
     return op.spectrum()
 
