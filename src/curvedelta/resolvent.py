@@ -119,17 +119,11 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
 
-def _gram_matrix(grid: ArcGrid, lam: float) -> np.ndarray:
-    """X = Gamma^T Gamma: entries w e^{-kappa r_ij}/(8 pi kappa) on the curve
-    chords r_ij, kappa = sqrt(-lam).  The diagonal w/(8 pi kappa) carries
-    the kink correction of the kernel's slope -1/(8 pi) at r = 0.  It is
-    the builder of B'(lam), without the smoothing row's cap."""
-    return boundary_derivative(lam, grid, capped=False)
-
-
 def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:
-    """Singular values of the layer map, nonincreasing: sqrt(eig X)."""
-    vals = scipy.linalg.eigh(_gram_matrix(grid, lam), eigvals_only=True, driver="evd")[::-1]
+    """Singular values of the layer map, nonincreasing: sqrt(eig X), with
+    X = Gamma^T Gamma the uncapped `boundary_derivative`."""
+    gram = boundary_derivative(lam, grid, capped=False)
+    vals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd")[::-1]
     if vals[-1] <= 0:
         raise NumericsError("Gram matrix of the layer map is not positive definite")
     return np.sqrt(vals)
@@ -143,7 +137,7 @@ def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.nd
     reciprocals of those of L^{-1} (alpha - B) L^{-T}: one generalized
     symmetric-definite eigensolve of (alpha - B, X), which also factors X.
     """
-    gram = _gram_matrix(grid, lam)
+    gram = boundary_derivative(lam, grid, capped=False)
     system = _resolvent_system(grid, lam, alpha)
     try:
         theta = scipy.linalg.eigh(system, gram, eigvals_only=True, driver="gvd")

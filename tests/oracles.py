@@ -46,10 +46,10 @@ from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         circle_operator_matrix, green_kernel,
                         reparametrize_arclength, scale_to_length,
                         smoothing_matrix)
-from curvedelta.assembly import kink_correction
+from curvedelta.assembly import boundary_derivative, kink_correction
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
 from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
-from curvedelta.resolvent import BoxGrid, _gram_matrix, _resolvent_system
+from curvedelta.resolvent import BoxGrid, _resolvent_system
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
 from curvedelta.spectral import eigenvalue_at
 
@@ -276,7 +276,7 @@ def correction_singular_values_reference(grid: ArcGrid, lam: float,
     """The correction's singular values by the library's earlier route:
     X = L L^T (Cholesky), one symmetric solve of (alpha - B) Y = L, the core
     L^T Y by BLAS gemm, and the |eigenvalues| of the core, nonincreasing."""
-    low = scipy.linalg.cholesky(_gram_matrix(grid, lam), lower=True)
+    low = scipy.linalg.cholesky(boundary_derivative(lam, grid, capped=False), lower=True)
     solved = scipy.linalg.solve(_resolvent_system(grid, lam, alpha), low, assume_a="sym")
     core = scipy.linalg.get_blas_funcs("gemm", (low,))(1.0, low, solved, trans_a=1)
     return np.sort(np.abs(scipy.linalg.eigh(core, eigvals_only=True, driver="evd")))[::-1]

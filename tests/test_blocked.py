@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 import curvedelta.curves as curves_mod
-import curvedelta.resolvent as resolvent_mod
 from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         circle_deviation, comparison_matrix, green_kernel,
                         make_grid, reparametrize_arclength,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
-from curvedelta.assembly import kink_correction
+from curvedelta.assembly import boundary_derivative, kink_correction
 from curvedelta.curves import _ArcTable, _row_blocks
 from curvedelta.resolvent import make_box
 from curvedelta.spectral import _circle_levels
@@ -190,7 +189,7 @@ def test_box_and_layer_map_bitwise(ellipse, n, small_blocks):
     points, excluded = box_points_full(grid, box)
     assert np.array_equal(box.points, points) and box.n_excluded == excluded
     for lam in (-1.0, -4.0, -600.0):
-        assert np.array_equal(resolvent_mod._gram_matrix(grid, lam),
+        assert np.array_equal(boundary_derivative(lam, grid, capped=False),
                               gram_matrix_full(grid, lam))
 
 
@@ -198,7 +197,7 @@ def test_box_and_layer_map_bitwise_default_blocks(ellipse_grid):
     box = make_box(ellipse_grid, n=24, lam=-1.0)
     points, excluded = box_points_full(ellipse_grid, box)
     assert np.array_equal(box.points, points) and box.n_excluded == excluded
-    assert np.array_equal(resolvent_mod._gram_matrix(ellipse_grid, -1.0),
+    assert np.array_equal(boundary_derivative(-1.0, ellipse_grid, capped=False),
                           gram_matrix_full(ellipse_grid, -1.0))
 
 
@@ -278,7 +277,7 @@ def test_scattering_layer_matrix_peak_memory(ellipse):
 def test_layer_map_peak_memory(ellipse):
     # the layer map's Gram matrix X on a grid larger than one block
     grid = make_grid(ellipse, 1024)
-    gram, peak = _peak_bytes(lambda: resolvent_mod._gram_matrix(grid, -1.0))
+    gram, peak = _peak_bytes(lambda: boundary_derivative(-1.0, grid, capped=False))
     assert peak <= 1.5 * gram.nbytes
 
 

@@ -7,6 +7,7 @@ import curvedelta.resolvent as resolvent_mod
 from curvedelta import (ConfigError, NumericsError, boundary_matrix,
                         correction_singular_values, find_bound_states, fit_decay_slope,
                         green_kernel, layer_singular_values, make_grid, perturbed_green)
+from curvedelta.assembly import boundary_derivative
 from curvedelta.resolvent import make_box
 from oracles import (box_layer_map, box_probe_singular_values,
                      correction_singular_values_reference, single_layer_potential)
@@ -146,7 +147,7 @@ class TestSingularValues:
         grid = make_grid(ellipse, 256)
         step = 1e-4
         diff = (boundary_matrix(-3.0 + step, grid) - boundary_matrix(-3.0 - step, grid)) / (2 * step)
-        gap = np.abs(diff - resolvent_mod._gram_matrix(grid, -3.0))
+        gap = np.abs(diff - boundary_derivative(-3.0, grid, capped=False))
         off = ~np.eye(grid.n, dtype=bool)
         assert np.max(gap[off]) <= 1e-12
         assert np.max(np.diag(gap)) <= 2e-12
@@ -176,7 +177,7 @@ class TestSingularValues:
         # numpy's eigvalsh of X bit for bit (a mismatch names a differing
         # LAPACK build in the numpy and scipy wheels)
         for grid in (circle_grid, ellipse_grid):
-            gram = resolvent_mod._gram_matrix(grid, -1.0)
+            gram = boundary_derivative(-1.0, grid, capped=False)
             assert np.array_equal(layer_singular_values(grid, -1.0),
                                   np.sqrt(np.linalg.eigvalsh(gram)[::-1]))
 
@@ -199,13 +200,11 @@ class TestSingularValues:
             assert np.all(box_corr[:200] < correction_singular_values(grid, lam, -0.5)[:200])
 
     def test_indefinite_gram_refused(self, circle_grid, monkeypatch):
-        real_gram = resolvent_mod._gram_matrix
-
-        def shifted(grid, lam):
-            gram = real_gram(grid, lam)
+        def shifted(lam, grid, capped=True):
+            gram = boundary_derivative(lam, grid, capped)
             return gram - 2.0 * np.linalg.eigvalsh(gram)[0] * np.eye(grid.n)
 
-        monkeypatch.setattr(resolvent_mod, "_gram_matrix", shifted)
+        monkeypatch.setattr(resolvent_mod, "boundary_derivative", shifted)
         with pytest.raises(NumericsError, match="not positive definite"):
             layer_singular_values(circle_grid, -1.0)
         with pytest.raises(NumericsError, match="not positive definite"):
