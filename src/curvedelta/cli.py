@@ -101,6 +101,9 @@ def _tolerances(args) -> dict:
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
+        # nan and inf would switch the check they set off
+        if not 0.0 < out[key] < np.inf:
+            raise ConfigError(f"tolerance {key} must be finite and positive, got {val!r}")
     return out
 
 

@@ -360,7 +360,6 @@ class _Operator:
         return self._pair(k)[1]
 
     def _slope(self, k: int) -> float:
-        """v_k^T B'(lam) v_k."""
         v = self.vector(k)
         # B' is exactly symmetric: its transpose is B' in Fortran order
         symv = scipy.linalg.get_blas_funcs("symv", (self._derivative,))
@@ -393,9 +392,8 @@ class _CircleOperator(_Operator):
 
     def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None):
         super().__init__(lam, grid, guess)
-        n = grid.n
         modes = circle_boundary_modes(lam, grid)
-        waves = np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
+        waves = np.concatenate([[0], np.repeat(np.arange(1, grid.n // 2), 2), [grid.n // 2]])
         # stable, so the two entries of a pair stay adjacent, cos first
         self._waves = waves[np.argsort(-modes[waves], kind="stable")]
         self._values = modes[self._waves]
@@ -610,6 +608,8 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     pair do, has that root too (each branch is strictly increasing), so a
     pair is solved once and its two states share one energy.
     """
+    if max_states is not None and max_states < 0:
+        raise ConfigError(f"max_states must be nonnegative, got {max_states}")
     zero_spec, n_roots = _zero_energy_count(grid, alpha)
     if max_states is not None:
         n_roots = min(n_roots, max_states)

@@ -93,6 +93,13 @@ class TestBoundStates:
         _, counts = _read_rows(tmp_path / "counts.csv")
         assert int(counts[0][1]) == 0
 
+    def test_negative_max_states_exits_2(self, circle_file, tmp_path, capsys):
+        # it wrote an empty bound_states.csv beside a counts.csv that counted them
+        assert main(["bound-states", "--curve", circle_file, "--n", "64", "--alpha=-0.2",
+                     "--max-states=-2", "--out", str(tmp_path)]) == 2
+        assert "max_states must be nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_coupling(self, circle_file, tmp_path):
         assert main(["bound-states", "--curve", circle_file, "--alpha", "0",
                      "--out", str(tmp_path)]) == 2
@@ -489,3 +496,18 @@ def test_unread_tolerance_key_exits_2(circle_file, tmp_path, capsys, command, ke
 def test_read_tolerance_key_accepted(circle_file, tmp_path, command, key):
     assert main([command, "--curve", circle_file, "--n", "64", *REQUIRED[command],
                  "--tol-override", f"{key}=1e-9", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("scattering", "rank_tol", "nan"), ("bound-states", "root_tol", "nan"),
+    ("d-sigma", "reparam_tol", "inf"), ("bound-states", "root_tol", "0"),
+    ("scattering", "rank_tol", "-1e-10"),
+])
+def test_tolerance_not_finite_and_positive_exits_2(ellipse_file, tmp_path, capsys,
+                                                   command, key, value):
+    # each would switch off the check it sets: rank_tol=nan kept no channel,
+    # root_tol=nan passed every residual, reparam_tol=inf every unit-speed error
+    assert main([command, "--curve", ellipse_file, "--n", "64", *REQUIRED[command],
+                 "--tol-override", f"{key}={value}", "--out", str(tmp_path)]) == 2
+    assert f"tolerance {key} must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

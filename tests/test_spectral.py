@@ -100,6 +100,12 @@ class TestBoundStates:
         energies = [st.energy for st in find_bound_states(circle_grid, -0.2)]
         assert energies == sorted(energies)
 
+    def test_negative_max_states_rejected(self, circle_grid):
+        # a cap below zero would list no state while the count holds them all
+        with pytest.raises(ConfigError, match="max_states must be nonnegative"):
+            find_bound_states(circle_grid, -0.2, max_states=-1)
+        assert find_bound_states(circle_grid, -0.2, max_states=0) == []
+
     def test_zero_coupling_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
             find_bound_states(circle_grid, 0.0)
