@@ -350,7 +350,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _kept(owner, name: str, key, build):
     """`build()`, kept on `owner` as its `name` result for `key`.
 
-    The one place a computed result is kept on a grid.  Each name holds
+    The one place a computed result is kept on a grid.  A kept result is a
+    function of its owner and key alone, never of the calls that came
+    before it, so keeping it changes no number.  Each name holds
     one entry: a call with the key of that entry returns the kept result, a
     call with another key builds and replaces it.  Keys compare with ==,
     and grids by identity.  An array result is kept read-only, since every

@@ -465,29 +465,15 @@ def _refuse_side(k: int, gap: float, above: bool) -> None:
 
 
 def _energy_floor(grid: ArcGrid, alpha: float) -> _Point:
-    """The top branch at an energy where it is below alpha.
-
-    The energies tried are -1, -2, -4, ...; one is a floor when B there has
-    no eigenvalue above alpha.  What each taught is kept on the grid for
-    every coupling: a floor keeps its branch point, a floor for any coupling
-    above its value, and an energy that was no floor is skipped, because
-    the search that tried it went on to a deeper floor, and that floor
-    serves any coupling the skipped energy could serve.
-    """
-    floors = _kept(grid, "energy_floors", None, dict)
-    lam = -1.0
-    for _ in range(MAX_FLOOR_DOUBLINGS):
-        if lam not in floors:
-            op = _operator(lam, grid)
-            point = None
-            if op.above(alpha) == 0:
-                point = _point(op, 1)
-                _refuse_side(1, point.value - alpha, above=False)
-            floors[lam] = point
-        point = floors[lam]
-        if point is not None and point.value < alpha:
-            return point
-        lam *= 2.0
+    """The top branch at the first of the energies -1, -2, -4, ... where B
+    has no eigenvalue above alpha and that branch is below alpha."""
+    for doubling in range(MAX_FLOOR_DOUBLINGS):
+        op = _operator(-(2.0 ** doubling), grid)
+        if op.above(alpha) == 0:
+            point = _point(op, 1)
+            _refuse_side(1, point.value - alpha, above=False)
+            if point.value < alpha:
+                return point
     raise NumericsError("could not find an energy floor below alpha "
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -111,25 +112,45 @@ class TestBoundStates:
             find_bound_states(circle_grid, 0.0)
 
     def test_no_energy_assembled_twice(self, ellipse, monkeypatch):
-        # counting and root finding share the grid's energy-zero spectrum,
-        # every search starts from its previous root's matrix, and the
-        # energy floors are kept on the grid for every coupling
+        # within one coupling, counting and root finding share the grid's
+        # energy-zero spectrum and every search starts from its previous
+        # root's matrix; B(0) is assembled once for all couplings
         grid = make_grid(ellipse, 128)
         energies = []
         real_matrix = spectral.boundary_matrix
 
         def matrix(lam, grid):
-            energies.append(lam)
+            energies[-1].append(lam)
             return real_matrix(lam, grid)
 
         monkeypatch.setattr(spectral, "boundary_matrix", matrix)
         for alpha in (0.1, -0.05, -0.15, -0.23):
+            energies.append([])
             report = count_bound_states(grid, alpha)
             states = find_bound_states(grid, alpha)
             assert len(states) == report.count > 0
-        assert len(energies) == len(set(energies))
-        assert energies.count(0.0) == 1
-        assert energies.count(-1.0) == 1
+            assert len(energies[-1]) == len(set(energies[-1]))
+            assert energies[-1].count(-1.0) == 1
+        assert sum(lams.count(0.0) for lams in energies) == 1
+
+    @pytest.mark.parametrize("curve", ["circle", "ellipse", 7, 101])
+    def test_results_do_not_depend_on_earlier_couplings(self, curve, request):
+        # the energy floors tried for one coupling were kept on the grid and
+        # started the next coupling's search, which moved its roots in the
+        # last bits
+        curve = (seeded_fourier_curve(curve) if isinstance(curve, int)
+                 else request.getfixturevalue(curve))
+        alphas = (0.1, -0.05, -0.15, -0.23)
+
+        def solve(grid, alpha):
+            return ([st.energy for st in find_bound_states(grid, alpha)],
+                    isoperimetric_compare(grid, alpha))
+
+        fresh = {alpha: solve(make_grid(curve, 128), alpha) for alpha in alphas}
+        for first, second in itertools.permutations(alphas, 2):
+            grid = make_grid(curve, 128)
+            solve(grid, first)
+            assert solve(grid, second) == fresh[second], (first, second)
 
     @pytest.mark.parametrize("grid", ["circle_grid", "ellipse_grid"])
     def test_refuses_non_monotone_branch(self, grid, humped_branches, request):
