@@ -150,7 +150,8 @@ def cmd_bound_states(args) -> int:
         report = count_bound_states(grid, alpha)
         states = find_bound_states(grid, alpha, max_states=args.max_states,
                                    root_tol=tols["root_tol"])
-        if args.max_states is None and len(states) != report.count:
+        cap = report.count if args.max_states is None else args.max_states
+        if len(states) != min(report.count, cap):
             raise InvariantError(
                 f"root count {len(states)} disagrees with the eigenvalue count "
                 f"{report.count} at alpha={alpha:g}")

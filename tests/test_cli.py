@@ -100,6 +100,22 @@ class TestBoundStates:
         assert "max_states must be nonnegative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cap", [[], ["--max-states=100"], ["--max-states=1"]])
+    def test_lost_root_exits_4_under_any_cap(self, circle_file, tmp_path, monkeypatch, cap):
+        # a cap switched the check off: with --max-states=100 the lost root
+        # went unnoticed and two states were written beside a count of three
+        real = cli_mod.find_bound_states
+        monkeypatch.setattr(cli_mod, "find_bound_states",
+                            lambda *args, **kwargs: real(*args, **kwargs)[:-1])
+        assert main(["bound-states", "--curve", circle_file, "--n", "64", "--alpha=-0.2",
+                     "--out", str(tmp_path)] + cap) == 4
+
+    def test_cap_below_the_count(self, circle_file, tmp_path):
+        assert main(["bound-states", "--curve", circle_file, "--n", "64", "--alpha=-0.2",
+                     "--max-states=1", "--out", str(tmp_path)]) == 0
+        assert len(_read_rows(tmp_path / "bound_states.csv")[1]) == 1
+        assert int(_read_rows(tmp_path / "counts.csv")[1][0][1]) == 3
+
     def test_zero_coupling(self, circle_file, tmp_path):
         assert main(["bound-states", "--curve", circle_file, "--alpha", "0",
                      "--out", str(tmp_path)]) == 2
