@@ -27,6 +27,15 @@ from .errors import ConfigError, CurveError
 # Threshold for the self-intersection guard: points at least L/64 apart in
 # arc length must stay more than this fraction of L apart in space.
 SELF_INTERSECTION_TOL = 1e-9
+# Nodes of the self-intersection guard, equispaced in arc length.
+_GUARD_NODES = 1024
+# Gauss-Legendre rule of the short arc-length solves of `_params_past`, and
+# the largest relative error of their series start that they take: on the
+# 400 draws of the first 40 of seeds 1-10 of the benchmark's curves, two
+# Newton steps from a start within it left at most 5.4e-14 relative error,
+# and from starts off by 1e-4 to 1e-3 up to 6.6e-12.
+_SHORT_GAUSS = leggauss(4)
+_SHORT_START_TOL = 1e-4
 # Largest accepted deviation of the reparametrized speed from 1.
 REPARAM_TOL = 1e-8
 
@@ -36,8 +45,11 @@ class _ArcTable:
 
     Cumulative lengths are accumulated with composite Gauss quadrature of
     |sigma'| on fine panels; inversion uses a monotone cubic (PCHIP) initial
-    guess refined by Newton steps on the exact quadrature, so parameter
-    values are recovered essentially to machine precision.
+    guess refined by four Newton steps on the exact quadrature, so parameter
+    values are recovered essentially to machine precision.  One inversion
+    costs 44 speed evaluations per point, so the curve checks of
+    `reparametrize_arclength` invert their nodes once and reach points a
+    short arc away by `_params_past`.
     """
 
     def __init__(self, curve: "Curve", panels: int):
@@ -90,8 +102,11 @@ class Curve:
         self.sin_coeff = np.atleast_2d(np.asarray(sin_coeff, dtype=float))
         if self.cos_coeff.shape != self.sin_coeff.shape or self.cos_coeff.shape[1] != 3:
             raise CurveError("cosine and sine coefficient arrays must both be (M, 3)")
-        if period <= 0:
-            raise CurveError("period must be positive")
+        if not (np.isfinite(self.a0).all() and np.isfinite(self.cos_coeff).all()
+                and np.isfinite(self.sin_coeff).all()):
+            raise CurveError("curve coefficients must be finite")
+        if not (np.isfinite(period) and period > 0):
+            raise CurveError("period must be finite and positive")
         self.period = float(period)
         self._modes = np.arange(1, self.cos_coeff.shape[0] + 1, dtype=float)
         self.is_circle = bool(is_circle)
@@ -103,8 +118,10 @@ class Curve:
     # -- evaluation in the native parameter -------------------------------
 
     def _angles(self, t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.pi * np.multiply.outer(t, self._modes) / self.period
+        ang = np.multiply.outer(np.asarray(t, dtype=float), self._modes)
+        ang *= 2.0 * np.pi
+        ang /= self.period
+        return ang
 
     def point(self, t):
         """Position sigma(t); t scalar or array, returns (..., 3)."""
@@ -114,7 +131,14 @@ class Curve:
     def velocity(self, t):
         ang = self._angles(t)
         om = 2.0 * np.pi * self._modes / self.period
-        return (-np.sin(ang) * om) @ self.cos_coeff + (np.cos(ang) * om) @ self.sin_coeff
+        sin = np.sin(ang)
+        np.negative(sin, out=sin)
+        sin *= om
+        cos = np.cos(ang, out=ang)
+        cos *= om
+        out = sin @ self.cos_coeff
+        out += cos @ self.sin_coeff
+        return out
 
     def acceleration(self, t):
         ang = self._angles(t)
@@ -122,7 +146,10 @@ class Curve:
         return (-np.cos(ang) * om2) @ self.cos_coeff + (-np.sin(ang) * om2) @ self.sin_coeff
 
     def speed(self, t):
-        return np.linalg.norm(self.velocity(t), axis=-1)
+        # sqrt(sum v^2), the sum np.linalg.norm(v, axis=-1) takes, bit for bit
+        v = self.velocity(t)
+        v *= v
+        return np.sqrt(np.add.reduce(v, axis=-1))
 
     def curvature(self, t):
         """|sigma' x sigma''| / |sigma'|^3, the curvature of the trace."""
@@ -156,8 +183,8 @@ def make_circle(radius: float) -> Curve:
 
     sigma(t) = (R cos(t/R), R sin(t/R), 0) with period 2 pi R.
     """
-    if radius <= 0:
-        raise CurveError("circle radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise CurveError("circle radius must be finite and positive")
     return Curve(
         a0=np.zeros(3),
         cos_coeff=[[radius, 0.0, 0.0]],
@@ -210,6 +237,15 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     Raises CurveError on irregular (vanishing velocity) or self-intersecting
     input.  The returned curve answers point_at_arclength queries through the
     table; for a natively unit-speed curve the input is returned unchanged.
+
+    The checks invert the arc-length table once, at the 1024 nodes
+    s_i = i L / 1024.  The self-intersection guard reads the points there,
+    and the unit-speed stencil takes them as its centres: its four points
+    s_i +- h, s_i +- 2h are short Newton solves from each node
+    (`_params_past`), not four more inversions; only near a point where the
+    speed almost vanishes does the table invert them.  A curve with more
+    than 16 modes has more stencil centres (4 per arc-table panel), inverted
+    separately.
     """
     tfine = np.linspace(0.0, curve.period, 4096, endpoint=False)
     speeds = curve.speed(tfine)
@@ -219,7 +255,8 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     if curve.unit_speed and curve._table is None:
         dev = np.abs(speeds - 1.0).max()
         if dev < tol:
-            _check_self_intersection(curve)
+            L = curve.total_length
+            _check_self_intersection(curve.point_at_arclength(_guard_arclengths(L)), L)
             return curve
 
     out = Curve(curve.a0, curve.cos_coeff, curve.sin_coeff, curve.period,
@@ -227,47 +264,94 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     table = _ArcTable(out, panels=_panel_count(out))
     out._table = table
     out.unit_speed = True
-    _check_self_intersection(out)
 
     L = table.total_length
+    s_check = _guard_arclengths(L)
+    t_check = table.param_at(s_check)
+    _check_self_intersection(out.point(t_check), L)
+
     n_check = 4 * _panel_count(out)
-    s_check = np.linspace(0.0, L, n_check, endpoint=False)
-    # 4th-order central difference of the position; the arc table is
-    # accurate to ~1e-14 so the stencil noise stays near 1e-12
-    hs = 1e-3 * L / (2.0 * np.pi)
-    p1 = out.point_at_arclength(s_check + hs)
-    m1 = out.point_at_arclength(s_check - hs)
-    p2 = out.point_at_arclength(s_check + 2 * hs)
-    m2 = out.point_at_arclength(s_check - 2 * hs)
-    tangent = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * hs)
-    dev = np.abs(np.linalg.norm(tangent, axis=-1) - 1.0).max()
+    if n_check != _GUARD_NODES:
+        s_check = np.arange(n_check) * L / n_check
+        t_check = table.param_at(s_check)
+    dev = _unit_speed_deviation(out, s_check, t_check)
     if dev >= tol:
         raise CurveError(f"unit-speed check failed: max | |sigma'| - 1 | = {dev:.3e}")
     return out
 
 
-def _check_self_intersection(curve: Curve) -> None:
+def _guard_arclengths(length: float) -> np.ndarray:
+    """The guard's nodes s_i = i L / _GUARD_NODES."""
+    return np.arange(_GUARD_NODES) * length / _GUARD_NODES
+
+
+def _params_past(curve: Curve, s: np.ndarray, t: np.ndarray, offsets) -> np.ndarray:
+    """(len(offsets), len(s)) parameters at arc lengths s + ds, one row per
+    offset ds (small, either sign), given the parameters t of the arc
+    lengths s on a curve with an arc-length table.
+
+    Each starts from the second-order inverse of the arc-length series at t,
+
+        t + ds / |sigma'| - ds^2 (sigma' . sigma'') / (2 |sigma'|^4),
+
+    and takes two Newton steps, each measuring the arc length from t on one
+    4-point Gauss panel.  sigma is periodic, so a parameter outside [0, T]
+    needs no wrap.  Where the start was off by more than _SHORT_START_TOL
+    relative, near a point where the speed almost vanishes, the two steps
+    may stop short, and the table inverts s + ds instead.
+    """
+    v = curve.velocity(t)
+    speed = np.sqrt(np.add.reduce(v * v, axis=-1))
+    slope = np.add.reduce(v * curve.acceleration(t), axis=-1)
+    ds = np.asarray(offsets, dtype=float)[:, None]
+    start = ds / speed - ds * ds * slope / (2.0 * speed ** 4)
+    step = start.copy()
+    x, w = _SHORT_GAUSS
+    for _ in range(2):
+        half = 0.5 * step
+        tq = (t + half)[..., None] + half[..., None] * x
+        length = half * (curve.speed(tq.reshape(-1)).reshape(tq.shape) @ w)
+        step += (ds - length) / curve.speed((t + step).reshape(-1)).reshape(step.shape)
+    out = t + step
+    rough = np.abs(step - start) > _SHORT_START_TOL * np.abs(step)
+    if rough.any():
+        out[rough] = curve.param_at_arclength((s + ds)[rough])
+    return out
+
+
+def _unit_speed_deviation(curve: Curve, s: np.ndarray, t: np.ndarray) -> float:
+    """max | |sigma'| - 1 | over the arc lengths s at parameters t, from the
+    4th-order central difference of the position at s +- h and s +- 2h,
+    h = 1e-3 L / (2 pi).  The four points are solved to about 1e-16
+    relative, so the stencil noise stays near 1e-12."""
+    hs = 1e-3 * curve.total_length / (2.0 * np.pi)
+    p1, m1, p2, m2 = curve.point(_params_past(curve, s, t, (hs, -hs, 2 * hs, -2 * hs)))
+    tangent = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * hs)
+    return float(np.abs(np.linalg.norm(tangent, axis=-1) - 1.0).max())
+
+
+def _check_self_intersection(points: np.ndarray, length: float) -> None:
     """Reject a curve whose far-apart points come within SELF_INTERSECTION_TOL * L.
 
-    On n = 1024 equispaced arc-length nodes the far set is every pair at index
-    shift k with n/64 <= k <= n/2, so each pair at arc separation >= L/64
-    appears once (the n/2 pairs twice).  This is a superset of the
-    float-rounded `ds > L/64` set of a full n x n comparison, which misses
-    some pairs at exactly L/64.  Row k - n/64 of the squared-distance table
-    holds |sigma(s_{i+k}) - sigma(s_i)|^2, read from windows of the doubled
-    coordinate rows, so no n x n array or mask is formed.
+    `points` are the curve's points at the _GUARD_NODES arc lengths of
+    `_guard_arclengths(length)`.  On these n = 1024 nodes the far set is
+    every pair at index shift k with n/64 <= k <= n/2, so each pair at arc
+    separation >= L/64 appears once (the n/2 pairs twice).  This is a
+    superset of the float-rounded `ds > L/64` set of a full n x n
+    comparison, which misses some pairs at exactly L/64.  Row k - n/64 of
+    the squared-distance table holds |sigma(s_{i+k}) - sigma(s_i)|^2, read
+    from windows of the doubled coordinate rows, so no n x n array or mask
+    is formed.
     """
-    n = 1024
-    L = curve.total_length
-    pts = curve.point_at_arclength(np.arange(n) * L / n)
+    n = _GUARD_NODES
     shifts = slice(n // 64, n // 2 + 1)
     sq = np.zeros((shifts.stop - shifts.start, n))
     d = np.empty_like(sq)
-    for x in pts.T:
+    for x in points.T:
         np.subtract(sliding_window_view(np.concatenate([x, x]), n)[shifts], x, out=d)
         d *= d
         sq += d
-    if np.sqrt(sq.min()) <= SELF_INTERSECTION_TOL * L:
+    if np.sqrt(sq.min()) <= SELF_INTERSECTION_TOL * length:
         raise CurveError("curve self-intersects (or nearly touches itself)")
 
 

@@ -26,7 +26,10 @@ partial sums, which the library now forms in one buffer.  The Brent
 reference is the library's earlier bound-state search: derivative-free
 Brent steps on each eigenvalue branch, every sample an assembly and a
 subset eigensolve, which the Newton search on the closed-form B'(lam)
-replaces.  None of them is
+replaces.  The unit-speed reference is the curve check's earlier stencil,
+which inverted each of its four points from scratch, and
+`NormFormulaCurve` keeps the earlier velocity and speed formulas.  None of
+them is
 used by the library itself; neither is the eigenvalue-clustering helper
 nor the seeded-curve draw.
 """
@@ -47,7 +50,7 @@ from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         reparametrize_arclength, scale_to_length,
                         smoothing_matrix)
 from curvedelta.assembly import boundary_derivative, kink_correction
-from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances
+from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances, _panel_count
 from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
 from curvedelta.resolvent import BoxGrid, _resolvent_system
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
@@ -186,6 +189,44 @@ def self_intersection_reference(curve: Curve) -> None:
     far = ds > L / 64.0
     if dist[far].min() <= SELF_INTERSECTION_TOL * L:
         raise CurveError("curve self-intersects (or nearly touches itself)")
+
+
+def unit_speed_deviation_reference(curve: Curve) -> float:
+    """The unit-speed check's max | |sigma'| - 1 |, with each of its four
+    stencil points inverted from scratch: the 4th-order central difference
+    of `point_at_arclength` at s +- h and s +- 2h, h = 1e-3 L / (2 pi), on
+    4 * panels equispaced nodes s.  The library inverts the nodes once and
+    reaches the four points by short Newton solves from them."""
+    L = curve.total_length
+    n_check = 4 * _panel_count(curve)
+    s = np.linspace(0.0, L, n_check, endpoint=False)
+    hs = 1e-3 * L / (2.0 * np.pi)
+    p1 = curve.point_at_arclength(s + hs)
+    m1 = curve.point_at_arclength(s - hs)
+    p2 = curve.point_at_arclength(s + 2 * hs)
+    m2 = curve.point_at_arclength(s - 2 * hs)
+    tangent = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * hs)
+    return float(np.abs(np.linalg.norm(tangent, axis=-1) - 1.0).max())
+
+
+class NormFormulaCurve(Curve):
+    """A Curve whose velocity and speed take the library's earlier
+    formulas: the angles 2 pi t m / T in one expression, the velocity as
+    the sum of two products of new arrays, and the speed as
+    np.linalg.norm.  The library forms them in place; both must agree bit
+    for bit."""
+
+    def _angles(self, t):
+        t = np.asarray(t, dtype=float)
+        return 2.0 * np.pi * np.multiply.outer(t, self._modes) / self.period
+
+    def velocity(self, t):
+        ang = self._angles(t)
+        om = 2.0 * np.pi * self._modes / self.period
+        return (-np.sin(ang) * om) @ self.cos_coeff + (np.cos(ang) * om) @ self.sin_coeff
+
+    def speed(self, t):
+        return np.linalg.norm(self.velocity(t), axis=-1)
 
 
 def chord_difference_reference(grid: ArcGrid, kernel) -> np.ndarray:

@@ -527,3 +527,23 @@ def test_tolerance_not_finite_and_positive_exits_2(ellipse_file, tmp_path, capsy
                  "--tol-override", f"{key}={value}", "--out", str(tmp_path)]) == 2
     assert f"tolerance {key} must be finite and positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+NON_FINITE_CURVES = {
+    "period NaN": '{"kind": "fourier", "cos": [[1, 0, 0]], "sin": [[0, 1, 0]], "period": NaN}',
+    "period Infinity": '{"kind": "fourier", "cos": [[1, 0, 0]], "sin": [[0, 1, 0]], '
+                       '"period": Infinity}',
+    "cos NaN": '{"kind": "fourier", "cos": [[1, NaN, 0]], "sin": [[0, 1, 0]]}',
+    "radius NaN": '{"kind": "circle", "radius": NaN}',
+}
+
+
+@pytest.mark.parametrize("text", NON_FINITE_CURVES.values(), ids=NON_FINITE_CURVES.keys())
+def test_non_finite_curve_exits_2(tmp_path, capsys, text):
+    # refused on load, before the arc table or any assembly sees it
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(out.glob("*")) == []

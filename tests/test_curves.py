@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from curvedelta import (CurveError, chord_mean_inequality, circle_chord,
                         circle_deviation, green_kernel, make_circle,
                         make_ellipse, make_grid, reparametrize_arclength,
                         scale_to_length)
-from curvedelta.curves import (SELF_INTERSECTION_TOL, Curve, _ArcTable,
-                               _check_self_intersection, _pairwise_distances,
-                               _panel_count)
+from curvedelta.curves import (REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
+                               _ArcTable, _check_self_intersection,
+                               _guard_arclengths, _pairwise_distances,
+                               _panel_count, _unit_speed_deviation)
 from curvedelta.resolvent import make_box
-from oracles import (broadcast_distances, chord, chord_difference_reference,
-                     self_intersection_reference)
+from oracles import (NormFormulaCurve, broadcast_distances, chord,
+                     chord_difference_reference, fourier_mode_curve,
+                     seeded_fourier_curve, self_intersection_reference,
+                     unit_speed_deviation_reference)
 
 
 def test_circle_circumference():
@@ -90,10 +94,10 @@ def test_self_intersection_detected():
         reparametrize_arclength(fig8)
 
 
-def _with_arc_table(raw: Curve) -> Curve:
+def _with_arc_table(raw: Curve, kind=Curve) -> Curve:
     """`raw` with the arc-length table reparametrize_arclength attaches,
-    without its checks."""
-    out = Curve(raw.a0, raw.cos_coeff, raw.sin_coeff, raw.period)
+    without its checks, as a `kind` curve."""
+    out = kind(raw.a0, raw.cos_coeff, raw.sin_coeff, raw.period)
     out._table = _ArcTable(out, panels=_panel_count(out))
     out.unit_speed = True
     return out
@@ -107,8 +111,14 @@ def _rejects(check, curve) -> bool:
     return False
 
 
+def _guard(curve) -> None:
+    """The library's self-intersection guard on the curve's guard nodes."""
+    L = curve.total_length
+    _check_self_intersection(curve.point_at_arclength(_guard_arclengths(L)), L)
+
+
 class _NodeCurve:
-    """The guard's view of a curve: 1024 nodes on the unit circle, with node
+    """The guards' view of a curve: 1024 nodes on the unit circle, with node
     j moved off the plane to `gap` above node i."""
 
     n = 1024
@@ -151,7 +161,7 @@ def test_guard_matches_reference_on_figure_eight():
                                  cos_coeff=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                                  sin_coeff=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
                                  period=2.0 * math.pi))
-    assert _rejects(_check_self_intersection, fig8)
+    assert _rejects(_guard, fig8)
     assert _rejects(self_intersection_reference, fig8)
 
 
@@ -170,14 +180,14 @@ def _shift_pair_in_reference_far_set(shift: int) -> int:
 def test_guard_matches_reference_at_touching_gap(shift, factor, rejected):
     i = _shift_pair_in_reference_far_set(shift)
     curve = _NodeCurve(i, i + shift, factor * SELF_INTERSECTION_TOL * _NodeCurve.total_length)
-    assert _rejects(_check_self_intersection, curve) is rejected
+    assert _rejects(_guard, curve) is rejected
     assert _rejects(self_intersection_reference, curve) is rejected
 
 
 def test_guard_far_set_includes_every_shift_n_over_64_pair():
     # s_16 - s_0 rounds to exactly L/64, which the reference's ds > L/64 misses
     curve = _NodeCurve(0, 1024 // 64, 0.5 * SELF_INTERSECTION_TOL * _NodeCurve.total_length)
-    assert _rejects(_check_self_intersection, curve)
+    assert _rejects(_guard, curve)
     assert not _rejects(self_intersection_reference, curve)
 
 
@@ -192,8 +202,76 @@ def test_guard_matches_reference_on_seeded_draws():
         sin[1:] += 0.12 * rng.standard_normal((2, 3))
         raw = scale_to_length(Curve(np.zeros(3), cos, sin, 2.0 * math.pi), 2.0 * math.pi)
         curve = _with_arc_table(raw)
-        assert (_rejects(_check_self_intersection, curve)
+        assert (_rejects(_guard, curve)
                 is _rejects(self_intersection_reference, curve))
+
+
+def _draws(seed: int, count: int):
+    """`count` successive mode-2/3 draws from default_rng(seed), drawn as
+    `seeded_fourier_curve` draws them; not arc-length parametrized."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cos = 0.12 * rng.standard_normal(6)
+        sin = 0.12 * rng.standard_normal(6)
+        yield fourier_mode_curve(np.concatenate([cos, sin]))
+
+
+def test_unit_speed_check_keeps_its_decisions():
+    # one inversion plus local offsets against four inversions per point
+    decisions = []
+    for raw in _draws(20251, 40):
+        curve = _with_arc_table(raw)
+        s = _guard_arclengths(curve.total_length)
+        dev = _unit_speed_deviation(curve, s, curve._table.param_at(s))
+        ref = unit_speed_deviation_reference(curve)
+        assert (dev < REPARAM_TOL) is (ref < REPARAM_TOL)
+        if ref < 1e-6:
+            assert abs(dev - ref) <= 1e-11
+        else:
+            # near-cusps, where the short solves hand over to the table
+            assert abs(dev - ref) <= 1e-6 * ref
+        decisions.append(ref < REPARAM_TOL)
+    assert 0 < sum(decisions) < len(decisions)
+
+
+def test_unit_speed_message_reports_the_deviation():
+    raw = next(raw for raw in _draws(20251, 40)
+               if unit_speed_deviation_reference(_with_arc_table(raw)) >= REPARAM_TOL)
+    dev = unit_speed_deviation_reference(_with_arc_table(raw))
+    with pytest.raises(CurveError, match=re.escape(f"= {dev:.3e}") + "$"):
+        reparametrize_arclength(raw)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("name", ["ellipse", "seed 7"])
+def test_speed_and_grid_match_the_norm_formula(ellipse, name, n):
+    curve = ellipse if name == "ellipse" else seeded_fourier_curve(7)
+    reference = _with_arc_table(curve, kind=NormFormulaCurve)
+    t = np.linspace(-1.0, curve.period + 1.0, 3001)
+    assert np.array_equal(curve.velocity(t), reference.velocity(t))
+    assert np.array_equal(curve.speed(t), reference.speed(t))
+    assert curve.speed(0.3) == reference.speed(0.3)
+    grid, expected = make_grid(curve, n), make_grid(reference, n)
+    assert np.array_equal(grid.points, expected.points)
+    assert np.array_equal(grid.curvatures, expected.curvatures)
+
+
+NON_FINITE = [
+    ("a0", lambda: Curve([0.0, math.nan, 0.0], [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], 2.0)),
+    ("cos", lambda: Curve(np.zeros(3), [[1.0, math.inf, 0.0]], [[0.0, 1.0, 0.0]], 2.0)),
+    ("sin", lambda: Curve(np.zeros(3), [[1.0, 0.0, 0.0]], [[0.0, -math.inf, 0.0]], 2.0)),
+    ("period nan", lambda: Curve(np.zeros(3), [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], math.nan)),
+    ("period inf", lambda: Curve(np.zeros(3), [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], math.inf)),
+    ("radius nan", lambda: make_circle(math.nan)),
+    ("radius inf", lambda: make_circle(math.inf)),
+    ("semi-axis nan", lambda: make_ellipse(math.nan, 1.0)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NON_FINITE], ids=[i for i, _ in NON_FINITE])
+def test_non_finite_curve_rejected(build):
+    with pytest.raises(CurveError, match="finite"):
+        build()
 
 
 def test_irregular_curve_detected():
