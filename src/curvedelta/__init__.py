@@ -15,10 +15,9 @@ slower while the other's idle pool still spins.
 
 from .assembly import (boundary_matrix, circle_mode_eigenvalues,
                        circle_operator_matrix, comparison_matrix, smoothing_matrix)
-from .curves import (ArcGrid, Curve, chord_mean_inequality, circle_chord,
-                     circle_deviation, curve_from_json_dict, curve_to_json_dict,
-                     make_circle, make_ellipse, make_grid, reparametrize_arclength,
-                     scale_to_length)
+from .curves import (ArcGrid, Curve, circle_chord, circle_deviation,
+                     curve_from_json_dict, curve_to_json_dict, make_circle,
+                     make_ellipse, make_grid, reparametrize_arclength, scale_to_length)
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .kernels import green_kernel, scattering_kernel, smoothing_kernel
 from .resolvent import (correction_singular_values, fit_decay_slope,
@@ -33,7 +32,7 @@ __all__ = [
     "ArcGrid", "BoundState", "ConfigError", "CountReport", "Curve",
     "CurveError", "InvariantError", "NumericsError",
     "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
-    "choose_reference_energy", "chord_mean_inequality", "circle_chord",
+    "choose_reference_energy", "circle_chord",
     "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
     "comparison_matrix", "correction_singular_values", "count_bound_states",
     "curve_from_json_dict", "curve_to_json_dict", "eigen",

@@ -4,7 +4,8 @@ Commands: spectrum | bound-states | scattering | isoperimetric | probe | d-sigma
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 invariant violation.  Numbers are written with 15 significant digits and
 no time-dependent fields, so identical configurations produce
-byte-identical output files.  The one exception is scattering's
+byte-identical output files at a fixed BLAS thread count; across thread
+counts the last digits can differ.  The one exception is scattering's
 `condition`, an estimate written to 3 significant digits: LAPACK's ?sycon
 can return it with different last digits in different processes from
 bitwise identical factors.  Each command declares only the options and the

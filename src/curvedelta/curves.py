@@ -390,23 +390,21 @@ def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _blockwise(n: int, block, tables: int = 1) -> np.ndarray:
+def _blockwise(n: int, block) -> np.ndarray:
     """Symmetric (n, n) float table filled a row block at a time: the
     entries in the rows r of a block of `_row_blocks` and the columns c are
-    `block(r, c)`, and entry (i, j) is bitwise equal to (j, i).  With
-    `tables` > 1, `block` gives that many tables' entries at once, and the
-    result is the (tables, n, n) stack.
+    `block(r, c)`, and entry (i, j) is bitwise equal to (j, i).
 
     Each block is evaluated from its diagonal on (c starts at r.start) and
     copied in before the next one, so no temporary larger than a few blocks
     is alive beside the table; its columns left of the diagonal are copied
     from the rows above, transposed.
     """
-    out = np.empty((tables, n, n))
-    for r in _row_blocks(n, tables * n * out.itemsize):
-        out[:, r, r.start:] = block(r, slice(r.start, n))
-        out[:, r, :r.start] = out[:, :r.start, r].transpose(0, 2, 1)
-    return out[0] if tables == 1 else out
+    out = np.empty((n, n))
+    for r in _row_blocks(n, n * out.itemsize):
+        out[r, r.start:] = block(r, slice(r.start, n))
+        out[r, :r.start] = out[:r.start, r].T
+    return out
 
 
 def _block_diagonal(rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -582,22 +580,6 @@ def circle_deviation(grid: ArcGrid) -> float:
     integrand *= integrand
     # one sum over the whole table: a blockwise sum would round differently
     return float(grid.weight ** 2 * np.sum(integrand))
-
-
-def chord_mean_inequality(grid: ArcGrid, u: float):
-    """Both sides of the chord-average comparison at arc shift u.
-
-    lhs = integral over one period of |sigma(s+u) - sigma(s)| ds,
-    rhs = (L^2/pi) sin(pi u / L).  Equality holds exactly for circles;
-    any other closed curve of the same length satisfies lhs < rhs.
-    """
-    L = grid.length
-    if not (0.0 < u < L):
-        raise ConfigError("shift u must lie strictly inside (0, L)")
-    shifted = grid.curve.point_at_arclength(grid.nodes + u)
-    lhs = grid.weight * float(np.sum(np.linalg.norm(shifted - grid.points, axis=-1)))
-    rhs = (L ** 2 / np.pi) * np.sin(np.pi * u / L)
-    return lhs, rhs
 
 
 def curve_to_json_dict(curve: Curve) -> dict:

@@ -72,15 +72,16 @@ def smoothing_kernel(lam, r):
 
 
 def scattering_kernel(lam, eta: float, r):
-    """Real and imaginary parts of (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r)
-    for a reference eta < 0, as two real arrays (floats for a 0-d r).
+    """Real part of (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r) for a
+    reference eta < 0, a real array (a float for a 0-d r).
 
     With i sqrt(lam) = -b + i k, the first exponential is
-    e^{-b r} (cos kr + i sin kr), so both parts come from real cos, sin and
+    e^{-b r} (cos kr + i sin kr), so the real part comes from real cos and
     exp; a factor that is 1 (b = 0 or k = 0) is not evaluated, so equal
-    slopes cancel exactly.  Extended by (i sqrt(lam) + sqrt(-eta)) / (4 pi)
-    at r = 0.  The imaginary part is zero for real lam <= 0 and
-    sin(sqrt(lam) r)/(4 pi r) for lam >= 0.
+    slopes cancel exactly.  Extended by Re(i sqrt(lam)) + sqrt(-eta), over
+    4 pi, at r = 0.  The imaginary part, sin(sqrt(lam) r)/(4 pi r) for
+    lam >= 0, is never tabulated: the scattering block reads it through the
+    factor of its matrix.
     """
     if eta >= 0:
         raise ConfigError("scattering_kernel requires eta < 0")
@@ -89,20 +90,18 @@ def scattering_kernel(lam, eta: float, r):
     kx = 1j * _spectral_sqrt(lam)             # exponent slope for lam
     ky = -math.sqrt(-eta)                     # exponent slope for eta
     small = (abs(kx) - ky) * r < _SERIES_CUTOFF
-    denom = 4.0 * np.pi * np.where(small, 1.0, r)
     re = np.exp(kx.real * r) if kx.real else np.ones_like(r)
-    if kx.imag:
-        im = np.sin(kx.imag * r)
-        im *= re
-        re *= np.cos(kx.imag * r)
-    else:
-        im = np.zeros_like(r)
-    re -= np.exp(ky * r)
-    re /= denom
-    im /= denom
+    scratch = np.empty_like(r)      # holds each factor in turn: a table
+    if kx.imag:                     # block's build keeps three blocks alive
+        re *= np.cos(np.multiply(kx.imag, r, out=scratch), out=scratch)
+    re -= np.exp(np.multiply(ky, r, out=scratch), out=scratch)
+    np.copyto(scratch, r)
+    scratch[small] = 1.0
+    scratch *= 4.0 * np.pi
+    re /= scratch
     # the series only where it is selected: the diagonal of a chord table
     xs, ys = kx * r[small], ky * r[small]
     series = (kx - ky) * (1.0 + (xs + ys) / 2.0 + (xs * xs + xs * ys + ys * ys) / 6.0)
     series /= 4.0 * np.pi
-    re[small], im[small] = series.real, series.imag
-    return (re[0], im[0]) if scalar else (re, im)
+    re[small] = series.real
+    return re[0] if scalar else re

@@ -4,33 +4,29 @@ For energies lam >= 0 the operator N(lam + i0) with kernel
 
     (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r),   eta < 0 fixed,
 
-is assembled on the grid.  Its imaginary part is positive semidefinite and
-of rapidly decaying rank; the nontrivial scattering block acts on the
+acts on the grid.  Its imaginary part is positive semidefinite and of
+rapidly decaying rank; the nontrivial scattering block acts on the
 retained range of Im N as
 
     S' = I - 2i sqrt(Im N) (N + B_eta - alpha)^{-1} sqrt(Im N),
 
-with B_eta the real boundary operator at the reference energy.  S' is
-unitary on that subspace away from exceptional energies.  The retained
-range comes from a certified Gaussian sketch of Im N (`_channel_space`),
-not from a full eigendecomposition: the numerical rank of Im N is set by
-sqrt(lam) times the curve's diameter, not by N.
-
-The system is never factored in complex arithmetic unless it must be.
-With Im N = H H^T on the p sketch channels and A_r = Re N + B_eta - alpha
-real symmetric, the Woodbury identity gives
+with B_eta the real boundary operator at the reference energy, unitary on
+that subspace away from exceptional energies.  Only Re N is tabulated, and
+Im N = H H^T for the map H of the grid onto spherical waves.  With
+A_r = Re N + B_eta - alpha real symmetric, the Woodbury identity gives
 
     H^T (A_r + i H H^T)^{-1} H = M (I + iM)^{-1},   M = H^T A_r^{-1} H,
 
 so one real LDL^T of A_r and one p x p complex symmetric solve give S' on
-all p channels, a Cayley transform of the real symmetric M.  The retained
-block is its leading part, widened along the Ritz values until it is
-unitary to UNITARITY_TOL: its defect is the flux it loses to the channels
-left out.
+the p channels of H (`_channel_space`), a Cayley transform of the real
+symmetric M.  The retained block is its leading part, widened along the
+channels until it is unitary to UNITARITY_TOL: its defect is the flux it
+loses to the channels left out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,27 +48,21 @@ RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 CONDITION_LIMIT = 1e12
 UNITARITY_TOL = 1e-6      # largest unitarity defect of a returned block
 ETA_MARGIN = 1e-6         # required spectral distance of alpha from B_eta
-SKETCH_WIDTH = 48         # start width of the channel sketch; doubled as needed
-PSD_SHIFT = 1e-11         # Im N + delta I, delta = PSD_SHIFT x mean diagonal,
-                          # must have a Cholesky factorization
 
 
-def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid matrices Re N and Im N of the scattering kernel: two real
-    symmetric tables, built in one row-blocked pass over the chords.
-
-    The diagonal takes the analytic kernel limit plus the kink correction
-    with slope (eta - lam)/(8 pi); the correction is real, so Im N is
-    exactly the positive semidefinite trapezoid matrix of
-    sin(sqrt(lam) r)/(4 pi r) for lam >= 0.
-    """
+def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
+    """Trapezoid matrix Re N of the scattering kernel, real symmetric, built
+    a row block at a time.  The diagonal takes the analytic kernel limit
+    plus the kink correction of slope (eta - lam)/(8 pi), which is real, so
+    Im N is exactly the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r) for
+    lam >= 0, which the block reads through its factor."""
     if eta >= 0:
         raise ConfigError("reference energy eta must be negative")
     slope = (eta - complex(lam).real) / (8.0 * np.pi)
-    re, im = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope, tables=2)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+    re = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope)
+    if not np.isfinite(re).all():
         raise ConfigError(f"scattering lam={lam} eta={eta:g}: non-finite matrix entries")
-    return re, im
+    return re
 
 
 def _reference_boundary(grid: ArcGrid, eta: float) -> _Operator:
@@ -107,63 +97,82 @@ class ScatteringBlock:
     matrix: np.ndarray            # (g, g) complex
     unitarity_defect: float       # || S'* S' - I ||_2 on the retained space,
                                   # below UNITARITY_TOL
-    channel_eigenvalues: np.ndarray  # Ritz values of Im N on the sketch,
-                                     # nonincreasing (empty at lam = 0)
-    min_channel_eigenvalue: float  # -delta, a certified lower bound on the
-                                   # spectrum of Im N (0 at lam = 0)
+    channel_eigenvalues: np.ndarray  # the p eigenvalues of H^T H above eps
+                                     # theta_1, nonincreasing (none at lam = 0)
+    min_channel_eigenvalue: float  # 0: Im N = H H^T is positive semidefinite
     condition: float              # LAPACK 1-norm condition estimates of
                                   # A_r and I + iM, multiplied; that of
-                                  # N + B_eta - alpha where the complex
-                                  # system is factored (0 if g = 0)
+                                  # A_r + i H H^T where it is factored (0 if g = 0)
 
 
-def _channel_space(im: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ritz values of Im N, nonincreasing, their channel vectors (columns),
-    and the certified lower bound -delta on the spectrum of Im N.
+def _degree(x: float, bound: float) -> int:
+    """Smallest L with sum_{l > L} (2l + 1) x^{2l} / ((2l + 1)!!)^2 <= bound,
+    which bounds sum_{l > L} (2l + 1) j_l(y)^2 for y <= x.  Summed in logs,
+    past l = x (where each term is below a quarter of the one before) until
+    the terms fall below eps times the bound."""
+    logs = [0.0]
+    while len(logs) <= x + 1 or logs[-1] > math.log(np.finfo(float).eps * bound):
+        l = len(logs) - 1
+        logs.append(logs[-1] + 2.0 * math.log(x) - math.log((2 * l + 1) * (2 * l + 3)))
+    tails = np.logaddexp.accumulate(logs[::-1])[::-1]   # log of the sum over l' >= l
+    return int(np.argmax(tails[1:] <= math.log(bound)))
 
-    `im` is Im N, Fortran-ordered; it is overwritten.  A Gaussian sketch
-    Q = qr(Im N Omega) of width p gives T = Q^T Im N Q and its Ritz pairs.
-    With Im N >= -delta I certified (below), the compression of Im N to
-    range(Q)-perp has top eigenvalue at most its trace plus (N - p) delta,
-    and its coupling to range(Q) is at most ||Im N Q - Q T||_F; by Weyl's
-    inequality no eigenvalue of Im N above the cutoff rank_tol * theta_1 is
-    missed once those add up to less than the cutoff.  Otherwise p doubles,
-    up to p = N, where Q is a full basis.
-    """
-    n = im.shape[0]
-    gemm, nrm2 = scipy.linalg.get_blas_funcs(("gemm", "nrm2"), (im,))
-    trace = float(np.trace(im))
-    delta = PSD_SHIFT * trace / n
-    width = min(SKETCH_WIDTH, n)
-    while True:
-        # drawn (p, N) and transposed, so the sketch is Fortran-ordered for gemm
-        omega = np.random.default_rng(0).standard_normal((width, n)).T
-        q = scipy.linalg.qr(gemm(1.0, im, omega), mode="economic", overwrite_a=True,
-                            check_finite=False)[0]
-        im_q = gemm(1.0, im, q)
-        t = gemm(1.0, q, im_q, trans_a=1)
-        theta, u = scipy.linalg.eigh(t, check_finite=False)
-        theta, u = theta[::-1], u[:, ::-1]
-        coupling = nrm2(gemm(-1.0, q, t, beta=1.0, c=im_q, overwrite_c=True).ravel("F"))
-        uncaptured = trace - float(np.sum(theta)) + (n - width) * delta
-        if width == n or uncaptured + coupling < rank_tol * theta[0]:
-            break
-        width = min(2 * width, n)
-    im[np.diag_indices(n)] += delta
-    try:
-        scipy.linalg.cholesky(im, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericsError(
-            f"Im N is not positive semidefinite: Im N + {delta:.2e} I has no "
-            "Cholesky factorization") from exc
-    vecs = gemm(1.0, q, u)
-    # sign fixed by the first entry of at least half the largest magnitude,
-    # not by LAPACK's choice; the largest entry itself ties between mirror
-    # nodes of a symmetric curve, where rounding would pick the sign
-    mags = np.abs(vecs)
+
+def _layer_factor(grid: ArcGrid, lam: float) -> np.ndarray:
+    """H with Im N = H H^T at lam > 0, N x q and Fortran-ordered.  About the
+    centroid of the nodes, the addition theorem (Abramowitz-Stegun 10.1.45)
+    gives sin(k|x - y|)/(4 pi |x - y|) = k sum_lm j_l(k|x|) j_l(k|y|)
+    Y_lm(x^) Y_lm(y^) for k = sqrt(lam) and real orthonormal harmonics, so
+    H_{i, lm} = sqrt(w k) j_l(k|x_i|) Y_lm(x^_i), over the q = (L + 1)^2 of
+    degree l <= L = `_degree`.  Y_lm is sqrt(2) Re or Im of ((x + iy)/|x|)^m
+    times the normalized P_l^m / sin^m by its recurrence in l."""
+    k = math.sqrt(lam)
+    x = grid.points - grid.points.mean(axis=0)
+    rho = np.sqrt(np.einsum("ij,ij->i", x, x))
+    kr, degree = k * rho, _degree(k * rho.max(), np.finfo(float).eps / grid.n)
+    # sqrt(w k) j_l(k rho): the ratios j_l / j_{l-1} by the downward continued
+    # fraction kr / (2l + 1 - kr r_{l+1}) (stable, no division by rho), their
+    # running products scaled to sum_l (2l + 1) j_l^2 = 1 and signed so that
+    # j_degree > 0, as it is below its first zero, which lies past every kr
+    radial = np.empty((degree + 1, grid.n))
+    ratio, norm = kr / (2 * degree + 3), np.full(grid.n, 2 * degree + 1.0)
+    for l in range(degree, 0, -1):
+        radial[l] = ratio = kr / (2 * l + 1 - kr * ratio)
+        norm = (2 * l - 1) + ratio * ratio * norm
+    flips = np.count_nonzero(radial[1:] < 0, axis=0) % 2
+    radial[0] = (1.0 - 2.0 * flips) * np.sqrt(grid.weight * k / norm)
+    np.cumprod(radial, axis=0, out=radial)
+    x /= np.maximum(rho, np.finfo(float).tiny)[:, None]   # the centroid maps to 0
+    rows, power, sectoral = [], np.ones(grid.n, dtype=complex), 1.0 / math.sqrt(4.0 * np.pi)
+    for m in range(degree + 1):
+        if m:
+            power *= x[:, 0] + 1j * x[:, 1]
+            sectoral *= math.sqrt((2 * m + 1) / (2 * m))
+        azimuthal = [math.sqrt(2.0) * power.real, math.sqrt(2.0) * power.imag] if m else [1.0]
+        before, legendre = 0.0, sectoral
+        for l in range(m, degree + 1):
+            if l > m:
+                before, legendre = legendre, math.sqrt((4 * l * l - 1) / (l * l - m * m)) * (
+                    x[:, 2] * legendre
+                    - math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) * before)
+            rows += [radial[l] * legendre * part for part in azimuthal]
+    return np.array(rows).T
+
+
+def _channel_space(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues theta of H^T H above eps theta_1, nonincreasing, and
+    the channels H V, columns of squared norm theta, each signed by its first
+    entry of at least half the largest magnitude: the largest itself ties
+    between mirror nodes of a symmetric curve, where rounding picks a sign."""
+    gemm = scipy.linalg.get_blas_funcs("gemm", (factor,))
+    theta, v = scipy.linalg.eigh(gemm(1.0, factor, factor, trans_a=1),
+                                 overwrite_a=True, check_finite=False)
+    p = int(np.sum(theta > np.finfo(float).eps * theta[-1]))
+    theta, half = theta[:-p - 1:-1], gemm(1.0, factor, v[:, :-p - 1:-1])
+    mags = np.abs(half)
     leads = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
-    vecs *= np.sign(vecs[leads, np.arange(width)])
-    return theta, vecs, -delta
+    half *= np.sign(half[leads, np.arange(p)])
+    return theta, half
 
 
 def _factor(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -198,38 +207,30 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                      rank_tol: float = RANK_TOL) -> ScatteringBlock:
     """Assemble S'(lam) at energy lam >= 0, coupling alpha, reference eta.
 
-    H holds the p Ritz vectors of the certified sketch of Im N
-    (`_channel_space`), each scaled by the square root of its Ritz value
-    (clipped at 0).  S' on all p channels comes from one real LDL^T of A_r
-    and the p x p Cayley solve of the module docstring.  The retained block
-    is its leading g x g part: g starts at the count of Ritz values above
-    rank_tol times the top one and grows along them until the block's
-    unitarity defect is below UNITARITY_TOL, or the block is refused.
-    Where A_r or I + iM is singular or the product of their condition
-    estimates is past CONDITION_LIMIT (at a pole of M, say), the complex
-    system N + B_eta - alpha is factored instead, with all of Im N, and
-    refused if it is past that limit itself.  B(eta) is assembled once per
-    grid and eta (`_reference_boundary`).
+    S' on all p channels of `_channel_space` comes from one real LDL^T of
+    A_r and the p x p Cayley solve of the module docstring.  The retained
+    block is its leading g x g part: g starts at the count of channel
+    eigenvalues above rank_tol times the top one and grows along them until
+    the block's unitarity defect is below UNITARITY_TOL, or the block is
+    refused.  Where A_r or I + iM is singular or the product of their
+    condition estimates is past CONDITION_LIMIT (at a pole of M, say),
+    A_r + i H H^T is factored instead, and refused if past that limit
+    itself.  B(eta) is assembled once per grid and eta.
     """
     if lam < 0:
         raise ConfigError("scattering block is defined for lam >= 0")
-    re, im = scattering_layer_matrix(grid, lam, eta)
-    # at lam = 0 Im N vanishes and no channel is open; im.T is Im N in
-    # Fortran order, and the sketch overwrites it
-    vals, vecs, floor = _channel_space(im.T, rank_tol) if im.any() else (np.zeros(0), None, 0.0)
-    del im
-    retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) and vals[0] > 0 else 0
+    re = scattering_layer_matrix(grid, lam, eta)
+    # at lam = 0 Im N vanishes and no channel is open
+    factor = _layer_factor(grid, lam) if lam > 0 else None
+    vals, half = _channel_space(factor) if lam > 0 else (np.zeros(0), None)
+    retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) else 0
     if retained == 0:
         return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=0,
-                               matrix=np.zeros((0, 0), dtype=complex),
-                               unitarity_defect=0.0,
-                               channel_eigenvalues=vals,
-                               min_channel_eigenvalue=floor,
+                               matrix=np.zeros((0, 0), dtype=complex), unitarity_defect=0.0,
+                               channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
                                condition=0.0)
 
     p = len(vals)
-    # the sketch's Ritz values can fall below 0 by rounding
-    half = vecs * np.sqrt(np.maximum(vals, 0.0))
     boundary = _reference_boundary(grid, eta).matrix
     system = re                     # A_r = Re N + B_eta - alpha, in place
     system += boundary
@@ -249,11 +250,9 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
     if not condition <= CONDITION_LIMIT:
         # the real path cannot vouch for the system: factor it whole
         del re, system, factors
-        re, im = scattering_layer_matrix(grid, lam, eta)
-        system = 1j * im
-        system += re
+        system = 1j * scipy.linalg.blas.dgemm(1.0, factor, factor, trans_b=1)
+        system += scattering_layer_matrix(grid, lam, eta)
         system += boundary
-        del re, im
         system[np.diag_indices(grid.n)] -= alpha
         factors, pivots, condition = _factor(system.T)
         if not condition <= CONDITION_LIMIT:
@@ -263,7 +262,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                 f"(condition {condition:.2e}); energy near the exceptional set")
         coupled = _compression(factors, pivots, half)
 
-    block = -2j * coupled           # S' on all p sketch channels
+    block = -2j * coupled           # S' on all p channels
     block[np.diag_indices(p)] += 1.0
     zgemm = scipy.linalg.get_blas_funcs("gemm", (block,))
     for g in range(retained, p + 1):
@@ -274,11 +273,10 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
             break
     else:
         raise NumericsError(
-            f"scattering block at lam={lam:g} not unitary even on all {p} sketch "
+            f"scattering block at lam={lam:g} not unitary even on all {p} "
             f"channels (defect {defect:.2e}, condition {condition:.2e}); it cannot "
             "be widened until unitary")
     return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=g,
                            matrix=block[:g, :g].copy(), unitarity_defect=defect,
-                           channel_eigenvalues=vals,
-                           min_channel_eigenvalue=floor,
+                           channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
                            condition=condition)

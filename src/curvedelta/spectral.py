@@ -611,10 +611,11 @@ def find_bound_states(grid: ArcGrid, alpha: float,
                 lower = _point(at_root, k)
             at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1])
         value, vector = at_root.eigenpair(k)
-        residual = abs(value - alpha)
+        residual = float(abs(value - alpha))
         if residual >= root_tol:
             raise NumericsError(f"root left residual {residual:.2e} for mode {k}")
-        states.append(BoundState(index=k, energy=at_root.lam, alpha=alpha,
+        # the root's lam is a numpy scalar on some paths
+        states.append(BoundState(index=k, energy=float(at_root.lam), alpha=alpha,
                                  coefficients=vector, residual=residual))
     return sorted(states, key=lambda st: st.energy)
 

@@ -2,9 +2,8 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from curvedelta import scattering, spectral
+from curvedelta import spectral
 from curvedelta import (curve_from_json_dict, make_circle, make_ellipse, make_grid,
                         reparametrize_arclength, scale_to_length)
 from oracles import seeded_fourier_curve
@@ -80,18 +79,3 @@ def humped_branches(monkeypatch):
         return real_value(op, k) + (1.0 if -2.0 < op.lam < -0.01 else 0.0)
 
     monkeypatch.setattr(spectral._Operator, "branch_value", value)
-
-
-@pytest.fixture
-def non_psd_channels(monkeypatch):
-    """Move one eigenvalue of Im N from its numerical null space to -1e-6 x
-    the mean diagonal of Im N, in every scattering layer matrix."""
-    real_matrix = scattering.scattering_layer_matrix
-
-    def matrix(grid, lam, eta):
-        re, im = real_matrix(grid, lam, eta)
-        null = scipy.linalg.eigh(im)[1][:, 0]
-        shift = 1e-6 * np.trace(im) / grid.n
-        return re, im - shift * np.outer(null, null)
-
-    monkeypatch.setattr(scattering, "scattering_layer_matrix", matrix)

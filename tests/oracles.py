@@ -5,10 +5,12 @@ assembly: adaptive quadrature, pointwise kernels and chords, the dense
 trigonometric basis, node sums of the layer potential, or the full
 (P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
 distance tables avoid.  The scattering references repeat the dense linear
-algebra the library's sketches and factorizations replace: a full
-eigendecomposition of Im N, a full SVD for the condition number, and a
-separate solve of the complex system N + B_eta - alpha with all of Im N,
-where the library factors its real part.  The correction reference is the library's earlier
+algebra the library's factor of Im N and its factorizations replace: a
+full eigendecomposition of the tabulated Im N, a full SVD for the
+condition number, and a separate solve of the complex system
+N + B_eta - alpha with all of Im N, where the library factors its real
+part.  Both sides of the chord-average inequality are the library's
+earlier helper, which only the tests called.  The correction reference is the library's earlier
 Cholesky, symmetric-solve and gemm route to the probe's correction
 spectrum, which one generalized eigensolve replaces.  The box probe is
 the library's first route to the probe spectra: the layer map sampled on
@@ -19,8 +21,9 @@ library's earlier one-pass builds of B(lam), the comparison matrix and the
 box's distance minimum, and a one-pass build of the probe's Gram matrix;
 the library fills each table a row block at a time and must match them bit
 for bit.  The scattering kernel and layer matrix references are the
-library's earlier complex-exponential builds; its real cos, sin and exp
-build must match them within a few ulps.
+library's earlier complex-exponential builds; the real part of the
+library's cos and exp build must match theirs within a few ulps, and the
+imaginary part is the table its factor of Im N must reproduce.
 `odd_harmonic_sums_full` is the one-expression build of the circle's
 partial sums, which the library now forms in one buffer.  The Brent
 reference is the library's earlier bound-state search: derivative-free
@@ -240,6 +243,22 @@ def chord_difference_reference(grid: ArcGrid, kernel) -> np.ndarray:
     circle_row[1:] = kernel(grid.circle_chord_row[1:])
     out -= toeplitz(circle_row)
     return out
+
+
+def chord_mean_inequality(grid: ArcGrid, u: float):
+    """Both sides of the chord-average comparison at arc shift u.
+
+    lhs = integral over one period of |sigma(s+u) - sigma(s)| ds,
+    rhs = (L^2/pi) sin(pi u / L).  Equality holds exactly for circles;
+    any other closed curve of the same length satisfies lhs < rhs.
+    """
+    L = grid.length
+    if not (0.0 < u < L):
+        raise ConfigError("shift u must lie strictly inside (0, L)")
+    shifted = grid.curve.point_at_arclength(grid.nodes + u)
+    lhs = grid.weight * float(np.sum(np.linalg.norm(shifted - grid.points, axis=-1)))
+    rhs = (L ** 2 / np.pi) * np.sin(np.pi * u / L)
+    return lhs, rhs
 
 
 def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: float,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from curvedelta import (asymptotic_count_bounds, boundary_matrix,
-                        chord_mean_inequality, choose_reference_energy,
+                        choose_reference_energy,
                         circle_deviation, circle_mode_eigenvalues,
                         correction_singular_values,
                         count_bound_states, eigen, find_bound_states,
@@ -22,7 +22,7 @@ from curvedelta import (asymptotic_count_bounds, boundary_matrix,
                         layer_singular_values, make_circle, make_grid,
                         perturbed_green, scattering_block)
 from curvedelta.cli import main as cli_main
-from oracles import circle_top_eigenvalue
+from oracles import chord_mean_inequality, circle_top_eigenvalue
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
 

@@ -189,13 +189,6 @@ class TestScattering:
         assert written == [format(c, ".3g") for c in conditions]
         assert all(float(text) == pytest.approx(c, rel=5e-3) for text, c in zip(written, conditions))
 
-    def test_non_psd_channel_matrix_exits_3(self, ellipse_file, tmp_path, non_psd_channels,
-                                            capsys):
-        assert main(["scattering", "--curve", ellipse_file, "--n", "64",
-                     "--alpha", "-0.5", "--lambda", "1.0",
-                     "--out", str(tmp_path)]) == 3
-        assert "not positive semidefinite" in capsys.readouterr().err
-
     @pytest.mark.parametrize("eta", ["-1,5", "5,-1", "-1,-4,0"])
     def test_any_nonnegative_eta_exits_2(self, circle_file, tmp_path, capsys, eta):
         # every candidate is checked, not only those tried before one fits

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from curvedelta import (CurveError, chord_mean_inequality, circle_chord,
+from curvedelta import (CurveError, circle_chord,
                         circle_deviation, green_kernel, make_circle,
                         make_ellipse, make_grid, reparametrize_arclength,
                         scale_to_length)
@@ -15,7 +15,7 @@ from curvedelta.curves import (REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
                                _panel_count, _unit_speed_deviation)
 from curvedelta.resolvent import make_box
 from oracles import (NormFormulaCurve, broadcast_distances, chord,
-                     chord_difference_reference, fourier_mode_curve,
+                     chord_difference_reference, chord_mean_inequality, fourier_mode_curve,
                      seeded_fourier_curve, self_intersection_reference,
                      unit_speed_deviation_reference)
 

@@ -143,25 +143,22 @@ class TestComparisonKernel:
 class TestScatteringKernel:
     def test_equal_energies_vanish(self):
         r = np.linspace(0.0, 4.0, 30)
-        re, im = scattering_kernel(-1.0, -1.0, r)
-        assert np.max(np.abs(re)) == np.max(np.abs(im)) == 0.0
+        assert not scattering_kernel(-1.0, -1.0, r).any()
 
     def test_origin_limit(self):
-        val = complex(*scattering_kernel(1.0, -1.0, 0.0))
-        assert val == pytest.approx((1.0j + 1.0) / (4.0 * math.pi), abs=1e-15)
+        val = scattering_kernel(1.0, -1.0, 0.0)
+        assert val == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-15)
 
     def test_real_for_negative_energy(self):
-        re, im = scattering_kernel(-2.0, -1.0, np.linspace(0.0, 3.0, 17))
-        assert not np.iscomplexobj(re) and not im.any()
+        re = scattering_kernel(-2.0, -1.0, np.linspace(0.0, 3.0, 17))
+        assert re.dtype == np.float64 and np.isfinite(re).all()
 
-    def test_imaginary_part_identity(self):
-        # Im kernel at lam + i0 is sin(sqrt(lam) r)/(4 pi r); the reference
-        # energy contributes nothing to the imaginary part
+    def test_real_part_identity(self):
+        # Re kernel at lam + i0 is (cos(sqrt(lam) r) - e^{-sqrt(-eta) r})/(4 pi r)
         r = np.geomspace(1e-3, 4.0, 50)
         for lam in (0.5, 1.0, 2.0):
-            _, im = scattering_kernel(lam, -4.0, r)
-            expected = np.sin(math.sqrt(lam) * r) / (4.0 * np.pi * r)
-            assert np.max(np.abs(im - expected)) < 1e-14
+            expected = (np.cos(math.sqrt(lam) * r) - np.exp(-2.0 * r)) / (4.0 * np.pi * r)
+            assert np.max(np.abs(scattering_kernel(lam, -4.0, r) - expected)) < 1e-14
 
     def test_taylor_branch_matches_oracle(self):
         # both the series branch and the direct branch reproduce a
@@ -170,9 +167,8 @@ class TestScatteringKernel:
         mpmath.mp.dps = 40
         for r, tol in ((4.9e-7, 1e-14), (1.1e-6, 1e-10)):
             rm = mpmath.mpf(r)
-            oracle = (mpmath.exp(1j * rm) - mpmath.exp(-rm)) / (4 * mpmath.pi * rm)
-            val = complex(*scattering_kernel(1.0, -1.0, r))
-            assert abs(val - complex(oracle)) < tol
+            oracle = (mpmath.cos(rm) - mpmath.exp(-rm)) / (4 * mpmath.pi * rm)
+            assert abs(scattering_kernel(1.0, -1.0, r) - float(oracle)) < tol
 
     def test_rejects_nonnegative_reference(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 import json
+import types
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,10 +10,13 @@ import curvedelta.scattering as scattering_mod
 import curvedelta.spectral as spectral_mod
 from curvedelta import curves, curve_to_json_dict
 from curvedelta.cli import main
-from curvedelta import (ConfigError, NumericsError, boundary_matrix,
+from curvedelta import (ArcGrid, ConfigError, NumericsError, boundary_matrix,
                         choose_reference_energy, eigen, make_grid,
                         scattering_block, scattering_layer_matrix)
-from oracles import scattering_block_reference, scattering_condition_reference
+from oracles import (scattering_block_reference, scattering_condition_reference,
+                     scattering_layer_matrix_full, seeded_fourier_curve)
+
+SEEDS = (1, 7, 23, 101, 202)
 
 
 @pytest.fixture
@@ -39,17 +44,18 @@ def factored(monkeypatch):
 
 class TestLayerMatrix:
     def test_equal_energies_zero(self, circle_grid):
-        re, im = scattering_layer_matrix(circle_grid, -1.0, -1.0)
-        assert np.max(np.abs(re)) == np.max(np.abs(im)) == 0.0
+        assert not scattering_layer_matrix(circle_grid, -1.0, -1.0).any()
 
     def test_negative_energy_real_symmetric(self, circle_grid):
-        re, im = scattering_layer_matrix(circle_grid, -2.0, -1.0)
-        assert not np.iscomplexobj(re) and not im.any()
+        re = scattering_layer_matrix(circle_grid, -2.0, -1.0)
+        assert re.dtype == np.float64
         assert np.array_equal(re, re.T)
 
     def test_imaginary_part_entrywise(self, circle_grid):
-        # Im entries are w sin(r_ij)/(4 pi r_ij) with w/(4 pi) on the diagonal
-        _, im = scattering_layer_matrix(circle_grid, 1.0, -1.0)
+        # Im entries are w sin(r_ij)/(4 pi r_ij) with w/(4 pi) on the
+        # diagonal; the block reads them as H H^T
+        factor = scattering_mod._layer_factor(circle_grid, 1.0)
+        im = factor @ factor.T
         pts = circle_grid.points
         w = circle_grid.weight
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -62,6 +68,71 @@ class TestLayerMatrix:
     def test_rejects_nonnegative_reference(self, circle_grid):
         with pytest.raises(ConfigError):
             scattering_layer_matrix(circle_grid, 1.0, 0.5)
+
+
+class TestLayerFactor:
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", ["circle", "ellipse", *(f"seed{seed}" for seed in SEEDS)])
+    def test_factor_matches_imaginary_part(self, request, name, lam):
+        # H H^T against the trapezoid Im N of the complex layer matrix:
+        # the degree truncates below eps, and rounding reaches 2.2e-15
+        curve = (seeded_fourier_curve(int(name[4:])) if name.startswith("seed")
+                 else request.getfixturevalue(name))
+        grid = make_grid(curve, 256)
+        factor = scattering_mod._layer_factor(grid, lam)
+        im = scattering_layer_matrix_full(grid, lam, -1.0).imag
+        assert np.max(np.abs(factor @ factor.T - im)) <= 1e-13 * np.max(np.abs(im))
+
+    def test_factor_at_the_centroid_and_the_zeros_of_j0(self):
+        # at k = 1, a node on the centroid (where no direction exists), nodes
+        # at the first two zeros of j_0 and the first of j_1 (poles of the
+        # ratios j_1/j_0 and j_2/j_1), and mirror images that keep the
+        # centroid at the origin: H H^T is still w sin(r) / (4 pi r)
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.6, -0.8, 0.0]])
+        radii = np.array([np.pi, 2.0 * np.pi, 4.493409457909064, 0.3])
+        half_set = radii[:, None] * axes
+        points = np.concatenate([np.zeros((1, 3)), half_set, -half_set])
+        nodes = types.SimpleNamespace(points=points, weight=0.25, n=len(points))
+        factor = scattering_mod._layer_factor(nodes, 1.0)
+        r = np.linalg.norm(points[:, None] - points[None], axis=-1)
+        expected = 0.25 * np.sinc(r / np.pi) / (4.0 * np.pi)
+        assert np.max(np.abs(factor @ factor.T - expected)) <= 1e-13 * np.max(expected)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.7, 1.83, 5.0, 30.0])
+    def test_degree_is_the_smallest_bounding_one(self, x):
+        # sum_{l > L} (2l + 1) x^{2l} / ((2l + 1)!!)^2 in 40-digit
+        # arithmetic: at most the bound at L, above it at L - 1
+        bound = np.finfo(float).eps / 1024
+
+        def tail(degree):
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                return sum((2 * l + 1) * xm ** (2 * l) / mpmath.fac2(2 * l + 1) ** 2
+                           for l in range(degree + 1, degree + 400))
+
+        degree = scattering_mod._degree(x, bound)
+        assert degree > x
+        assert tail(degree) <= bound < tail(degree - 1)
+
+    def test_more_waves_than_nodes(self, ellipse_grid):
+        # at lam = 64 the factor has more columns than the grid has nodes;
+        # it is still a factor of Im N, and the block matches the reference
+        # to the bars of test_matches_condition_and_solve_reference
+        assert scattering_mod._layer_factor(ellipse_grid, 64.0).shape[1] > ellipse_grid.n
+        blk = scattering_block(ellipse_grid, 64.0, -0.5, -1.0)
+        ref = scattering_block_reference(ellipse_grid, 64.0, -0.5, -1.0)
+        g = blk.retained_dim
+        assert g == ref.retained_dim > 0
+        top = ref.channel_eigenvalues[0]
+        assert np.max(np.abs(blk.channel_eigenvalues[:g] - ref.channel_eigenvalues[:g])) <= 1e-14 * top
+        assert abs(blk.unitarity_defect - ref.unitarity_defect) <= 1e-14
+        phases = [np.sort(np.angle(scipy.linalg.eigvals(b.matrix))) for b in (blk, ref)]
+        assert np.max(np.abs(phases[0] - phases[1])) <= 1e-12
+
+    def test_min_channel_eigenvalue_is_zero(self, ellipse_grid):
+        for lam in (0.0, 1.0):
+            assert scattering_block(ellipse_grid, lam, -0.5, -1.0).min_channel_eigenvalue == 0.0
 
 
 class TestChooseReferenceEnergy:
@@ -113,39 +184,19 @@ class TestScatteringBlock:
         assert blk.min_channel_eigenvalue >= -1e-10 * top
 
     def test_channel_trace_tail(self, circle_grid):
-        # finite-dimensional echo of trace-class decay of Im N: the Ritz
-        # values capture all of its trace but a sliver
+        # finite-dimensional echo of trace-class decay of Im N: the channel
+        # eigenvalues capture all of its trace but a sliver
         blk = scattering_block(circle_grid, 1.0, -0.5, -1.0)
-        trace = np.trace(scattering_layer_matrix(circle_grid, 1.0, -1.0)[1])
+        trace = np.trace(scattering_layer_matrix_full(circle_grid, 1.0, -1.0).imag)
         assert trace - blk.channel_eigenvalues.sum() < 1e-8 * trace
 
-    @pytest.mark.parametrize("lam", [0.5, 2.0])
-    def test_min_channel_eigenvalue_is_the_certified_shift(self, ellipse_grid, lam):
-        blk = scattering_block(ellipse_grid, lam, -0.5, -1.0)
-        im = scattering_layer_matrix(ellipse_grid, lam, -1.0)[1]
-        assert blk.min_channel_eigenvalue == -scattering_mod.PSD_SHIFT * np.trace(im) / ellipse_grid.n
-        assert blk.min_channel_eigenvalue <= scipy.linalg.eigvalsh(im)[0]
-
-    def test_refuses_non_psd_channel_matrix(self, ellipse_grid, non_psd_channels):
-        with pytest.raises(NumericsError, match="not positive semidefinite"):
-            scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
-
-    def test_narrow_sketch_widens(self, ellipse_grid, monkeypatch):
-        # 13 channels do not fit a 4-column sketch: the certificate fails
-        # until the width has doubled past them
-        monkeypatch.setattr(scattering_mod, "SKETCH_WIDTH", 4)
-        blk = scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
-        ref = scattering_block_reference(ellipse_grid, 1.0, -0.5, -1.0)
-        assert len(blk.channel_eigenvalues) > 4
-        assert blk.retained_dim == ref.retained_dim == 13
-
     def test_channel_signs_and_determinism(self, ellipse_grid):
-        im = np.asfortranarray(scattering_layer_matrix(ellipse_grid, 1.0, -1.0)[1])
-        _, vecs, _ = scattering_mod._channel_space(im, scattering_mod.RANK_TOL)
+        factor = scattering_mod._layer_factor(ellipse_grid, 1.0)
+        _, half = scattering_mod._channel_space(factor)
         # the first entry of at least half the largest magnitude is positive
-        mags = np.abs(vecs)
+        mags = np.abs(half)
         leads = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
-        assert np.all(vecs[leads, np.arange(vecs.shape[1])] > 0)
+        assert np.all(half[leads, np.arange(half.shape[1])] > 0)
         b1 = scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
         b2 = scattering_block(ellipse_grid, 1.0, -0.5, -1.0)
         assert np.array_equal(b1.matrix, b2.matrix)
@@ -153,22 +204,17 @@ class TestScatteringBlock:
         assert b1.unitarity_defect == b2.unitarity_defect
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
-    def test_channel_signs_survive_rounding(self, ellipse_grid, lam, monkeypatch):
+    def test_channel_signs_survive_rounding(self, ellipse_grid, lam):
         # mirror nodes of the ellipse tie for each channel's largest entry;
-        # a relative perturbation of about 1e-16 in Im N must not flip a
-        # channel's sign (it moved entries by up to 6.2e-3 under the
-        # largest-entry rule)
+        # moving every grid coordinate by one ulp (about 1e-16 relative)
+        # must not flip a channel's sign
         blk = scattering_block(ellipse_grid, lam, -0.5, -1.0)
-        real_matrix = scattering_mod.scattering_layer_matrix
-
-        def perturbed(grid, lam, eta):
-            re, im = real_matrix(grid, lam, eta)
-            noise = np.random.default_rng(1).standard_normal(im.shape)
-            noise += noise.T
-            return re, im + 1e-16 * np.abs(im) * noise
-
-        monkeypatch.setattr(scattering_mod, "scattering_layer_matrix", perturbed)
-        moved = scattering_block(ellipse_grid, lam, -0.5, -1.0)
+        up = np.random.default_rng(1).random(ellipse_grid.points.shape) < 0.5
+        points = np.nextafter(ellipse_grid.points, np.where(up, np.inf, -np.inf))
+        moved_grid = ArcGrid(curve=ellipse_grid.curve, nodes=ellipse_grid.nodes,
+                             weight=ellipse_grid.weight, points=points,
+                             curvatures=ellipse_grid.curvatures)
+        moved = scattering_block(moved_grid, lam, -0.5, -1.0)
         assert moved.retained_dim == blk.retained_dim
         assert np.max(np.abs(moved.matrix - blk.matrix)) <= 1e-9
 
@@ -244,10 +290,11 @@ class TestScatteringBlock:
         # since B(eta) is kept on the grid
         grid = make_grid(circle_grid.curve, circle_grid.n)
         n = grid.n
-        im = np.zeros((n, n))
-        im[0, 0] = 1.0
+        factor = np.zeros((n, 1))
+        factor[0, 0] = 1.0
+        monkeypatch.setattr(scattering_mod, "_layer_factor", lambda grid, lam: factor)
         monkeypatch.setattr(scattering_mod, "scattering_layer_matrix",
-                            lambda grid, lam, eta: (np.zeros((n, n)), im.copy()))
+                            lambda grid, lam, eta: np.zeros((n, n)))
         monkeypatch.setattr(spectral_mod, "boundary_matrix",
                             lambda lam, grid: np.zeros((n, n)))
         with pytest.raises(NumericsError, match="exactly singular"):
@@ -256,7 +303,7 @@ class TestScatteringBlock:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("grid_name", ["circle_grid", "ellipse_grid"])
     def test_matches_condition_and_solve_reference(self, request, grid_name, lam):
-        # the sketched channel space, one real LDL^T of A_r = Re N + B - alpha
+        # the factor's channel space, one real LDL^T of A_r = Re N + B - alpha
         # and the p x p Cayley solve against a full eigh of Im N, an SVD and
         # a separate solve of the complex system: the same channels, the
         # same scattering phases and defect up to roundoff, and a condition
@@ -282,7 +329,7 @@ class TestScatteringBlock:
         # A_r = Re N + B_eta - alpha built in the layer tables' storage is
         # the out-of-place sum, bit for bit, and the only N x N factorization
         scattering_block(ellipse_grid, lam, -0.3, -1.0)
-        re, _ = scattering_layer_matrix(ellipse_grid, lam, -1.0)
+        re = scattering_layer_matrix(ellipse_grid, lam, -1.0)
         ref = re + boundary_matrix(-1.0, ellipse_grid) - (-0.3) * np.eye(ellipse_grid.n)
         full = [a for a in factored if a.shape == ref.shape]
         assert len(full) == 1
@@ -303,7 +350,8 @@ class TestScatteringBlock:
         # and N + B_eta - alpha is not, so the block factors the complex
         # system and matches the reference
         lam = 1.0
-        re, im = scattering_layer_matrix(ellipse_grid, lam, -1.0)
+        re = scattering_layer_matrix(ellipse_grid, lam, -1.0)
+        im = scattering_layer_matrix_full(ellipse_grid, lam, -1.0).imag
         vals, vecs = scipy.linalg.eigh(re + boundary_matrix(-1.0, ellipse_grid))
         coupling = np.einsum("ij,ik,kj->j", vecs, im, vecs)
         alpha = float(vals[np.argmax(coupling)])
@@ -320,7 +368,7 @@ class TestScatteringBlock:
 
     def test_widens_until_unitary(self, seed10_curve):
         # at lam = 0.5 on this curve the 17 channels above rank_tol leak
-        # 2.7e-6 of the flux; the block grows along the Ritz values until
+        # 2.7e-6 of the flux; the block grows along the channel eigenvalues until
         # its defect is below the tolerance, and stops at the first such g
         grid = make_grid(seed10_curve, 1024)
         blk = scattering_block(grid, 0.5, -0.5, -1.0)

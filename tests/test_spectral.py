@@ -101,6 +101,15 @@ class TestBoundStates:
         energies = [st.energy for st in find_bound_states(circle_grid, -0.2)]
         assert energies == sorted(energies)
 
+    @pytest.mark.parametrize("grid_name", ["circle_grid", "ellipse_grid"])
+    def test_energies_are_python_floats(self, request, grid_name):
+        # the root's lam is a numpy scalar on some paths: 4 of the 5 ellipse
+        # states at this coupling came back as np.float64
+        states = find_bound_states(request.getfixturevalue(grid_name), -0.23)
+        assert len(states) > 1
+        assert all(type(st.energy) is float and type(st.residual) is float
+                   for st in states)
+
     def test_negative_max_states_rejected(self, circle_grid):
         # a cap below zero would list no state while the count holds them all
         with pytest.raises(ConfigError, match="max_states must be nonnegative"):

@@ -23,7 +23,7 @@ def test_exported_names():
         "ArcGrid", "BoundState", "ConfigError", "CountReport", "Curve",
         "CurveError", "InvariantError", "NumericsError",
         "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
-        "choose_reference_energy", "chord_mean_inequality", "circle_chord",
+        "choose_reference_energy", "circle_chord",
         "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
         "comparison_matrix", "correction_singular_values", "count_bound_states",
         "curve_from_json_dict", "curve_to_json_dict", "eigen",
@@ -34,7 +34,7 @@ def test_exported_names():
         "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
         "smoothing_matrix",
     ]
-    assert len(curvedelta.__all__) == 39
+    assert len(curvedelta.__all__) == 38
     assert all(hasattr(curvedelta, name) for name in curvedelta.__all__)
 
 
