@@ -1,4 +1,5 @@
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from curvedelta import (ConfigError, circle_chord, green_kernel, make_circle,
                         scattering_kernel, smoothing_kernel)
 from curvedelta.kernels import _spectral_sqrt, green_derivative_kernel
+from curvedelta.scattering import _layer_factor
 from oracles import chord, circle_top_eigenvalue, comparison_kernel, green_square_integral
 
 
@@ -159,6 +161,21 @@ class TestScatteringKernel:
         for lam in (0.5, 1.0, 2.0):
             expected = (np.cos(math.sqrt(lam) * r) - np.exp(-2.0 * r)) / (4.0 * np.pi * r)
             assert np.max(np.abs(scattering_kernel(lam, -4.0, r) - expected)) < 1e-14
+
+    def test_imaginary_part_identity(self):
+        # Im kernel at lam + i0 is sin(sqrt(lam) r)/(4 pi r), and the
+        # reference energy contributes nothing to it; the layer reads it as
+        # H H^T, so the pair of nodes at +-r/2 along an axis gets it from the
+        # factor built at unit weight (no eta enters the factor)
+        r = np.geomspace(1e-3, 4.0, 50)
+        half = 0.5 * r[:, None] * np.eye(3)[np.arange(50) % 3]
+        points = np.stack([half, -half], axis=1).reshape(-1, 3)
+        nodes = types.SimpleNamespace(points=points, weight=1.0, n=len(points))
+        for lam in (0.5, 1.0, 2.0):
+            factor = _layer_factor(nodes, lam)
+            im = np.einsum("ij,ij->i", factor[0::2], factor[1::2])
+            expected = np.sin(math.sqrt(lam) * r) / (4.0 * np.pi * r)
+            assert np.max(np.abs(im - expected)) < 1e-14
 
     def test_taylor_branch_matches_oracle(self):
         # both the series branch and the direct branch reproduce a

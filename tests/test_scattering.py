@@ -130,10 +130,6 @@ class TestLayerFactor:
         phases = [np.sort(np.angle(scipy.linalg.eigvals(b.matrix))) for b in (blk, ref)]
         assert np.max(np.abs(phases[0] - phases[1])) <= 1e-12
 
-    def test_min_channel_eigenvalue_is_zero(self, ellipse_grid):
-        for lam in (0.0, 1.0):
-            assert scattering_block(ellipse_grid, lam, -0.5, -1.0).min_channel_eigenvalue == 0.0
-
 
 class TestChooseReferenceEnergy:
     def test_default_candidates(self, circle_grid):
@@ -171,6 +167,7 @@ class TestScatteringBlock:
         blk = scattering_block(circle_grid, 0.0, -0.5, -1.0)
         assert blk.retained_dim == 0
         assert blk.matrix.shape == (0, 0)
+        assert blk.min_channel_eigenvalue == 0.0
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_unitarity(self, circle_grid, lam):
@@ -189,6 +186,16 @@ class TestScatteringBlock:
         blk = scattering_block(circle_grid, 1.0, -0.5, -1.0)
         trace = np.trace(scattering_layer_matrix_full(circle_grid, 1.0, -1.0).imag)
         assert trace - blk.channel_eigenvalues.sum() < 1e-8 * trace
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_min_channel_eigenvalue_is_the_certified_shift(self, ellipse_grid, lam):
+        # Im N = H H^T is positive semidefinite with no shift, and with fewer
+        # columns than nodes H H^T is singular: 0 is its least eigenvalue
+        blk = scattering_block(ellipse_grid, lam, -0.5, -1.0)
+        factor = scattering_mod._layer_factor(ellipse_grid, lam)
+        assert factor.shape[1] < ellipse_grid.n
+        assert blk.min_channel_eigenvalue == 0.0
+        assert blk.min_channel_eigenvalue < blk.channel_eigenvalues[-1]
 
     def test_channel_signs_and_determinism(self, ellipse_grid):
         factor = scattering_mod._layer_factor(ellipse_grid, 1.0)
