@@ -218,8 +218,10 @@ def circle_boundary_row(lam: float, grid: ArcGrid) -> np.ndarray:
 
 
 def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice) -> np.ndarray:
-    """Rows `rows` and columns `cols` of the comparison matrix of a
-    non-circle grid."""
+    """Rows `rows` and columns `cols` of the comparison matrix: zeros on a
+    circle grid, which is its own equal-length circle."""
+    if grid.curve.is_circle:
+        return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     w = grid.weight
     block = grid.chord_difference(lambda r: green_kernel(lam, r), rows, cols)
     block *= w
@@ -241,8 +243,6 @@ def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     """
     if lam > 0:
         raise ConfigError("comparison_matrix requires lam <= 0")
-    if grid.curve.is_circle:
-        return np.zeros((grid.n, grid.n))
     return _blockwise(grid.n, lambda rows, cols: _comparison_block(lam, grid, rows, cols))
 
 

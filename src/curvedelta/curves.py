@@ -21,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, CurveError
 
@@ -360,20 +361,11 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     (N, 3); `b` defaults to `a`, and the result is then exactly symmetric
     with an exactly zero diagonal.
 
-    The one place that computes pairwise distances: dx^2 + dy^2 + dz^2 is
-    accumulated into one (P, N) array a coordinate at a time, in the order
-    of a summed (P, N, 3) broadcast difference, so the result is bitwise
-    equal to it without forming that temporary.
+    The one place that computes pairwise distances, by scipy's `cdist`,
+    which sums dx^2 + dy^2 + dz^2 in that order for each pair: bitwise the
+    sum of a (P, N, 3) broadcast difference, without that temporary.
     """
-    b = a if b is None else b
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    out *= out
-    d = np.empty_like(out)
-    for c in range(1, a.shape[1]):
-        np.subtract.outer(a[:, c], b[:, c], out=d)
-        d *= d
-        out += d
-    return np.sqrt(out, out=out)
+    return cdist(a, a if b is None else b)
 
 
 # Bytes of one row block of a kernel table: 1 MB, so that a block and the
@@ -398,12 +390,15 @@ def _blockwise(n: int, block) -> np.ndarray:
     Each block is evaluated from its diagonal on (c starts at r.start) and
     copied in before the next one, so no temporary larger than a few blocks
     is alive beside the table; its columns left of the diagonal are copied
-    from the rows above, transposed.
+    from the rows above, transposed, one block-by-block tile at a time, so
+    each tile's reads and writes stay in cache.
     """
     out = np.empty((n, n))
-    for r in _row_blocks(n, n * out.itemsize):
+    blocks = _row_blocks(n, n * out.itemsize)
+    for i, r in enumerate(blocks):
         out[r, r.start:] = block(r, slice(r.start, n))
-        out[r, :r.start] = out[:r.start, r].T
+        for q in blocks[:i]:
+            out[r, q] = out[q, r].T
     return out
 
 

@@ -17,23 +17,30 @@ factorization gives without an eigensolve.
 Only the top n/4 eigenvalues of B(lam) on an n-node grid are trusted, and
 `_Operator.spectrum()` returns just those.  On a grid other than a circle
 they come from a compression of B into the grid's orthonormal real Fourier
-basis, in which the circle part of B is diagonal: T = F_K^T B F_K on the
-constant and cos ks, sin ks for k <= K = n // 4 (size 2K + 1), and the
-coupling C = F_perp^T B F_K to the discarded modes, both from two real FFT
-passes over B a row block at a time; one eigenvalues-only solve of T then
+basis, in which the circle part of B is diagonal, with the values
+Lambda of `circle_boundary_modes`: on the constant and cos ks, sin ks for
+k <= K = n // 4 (size 2K + 1), T = F_K^T B F_K = Lambda_K + F_K^T D_lam F_K,
+and the coupling C = F_perp^T B F_K = F_perp^T D_lam F_K to the discarded
+modes.  Both come from two real FFT passes over full rows of the
+comparison part D_lam, evaluated a row block at a time, so B itself is not
+assembled; one eigenvalues-only solve of a leading block of T then
 replaces the dense one.  The result is certified.  Cauchy interlacing puts
 each nu_j(T) at or below nu_j(B).  The discarded block F_perp^T B F_perp
-is the circle's discarded modes plus a compression of the comparison part
-D_lam, so by Weyl's inequality its spectrum lies below mu = (largest
-discarded circle mode) + ||D_lam||_F.  Where eta = nu_{n/4}(T) - mu > 0,
-the quadratic eigenvalue bound for Hermitian block matrices (C.-K. Li and
-R.-C. Li, Linear Algebra Appl. 395, 2005; R. Mathias, SIAM J. Matrix Anal.
-Appl. 19, 1998) gives nu_j(B) <= nu_j(T) + ||C||_F^2 / eta for every
-trusted j.  Where eta <= 0 or that bound exceeds COMPRESSION_TOL, the
-spectrum comes from the dense eigensolve of B instead.  Since T is the
-circle's kept modes plus F_K^T D_lam F_K, of norm at most ||D_lam||_F,
-eta is at most the (n/4)-th kept circle mode less the largest discarded
-one; where even that eta cannot pass, T is not solved at all.
+is the circle's discarded modes plus a compression of D_lam, so by Weyl's
+inequality its spectrum lies below mu = (largest discarded circle mode) +
+||D_lam||_F.  Where eta = nu_{n/4}(T) - mu > 0, the quadratic eigenvalue
+bound for Hermitian block matrices (C.-K. Li and R.-C. Li, Linear Algebra
+Appl. 395, 2005; R. Mathias, SIAM J. Matrix Anal. Appl. 19, 1998) gives
+nu_j(B) <= nu_j(T) + ||C||_F^2 / eta for every trusted j.  The leading
+block on the wavenumbers k <= 3n/16 is tried first, as a compression of
+its own: its coupling is its rows of C plus its rows of T outside it, and
+its mu the largest circle mode past 3n/16 plus ||D_lam||_F.  Then the
+whole T is tried.  Where neither certifies (eta > 0 and a bound at most
+COMPRESSION_TOL), the spectrum comes from the dense eigensolve of B, the
+one step that assembles it.  Since T is the circle's kept modes plus
+F_K^T D_lam F_K, of norm at most ||D_lam||_F, eta is at most the (n/4)-th
+kept circle mode less the largest discarded one; where even that eta
+cannot pass, that block is not solved at all.
 """
 
 from __future__ import annotations
@@ -46,11 +53,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .assembly import (boundary_derivative, boundary_matrix, circle_boundary_modes,
-                       circle_boundary_row, circle_derivative_modes, circle_mode_eigenvalues,
+from .assembly import (_comparison_block, boundary_derivative, boundary_matrix,
+                       circle_boundary_modes, circle_derivative_modes, circle_mode_eigenvalues,
                        comparison_matrix)
-from .curves import (ArcGrid, _kept, _read_only, _row_blocks, _toeplitz_block, make_circle,
-                     make_grid)
+from .curves import ArcGrid, _kept, _read_only, _row_blocks, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
 EPS = np.finfo(float).eps
@@ -68,9 +74,10 @@ ENDPOINT_TOL = 1e-12
 MAX_FLOOR_DOUBLINGS = 60
 MAX_CIRCLE_LEVELS = 10 ** 7
 # the largest certified bound a compressed spectrum is returned with; above
-# it, or without a gap, the dense eigensolve decides.  At N = 1024 and
-# lam = 0 the bound is 9e-13 to 2.2e-9 on seeded curves (28 of 30 below
-# 1e-9) and 4.5e-12 on the 2:1 ellipse, where the dense and compressed
+# it, or without a gap, the next block or the dense eigensolve decides.  At
+# N = 1024 and lam = 0 the bound of the whole T is 9e-13 to 2.2e-9 on
+# seeded curves (28 of 30 below 1e-9) and 4.5e-12 on the 2:1 ellipse, and
+# that of its leading block 7.2e-11 there, where the dense and compressed
 # spectra agree within 5e-15.
 COMPRESSION_TOL = 1e-9
 
@@ -103,11 +110,11 @@ def eigenvalue_at(mat: np.ndarray, k: int) -> float:
     return float(vals[0])
 
 
-def _fourier_coefficients(rows: np.ndarray, kept: int) -> tuple[np.ndarray, float]:
+def _fourier_coefficients(rows: np.ndarray, kept: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of each row in the grid's orthonormal real Fourier
     basis on the wavenumbers k <= kept: the constant's, then those of
-    cos ks and -sin ks for k = 1..kept; and the sum of squares of all the
-    others.
+    cos ks and -sin ks for k = 1..kept; and each row's sum of squares of
+    all the others.
 
     One real FFT per row: with z = rfft(row), the constant's coefficient
     is z_0 / sqrt(n), those of cos ks and -sin ks are sqrt(2/n) Re z_k and
@@ -121,37 +128,52 @@ def _fourier_coefficients(rows: np.ndarray, kept: int) -> tuple[np.ndarray, floa
     out = z[:, 1:2 * kept + 2] * math.sqrt(2.0 / n)
     out[:, 0] = z[:, 0] / math.sqrt(n)
     dropped, alternating = z[:, 2 * kept + 2:n], z[:, n]
-    rest = (2.0 * np.einsum("ij,ij->", dropped, dropped)
-            + np.einsum("i,i->", alternating, alternating)) / n
-    return out, float(rest)
+    rest = (2.0 * np.einsum("ij,ij->i", dropped, dropped) + alternating * alternating) / n
+    return out, rest
 
 
-def _fourier_compression(mat: np.ndarray, circle_row: np.ndarray,
-                         kept: int) -> tuple[np.ndarray, float, float]:
-    """T = F_K^T B F_K on the wavenumbers k <= kept, ||C||_F^2 of the
-    coupling C = F_perp^T B F_K, and ||D||_F of the comparison part.
+def _kept_waves(kept: int) -> np.ndarray:
+    """The wavenumber of each basis vector on the wavenumbers k <= kept, in
+    `_fourier_coefficients`' order: 0, 1, 1, 2, 2, ..., kept, kept."""
+    return np.concatenate([[0], np.repeat(np.arange(1, kept + 1), 2)])
 
-    The first pass transforms the rows of B a block at a time into
-    (B F_K)^T; the second transforms its rows into T and C, of which only
-    ||C||_F is kept.  D's entries are those of B less the circulant of
-    `circle_row`, read in the first pass.  No complex table larger than one
-    block is formed.
+
+def _fourier_compression(lam: float, grid: ArcGrid,
+                         kept: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """T = Lambda_K + F_K^T D F_K on the wavenumbers k <= kept, the sums of
+    squares of the columns of the coupling C = F_perp^T B F_K, one per row
+    of T, and ||D||_F, from full rows of the comparison part D = D_lam; B
+    itself is never formed.
+
+    The circle part of B is diagonal in the real Fourier basis, with the
+    values of `circle_boundary_modes`: it adds Lambda_K to T's diagonal and
+    nothing to C.  The first pass evaluates D a row block at a time,
+    refuses non-finite entries as `boundary_matrix` does, adds the block to
+    ||D||_F^2 and transforms its rows into (D F_K)^T; the second transforms
+    the rows of that table into F_K^T D F_K and the sums of squares of
+    C's columns.  No complex table larger than one block is formed.
     """
-    n = len(mat)
+    # refuses lam > 0 as every path to B(lam) does
+    modes = circle_boundary_modes(lam, grid)
+    n = grid.n
     size = 2 * kept + 1
     row_bytes = 16 * (n // 2 + 1)
     half = np.empty((size, n))
     comparison_sq = 0.0
     for rows in _row_blocks(n, row_bytes):
-        half[:, rows] = _fourier_coefficients(mat[rows], kept)[0].T
-        d = mat[rows] - _toeplitz_block(circle_row, rows, slice(0, n))
-        comparison_sq += float(np.einsum("ij,ij->", d, d))
-    kept_block = np.empty((size, size))
-    coupling_sq = 0.0
+        d = _comparison_block(lam, grid, rows, slice(0, n))
+        square = float(np.einsum("ij,ij->", d, d))
+        # a sum of finite squares is finite unless it overflows
+        if not math.isfinite(square) and not np.all(np.isfinite(d)):
+            raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
+        comparison_sq += square
+        half[:, rows] = _fourier_coefficients(d, kept)[0].T
+    block = np.empty((size, size))
+    rests = np.empty(size)
     for rows in _row_blocks(size, row_bytes):
-        kept_block[rows], rest = _fourier_coefficients(half[rows], kept)
-        coupling_sq += rest
-    return kept_block, coupling_sq, math.sqrt(comparison_sq)
+        block[rows], rests[rows] = _fourier_coefficients(half[rows], kept)
+    block[np.diag_indices(size)] += modes[_kept_waves(kept)]
+    return block, rests, math.sqrt(comparison_sq)
 
 
 @dataclass(frozen=True)
@@ -174,9 +196,11 @@ class _Operator:
     """B(lam) on one grid, the one place that assembles or reads it.
 
     B(lam) is assembled on first use, and `matrix` is that one assembly,
-    read-only.  Its trusted top n/4 eigenvalues, which `spectrum()`
-    returns, come from the certified real-Fourier compression of the module
-    docstring, or from the dense eigensolve where the certificate fails.
+    read-only; only the inertias, the solves and the dense fallback of
+    `spectrum()` read it.  Its trusted top n/4 eigenvalues, which
+    `spectrum()` returns, come from the certified real-Fourier compression
+    of the module docstring, which reads full rows of the comparison part
+    and never B, or from the dense eigensolve where the certificate fails.
     Its inertia comes from one Bunch-Kaufman LDL^T factorization of B - x
     (LAPACK ?sytrf), whose factors are kept for inverse iteration, started
     from `guess`; an eigenpair it cannot certify comes from one subset
@@ -219,26 +243,31 @@ class _Operator:
     @cached_property
     def _top(self) -> tuple[np.ndarray, float]:
         """The top n/4 eigenvalues and the certified bound on how far each
-        lies below the eigenvalue of B(lam): the dense eigensolve carries
-        bound 0, the compression ||C||_F^2 / eta where that is at most
-        COMPRESSION_TOL."""
-        trusted = trusted_count(self.grid.n)
-        # the kept wavenumbers k <= n // 4 span 2 (n // 4) + 1 >= n/4 modes
-        kept = self.grid.n // 4
-        block, coupling_sq, comparison = _fourier_compression(
-            self.matrix, circle_boundary_row(self.lam, self.grid), kept)
+        lies below the eigenvalue of B(lam): the compression's
+        ||C||_F^2 / eta where that is at most COMPRESSION_TOL, tried on the
+        leading wavenumbers k <= 3n/16 of T and then on all of T; else the
+        dense eigensolve, with bound 0, which alone assembles B."""
+        n = self.grid.n
+        trusted = trusted_count(n)
+        block, rests, comparison = _fourier_compression(self.lam, self.grid, n // 4)
         modes = circle_boundary_modes(self.lam, self.grid)
-        discarded = float(np.max(modes[kept + 1:]))
-        # F_K diagonalizes the circle part, and ||F_K^T D F_K|| <= ||D||_F,
-        # so eta is at most the (n/4)-th kept circle mode less the largest
-        # discarded one: where that cannot pass, T is not solved
-        kept_modes = np.sort(np.concatenate([modes[:1], np.repeat(modes[1:kept + 1], 2)]))
-        reach = kept_modes[-trusted] - discarded
-        if reach > 0 and coupling_sq <= COMPRESSION_TOL * reach:
-            values = eigen(block)[:trusted]
-            gap = values[-1] - (discarded + comparison)
-            if gap > 0 and coupling_sq / gap <= COMPRESSION_TOL:
-                return values, coupling_sq / gap
+        # both leading blocks span 2 kept + 1 >= n/4 modes
+        for kept in (3 * n // 16, n // 4):
+            size = 2 * kept + 1
+            # the leading block's coupling: its rows' part of C, and the
+            # rest of its rows of T
+            outside = block[:size, size:]
+            coupling_sq = float(np.sum(rests[:size]) + np.einsum("ij,ij->", outside, outside))
+            discarded = float(np.max(modes[kept + 1:]))
+            # F_K diagonalizes the circle part, and ||F_K^T D F_K|| <= ||D||_F,
+            # so eta is at most the (n/4)-th kept circle mode less the largest
+            # discarded one: where that cannot pass, the block is not solved
+            reach = np.sort(modes[_kept_waves(kept)])[-trusted] - discarded
+            if reach > 0 and coupling_sq <= COMPRESSION_TOL * reach:
+                values = eigen(block[:size, :size])[:trusted]
+                gap = values[-1] - (discarded + comparison)
+                if gap > 0 and coupling_sq / gap <= COMPRESSION_TOL:
+                    return values, coupling_sq / gap
         return self._dense_top(), 0.0
 
     def _dense_top(self) -> np.ndarray:

@@ -3,13 +3,14 @@
 Each one evaluates a quantity by a route independent of the library's
 assembly: adaptive quadrature, pointwise kernels and chords, the dense
 trigonometric basis, node sums of the layer potential, or the full
-(P, N, 3) broadcasts, scipy's cdist and n x n masks that the library's
-distance tables avoid.  The scattering references repeat the dense linear
-algebra the library's factor of Im N and its factorizations replace: a
-full eigendecomposition of the tabulated Im N, a full SVD for the
-condition number, and a separate solve of the complex system
-N + B_eta - alpha with all of Im N, where the library factors its real
-part.  Both sides of the chord-average inequality are the library's
+(P, N, 3) broadcasts and n x n masks that the library's distance tables
+avoid.  `accumulated_distances` is the library's earlier chord formula,
+which its call of scipy's cdist must equal bit for bit.  The scattering
+references repeat the dense linear algebra the library's factor of Im N
+and its factorizations replace: a full eigendecomposition of the
+tabulated Im N, a full SVD for the condition number, and a separate
+solve of the complex system N + B_eta - alpha with all of Im N, where
+the library factors its real part.  Both sides of the chord-average inequality are the library's
 earlier helper, which only the tests called.  The correction reference is the library's earlier
 Cholesky, symmetric-solve and gemm route to the probe's correction
 spectrum, which one generalized eigensolve replaces.  The box probe is
@@ -177,11 +178,27 @@ def broadcast_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
+def accumulated_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """(P, N) distances between the rows of a and b, the library's earlier
+    formula: dx^2 + dy^2 + dz^2 accumulated into one (P, N) array a
+    coordinate at a time, in the order of the broadcast sum."""
+    b = a if b is None else b
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    d = np.empty_like(out)
+    for c in range(1, a.shape[1]):
+        np.subtract.outer(a[:, c], b[:, c], out=d)
+        d *= d
+        out += d
+    return np.sqrt(out, out=out)
+
+
 def self_intersection_reference(curve: Curve) -> None:
     """The n x n self-intersection guard: raises CurveError when two of 1024
     equispaced nodes with float-rounded arc separation ds > L/64 lie within
-    SELF_INTERSECTION_TOL * L of each other.  The distance table comes from
-    scipy's cdist, not from the library's distance helper."""
+    SELF_INTERSECTION_TOL * L of each other.  The distance table is the
+    whole n x n one, where the guard reads windows of coordinate
+    differences."""
     n = 1024
     L = curve.total_length
     s = np.arange(n) * L / n

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import curvedelta.curves as curves_mod
+from curvedelta import spectral
 from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         circle_deviation, comparison_matrix, green_kernel,
                         make_grid, reparametrize_arclength,
@@ -260,6 +261,19 @@ def test_boundary_matrix_peak_memory(ellipse):
     grid.circle_chord_row
     mat, peak = _peak_bytes(lambda: boundary_matrix(-1.0, grid))
     assert peak <= 1.5 * mat.nbytes
+
+
+def test_certified_spectrum_peak_memory(ellipse):
+    # the compression reads full rows of the comparison part a block at a
+    # time and never forms B: its table (D F_K)^T and T take 0.75 x 8N^2,
+    # and the peak was 0.82 x 8N^2 (1.82 x 8N^2 when B was assembled)
+    n = 2048
+    grid = make_grid(ellipse, n)
+    grid.circle_chord_row
+    op = spectral._operator(0.0, grid)
+    _, peak = _peak_bytes(op.spectrum)
+    assert op._top[1] > 0.0 and "matrix" not in op.__dict__
+    assert peak <= 1.0 * 8 * n * n
 
 
 def test_scattering_layer_matrix_peak_memory(ellipse):

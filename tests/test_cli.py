@@ -15,6 +15,7 @@ import curvedelta.resolvent as resolvent_mod
 import curvedelta.scattering as scattering_mod
 from curvedelta import boundary_matrix, curve_to_json_dict, make_circle, make_grid
 from curvedelta.cli import main
+import table_diff
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
 
@@ -540,3 +541,29 @@ def test_non_finite_curve_exits_2(tmp_path, capsys, text):
     assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+# -- the cross-thread table comparison of CI ----------------------------------
+
+
+def _write_table(root, rows):
+    root.mkdir(parents=True, exist_ok=True)
+    text = "# bound states n=256\nalpha,k,energy,residual\n"
+    (root / "bound_states.csv").write_text(text + "".join(f"{r}\n" for r in rows))
+
+
+@pytest.mark.parametrize("second, rtol, exit_code", [
+    # the energy column's scale is 5.5: a change of 6e-14 is 1.1e-14 of it
+    (["-0.23,1,-5.5,0", "-0.23,2,-4.00000000000006,2e-16"], 1e-13, 0),
+    (["-0.23,1,-5.5,0", "-0.23,2,-4.00000000000006,2e-16"], 1e-15, 1),
+    # indices and counts must agree exactly, residuals are not compared
+    (["-0.23,1,-5.5,0", "-0.23,3,-4,0"], 1e-13, 1),
+    (["-0.23,1,-5.5,1e-16", "-0.23,2,-4,9e-17"], 0.0, 0),
+    (["-0.23,1,-5.5,0"], 1e-13, 1),
+])
+def test_table_diff(tmp_path, capsys, second, rtol, exit_code):
+    _write_table(tmp_path / "a", ["-0.23,1,-5.5,0", "-0.23,2,-4,0"])
+    _write_table(tmp_path / "b", second)
+    args = [str(tmp_path / "a"), str(tmp_path / "b"), "--rtol", str(rtol)]
+    assert table_diff.main(args) == exit_code
+    assert "bound_states.csv" in capsys.readouterr().out

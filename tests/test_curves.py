@@ -12,9 +12,9 @@ from curvedelta import (CurveError, circle_chord,
 from curvedelta.curves import (REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
                                _ArcTable, _check_self_intersection,
                                _guard_arclengths, _pairwise_distances,
-                               _panel_count, _unit_speed_deviation)
+                               _panel_count, _row_blocks, _unit_speed_deviation)
 from curvedelta.resolvent import make_box
-from oracles import (NormFormulaCurve, broadcast_distances, chord,
+from oracles import (NormFormulaCurve, accumulated_distances, broadcast_distances, chord,
                      chord_difference_reference, chord_mean_inequality, fourier_mode_curve,
                      seeded_fourier_curve, self_intersection_reference,
                      unit_speed_deviation_reference)
@@ -147,6 +147,21 @@ def test_pairwise_distances_match_broadcast_box(ellipse_grid):
     box = make_box(ellipse_grid, n=24, lam=-1.0)
     assert np.array_equal(_pairwise_distances(box.points, ellipse_grid.points),
                           broadcast_distances(box.points, ellipse_grid.points))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_pairwise_distances_are_the_accumulated_formula(circle, ellipse, n):
+    # scipy's cdist sums dx^2 + dy^2 + dz^2 in the order the earlier
+    # coordinate-at-a-time formula did, so every chord block is bit for bit
+    # the same, as are the two rows of the perturbed Green function
+    curves = [circle, ellipse, seeded_fourier_curve(7), seeded_fourier_curve(101)]
+    pair = np.array([[1.7, 0.3, 0.4], [-0.2, -1.9, 0.6]])
+    for curve in curves:
+        pts = make_grid(curve, n).points
+        for rows in _row_blocks(n, 8 * n):
+            assert np.array_equal(_pairwise_distances(pts[rows], pts),
+                                  accumulated_distances(pts[rows], pts))
+        assert np.array_equal(_pairwise_distances(pair, pts), accumulated_distances(pair, pts))
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0])

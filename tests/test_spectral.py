@@ -360,6 +360,8 @@ class TestFourierCompression:
         for lam in self.LAMS:
             op = spectral._operator(lam, grid)
             values, bound = op._top
+            # a certified spectrum never assembles B
+            assert "matrix" not in op.__dict__
             dense = eigen(op.matrix)[:n // 4]
             assert 0.0 < bound <= spectral.COMPRESSION_TOL
             assert np.max(np.abs(values - dense)) <= bound
@@ -375,14 +377,19 @@ class TestFourierCompression:
 
     @staticmethod
     def _certifies(op) -> bool:
-        """Whether the compression certificate passes, from the eigenvalues
-        of T without the pre-check."""
+        """Whether the compression certificate passes on the leading
+        wavenumbers k <= 3n/16 or on all k <= n/4, from the eigenvalues of
+        T without the pre-check."""
         n, lam, grid = op.grid.n, op.lam, op.grid
-        block, coupling_sq, comparison = spectral._fourier_compression(
-            op.matrix, spectral.circle_boundary_row(lam, grid), n // 4)
-        discarded = np.max(spectral.circle_boundary_modes(lam, grid)[n // 4 + 1:])
-        gap = eigen(block)[n // 4 - 1] - (discarded + comparison)
-        return gap > 0 and coupling_sq / gap <= spectral.COMPRESSION_TOL
+        block, rests, comparison = spectral._fourier_compression(lam, grid, n // 4)
+        modes = spectral.circle_boundary_modes(lam, grid)
+        for kept in (3 * n // 16, n // 4):
+            size = 2 * kept + 1
+            coupling_sq = np.sum(rests[:size]) + np.sum(block[:size, size:] ** 2)
+            gap = eigen(block[:size, :size])[n // 4 - 1] - (np.max(modes[kept + 1:]) + comparison)
+            if gap > 0 and coupling_sq / gap <= spectral.COMPRESSION_TOL:
+                return True
+        return False
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_pre_check_keeps_every_certified_grid(self, ellipse, n):
@@ -416,6 +423,23 @@ class TestFourierCompression:
         assert op._top[1] == 0.0
         assert sizes == [256]
 
+    def test_leading_block_is_tried_first(self, monkeypatch):
+        # at N = 2048 the leading 769 x 769 block of T certifies, so the
+        # 1025 x 1025 one is not solved, and B is never assembled
+        grid = make_grid(seeded_fourier_curve(7), 2048)
+        sizes = []
+        real_eigen = spectral.eigen
+
+        def recording_eigen(mat):
+            sizes.append(len(mat))
+            return real_eigen(mat)
+
+        monkeypatch.setattr(spectral, "eigen", recording_eigen)
+        op = spectral._operator(0.0, grid)
+        assert op._top[1] > 0.0
+        assert sizes == [2 * (3 * 2048 // 16) + 1]
+        assert "matrix" not in op.__dict__
+
     @pytest.mark.parametrize("n", [256, 258])
     def test_kept_modes_on_a_circle(self, circle, n):
         # on a circle B is diagonal in the real Fourier basis: T holds the
@@ -424,20 +448,48 @@ class TestFourierCompression:
         grid = make_grid(circle, n)
         kept = n // 4
         modes = spectral.circle_boundary_modes(-1.0, grid)
-        block, coupling_sq, comparison = spectral._fourier_compression(
-            boundary_matrix(-1.0, grid), spectral.circle_boundary_row(-1.0, grid), kept)
-        assert block.shape == (2 * kept + 1,) * 2
+        block, rests, comparison = spectral._fourier_compression(-1.0, grid, kept)
+        assert block.shape == (2 * kept + 1,) * 2 and rests.shape == (2 * kept + 1,)
         assert (n % 4 == 2) == (len(block) == n // 2)
         expected = np.diag(modes[np.concatenate([[0], np.repeat(np.arange(1, kept + 1), 2)])])
-        assert np.max(np.abs(block - expected)) < 1e-14
-        assert coupling_sq < 1e-28 and comparison == 0.0
+        assert np.array_equal(block, expected)
+        assert np.all(rests == 0.0) and comparison == 0.0
 
     def test_comparison_norm_is_the_assembled_one(self, ellipse_grid):
-        _, _, comparison = spectral._fourier_compression(
-            boundary_matrix(-1.0, ellipse_grid),
-            spectral.circle_boundary_row(-1.0, ellipse_grid), ellipse_grid.n // 4)
+        _, _, comparison = spectral._fourier_compression(-1.0, ellipse_grid,
+                                                         ellipse_grid.n // 4)
         assert comparison == pytest.approx(
             np.linalg.norm(comparison_matrix(-1.0, ellipse_grid)), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, -4.0])
+    def test_blocks_are_the_dense_basis_compression(self, ellipse_grid, lam):
+        # T = F_K^T B F_K and each row's coupling ||F_perp^T B F_k||^2, with
+        # B assembled and F the dense orthonormal real Fourier basis; the
+        # leading block's coupling adds its rows of T outside it
+        n = ellipse_grid.n
+        phase = 2.0 * np.pi * np.outer(np.arange(n), np.arange(n // 2 + 1)) / n
+        cols = [np.full(n, 1.0 / math.sqrt(n))]
+        for k in range(1, n // 2):
+            cols += [math.sqrt(2.0 / n) * np.cos(phase[:, k]),
+                     -math.sqrt(2.0 / n) * np.sin(phase[:, k])]
+        cols.append(np.cos(phase[:, n // 2]) / math.sqrt(n))
+        basis = np.stack(cols, axis=1)
+        dense = basis.T @ boundary_matrix(lam, ellipse_grid) @ basis
+        block, rests, _ = spectral._fourier_compression(lam, ellipse_grid, n // 4)
+        size = len(block)
+        assert np.max(np.abs(block - dense[:size, :size])) < 1e-13
+        coupled = np.sum(dense[size:, :size] ** 2, axis=0)
+        # the rows coupled least are within the rounding of the dense product
+        assert np.allclose(rests, coupled, rtol=1e-9, atol=1e-9 * np.max(coupled))
+        lead = 2 * (3 * n // 16) + 1
+        coupling = np.sum(rests[:lead]) + np.sum(block[:lead, lead:] ** 2)
+        assert coupling == pytest.approx(np.sum(dense[lead:, :lead] ** 2), rel=1e-9)
+
+    def test_non_finite_entries_refuse_without_assembly(self, ellipse_grid, monkeypatch):
+        # the sweep refuses as boundary_matrix does, so the exit code stays 2
+        monkeypatch.setattr(spectral, "boundary_matrix", None)
+        with pytest.raises(ConfigError, match="non-finite"):
+            boundary_spectrum(math.nan, ellipse_grid)
 
 
 class TestCompressedCounts:
@@ -479,7 +531,8 @@ class TestCompressedCounts:
         gaps = np.flatnonzero(values[:-1] - values[1:] > 4.0 * reach)[:20]
         for alpha in 0.5 * (values[gaps] + values[gaps + 1]):
             assert self._count(grid, alpha) == self._dense_count(dense, alpha)
-        assert solved == [513]
+        # the leading wavenumbers k <= 3n/16 of T certify
+        assert solved == [385]
 
     def test_couplings_within_reach_read_the_dense_spectrum(self, ellipse, reference):
         values, reach, dense = reference
@@ -488,7 +541,10 @@ class TestCompressedCounts:
             for alpha in (values[j] - reach, values[j], values[j] + 0.5 * reach,
                           values[j] + reach):
                 assert self._count(grid, alpha) == self._dense_count(dense, alpha)
-        assert np.array_equal(spectral._zero_energy_count(grid, values[0] + reach)[0], dense)
+        # inside the reach: at alpha = values[0] + reach itself, the rounding
+        # of that sum decides the side
+        assert np.array_equal(spectral._zero_energy_count(grid, values[0] + 0.5 * reach)[0],
+                              dense)
 
 
 class TestIntervalIndex:
