@@ -256,19 +256,16 @@ def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     between them is the identity on grid indices.
 
     The circle part is the symmetric Toeplitz matrix of one row,
-    `circle_boundary_row`.  Each block of the output is that row gathered,
-    plus the block of comparison entries on a non-circle grid; every entry
-    is the sum the full-matrix build forms, so the result is bitwise the
-    same, and as exactly symmetric as that build.
+    `circle_boundary_row`.  Each block of the output is the block of
+    comparison entries, zeros on a circle grid, plus that row gathered;
+    every entry is the sum the full-matrix build forms, so the result is
+    bitwise the same, and as exactly symmetric as that build.
     """
     circle_row = circle_boundary_row(lam, grid)
 
     def block(rows, cols):
-        circle_part = _toeplitz_block(circle_row, rows, cols)
-        if grid.curve.is_circle:
-            return circle_part
         out = _comparison_block(lam, grid, rows, cols)
-        out += circle_part
+        out += _toeplitz_block(circle_row, rows, cols)
         return out
 
     mat = _blockwise(grid.n, block)

@@ -139,11 +139,11 @@ def _kept_waves(kept: int) -> np.ndarray:
 
 
 def _fourier_compression(lam: float, grid: ArcGrid,
-                         kept: int) -> tuple[np.ndarray, np.ndarray, float]:
+                         kept: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """T = Lambda_K + F_K^T D F_K on the wavenumbers k <= kept, the sums of
     squares of the columns of the coupling C = F_perp^T B F_K, one per row
-    of T, and ||D||_F, from full rows of the comparison part D = D_lam; B
-    itself is never formed.
+    of T, ||D||_F, from full rows of the comparison part D = D_lam, and the
+    circle modes of `circle_boundary_modes`; B itself is never formed.
 
     The circle part of B is diagonal in the real Fourier basis, with the
     values of `circle_boundary_modes`: it adds Lambda_K to T's diagonal and
@@ -173,7 +173,7 @@ def _fourier_compression(lam: float, grid: ArcGrid,
     for rows in _row_blocks(size, row_bytes):
         block[rows], rests[rows] = _fourier_coefficients(half[rows], kept)
     block[np.diag_indices(size)] += modes[_kept_waves(kept)]
-    return block, rests, math.sqrt(comparison_sq)
+    return block, rests, math.sqrt(comparison_sq), modes
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,7 @@ class _Operator:
         dense eigensolve, with bound 0, which alone assembles B."""
         n = self.grid.n
         trusted = trusted_count(n)
-        block, rests, comparison = _fourier_compression(self.lam, self.grid, n // 4)
-        modes = circle_boundary_modes(self.lam, self.grid)
+        block, rests, comparison, modes = _fourier_compression(self.lam, self.grid, n // 4)
         # both leading blocks span 2 kept + 1 >= n/4 modes
         for kept in (3 * n // 16, n // 4):
             size = 2 * kept + 1

@@ -552,18 +552,34 @@ def _write_table(root, rows):
     (root / "bound_states.csv").write_text(text + "".join(f"{r}\n" for r in rows))
 
 
-@pytest.mark.parametrize("second, rtol, exit_code", [
+TABLE = ["-0.23,1,-5.5,0", "-0.23,2,-4,0"]
+
+
+@pytest.mark.parametrize("first, second, exit_code", [
     # the energy column's scale is 5.5: a change of 6e-14 is 1.1e-14 of it
-    (["-0.23,1,-5.5,0", "-0.23,2,-4.00000000000006,2e-16"], 1e-13, 0),
-    (["-0.23,1,-5.5,0", "-0.23,2,-4.00000000000006,2e-16"], 1e-15, 1),
+    (TABLE, ["-0.23,1,-5.5,0", "-0.23,2,-4.00000000000006,2e-16"], 0),
+    (TABLE, ["-0.23,1,-5.5,0", "-0.23,2,-4.000000000001,0"], 1),
     # indices and counts must agree exactly, residuals are not compared
-    (["-0.23,1,-5.5,0", "-0.23,3,-4,0"], 1e-13, 1),
-    (["-0.23,1,-5.5,1e-16", "-0.23,2,-4,9e-17"], 0.0, 0),
-    (["-0.23,1,-5.5,0"], 1e-13, 1),
+    (TABLE, ["-0.23,1,-5.5,0", "-0.23,3,-4,0"], 1),
+    (TABLE, ["-0.23,1,-5.5,1e-16", "-0.23,2,-4,9e-17"], 0),
+    (TABLE, ["-0.23,1,-5.5,0"], 1),
+    # a non-finite cell must be the same text in both tables, and it
+    # neither hides nor sets the scale of the finite cells of its column
+    (TABLE, ["-0.23,1,nan,0", "-0.23,2,-4,0"], 1),
+    (TABLE, ["-0.23,1,-5.5,0", "-0.23,2,inf,0"], 1),
+    (["-0.23,1,nan,0", "-0.23,2,-4,0"], ["-0.23,1,nan,0", "-0.23,2,-4,0"], 0),
+    (["-0.23,1,nan,0", "-0.23,2,-4,0"], ["-0.23,1,nan,0", "-0.23,2,-3,0"], 1),
 ])
-def test_table_diff(tmp_path, capsys, second, rtol, exit_code):
-    _write_table(tmp_path / "a", ["-0.23,1,-5.5,0", "-0.23,2,-4,0"])
+def test_table_diff(tmp_path, capsys, first, second, exit_code):
+    _write_table(tmp_path / "a", first)
     _write_table(tmp_path / "b", second)
-    args = [str(tmp_path / "a"), str(tmp_path / "b"), "--rtol", str(rtol)]
-    assert table_diff.main(args) == exit_code
+    assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == exit_code
     assert "bound_states.csv" in capsys.readouterr().out
+
+
+def test_table_difference_is_relative_to_the_column_scale(tmp_path):
+    _write_table(tmp_path / "a", TABLE)
+    _write_table(tmp_path / "b", ["-0.23,1,-5.5,0", "-0.23,2,-4.00000000000006,2e-16"])
+    worst = table_diff.table_difference(tmp_path / "a" / "bound_states.csv",
+                                        tmp_path / "b" / "bound_states.csv")
+    assert worst == pytest.approx(6e-14 / 5.5, rel=1e-2)

@@ -381,8 +381,7 @@ class TestFourierCompression:
         wavenumbers k <= 3n/16 or on all k <= n/4, from the eigenvalues of
         T without the pre-check."""
         n, lam, grid = op.grid.n, op.lam, op.grid
-        block, rests, comparison = spectral._fourier_compression(lam, grid, n // 4)
-        modes = spectral.circle_boundary_modes(lam, grid)
+        block, rests, comparison, modes = spectral._fourier_compression(lam, grid, n // 4)
         for kept in (3 * n // 16, n // 4):
             size = 2 * kept + 1
             coupling_sq = np.sum(rests[:size]) + np.sum(block[:size, size:] ** 2)
@@ -448,7 +447,8 @@ class TestFourierCompression:
         grid = make_grid(circle, n)
         kept = n // 4
         modes = spectral.circle_boundary_modes(-1.0, grid)
-        block, rests, comparison = spectral._fourier_compression(-1.0, grid, kept)
+        block, rests, comparison, kept_modes = spectral._fourier_compression(-1.0, grid, kept)
+        assert np.array_equal(kept_modes, modes)
         assert block.shape == (2 * kept + 1,) * 2 and rests.shape == (2 * kept + 1,)
         assert (n % 4 == 2) == (len(block) == n // 2)
         expected = np.diag(modes[np.concatenate([[0], np.repeat(np.arange(1, kept + 1), 2)])])
@@ -456,8 +456,8 @@ class TestFourierCompression:
         assert np.all(rests == 0.0) and comparison == 0.0
 
     def test_comparison_norm_is_the_assembled_one(self, ellipse_grid):
-        _, _, comparison = spectral._fourier_compression(-1.0, ellipse_grid,
-                                                         ellipse_grid.n // 4)
+        _, _, comparison, _ = spectral._fourier_compression(-1.0, ellipse_grid,
+                                                            ellipse_grid.n // 4)
         assert comparison == pytest.approx(
             np.linalg.norm(comparison_matrix(-1.0, ellipse_grid)), rel=1e-12)
 
@@ -475,7 +475,7 @@ class TestFourierCompression:
         cols.append(np.cos(phase[:, n // 2]) / math.sqrt(n))
         basis = np.stack(cols, axis=1)
         dense = basis.T @ boundary_matrix(lam, ellipse_grid) @ basis
-        block, rests, _ = spectral._fourier_compression(lam, ellipse_grid, n // 4)
+        block, rests, _, _ = spectral._fourier_compression(lam, ellipse_grid, n // 4)
         size = len(block)
         assert np.max(np.abs(block - dense[:size, :size])) < 1e-13
         coupled = np.sum(dense[size:, :size] ** 2, axis=0)
