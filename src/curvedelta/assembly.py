@@ -46,23 +46,25 @@ def kink_correction(slope, weight: float):
     return weight * weight * slope / 6.0
 
 
-def kernel_matrix(grid: ArcGrid, kernel, slope) -> np.ndarray:
+def kernel_matrix(grid: ArcGrid, kernel, slope, out: np.ndarray | None = None) -> np.ndarray:
     """Trapezoid matrix w * kernel(chord) of a kernel of the curve chords,
-    with the kink correction of one-sided slope `slope` on its diagonal.
+    with the kink correction of one-sided slope `slope` on its diagonal,
+    built in `out` when given.
 
-    `kernel` maps an array of chords elementwise and takes its analytic
-    limit at chord 0.  Built a row block at a time, exactly symmetric.
+    `kernel` maps an array of chords elementwise, may return its result in
+    that array, and takes its analytic limit at chord 0.  Built a row block
+    at a time, exactly symmetric.
     """
     w = grid.weight
     corr = kink_correction(slope, w)
 
-    def block(rows, cols):
-        out = np.asarray(kernel(grid.chord_block(rows, cols)))
-        out *= w
-        out[_block_diagonal(rows, cols)] += corr
-        return out
+    def block(rows, cols, dest):
+        values = kernel(grid.chord_block(rows, cols, dest))
+        values *= w
+        values[_block_diagonal(rows, cols)] += corr
+        return values
 
-    return _blockwise(grid.n, block)
+    return _blockwise(grid.n, block, out)
 
 
 def odd_harmonic_sums(count: int) -> np.ndarray:
@@ -157,7 +159,8 @@ def _capped_derivative_diagonal(lam: float, w: float) -> float | None:
     return w / (16.0 * np.pi * math.sqrt(-lam)) if corr < cap else None
 
 
-def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True) -> np.ndarray:
+def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """B'(lam) = dB/dlam at lam < 0, in closed form.
 
     Off the diagonal w e^{-kappa r}/(8 pi kappa) on the curve chords r,
@@ -168,8 +171,10 @@ def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True) -> np.nd
     (w kappa > 6) B(lam)'s diagonal is the capped entry, and with `capped`
     the diagonal is its derivative w/(16 pi kappa).  A Gram matrix, so
     positive definite: every eigenvalue branch of B increases in lam.
+    Built in `out` when given.
     """
-    mat = kernel_matrix(grid, lambda r: green_derivative_kernel(lam, r), -1.0 / (8.0 * np.pi))
+    mat = kernel_matrix(grid, lambda r: green_derivative_kernel(lam, r, out=r),
+                        -1.0 / (8.0 * np.pi), out)
     diag = _capped_derivative_diagonal(lam, grid.weight) if capped else None
     if diag is not None:
         mat[np.diag_indices(grid.n)] = diag
@@ -217,13 +222,15 @@ def circle_boundary_row(lam: float, grid: ArcGrid) -> np.ndarray:
     return np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
 
 
-def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice) -> np.ndarray:
-    """Rows `rows` and columns `cols` of the comparison matrix: zeros on a
-    circle grid, which is its own equal-length circle."""
+def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Rows `rows` and columns `cols` of the comparison matrix, built in
+    `out` where `chord_difference` can: zeros on a circle grid, which is
+    its own equal-length circle."""
     if grid.curve.is_circle:
         return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     w = grid.weight
-    block = grid.chord_difference(lambda r: green_kernel(lam, r), rows, cols)
+    block = grid.chord_difference(lambda r: green_kernel(lam, r, out=r), rows, cols, out)
     block *= w
     kappa_circle = 2.0 * np.pi / grid.length
     diag = _block_diagonal(rows, cols)
@@ -243,10 +250,11 @@ def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     """
     if lam > 0:
         raise ConfigError("comparison_matrix requires lam <= 0")
-    return _blockwise(grid.n, lambda rows, cols: _comparison_block(lam, grid, rows, cols))
+    return _blockwise(grid.n, lambda rows, cols, dest: _comparison_block(lam, grid, rows, cols,
+                                                                          dest))
 
 
-def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
+def boundary_matrix(lam: float, grid: ArcGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Regularized boundary operator of the grid's curve at energy lam <= 0.
 
     Assembled from the exact algebra: comparison part plus the circle
@@ -259,16 +267,17 @@ def boundary_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     `circle_boundary_row`.  Each block of the output is the block of
     comparison entries, zeros on a circle grid, plus that row gathered;
     every entry is the sum the full-matrix build forms, so the result is
-    bitwise the same, and as exactly symmetric as that build.
+    bitwise the same, and as exactly symmetric as that build.  Built in
+    `out` when given, each block in its place.
     """
     circle_row = circle_boundary_row(lam, grid)
 
-    def block(rows, cols):
-        out = _comparison_block(lam, grid, rows, cols)
-        out += _toeplitz_block(circle_row, rows, cols)
-        return out
+    def block(rows, cols, dest):
+        values = _comparison_block(lam, grid, rows, cols, dest)
+        values += _toeplitz_block(circle_row, rows, cols)
+        return values
 
-    mat = _blockwise(grid.n, block)
+    mat = _blockwise(grid.n, block, out)
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
     return mat

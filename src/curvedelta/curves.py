@@ -21,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, CurveError
@@ -39,6 +40,11 @@ _SHORT_GAUSS = leggauss(4)
 _SHORT_START_TOL = 1e-4
 # Largest accepted deviation of the reparametrized speed from 1.
 REPARAM_TOL = 1e-8
+# Nodes per chunk of the curve checks: the arc table and the stencil are
+# evaluated on this many nodes at a time, so that the largest temporary of
+# a three-mode curve (16 points per node in `_params_past`) stays below
+# 128 KB, the size above which glibc's allocator maps fresh pages by default.
+_CHECK_NODES = 256
 
 
 class _ArcTable:
@@ -66,6 +72,9 @@ class _ArcTable:
         speeds = curve.speed(tq.ravel()).reshape(tq.shape)
         panel_len = half * (speeds @ w)
         self.cum = np.concatenate([[0.0], np.cumsum(panel_len)])
+        # a period so short that the speed overflows leaves no table to invert
+        if not (np.all(np.isfinite(self.cum)) and np.all(panel_len > 0)):
+            raise CurveError("arc-length table is not finite and increasing")
         self.total_length = float(self.cum[-1])
         self._inverse = PchipInterpolator(self.cum, self._edges)
 
@@ -240,13 +249,16 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     table; for a natively unit-speed curve the input is returned unchanged.
 
     The checks invert the arc-length table once, at the 1024 nodes
-    s_i = i L / 1024.  The self-intersection guard reads the points there,
-    and the unit-speed stencil takes them as its centres: its four points
-    s_i +- h, s_i +- 2h are short Newton solves from each node
-    (`_params_past`), not four more inversions; only near a point where the
-    speed almost vanishes does the table invert them.  A curve with more
-    than 16 modes has more stencil centres (4 per arc-table panel), inverted
-    separately.
+    s_i = i L / 1024.  The self-intersection guard reads the points there
+    (`_check_self_intersection`, a k-d tree query), and the unit-speed
+    stencil takes them as its centres: its four points s_i +- h, s_i +- 2h
+    are short Newton solves from each node (`_params_past`), not four more
+    inversions; only near a point where the speed almost vanishes does the
+    table invert them.  A curve with more than 16 modes has more stencil
+    centres (4 per arc-table panel), inverted separately.  The inversion,
+    the points and the stencil run on _CHECK_NODES nodes at a time, so no
+    temporary of a load is large enough to be mapped afresh by the
+    allocator; the maximum over the chunks is the stencil's maximum.
     """
     tfine = np.linspace(0.0, curve.period, 4096, endpoint=False)
     speeds = curve.speed(tfine)
@@ -268,17 +280,32 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
 
     L = table.total_length
     s_check = _guard_arclengths(L)
-    t_check = table.param_at(s_check)
-    _check_self_intersection(out.point(t_check), L)
+    t_check = _by_chunks(table.param_at, s_check)
+    _check_self_intersection(_by_chunks(out.point, t_check), L)
 
     n_check = 4 * _panel_count(out)
     if n_check != _GUARD_NODES:
         s_check = np.arange(n_check) * L / n_check
-        t_check = table.param_at(s_check)
-    dev = _unit_speed_deviation(out, s_check, t_check)
+        t_check = _by_chunks(table.param_at, s_check)
+    dev = max(_unit_speed_deviation(out, s, t)
+              for s, t in zip(_chunks(s_check), _chunks(t_check)))
     if dev >= tol:
         raise CurveError(f"unit-speed check failed: max | |sigma'| - 1 | = {dev:.3e}")
     return out
+
+
+def _chunks(x: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices of `x` of _CHECK_NODES entries (the last may be
+    shorter)."""
+    return [x[i:i + _CHECK_NODES] for i in range(0, len(x), _CHECK_NODES)]
+
+
+def _by_chunks(evaluate, x: np.ndarray) -> np.ndarray:
+    """`evaluate(x)` for a pointwise `evaluate`, computed on `_chunks(x)`
+    and concatenated.  Each value takes the operations of the one call;
+    only a BLAS row sum (`_ArcTable.length_at`) could round differently in
+    a batch of another size, and on 560 seeded curves none did."""
+    return np.concatenate([evaluate(part) for part in _chunks(x)])
 
 
 def _guard_arclengths(length: float) -> np.ndarray:
@@ -336,23 +363,28 @@ def _check_self_intersection(points: np.ndarray, length: float) -> None:
 
     `points` are the curve's points at the _GUARD_NODES arc lengths of
     `_guard_arclengths(length)`.  On these n = 1024 nodes the far set is
-    every pair at index shift k with n/64 <= k <= n/2, so each pair at arc
-    separation >= L/64 appears once (the n/2 pairs twice).  This is a
-    superset of the float-rounded `ds > L/64` set of a full n x n
-    comparison, which misses some pairs at exactly L/64.  Row k - n/64 of
-    the squared-distance table holds |sigma(s_{i+k}) - sigma(s_i)|^2, read
-    from windows of the doubled coordinate rows, so no n x n array or mask
-    is formed.
+    every pair at cyclic index shift k >= n/64, so every pair at arc
+    separation >= L/64.  This is a superset of the float-rounded
+    `ds > L/64` set of a full n x n comparison, which misses some pairs at
+    exactly L/64.
+
+    A k-d tree (scipy's cKDTree) lists the candidate pairs, those within
+    twice the limit, in O(n log n) and with no n x n table.  Each far
+    candidate is then re-checked in the arithmetic of a full table,
+    sqrt((dx^2 + dy^2) + dz^2) <= SELF_INTERSECTION_TOL * L, so the
+    decision is that table's.  The factor 2 leaves the tree's own
+    rounding far inside the candidate radius; where squared components
+    underflow, the tree's sums of squares underflow with the table's
+    (`tests/test_curves.py` checks tiny and huge curves).
     """
     n = _GUARD_NODES
-    shifts = slice(n // 64, n // 2 + 1)
-    sq = np.zeros((shifts.stop - shifts.start, n))
-    d = np.empty_like(sq)
-    for x in points.T:
-        np.subtract(sliding_window_view(np.concatenate([x, x]), n)[shifts], x, out=d)
-        d *= d
-        sq += d
-    if np.sqrt(sq.min()) <= SELF_INTERSECTION_TOL * length:
+    limit = SELF_INTERSECTION_TOL * length
+    pairs = cKDTree(points).query_pairs(2.0 * limit, output_type="ndarray")
+    i, j = pairs.T
+    far = np.minimum(j - i, n - (j - i)) >= n // 64
+    d = points[j[far]] - points[i[far]]
+    d *= d
+    if np.any(np.sqrt((d[:, 0] + d[:, 1]) + d[:, 2]) <= limit):
         raise CurveError("curve self-intersects (or nearly touches itself)")
 
 
@@ -382,21 +414,27 @@ def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _blockwise(n: int, block) -> np.ndarray:
-    """Symmetric (n, n) float table filled a row block at a time: the
-    entries in the rows r of a block of `_row_blocks` and the columns c are
-    `block(r, c)`, and entry (i, j) is bitwise equal to (j, i).
+def _blockwise(n: int, block, out: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric (n, n) float table filled a row block at a time, in `out`
+    when given: the entries in the rows r of a block of `_row_blocks` and
+    the columns c are `block(r, c, dest)`, where `dest` is the view of the
+    table they fill, and entry (i, j) is bitwise equal to (j, i).
 
-    Each block is evaluated from its diagonal on (c starts at r.start) and
-    copied in before the next one, so no temporary larger than a few blocks
-    is alive beside the table; its columns left of the diagonal are copied
-    from the rows above, transposed, one block-by-block tile at a time, so
-    each tile's reads and writes stay in cache.
+    A block may be computed in `dest` itself and return it, which spares
+    its copy; any other array it returns is copied in.  Each block is
+    evaluated from its diagonal on (c starts at r.start) and written before
+    the next one, so no temporary larger than a few blocks is alive beside
+    the table; its columns left of the diagonal are copied from the rows
+    above, transposed, one block-by-block tile at a time, so each tile's
+    reads and writes stay in cache.
     """
-    out = np.empty((n, n))
+    out = np.empty((n, n)) if out is None else out
     blocks = _row_blocks(n, n * out.itemsize)
     for i, r in enumerate(blocks):
-        out[r, r.start:] = block(r, slice(r.start, n))
+        dest = out[r, r.start:]
+        values = block(r, slice(r.start, n), dest)
+        if values is not dest:
+            dest[...] = values
         for q in blocks[:i]:
             out[r, q] = out[q, r].T
     return out
@@ -492,9 +530,11 @@ class ArcGrid:
         k = np.arange(self.n)
         return _read_only(circle_chord(self.length, np.minimum(k, self.n - k) * self.weight))
 
-    def chord_block(self, rows: slice, cols: slice) -> np.ndarray:
-        """Rows `rows` and columns `cols` of the curve chord table, as a new
-        array bitwise equal to that block of `chords`.
+    def chord_block(self, rows: slice, cols: slice,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Rows `rows` and columns `cols` of the curve chord table, bitwise
+        equal to that block of `chords`: copied into `out` when given and
+        the table is kept, and else a new array.
 
         A table that fits in one block (N <= 362) is computed once and kept:
         it costs no more memory than one block, and a root search assembles
@@ -502,29 +542,36 @@ class ArcGrid:
         block from the points, because keeping it would double the memory of
         every assembly on the grid.
         """
-        if 8 * self.n * self.n <= BLOCK_BYTES:
+        if 8 * self.n * self.n > BLOCK_BYTES:
+            return _pairwise_distances(self.points[rows], self.points[cols])
+        if out is None:
             return self.chords[rows, cols].copy()
-        return _pairwise_distances(self.points[rows], self.points[cols])
+        np.copyto(out, self.chords[rows, cols])
+        return out
 
     def chord_difference(self, kernel, rows: slice = slice(None),
-                         cols: slice = slice(None)) -> np.ndarray:
+                         cols: slice = slice(None),
+                         out: np.ndarray | None = None) -> np.ndarray:
         """kernel(curve chord) - kernel(circle chord) for the node pairs in
         rows `rows` and columns `cols` (all of them by default).
 
-        `kernel` maps an array of positive chords elementwise.  The diagonal,
+        `kernel` maps an array of positive chords elementwise, and may
+        return its result in that array.  Kept chords are laid out in `out`
+        when given (`chord_block`), so a kernel that works in place builds
+        the block there; otherwise the block is a new array.  The diagonal,
         where both chords vanish, is zero: the kernel sees a placeholder
-        chord 1 there, and the entry is overwritten.  The circle term is the
-        circulant spanned by one row, so the kernel is evaluated on N circle
-        chords.
+        chord 1 there, and the entry is overwritten.  The circle term is
+        the circulant spanned by one row, so the kernel is evaluated on N
+        circle chords.
         """
         rows = slice(*rows.indices(self.n))
         cols = slice(*cols.indices(self.n))
-        chords = self.chord_block(rows, cols)
+        chords = self.chord_block(rows, cols, out)
         diag = _block_diagonal(rows, cols)
         chords[diag] = 1.0
         out = kernel(chords)
         circle_row = np.zeros(self.n)
-        circle_row[1:] = kernel(self.circle_chord_row[1:])
+        circle_row[1:] = kernel(self.circle_chord_row[1:].copy())
         out -= _toeplitz_block(circle_row, rows, cols)
         out[diag] = 0.0
         return out
@@ -570,8 +617,8 @@ def circle_deviation(grid: ArcGrid) -> float:
     the diagonal entries are set to 0.  Zero for a circle, positive and
     rigid-motion invariant otherwise.
     """
-    integrand = _blockwise(grid.n, lambda rows, cols: grid.chord_difference(
-        lambda r: 1.0 / (4.0 * np.pi * r), rows, cols))
+    integrand = _blockwise(grid.n, lambda rows, cols, dest: grid.chord_difference(
+        lambda r: 1.0 / (4.0 * np.pi * r), rows, cols, dest))
     integrand *= integrand
     # one sum over the whole table: a blockwise sum would round differently
     return float(grid.weight ** 2 * np.sum(integrand))
@@ -591,19 +638,22 @@ def curve_to_json_dict(curve: Curve) -> dict:
 
 
 def curve_from_json_dict(spec: dict, reparam_tol: float = REPARAM_TOL) -> Curve:
-    """Build (and arc-length parametrize) a curve from its JSON description."""
+    """Build (and arc-length parametrize) a curve from its JSON description.
+
+    A missing field, or one that is not a number or an array of the right
+    shape, is a ConfigError."""
     try:
         kind = spec["kind"]
         if kind == "circle":
             return make_circle(float(spec["radius"]))
-        if kind == "fourier":
-            raw = Curve(
-                a0=spec.get("a0", [0.0, 0.0, 0.0]),
-                cos_coeff=spec["cos"],
-                sin_coeff=spec["sin"],
-                period=float(spec.get("period", 2.0 * np.pi)),
-            )
-            return reparametrize_arclength(raw, tol=reparam_tol)
-        raise ConfigError(f"unknown curve kind {kind!r}")
-    except (KeyError, TypeError) as exc:
+        if kind != "fourier":
+            raise ConfigError(f"unknown curve kind {kind!r}")
+        raw = Curve(
+            a0=spec.get("a0", [0.0, 0.0, 0.0]),
+            cos_coeff=spec["cos"],
+            sin_coeff=spec["sin"],
+            period=float(spec.get("period", 2.0 * np.pi)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed curve description: {exc}") from exc
+    return reparametrize_arclength(raw, tol=reparam_tol)

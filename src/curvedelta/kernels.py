@@ -29,25 +29,33 @@ def _spectral_sqrt(lam) -> complex:
     return w
 
 
-def green_kernel(lam, r):
-    """Free resolvent kernel e^{-sqrt(-lam) r} / (4 pi r) at real lam <= 0."""
+def green_kernel(lam, r, out=None):
+    """Free resolvent kernel e^{-sqrt(-lam) r} / (4 pi r) at real lam <= 0,
+    written into `out` when given, which may be `r` itself."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ConfigError("green_kernel requires r > 0")
     if lam > 0:
         raise ConfigError("green_kernel requires lam <= 0")
-    out = np.exp(-math.sqrt(-lam) * r) / (4.0 * np.pi * r)
+    decay = np.multiply(-math.sqrt(-lam), r, out=np.empty_like(r))
+    np.exp(decay, out=decay)
+    out = np.multiply(4.0 * np.pi, r, out=np.empty_like(r) if out is None else out)
+    np.divide(decay, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def green_derivative_kernel(lam, r):
+def green_derivative_kernel(lam, r, out=None):
     """e^{-sqrt(-lam) r}/(8 pi sqrt(-lam)) at real lam < 0, bounded at r = 0:
     d/dlam of `green_kernel`, so the kernel of (-Delta - lam)^{-2},
-    int G_lam(x, p) G_lam(x, q) dx over R^3 at r = |p - q|."""
+    int G_lam(x, p) G_lam(x, q) dx over R^3 at r = |p - q|.  Written into
+    `out` when given, which may be `r` itself."""
     if not lam < 0:
         raise ConfigError("green_derivative_kernel requires lam < 0")
     a = math.sqrt(-lam)
-    out = np.exp(-a * np.asarray(r, dtype=float)) / (8.0 * np.pi * a)
+    r = np.asarray(r, dtype=float)
+    out = np.multiply(-a, r, out=np.empty_like(r) if out is None else out)
+    np.exp(out, out=out)
+    out /= 8.0 * np.pi * a
     return float(out) if out.ndim == 0 else out
 
 

@@ -192,6 +192,23 @@ class BoundState:
     residual: float
 
 
+class _Workspace:
+    """The N x N buffers of one bound-state search: B(lam), B'(lam) and the
+    copy of B that ?sytrf overwrites.
+
+    The search builds an operator at each energy it visits, and each one
+    assembles and factors in these buffers, so a search allocates them
+    once.  Arrays of that size allocated and freed at every energy are
+    handed back to the system whenever the allocator trims its heap, and
+    each is faulted in afresh.  An operator built on the workspace takes
+    it over; the one before must not be read again, and refuses to be.
+    """
+
+    def __init__(self, n: int):
+        self.matrix, self.derivative, self.factor = (np.empty((n, n)) for _ in range(3))
+        self.owner = None
+
+
 class _Operator:
     """B(lam) on one grid, the one place that assembles or reads it.
 
@@ -204,24 +221,45 @@ class _Operator:
     Its inertia comes from one Bunch-Kaufman LDL^T factorization of B - x
     (LAPACK ?sytrf), whose factors are kept for inverse iteration, started
     from `guess`; an eigenpair it cannot certify comes from one subset
-    eigensolve, and the eigenpairs found are kept.  `_CircleOperator`
-    supplies what a circle grid knows; `_operator` picks the class.
+    eigensolve, and the eigenpairs found are kept.  B, B' and the copy
+    that ?sytrf factors are new arrays, or the buffers of the `work` it
+    takes over.  `_CircleOperator` supplies what a circle grid knows;
+    `_operator` picks the class.
     """
 
-    def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None):
+    def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
+                 work: _Workspace | None = None):
         self.lam = lam
         self.grid = grid
         self._guess = guess
         self._factors = None      # (x, above(x), LDL^T factors) of the latest shift
         self._pairs = {}          # k -> (nu_k, v_k, whether from an eigensolve)
+        self._work = work
+        if work is not None:
+            work.owner = self
+
+    def _current(self) -> None:
+        """Refuse an operator whose workspace a later one took over."""
+        if self._work is not None and self._work.owner is not self:
+            raise InvariantError(f"operator at lam={self.lam:g} read after a later one "
+                                 "took over its workspace")
+
+    def _buffer(self, name: str) -> np.ndarray | None:
+        """The workspace's `name` buffer, writable, or None without one."""
+        self._current()
+        if self._work is None:
+            return None
+        buffer = getattr(self._work, name)
+        buffer.flags.writeable = True
+        return buffer
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _read_only(boundary_matrix(self.lam, self.grid))
+        return _read_only(boundary_matrix(self.lam, self.grid, out=self._buffer("matrix")))
 
     @cached_property
     def _derivative(self) -> np.ndarray:
-        return boundary_derivative(self.lam, self.grid)
+        return boundary_derivative(self.lam, self.grid, out=self._buffer("derivative"))
 
     @cached_property
     def _scale(self) -> float:
@@ -279,11 +317,18 @@ class _Operator:
 
         Bunch-Kaufman's 2 x 2 pivot blocks each hold one positive and one
         negative eigenvalue, so by Sylvester's law of inertia the count is
-        the positive 1 x 1 pivots plus one per 2 x 2 block.
+        the positive 1 x 1 pivots plus one per 2 x 2 block.  Factors that
+        `above` kept are dropped first: on a workspace these are overwritten.
         """
         n = self.grid.n
-        # B is exactly symmetric, so its transpose is B in Fortran order
-        shifted = np.array(self.matrix.T, order="F")
+        self._factors = None
+        copy = self._buffer("factor")
+        if copy is None:
+            copy = self.matrix.copy()
+        else:
+            np.copyto(copy, self.matrix)
+        # B is exactly symmetric, so the transpose of its copy is B in Fortran order
+        shifted = copy.T
         shifted[np.diag_indices(n)] -= x
         sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), (shifted,))
         lwork = int(sytrf_lwork(n)[0])
@@ -323,6 +368,7 @@ class _Operator:
         Each step reads the Rayleigh quotient and residual of the new
         iterate u = y/|y|, y = (B - x)^{-1} v, from (B - x) u = v/|y|.
         """
+        self._current()
         if self._factors is None or self._factors[2] is None or \
                 self._factors[1] not in (k - 1, k):
             return None
@@ -349,6 +395,7 @@ class _Operator:
     def _solve_pairs(self, first: int, last: int) -> None:
         """Eigenpairs first to last by one subset eigensolve (LAPACK ?syevr),
         kept as exact."""
+        self._current()
         n = self.grid.n
         vals, vecs = scipy.linalg.eigh(self.matrix, subset_by_index=[n - last, n - first],
                                        driver="evr")
@@ -388,6 +435,7 @@ class _Operator:
         return self._pair(k)[1]
 
     def _slope(self, k: int) -> float:
+        self._current()
         v = self.vector(k)
         # B' is exactly symmetric: its transpose is B' in Fortran order
         symv = scipy.linalg.get_blas_funcs("symv", (self._derivative,))
@@ -418,8 +466,9 @@ class _CircleOperator(_Operator):
     `circle_derivative_modes`, and its eigenvectors are the unit-norm real
     Fourier modes, cos before sin within a pair.  No pair is solved for."""
 
-    def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None):
-        super().__init__(lam, grid, guess)
+    def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
+                 work: _Workspace | None = None):
+        super().__init__(lam, grid, guess, work)
         modes = circle_boundary_modes(lam, grid)
         waves = np.concatenate([[0], np.repeat(np.arange(1, grid.n // 2), 2), [grid.n // 2]])
         # stable, so the two entries of a pair stay adjacent, cos first
@@ -458,9 +507,10 @@ class _CircleOperator(_Operator):
         return float(circle_derivative_modes(self.lam, self.grid)[self._waves[k - 1]])
 
 
-def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None) -> _Operator:
+def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
+              work: _Workspace | None = None) -> _Operator:
     """B(lam): the circle's known eigenpairs on a circle grid, else dense."""
-    return (_CircleOperator if grid.curve.is_circle else _Operator)(lam, grid, guess)
+    return (_CircleOperator if grid.curve.is_circle else _Operator)(lam, grid, guess, work)
 
 
 def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -492,11 +542,11 @@ def _refuse_side(k: int, gap: float, above: bool) -> None:
                             f"nu - alpha = {gap:.3e} against the inertia")
 
 
-def _energy_floor(grid: ArcGrid, alpha: float) -> _Point:
+def _energy_floor(grid: ArcGrid, alpha: float, work: _Workspace) -> _Point:
     """The top branch at the first of the energies -1, -2, -4, ... where B
     has no eigenvalue above alpha and that branch is below alpha."""
     for doubling in range(MAX_FLOOR_DOUBLINGS):
-        op = _operator(-(2.0 ** doubling), grid)
+        op = _operator(-(2.0 ** doubling), grid, work=work)
         if op.above(alpha) == 0:
             point = _point(op, 1)
             _refuse_side(1, point.value - alpha, above=False)
@@ -552,7 +602,7 @@ def _bisect(lo: float, hi: float) -> float:
 
 
 def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
-                 zero_value: float) -> _Operator:
+                 zero_value: float, work: _Workspace) -> _Operator:
     """B at the root of nu_k(lam) = alpha in (lower.lam, 0], by safeguarded
     Newton steps in kappa from the lower point.
 
@@ -567,6 +617,7 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
     sides.  A step that leaves the bracket bisects it instead.  The search
     stops once the step is below ROOT_XTOL + ROOT_RTOL |lam|, or once nu_k
     is within eps ||B||_1 of alpha, at the operator of its last energy.
+    Every operator is built on `work`, so each step supersedes the last.
     """
     samples = {lower.lam: lower.value - alpha, 0.0: zero_value - alpha}
     if samples[0.0] <= 0:
@@ -579,7 +630,7 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
     for _ in range(MAX_ROOT_STEPS):
         if not lo < target < hi:
             target = _bisect(lo, hi)
-        op = _operator(target, grid, guess)
+        op = _operator(target, grid, guess, work)
         if last:
             op.settle(k)
         else:
@@ -620,7 +671,10 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     the root.  A branch whose value at the previous root equals the
     previous branch's exactly, as the two branches of a circle's degenerate
     pair do, has that root too (each branch is strictly increasing), so a
-    pair is solved once and its two states share one energy.
+    pair is solved once and its two states share one energy.  The
+    operators of the floor and of every root search are built on one
+    `_Workspace`, and the root's operator is read only until the next
+    search starts.
     """
     if max_states is not None and max_states < 0:
         raise ConfigError(f"max_states must be nonnegative, got {max_states}")
@@ -630,14 +684,15 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     if n_roots == 0:
         return []
 
-    lower = _energy_floor(grid, alpha)
+    work = _Workspace(grid.n)
+    lower = _energy_floor(grid, alpha, work)
     states = []
     at_root = None
     for k in range(1, n_roots + 1):
         if at_root is None or at_root.branch_value(k) != value:
             if at_root is not None:
                 lower = _point(at_root, k)
-            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1])
+            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1], work)
         value, vector = at_root.eigenpair(k)
         residual = float(abs(value - alpha))
         if residual >= root_tol:

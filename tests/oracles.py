@@ -30,18 +30,21 @@ partial sums, which the library now forms in one buffer.  The Brent
 reference is the library's earlier bound-state search: derivative-free
 Brent steps on each eigenvalue branch, every sample an assembly and a
 subset eigensolve, which the Newton search on the closed-form B'(lam)
-replaces.  The unit-speed reference is the curve check's earlier stencil,
+replaces.  The shifted-table guard is the self-intersection guard's
+earlier full table of the far pairs, whose decision the k-d tree guard
+must repeat.  The unit-speed reference is the curve check's earlier stencil,
 which inverted each of its four points from scratch, and
 `NormFormulaCurve` keeps the earlier velocity and speed formulas.  None of
 them is
 used by the library itself; neither is the eigenvalue-clustering helper
-nor the seeded-curve draw.
+nor the seeded-curve draw, which repeats the benchmark's.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq
@@ -208,6 +211,25 @@ def self_intersection_reference(curve: Curve) -> None:
     ds = np.minimum(ds, L - ds)
     far = ds > L / 64.0
     if dist[far].min() <= SELF_INTERSECTION_TOL * L:
+        raise CurveError("curve self-intersects (or nearly touches itself)")
+
+
+def shifted_table_guard(points: np.ndarray, length: float) -> None:
+    """The self-intersection guard's earlier full table: raises CurveError
+    when the points of two of the 1024 guard nodes at cyclic index shift
+    n/64 <= k <= n/2 lie within SELF_INTERSECTION_TOL * L of each other.
+    Row k - n/64 of the table holds the squared distances at shift k,
+    summed one coordinate at a time, (0 + dx^2) + dy^2 + dz^2; the guard
+    re-checks its k-d tree's candidates in that arithmetic."""
+    n = 1024
+    shifts = slice(n // 64, n // 2 + 1)
+    sq = np.zeros((shifts.stop - shifts.start, n))
+    d = np.empty_like(sq)
+    for x in points.T:
+        np.subtract(sliding_window_view(np.concatenate([x, x]), n)[shifts], x, out=d)
+        d *= d
+        sq += d
+    if np.sqrt(sq.min()) <= SELF_INTERSECTION_TOL * length:
         raise CurveError("curve self-intersects (or nearly touches itself)")
 
 
@@ -465,17 +487,27 @@ def fourier_mode_curve(coefficients) -> Curve:
     return scale_to_length(Curve(np.zeros(3), cos, sin, 2.0 * math.pi), 2.0 * math.pi)
 
 
-def seeded_fourier_curve(seed: int) -> Curve:
-    """The first draw from default_rng(seed) that `reparametrize_arclength`
-    accepts, arc-length parametrized: mode-2/3 coefficients from
-    N(0, 0.12^2), the 6 cos ones first.  These are the seeded curves of the
-    benchmark; seed 7 gives its count-sandwich curve."""
+def seeded_draws(seed: int, count: int | None = None):
+    """Successive draws from default_rng(seed), `count` of them or without
+    end, not arc-length parametrized: mode-2/3 coefficients from
+    N(0, 0.12^2), the 6 cos ones first.  This is the draw rule of the
+    benchmark's seeded curves (`perfbench/workloads.fourier_curve`)."""
     rng = np.random.default_rng(seed)
-    while True:
+    drawn = 0
+    while count is None or drawn < count:
         cos = 0.12 * rng.standard_normal(6)
         sin = 0.12 * rng.standard_normal(6)
+        drawn += 1
+        yield fourier_mode_curve(np.concatenate([cos, sin]))
+
+
+def seeded_fourier_curve(seed: int) -> Curve:
+    """The first of `seeded_draws(seed)` that `reparametrize_arclength`
+    accepts, arc-length parametrized.  These are the seeded curves of the
+    benchmark; seed 7 gives its count-sandwich curve."""
+    for raw in seeded_draws(seed):
         try:
-            return reparametrize_arclength(fourier_mode_curve(np.concatenate([cos, sin])))
+            return reparametrize_arclength(raw)
         except CurveError:
             continue
 

@@ -381,9 +381,9 @@ class TestCircleFFTPath:
         grids = []
         counted = curvedelta.spectral.boundary_matrix
 
-        def matrix(lam, grid):
+        def matrix(lam, grid, out=None):
             grids.append(grid)
-            return counted(lam, grid)
+            return counted(lam, grid, out)
 
         monkeypatch.setattr(curvedelta.spectral, "boundary_matrix", matrix)
         assert main(["isoperimetric", "--curve", ellipse_file, "--n", "128",
@@ -540,6 +540,31 @@ def test_non_finite_curve_exits_2(tmp_path, capsys, text):
     out = tmp_path / "out"
     assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+MALFORMED_CURVES = [
+    pytest.param('{"kind": "fourier", "a0": [0, 0], "cos": [[1, 0, 0]], "sin": [[0, 1, 0]]}',
+                 "malformed curve description", id="a0 of two entries"),
+    pytest.param('{"kind": "circle", "radius": "big"}', "malformed curve description",
+                 id="radius a string"),
+    pytest.param('{"kind": "fourier", "cos": [[1, 0, 0]], "sin": [[0, 1, 0]], "period": "x"}',
+                 "malformed curve description", id="period a string"),
+    # the speed 2 pi / period overflows, which numpy warns of on the way, so
+    # the arc table cannot be inverted
+    pytest.param('{"kind": "fourier", "cos": [[1, 0, 0]], "sin": [[0, 1, 0]], "period": 2e-320}',
+                 "arc-length table is not finite", id="period subnormal",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CURVES)
+def test_malformed_curve_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert list(out.glob("*")) == []
 
 

@@ -150,7 +150,7 @@ class TestChooseReferenceEnergy:
         # list, and before any B(eta) is built
         built = []
         monkeypatch.setattr(spectral_mod, "boundary_matrix",
-                            lambda lam, grid: built.append(lam))
+                            lambda lam, grid, out=None: built.append(lam))
         with pytest.raises(ConfigError, match="must be negative"):
             choose_reference_energy(make_grid(ellipse, 64), -0.5, candidates)
         assert built == []
@@ -231,9 +231,9 @@ class TestScatteringBlock:
         built = []
         real_matrix = spectral_mod.boundary_matrix
 
-        def matrix(lam, grid):
+        def matrix(lam, grid, out=None):
             built.append(lam)
-            return real_matrix(lam, grid)
+            return real_matrix(lam, grid, out)
 
         monkeypatch.setattr(spectral_mod, "boundary_matrix", matrix)
         for lam in (0.5, 1.0, 2.0):
@@ -249,9 +249,9 @@ class TestScatteringBlock:
         built = []
         real_matrix = spectral_mod.boundary_matrix
 
-        def matrix(lam, grid):
+        def matrix(lam, grid, out=None):
             built.append(lam)
-            return real_matrix(lam, grid)
+            return real_matrix(lam, grid, out)
 
         monkeypatch.setattr(spectral_mod, "boundary_matrix", matrix)
         curve = tmp_path / "ellipse.json"
@@ -303,7 +303,7 @@ class TestScatteringBlock:
         monkeypatch.setattr(scattering_mod, "scattering_layer_matrix",
                             lambda grid, lam, eta: np.zeros((n, n)))
         monkeypatch.setattr(spectral_mod, "boundary_matrix",
-                            lambda lam, grid: np.zeros((n, n)))
+                            lambda lam, grid, out=None: np.zeros((n, n)))
         with pytest.raises(NumericsError, match="exactly singular"):
             scattering_block(grid, 1.0, 0.0, -1.0)
 

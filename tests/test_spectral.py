@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies
 
 from curvedelta import spectral
-from curvedelta import (ConfigError, CurveError, NumericsError,
+from curvedelta import (ConfigError, CurveError, InvariantError, NumericsError,
                         asymptotic_count_bounds, boundary_matrix, comparison_matrix,
                         circle_mode_eigenvalues, count_bound_states, eigen,
                         find_bound_states,
@@ -110,6 +110,35 @@ class TestBoundStates:
         assert all(type(st.energy) is float and type(st.residual) is float
                    for st in states)
 
+    def test_workspace_changes_no_bit(self, monkeypatch):
+        # the search assembles and factors every energy in one set of
+        # buffers; with new arrays at every energy each bit is the same
+        grid = make_grid(seeded_fourier_curve(7), 128)
+        shared = [(st.energy, st.residual, st.coefficients)
+                  for alpha in (-0.05, -0.23) for st in find_bound_states(grid, alpha)]
+        real_operator = spectral._operator
+        monkeypatch.setattr(spectral, "_operator",
+                            lambda lam, grid, guess=None, work=None: real_operator(lam, grid, guess))
+        fresh = [(st.energy, st.residual, st.coefficients)
+                 for alpha in (-0.05, -0.23) for st in find_bound_states(grid, alpha)]
+        assert len(shared) == len(fresh) > 3
+        for (energy, residual, vector), (energy_f, residual_f, vector_f) in zip(shared, fresh):
+            assert energy == energy_f and residual == residual_f
+            assert np.array_equal(vector, vector_f)
+
+    def test_superseded_operator_refuses(self, ellipse_grid):
+        # an operator built on a workspace takes over its buffers, so the
+        # one before cannot read its matrix, factors or B' any more
+        work = spectral._Workspace(ellipse_grid.n)
+        first = spectral._operator(-1.0, ellipse_grid, work=work)
+        first.above(0.0)
+        first.slope(1)
+        spectral._operator(-2.0, ellipse_grid, work=work).above(0.0)
+        for read in (lambda: first.slope(1), lambda: first.above(0.0),
+                     lambda: first.branch_value(7), lambda: first.eigenpair(5)):
+            with pytest.raises(InvariantError, match="took over its workspace"):
+                read()
+
     def test_negative_max_states_rejected(self, circle_grid):
         # a cap below zero would list no state while the count holds them all
         with pytest.raises(ConfigError, match="max_states must be nonnegative"):
@@ -128,9 +157,9 @@ class TestBoundStates:
         energies = []
         real_matrix = spectral.boundary_matrix
 
-        def matrix(lam, grid):
+        def matrix(lam, grid, out=None):
             energies[-1].append(lam)
-            return real_matrix(lam, grid)
+            return real_matrix(lam, grid, out)
 
         monkeypatch.setattr(spectral, "boundary_matrix", matrix)
         for alpha in (0.1, -0.05, -0.15, -0.23):
