@@ -194,7 +194,7 @@ class BoundState:
 
 class _Workspace:
     """The N x N buffers of one bound-state search: B(lam), B'(lam) and the
-    copy of B that ?sytrf overwrites.
+    copy of B that ?sytrf overwrites, three views of one allocation.
 
     The search builds an operator at each energy it visits, and each one
     assembles and factors in these buffers, so a search allocates them
@@ -205,7 +205,7 @@ class _Workspace:
     """
 
     def __init__(self, n: int):
-        self.matrix, self.derivative, self.factor = (np.empty((n, n)) for _ in range(3))
+        self.matrix, self.derivative, self.factor = np.empty((3, n, n))
         self.owner = None
 
 
