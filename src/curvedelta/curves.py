@@ -141,9 +141,9 @@ class Curve:
     def velocity(self, t):
         ang = self._angles(t)
         om = 2.0 * np.pi * self._modes / self.period
+        # -sin(ang) om with the sign moved onto om: the same products
         sin = np.sin(ang)
-        np.negative(sin, out=sin)
-        sin *= om
+        sin *= -om
         cos = np.cos(ang, out=ang)
         cos *= om
         out = sin @ self.cos_coeff
@@ -156,10 +156,11 @@ class Curve:
         return (-np.cos(ang) * om2) @ self.cos_coeff + (-np.sin(ang) * om2) @ self.sin_coeff
 
     def speed(self, t):
-        # sqrt(sum v^2), the sum np.linalg.norm(v, axis=-1) takes, bit for bit
+        # sqrt(sum v^2) summed left to right, as np.linalg.norm(v, axis=-1)
+        # sums a row of three, bit for bit, without its strided reduction
         v = self.velocity(t)
         v *= v
-        return np.sqrt(np.add.reduce(v, axis=-1))
+        return np.sqrt((v[..., 0] + v[..., 1]) + v[..., 2])
 
     def curvature(self, t):
         """|sigma' x sigma''| / |sigma'|^3, the curvature of the trace."""
