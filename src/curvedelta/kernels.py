@@ -19,9 +19,6 @@ from .errors import ConfigError
 # switch to a 3-term Taylor expansion once |exponent| * r drops below this,
 # to avoid cancellation in differences of exponentials
 _SERIES_CUTOFF = 1e-6
-# Elements of a slab of `green_kernel`: 64 KB of scratch, below the 128 KB
-# from which glibc's allocator maps fresh pages by default.
-_SLAB = 8192
 
 
 def _spectral_sqrt(lam) -> complex:
@@ -34,22 +31,16 @@ def _spectral_sqrt(lam) -> complex:
 
 def green_kernel(lam, r, out=None):
     """Free resolvent kernel e^{-sqrt(-lam) r} / (4 pi r) at real lam <= 0,
-    written into `out` when given, which may be `r` itself.
-
-    Evaluated a slab of rows at a time, so that its one temporary, the
-    exponential, stays within _SLAB elements beside a table-sized r."""
+    written into `out` when given, which may be `r` itself."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ConfigError("green_kernel requires r > 0")
     if lam > 0:
         raise ConfigError("green_kernel requires lam <= 0")
-    out = np.empty_like(r) if out is None else out
-    rows, values = np.atleast_1d(r), np.atleast_1d(out)
-    step = max(1, _SLAB * len(rows) // max(1, rows.size))
-    for i in range(0, len(rows), step):
-        decay = np.exp(np.multiply(-math.sqrt(-lam), rows[i:i + step]))
-        np.multiply(4.0 * np.pi, rows[i:i + step], out=values[i:i + step])
-        np.divide(decay, values[i:i + step], out=values[i:i + step])
+    decay = np.multiply(-math.sqrt(-lam), r, out=np.empty_like(r))
+    np.exp(decay, out=decay)
+    out = np.multiply(4.0 * np.pi, r, out=np.empty_like(r) if out is None else out)
+    np.divide(decay, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
