@@ -304,8 +304,8 @@ def _chunks(x: np.ndarray) -> list[np.ndarray]:
 def _by_chunks(evaluate, x: np.ndarray) -> np.ndarray:
     """`evaluate(x)` for a pointwise `evaluate`, computed on `_chunks(x)`
     and concatenated.  Each value takes the operations of the one call;
-    only a BLAS row sum (`_ArcTable.length_at`) could round differently in
-    a batch of another size, and on 560 seeded curves none did."""
+    only a BLAS product (`@`) could round differently in a batch of another
+    size, and on 560 seeded curves none did."""
     return np.concatenate([evaluate(part) for part in _chunks(x)])
 
 

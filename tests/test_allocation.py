@@ -46,8 +46,8 @@ def counted(call):
     return faults() - start
 
 
-loads = [counted(lambda: load(curve_to_json_dict(seeded_fourier_curve(seed))))
-         for seed in range(1, 1 + int(sys.argv[1]))]
+specs = [curve_to_json_dict(seeded_fourier_curve(seed)) for seed in range(1, 1 + int(sys.argv[1]))]
+loads = [counted(lambda: load(spec)) for spec in specs]
 grid = load(curve_to_json_dict(make_ellipse(2.0, 1.0)))
 find_bound_states(grid, -0.15)
 searches = [counted(lambda: find_bound_states(grid, -0.15)) for _ in range(3)]
