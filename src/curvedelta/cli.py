@@ -15,6 +15,7 @@ bitwise identical factors.  Each command declares only the options and the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -267,7 +268,12 @@ VALUE_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing keeps no
+    state between calls: each returns a new namespace, and the one default
+    that is not a number, a subcommand's tolerance table, is copied by
+    `_tolerances` before an override is applied."""
     parser = argparse.ArgumentParser(
         prog="curvedelta",
         description="Spectra, bound states and scattering of a delta-interaction "
@@ -314,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -56,7 +55,8 @@ class _ArcTable:
     values are recovered essentially to machine precision.  One inversion
     costs 44 speed evaluations per point, so the curve checks of
     `reparametrize_arclength` invert their nodes once and reach points a
-    short arc away by `_params_past`.
+    short arc away by `_params_past`, and keep the parameters of the guard's
+    nodes as `guard_params`, which `make_grid` reads.
     """
 
     def __init__(self, curve: "Curve", panels: int):
@@ -76,7 +76,9 @@ class _ArcTable:
         if not (np.all(np.isfinite(self.cum)) and np.all(panel_len > 0)):
             raise CurveError("arc-length table is not finite and increasing")
         self.total_length = float(self.cum[-1])
-        self._inverse = PchipInterpolator(self.cum, self._edges)
+        self._start = _pchip(self.cum, self._edges)
+        # parameters of the nodes `_guard_arclengths(L)`, once inverted
+        self.guard_params: np.ndarray | None = None
 
     def length_at(self, t: np.ndarray) -> np.ndarray:
         """Arc length from parameter 0 to t (t in [0, T])."""
@@ -93,13 +95,54 @@ class _ArcTable:
     def param_at(self, s: np.ndarray) -> np.ndarray:
         """Parameter t with arc length s, for s in [0, L] (vectorized)."""
         s = np.asarray(s, dtype=float)
-        t = np.clip(self._inverse(np.clip(s, 0.0, self.total_length)),
+        t = np.clip(_pchip_at(self._start, self.cum, np.clip(s, 0.0, self.total_length)),
                     0.0, self._curve.period)
         for _ in range(4):
             resid = s - self.length_at(t)
             t = t + resid / self._curve.speed(t)
             t = np.clip(t, 0.0, self._curve.period)
         return t
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, len(x) - 1) coefficients, highest power first, of the monotone
+    piecewise cubic (PCHIP) through the points (x, y), x increasing, on
+    each interval in powers of the offset from its left end.
+
+    The derivatives at the points are those of Fritsch and Butland, the
+    weighted harmonic means of the two neighbouring slopes (0 where these
+    differ in sign or one is 0), and at the ends Moler's one-sided
+    three-point estimate.  The operations are those of scipy's
+    PchipInterpolator, so `_pchip_at` reproduces its values bit for bit.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        d[end] = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d[end]) != np.sign(m0):
+            d[end] = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(d[end]) > 3.0 * abs(m0):
+            d[end] = 3.0 * m0
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _pchip_at(coeffs: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The `_pchip` cubic of coefficients `coeffs` over the points x at s,
+    each interval closed on the left and the last one on both sides, and
+    summed as scipy's PPoly sums it: ((c3 + c2 u) + c1 u^2) + c0 (u^2 u)."""
+    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    u = s - x[i]
+    c0, c1, c2, c3 = coeffs[:, i]
+    square = u * u
+    return ((c3 + c2 * u) + c1 * square) + c0 * (square * u)
 
 
 class Curve:
@@ -281,7 +324,7 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
 
     L = table.total_length
     s_check = _guard_arclengths(L)
-    t_check = _by_chunks(table.param_at, s_check)
+    t_check = table.guard_params = _by_chunks(table.param_at, s_check)
     _check_self_intersection(_by_chunks(out.point, t_check), L)
 
     n_check = 4 * _panel_count(out)
@@ -472,7 +515,9 @@ def _kept(owner, name: str, key, build):
     one entry: a call with the key of that entry returns the kept result, a
     call with another key builds and replaces it.  Keys compare with ==,
     and grids by identity.  An array result is kept read-only, since every
-    later caller shares it.
+    later caller shares it.  A kept result refers to its owner weakly if
+    at all: a reference back would make a cycle, and the owner's arrays
+    would outlive their last user until the cyclic garbage collector ran.
     """
     # kept where cached_property keeps its values; the dataclasses are frozen
     entry = owner.__dict__.get(name)
@@ -579,14 +624,29 @@ class ArcGrid:
 
 
 def make_grid(curve: Curve, n: int) -> ArcGrid:
-    """Build the N-node discretization backbone (N even, N >= 16)."""
+    """Build the N-node discretization backbone (N even, N >= 16).
+
+    A node whose arc length equals one of the guard's nodes bit for bit
+    takes the parameter `reparametrize_arclength` inverted there (every
+    node when N divides 1024, every other one at N = 2048); the table
+    inverts only the others.
+    """
     if n % 2 != 0 or n < 16:
         raise ConfigError("grid size must be even and at least 16")
     if not curve.unit_speed:
         raise CurveError("grid requires a unit-speed curve; call reparametrize_arclength")
     L = curve.total_length
     s = np.arange(n) * (L / n)
-    t = curve.param_at_arclength(s)
+    table = curve._table
+    if table is None or table.guard_params is None:
+        t = curve.param_at_arclength(s)
+    else:
+        guard = _guard_arclengths(L)
+        i = np.minimum(np.searchsorted(guard, s), _GUARD_NODES - 1)
+        hit = guard[i] == s
+        t = table.guard_params[i]
+        if not hit.all():
+            t[~hit] = curve.param_at_arclength(s[~hit])
     return ArcGrid(
         curve=curve,
         nodes=s,

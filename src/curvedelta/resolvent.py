@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import boundary_derivative
-from .curves import ArcGrid, _pairwise_distances, _row_blocks
+from .curves import ArcGrid, _kept, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
 from .spectral import _operator
@@ -119,10 +119,18 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
 
+def _gram_matrix(grid: ArcGrid, lam: float) -> np.ndarray:
+    """X = Gamma^T Gamma, the uncapped `boundary_derivative`, kept on the
+    grid under lam and read-only: both singular-value probes of one energy
+    read one build.  The eigensolves copy it (no overwrite_b)."""
+    return _kept(grid, "layer_gram", lam,
+                 lambda: boundary_derivative(lam, grid, capped=False))
+
+
 def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:
     """Singular values of the layer map, nonincreasing: sqrt(eig X), with
     X = Gamma^T Gamma the uncapped `boundary_derivative`."""
-    gram = boundary_derivative(lam, grid, capped=False)
+    gram = _gram_matrix(grid, lam)
     vals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd")[::-1]
     if vals[-1] <= 0:
         raise NumericsError("Gram matrix of the layer map is not positive definite")
@@ -137,7 +145,7 @@ def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.nd
     reciprocals of those of L^{-1} (alpha - B) L^{-T}: one generalized
     symmetric-definite eigensolve of (alpha - B, X), which also factors X.
     """
-    gram = boundary_derivative(lam, grid, capped=False)
+    gram = _gram_matrix(grid, lam)
     system = _resolvent_system(grid, lam, alpha)
     try:
         theta = scipy.linalg.eigh(system, gram, eigvals_only=True, driver="gvd")

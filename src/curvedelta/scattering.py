@@ -27,6 +27,7 @@ loses to the channels left out.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,12 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
 
 def _reference_boundary(grid: ArcGrid, eta: float) -> _Operator:
     """B(eta), kept on the grid under eta: the choice of eta and every block
-    of a run at that eta share one operator, so one assembly."""
-    return _kept(grid, "reference_boundary", eta, lambda: _operator(eta, grid))
+    of a run at that eta share one operator, so one assembly.  The kept
+    operator reaches the grid through a weak proxy, since a reference back
+    to its owner would make a cycle that keeps the grid and B(eta) until
+    the cyclic garbage collector runs."""
+    return _kept(grid, "reference_boundary", eta,
+                 lambda: _operator(eta, weakref.proxy(grid)))
 
 
 def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import math
 from typing import NamedTuple
+import weakref
 
 import numpy as np
 import scipy.linalg
@@ -110,11 +111,12 @@ def eigenvalue_at(mat: np.ndarray, k: int) -> float:
     return float(vals[0])
 
 
-def _fourier_coefficients(rows: np.ndarray, kept: int) -> tuple[np.ndarray, np.ndarray]:
+def _fourier_coefficients(rows: np.ndarray, kept: int,
+                          rest: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of each row in the grid's orthonormal real Fourier
     basis on the wavenumbers k <= kept: the constant's, then those of
-    cos ks and -sin ks for k = 1..kept; and each row's sum of squares of
-    all the others.
+    cos ks and -sin ks for k = 1..kept; and, written to `rest` when it is
+    given, each row's sum of squares of all the others.
 
     One real FFT per row: with z = rfft(row), the constant's coefficient
     is z_0 / sqrt(n), those of cos ks and -sin ks are sqrt(2/n) Re z_k and
@@ -127,9 +129,11 @@ def _fourier_coefficients(rows: np.ndarray, kept: int) -> tuple[np.ndarray, np.n
     z = np.fft.rfft(rows).view(float)
     out = z[:, 1:2 * kept + 2] * math.sqrt(2.0 / n)
     out[:, 0] = z[:, 0] / math.sqrt(n)
-    dropped, alternating = z[:, 2 * kept + 2:n], z[:, n]
-    rest = (2.0 * np.einsum("ij,ij->i", dropped, dropped) + alternating * alternating) / n
-    return out, rest
+    if rest is not None:
+        dropped, alternating = z[:, 2 * kept + 2:n], z[:, n]
+        rest[...] = (2.0 * np.einsum("ij,ij->i", dropped, dropped)
+                     + alternating * alternating) / n
+    return out
 
 
 def _kept_waves(kept: int) -> np.ndarray:
@@ -167,11 +171,11 @@ def _fourier_compression(lam: float, grid: ArcGrid,
         if not math.isfinite(square) and not np.all(np.isfinite(d)):
             raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
         comparison_sq += square
-        half[:, rows] = _fourier_coefficients(d, kept)[0].T
+        half[:, rows] = _fourier_coefficients(d, kept).T
     block = np.empty((size, size))
     rests = np.empty(size)
     for rows in _row_blocks(size, row_bytes):
-        block[rows], rests[rows] = _fourier_coefficients(half[rows], kept)
+        block[rows] = _fourier_coefficients(half[rows], kept, rests[rows])
     block[np.diag_indices(size)] += modes[_kept_waves(kept)]
     return block, rests, math.sqrt(comparison_sq), modes
 
@@ -202,11 +206,14 @@ class _Workspace:
     handed back to the system whenever the allocator trims its heap, and
     each is faulted in afresh.  An operator built on the workspace takes
     it over; the one before must not be read again, and refuses to be.
+    The workspace refers to its owner weakly: an operator holds its
+    workspace, and a reference back would make a cycle that keeps the
+    buffers until the cyclic garbage collector runs.
     """
 
     def __init__(self, n: int):
         self.matrix, self.derivative, self.factor = np.empty((3, n, n))
-        self.owner = None
+        self.owner = None         # weak reference to the operator that took it over
 
 
 class _Operator:
@@ -236,11 +243,11 @@ class _Operator:
         self._pairs = {}          # k -> (nu_k, v_k, whether from an eigensolve)
         self._work = work
         if work is not None:
-            work.owner = self
+            work.owner = weakref.ref(self)
 
     def _current(self) -> None:
         """Refuse an operator whose workspace a later one took over."""
-        if self._work is not None and self._work.owner is not self:
+        if self._work is not None and self._work.owner() is not self:
             raise InvariantError(f"operator at lam={self.lam:g} read after a later one "
                                  "took over its workspace")
 

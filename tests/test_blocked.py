@@ -307,6 +307,8 @@ def test_circle_level_table_peak_memory():
 
 
 def test_make_grid_reads_the_arc_table_once(ellipse, monkeypatch):
+    # the load inverted the guard's 1024 nodes: a grid of 128 reads them
+    # all, one of 2048 inverts only the 1024 nodes between them
     calls = []
     real = _ArcTable.param_at
 
@@ -315,9 +317,10 @@ def test_make_grid_reads_the_arc_table_once(ellipse, monkeypatch):
         return real(table, s)
 
     monkeypatch.setattr(_ArcTable, "param_at", param_at)
-    grid = make_grid(ellipse, 128)
-    assert calls == [128]
+    grids = [make_grid(ellipse, n) for n in (128, 2048)]
+    assert calls == [1024]
     monkeypatch.undo()
-    t = ellipse.param_at_arclength(grid.nodes)
-    assert np.array_equal(grid.points, ellipse.point_at_arclength(grid.nodes))
-    assert np.array_equal(grid.curvatures, ellipse.curvature(t))
+    for grid in grids:
+        t = ellipse.param_at_arclength(grid.nodes)
+        assert np.array_equal(grid.points, ellipse.point_at_arclength(grid.nodes))
+        assert np.array_equal(grid.curvatures, ellipse.curvature(t))

@@ -1,7 +1,12 @@
 import collections
+import gc
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +345,80 @@ class TestProbe:
                      "--out", str(tmp_path)]) == 0
         assert ("eigvalsh", [(10, 10)]) in calls
         assert not [call for call in calls if (n, n) in call[1]]
+
+
+    def test_one_gram_build_per_probe(self, ellipse_file, tmp_path, monkeypatch):
+        # both probes read one kept X, and neither factors it in place
+        built = []
+        real = resolvent_mod.boundary_derivative
+
+        def derivative(lam, grid, capped=True, out=None):
+            built.append(capped)
+            return real(lam, grid, capped, out)
+
+        monkeypatch.setattr(resolvent_mod, "boundary_derivative", derivative)
+        assert main(["probe", "--curve", ellipse_file, "--n", "64",
+                     "--out", str(tmp_path)]) == 0
+        assert built == [False]
+
+
+class TestInProcess:
+    """`main` keeps one parser per process and no state between queries,
+    which the in-process benchmark relies on."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-states", "--n", "128", "--alpha=-0.23,-0.15"],
+        ["scattering", "--n", "128", "--alpha=-0.3", "--lambda=0.5,1"],
+    ], ids=lambda argv: argv[0])
+    def test_grid_freed_when_main_returns(self, ellipse_file, tmp_path, monkeypatch, argv):
+        # without the cyclic collector, so only reference counts free it:
+        # B, B' and the LDL^T copy of a search, and a kept B(eta), go with it
+        grids = []
+        real = cli_mod.make_grid
+
+        def make_grid(curve, n):
+            grid = real(curve, n)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(cli_mod, "make_grid", make_grid)
+        gc.disable()
+        try:
+            assert main(argv + ["--curve", ellipse_file, "--out", str(tmp_path)]) == 0
+            assert len(grids) == 1
+            assert grids[0]() is None
+        finally:
+            gc.enable()
+
+    def test_successive_calls_write_the_tables_of_fresh_processes(self, ellipse_file,
+                                                                   tmp_path):
+        queries = [
+            ["spectrum", "--lambda=0,-1"],
+            ["bound-states", "--alpha=-0.23,-0.15"],
+            ["probe"],
+            ["scattering", "--alpha=-0.3", "--lambda=0.5,1", "--dump-smatrix"],
+            # a rank_tol that narrows the blocks, then the default again
+            ["scattering", "--alpha=-0.3", "--lambda=0.5,1", "--dump-smatrix",
+             "--tol-override", "rank_tol=1e-3"],
+            ["scattering", "--alpha=-0.3", "--lambda=0.5,1", "--dump-smatrix"],
+        ]
+        src = str(pathlib.Path(curvedelta.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def tables(directory):
+            return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+        for i, query in enumerate(queries):
+            argv = query + ["--curve", ellipse_file, "--n", "64"]
+            subprocess.run([sys.executable, "-m", "curvedelta.cli", *argv,
+                            "--out", str(tmp_path / f"process{i}")], env=env, check=True)
+        for run in (1, 2):
+            for i, query in enumerate(queries):
+                argv = query + ["--curve", ellipse_file, "--n", "64"]
+                assert main(argv + ["--out", str(tmp_path / f"run{run}-{i}")]) == 0
+                assert tables(tmp_path / f"run{run}-{i}") == tables(tmp_path / f"process{i}")
+        assert tables(tmp_path / "process4") != tables(tmp_path / "process5")
 
 
 class TestCircleFFTPath:

@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import curvedelta
 from curvedelta import (CurveError, circle_chord,
                         circle_deviation, green_kernel, make_circle,
                         make_ellipse, make_grid, reparametrize_arclength,
@@ -12,7 +17,8 @@ from curvedelta import (CurveError, circle_chord,
 from curvedelta.curves import (REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
                                _ArcTable, _check_self_intersection,
                                _guard_arclengths, _pairwise_distances,
-                               _panel_count, _row_blocks, _unit_speed_deviation)
+                               _panel_count, _pchip_at, _row_blocks,
+                               _unit_speed_deviation)
 from curvedelta.resolvent import make_box
 from oracles import (NormFormulaCurve, accumulated_distances, broadcast_distances, chord,
                      chord_difference_reference, chord_mean_inequality, fourier_mode_curve,
@@ -320,6 +326,46 @@ def test_speed_and_grid_match_the_norm_formula(ellipse, name, n):
     grid, expected = make_grid(curve, n), make_grid(reference, n)
     assert np.array_equal(grid.points, expected.points)
     assert np.array_equal(grid.curvatures, expected.curvatures)
+
+
+def test_arc_table_start_is_scipys_pchip(ellipse):
+    # the inversion's start is bit for bit scipy's PchipInterpolator, at
+    # about 8.3k arc lengths per curve: the table's own, a fine grid and
+    # random ones
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(11)
+    for raw in [ellipse, *seeded_draws(3, 30)]:
+        table = _ArcTable(raw, panels=_panel_count(raw))
+        s = np.concatenate([table.cum, np.linspace(0.0, table.total_length, 8001),
+                            rng.uniform(0.0, table.total_length, 64)])
+        expected = PchipInterpolator(table.cum, table._edges)(s)
+        assert np.array_equal(_pchip_at(table._start, table.cum, s), expected)
+
+
+def test_importing_the_cli_leaves_out_scipy_interpolate():
+    child = "import sys, curvedelta.cli; print(any(m.startswith('scipy.interpolate') for m in sys.modules))"
+    src = str(pathlib.Path(curvedelta.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024, 2048, 3072, 4096])
+@pytest.mark.parametrize("name", ["ellipse", "seed 7"])
+def test_grid_reads_the_guard_inversion_bit_for_bit(ellipse, name, n):
+    # N = 3072 matches only the nodes whose arc length rounds to a guard
+    # node's, and inverts the rest
+    curve = ellipse if name == "ellipse" else seeded_fourier_curve(7)
+    grid = make_grid(curve, n)
+    t = curve.param_at_arclength(grid.nodes)
+    assert np.array_equal(grid.points, curve.point(t))
+    assert np.array_equal(grid.curvatures, curve.curvature(t))
+    if n == 3072:
+        guard = _guard_arclengths(curve.total_length)
+        shared = np.isin(grid.nodes, guard)
+        assert 0 < np.count_nonzero(shared) < np.count_nonzero(np.arange(n) % 3 == 0)
 
 
 NON_FINITE = [

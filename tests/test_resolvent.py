@@ -205,10 +205,12 @@ class TestSingularValues:
             return gram - 2.0 * np.linalg.eigvalsh(gram)[0] * np.eye(grid.n)
 
         monkeypatch.setattr(resolvent_mod, "boundary_derivative", shifted)
+        # a fresh grid: the shared one may keep an X built before the patch
+        grid = make_grid(circle_grid.curve, circle_grid.n)
         with pytest.raises(NumericsError, match="not positive definite"):
-            layer_singular_values(circle_grid, -1.0)
+            layer_singular_values(grid, -1.0)
         with pytest.raises(NumericsError, match="not positive definite"):
-            correction_singular_values(circle_grid, -1.0, -0.5)
+            correction_singular_values(grid, -1.0, -0.5)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_nonnegative_energy_refused(self, circle_grid, lam):
