@@ -109,43 +109,30 @@ def _tolerances(args) -> dict:
     return out
 
 
-def cmd_spectrum(args) -> int:
-    grid = _load_grid(args, _tolerances(args))
-    lams = _float_list(args.lam) if args.lam else [0.0]
+def cmd_spectrum(args, grid, tols) -> None:
+    lams = _float_list(args.lam)
     if any(lam > 0 for lam in lams):
         raise ConfigError("spectrum energies must satisfy lam <= 0")
     trusted = trusted_count(grid.n)
     summary = {}
     for i, lam in enumerate(lams):
         spec = boundary_spectrum(lam, grid)
-        rows = []
-        closed = None
+        path = os.path.join(args.out, f"spectrum_{i}.csv")
+        entry = {"lam": lam, "file": os.path.basename(path)}
+        header, columns = ["k", "nu"], [range(1, trusted + 1), spec]
         if grid.curve.is_circle and lam == 0.0:
             # nu_0, nu_1, nu_1, nu_2, nu_2, ...: each pair's level twice
             nu0, pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), trusted // 2)
             closed = np.concatenate([[nu0], pairs])[np.arange(1, trusted + 1) // 2]
-        for k in range(1, trusted + 1):
-            row = [k, spec[k - 1]]
-            if closed is not None:
-                row.append(closed[k - 1])
-            rows.append(row)
-        header = ["k", "nu"] + (["nu_closed_form"] if closed is not None else [])
-        path = os.path.join(args.out, f"spectrum_{i}.csv")
-        _write_rows(path, f"spectrum lam={_fmt(lam)} n={grid.n}", header, rows)
-        entry = {"lam": lam, "file": os.path.basename(path)}
-        if closed is not None:
-            entry["max_closed_form_deviation"] = float(
-                np.max(np.abs(spec[:trusted] - closed)))
+            header.append("nu_closed_form")
+            columns.append(closed)
+            entry["max_closed_form_deviation"] = float(np.max(np.abs(spec - closed)))
+        _write_rows(path, f"spectrum lam={_fmt(lam)} n={grid.n}", header, zip(*columns))
         summary[str(i)] = entry
     _write_json(os.path.join(args.out, "spectrum_summary.json"), summary)
-    return EXIT_OK
 
 
-def cmd_bound_states(args) -> int:
-    tols = _tolerances(args)
-    grid = _load_grid(args, tols)
-    if not args.alpha:
-        raise ConfigError("bound-states requires --alpha")
+def cmd_bound_states(args, grid, tols) -> None:
     alphas = _float_list(args.alpha)
     state_rows, count_rows = [], []
     for alpha in alphas:
@@ -172,20 +159,14 @@ def cmd_bound_states(args) -> int:
                 f"counts n={grid.n}",
                 ["alpha", "count", "deviation", "r", "l", "lower", "upper",
                  "asym_lower", "asym_upper", "endpoint_flag"], count_rows)
-    return EXIT_OK
 
 
-def cmd_scattering(args) -> int:
-    tols = _tolerances(args)
-    grid = _load_grid(args, tols)
-    if not args.alpha:
-        raise ConfigError("scattering requires --alpha")
+def cmd_scattering(args, grid, tols) -> None:
     alpha = _one_float(args.alpha, "--alpha")
-    lams = _float_list(args.lam) if args.lam else [1.0]
+    lams = _float_list(args.lam)
     if any(lam < 0 for lam in lams):
         raise ConfigError("scattering energies must satisfy lam >= 0")
-    candidates = _float_list(args.eta) if args.eta else [-1.0, -4.0, -16.0]
-    eta = choose_reference_energy(grid, alpha, candidates)
+    eta = choose_reference_energy(grid, alpha, _float_list(args.eta))
     rows = []
     for i, lam in enumerate(lams):
         block = scattering_block(grid, lam, alpha, eta, rank_tol=tols["rank_tol"])
@@ -205,13 +186,9 @@ def cmd_scattering(args) -> int:
                 f"scattering alpha={_fmt(alpha)} n={grid.n}",
                 ["lam", "eta", "retained_dim", "unitarity_defect",
                  "min_channel_eigenvalue", "condition"], rows)
-    return EXIT_OK
 
 
-def cmd_isoperimetric(args) -> int:
-    grid = _load_grid(args, _tolerances(args))
-    if not args.alpha:
-        raise ConfigError("isoperimetric requires --alpha")
+def cmd_isoperimetric(args, grid, tols) -> None:
     alpha = _one_float(args.alpha, "--alpha")
     lam_curve, lam_circle, gap = isoperimetric_compare(grid, alpha)
     _write_rows(os.path.join(args.out, "isoperimetric.csv"),
@@ -223,21 +200,19 @@ def cmd_isoperimetric(args) -> int:
             raise InvariantError(f"circle compared with itself: gap {gap:.3e} not zero")
     elif gap <= 0:
         raise InvariantError(f"principal-eigenvalue gap {gap:.3e} not positive")
-    return EXIT_OK
 
 
-def cmd_probe(args) -> int:
-    grid = _load_grid(args, _tolerances(args))
-    lam = _one_float(args.lam, "--lambda") if args.lam else -1.0
-    alpha = _one_float(args.alpha, "--alpha") if args.alpha else -0.5
+def cmd_probe(args, grid, tols) -> None:
+    lam = _one_float(args.lam, "--lambda")
+    alpha = _one_float(args.alpha, "--alpha")
     s_corr = correction_singular_values(grid, lam, alpha)
     s_layer = layer_singular_values(grid, lam)
     _write_rows(os.path.join(args.out, "probe_correction.csv"),
                 f"correction singular values lam={_fmt(lam)} alpha={_fmt(alpha)}",
-                ["k", "s"], [[k + 1, s_corr[k]] for k in range(len(s_corr))])
+                ["k", "s"], enumerate(s_corr, 1))
     _write_rows(os.path.join(args.out, "probe_layer.csv"),
                 f"layer singular values lam={_fmt(lam)}",
-                ["k", "s"], [[k + 1, s_layer[k]] for k in range(len(s_layer))])
+                ["k", "s"], enumerate(s_layer, 1))
     summary = {
         "lam": lam,
         "alpha": alpha,
@@ -248,16 +223,13 @@ def cmd_probe(args) -> int:
         "slope_layer": fit_decay_slope(s_layer),
     }
     _write_json(os.path.join(args.out, "probe_summary.json"), summary)
-    return EXIT_OK
 
 
-def cmd_d_sigma(args) -> int:
-    grid = _load_grid(args, _tolerances(args))
+def cmd_d_sigma(args, grid, tols) -> None:
     value = circle_deviation(grid)
     _write_json(os.path.join(args.out, "d_sigma.json"),
                 {"n": grid.n, "value": value})
     sys.stdout.write(_fmt(value) + "\n")
-    return EXIT_OK
 
 
 # value options a subcommand may declare: flag -> (attribute, help)
@@ -271,24 +243,26 @@ VALUE_OPTIONS = {
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.  Parsing keeps no
-    state between calls: each returns a new namespace, and the one default
-    that is not a number, a subcommand's tolerance table, is copied by
-    `_tolerances` before an override is applied."""
+    state between calls: each returns a new namespace, and the one mutable
+    default, a subcommand's tolerance table, is copied by `_tolerances`
+    before an override is applied."""
     parser = argparse.ArgumentParser(
         prog="curvedelta",
         description="Spectra, bound states and scattering of a delta-interaction "
                     "supported on a closed curve in R^3.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, values=(), tolerances=None):
-        """Subparser with the common options, the value options it reads, and
-        the defaults of the tolerances it reads (reparam_tol always)."""
+    def command(name, func, summary, values=None, tolerances=None):
+        """Subparser with the common options, the value options it reads,
+        each mapped to its default or to None where it is required, and the
+        defaults of the tolerances it reads (reparam_tol always)."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--curve", required=True, help="curve JSON file")
         p.add_argument("--n", type=int, default=256, help="grid size (even)")
-        for flag in values:
+        for flag, default in (values or {}).items():
             dest, text = VALUE_OPTIONS[flag]
-            p.add_argument(flag, dest=dest, help=text)
+            p.add_argument(flag, dest=dest, default=default, required=default is None,
+                           help=text if default is None else f"{text} (default {default})")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol-override", action="append",
                        help="KEY=VAL tolerance override (repeatable)")
@@ -296,21 +270,22 @@ def _parser() -> argparse.ArgumentParser:
                        tolerances={"reparam_tol": REPARAM_TOL, **(tolerances or {})})
         return p
 
-    command("spectrum", cmd_spectrum, "eigenvalue tables per energy", ["--lambda"])
+    command("spectrum", cmd_spectrum, "eigenvalue tables per energy", {"--lambda": "0"})
 
     p = command("bound-states", cmd_bound_states, "bound states and counting per alpha",
-                ["--alpha"], {"root_tol": ROOT_TOL})
+                {"--alpha": None}, {"root_tol": ROOT_TOL})
     p.add_argument("--max-states", type=int, default=None)
 
     p = command("scattering", cmd_scattering, "scattering block per energy",
-                ["--alpha", "--lambda", "--eta"], {"rank_tol": RANK_TOL})
+                {"--alpha": None, "--lambda": "1", "--eta": "-1,-4,-16"},
+                {"rank_tol": RANK_TOL})
     p.add_argument("--dump-smatrix", action="store_true")
 
     command("isoperimetric", cmd_isoperimetric, "principal eigenvalue vs the circle",
-            ["--alpha"])
+            {"--alpha": None})
 
     p = command("probe", cmd_probe, "singular-value decay of the resolvent correction",
-                ["--alpha", "--lambda"])
+                {"--alpha": "-0.5", "--lambda": "-1"})
     # accepted for older command lines; the exact probe samples no box
     p.add_argument("--box-n", type=int, default=24, help="no effect")
 
@@ -320,6 +295,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """One query: parse, read the tolerances, load the grid, run the
+    subcommand on it and map the outcome to an exit code.  Only the call
+    refers to the grid, so it and all that is kept on it go when the
+    subcommand returns."""
     parser = _parser()
     try:
         args = parser.parse_args(argv)
@@ -327,7 +306,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        tols = _tolerances(args)
+        args.func(args, _load_grid(args, tols), tols)
+        return EXIT_OK
     except (ConfigError, CurveError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -56,11 +56,11 @@ class _ArcTable:
     costs 44 speed evaluations per point, so the curve checks of
     `reparametrize_arclength` invert their nodes once and reach points a
     short arc away by `_params_past`, and keep the parameters of the guard's
-    nodes as `guard_params`, which `make_grid` reads.
+    nodes as `guard_params`, which `make_grid` reads.  The table is arrays
+    and numbers: its curve, which holds it, is passed to each lookup.
     """
 
     def __init__(self, curve: "Curve", panels: int):
-        self._curve = curve
         T = curve.period
         self._edges = np.linspace(0.0, T, panels + 1)
         x, w = leggauss(10)
@@ -80,8 +80,8 @@ class _ArcTable:
         # parameters of the nodes `_guard_arclengths(L)`, once inverted
         self.guard_params: np.ndarray | None = None
 
-    def length_at(self, t: np.ndarray) -> np.ndarray:
-        """Arc length from parameter 0 to t (t in [0, T])."""
+    def length_at(self, curve: "Curve", t: np.ndarray) -> np.ndarray:
+        """Arc length along `curve` from parameter 0 to t (t in [0, T])."""
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0,
                       len(self._edges) - 2)
@@ -89,18 +89,18 @@ class _ArcTable:
         mid = 0.5 * (lo + t)
         half = 0.5 * (t - lo)
         tq = mid[..., None] + half[..., None] * self._gauss_x
-        speeds = self._curve.speed(tq.reshape(-1)).reshape(tq.shape)
+        speeds = curve.speed(tq.reshape(-1)).reshape(tq.shape)
         return self.cum[idx] + half * (speeds @ self._gauss_w)
 
-    def param_at(self, s: np.ndarray) -> np.ndarray:
-        """Parameter t with arc length s, for s in [0, L] (vectorized)."""
+    def param_at(self, curve: "Curve", s: np.ndarray) -> np.ndarray:
+        """Parameter t of `curve` with arc length s, for s in [0, L] (vectorized)."""
         s = np.asarray(s, dtype=float)
         t = np.clip(_pchip_at(self._start, self.cum, np.clip(s, 0.0, self.total_length)),
-                    0.0, self._curve.period)
+                    0.0, curve.period)
         for _ in range(4):
-            resid = s - self.length_at(t)
-            t = t + resid / self._curve.speed(t)
-            t = np.clip(t, 0.0, self._curve.period)
+            resid = s - self.length_at(curve, t)
+            t = t + resid / curve.speed(t)
+            t = np.clip(t, 0.0, curve.period)
         return t
 
 
@@ -226,7 +226,7 @@ class Curve:
         s = np.mod(np.asarray(s, dtype=float), self.total_length)
         if self.unit_speed and self._table is None:
             return s
-        return self._table.param_at(s)
+        return self._table.param_at(self, s)
 
     def point_at_arclength(self, s):
         return self.point(self.param_at_arclength(s))
@@ -324,13 +324,13 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
 
     L = table.total_length
     s_check = _guard_arclengths(L)
-    t_check = table.guard_params = _by_chunks(table.param_at, s_check)
+    t_check = table.guard_params = _by_chunks(out.param_at_arclength, s_check)
     _check_self_intersection(_by_chunks(out.point, t_check), L)
 
     n_check = 4 * _panel_count(out)
     if n_check != _GUARD_NODES:
         s_check = np.arange(n_check) * L / n_check
-        t_check = _by_chunks(table.param_at, s_check)
+        t_check = _by_chunks(out.param_at_arclength, s_check)
     dev = max(_unit_speed_deviation(out, s, t)
               for s, t in zip(_chunks(s_check), _chunks(t_check)))
     if dev >= tol:
@@ -515,9 +515,10 @@ def _kept(owner, name: str, key, build):
     one entry: a call with the key of that entry returns the kept result, a
     call with another key builds and replaces it.  Keys compare with ==,
     and grids by identity.  An array result is kept read-only, since every
-    later caller shares it.  A kept result refers to its owner weakly if
-    at all: a reference back would make a cycle, and the owner's arrays
-    would outlive their last user until the cyclic garbage collector ran.
+    later caller shares it.  A kept result is arrays and numbers, never an
+    object that refers back to its owner: that would make a cycle, and the
+    owner's arrays would outlive their last user until the cyclic garbage
+    collector ran.
     """
     # kept where cached_property keeps its values; the dataclasses are frozen
     entry = owner.__dict__.get(name)

@@ -27,7 +27,6 @@ loses to the channels left out.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +65,13 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     return re
 
 
-def _reference_boundary(grid: ArcGrid, eta: float) -> _Operator:
-    """B(eta), kept on the grid under eta: the choice of eta and every block
-    of a run at that eta share one operator, so one assembly.  The kept
-    operator reaches the grid through a weak proxy, since a reference back
-    to its owner would make a cycle that keeps the grid and B(eta) until
-    the cyclic garbage collector runs."""
+def _reference_boundary(grid: ArcGrid, eta: float,
+                        op: _Operator | None = None) -> np.ndarray:
+    """The read-only matrix of B(eta), kept on the grid under eta: the
+    choice of eta hands over the matrix of the operator `op` it read, so
+    the choice and every block of a run at that eta share one assembly."""
     return _kept(grid, "reference_boundary", eta,
-                 lambda: _operator(eta, weakref.proxy(grid)))
+                 lambda: (op or _operator(eta, grid)).matrix)
 
 
 def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
@@ -85,7 +83,9 @@ def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
     if any(eta >= 0 for eta in candidates):
         raise ConfigError("reference energy candidates must be negative")
     for eta in candidates:
-        if _reference_boundary(grid, eta).clear_of(alpha, ETA_MARGIN):
+        op = _operator(eta, grid)
+        if op.clear_of(alpha, ETA_MARGIN):
+            _reference_boundary(grid, eta, op)
             return float(eta)
     raise NumericsError("no candidate reference energy keeps alpha away from "
                         "the spectrum")
@@ -236,7 +236,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                condition=0.0)
 
     p = len(vals)
-    boundary = _reference_boundary(grid, eta).matrix
+    boundary = _reference_boundary(grid, eta)
     system = re                     # A_r = Re N + B_eta - alpha, in place
     system += boundary
     system[np.diag_indices(grid.n)] -= alpha

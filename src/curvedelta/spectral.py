@@ -585,7 +585,7 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int]:
 
     spec, reach = _kept(grid, "zero_energy_spectrum", None, top)
     if reach > 0 and np.any(np.abs(spec - alpha) <= reach):
-        spec = _kept(grid, "zero_energy_dense", None, lambda: _Operator(0.0, grid)._dense_top())
+        spec = _kept(grid, "zero_energy_dense", None, lambda: _operator(0.0, grid)._dense_top())
     trusted = trusted_count(grid.n)
     count = int(np.sum(spec > alpha))
     if count >= trusted:
@@ -620,20 +620,21 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
     last two values, g^3 / g_prev^2, puts the next one within the rounding
     width, that step is expected to be the last: it skips the count and
     reads the subset eigensolve the root needs anyway.  Every branch value
-    is checked against the count and against the nearest samples on both
-    sides.  A step that leaves the bracket bisects it instead.  The search
-    stops once the step is below ROOT_XTOL + ROOT_RTOL |lam|, or once nu_k
-    is within eps ||B||_1 of alpha, at the operator of its last energy.
-    Every operator is built on `work`, so each step supersedes the last.
+    is checked against the count and against the bracket's ends, the
+    nearest samples on both sides.  A step that leaves the bracket bisects
+    it instead.  The search stops once the step is below ROOT_XTOL +
+    ROOT_RTOL |lam|, or once nu_k is within eps ||B||_1 of alpha, at the
+    operator of its last energy.  Every operator is built on `work`, so
+    each step supersedes the last.
     """
-    samples = {lower.lam: lower.value - alpha, 0.0: zero_value - alpha}
-    if samples[0.0] <= 0:
-        raise NumericsError(f"root bracket invalid for mode {k}")
-    _refuse_side(k, samples[lower.lam], above=False)
     lo, hi = lower.lam, 0.0
+    lo_gap, hi_gap = lower.value - alpha, zero_value - alpha
+    if hi_gap <= 0:
+        raise NumericsError(f"root bracket invalid for mode {k}")
+    _refuse_side(k, lo_gap, above=False)
     target = _newton_target(lower, alpha)
     guess = lower.vector
-    previous, last = samples[lower.lam], False
+    previous, last = lo_gap, False
     for _ in range(MAX_ROOT_STEPS):
         if not lo < target < hi:
             target = _bisect(lo, hi)
@@ -646,12 +647,13 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
         gap = point.value - alpha
         if not last:
             _refuse_side(k, gap, above=count >= k)
-        below = samples[max(x for x in samples if x < target)]
-        above = samples[min(x for x in samples if x > target)]
-        if not below - MONOTONE_TOL <= gap <= above + MONOTONE_TOL:
+        # the target lies strictly inside (lo, hi), every earlier sample outside
+        if not lo_gap - MONOTONE_TOL <= gap <= hi_gap + MONOTONE_TOL:
             raise NumericsError(f"monotonicity violated inside bracket for mode {k}")
-        samples[target] = gap
-        lo, hi = (lo, target) if gap > 0 else (target, hi)
+        if gap > 0:
+            hi, hi_gap = target, gap
+        else:
+            lo, lo_gap = target, gap
         guess = point.vector
         step = _newton_target(point, alpha)
         tol = ROOT_XTOL + ROOT_RTOL * abs(target)

@@ -312,9 +312,9 @@ def test_make_grid_reads_the_arc_table_once(ellipse, monkeypatch):
     calls = []
     real = _ArcTable.param_at
 
-    def param_at(table, s):
+    def param_at(table, curve, s):
         calls.append(len(s))
-        return real(table, s)
+        return real(table, curve, s)
 
     monkeypatch.setattr(_ArcTable, "param_at", param_at)
     grids = [make_grid(ellipse, n) for n in (128, 2048)]

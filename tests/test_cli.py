@@ -367,26 +367,31 @@ class TestInProcess:
     which the in-process benchmark relies on."""
 
     @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "128", "--lambda=0,-1"],
         ["bound-states", "--n", "128", "--alpha=-0.23,-0.15"],
         ["scattering", "--n", "128", "--alpha=-0.3", "--lambda=0.5,1"],
+        ["isoperimetric", "--n", "128", "--alpha=-0.15"],
+        ["probe", "--n", "64"],
+        ["d-sigma", "--n", "128"],
     ], ids=lambda argv: argv[0])
     def test_grid_freed_when_main_returns(self, ellipse_file, tmp_path, monkeypatch, argv):
-        # without the cyclic collector, so only reference counts free it:
-        # B, B' and the LDL^T copy of a search, and a kept B(eta), go with it
-        grids = []
+        # without the cyclic collector, so only reference counts free them:
+        # the curve and its arc table, and the grid with B, B' and the
+        # LDL^T copy of a search and a kept B(eta), go when main returns
+        kept = []
         real = cli_mod.make_grid
 
         def make_grid(curve, n):
             grid = real(curve, n)
-            grids.append(weakref.ref(grid))
+            kept.extend([weakref.ref(curve), weakref.ref(grid)])
             return grid
 
         monkeypatch.setattr(cli_mod, "make_grid", make_grid)
         gc.disable()
         try:
             assert main(argv + ["--curve", ellipse_file, "--out", str(tmp_path)]) == 0
-            assert len(grids) == 1
-            assert grids[0]() is None
+            assert len(kept) == 2
+            assert [ref() for ref in kept] == [None, None]
         finally:
             gc.enable()
 
@@ -515,6 +520,10 @@ MALFORMED = [
     (["probe", "--lambda", ","], "no number"),
     (["bound-states", "--alpha", ","], "no number"),
     (["spectrum", "--lambda", ","], "no number"),
+    # an empty list is no list, not the default
+    (["spectrum", "--lambda="], "no number"),
+    (["scattering", "--alpha=-0.5", "--eta="], "no number"),
+    (["probe", "--alpha="], "no number"),
     (["scattering", "--alpha=-0.5,-0.3"], "--alpha takes one value"),
     (["probe", "--box-lo", "-3"], "unrecognized arguments: --box-lo"),
 ]
@@ -564,6 +573,20 @@ def test_unread_option_exits_2(circle_file, tmp_path, capsys, command, option):
                  "--out", str(tmp_path)]) == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bound-states", "scattering", "isoperimetric"])
+def test_missing_alpha_exits_2_before_the_curve_is_read(tmp_path, capsys, command):
+    # the curve file does not exist, and the parser refuses first
+    assert main([command, "--curve", str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path)]) == 2
+    assert "required: --alpha" in capsys.readouterr().err
+
+
+def test_value_defaults_show_in_help(capsys):
+    assert main(["scattering", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default 1)" in text and "(default -1,-4,-16)" in text
 
 
 @pytest.mark.parametrize("command, key", [

@@ -294,7 +294,7 @@ def test_unit_speed_check_keeps_its_decisions():
     for raw in seeded_draws(20251, 40):
         curve = _with_arc_table(raw)
         s = _guard_arclengths(curve.total_length)
-        dev = _unit_speed_deviation(curve, s, curve._table.param_at(s))
+        dev = _unit_speed_deviation(curve, s, curve._table.param_at(curve, s))
         ref = unit_speed_deviation_reference(curve)
         assert (dev < REPARAM_TOL) is (ref < REPARAM_TOL)
         if ref < 1e-6:

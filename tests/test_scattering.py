@@ -241,7 +241,7 @@ class TestScatteringBlock:
         assert built == [-1.0]
         scattering_block(grid, 1.0, -0.5, -4.0)
         assert built == [-1.0, -4.0]
-        assert not curves._kept(grid, "reference_boundary", -4.0, None).matrix.flags.writeable
+        assert not curves._kept(grid, "reference_boundary", -4.0, None).flags.writeable
 
     def test_one_reference_assembly_per_run(self, ellipse, tmp_path, monkeypatch):
         # the choice of eta reads its spectrum off the B(eta) the blocks

@@ -113,6 +113,15 @@ def test_no_representation_branch_in_the_operator():
     assert spectral._CircleOperator.__bases__ == (spectral._Operator,)
 
 
+def test_operators_come_from_the_factory():
+    # spectral._operator picks the class of B(lam) for the grid, so no
+    # module constructs either class itself
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _called(node) in ("_Operator", "_CircleOperator")]
+    assert found == []
+
+
 def _numpy_linalg_calls(path: pathlib.Path) -> set[str]:
     """Names of the `<alias>.linalg.<name>(...)` calls in a module's source,
     where the alias is any name the module binds to numpy, and of the names
