@@ -71,7 +71,18 @@ def _load_grid(args, tols: dict):
             spec = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"curve file is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"curve file cannot be read: {exc}") from exc
     return make_grid(curve_from_json_dict(spec, reparam_tol=tols["reparam_tol"]), args.n)
+
+
+def _make_out(path: str) -> None:
+    """Create the --out directory, as a configuration error where the
+    path cannot be a directory."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory cannot be made: {exc}") from exc
 
 
 def _write_rows(path: str, meta: str, header: list[str], rows) -> None:
@@ -305,7 +316,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out(args.out)
         tols = _tolerances(args)
         args.func(args, _load_grid(args, tols), tols)
         return EXIT_OK

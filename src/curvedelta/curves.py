@@ -50,14 +50,15 @@ class _ArcTable:
     """Monotone map between arc length s in [0, L] and curve parameter t.
 
     Cumulative lengths are accumulated with composite Gauss quadrature of
-    |sigma'| on fine panels; inversion uses a monotone cubic (PCHIP) initial
-    guess refined by four Newton steps on the exact quadrature, so parameter
-    values are recovered essentially to machine precision.  One inversion
-    costs 44 speed evaluations per point, so the curve checks of
-    `reparametrize_arclength` invert their nodes once and reach points a
-    short arc away by `_params_past`, and keep the parameters of the guard's
-    nodes as `guard_params`, which `make_grid` reads.  The table is arrays
-    and numbers: its curve, which holds it, is passed to each lookup.
+    |sigma'| on fine panels; inversion starts from the linear interpolant
+    of the table (np.interp, which clamps to [0, T]) and takes four Newton
+    steps on the exact quadrature, so parameter values are recovered
+    essentially to machine precision.  One inversion costs 44 speed
+    evaluations per point, so the curve checks of `reparametrize_arclength`
+    invert their nodes once and reach points a short arc away by
+    `_params_past`, and keep the parameters of the guard's nodes as
+    `guard_params`, which `make_grid` reads.  The table is arrays and
+    numbers: its curve, which holds it, is passed to each lookup.
     """
 
     def __init__(self, curve: "Curve", panels: int):
@@ -76,7 +77,6 @@ class _ArcTable:
         if not (np.all(np.isfinite(self.cum)) and np.all(panel_len > 0)):
             raise CurveError("arc-length table is not finite and increasing")
         self.total_length = float(self.cum[-1])
-        self._start = _pchip(self.cum, self._edges)
         # parameters of the nodes `_guard_arclengths(L)`, once inverted
         self.guard_params: np.ndarray | None = None
 
@@ -95,54 +95,12 @@ class _ArcTable:
     def param_at(self, curve: "Curve", s: np.ndarray) -> np.ndarray:
         """Parameter t of `curve` with arc length s, for s in [0, L] (vectorized)."""
         s = np.asarray(s, dtype=float)
-        t = np.clip(_pchip_at(self._start, self.cum, np.clip(s, 0.0, self.total_length)),
-                    0.0, curve.period)
+        t = np.interp(s, self.cum, self._edges)
         for _ in range(4):
             resid = s - self.length_at(curve, t)
             t = t + resid / curve.speed(t)
             t = np.clip(t, 0.0, curve.period)
         return t
-
-
-def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(4, len(x) - 1) coefficients, highest power first, of the monotone
-    piecewise cubic (PCHIP) through the points (x, y), x increasing, on
-    each interval in powers of the offset from its left end.
-
-    The derivatives at the points are those of Fritsch and Butland, the
-    weighted harmonic means of the two neighbouring slopes (0 where these
-    differ in sign or one is 0), and at the ends Moler's one-sided
-    three-point estimate.  The operations are those of scipy's
-    PchipInterpolator, so `_pchip_at` reproduces its values bit for bit.
-    """
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
-                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
-        d[end] = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(d[end]) != np.sign(m0):
-            d[end] = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(d[end]) > 3.0 * abs(m0):
-            d[end] = 3.0 * m0
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
-
-
-def _pchip_at(coeffs: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The `_pchip` cubic of coefficients `coeffs` over the points x at s,
-    each interval closed on the left and the last one on both sides, and
-    summed as scipy's PPoly sums it: ((c3 + c2 u) + c1 u^2) + c0 (u^2 u)."""
-    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
-    u = s - x[i]
-    c0, c1, c2, c3 = coeffs[:, i]
-    square = u * u
-    return ((c3 + c2 * u) + c1 * square) + c0 * (square * u)
 
 
 class Curve:

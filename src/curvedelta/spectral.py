@@ -55,8 +55,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import (_comparison_block, boundary_derivative, boundary_matrix,
-                       circle_boundary_modes, circle_derivative_modes, circle_mode_eigenvalues,
-                       comparison_matrix)
+                       circle_boundary_modes, circle_derivative_modes, circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
@@ -286,15 +285,18 @@ class _Operator:
         return self._top[0]
 
     @cached_property
-    def _top(self) -> tuple[np.ndarray, float]:
-        """The top n/4 eigenvalues and the certified bound on how far each
-        lies below the eigenvalue of B(lam): the compression's
-        ||C||_F^2 / eta where that is at most COMPRESSION_TOL, tried on the
-        leading wavenumbers k <= 3n/16 of T and then on all of T; else the
-        dense eigensolve, with bound 0, which alone assembles B."""
+    def _top(self) -> tuple[np.ndarray, float, float, float]:
+        """The top n/4 eigenvalues, the certified bound on how far each
+        lies below the eigenvalue of B(lam), and from the compression's
+        sweep ||D||_F and max |Lambda| + ||D||_F >= ||B||_2.  The bound is
+        the compression's ||C||_F^2 / eta where that is at most
+        COMPRESSION_TOL, tried on the leading wavenumbers k <= 3n/16 of T
+        and then on all of T; else the dense eigensolve, with bound 0,
+        which alone assembles B."""
         n = self.grid.n
         trusted = trusted_count(n)
         block, rests, comparison, modes = _fourier_compression(self.lam, self.grid, n // 4)
+        norm = float(np.max(np.abs(modes))) + comparison
         # both leading blocks span 2 kept + 1 >= n/4 modes
         for kept in (3 * n // 16, n // 4):
             size = 2 * kept + 1
@@ -311,8 +313,8 @@ class _Operator:
                 values = eigen(block[:size, :size])[:trusted]
                 gap = values[-1] - (discarded + comparison)
                 if gap > 0 and coupling_sq / gap <= COMPRESSION_TOL:
-                    return values, coupling_sq / gap
-        return self._dense_top(), 0.0
+                    return values, coupling_sq / gap, comparison, norm
+        return self._dense_top(), 0.0, comparison, norm
 
     def _dense_top(self) -> np.ndarray:
         """The top n/4 eigenvalues of the dense eigensolve of B(lam)."""
@@ -487,8 +489,8 @@ class _CircleOperator(_Operator):
         return float(np.max(np.abs(self._values)))     # the spectral radius
 
     @cached_property
-    def _top(self) -> tuple[np.ndarray, float]:
-        return self._values[:trusted_count(self.grid.n)], 0.0
+    def _top(self) -> tuple[np.ndarray, float, float, float]:
+        return self._values[:trusted_count(self.grid.n)], 0.0, 0.0, self._scale
 
     def _inertia(self, x: float) -> tuple[int, bool, None]:
         return int(np.count_nonzero(self._values > x)), bool(np.any(self._values == x)), None
@@ -563,27 +565,28 @@ def _energy_floor(grid: ArcGrid, alpha: float, work: _Workspace) -> _Point:
                         f"after {MAX_FLOOR_DOUBLINGS} doublings")
 
 
-def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int]:
-    """Top n/4 of the energy-zero spectrum and its count above alpha;
-    refuses at n/4.
+def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int, float]:
+    """Top n/4 of the energy-zero spectrum, its count above alpha and
+    ||D_0||_F of the sweep that computed it (0 on a circle); refuses at n/4.
 
     The spectrum does not depend on alpha, so it is computed once per grid
     and kept on it: counting and root finding at any number of couplings
-    share one assembly and eigensolve.  A compressed value lies within its
+    share one sweep and eigensolve.  A compressed value lies within its
     bound below the eigenvalue, so a count read from it can differ from the
     dense one only where alpha is within that bound plus the rounding
-    width of a value; there the dense spectrum, also kept on the grid,
-    decides the count, the n/4 refusal included.
+    width of a value, sqrt(n) eps (max |Lambda| + ||D_0||_F), read from the
+    sweep without assembling B(0); there the dense spectrum, also kept on
+    the grid, decides the count, the n/4 refusal included.
     """
     if alpha == 0 or math.isnan(alpha):
         raise ConfigError("coupling alpha must be a nonzero number")
 
     def top():
-        op = _operator(0.0, grid)
-        values, bound = op._top
-        return _read_only(values), bound + op._rounding if bound > 0 else 0.0
+        values, bound, comparison, norm = _operator(0.0, grid)._top
+        reach = bound + math.sqrt(grid.n) * EPS * norm if bound > 0 else 0.0
+        return _read_only(values), reach, comparison
 
-    spec, reach = _kept(grid, "zero_energy_spectrum", None, top)
+    spec, reach, comparison = _kept(grid, "zero_energy_spectrum", None, top)
     if reach > 0 and np.any(np.abs(spec - alpha) <= reach):
         spec = _kept(grid, "zero_energy_dense", None, lambda: _operator(0.0, grid)._dense_top())
     trusted = trusted_count(grid.n)
@@ -591,7 +594,7 @@ def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int]:
     if count >= trusted:
         raise NumericsError("count reaches the trusted range n/4; refusing to "
                             "undercount - refine the grid")
-    return spec, count
+    return spec, count, comparison
 
 
 def _newton_target(point: _Point, alpha: float) -> float:
@@ -687,7 +690,7 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     """
     if max_states is not None and max_states < 0:
         raise ConfigError(f"max_states must be nonnegative, got {max_states}")
-    zero_spec, n_roots = _zero_energy_count(grid, alpha)
+    zero_spec, n_roots, _ = _zero_energy_count(grid, alpha)
     if max_states is not None:
         n_roots = min(n_roots, max_states)
     if n_roots == 0:
@@ -789,18 +792,12 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
     The sandwich shifts alpha by s = ||D_0||_F of the energy-zero comparison
     matrix: B(0) is the circle's operator plus D_0, so by Weyl's inequality
     each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.  s
-    depends on the grid alone and is kept on it.  The intervals, the
-    endpoint flag, the circle check and the asymptotic precondition all
-    read one table of the circle's levels.
+    is summed by the sweep of the energy-zero spectrum, kept with it on the
+    grid, and is 0 on a circle.  The intervals, the endpoint flag, the
+    circle check and the asymptotic precondition all read one table of the
+    circle's levels.
     """
-    _, count = _zero_energy_count(grid, alpha)
-
-    def shift() -> float:
-        d0 = comparison_matrix(0.0, grid).ravel()
-        # scipy's BLAS, as every eigensolve here: numpy's would wake a second pool
-        return math.sqrt(scipy.linalg.get_blas_funcs("dot", (d0,))(d0, d0))
-
-    deviation = _kept(grid, "comparison_norm", None, shift)
+    _, count, deviation = _zero_energy_count(grid, alpha)
     radius = grid.length / (2.0 * np.pi)
     levels = _circle_levels(radius, alpha - deviation)
     r_index = _interval_index(alpha + deviation, levels)

@@ -6,6 +6,7 @@ different BLAS thread counts, say).
 
 Every `*.csv` under DIR_A must exist under DIR_B, with the same `#` meta
 line, header and number of rows, and DIR_B must hold no other table.
+An empty cell (a bound that does not apply) matches only an empty cell.
 A cell that is not a float (an index, a count, a flag) must be the same
 text in both, and so must a float cell that is not finite (nan, inf).
 Finite float cells must agree within |a - b| <= RTOL s, where s is the
@@ -55,15 +56,19 @@ def table_difference(a: pathlib.Path, b: pathlib.Path) -> float:
     for name, *cells in zip(rows_a[1], *rows_a[2:], *rows_b[2:], strict=True):
         if name in UNCOMPARED:
             continue
-        firsts, seconds = cells[:len(cells) // 2], cells[len(cells) // 2:]
+        half = len(cells) // 2
+        texts = [(x, y) for x, y in zip(cells[:half], cells[half:]) if x or y]
+        if not all(x and y for x, y in texts):
+            raise ValueError(f"{a.name}: column {name} differs in an empty cell")
+        filled = [v for pair in texts for v in pair]
         # a column of floats may hold a cell that reads as an integer, "0"
-        if not all(map(_is_number, cells)) or all(map(_is_integer, cells)):
-            if firsts != seconds:
+        if not all(map(_is_number, filled)) or all(map(_is_integer, filled)):
+            if any(x != y for x, y in texts):
                 raise ValueError(f"{a.name}: column {name} differs")
             continue
-        pairs = [(float(x), float(y)) for x, y in zip(firsts, seconds)]
+        pairs = [(float(x), float(y)) for x, y in texts]
         finite = [math.isfinite(x) and math.isfinite(y) for x, y in pairs]
-        if any(not ok and x != y for ok, x, y in zip(finite, firsts, seconds)):
+        if any(not ok and x != y for ok, (x, y) in zip(finite, texts)):
             raise ValueError(f"{a.name}: column {name} differs in a non-finite cell")
         pairs = [pair for ok, pair in zip(finite, pairs) if ok]
         scale = max((abs(v) for pair in pairs for v in pair), default=0.0)

@@ -670,6 +670,26 @@ def test_malformed_curve_exits_2(tmp_path, capsys, text, message):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("case", ["curve a directory", "curve not UTF-8", "out under a file"])
+def test_unreadable_path_exits_2(tmp_path, capsys, case):
+    # each raised out of main with a traceback (IsADirectoryError,
+    # UnicodeDecodeError, NotADirectoryError) before it was a configuration
+    # error
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(curve_to_json_dict(make_circle(1.0))))
+    out = tmp_path / "out"
+    if case == "curve a directory":
+        curve = tmp_path
+    elif case == "curve not UTF-8":
+        curve.write_bytes(b"\xff\xfe\x00")
+    else:
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+    assert main(["spectrum", "--curve", str(curve), "--n", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
 # -- the cross-thread table comparison of CI ----------------------------------
 
 
@@ -696,6 +716,12 @@ TABLE = ["-0.23,1,-5.5,0", "-0.23,2,-4,0"]
     (TABLE, ["-0.23,1,-5.5,0", "-0.23,2,inf,0"], 1),
     (["-0.23,1,nan,0", "-0.23,2,-4,0"], ["-0.23,1,nan,0", "-0.23,2,-4,0"], 0),
     (["-0.23,1,nan,0", "-0.23,2,-4,0"], ["-0.23,1,nan,0", "-0.23,2,-3,0"], 1),
+    # an empty cell matches only an empty cell, and the column's numbers
+    # are still compared within RTOL, as counts.csv's asymptotic bounds
+    (["-0.23,1,,0", "-0.23,2,-4,0"], ["-0.23,1,,0", "-0.23,2,-4.00000000000006,0"], 0),
+    (["-0.23,1,,0", "-0.23,2,-4,0"], ["-0.23,1,,0", "-0.23,2,-4.000000000001,0"], 1),
+    (["-0.23,1,,0", "-0.23,2,-4,0"], ["-0.23,1,-5.5,0", "-0.23,2,-4,0"], 1),
+    (TABLE, ["-0.23,1,-5.5,0", "-0.23,,-4,0"], 1),
 ])
 def test_table_diff(tmp_path, capsys, first, second, exit_code):
     _write_table(tmp_path / "a", first)

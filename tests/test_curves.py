@@ -17,7 +17,7 @@ from curvedelta import (CurveError, circle_chord,
 from curvedelta.curves import (REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
                                _ArcTable, _check_self_intersection,
                                _guard_arclengths, _pairwise_distances,
-                               _panel_count, _pchip_at, _row_blocks,
+                               _panel_count, _row_blocks,
                                _unit_speed_deviation)
 from curvedelta.resolvent import make_box
 from oracles import (NormFormulaCurve, accumulated_distances, broadcast_distances, chord,
@@ -328,19 +328,31 @@ def test_speed_and_grid_match_the_norm_formula(ellipse, name, n):
     assert np.array_equal(grid.curvatures, expected.curvatures)
 
 
-def test_arc_table_start_is_scipys_pchip(ellipse):
-    # the inversion's start is bit for bit scipy's PchipInterpolator, at
-    # about 8.3k arc lengths per curve: the table's own, a fine grid and
-    # random ones
-    from scipy.interpolate import PchipInterpolator
+def _many_mode_curve() -> Curve:
+    """The unit circle plus 23 small higher modes (2 to 24), so that its arc
+    table has more than 256 panels; not arc-length parametrized."""
+    rng = np.random.default_rng(24)
+    decay = 0.02 / np.arange(2, 25)[:, None] ** 1.5
+    cos = np.vstack([[1.0, 0.0, 0.0], decay * rng.standard_normal((23, 3))])
+    sin = np.vstack([[0.0, 1.0, 0.0], decay * rng.standard_normal((23, 3))])
+    return Curve(np.zeros(3), cos, sin, 2.0 * math.pi)
 
-    rng = np.random.default_rng(11)
-    for raw in [ellipse, *seeded_draws(3, 30)]:
-        table = _ArcTable(raw, panels=_panel_count(raw))
-        s = np.concatenate([table.cum, np.linspace(0.0, table.total_length, 8001),
-                            rng.uniform(0.0, table.total_length, 64)])
-        expected = PchipInterpolator(table.cum, table._edges)(s)
-        assert np.array_equal(_pchip_at(table._start, table.cum, s), expected)
+
+def test_arc_table_inverts_to_rounding(ellipse):
+    # the arc length at the inverted parameter is s to within 2 eps L, at
+    # 4096 arc lengths per curve: the ellipse, seeded draws the checks
+    # accept and refuse, and a curve with more than 256 panels
+    many = _many_mode_curve()
+    assert _panel_count(many) > 256
+    raws = [ellipse, many, *seeded_draws(3, 12)]
+    refused = [_rejects(reparametrize_arclength, raw) for raw in raws[2:]]
+    assert 0 < sum(refused) < len(refused)
+    for raw in raws:
+        curve = _with_arc_table(raw)
+        table = curve._table
+        s = np.linspace(0.0, table.total_length, 4096)
+        error = np.abs(table.length_at(curve, table.param_at(curve, s)) - s)
+        assert error.max() <= 2.0 * np.finfo(float).eps * table.total_length
 
 
 def test_importing_the_cli_leaves_out_scipy_interpolate():

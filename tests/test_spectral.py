@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, reject, settings
 from hypothesis import strategies
 
-from curvedelta import spectral
+from curvedelta import assembly, spectral
 from curvedelta import (ConfigError, CurveError, InvariantError, NumericsError,
                         asymptotic_count_bounds, boundary_matrix, comparison_matrix,
                         circle_mode_eigenvalues, count_bound_states, eigen,
@@ -388,7 +388,7 @@ class TestFourierCompression:
         grid = make_grid(curve, n)
         for lam in self.LAMS:
             op = spectral._operator(lam, grid)
-            values, bound = op._top
+            values, bound, _, _ = op._top
             # a certified spectrum never assembles B
             assert "matrix" not in op.__dict__
             dense = eigen(op.matrix)[:n // 4]
@@ -530,9 +530,10 @@ class TestCompressedCounts:
     def reference(self, ellipse):
         grid = make_grid(ellipse, 1024)
         op = spectral._operator(0.0, grid)
-        values, bound = op._top
+        values, bound, _, norm = op._top
         assert bound > 0.0
-        return values.copy(), bound + op._rounding, eigen(op.matrix)[:256]
+        return (values.copy(), bound + math.sqrt(grid.n) * spectral.EPS * norm,
+                eigen(op.matrix)[:256])
 
     @staticmethod
     def _dense_count(dense, alpha):
@@ -652,27 +653,50 @@ class TestCounting:
         # shifted by the squared HS distance d, both counts escaped [3, 3]
         grid = request.getfixturevalue(grid_name)
         report = count_bound_states(grid, -0.2)
-        assert report.deviation == np.linalg.norm(comparison_matrix(0.0, grid))
+        assert report.deviation == spectral._fourier_compression(0.0, grid, grid.n // 4)[2]
         assert (report.lower, report.count, report.upper) == (3, 4, 5)
         assert len(find_bound_states(grid, -0.2)) == 4
 
     def test_shift_assembled_once_per_grid(self, ellipse, monkeypatch):
         # s = ||D_0||_F depends on the grid alone: counts at any number of
-        # couplings assemble D_0 once, and root searches never
+        # couplings read it from the one energy-zero sweep, and root
+        # searches never sweep
         grid = make_grid(ellipse, 256)
-        built = []
-        real_matrix = spectral.comparison_matrix
+        swept = []
+        real_sweep = spectral._fourier_compression
 
-        def matrix(lam, grid):
-            built.append(lam)
-            return real_matrix(lam, grid)
+        def sweep(lam, grid, kept):
+            swept.append(lam)
+            return real_sweep(lam, grid, kept)
 
-        monkeypatch.setattr(spectral, "comparison_matrix", matrix)
+        monkeypatch.setattr(spectral, "_fourier_compression", sweep)
         shifts = {count_bound_states(grid, alpha).deviation for alpha in (-0.1, -0.2, -0.3)}
         find_bound_states(grid, -0.1)
         isoperimetric_compare(grid, -0.1)
-        assert built == [0.0]
-        assert shifts == {np.linalg.norm(real_matrix(0.0, grid))}
+        assert swept == [0.0]
+        assert shifts == {real_sweep(0.0, grid, grid.n // 4)[2]}
+
+    @pytest.mark.parametrize("curve_name", ["ellipse", "seed 1"])
+    def test_certified_count_assembles_nothing_at_zero(self, request, curve_name, monkeypatch):
+        # where the energy-zero sweep certifies (N = 512 here; at N = 256 it
+        # falls back to the dense B(0)), counts and root searches read its
+        # spectrum and shift: neither B(0) nor D_0 is assembled
+        curve = (request.getfixturevalue(curve_name) if curve_name == "ellipse"
+                 else seeded_fourier_curve(1))
+        grid = make_grid(curve, 512)
+        assert spectral._operator(0.0, grid)._top[1] > 0.0
+        built = []
+        for module, name in ((spectral, "boundary_matrix"), (assembly, "comparison_matrix")):
+            real = getattr(module, name)
+
+            def matrix(lam, grid, *args, real=real, name=name, **kwargs):
+                built.append((name, lam))
+                return real(lam, grid, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, matrix)
+        for alpha in (-0.1, -0.2):
+            assert len(find_bound_states(grid, alpha)) == count_bound_states(grid, alpha).count
+        assert built and all(lam != 0.0 for _, lam in built)
 
     def test_circle_shift_is_zero(self, circle_grid):
         report = count_bound_states(circle_grid, -0.2)
