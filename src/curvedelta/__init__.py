@@ -13,8 +13,7 @@ builds, each with its own thread pool, and a threaded call into one runs
 slower while the other's idle pool still spins.
 """
 
-from .assembly import (boundary_matrix, circle_mode_eigenvalues,
-                       circle_operator_matrix, comparison_matrix, smoothing_matrix)
+from .assembly import boundary_matrix, circle_mode_eigenvalues
 from .curves import (ArcGrid, Curve, circle_chord, circle_deviation,
                      curve_from_json_dict, curve_to_json_dict, make_circle,
                      make_ellipse, make_grid, reparametrize_arclength, scale_to_length)
@@ -33,15 +32,14 @@ __all__ = [
     "CurveError", "InvariantError", "NumericsError",
     "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
     "choose_reference_energy", "circle_chord",
-    "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
-    "comparison_matrix", "correction_singular_values", "count_bound_states",
+    "circle_deviation", "circle_mode_eigenvalues",
+    "correction_singular_values", "count_bound_states",
     "curve_from_json_dict", "curve_to_json_dict", "eigen",
     "find_bound_states", "fit_decay_slope", "green_kernel",
     "isoperimetric_compare", "layer_singular_values", "make_circle",
     "make_ellipse", "make_grid", "perturbed_green",
     "reparametrize_arclength", "scale_to_length", "scattering_block",
     "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
-    "smoothing_matrix",
 ]
 
 __version__ = "0.1.0"

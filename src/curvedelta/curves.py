@@ -73,7 +73,8 @@ class _ArcTable:
         speeds = curve.speed(tq.ravel()).reshape(tq.shape)
         panel_len = half * (speeds @ w)
         self.cum = np.concatenate([[0.0], np.cumsum(panel_len)])
-        # a period so short that the speed overflows leaves no table to invert
+        # a length that overflows, or a speed that vanishes on a whole panel,
+        # leaves no table to invert
         if not (np.all(np.isfinite(self.cum)) and np.all(panel_len > 0)):
             raise CurveError("arc-length table is not finite and increasing")
         self.total_length = float(self.cum[-1])
@@ -119,7 +120,19 @@ class Curve:
         if not (np.isfinite(period) and period > 0):
             raise CurveError("period must be finite and positive")
         self.period = float(period)
-        self._modes = np.arange(1, self.cos_coeff.shape[0] + 1, dtype=float)
+        # sigma' and sigma'' are at most d1 = w size and d2 = w d1 per
+        # component (w the top angular frequency); the geometry forms products
+        # of four (speed^4, |sigma' x sigma''|^2), so a curve where those could
+        # overflow is refused in Python floats, which overflow without a warning
+        modes = self.cos_coeff.shape[0]
+        w = 2.0 * np.pi * modes / self.period
+        d1 = w * 2.0 * modes * float(max(np.max(np.abs(self.cos_coeff)),
+                                         np.max(np.abs(self.sin_coeff))))
+        d2 = w * d1
+        if not d1 * d1 * max(d1, d2) * max(d1, d2) < 1e300:
+            raise CurveError("curve derivatives overflow: period too short "
+                             "for the coefficients' size")
+        self._modes = np.arange(1, modes + 1, dtype=float)
         self.is_circle = bool(is_circle)
         self.radius = radius
         self._table: _ArcTable | None = None

@@ -15,7 +15,7 @@ B(lam) - alpha, the number of its eigenvalues above alpha, which one LDL^T
 factorization gives without an eigensolve.
 
 Only the top n/4 eigenvalues of B(lam) on an n-node grid are trusted, and
-`_Operator.spectrum()` returns just those.  On a grid other than a circle
+`boundary_spectrum` returns just those.  On a grid other than a circle
 they come from a compression of B into the grid's orthonormal real Fourier
 basis, in which the circle part of B is diagonal, with the values
 Lambda of `circle_boundary_modes`: on the constant and cos ks, sin ks for
@@ -220,14 +220,14 @@ class _Operator:
 
     B(lam) is assembled on first use, and `matrix` is that one assembly,
     read-only; only the inertias, the solves and the dense fallback of
-    `spectrum()` read it.  Its trusted top n/4 eigenvalues, which
-    `spectrum()` returns, come from the certified real-Fourier compression
-    of the module docstring, which reads full rows of the comparison part
-    and never B, or from the dense eigensolve where the certificate fails.
-    Its inertia comes from one Bunch-Kaufman LDL^T factorization of B - x
-    (LAPACK ?sytrf), whose factors are kept for inverse iteration, started
-    from `guess`; an eigenpair it cannot certify comes from one subset
-    eigensolve, and the eigenpairs found are kept.  B, B' and the copy
+    `_top` read it.  Its trusted top n/4 eigenvalues, `_top[0]`, come from
+    the certified real-Fourier compression of the module docstring, which
+    reads full rows of the comparison part and never B, or from the dense
+    eigensolve where the certificate fails.  Its inertia comes from one
+    Bunch-Kaufman LDL^T factorization of B - x (LAPACK ?sytrf), whose
+    factors are kept for inverse iteration, started from `guess`; an
+    eigenpair it cannot certify comes from the one subset eigensolve of
+    `settle`, and the eigenpairs found are kept.  B, B' and the copy
     that ?sytrf factors are new arrays, or the buffers of the `work` it
     takes over.  `_CircleOperator` supplies what a circle grid knows;
     `_operator` picks the class.
@@ -259,8 +259,13 @@ class _Operator:
         buffer.flags.writeable = True
         return buffer
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
+        self._current()
+        return self._assembly
+
+    @cached_property
+    def _assembly(self) -> np.ndarray:
         return _read_only(boundary_matrix(self.lam, self.grid, out=self._buffer("matrix")))
 
     @cached_property
@@ -277,12 +282,6 @@ class _Operator:
         """sqrt(n) eps ||B||, the width within which a count or a side is not
         trusted."""
         return math.sqrt(self.grid.n) * EPS * self._scale
-
-    def spectrum(self) -> np.ndarray:
-        """The trusted top n/4 eigenvalues, nonincreasing, without
-        eigenvectors: each is within `_top`'s bound below the eigenvalue of
-        B(lam) it stands for.  `eigen(matrix)` is the full spectrum."""
-        return self._top[0]
 
     @cached_property
     def _top(self) -> tuple[np.ndarray, float, float, float]:
@@ -401,16 +400,6 @@ class _Operator:
         side = value - x if count == k else x - value
         return (value, v) if side > residual + self._rounding else None
 
-    def _solve_pairs(self, first: int, last: int) -> None:
-        """Eigenpairs first to last by one subset eigensolve (LAPACK ?syevr),
-        kept as exact."""
-        self._current()
-        n = self.grid.n
-        vals, vecs = scipy.linalg.eigh(self.matrix, subset_by_index=[n - last, n - first],
-                                       driver="evr")
-        for j in range(first, last + 1):
-            self._pairs[j] = (float(vals[last - j]), vecs[:, last - j], True)
-
     def _exact(self, k: int) -> bool:
         """Whether the kept k-th eigenpair is from an eigensolve."""
         return self._pairs.get(k, (None, None, False))[2]
@@ -427,12 +416,16 @@ class _Operator:
         return self._pairs[k]
 
     def settle(self, k: int) -> None:
-        """Make the k-th and the (k+1)-th eigenpairs exact, from one subset
-        eigensolve: at a root, the verified eigenpair and the next branch's
-        start."""
-        last = min(k + 1, self.grid.n)
+        """Make the k-th and the (k+1)-th eigenpairs exact, from the one
+        subset eigensolve (LAPACK ?syevr): at a root, the verified eigenpair
+        and the next branch's start."""
+        n = self.grid.n
+        last = min(k + 1, n)
         if not all(self._exact(j) for j in range(k, last + 1)):
-            self._solve_pairs(k, last)
+            vals, vecs = scipy.linalg.eigh(self.matrix, subset_by_index=[n - last, n - k],
+                                           driver="evr")
+            for j in range(k, last + 1):
+                self._pairs[j] = (float(vals[last - j]), vecs[:, last - j], True)
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
@@ -458,14 +451,6 @@ class _Operator:
             raise NumericsError(f"monotonicity violated: mode {k} has slope {value:.3e} "
                                 f"at lam={self.lam:g}")
         return value
-
-    def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
-        """The k-th largest eigenvalue and a unit eigenvector for it, from a
-        subset eigensolve, one for index k alone unless one that included k
-        is kept."""
-        if not self._exact(k):
-            self._solve_pairs(k, k)
-        return self._pair(k)[:2]
 
 
 class _CircleOperator(_Operator):
@@ -524,8 +509,8 @@ def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
 
 def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
     """The trusted top n/4 eigenvalues of B(lam) on the grid, nonincreasing,
-    without eigenvectors, as `_Operator.spectrum` reads them."""
-    return _operator(lam, grid).spectrum()
+    without eigenvectors, each within `_Operator._top`'s bound below its own."""
+    return _operator(lam, grid)._top[0]
 
 
 class _Point(NamedTuple):
@@ -705,7 +690,8 @@ def find_bound_states(grid: ArcGrid, alpha: float,
             if at_root is not None:
                 lower = _point(at_root, k)
             at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1], work)
-        value, vector = at_root.eigenpair(k)
+        at_root.settle(k)
+        value, vector = at_root.branch_value(k), at_root.vector(k)
         residual = float(abs(value - alpha))
         if residual >= root_tol:
             raise NumericsError(f"root left residual {residual:.2e} for mode {k}")

@@ -52,11 +52,10 @@ from scipy.spatial.distance import cdist
 
 from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         NumericsError, ScatteringBlock, boundary_matrix,
-                        circle_chord, circle_mode_eigenvalues,
-                        circle_operator_matrix, green_kernel,
-                        reparametrize_arclength, scale_to_length,
-                        smoothing_matrix)
-from curvedelta.assembly import boundary_derivative, kink_correction
+                        circle_chord, circle_mode_eigenvalues, green_kernel,
+                        reparametrize_arclength, scale_to_length)
+from curvedelta.assembly import (boundary_derivative, circle_operator_matrix,
+                                 kink_correction, smoothing_matrix)
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances, _panel_count
 from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
 from curvedelta.resolvent import BoxGrid, _resolvent_system

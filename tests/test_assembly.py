@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from curvedelta import (ConfigError, boundary_matrix, circle_deviation,
-                        circle_mode_eigenvalues, circle_operator_matrix,
-                        comparison_matrix, eigen, make_circle,
-                        make_grid, scattering_layer_matrix, smoothing_matrix)
+                        circle_mode_eigenvalues, eigen, make_circle,
+                        make_grid, scattering_layer_matrix)
 from curvedelta.assembly import (_capped_derivative_diagonal, boundary_derivative,
-                                 circle_derivative_modes, odd_harmonic_sums)
+                                 circle_derivative_modes, circle_operator_matrix,
+                                 comparison_matrix, odd_harmonic_sums, smoothing_matrix)
 from curvedelta.spectral import eigenvalue_at
 from oracles import circle_operator_reference, circle_top_eigenvalue, odd_harmonic_sums_full
 

@@ -122,6 +122,15 @@ class TestBoundStates:
         assert len(_read_rows(tmp_path / "bound_states.csv")[1]) == 1
         assert int(_read_rows(tmp_path / "counts.csv")[1][0][1]) == 3
 
+    def test_endpoint_flag_cell(self, circle_file, tmp_path):
+        # alpha = nu_2 of the unit circle, an end of the interval of count 3
+        alpha = float(curvedelta.circle_mode_eigenvalues(1.0, 2)[1][1])
+        assert main(["bound-states", "--curve", circle_file, "--n", "256",
+                     f"--alpha={alpha!r}", "--out", str(tmp_path)]) == 0
+        header, counts = _read_rows(tmp_path / "counts.csv")
+        row = dict(zip(header, counts[0]))
+        assert (row["count"], row["endpoint_flag"]) == ("3", "1")
+
     def test_zero_coupling(self, circle_file, tmp_path):
         assert main(["bound-states", "--curve", circle_file, "--alpha", "0",
                      "--out", str(tmp_path)]) == 2
@@ -652,11 +661,12 @@ MALFORMED_CURVES = [
                  id="radius a string"),
     pytest.param('{"kind": "fourier", "cos": [[1, 0, 0]], "sin": [[0, 1, 0]], "period": "x"}',
                  "malformed curve description", id="period a string"),
-    # the speed 2 pi / period overflows, which numpy warns of on the way, so
-    # the arc table cannot be inverted
+    # the speed 2 pi / period overflows, and a tiny circle's acceleration
+    # 1 / R: both refused before numpy warns of either
     pytest.param('{"kind": "fourier", "cos": [[1, 0, 0]], "sin": [[0, 1, 0]], "period": 2e-320}',
-                 "arc-length table is not finite", id="period subnormal",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 "curve derivatives overflow", id="period subnormal"),
+    pytest.param('{"kind": "circle", "radius": 1e-300}', "curve derivatives overflow",
+                 id="circle tiny"),
 ]
 
 

@@ -10,11 +10,12 @@ import pytest
 from scipy.linalg import toeplitz
 
 import curvedelta
+import curvedelta.curves as curves_mod
 from curvedelta import (CurveError, circle_chord,
                         circle_deviation, green_kernel, make_circle,
                         make_ellipse, make_grid, reparametrize_arclength,
                         scale_to_length)
-from curvedelta.curves import (REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
+from curvedelta.curves import (_GUARD_NODES, REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
                                _ArcTable, _check_self_intersection,
                                _guard_arclengths, _pairwise_distances,
                                _panel_count, _row_blocks,
@@ -304,6 +305,26 @@ def test_unit_speed_check_keeps_its_decisions():
             assert abs(dev - ref) <= 1e-6 * ref
         decisions.append(ref < REPARAM_TOL)
     assert 0 < sum(decisions) < len(decisions)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-2])
+def test_unit_speed_check_past_sixteen_modes(amplitude, monkeypatch):
+    # a curve with more than 16 modes has 4 stencil centres per arc-table
+    # panel, more than the guard's nodes, inverted apart from them: the unit
+    # circle plus cos mode 24 on z and sin mode 22 on x, deviation 5.8e-11
+    # at amplitude 1e-3 and 2.805e-8 at 1e-2
+    cos, sin = np.zeros((24, 3)), np.zeros((24, 3))
+    cos[0, 0] = sin[0, 1] = 1.0
+    cos[23, 2] = sin[21, 0] = amplitude
+    raw = Curve(np.zeros(3), cos, sin, 2.0 * math.pi)
+    centres = []
+    real = curves_mod._unit_speed_deviation
+    monkeypatch.setattr(curves_mod, "_unit_speed_deviation",
+                        lambda curve, s, t: centres.append(len(s)) or real(curve, s, t))
+    accepted = not _rejects(reparametrize_arclength, raw)
+    assert sum(centres) == 4 * _panel_count(raw) == 1536 != _GUARD_NODES
+    assert accepted is (unit_speed_deviation_reference(_with_arc_table(raw)) < REPARAM_TOL)
+    assert accepted is (amplitude == 1e-3)
 
 
 def test_unit_speed_message_reports_the_deviation():

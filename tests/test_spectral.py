@@ -9,11 +9,12 @@ from hypothesis import strategies
 
 from curvedelta import assembly, spectral
 from curvedelta import (ConfigError, CurveError, InvariantError, NumericsError,
-                        asymptotic_count_bounds, boundary_matrix, comparison_matrix,
+                        asymptotic_count_bounds, boundary_matrix,
                         circle_mode_eigenvalues, count_bound_states, eigen,
                         find_bound_states,
                         isoperimetric_compare, make_circle,
                         make_grid, reparametrize_arclength)
+from curvedelta.assembly import comparison_matrix
 from curvedelta.spectral import (ROOT_TOL, _circle_levels, _interval_index,
                                  boundary_spectrum, eigenvalue_at)
 from oracles import (brent_bound_state_energies, circle_top_eigenvalue, fourier_mode_curve,
@@ -34,18 +35,18 @@ class TestEigen:
         assert np.all(spec == 0.0)
 
     def test_residuals_and_norms(self, ellipse_grid, defect_grid):
-        # a dense grid's eigenpair comes from one subset solve whose value is
-        # the branch value the root search samples, bit for bit
+        # a dense grid's settled eigenpair, the one a bound state reports,
+        # comes from the operator's one subset solve
         for grid in (ellipse_grid, defect_grid):
             op = spectral._operator(-1.0, grid)
             mat = boundary_matrix(-1.0, grid)
             scale = np.linalg.norm(mat, 2)
             for k in range(1, grid.n // 4 + 1):
-                nu, v = op.eigenpair(k)
+                op.settle(k)
+                nu, v = op.branch_value(k), op.vector(k)
                 resid = np.linalg.norm(mat @ v - nu * v)
                 assert resid < 1e-9 * scale
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-                assert nu == eigenvalue_at(mat, k)
 
     def test_multiplicity_pairs_on_circle(self, circle_grid):
         spec = eigen(boundary_matrix(0.0, circle_grid))
@@ -128,14 +129,16 @@ class TestBoundStates:
 
     def test_superseded_operator_refuses(self, ellipse_grid):
         # an operator built on a workspace takes over its buffers, so the
-        # one before cannot read its matrix, factors or B' any more
+        # one before cannot read its matrix, factors or B' any more, nor
+        # the dense spectrum of the matrix it assembled
         work = spectral._Workspace(ellipse_grid.n)
         first = spectral._operator(-1.0, ellipse_grid, work=work)
         first.above(0.0)
         first.slope(1)
         spectral._operator(-2.0, ellipse_grid, work=work).above(0.0)
         for read in (lambda: first.slope(1), lambda: first.above(0.0),
-                     lambda: first.branch_value(7), lambda: first.eigenpair(5)):
+                     lambda: first.branch_value(7), lambda: first.settle(5),
+                     lambda: first.matrix, lambda: first._dense_top()):
             with pytest.raises(InvariantError, match="took over its workspace"):
                 read()
 
@@ -358,14 +361,14 @@ class TestClearOf:
         op = spectral._operator(-1.0, grid)
         dense = eigen(boundary_matrix(-1.0, grid))
         for k in (1, 2, 7, 16):
-            nu = op.spectrum()[k - 1]
+            nu = op._top[0][k - 1]
             for step, clear in ((-2.0, True), (-0.5, False), (0.5, False), (2.0, True)):
                 x = nu + step * margin
                 assert op.clear_of(x, margin) == (np.min(np.abs(dense - x)) > margin) == clear
 
     def test_distance_equal_to_margin_is_refused(self, ellipse_grid):
-        # the distance to the full spectrum, of which spectrum() holds the
-        # top n/4 only
+        # the distance to the full spectrum, of which _top holds the top n/4
+        # only
         op = spectral._operator(-1.0, ellipse_grid)
         distance = np.min(np.abs(eigen(op.matrix) + 0.5))
         assert op.clear_of(-0.5, 0.5 * distance)
@@ -390,11 +393,11 @@ class TestFourierCompression:
             op = spectral._operator(lam, grid)
             values, bound, _, _ = op._top
             # a certified spectrum never assembles B
-            assert "matrix" not in op.__dict__
+            assert "_assembly" not in op.__dict__
             dense = eigen(op.matrix)[:n // 4]
             assert 0.0 < bound <= spectral.COMPRESSION_TOL
             assert np.max(np.abs(values - dense)) <= bound
-            assert np.array_equal(op.spectrum(), values)
+            assert np.array_equal(boundary_spectrum(lam, grid), values)
 
     def test_zero_tolerance_forces_the_dense_solve(self, ellipse, monkeypatch):
         grid = make_grid(ellipse, 1024)
@@ -402,7 +405,7 @@ class TestFourierCompression:
         monkeypatch.setattr(spectral, "COMPRESSION_TOL", 0.0)
         op = spectral._operator(0.0, grid)
         assert op._top[1] == 0.0
-        assert np.array_equal(op.spectrum(), eigen(op.matrix)[:256])
+        assert np.array_equal(op._top[0], eigen(op.matrix)[:256])
 
     @staticmethod
     def _certifies(op) -> bool:
@@ -466,7 +469,7 @@ class TestFourierCompression:
         op = spectral._operator(0.0, grid)
         assert op._top[1] > 0.0
         assert sizes == [2 * (3 * 2048 // 16) + 1]
-        assert "matrix" not in op.__dict__
+        assert "_assembly" not in op.__dict__
 
     @pytest.mark.parametrize("n", [256, 258])
     def test_kept_modes_on_a_circle(self, circle, n):
@@ -639,6 +642,14 @@ class TestCounting:
         report = count_bound_states(circle_grid, -0.5)
         assert report.count % 2 == 1
         assert report.count == 2 * report.r_index + 1   # circle: deviation ~ 0
+
+    @pytest.mark.parametrize("shift, flagged", [(0.0, True), (1e-13, True), (1e-9, False)])
+    def test_endpoint_flag_at_a_circle_level(self, circle_grid, shift, flagged):
+        # the level nu_2 ends the circle's interval of count 3; alpha within
+        # ENDPOINT_TOL of it is flagged
+        alpha = float(circle_mode_eigenvalues(1.0, 2)[1][1]) + shift
+        report = count_bound_states(circle_grid, alpha)
+        assert (report.count, report.endpoint_flag) == (3, flagged)
 
     def test_ellipse_above_threshold_vanishes(self, ellipse_grid):
         report = count_bound_states(ellipse_grid, 0.3)

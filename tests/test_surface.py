@@ -24,17 +24,16 @@ def test_exported_names():
         "CurveError", "InvariantError", "NumericsError",
         "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
         "choose_reference_energy", "circle_chord",
-        "circle_deviation", "circle_mode_eigenvalues", "circle_operator_matrix",
-        "comparison_matrix", "correction_singular_values", "count_bound_states",
+        "circle_deviation", "circle_mode_eigenvalues",
+        "correction_singular_values", "count_bound_states",
         "curve_from_json_dict", "curve_to_json_dict", "eigen",
         "find_bound_states", "fit_decay_slope", "green_kernel",
         "isoperimetric_compare", "layer_singular_values", "make_circle",
         "make_ellipse", "make_grid", "perturbed_green",
         "reparametrize_arclength", "scale_to_length", "scattering_block",
         "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
-        "smoothing_matrix",
     ]
-    assert len(curvedelta.__all__) == 38
+    assert len(curvedelta.__all__) == 35
     assert all(hasattr(curvedelta, name) for name in curvedelta.__all__)
 
 
