@@ -30,12 +30,13 @@ from .errors import ConfigError, CurveError
 SELF_INTERSECTION_TOL = 1e-9
 # Nodes of the self-intersection guard, equispaced in arc length.
 _GUARD_NODES = 1024
-# Gauss-Legendre rule of the short arc-length solves of `_params_past`, and
-# the largest relative error of their series start that they take: on the
-# 400 draws of the first 40 of seeds 1-10 of the benchmark's curves, two
-# Newton steps from a start within it left at most 5.4e-14 relative error,
-# and from starts off by 1e-4 to 1e-3 up to 6.6e-12.
+# Gauss-Legendre rules of the short arcs (2 points for the second step of
+# `_params_past`), and the largest relative error of the series start that
+# `_params_past` takes: on the 400 draws of the first 40 of seeds 1-10 of the
+# benchmark's curves, two Newton steps from a start within it left at most
+# 5.4e-14 relative error, and from starts off by 1e-4 to 1e-3 up to 6.6e-12.
 _SHORT_GAUSS = leggauss(4)
+_PAIR_GAUSS = leggauss(2)
 _SHORT_START_TOL = 1e-4
 # Largest accepted deviation of the reparametrized speed from 1.
 REPARAM_TOL = 1e-8
@@ -53,20 +54,18 @@ class _ArcTable:
     |sigma'| on fine panels; inversion starts from the linear interpolant
     of the table (np.interp, which clamps to [0, T]) and takes four Newton
     steps on the exact quadrature, so parameter values are recovered
-    essentially to machine precision.  One inversion costs 44 speed
-    evaluations per point, so the curve checks of `reparametrize_arclength`
-    invert their nodes once and reach points a short arc away by
-    `_params_past`, and keep the parameters of the guard's nodes as
-    `guard_params`, which `make_grid` reads.  The table is arrays and
-    numbers: its curve, which holds it, is passed to each lookup.
+    essentially to machine precision.  The first step measures the arc from
+    the panel's edge, each later one adds the arc just moved on the short
+    rule: 26 speed evaluations per point.  So the curve checks of
+    `reparametrize_arclength` invert their nodes once and reach points a
+    short arc away by `_params_past`, and keep the parameters of the
+    guard's nodes as `guard_params`, which `make_grid` reads.  The table is
+    arrays and numbers: its curve, which holds it, is passed to each lookup.
     """
 
     def __init__(self, curve: "Curve", panels: int):
-        T = curve.period
-        self._edges = np.linspace(0.0, T, panels + 1)
-        x, w = leggauss(10)
-        self._gauss_x = x
-        self._gauss_w = w
+        self._edges = np.linspace(0.0, curve.period, panels + 1)
+        x, w = self._gauss = leggauss(10)
         mid = 0.5 * (self._edges[1:] + self._edges[:-1])
         half = 0.5 * np.diff(self._edges)
         tq = mid[:, None] + half[:, None] * x[None, :]
@@ -87,21 +86,26 @@ class _ArcTable:
         idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0,
                       len(self._edges) - 2)
         lo = self._edges[idx]
-        mid = 0.5 * (lo + t)
-        half = 0.5 * (t - lo)
-        tq = mid[..., None] + half[..., None] * self._gauss_x
-        speeds = curve.speed(tq.reshape(-1)).reshape(tq.shape)
-        return self.cum[idx] + half * (speeds @ self._gauss_w)
+        return self.cum[idx] + _arc(curve, lo, t - lo, self._gauss)
 
     def param_at(self, curve: "Curve", s: np.ndarray) -> np.ndarray:
         """Parameter t of `curve` with arc length s, for s in [0, L] (vectorized)."""
         s = np.asarray(s, dtype=float)
         t = np.interp(s, self.cum, self._edges)
-        for _ in range(4):
-            resid = s - self.length_at(curve, t)
-            t = t + resid / curve.speed(t)
-            t = np.clip(t, 0.0, curve.period)
-        return t
+        length = self.length_at(curve, t)
+        for _ in range(3):
+            new = np.clip(t + (s - length) / curve.speed(t), 0.0, curve.period)
+            length = length + _arc(curve, t, new - t, _SHORT_GAUSS)
+            t = new
+        return np.clip(t + (s - length) / curve.speed(t), 0.0, curve.period)
+
+
+def _arc(curve: "Curve", t: np.ndarray, step: np.ndarray, rule) -> np.ndarray:
+    """Arc length of `curve` from t to t + step on one Gauss `rule` panel."""
+    x, w = rule
+    half = 0.5 * step
+    tq = (t + half)[..., None] + half[..., None] * x
+    return half * (curve.speed(tq.reshape(-1)).reshape(tq.shape) @ w)
 
 
 class Curve:
@@ -120,18 +124,22 @@ class Curve:
         if not (np.isfinite(period) and period > 0):
             raise CurveError("period must be finite and positive")
         self.period = float(period)
-        # sigma' and sigma'' are at most d1 = w size and d2 = w d1 per
-        # component (w the top angular frequency); the geometry forms products
-        # of four (speed^4, |sigma' x sigma''|^2), so a curve where those could
-        # overflow is refused in Python floats, which overflow without a warning
+        # sigma - a0, sigma' and sigma'' are at most size, d1 = w size and
+        # d2 = w d1 per component (w the top angular frequency); the geometry
+        # forms products of four (speed^4, |sigma' x sigma''|^2) and cdist sums
+        # three squared chord components (2 size)^2, so a curve where those
+        # could overflow is refused in Python floats, which overflow silently
         modes = self.cos_coeff.shape[0]
         w = 2.0 * np.pi * modes / self.period
-        d1 = w * 2.0 * modes * float(max(np.max(np.abs(self.cos_coeff)),
-                                         np.max(np.abs(self.sin_coeff))))
+        size = 2.0 * modes * float(max(np.max(np.abs(self.cos_coeff)),
+                                       np.max(np.abs(self.sin_coeff))))
+        d1 = w * size
         d2 = w * d1
         if not d1 * d1 * max(d1, d2) * max(d1, d2) < 1e300:
             raise CurveError("curve derivatives overflow: period too short "
                              "for the coefficients' size")
+        if not 16.0 * size * size < np.finfo(float).max:
+            raise CurveError("curve chords overflow: coefficients too large")
         self._modes = np.arange(1, modes + 1, dtype=float)
         self.is_circle = bool(is_circle)
         self.radius = radius
@@ -141,33 +149,37 @@ class Curve:
 
     # -- evaluation in the native parameter -------------------------------
 
-    def _angles(self, t):
-        ang = np.multiply.outer(np.asarray(t, dtype=float), self._modes)
-        ang *= 2.0 * np.pi
-        ang /= self.period
-        return ang
+    def _harmonics(self, t):
+        """(cos m theta, sin m theta) for m = 1..M, theta = 2 pi t / T, each
+        (..., M): one cosine and one sine of theta, then the rotation
+        recurrence; for M = 1 bitwise np.cos and np.sin of theta."""
+        theta = np.asarray(t, dtype=float) * (2.0 * np.pi) / self.period
+        cos = np.empty(np.shape(theta) + self._modes.shape)
+        sin = np.empty_like(cos)
+        c, s = np.cos(theta, out=cos[..., 0]), np.sin(theta, out=sin[..., 0])
+        for m in range(1, len(self._modes)):
+            np.subtract(cos[..., m - 1] * c, sin[..., m - 1] * s, out=cos[..., m])
+            np.add(sin[..., m - 1] * c, cos[..., m - 1] * s, out=sin[..., m])
+        return cos, sin
 
     def point(self, t):
         """Position sigma(t); t scalar or array, returns (..., 3)."""
-        ang = self._angles(t)
-        return self.a0 + np.cos(ang) @ self.cos_coeff + np.sin(ang) @ self.sin_coeff
+        cos, sin = self._harmonics(t)
+        return self.a0 + cos @ self.cos_coeff + sin @ self.sin_coeff
 
     def velocity(self, t):
-        ang = self._angles(t)
-        om = 2.0 * np.pi * self._modes / self.period
-        # -sin(ang) om with the sign moved onto om: the same products
-        sin = np.sin(ang)
-        sin *= -om
-        cos = np.cos(ang, out=ang)
-        cos *= om
-        out = sin @ self.cos_coeff
-        out += cos @ self.sin_coeff
-        return out
+        return self._velocity(*self._harmonics(t))
 
     def acceleration(self, t):
-        ang = self._angles(t)
+        return self._acceleration(*self._harmonics(t))
+
+    def _velocity(self, cos, sin):
+        om = 2.0 * np.pi * self._modes / self.period
+        return (sin * -om) @ self.cos_coeff + (cos * om) @ self.sin_coeff
+
+    def _acceleration(self, cos, sin):
         om2 = (2.0 * np.pi * self._modes / self.period) ** 2
-        return (-np.cos(ang) * om2) @ self.cos_coeff + (-np.sin(ang) * om2) @ self.sin_coeff
+        return (-cos * om2) @ self.cos_coeff + (-sin * om2) @ self.sin_coeff
 
     def speed(self, t):
         # sqrt(sum v^2) summed left to right, as np.linalg.norm(v, axis=-1)
@@ -178,8 +190,8 @@ class Curve:
 
     def curvature(self, t):
         """|sigma' x sigma''| / |sigma'|^3, the curvature of the trace."""
-        v = self.velocity(t)
-        a = self.acceleration(t)
+        harmonics = self._harmonics(t)
+        v, a = self._velocity(*harmonics), self._acceleration(*harmonics)
         cross = np.cross(v, a)
         return np.linalg.norm(cross, axis=-1) / np.linalg.norm(v, axis=-1) ** 3
 
@@ -280,17 +292,14 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     if speeds.min() <= 1e-10 * speeds.max():
         raise CurveError("curve is not regular: |sigma'| vanishes on the parameter grid")
 
-    if curve.unit_speed and curve._table is None:
-        dev = np.abs(speeds - 1.0).max()
-        if dev < tol:
-            L = curve.total_length
-            _check_self_intersection(curve.point_at_arclength(_guard_arclengths(L)), L)
-            return curve
+    if curve.unit_speed and curve._table is None and np.abs(speeds - 1.0).max() < tol:
+        L = curve.total_length
+        _check_self_intersection(curve.point_at_arclength(_guard_arclengths(L)), L)
+        return curve
 
     out = Curve(curve.a0, curve.cos_coeff, curve.sin_coeff, curve.period,
                 is_circle=curve.is_circle, radius=curve.radius)
-    table = _ArcTable(out, panels=_panel_count(out))
-    out._table = table
+    table = out._table = _ArcTable(out, panels=_panel_count(out))
     out.unit_speed = True
 
     L = table.total_length
@@ -337,24 +346,23 @@ def _params_past(curve: Curve, s: np.ndarray, t: np.ndarray, offsets) -> np.ndar
 
         t + ds / |sigma'| - ds^2 (sigma' . sigma'') / (2 |sigma'|^4),
 
-    and takes two Newton steps, each measuring the arc length from t on one
-    4-point Gauss panel.  sigma is periodic, so a parameter outside [0, T]
+    and takes two Newton steps: the first measures the arc from t on one
+    4-point Gauss panel, the second adds the arc the first moved on a 2-point
+    one.  sigma is periodic, so a parameter outside [0, T]
     needs no wrap.  Where the start was off by more than _SHORT_START_TOL
     relative, near a point where the speed almost vanishes, the two steps
     may stop short, and the table inverts s + ds instead.
     """
-    v = curve.velocity(t)
+    harmonics = curve._harmonics(t)
+    v = curve._velocity(*harmonics)
     speed = np.sqrt(np.add.reduce(v * v, axis=-1))
-    slope = np.add.reduce(v * curve.acceleration(t), axis=-1)
+    slope = np.add.reduce(v * curve._acceleration(*harmonics), axis=-1)
     ds = np.asarray(offsets, dtype=float)[:, None]
     start = ds / speed - ds * ds * slope / (2.0 * speed ** 4)
-    step = start.copy()
-    x, w = _SHORT_GAUSS
-    for _ in range(2):
-        half = 0.5 * step
-        tq = (t + half)[..., None] + half[..., None] * x
-        length = half * (curve.speed(tq.reshape(-1)).reshape(tq.shape) @ w)
-        step += (ds - length) / curve.speed((t + step).reshape(-1)).reshape(step.shape)
+    length = _arc(curve, t, start, _SHORT_GAUSS)
+    step = start + (ds - length) / curve.speed((t + start).reshape(-1)).reshape(start.shape)
+    length += _arc(curve, t + start, step - start, _PAIR_GAUSS)
+    step += (ds - length) / curve.speed((t + step).reshape(-1)).reshape(step.shape)
     out = t + step
     rough = np.abs(step - start) > _SHORT_START_TOL * np.abs(step)
     if rough.any():
@@ -687,6 +695,8 @@ def curve_from_json_dict(spec: dict, reparam_tol: float = REPARAM_TOL) -> Curve:
             sin_coeff=spec["sin"],
             period=float(spec.get("period", 2.0 * np.pi)),
         )
+    except CurveError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed curve description: {exc}") from exc
     return reparametrize_arclength(raw, tol=reparam_tol)

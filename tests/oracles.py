@@ -251,20 +251,25 @@ def unit_speed_deviation_reference(curve: Curve) -> float:
 
 
 class NormFormulaCurve(Curve):
-    """A Curve whose velocity and speed take the library's earlier
-    formulas: the angles 2 pi t m / T in one expression, the velocity as
-    the sum of two products of new arrays, and the speed as
+    """A Curve whose harmonics, velocity and speed take the library's
+    earlier formulas: the rotation recurrence of the harmonics from the
+    angle 2 pi t / T in one expression, each mode a new array, the velocity
+    as the sum of two products of new arrays, and the speed as
     np.linalg.norm.  The library forms them in place; both must agree bit
     for bit."""
 
-    def _angles(self, t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.pi * np.multiply.outer(t, self._modes) / self.period
+    def _harmonics(self, t):
+        theta = 2.0 * np.pi * np.asarray(t, dtype=float) / self.period
+        cos, sin = [np.cos(theta)], [np.sin(theta)]
+        for _ in self._modes[1:]:
+            cos, sin = (cos + [cos[-1] * cos[0] - sin[-1] * sin[0]],
+                        sin + [sin[-1] * cos[0] + cos[-1] * sin[0]])
+        return np.stack(cos, axis=-1), np.stack(sin, axis=-1)
 
     def velocity(self, t):
-        ang = self._angles(t)
+        cos, sin = self._harmonics(t)
         om = 2.0 * np.pi * self._modes / self.period
-        return (-np.sin(ang) * om) @ self.cos_coeff + (np.cos(ang) * om) @ self.sin_coeff
+        return (-sin * om) @ self.cos_coeff + (cos * om) @ self.sin_coeff
 
     def speed(self, t):
         return np.linalg.norm(self.velocity(t), axis=-1)

@@ -667,6 +667,12 @@ MALFORMED_CURVES = [
                  "curve derivatives overflow", id="period subnormal"),
     pytest.param('{"kind": "circle", "radius": 1e-300}', "curve derivatives overflow",
                  id="circle tiny"),
+    # chords whose three squared components cdist sums could overflow:
+    # refused on load, not at assembly on non-finite matrix entries
+    pytest.param('{"kind": "circle", "radius": 1e155}', "curve chords overflow",
+                 id="circle 1e155"),
+    pytest.param('{"kind": "circle", "radius": 1e300}', "curve chords overflow",
+                 id="circle 1e300"),
 ]
 
 
@@ -676,8 +682,19 @@ def test_malformed_curve_exits_2(tmp_path, capsys, text, message):
     path.write_text(text)
     out = tmp_path / "out"
     assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # a well-formed curve that the geometry refuses is not called malformed
+    assert ("malformed" in err) is (message == "malformed curve description")
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("radius", [1e150, 1e153])
+def test_huge_circle_exits_0(tmp_path, radius):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"kind": "circle", "radius": radius}))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("case", ["curve a directory", "curve not UTF-8", "out under a file"])

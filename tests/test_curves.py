@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -18,7 +19,7 @@ from curvedelta import (CurveError, circle_chord,
 from curvedelta.curves import (_GUARD_NODES, REPARAM_TOL, SELF_INTERSECTION_TOL, Curve,
                                _ArcTable, _check_self_intersection,
                                _guard_arclengths, _pairwise_distances,
-                               _panel_count, _row_blocks,
+                               _panel_count, _params_past, _row_blocks,
                                _unit_speed_deviation)
 from curvedelta.resolvent import make_box
 from oracles import (NormFormulaCurve, accumulated_distances, broadcast_distances, chord,
@@ -333,6 +334,73 @@ def test_unit_speed_message_reports_the_deviation():
     dev = unit_speed_deviation_reference(_with_arc_table(raw))
     with pytest.raises(CurveError, match=re.escape(f"= {dev:.3e}") + "$"):
         reparametrize_arclength(raw)
+
+
+def test_short_solves_land_on_their_arc_lengths():
+    # the stencil's four points s +- h, s +- 2h from each guard node, on 12
+    # seed-1 draws: the short solves of accepted draws land within a few
+    # eps L of s + ds in arc length, and the refused, near-cusp draws hand
+    # their rough starts to the table, which lands as close
+    eps = np.finfo(float).eps
+    handed_over, accepted, slowest = [], [], []
+    for raw in seeded_draws(1, 12):
+        curve = _with_arc_table(raw)
+        table, L = curve._table, curve.total_length
+        s = _guard_arclengths(L)
+        hs = 1e-3 * L / (2.0 * math.pi)
+        ds = np.array([hs, -hs, 2 * hs, -2 * hs])
+        inverted = []
+        invert = curve.param_at_arclength
+        curve.param_at_arclength = lambda x: inverted.append(len(x)) or invert(x)
+        t = _params_past(curve, s, table.param_at(curve, s), ds)
+        # a short solve may leave [0, T], and the table inverts (s + ds) mod L
+        error = np.mod(table.length_at(curve, t) - (s + ds[:, None]) + L / 2, L) - L / 2
+        assert np.abs(error).max() <= 4.0 * eps * L
+        handed_over.append(sum(inverted))
+        accepted.append(not _rejects(reparametrize_arclength, raw))
+        speed = raw.speed(np.linspace(0.0, raw.period, 4096))
+        slowest.append(speed.min() / speed.max())
+    assert 0 < sum(accepted) < len(accepted)
+    assert not any(n for n, ok in zip(handed_over, accepted) if ok)
+    assert handed_over[int(np.argmin(slowest))] > 0
+
+
+def test_one_mode_harmonics_are_todays_formula(ellipse):
+    # for M = 1 the recurrence takes no step: the circle's and the
+    # ellipse's harmonics are np.cos and np.sin of the angle, bit for bit
+    for curve, t in itertools.product((make_circle(1.3), ellipse),
+                                      (0.3, np.linspace(-1.0, 10.0, 3001))):
+        angle = np.multiply.outer(np.asarray(t, dtype=float), np.ones(1))
+        angle *= 2.0 * np.pi
+        angle /= curve.period
+        cos, sin = curve._harmonics(t)
+        assert np.array_equal(cos, np.cos(angle)) and np.array_equal(sin, np.sin(angle))
+
+
+def test_harmonics_within_32_eps_at_24_modes():
+    # the 24-mode curve of test_unit_speed_check_past_sixteen_modes, over a
+    # period: cos(m theta) and sin(m theta) of the float angle theta, from
+    # the rounded product m theta and its exact remainder (Veltkamp's split;
+    # m < 2^5), within eps / 2 of a long-double evaluation; np.cos of the
+    # rounded product alone is off by up to 64 eps here, the recurrence by
+    # 10.4 eps
+    cos, sin = np.zeros((24, 3)), np.zeros((24, 3))
+    cos[0, 0] = sin[0, 1] = 1.0
+    cos[23, 2] = sin[21, 0] = 1e-3
+    curve = Curve(np.zeros(3), cos, sin, 2.0 * math.pi)
+    t = np.linspace(0.0, curve.period, 20001)
+    theta = t * (2.0 * np.pi) / curve.period
+    m = np.arange(1.0, 25.0)
+    split = 134217729.0 * theta
+    high = split - (split - theta)
+    angle = np.multiply.outer(theta, m)
+    rest = (np.multiply.outer(high, m) - angle) + np.multiply.outer(theta - high, m)
+    expected_cos = np.cos(angle) - rest * np.sin(angle)
+    expected_sin = np.sin(angle) + rest * np.cos(angle)
+    found_cos, found_sin = curve._harmonics(t)
+    eps = np.finfo(float).eps
+    assert np.abs(found_cos - expected_cos).max() <= 32.0 * eps
+    assert np.abs(found_sin - expected_sin).max() <= 32.0 * eps
 
 
 @pytest.mark.parametrize("n", [256, 1024])
