@@ -177,7 +177,7 @@ def cmd_scattering(args, grid, tols) -> None:
     lams = _float_list(args.lam)
     if any(lam < 0 for lam in lams):
         raise ConfigError("scattering energies must satisfy lam >= 0")
-    eta = choose_reference_energy(grid, alpha, _float_list(args.eta))
+    eta = choose_reference_energy(_float_list(args.eta))
     rows = []
     for i, lam in enumerate(lams):
         block = scattering_block(grid, lam, alpha, eta, rank_tol=tols["rank_tol"])
@@ -247,7 +247,7 @@ def cmd_d_sigma(args, grid, tols) -> None:
 VALUE_OPTIONS = {
     "--alpha": ("alpha", "coupling value(s), comma separated"),
     "--lambda": ("lam", "energy value(s), comma separated"),
-    "--eta": ("eta", "reference energy candidates, comma separated"),
+    "--eta": ("eta", "reference energies, comma separated; the first is used"),
 }
 
 

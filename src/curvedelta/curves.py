@@ -30,11 +30,13 @@ from .errors import ConfigError, CurveError
 SELF_INTERSECTION_TOL = 1e-9
 # Nodes of the self-intersection guard, equispaced in arc length.
 _GUARD_NODES = 1024
-# Gauss-Legendre rules of the short arcs (2 points for the second step of
-# `_params_past`), and the largest relative error of the series start that
-# `_params_past` takes: on the 400 draws of the first 40 of seeds 1-10 of the
-# benchmark's curves, two Newton steps from a start within it left at most
-# 5.4e-14 relative error, and from starts off by 1e-4 to 1e-3 up to 6.6e-12.
+# Gauss-Legendre rules of table panels and short arcs (2 points for the
+# second step of `_params_past`), and the largest relative error of the
+# series start that `_params_past` takes: on the 400 draws of the first 40 of
+# seeds 1-10 of the benchmark's curves, two Newton steps from a start within
+# it left at most 5.4e-14 relative error, from starts off by 1e-4 to 1e-3 up
+# to 6.6e-12.
+_PANEL_GAUSS = leggauss(10)
 _SHORT_GAUSS = leggauss(4)
 _PAIR_GAUSS = leggauss(2)
 _SHORT_START_TOL = 1e-4
@@ -65,7 +67,7 @@ class _ArcTable:
 
     def __init__(self, curve: "Curve", panels: int):
         self._edges = np.linspace(0.0, curve.period, panels + 1)
-        x, w = self._gauss = leggauss(10)
+        x, w = _PANEL_GAUSS
         mid = 0.5 * (self._edges[1:] + self._edges[:-1])
         half = 0.5 * np.diff(self._edges)
         tq = mid[:, None] + half[:, None] * x[None, :]
@@ -86,7 +88,7 @@ class _ArcTable:
         idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0,
                       len(self._edges) - 2)
         lo = self._edges[idx]
-        return self.cum[idx] + _arc(curve, lo, t - lo, self._gauss)
+        return self.cum[idx] + _arc(curve, lo, t - lo, _PANEL_GAUSS)
 
     def param_at(self, curve: "Curve", s: np.ndarray) -> np.ndarray:
         """Parameter t of `curve` with arc length s, for s in [0, L] (vectorized)."""

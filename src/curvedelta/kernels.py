@@ -91,7 +91,7 @@ def scattering_kernel(lam, eta: float, r):
     lam >= 0, is never tabulated: the scattering block reads it through the
     factor of its matrix.
     """
-    if eta >= 0:
+    if not eta < 0:
         raise ConfigError("scattering_kernel requires eta < 0")
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))

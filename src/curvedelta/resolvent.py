@@ -157,7 +157,7 @@ def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.nd
 def fit_decay_slope(values: np.ndarray) -> float:
     """Least-squares slope of log s_k against log k over k in FIT_WINDOW.
 
-    The window excludes the preasymptotic head and the truncation floor.
+    The window is not scale-free: with kappa L and alpha it sets the slope.
     """
     k_lo, k_hi = FIT_WINDOW
     values = np.asarray(values, dtype=float)

@@ -11,7 +11,11 @@ retained range of Im N as
     S' = I - 2i sqrt(Im N) (N + B_eta - alpha)^{-1} sqrt(Im N),
 
 with B_eta the real boundary operator at the reference energy, unitary on
-that subspace away from exceptional energies.  Only Re N is tabulated, and
+that subspace away from exceptional energies.  N(lam) + B_eta is
+B(lam + i0), so the system does not depend on eta: where the smoothing
+row's cap is off (w sqrt(-eta) <= 6) eta moves only its rounding, and
+`choose_reference_energy` takes the first candidate without reading the
+spectrum of B_eta.  Only Re N is tabulated, and
 Im N = H H^T for the map H of the grid onto spherical waves.  With
 A_r = Re N + B_eta - alpha real symmetric, the Woodbury identity gives
 
@@ -36,7 +40,7 @@ from .assembly import kernel_matrix
 from .curves import ArcGrid, _kept
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
-from .spectral import _Operator, _operator
+from .spectral import _operator
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds the block's
@@ -47,7 +51,6 @@ RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # complex system, well within the decade this limit allows.
 CONDITION_LIMIT = 1e12
 UNITARITY_TOL = 1e-6      # largest unitarity defect of a returned block
-ETA_MARGIN = 1e-6         # required spectral distance of alpha from B_eta
 
 
 def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
@@ -56,7 +59,7 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     plus the kink correction of slope (eta - lam)/(8 pi), which is real, so
     Im N is exactly the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r) for
     lam >= 0, which the block reads through its factor."""
-    if eta >= 0:
+    if not eta < 0:
         raise ConfigError("reference energy eta must be negative")
     slope = (eta - complex(lam).real) / (8.0 * np.pi)
     re = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope)
@@ -65,30 +68,22 @@ def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     return re
 
 
-def _reference_boundary(grid: ArcGrid, eta: float,
-                        op: _Operator | None = None) -> np.ndarray:
-    """The read-only matrix of B(eta), kept on the grid under eta: the
-    choice of eta hands over the matrix of the operator `op` it read, so
-    the choice and every block of a run at that eta share one assembly."""
-    return _kept(grid, "reference_boundary", eta,
-                 lambda: (op or _operator(eta, grid)).matrix)
+def _reference_boundary(grid: ArcGrid, eta: float) -> np.ndarray:
+    """The read-only matrix of B(eta), kept on the grid under eta, so every
+    block of a run at that eta shares one assembly."""
+    return _kept(grid, "reference_boundary", eta, lambda: _operator(eta, grid).matrix)
 
 
-def choose_reference_energy(grid: ArcGrid, alpha: float, candidates) -> float:
-    """First candidate eta < 0 (all checked before any B(eta) is built) whose
-    boundary operator keeps alpha farther than the margin from its spectrum."""
+def choose_reference_energy(candidates) -> float:
+    """The first candidate eta, after every one is checked negative (nan is
+    refused too).  The scattering system does not depend on eta (module
+    docstring), so no B(eta) is built to choose it."""
     candidates = list(candidates)
     if not candidates:
         raise ConfigError("empty candidate list for the reference energy")
-    if any(eta >= 0 for eta in candidates):
+    if not all(eta < 0 for eta in candidates):
         raise ConfigError("reference energy candidates must be negative")
-    for eta in candidates:
-        op = _operator(eta, grid)
-        if op.clear_of(alpha, ETA_MARGIN):
-            _reference_boundary(grid, eta, op)
-            return float(eta)
-    raise NumericsError("no candidate reference energy keeps alpha away from "
-                        "the spectrum")
+    return float(candidates[0])
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,9 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
     """
     if lam < 0:
         raise ConfigError("scattering block is defined for lam >= 0")
-    re = scattering_layer_matrix(grid, lam, eta)
-    # at lam = 0 Im N vanishes and no channel is open
+    if not eta < 0:
+        raise ConfigError("reference energy eta must be negative")
+    # at lam = 0 Im N vanishes and no channel is open: no table is built
     factor = _layer_factor(grid, lam) if lam > 0 else None
     vals, half = _channel_space(factor) if lam > 0 else (np.zeros(0), None)
     retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) else 0
@@ -236,6 +232,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                condition=0.0)
 
     p = len(vals)
+    re = scattering_layer_matrix(grid, lam, eta)
     boundary = _reference_boundary(grid, eta)
     system = re                     # A_r = Re N + B_eta - alpha, in place
     system += boundary

@@ -201,7 +201,7 @@ def test_criterion_09_isoperimetric(ellipse, ellipse_grids):
 def test_criterion_10_scattering_unitarity(circle_grids):
     grid = circle_grids[256]
     alpha = -0.5
-    eta = choose_reference_energy(grid, alpha, [-1.0, -4.0, -16.0])
+    eta = choose_reference_energy([-1.0, -4.0, -16.0])
     ok = True
     details = []
     for lam in (0.5, 1.0, 2.0):

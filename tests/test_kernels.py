@@ -188,5 +188,7 @@ class TestScatteringKernel:
             assert abs(scattering_kernel(1.0, -1.0, r) - float(oracle)) < tol
 
     def test_rejects_nonnegative_reference(self):
-        with pytest.raises(ConfigError):
-            scattering_kernel(1.0, 0.0, 1.0)
+        # nan is not negative either
+        for eta in (0.0, float("nan")):
+            with pytest.raises(ConfigError):
+                scattering_kernel(1.0, eta, 1.0)

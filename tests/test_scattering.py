@@ -1,3 +1,4 @@
+import itertools
 import json
 import types
 
@@ -66,8 +67,10 @@ class TestLayerMatrix:
         assert np.max(np.abs(im - expected)) < 1e-13
 
     def test_rejects_nonnegative_reference(self, circle_grid):
-        with pytest.raises(ConfigError):
-            scattering_layer_matrix(circle_grid, 1.0, 0.5)
+        # nan is not negative either
+        for eta in (0.5, float("nan")):
+            with pytest.raises(ConfigError):
+                scattering_layer_matrix(circle_grid, 1.0, eta)
 
 
 class TestLayerFactor:
@@ -132,34 +135,44 @@ class TestLayerFactor:
 
 
 class TestChooseReferenceEnergy:
-    def test_default_candidates(self, circle_grid):
-        eta = choose_reference_energy(circle_grid, -0.5, [-1.0, -4.0, -16.0])
-        assert eta == -1.0
+    def test_default_candidates(self):
+        assert choose_reference_energy([-1.0, -4.0, -16.0]) == -1.0
+        assert choose_reference_energy([-4.0, -1.0]) == -4.0
 
-    def test_far_coupling_takes_first(self, circle_grid):
-        assert choose_reference_energy(circle_grid, -50.0, [-1.0, -4.0]) == -1.0
-
-    def test_empty_candidates(self, circle_grid):
+    def test_empty_candidates(self):
         with pytest.raises(ConfigError):
-            choose_reference_energy(circle_grid, -0.5, [])
+            choose_reference_energy([])
 
-    @pytest.mark.parametrize("candidates", [[-1.0, 5.0], [5.0, -1.0], [-1.0, -4.0, 0.0]])
-    def test_every_candidate_checked_before_assembly(self, ellipse, candidates,
-                                                     monkeypatch):
-        # a non-negative candidate is refused wherever it stands in the
-        # list, and before any B(eta) is built
-        built = []
-        monkeypatch.setattr(spectral_mod, "boundary_matrix",
-                            lambda lam, grid, out=None: built.append(lam))
+    @pytest.mark.parametrize("candidates", [[-1.0, 5.0], [5.0, -1.0], [-1.0, -4.0, 0.0],
+                                            [-1.0, float("nan")]])
+    def test_every_candidate_checked_before_assembly(self, candidates):
+        # a candidate that is not negative, nan included, is refused
+        # wherever it stands in the list
         with pytest.raises(ConfigError, match="must be negative"):
-            choose_reference_energy(make_grid(ellipse, 64), -0.5, candidates)
-        assert built == []
+            choose_reference_energy(candidates)
 
-    def test_all_candidates_fail(self, circle_grid):
-        spec = eigen(boundary_matrix(-1.0, circle_grid))
-        alpha = float(spec[4])   # sits exactly on the spectrum at eta=-1
-        with pytest.raises(NumericsError):
-            choose_reference_energy(circle_grid, alpha, [-1.0])
+    def test_reads_no_boundary_operator(self, monkeypatch):
+        # the scattering system does not depend on eta: the choice builds no
+        # B(eta) and takes no inertia of it
+        calls = []
+        monkeypatch.setattr(spectral_mod, "boundary_matrix",
+                            lambda *args, **kwargs: calls.append("matrix"))
+        monkeypatch.setattr(spectral_mod._Operator, "_inertia",
+                            lambda *args: calls.append("inertia"))
+        assert choose_reference_energy([-1.0, -4.0, -16.0]) == -1.0
+        assert calls == []
+
+    def test_alpha_on_reference_spectrum_takes_first(self, circle_grid, ellipse_grid):
+        # alpha exactly on the 5th or 21st eigenvalue of B(-1) is no
+        # obstacle: the blocks at eta = -1 and eta = -4 agree to rounding
+        assert choose_reference_energy([-1.0]) == -1.0
+        for grid in (circle_grid, ellipse_grid):
+            spec = eigen(boundary_matrix(-1.0, grid))
+            for alpha, lam in itertools.product(spec[[4, 20]], (0.5, 1.0, 2.0)):
+                b1 = scattering_block(grid, lam, float(alpha), -1.0)
+                b4 = scattering_block(grid, lam, float(alpha), -4.0)
+                assert b1.retained_dim == b4.retained_dim > 0
+                assert np.max(np.abs(b1.matrix - b4.matrix)) <= 1e-13
 
 
 class TestScatteringBlock:
@@ -168,6 +181,20 @@ class TestScatteringBlock:
         assert blk.retained_dim == 0
         assert blk.matrix.shape == (0, 0)
         assert blk.min_channel_eigenvalue == 0.0
+
+    def test_threshold_energy_builds_no_table(self, circle, monkeypatch):
+        # at lam = 0 no channel is open: neither Re N nor B(eta) is built,
+        # but eta is still checked; a fresh grid, since B(eta) is kept on it
+        grid = make_grid(circle, 64)
+        calls = []
+        monkeypatch.setattr(scattering_mod, "scattering_layer_matrix",
+                            lambda *args: calls.append("layer"))
+        monkeypatch.setattr(spectral_mod, "boundary_matrix",
+                            lambda *args, **kwargs: calls.append("matrix"))
+        assert scattering_block(grid, 0.0, -0.5, -1.0).retained_dim == 0
+        assert calls == []
+        with pytest.raises(ConfigError, match="must be negative"):
+            scattering_block(grid, 0.0, -0.5, float("nan"))
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_unitarity(self, circle_grid, lam):
@@ -244,8 +271,8 @@ class TestScatteringBlock:
         assert not curves._kept(grid, "reference_boundary", -4.0, None).flags.writeable
 
     def test_one_reference_assembly_per_run(self, ellipse, tmp_path, monkeypatch):
-        # the choice of eta reads its spectrum off the B(eta) the blocks
-        # reuse, so a scattering run on a dense grid assembles B(eta) once
+        # the choice of eta builds nothing and the blocks share one kept
+        # B(eta), so a scattering run on a dense grid assembles it once
         built = []
         real_matrix = spectral_mod.boundary_matrix
 
@@ -260,11 +287,27 @@ class TestScatteringBlock:
                      "--lambda", "0.5,1,2", "--out", str(tmp_path)]) == 0
         assert built == [-1.0]
 
-    def test_reference_energy_independence(self, circle_grid):
-        b1 = scattering_block(circle_grid, 1.0, -0.5, -1.0)
-        b2 = scattering_block(circle_grid, 1.0, -0.5, -4.0)
-        assert b1.retained_dim == b2.retained_dim
-        assert np.linalg.norm(b1.matrix - b2.matrix, 2) < 1e-5
+    def test_reference_energy_independence(self, circle_grid, ellipse_grid):
+        for grid in (circle_grid, ellipse_grid):
+            b1 = scattering_block(grid, 1.0, -0.5, -1.0)
+            b2 = scattering_block(grid, 1.0, -0.5, -4.0)
+            assert b1.retained_dim == b2.retained_dim
+            assert np.max(np.abs(b1.matrix - b2.matrix)) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("name", ["circle", "ellipse", "seed7"])
+    def test_system_independent_of_reference_energy(self, request, name, lam):
+        # N(lam) + B(eta) is B(lam + i0): A_r = Re N + B(eta) - alpha agrees
+        # across eta within 4 ulps of its largest entry, since the smoothing
+        # row's cap is off for every eta here (w sqrt(16) <= 6)
+        curve = seeded_fourier_curve(7) if name == "seed7" else request.getfixturevalue(name)
+        grid = make_grid(curve, 256)
+        systems = [scattering_layer_matrix(grid, lam, eta)
+                   + scattering_mod._reference_boundary(grid, eta) - (-0.5) * np.eye(grid.n)
+                   for eta in (-1.0, -4.0, -16.0)]
+        bar = 4.0 * np.spacing(np.max(np.abs(systems[0])))
+        for system in systems[1:]:
+            assert np.max(np.abs(system - systems[0])) <= bar
 
     def test_weak_interaction_limit(self, circle_grid):
         blk = scattering_block(circle_grid, 1.0, 1e6, -1.0)
@@ -272,7 +315,7 @@ class TestScatteringBlock:
         assert dev < 1e-4
 
     def test_ellipse_unitarity(self, ellipse_grid):
-        eta = choose_reference_energy(ellipse_grid, -0.5, [-1.0, -4.0, -16.0])
+        eta = choose_reference_energy([-1.0, -4.0, -16.0])
         blk = scattering_block(ellipse_grid, 1.0, -0.5, eta)
         assert blk.unitarity_defect < 1e-6
 
