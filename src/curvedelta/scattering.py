@@ -232,8 +232,8 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
                                condition=0.0)
 
     p = len(vals)
+    boundary = _reference_boundary(grid, eta)   # built before Re N: a lower peak
     re = scattering_layer_matrix(grid, lam, eta)
-    boundary = _reference_boundary(grid, eta)
     system = re                     # A_r = Re N + B_eta - alpha, in place
     system += boundary
     system[np.diag_indices(grid.n)] -= alpha
