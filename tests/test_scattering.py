@@ -139,6 +139,16 @@ class TestChooseReferenceEnergy:
         assert choose_reference_energy([-1.0, -4.0, -16.0]) == -1.0
         assert choose_reference_energy([-4.0, -1.0]) == -4.0
 
+    def test_far_coupling_takes_first(self, circle_grid):
+        # a coupling far below the spectrum of B(eta) takes the first
+        # candidate too, and its block is the one the second would give
+        eta = choose_reference_energy([-1.0, -4.0])
+        assert eta == -1.0
+        b1 = scattering_block(circle_grid, 1.0, -50.0, eta)
+        b4 = scattering_block(circle_grid, 1.0, -50.0, -4.0)
+        assert b1.retained_dim == b4.retained_dim > 0
+        assert np.max(np.abs(b1.matrix - b4.matrix)) <= 1e-13
+
     def test_empty_candidates(self):
         with pytest.raises(ConfigError):
             choose_reference_energy([])
