@@ -21,8 +21,7 @@ from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .kernels import green_kernel, scattering_kernel, smoothing_kernel
 from .resolvent import (correction_singular_values, fit_decay_slope,
                         layer_singular_values, perturbed_green)
-from .scattering import (ScatteringBlock, choose_reference_energy,
-                         scattering_block, scattering_layer_matrix)
+from .scattering import ScatteringBlock, scattering_block, scattering_layer_matrix
 from .spectral import (BoundState, CountReport, asymptotic_count_bounds,
                        count_bound_states, eigen, find_bound_states,
                        isoperimetric_compare)
@@ -31,7 +30,7 @@ __all__ = [
     "ArcGrid", "BoundState", "ConfigError", "CountReport", "Curve",
     "CurveError", "InvariantError", "NumericsError",
     "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
-    "choose_reference_energy", "circle_chord",
+    "circle_chord",
     "circle_deviation", "circle_mode_eigenvalues",
     "correction_singular_values", "count_bound_states",
     "curve_from_json_dict", "curve_to_json_dict", "eigen",

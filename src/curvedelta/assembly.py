@@ -7,9 +7,11 @@ circulant, as is the smoothing matrix, so each is built from one length-N
 row and expanded by index (Toeplitz) gather.  The remaining comparison
 kernel is bounded; it is evaluated on the curve chords, minus the circulant
 circle term, and discretized with the periodic trapezoid rule.  Every part
-is exactly symmetric by construction.  `boundary_matrix`,
-`comparison_matrix` and `kernel_matrix` (the scattering and probe kernels'
-matrices) fill their output a row block of about 1 MB at a time
+is exactly symmetric by construction.  The same circulant-plus-comparison
+build, with the kernel as an argument, gives B(lam) at lam <= 0 and the
+scattering table Re B(lam + i0) at lam >= 0.  `boundary_matrix`,
+`comparison_matrix` and `kernel_matrix` (the probe kernel's matrix) fill
+their output a row block of about 1 MB at a time
 (`curves._blockwise`), each block evaluated from the diagonal on and
 completed from the transposed rows above, so no second N x N array is
 allocated and the kernels run on half the table; `circle_operator_matrix`
@@ -129,7 +131,7 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     of `_smoothing_kink`.  Every path to B(lam), dense or circulant, reads
     this row, and refuses here.
     """
-    if lam > 0:
+    if not lam <= 0:
         raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
     w = grid.weight
     row = w * smoothing_kernel(lam, grid.circle_chord_row)
@@ -222,15 +224,22 @@ def circle_boundary_row(lam: float, grid: ArcGrid) -> np.ndarray:
     return np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
 
 
-def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice,
+def _green(lam: float):
+    """The comparison kernel of B(lam), G_lam, evaluated in its chord array."""
+    return lambda r: green_kernel(lam, r, out=r)
+
+
+def _comparison_block(kernel, grid: ArcGrid, rows: slice, cols: slice,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Rows `rows` and columns `cols` of the comparison matrix, built in
-    `out` where `chord_difference` can: zeros on a circle grid, which is
-    its own equal-length circle."""
+    """Rows `rows` and columns `cols` of the comparison matrix of `kernel`,
+    a kernel of the chords as `chord_difference` takes it, built in `out`
+    where `chord_difference` can: zeros on a circle grid, which is its own
+    equal-length circle.  The diagonal is the curvature kink, the same for
+    every kernel 1/(4 pi r) + c_0 + c_1 r + O(r^2) of the chords."""
     if grid.curve.is_circle:
         return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     w = grid.weight
-    block = grid.chord_difference(lambda r: green_kernel(lam, r, out=r), rows, cols, out)
+    block = grid.chord_difference(kernel, rows, cols, out)
     block *= w
     kappa_circle = 2.0 * np.pi / grid.length
     diag = _block_diagonal(rows, cols)
@@ -248,10 +257,34 @@ def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     Identically zero when the curve is the circle itself.  Built a row
     block at a time.
     """
-    if lam > 0:
-        raise ConfigError("comparison_matrix requires lam <= 0")
-    return _blockwise(grid.n, lambda rows, cols, dest: _comparison_block(lam, grid, rows, cols,
-                                                                          dest))
+    if not lam <= 0:
+        raise ConfigError(f"comparison_matrix requires lam <= 0, got lam={lam:g}")
+    kernel = _green(lam)
+    return _blockwise(grid.n, lambda rows, cols, dest: _comparison_block(kernel, grid, rows,
+                                                                          cols, dest))
+
+
+def _circulant_plus_comparison(grid: ArcGrid, circle_row: np.ndarray, kernel, what: str,
+                               out: np.ndarray | None = None) -> np.ndarray:
+    """The symmetric Toeplitz matrix of `circle_row` plus the comparison
+    matrix of `kernel`, refused as `what` where an entry is not finite.
+
+    Each block of the output is the block of comparison entries, zeros on
+    a circle grid, plus that row gathered; every entry is the sum the
+    full-matrix build forms, so the result is bitwise the same, and as
+    exactly symmetric as that build.  Built in `out` when given, each block
+    in its place.
+    """
+
+    def block(rows, cols, dest):
+        values = _comparison_block(kernel, grid, rows, cols, dest)
+        values += _toeplitz_block(circle_row, rows, cols)
+        return values
+
+    mat = _blockwise(grid.n, block, out)
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"{what}: non-finite matrix entries")
+    return mat
 
 
 def boundary_matrix(lam: float, grid: ArcGrid, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,23 +294,9 @@ def boundary_matrix(lam: float, grid: ArcGrid, out: np.ndarray | None = None) ->
     operator at the same energy, the latter split into its energy-zero
     diagonalization minus the smoothing matrix.  Both curve and circle are
     sampled at the same arc-length values, so the arc-length identification
-    between them is the identity on grid indices.
-
-    The circle part is the symmetric Toeplitz matrix of one row,
-    `circle_boundary_row`.  Each block of the output is the block of
-    comparison entries, zeros on a circle grid, plus that row gathered;
-    every entry is the sum the full-matrix build forms, so the result is
-    bitwise the same, and as exactly symmetric as that build.  Built in
-    `out` when given, each block in its place.
+    between them is the identity on grid indices.  The circle part is the
+    circulant of one row, `circle_boundary_row`, and the sum is built a
+    row block at a time (`_circulant_plus_comparison`), in `out` when given.
     """
-    circle_row = circle_boundary_row(lam, grid)
-
-    def block(rows, cols, dest):
-        values = _comparison_block(lam, grid, rows, cols, dest)
-        values += _toeplitz_block(circle_row, rows, cols)
-        return values
-
-    mat = _blockwise(grid.n, block, out)
-    if not np.all(np.isfinite(mat)):
-        raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
-    return mat
+    return _circulant_plus_comparison(grid, circle_boundary_row(lam, grid), _green(lam),
+                                      f"boundary lam={lam:g}", out)

@@ -27,7 +27,7 @@ from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_gr
 from .errors import ConfigError, CurveError, InvariantError, NumericsError
 from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
                         layer_singular_values)
-from .scattering import RANK_TOL, UNITARITY_TOL, choose_reference_energy, scattering_block
+from .scattering import RANK_TOL, UNITARITY_TOL, scattering_block
 from .spectral import (ROOT_TOL, boundary_spectrum, count_bound_states,
                        find_bound_states, isoperimetric_compare, trusted_count)
 
@@ -177,25 +177,24 @@ def cmd_scattering(args, grid, tols) -> None:
     lams = _float_list(args.lam)
     if any(lam < 0 for lam in lams):
         raise ConfigError("scattering energies must satisfy lam >= 0")
-    eta = choose_reference_energy(_float_list(args.eta))
     rows = []
     for i, lam in enumerate(lams):
-        block = scattering_block(grid, lam, alpha, eta, rank_tol=tols["rank_tol"])
-        rows.append([lam, eta, block.retained_dim, block.unitarity_defect,
+        block = scattering_block(grid, lam, alpha, rank_tol=tols["rank_tol"])
+        rows.append([lam, block.retained_dim, block.unitarity_defect,
                      block.min_channel_eigenvalue, format(block.condition, ".3g")])
         if args.dump_smatrix:
             entries = [[r + 1, c + 1, block.matrix[r, c].real, block.matrix[r, c].imag]
                        for r in range(block.retained_dim)
                        for c in range(block.retained_dim)]
             _write_rows(os.path.join(args.out, f"smatrix_{i}.csv"),
-                        f"smatrix lam={_fmt(lam)} eta={_fmt(eta)} alpha={_fmt(alpha)}",
+                        f"smatrix lam={_fmt(lam)} alpha={_fmt(alpha)}",
                         ["row", "col", "re", "im"], entries)
         if block.retained_dim and block.unitarity_defect > UNITARITY_TOL:
             raise InvariantError(
                 f"unitarity defect {block.unitarity_defect:.2e} at lam={lam:g}")
     _write_rows(os.path.join(args.out, "scattering.csv"),
                 f"scattering alpha={_fmt(alpha)} n={grid.n}",
-                ["lam", "eta", "retained_dim", "unitarity_defect",
+                ["lam", "retained_dim", "unitarity_defect",
                  "min_channel_eigenvalue", "condition"], rows)
 
 
@@ -247,7 +246,6 @@ def cmd_d_sigma(args, grid, tols) -> None:
 VALUE_OPTIONS = {
     "--alpha": ("alpha", "coupling value(s), comma separated"),
     "--lambda": ("lam", "energy value(s), comma separated"),
-    "--eta": ("eta", "reference energies, comma separated; the first is used"),
 }
 
 
@@ -288,7 +286,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=None)
 
     p = command("scattering", cmd_scattering, "scattering block per energy",
-                {"--alpha": None, "--lambda": "1", "--eta": "-1,-4,-16"},
+                {"--alpha": None, "--lambda": "1"},
                 {"rank_tol": RANK_TOL})
     p.add_argument("--dump-smatrix", action="store_true")
 

@@ -1,32 +1,24 @@
 """Pointwise integral kernels.
 
-All kernels derive from the free-space resolvent kernel e^{i sqrt(lam) r}/(4 pi r)
-with the square root taken on the branch with nonnegative imaginary part;
-values on the positive real axis are the boundary values from above, so
-sqrt(lam + i0) is real positive for lam >= 0 and i sqrt(lam) = -sqrt(-lam)
-for lam < 0.
+All kernels derive from the free-space resolvent kernel e^{i sqrt(lam) r}/(4 pi r).
+Below zero it is the decaying e^{-sqrt(-lam) r}/(4 pi r); on [0, inf) the
+scattering tables read its real part cos(sqrt(lam) r)/(4 pi r), the
+boundary value from above, and its imaginary part only through the
+scattering block's factor.  Each kernel refuses an energy outside its
+half-line, nan included.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import ConfigError
 
-# switch to a 3-term Taylor expansion once |exponent| * r drops below this,
-# to avoid cancellation in differences of exponentials
+# switch to a 3-term Taylor expansion once sqrt(-lam) * r drops below this,
+# to avoid cancellation in 1 - e^{-sqrt(-lam) r}
 _SERIES_CUTOFF = 1e-6
-
-
-def _spectral_sqrt(lam) -> complex:
-    """sqrt(lam) with Im >= 0; boundary values on [0, inf) from above."""
-    w = cmath.sqrt(lam)
-    if w.imag < 0.0:
-        w = -w
-    return w
 
 
 def green_kernel(lam, r, out=None):
@@ -35,8 +27,8 @@ def green_kernel(lam, r, out=None):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ConfigError("green_kernel requires r > 0")
-    if lam > 0:
-        raise ConfigError("green_kernel requires lam <= 0")
+    if not lam <= 0:
+        raise ConfigError(f"green_kernel requires lam <= 0, got lam={lam:g}")
     decay = np.multiply(-math.sqrt(-lam), r, out=np.empty_like(r))
     np.exp(decay, out=decay)
     out = np.multiply(4.0 * np.pi, r, out=np.empty_like(r) if out is None else out)
@@ -64,8 +56,8 @@ def smoothing_kernel(lam, r):
 
     Bounded by sqrt(-lam)/(4 pi) everywhere; identically zero for lam = 0.
     """
-    if lam > 0:
-        raise ConfigError("smoothing_kernel requires lam <= 0")
+    if not lam <= 0:
+        raise ConfigError(f"smoothing_kernel requires lam <= 0, got lam={lam:g}")
     r = np.asarray(r, dtype=float)
     a = math.sqrt(-lam)
     x = a * r
@@ -79,37 +71,17 @@ def smoothing_kernel(lam, r):
     return float(out) if out.ndim == 0 else out
 
 
-def scattering_kernel(lam, eta: float, r):
-    """Real part of (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r) for a
-    reference eta < 0, a real array (a float for a 0-d r).
-
-    With i sqrt(lam) = -b + i k, the first exponential is
-    e^{-b r} (cos kr + i sin kr), so the real part comes from real cos and
-    exp; a factor that is 1 (b = 0 or k = 0) is not evaluated, so equal
-    slopes cancel exactly.  Extended by Re(i sqrt(lam)) + sqrt(-eta), over
-    4 pi, at r = 0.  The imaginary part, sin(sqrt(lam) r)/(4 pi r) for
-    lam >= 0, is never tabulated: the scattering block reads it through the
-    factor of its matrix.
-    """
-    if not eta < 0:
-        raise ConfigError("scattering_kernel requires eta < 0")
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    kx = 1j * _spectral_sqrt(lam)             # exponent slope for lam
-    ky = -math.sqrt(-eta)                     # exponent slope for eta
-    small = (abs(kx) - ky) * r < _SERIES_CUTOFF
-    re = np.exp(kx.real * r) if kx.real else np.ones_like(r)
-    scratch = np.empty_like(r)      # holds each factor in turn: a table
-    if kx.imag:                     # block's build keeps three blocks alive
-        re *= np.cos(np.multiply(kx.imag, r, out=scratch), out=scratch)
-    re -= np.exp(np.multiply(ky, r, out=scratch), out=scratch)
-    np.copyto(scratch, r)
-    scratch[small] = 1.0
-    scratch *= 4.0 * np.pi
-    re /= scratch
-    # the series only where it is selected: the diagonal of a chord table
-    xs, ys = kx * r[small], ky * r[small]
-    series = (kx - ky) * (1.0 + (xs + ys) / 2.0 + (xs * xs + xs * ys + ys * ys) / 6.0)
-    series /= 4.0 * np.pi
-    re[small] = series.real
-    return re[0] if scalar else re
+def scattering_kernel(lam, r, out=None):
+    """Real part cos(sqrt(lam) r) / (4 pi r) of the outgoing resolvent kernel
+    at real lam >= 0, written into `out` when given, which may be `r`
+    itself.  At lam = 0 it is `green_kernel`'s 1/(4 pi r), bit for bit."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ConfigError("scattering_kernel requires r > 0")
+    if not lam >= 0:
+        raise ConfigError(f"scattering_kernel requires lam >= 0, got lam={lam:g}")
+    wave = np.multiply(math.sqrt(lam), r, out=np.empty_like(r))
+    np.cos(wave, out=wave)
+    out = np.multiply(4.0 * np.pi, r, out=np.empty_like(r) if out is None else out)
+    np.divide(wave, out, out=out)
+    return float(out) if out.ndim == 0 else out

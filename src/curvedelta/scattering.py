@@ -1,23 +1,20 @@
 """Scattering matrix block on the channel space spanned by Im N.
 
-For energies lam >= 0 the operator N(lam + i0) with kernel
+For energies lam >= 0 the boundary operator B(lam + i0) has the outgoing
+kernel e^{i sqrt(lam) r}/(4 pi r) where B(lam) below zero has the decaying
+one.  The paper writes its imaginary part through N(lam), the layer
+operator of the kernel difference from a reference energy eta < 0, as
+N + B_eta = B(lam + i0): Im N is positive semidefinite and of rapidly
+decaying rank, and the nontrivial scattering block acts on its retained
+range as
 
-    (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r),   eta < 0 fixed,
+    S' = I - 2i sqrt(Im N) (B(lam + i0) - alpha)^{-1} sqrt(Im N),
 
-acts on the grid.  Its imaginary part is positive semidefinite and of
-rapidly decaying rank; the nontrivial scattering block acts on the
-retained range of Im N as
-
-    S' = I - 2i sqrt(Im N) (N + B_eta - alpha)^{-1} sqrt(Im N),
-
-with B_eta the real boundary operator at the reference energy, unitary on
-that subspace away from exceptional energies.  N(lam) + B_eta is
-B(lam + i0), so the system does not depend on eta: where the smoothing
-row's cap is off (w sqrt(-eta) <= 6) eta moves only its rounding, and
-`choose_reference_energy` takes the first candidate without reading the
-spectrum of B_eta.  Only Re N is tabulated, and
-Im N = H H^T for the map H of the grid onto spherical waves.  With
-A_r = Re N + B_eta - alpha real symmetric, the Woodbury identity gives
+unitary on that subspace away from exceptional energies.  No reference
+energy enters: the real part Re B(lam + i0) is tabulated as B(lam) is
+(`scattering_layer_matrix`), and Im N = H H^T for the map H of the grid
+onto spherical waves.  With A_r = Re B(lam + i0) - alpha real symmetric,
+the Woodbury identity gives
 
     H^T (A_r + i H H^T)^{-1} H = M (I + iM)^{-1},   M = H^T A_r^{-1} H,
 
@@ -36,48 +33,57 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import kernel_matrix
-from .curves import ArcGrid, _kept
+from .assembly import _circle_modes, _circulant_plus_comparison, kink_correction
+from .curves import ArcGrid
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
-from .spectral import _operator
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds the block's
 # `condition`, LAPACK's 1-norm estimate for A_r times that for I + iM; on
 # the circle and the 2:1 ellipse at lam in {0.5, 1, 2} (N = 256 and 1024)
 # the product reads 2.1-4.7 times the 2-norm condition number of
-# N + B_eta - alpha, and 0.98-1.36 times the 1-norm estimate of that
+# B(lam + i0) - alpha, and 0.98-1.36 times the 1-norm estimate of that
 # complex system, well within the decade this limit allows.
 CONDITION_LIMIT = 1e12
 UNITARITY_TOL = 1e-6      # largest unitarity defect of a returned block
 
 
-def scattering_layer_matrix(grid: ArcGrid, lam, eta: float) -> np.ndarray:
-    """Trapezoid matrix Re N of the scattering kernel, real symmetric, built
-    a row block at a time.  The diagonal takes the analytic kernel limit
-    plus the kink correction of slope (eta - lam)/(8 pi), which is real, so
-    Im N is exactly the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r) for
-    lam >= 0, which the block reads through its factor."""
-    if not eta < 0:
-        raise ConfigError("reference energy eta must be negative")
-    slope = (eta - complex(lam).real) / (8.0 * np.pi)
-    re = kernel_matrix(grid, lambda r: scattering_kernel(lam, eta, r), slope)
-    if not np.isfinite(re).all():
-        raise ConfigError(f"scattering lam={lam} eta={eta:g}: non-finite matrix entries")
-    return re
+def scattering_layer_matrix(grid: ArcGrid, lam) -> np.ndarray:
+    """Re B(lam + i0) at lam >= 0, real symmetric, built as B(lam) is and a
+    row block at a time (`assembly._circulant_plus_comparison`): the
+    equal-length circle's energy-zero circulant, minus the circulant of
+    `_outgoing_smoothing_row`, plus the comparison matrix of
+    `scattering_kernel` with the curvature kink on its diagonal.  The
+    imaginary part Im N, the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r),
+    is never tabulated: the block reads it through its factor."""
+    if not lam >= 0:
+        raise ConfigError(f"scattering table requires lam >= 0, got lam={lam:g}")
+    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - _outgoing_smoothing_row(lam, grid)
+    return _circulant_plus_comparison(grid, circle_row, lambda r: scattering_kernel(lam, r, out=r),
+                                      f"scattering lam={lam:g}")
 
 
-def _reference_boundary(grid: ArcGrid, eta: float) -> np.ndarray:
-    """The read-only matrix of B(eta), kept on the grid under eta, so every
-    block of a run at that eta shares one assembly."""
-    return _kept(grid, "reference_boundary", eta, lambda: _operator(eta, grid).matrix)
+def _outgoing_smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
+    """First row of the circulant of the smoothing kernel continued to
+    lam + i0, in its real part: w Re (1 - e^{ik rho})/(4 pi rho) =
+    w 2 sin^2(k rho/2)/(4 pi rho) on the equal-length circle's chords rho,
+    k = sqrt(lam).  The diagonal is the limit 0 plus the kink correction of
+    the kernel's slope k^2/(8 pi), w^2 lam/(48 pi)."""
+    rho = grid.circle_chord_row[1:]
+    half = np.sin(0.5 * math.sqrt(lam) * rho)
+    row = np.empty(grid.n)
+    row[0] = kink_correction(lam / (8.0 * np.pi), grid.weight)
+    row[1:] = (2.0 * grid.weight) * half * half / (4.0 * np.pi * rho)
+    return row
 
 
 def choose_reference_energy(candidates) -> float:
     """The first candidate eta, after every one is checked negative (nan is
-    refused too).  The scattering system does not depend on eta (module
-    docstring), so no B(eta) is built to choose it."""
+    refused too).  Nothing in the package calls it: the scattering system
+    is B(lam + i0) - alpha and has no reference energy (module docstring).
+    It stays only because the benchmark's layer tracer,
+    `perfbench/tracer.py`, wraps it by name."""
     candidates = list(candidates)
     if not candidates:
         raise ConfigError("empty candidate list for the reference energy")
@@ -91,7 +97,6 @@ class ScatteringBlock:
     """Unitary block of the scattering matrix on the retained channel space."""
 
     lam: float
-    eta: float
     alpha: float
     retained_dim: int             # g, widened past rank_tol where needed
     matrix: np.ndarray            # (g, g) complex
@@ -203,39 +208,34 @@ def _compression(factors: np.ndarray, pivots: np.ndarray, half: np.ndarray) -> n
     return gemm(1.0, half, _solve(factors, pivots, half), trans_a=1)
 
 
-def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
+def scattering_block(grid: ArcGrid, lam: float, alpha: float,
                      rank_tol: float = RANK_TOL) -> ScatteringBlock:
-    """Assemble S'(lam) at energy lam >= 0, coupling alpha, reference eta.
+    """Assemble S'(lam) at energy lam >= 0 and coupling alpha.
 
     S' on all p channels of `_channel_space` comes from one real LDL^T of
-    A_r and the p x p Cayley solve of the module docstring.  The retained
-    block is its leading g x g part: g starts at the count of channel
-    eigenvalues above rank_tol times the top one and grows along them until
-    the block's unitarity defect is below UNITARITY_TOL, or the block is
-    refused.  Where A_r or I + iM is singular or the product of their
-    condition estimates is past CONDITION_LIMIT (at a pole of M, say),
-    A_r + i H H^T is factored instead, and refused if past that limit
-    itself.  B(eta) is assembled once per grid and eta.
+    A_r = Re B(lam + i0) - alpha and the p x p Cayley solve of the module
+    docstring.  The retained block is its leading g x g part: g starts at
+    the count of channel eigenvalues above rank_tol times the top one and
+    grows along them until the block's unitarity defect is below
+    UNITARITY_TOL, or the block is refused.  Where A_r or I + iM is singular
+    or the product of their condition estimates is past CONDITION_LIMIT (at
+    a pole of M, say), A_r + i H H^T is factored instead, and refused if
+    past that limit itself.
     """
-    if lam < 0:
-        raise ConfigError("scattering block is defined for lam >= 0")
-    if not eta < 0:
-        raise ConfigError("reference energy eta must be negative")
+    if not lam >= 0:
+        raise ConfigError(f"scattering block is defined for lam >= 0, got lam={lam:g}")
     # at lam = 0 Im N vanishes and no channel is open: no table is built
     factor = _layer_factor(grid, lam) if lam > 0 else None
     vals, half = _channel_space(factor) if lam > 0 else (np.zeros(0), None)
     retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) else 0
     if retained == 0:
-        return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=0,
+        return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=0,
                                matrix=np.zeros((0, 0), dtype=complex), unitarity_defect=0.0,
                                channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
                                condition=0.0)
 
     p = len(vals)
-    boundary = _reference_boundary(grid, eta)   # built before Re N: a lower peak
-    re = scattering_layer_matrix(grid, lam, eta)
-    system = re                     # A_r = Re N + B_eta - alpha, in place
-    system += boundary
+    system = scattering_layer_matrix(grid, lam)     # A_r, in place
     system[np.diag_indices(grid.n)] -= alpha
     # symmetric, so its transpose is the same matrix in Fortran order
     factors, pivots, condition = _factor(system.T)
@@ -251,16 +251,15 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
             coupled = _solve(cayley_factors, cayley_pivots, core)   # M (I + iM)^{-1}
     if not condition <= CONDITION_LIMIT:
         # the real path cannot vouch for the system: factor it whole
-        del re, system, factors
+        del system, factors
         system = 1j * scipy.linalg.blas.dgemm(1.0, factor, factor, trans_b=1)
-        system += scattering_layer_matrix(grid, lam, eta)
-        system += boundary
+        system += scattering_layer_matrix(grid, lam)
         system[np.diag_indices(grid.n)] -= alpha
         factors, pivots, condition = _factor(system.T)
         if not condition <= CONDITION_LIMIT:
             kind = "exactly" if condition == np.inf else "numerically"
             raise NumericsError(
-                f"system N + B - alpha is {kind} singular at lam={lam:g} "
+                f"system B(lam + i0) - alpha is {kind} singular at lam={lam:g} "
                 f"(condition {condition:.2e}); energy near the exceptional set")
         coupled = _compression(factors, pivots, half)
 
@@ -278,7 +277,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float, eta: float,
             f"scattering block at lam={lam:g} not unitary even on all {p} "
             f"channels (defect {defect:.2e}, condition {condition:.2e}); it cannot "
             "be widened until unitary")
-    return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=g,
+    return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=g,
                            matrix=block[:g, :g].copy(), unitarity_defect=defect,
                            channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
                            condition=condition)

@@ -54,7 +54,7 @@ import weakref
 import numpy as np
 import scipy.linalg
 
-from .assembly import (_comparison_block, boundary_derivative, boundary_matrix,
+from .assembly import (_comparison_block, _green, boundary_derivative, boundary_matrix,
                        circle_boundary_modes, circle_derivative_modes, circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
@@ -164,7 +164,7 @@ def _fourier_compression(lam: float, grid: ArcGrid,
     half = np.empty((size, n))
     comparison_sq = 0.0
     for rows in _row_blocks(n, row_bytes):
-        d = _comparison_block(lam, grid, rows, slice(0, n))
+        d = _comparison_block(_green(lam), grid, rows, slice(0, n))
         square = float(np.einsum("ij,ij->", d, d))
         # a sum of finite squares is finite unless it overflows
         if not math.isfinite(square) and not np.all(np.isfinite(d)):

@@ -40,6 +40,7 @@ used by the library itself; neither is the eigenvalue-clustering helper
 nor the seeded-curve draw, which repeats the benchmark's.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -54,10 +55,11 @@ from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         NumericsError, ScatteringBlock, boundary_matrix,
                         circle_chord, circle_mode_eigenvalues, green_kernel,
                         reparametrize_arclength, scale_to_length)
-from curvedelta.assembly import (boundary_derivative, circle_operator_matrix,
-                                 kink_correction, smoothing_matrix)
+from curvedelta.assembly import (boundary_derivative, circle_boundary_modes,
+                                 circle_derivative_modes, circle_operator_matrix,
+                                 kernel_matrix, kink_correction, smoothing_matrix)
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances, _panel_count
-from curvedelta.kernels import _SERIES_CUTOFF, _spectral_sqrt, green_derivative_kernel
+from curvedelta.kernels import _SERIES_CUTOFF, green_derivative_kernel
 from curvedelta.resolvent import BoxGrid, _resolvent_system
 from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
 from curvedelta.spectral import eigenvalue_at
@@ -327,7 +329,7 @@ def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: flo
     solved = scipy.linalg.solve(system, half.astype(complex))
     block = np.eye(retained, dtype=complex) - 2j * (half.T @ solved)
     defect = float(np.linalg.norm(block.conj().T @ block - np.eye(retained), 2))
-    return ScatteringBlock(lam=lam, eta=eta, alpha=alpha, retained_dim=retained,
+    return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=retained,
                            matrix=block, unitarity_defect=defect,
                            channel_eigenvalues=vals.copy(),
                            min_channel_eigenvalue=float(vals[-1]), condition=condition)
@@ -353,6 +355,20 @@ def scattering_condition_reference(grid: ArcGrid, lam: float, alpha: float,
     factors, pivots, _ = sytrf(system, lwork=int(sytrf_lwork(grid.n)[0].real))
     rcond, _ = sycon(factors, pivots, np.linalg.norm(system, 1))
     return 1.0 / float(rcond)
+
+
+def circle_probe_singular_values(grid: ArcGrid, lam: float,
+                                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's singular values on the grid's equal-length circle, in
+    closed form and nonincreasing: per wavenumber m (each 1 <= m < N/2
+    twice) sqrt(x_m) for the layer map and x_m/|alpha - b_m| for the
+    correction, with b_m and x_m the mode values of B(lam) and B'(lam)."""
+    b = circle_boundary_modes(lam, grid)
+    x = circle_derivative_modes(lam, grid)
+    twice = np.ones(len(x), dtype=int)
+    twice[1:-1] = 2
+    x, b = np.repeat(x, twice), np.repeat(b, twice)
+    return np.sort(np.sqrt(x))[::-1], np.sort(x / np.abs(alpha - b))[::-1]
 
 
 def box_layer_map(grid: ArcGrid, box: BoxGrid, lam: float) -> np.ndarray:
@@ -405,12 +421,14 @@ def green_square_integral(lam: float, d: float) -> float:
     return 4.0 * math.pi * sum(halves)
 
 
-def comparison_matrix_full(lam: float, grid: ArcGrid) -> np.ndarray:
-    """The comparison matrix from the whole chord table in one pass."""
+def comparison_matrix_full(lam: float, grid: ArcGrid, kernel=None) -> np.ndarray:
+    """The comparison matrix of `kernel`, G_lam by default, from the whole
+    chord table in one pass."""
     if grid.curve.is_circle:
         return np.zeros((grid.n, grid.n))
     w = grid.weight
-    mat = w * chord_difference_reference(grid, lambda r: green_kernel(lam, r))
+    kernel = kernel or (lambda r: green_kernel(lam, r))
+    mat = w * chord_difference_reference(grid, kernel)
     kappa_circle = 2.0 * np.pi / grid.length
     slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
     mat[np.diag_indices_from(mat)] = kink_correction(slopes, w)
@@ -426,11 +444,57 @@ def boundary_matrix_full(lam: float, grid: ArcGrid) -> np.ndarray:
     return mat
 
 
+def spectral_sqrt(lam) -> complex:
+    """sqrt(lam) with Im >= 0; boundary values on [0, inf) from above."""
+    w = cmath.sqrt(lam)
+    if w.imag < 0.0:
+        w = -w
+    return w
+
+
+def reference_scattering_kernel(lam, eta: float, r):
+    """The library's earlier real scattering kernel, the real part of
+    (e^{i sqrt(lam) r} - e^{i sqrt(eta) r}) / (4 pi r) for a reference
+    eta < 0, from real cos and exp, with a 3-term series where
+    (|sqrt(lam)| + sqrt(-eta)) r is below the cutoff, and its limit
+    Re(i sqrt(lam)) + sqrt(-eta), over 4 pi, at r = 0."""
+    scalar = np.ndim(r) == 0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    kx = 1j * spectral_sqrt(lam)
+    ky = -math.sqrt(-eta)
+    small = (abs(kx) - ky) * r < _SERIES_CUTOFF
+    re = np.exp(kx.real * r) if kx.real else np.ones_like(r)
+    scratch = np.empty_like(r)
+    if kx.imag:
+        re *= np.cos(np.multiply(kx.imag, r, out=scratch), out=scratch)
+    re -= np.exp(np.multiply(ky, r, out=scratch), out=scratch)
+    np.copyto(scratch, r)
+    scratch[small] = 1.0
+    scratch *= 4.0 * np.pi
+    re /= scratch
+    xs, ys = kx * r[small], ky * r[small]
+    series = (kx - ky) * (1.0 + (xs + ys) / 2.0 + (xs * xs + xs * ys + ys * ys) / 6.0)
+    series /= 4.0 * np.pi
+    re[small] = series.real
+    return re[0] if scalar else re
+
+
+def reference_scattering_system(grid: ArcGrid, lam: float, eta: float) -> np.ndarray:
+    """The library's earlier scattering table Re N + B(eta) = A_r + alpha:
+    the row-blocked trapezoid matrix of `reference_scattering_kernel`, with
+    the kink correction of slope (eta - lam)/(8 pi) on its diagonal, plus
+    B(eta)."""
+    table = kernel_matrix(grid, lambda r: reference_scattering_kernel(lam, eta, r),
+                          (eta - lam) / (8.0 * np.pi))
+    table += boundary_matrix(eta, grid)
+    return table
+
+
 def scattering_kernel_full(lam, eta: float, r):
     """The scattering kernel with its r -> 0 series evaluated at every entry
     and selected by np.where."""
     r = np.asarray(r, dtype=float)
-    kx = 1j * _spectral_sqrt(lam)
+    kx = 1j * spectral_sqrt(lam)
     ky = complex(-math.sqrt(-eta))
     small = (abs(kx) + abs(ky)) * r < _SERIES_CUTOFF
     safe_r = np.where(small, 1.0, r)

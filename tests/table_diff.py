@@ -9,13 +9,16 @@ line, header and number of rows, and DIR_B must hold no other table.
 An empty cell (a bound that does not apply) matches only an empty cell.
 A cell that is not a float (an index, a count, a flag) must be the same
 text in both, and so must a float cell that is not finite (nan, inf).
-Finite float cells must agree within |a - b| <= RTOL s, where s is the
+Finite float cells must agree within |a - b| <= tol s, where s is the
 largest finite magnitude in their column of either table: an
 eigenvalue's rounding is relative to the norm of its operator, not to
-its own size, which is near zero for some.  The `residual` column is not
-compared: a residual |nu_k - alpha| is rounding by construction, below
-eps ||B||, and its digits carry no information.  Prints the largest
-relative difference of each table and exits 1 when one exceeds RTOL.
+its own size, which is near zero for some.  The tolerance is RTOL, and
+SMATRIX_RTOL for a scattering block `smatrix_*.csv`.  Three columns are
+not compared: a `residual` |nu_k - alpha| and a `unitarity_defect`
+||S'* S' - I|| are rounding by construction, and their digits carry no
+information; a `condition` is LAPACK's estimate, which moves in its second
+digit with the BLAS thread count.  Prints the largest relative difference
+of each table and exits 1 when one exceeds its tolerance.
 """
 
 import argparse
@@ -24,12 +27,18 @@ import math
 import pathlib
 import sys
 
-UNCOMPARED = {"residual"}
-# The spectrum and bound-state tables of the CI step differ between one and
-# two BLAS threads by at most 3.8e-15 of a column's scale (README, "Command
-# line"); 1e-13 leaves room for other BLAS builds and still catches any
-# change of an answer.
+UNCOMPARED = {"residual", "unitarity_defect", "condition"}
+# The spectrum, bound-state and scattering-summary tables of the CI step
+# differ between one and two BLAS threads by at most 3.8e-15 of a column's
+# scale (README, "Command line"); 1e-13 leaves room for other BLAS builds
+# and still catches any change of an answer.
 RTOL = 1e-13
+# The scattering blocks inherit the rounding of the LDL^T of A_r, amplified
+# by its condition: on the ellipse, seed 7 and the circle at N = 256 and
+# 1024, alpha = -0.3 and -0.5, lam = 0.5, 1, 2, they differed by at most
+# 2.0e-11 of a column's scale (the ellipse at N = 1024, alpha = -0.3,
+# lam = 2); 25 times that is allowed, as RTOL allows 26 times its table's.
+SMATRIX_RTOL = 5e-10
 
 
 def _is_integer(text: str) -> bool:
@@ -94,7 +103,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(exc)
             worst = float("inf")
-        failed |= worst > RTOL
+        failed |= worst > (SMATRIX_RTOL if name.name.startswith("smatrix_") else RTOL)
         print(f"{name}: largest relative difference {worst:.2e}")
     return 1 if failed else 0
 

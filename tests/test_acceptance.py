@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from curvedelta import (asymptotic_count_bounds, boundary_matrix,
-                        choose_reference_energy,
                         circle_deviation, circle_mode_eigenvalues,
                         correction_singular_values,
                         count_bound_states, eigen, find_bound_states,
@@ -201,11 +200,10 @@ def test_criterion_09_isoperimetric(ellipse, ellipse_grids):
 def test_criterion_10_scattering_unitarity(circle_grids):
     grid = circle_grids[256]
     alpha = -0.5
-    eta = choose_reference_energy([-1.0, -4.0, -16.0])
     ok = True
     details = []
     for lam in (0.5, 1.0, 2.0):
-        blk = scattering_block(grid, lam, alpha, eta)
+        blk = scattering_block(grid, lam, alpha)
         top = blk.channel_eigenvalues[0]
         ok = (ok and blk.unitarity_defect < 1e-6
               and blk.min_channel_eigenvalue >= -1e-10 * top)

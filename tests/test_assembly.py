@@ -124,7 +124,7 @@ class TestBoundaryMatrix:
     def test_exact_symmetry(self, ellipse_grid, circle_grid):
         for mat in (boundary_matrix(-1.0, ellipse_grid),
                     boundary_matrix(-2.5, circle_grid),
-                    scattering_layer_matrix(ellipse_grid, 1.0, -1.0)):
+                    scattering_layer_matrix(ellipse_grid, 1.0)):
             assert np.array_equal(mat, mat.T)
 
     def test_top_eigenvalue_matches_quadrature(self, circle_grid):
@@ -201,7 +201,7 @@ def test_grid_chords_shared_read_only(ellipse_grid):
     chords = ellipse_grid.chords
     before = chords.copy()
     comparison_matrix(-1.0, ellipse_grid)
-    scattering_layer_matrix(ellipse_grid, 1.0, -1.0)
+    scattering_layer_matrix(ellipse_grid, 1.0)
     assert ellipse_grid.chords is chords
     assert np.array_equal(chords, before)
     with pytest.raises(ValueError):

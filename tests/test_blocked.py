@@ -3,17 +3,20 @@
 Every table the library builds a row block at a time must equal, bit for
 bit, a one-pass build, on grids smaller than one block, on grids whose
 last block is ragged, and at the benchmark's sizes: the ones kept in
-`oracles` (the `*_full` references), and for the scattering layer table
-Re N the library's kernel on the whole chord table.  That table and the
-scattering kernel must also lie within a few ulps of the real part of the
-earlier complex-exponential builds kept in `oracles`.  Memory tests pin the point of blocking: the peak
-traced allocation of a build stays near the size of its output.
+`oracles` (the `*_full` references), and for the scattering table
+Re B(lam + i0) the library's kernel on the whole chord table.  The real
+table of B(lam + i0), that one at lam >= 0 and B(lam) below, and its
+kernel must also lie within a few ulps of the earlier complex-exponential
+builds of N(lam) + B(eta) kept in `oracles`.  Memory tests pin the point of
+blocking: the peak traced allocation of a build stays near the size of its
+output.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import curvedelta.curves as curves_mod
 from curvedelta import spectral
@@ -22,7 +25,9 @@ from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         make_grid, reparametrize_arclength,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
-from curvedelta.assembly import boundary_derivative, comparison_matrix, kink_correction
+from curvedelta.assembly import (_circle_modes, boundary_derivative, comparison_matrix,
+                                 kink_correction)
+from curvedelta.scattering import _outgoing_smoothing_row
 from curvedelta.curves import _ArcTable, _row_blocks
 from curvedelta.resolvent import make_box
 from curvedelta.spectral import _circle_levels
@@ -35,7 +40,7 @@ from oracles import (box_points_full, boundary_matrix_full,
 # so both grids end in a ragged block; N = 16 stays within one block
 SMALL_BLOCK_BYTES = 24 * 1024
 LAMBDAS = (0.0, -1.0, -4.0, -16.0, -600.0)
-SCATTERING_LAMBDAS = (0.0, 0.5, 1.0, 2.0, -2.0)
+SCATTERING_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
 EPS = np.finfo(float).eps
 
 
@@ -88,12 +93,25 @@ def test_boundary_bitwise_benchmark_sizes(wobble, n):
         assert np.array_equal(boundary_matrix(lam, grid), boundary_matrix_full(lam, grid))
 
 
-def _scattering_layer_one_pass(grid, lam, eta):
-    """Re N from the library's kernel on the whole chord table in one pass."""
-    w = grid.weight
-    re = w * scattering_kernel(lam, eta, grid.chords)
-    re[np.diag_indices(grid.n)] += kink_correction((eta - complex(lam).real) / (8.0 * np.pi), w)
-    return re
+def _scattering_layer_one_pass(grid, lam):
+    """Re B(lam + i0) from the library's kernel on the whole chord table in
+    one pass: the circle circulant gathered whole, plus the comparison
+    entries of the full chord tables."""
+    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - _outgoing_smoothing_row(lam, grid)
+    table = toeplitz(circle_row)
+    if not grid.curve.is_circle:
+        table += comparison_matrix_full(lam, grid, lambda r: scattering_kernel(lam, r))
+    return table
+
+
+def _real_kernel(lam, r):
+    """The kernel of Re B(lam + i0): outgoing at lam >= 0, decaying below."""
+    return scattering_kernel(lam, r) if lam >= 0 else green_kernel(lam, r)
+
+
+def _real_table(grid, lam):
+    """Re B(lam + i0): the scattering table at lam >= 0, B(lam) below."""
+    return scattering_layer_matrix(grid, lam) if lam >= 0 else boundary_matrix(lam, grid)
 
 
 def _assert_ulp_close(re, ref, r, scale=1.0):
@@ -108,56 +126,58 @@ def _assert_ulp_close(re, ref, r, scale=1.0):
 def test_scattering_layer_bitwise_small_grids(curves, name, n, small_blocks):
     grid = make_grid(curves[name], n)
     for lam in SCATTERING_LAMBDAS:
-        re = scattering_layer_matrix(grid, lam, -1.0)
+        re = scattering_layer_matrix(grid, lam)
         assert re.dtype == np.float64
-        assert np.array_equal(re, _scattering_layer_one_pass(grid, lam, -1.0))
+        assert np.array_equal(re, _scattering_layer_one_pass(grid, lam))
 
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_scattering_layer_bitwise_benchmark_sizes(ellipse, n):
     grid = make_grid(ellipse, n)
     for lam in SCATTERING_LAMBDAS:
-        assert np.array_equal(scattering_layer_matrix(grid, lam, -1.0),
-                              _scattering_layer_one_pass(grid, lam, -1.0))
+        assert np.array_equal(scattering_layer_matrix(grid, lam),
+                              _scattering_layer_one_pass(grid, lam))
 
 
 @pytest.mark.parametrize("n", [100, 1024])
-@pytest.mark.parametrize("lam", [-4.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("lam", [-4.0, -0.25, 0.0, 0.5, 2.0])
 def test_scattering_layer_matches_complex_build(ellipse, lam, n):
-    # real cos, sin and exp against the complex exponentials of the earlier
-    # build: at most 2.3 of the 4 ulps were used at N = 1024
+    # the real table of B(lam + i0), by the circle circulant and real cos or
+    # exp, against Re N(lam) + B(-1) of the complex exponentials of the
+    # earlier build: within 4 ulps of the table's largest entry, which is
+    # where the circulant part is rounded (1 ulp was seen)
     grid = make_grid(ellipse, n)
-    _assert_ulp_close(scattering_layer_matrix(grid, lam, -1.0),
-                      scattering_layer_matrix_full(grid, lam, -1.0), grid.chords, grid.weight)
+    table = _real_table(grid, lam)
+    ref = scattering_layer_matrix_full(grid, lam, -1.0).real + boundary_matrix(-1.0, grid)
+    assert np.max(np.abs(table - ref)) <= 4.0 * np.spacing(np.max(np.abs(table)))
 
 
-@pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0])
 def test_scattering_kernel_bitwise(lam):
-    # zero, series-range and ordinary chords, in one array and one at a
-    # time: a 0-d chord gets the floats the same chord gets in an array
-    r = np.array([[0.0, 1e-9, 3e-7], [1e-3, 0.5, 2.0]])
-    re = scattering_kernel(lam, -1.0, r)
+    # series-range and ordinary chords, in one array and one at a time: a
+    # 0-d chord gets the floats the same chord gets in an array, for the
+    # kernel of Re B(lam + i0) at every energy
+    r = np.array([[1e-9, 3e-7], [1e-3, 0.5], [2.0, 7.0]])
+    re = _real_kernel(lam, r)
     assert re.shape == r.shape
     for x, expected in zip(r.ravel(), re.ravel()):
-        value = scattering_kernel(lam, -1.0, x)
-        assert type(value) is np.float64
+        value = _real_kernel(lam, x)
+        assert type(value) is float
         assert value == expected
 
 
-@pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0, 1.0 + 0.5j, 3.0 - 2.0j])
+@pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 0.5, 2.0])
 def test_scattering_kernel_matches_complex_build(lam):
-    # the series range, its edge and chords up to 10, in one array and as
-    # 0-d chords, within 4 ulps of 1/(4 pi r) of the complex exponentials
-    r = np.concatenate([[0.0, 1e-9, 3e-7, 1e-6], np.geomspace(1e-6, 10.0, 2001)])
-    _assert_ulp_close(scattering_kernel(lam, -1.0, r), scattering_kernel_full(lam, -1.0, r), r)
-    for x in (0.0, 1e-9, 0.7):
-        _assert_ulp_close(scattering_kernel(lam, -1.0, x), scattering_kernel_full(lam, -1.0, x),
-                          np.float64(x))
-
-
-def test_scattering_kernel_real_below_zero():
-    assert scattering_kernel(-2.0, -1.0, np.array([0.0, 0.5])).dtype == np.float64
-    assert isinstance(scattering_kernel(-2.0, -1.0, 0.5), np.floating)
+    # the kernel of Re B(lam + i0) less G_{-1} is the earlier kernel of
+    # N(lam) at eta = -1: on the series range, its edge and chords up to 10,
+    # in one array and as 0-d chords, within 4 ulps of 1/(4 pi r) of the
+    # complex exponentials
+    r = np.concatenate([[1e-9, 3e-7, 1e-6], np.geomspace(1e-6, 10.0, 2001)])
+    _assert_ulp_close(_real_kernel(lam, r) - green_kernel(-1.0, r),
+                      scattering_kernel_full(lam, -1.0, r), r)
+    for x in (1e-9, 0.7):
+        _assert_ulp_close(_real_kernel(lam, x) - green_kernel(-1.0, x),
+                          scattering_kernel_full(lam, -1.0, x), np.float64(x))
 
 
 @pytest.mark.parametrize("n", [16, 100, 250])
@@ -201,7 +221,7 @@ def test_chord_table_kept_only_when_it_fits_one_block(ellipse):
     # search; a larger grid never holds the N x N table
     small, large = make_grid(ellipse, 256), make_grid(ellipse, 1024)
     boundary_matrix(-1.0, small)
-    scattering_layer_matrix(large, 1.0, -1.0)
+    scattering_layer_matrix(large, 1.0)
     boundary_matrix(-1.0, large)
     assert "chords" in small.__dict__
     assert "chords" not in large.__dict__
@@ -227,11 +247,14 @@ def test_zero_chord_in_last_block_refused(ellipse, small_blocks):
 
 
 def test_non_finite_energy_refused(ellipse, small_blocks):
+    # nan is refused before any table is built, inf by the finite check
     grid = make_grid(ellipse, 100)
-    with pytest.raises(ConfigError, match="non-finite"):
-        scattering_layer_matrix(grid, float("nan"), -1.0)
-    with pytest.raises(ConfigError, match="non-finite"):
+    with pytest.raises(ConfigError, match="lam >= 0"):
+        scattering_layer_matrix(grid, float("nan"))
+    with pytest.raises(ConfigError, match="lam <= 0"):
         boundary_matrix(float("nan"), grid)
+    with pytest.raises(ConfigError, match="non-finite"), np.errstate(invalid="ignore"):
+        scattering_layer_matrix(grid, float("inf"))
 
 
 def test_green_kernel_refuses_nonpositive_chords():
@@ -278,7 +301,7 @@ def test_certified_spectrum_peak_memory(ellipse):
 
 def test_scattering_layer_matrix_peak_memory(ellipse):
     grid = make_grid(ellipse, 1024)
-    re, peak = _peak_bytes(lambda: scattering_layer_matrix(grid, 1.0, -1.0))
+    re, peak = _peak_bytes(lambda: scattering_layer_matrix(grid, 1.0))
     assert peak <= 1.5 * re.nbytes
 
 

@@ -183,6 +183,8 @@ class TestScattering:
         _, rows = _read_rows(tmp_path / "smatrix_0.csv")
         dim = int(math.isqrt(len(rows)))
         assert dim * dim == len(rows) and dim > 0
+        # the meta line names no reference energy
+        assert (tmp_path / "smatrix_0.csv").read_text().startswith("# smatrix lam=1 alpha=-0.5\n")
 
     def test_condition_written_to_three_digits(self, ellipse_file, tmp_path, monkeypatch):
         # ?sycon can return the estimate with different last digits in
@@ -206,20 +208,24 @@ class TestScattering:
 
     @pytest.mark.parametrize("eta", ["-1,5", "5,-1", "-1,-4,0"])
     def test_any_nonnegative_eta_exits_2(self, circle_file, tmp_path, capsys, eta):
-        # every candidate is checked, not only those tried before one fits
+        # an earlier command line's reference energies are refused, never
+        # ignored: scattering declares no --eta
         assert main(["scattering", "--curve", circle_file, "--n", "64",
                      "--alpha=-0.5", f"--eta={eta}", "--out", str(tmp_path)]) == 2
-        assert "must be negative" in capsys.readouterr().err
+        assert "unrecognized arguments: --eta" in capsys.readouterr().err
 
     def test_alpha_on_reference_spectrum_exits_0(self, circle_file, tmp_path):
-        # the system does not depend on eta, so alpha on an eigenvalue of
-        # B(eta) is valid input and eta is not refused
+        # the system B(lam + i0) - alpha has no reference energy, so alpha
+        # on an eigenvalue of B(-1) is valid input, and the table has no
+        # eta column
         alpha = eigen(boundary_matrix(-1.0, make_grid(make_circle(1.0), 256)))[4]
         assert main(["scattering", "--curve", circle_file, "--n", "256",
-                     f"--alpha={float(alpha)!r}", "--eta=-1", "--lambda=0.5,1",
+                     f"--alpha={float(alpha)!r}", "--lambda=0.5,1",
                      "--out", str(tmp_path)]) == 0
-        _, rows = _read_rows(tmp_path / "scattering.csv")
-        assert [row[1] for row in rows] == ["-1", "-1"]
+        header, rows = _read_rows(tmp_path / "scattering.csv")
+        assert header == ["lam", "retained_dim", "unitarity_defect",
+                          "min_channel_eigenvalue", "condition"]
+        assert [row[0] for row in rows] == ["0.5", "1"]
 
     def test_near_exceptional_energy_never_exits_4(self, seed10_file, tmp_path):
         # the benchmark's seed-10 curve at lam = 0.5: the channels above
@@ -397,7 +403,7 @@ class TestInProcess:
     def test_grid_freed_when_main_returns(self, ellipse_file, tmp_path, monkeypatch, argv):
         # without the cyclic collector, so only reference counts free them:
         # the curve and its arc table, and the grid with B, B' and the
-        # LDL^T copy of a search and a kept B(eta), go when main returns
+        # LDL^T copy of a search, go when main returns
         kept = []
         real = cli_mod.make_grid
 
@@ -542,7 +548,9 @@ MALFORMED = [
     (["spectrum", "--lambda", ","], "no number"),
     # an empty list is no list, not the default
     (["spectrum", "--lambda="], "no number"),
-    (["scattering", "--alpha=-0.5", "--eta="], "no number"),
+    (["scattering", "--alpha=-0.5", "--lambda="], "no number"),
+    # an earlier command line's reference energies
+    (["scattering", "--alpha=-0.5", "--eta="], "unrecognized arguments: --eta"),
     (["probe", "--alpha="], "no number"),
     (["scattering", "--alpha=-0.5,-0.3"], "--alpha takes one value"),
     (["probe", "--box-lo", "-3"], "unrecognized arguments: --box-lo"),
@@ -560,7 +568,7 @@ def test_malformed_values_exit_2(circle_file, tmp_path, capsys, argv, message):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["spectrum", "bound-states", "scattering",
                                 "isoperimetric", "probe", "d-sigma"]),
-       option=st.sampled_from(["--alpha", "--lambda", "--eta"]),
+       option=st.sampled_from(["--alpha", "--lambda"]),
        parts=st.lists(st.sampled_from(["", "x", "inf", "1e400", "nan", "1", "2",
                                        "-0.5", "-0.3", "0.1"]), min_size=1, max_size=3))
 def test_exit_code_contract(circle_file, tmp_path_factory, command, option, parts):
@@ -585,7 +593,7 @@ REQUIRED = {"spectrum": [], "bound-states": ["--alpha", "0.1"],
     ("spectrum", "--alpha"), ("spectrum", "--eta"),
     ("bound-states", "--lambda"), ("bound-states", "--eta"),
     ("isoperimetric", "--lambda"), ("isoperimetric", "--eta"),
-    ("probe", "--eta"),
+    ("probe", "--eta"), ("scattering", "--eta"),
     ("d-sigma", "--alpha"), ("d-sigma", "--lambda"), ("d-sigma", "--eta"),
 ])
 def test_unread_option_exits_2(circle_file, tmp_path, capsys, command, option):
@@ -606,7 +614,10 @@ def test_missing_alpha_exits_2_before_the_curve_is_read(tmp_path, capsys, comman
 def test_value_defaults_show_in_help(capsys):
     assert main(["scattering", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert "(default 1)" in text and "(default -1,-4,-16)" in text
+    assert "(default 1)" in text and "--eta" not in text
+    assert main(["probe", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default -0.5)" in text and "(default -1)" in text
 
 
 @pytest.mark.parametrize("command, key", [
@@ -774,3 +785,29 @@ def test_table_difference_is_relative_to_the_column_scale(tmp_path):
     worst = table_diff.table_difference(tmp_path / "a" / "bound_states.csv",
                                         tmp_path / "b" / "bound_states.csv")
     assert worst == pytest.approx(6e-14 / 5.5, rel=1e-2)
+
+
+def _write_scattering(root, summary, entry):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "scattering.csv").write_text(
+        "# scattering alpha=-0.3 n=256\n"
+        "lam,retained_dim,unitarity_defect,min_channel_eigenvalue,condition\n"
+        f"{summary}\n")
+    (root / "smatrix_0.csv").write_text(
+        "# smatrix lam=1 alpha=-0.3\nrow,col,re,im\n"
+        f"1,1,{entry},-0.8\n1,2,0.1,0.2\n")
+
+
+@pytest.mark.parametrize("summary, entry, exit_code", [
+    # the defect and the condition estimate are not compared
+    ("1,15,3.1e-12,0,1.79e+03", "0.6", 0),
+    # a block entry may move by 2e-11 of its column's scale, not by 1e-9
+    ("1,15,3.08e-12,0,1.78e+03", "0.60000000002", 0),
+    ("1,15,3.08e-12,0,1.78e+03", "0.600000001", 1),
+    # the retained dimension must agree exactly
+    ("1,16,3.08e-12,0,1.78e+03", "0.6", 1),
+])
+def test_table_diff_scattering(tmp_path, summary, entry, exit_code):
+    _write_scattering(tmp_path / "a", "1,15,3.08e-12,0,1.78e+03", "0.6")
+    _write_scattering(tmp_path / "b", summary, entry)
+    assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == exit_code

@@ -7,21 +7,23 @@ import pytest
 
 from curvedelta import (ConfigError, circle_chord, green_kernel, make_circle,
                         scattering_kernel, smoothing_kernel)
-from curvedelta.kernels import _spectral_sqrt, green_derivative_kernel
+from curvedelta.kernels import green_derivative_kernel
 from curvedelta.scattering import _layer_factor
-from oracles import chord, circle_top_eigenvalue, comparison_kernel, green_square_integral
+from oracles import (chord, circle_top_eigenvalue, comparison_kernel, green_square_integral,
+                     spectral_sqrt)
 
 
 class TestSpectralSqrt:
+    # the branch of the earlier complex kernels, which the references keep
     def test_negative_axis(self):
-        w = _spectral_sqrt(-4.0)
+        w = spectral_sqrt(-4.0)
         assert w == pytest.approx(2.0j, abs=1e-15)
 
     def test_positive_axis_from_above(self):
-        assert _spectral_sqrt(9.0) == pytest.approx(3.0, abs=1e-15)
+        assert spectral_sqrt(9.0) == pytest.approx(3.0, abs=1e-15)
 
     def test_lower_half_plane_maps_up(self):
-        w = _spectral_sqrt(1.0 - 1.0j)
+        w = spectral_sqrt(1.0 - 1.0j)
         assert w.imag >= 0.0
         assert w * w == pytest.approx(1.0 - 1.0j, abs=1e-14)
 
@@ -47,6 +49,11 @@ class TestGreenKernel:
     def test_rejects_positive_energy(self):
         with pytest.raises(ConfigError):
             green_kernel(4.0, 1.0)
+
+    def test_rejects_nan_energy(self):
+        # nan is not <= 0 either; a plain lam > 0 test let it through
+        with pytest.raises(ConfigError, match="lam <= 0"):
+            green_kernel(float("nan"), np.array([0.5, 1.0]))
 
 
 class TestGreenDerivativeKernel:
@@ -124,6 +131,11 @@ class TestSmoothingKernel:
         val = smoothing_kernel(-1.0, 1e-8)
         assert abs(val - 1.0 / (4.0 * math.pi)) < 1e-7
 
+    @pytest.mark.parametrize("lam", [1.0, float("nan")])
+    def test_rejects_positive_and_nan_energy(self, lam):
+        with pytest.raises(ConfigError, match="lam <= 0"):
+            smoothing_kernel(lam, np.array([0.0, 0.5]))
+
 
 class TestComparisonKernel:
     def test_circle_vanishes(self):
@@ -144,29 +156,22 @@ class TestComparisonKernel:
 
 class TestScatteringKernel:
     def test_equal_energies_vanish(self):
-        r = np.linspace(0.0, 4.0, 30)
-        assert not scattering_kernel(-1.0, -1.0, r).any()
-
-    def test_origin_limit(self):
-        val = scattering_kernel(1.0, -1.0, 0.0)
-        assert val == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-15)
-
-    def test_real_for_negative_energy(self):
-        re = scattering_kernel(-2.0, -1.0, np.linspace(0.0, 3.0, 17))
-        assert re.dtype == np.float64 and np.isfinite(re).all()
+        # at lam = 0 the outgoing and the decaying kernels are both
+        # 1/(4 pi r): their difference vanishes, bit for bit
+        r = np.linspace(0.1, 4.0, 30)
+        assert not (scattering_kernel(0.0, r) - green_kernel(0.0, r)).any()
 
     def test_real_part_identity(self):
-        # Re kernel at lam + i0 is (cos(sqrt(lam) r) - e^{-sqrt(-eta) r})/(4 pi r)
+        # Re kernel at lam + i0 is cos(sqrt(lam) r)/(4 pi r)
         r = np.geomspace(1e-3, 4.0, 50)
         for lam in (0.5, 1.0, 2.0):
-            expected = (np.cos(math.sqrt(lam) * r) - np.exp(-2.0 * r)) / (4.0 * np.pi * r)
-            assert np.max(np.abs(scattering_kernel(lam, -4.0, r) - expected)) < 1e-14
+            expected = np.cos(math.sqrt(lam) * r) / (4.0 * np.pi * r)
+            assert np.max(np.abs(scattering_kernel(lam, r) - expected) / expected) < 1e-14
 
     def test_imaginary_part_identity(self):
-        # Im kernel at lam + i0 is sin(sqrt(lam) r)/(4 pi r), and the
-        # reference energy contributes nothing to it; the layer reads it as
-        # H H^T, so the pair of nodes at +-r/2 along an axis gets it from the
-        # factor built at unit weight (no eta enters the factor)
+        # Im kernel at lam + i0 is sin(sqrt(lam) r)/(4 pi r); the layer
+        # reads it as H H^T, so the pair of nodes at +-r/2 along an axis
+        # gets it from the factor built at unit weight
         r = np.geomspace(1e-3, 4.0, 50)
         half = 0.5 * r[:, None] * np.eye(3)[np.arange(50) % 3]
         points = np.stack([half, -half], axis=1).reshape(-1, 3)
@@ -177,18 +182,26 @@ class TestScatteringKernel:
             expected = np.sin(math.sqrt(lam) * r) / (4.0 * np.pi * r)
             assert np.max(np.abs(im - expected)) < 1e-14
 
-    def test_taylor_branch_matches_oracle(self):
-        # both the series branch and the direct branch reproduce a
-        # high-precision evaluation of the kernel; just above the cutoff the
-        # direct branch carries the inherent eps/(4 pi r) cancellation noise
-        mpmath.mp.dps = 40
-        for r, tol in ((4.9e-7, 1e-14), (1.1e-6, 1e-10)):
-            rm = mpmath.mpf(r)
-            oracle = (mpmath.cos(rm) - mpmath.exp(-rm)) / (4 * mpmath.pi * rm)
-            assert abs(scattering_kernel(1.0, -1.0, r) - float(oracle)) < tol
+    def test_small_chords_match_oracle(self):
+        # no series branch is needed: cos(kr)/(4 pi r) has no cancellation,
+        # and down to chords of 1e-9 it is within 2 ulps of a 40-digit value
+        with mpmath.workdps(40):
+            for r in (1e-9, 4.9e-7, 1.1e-6, 0.3):
+                rm = mpmath.mpf(r)
+                oracle = float(mpmath.cos(rm) / (4 * mpmath.pi * rm))
+                assert abs(scattering_kernel(1.0, r) - oracle) <= 2.0 * math.ulp(oracle)
 
-    def test_rejects_nonnegative_reference(self):
-        # nan is not negative either
-        for eta in (0.0, float("nan")):
-            with pytest.raises(ConfigError):
-                scattering_kernel(1.0, eta, 1.0)
+    def test_written_in_place(self):
+        r = np.array([0.5, 1.0, 2.0])
+        expected = scattering_kernel(2.0, r)
+        assert scattering_kernel(2.0, r, out=r) is r
+        assert np.array_equal(r, expected)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_rejects_negative_and_nan_energy(self, lam):
+        with pytest.raises(ConfigError, match="lam >= 0"):
+            scattering_kernel(lam, 1.0)
+
+    def test_rejects_nonpositive_chord(self):
+        with pytest.raises(ConfigError, match="r > 0"):
+            scattering_kernel(1.0, np.array([0.5, 0.0]))

@@ -518,9 +518,10 @@ class TestFourierCompression:
         assert coupling == pytest.approx(np.sum(dense[lead:, :lead] ** 2), rel=1e-9)
 
     def test_non_finite_entries_refuse_without_assembly(self, ellipse_grid, monkeypatch):
-        # the sweep refuses as boundary_matrix does, so the exit code stays 2
+        # the sweep refuses as boundary_matrix does, so the exit code stays
+        # 2: nan at the energy check, which every path to B(lam) reads
         monkeypatch.setattr(spectral, "boundary_matrix", None)
-        with pytest.raises(ConfigError, match="non-finite"):
+        with pytest.raises(ConfigError, match="lam <= 0, got lam=nan"):
             boundary_spectrum(math.nan, ellipse_grid)
 
 

@@ -23,7 +23,7 @@ def test_exported_names():
         "ArcGrid", "BoundState", "ConfigError", "CountReport", "Curve",
         "CurveError", "InvariantError", "NumericsError",
         "ScatteringBlock", "asymptotic_count_bounds", "boundary_matrix",
-        "choose_reference_energy", "circle_chord",
+        "circle_chord",
         "circle_deviation", "circle_mode_eigenvalues",
         "correction_singular_values", "count_bound_states",
         "curve_from_json_dict", "curve_to_json_dict", "eigen",
@@ -33,7 +33,7 @@ def test_exported_names():
         "reparametrize_arclength", "scale_to_length", "scattering_block",
         "scattering_kernel", "scattering_layer_matrix", "smoothing_kernel",
     ]
-    assert len(curvedelta.__all__) == 35
+    assert len(curvedelta.__all__) == 34
     assert all(hasattr(curvedelta, name) for name in curvedelta.__all__)
 
 
