@@ -25,8 +25,7 @@ from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         make_grid, reparametrize_arclength,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
-from curvedelta.assembly import (_circle_modes, boundary_derivative, comparison_matrix,
-                                 kink_correction)
+from curvedelta.assembly import _circle_modes, boundary_derivative, comparison_matrix
 from curvedelta.scattering import _outgoing_smoothing_row
 from curvedelta.curves import _ArcTable, _row_blocks
 from curvedelta.resolvent import make_box
