@@ -122,6 +122,13 @@ def _circle_modes(grid: ArcGrid) -> np.ndarray:
     return np.concatenate([[nu0], nu_pairs])
 
 
+def _circle_waves(n: int) -> np.ndarray:
+    """The wavenumber of each real Fourier mode of an N-node grid, in the
+    order 0, 1, 1, 2, 2, ..., N/2 - 1, N/2 - 1, N/2: each wavenumber
+    1 <= m < N/2 is a cos/sin pair."""
+    return np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
+
+
 def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     """First row of the smoothing matrix, the symmetric circulant of the
     smoothing kernel on the chords of the circle of radius R = L/(2 pi).
@@ -211,10 +218,8 @@ def circle_boundary_modes(lam: float, grid: ArcGrid) -> np.ndarray:
     minus the real FFT of that row, and no N x N matrix is formed.
     Wavenumbers 1 to N/2 - 1 are the doubly degenerate cos/sin pairs.
     """
-    modes = _circle_modes(grid) - np.fft.rfft(smoothing_row(lam, grid)).real
-    if not np.all(np.isfinite(modes)):
-        raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
-    return modes
+    return _finite(_circle_modes(grid) - np.fft.rfft(smoothing_row(lam, grid)).real,
+                   f"boundary lam={lam:g}")
 
 
 def circle_boundary_row(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -281,10 +286,15 @@ def _circulant_plus_comparison(grid: ArcGrid, circle_row: np.ndarray, kernel, wh
         values += _toeplitz_block(circle_row, rows, cols)
         return values
 
-    mat = _blockwise(grid.n, block, out)
-    if not np.all(np.isfinite(mat)):
+    return _finite(_blockwise(grid.n, block, out), what)
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, refused as `what` where an entry is not finite: the one
+    finiteness check of a table or of its circle modes."""
+    if not np.all(np.isfinite(values)):
         raise ConfigError(f"{what}: non-finite matrix entries")
-    return mat
+    return values
 
 
 def boundary_matrix(lam: float, grid: ArcGrid, out: np.ndarray | None = None) -> np.ndarray:

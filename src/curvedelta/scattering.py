@@ -23,6 +23,16 @@ the p channels of H (`_channel_space`), a Cayley transform of the real
 symmetric M.  The retained block is its leading part, widened along the
 channels until it is unitary to UNITARITY_TOL: its defect is the flux it
 loses to the channels left out.
+
+On a circle grid the paper's explicit S' is a scalar per Fourier mode.
+A_r and Im N are symmetric circulants there, with eigenvalues a_m and c_m
+by wavenumber m from two real FFTs, so the channels are the real Fourier
+modes (each 1 <= m < N/2 a cos/sin pair) with eigenvalues c_m, and
+S' = diag((a_m - i c_m)/(a_m + i c_m)) on them (`_CircleSystem`): no
+N x N array is formed or factored.  Its `condition` is then the exact
+1-norm condition, read from the modes, where elsewhere it is LAPACK's
+estimate.  Both paths keep one condition rule (`_scattering_matrix`) and
+one widening rule (`_widened`).
 """
 
 from __future__ import annotations
@@ -33,16 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import _circle_modes, _circulant_plus_comparison, kink_correction
+from .assembly import (_circle_modes, _circle_waves, _circulant_plus_comparison, _finite,
+                       kink_correction)
 from .curves import ArcGrid
 from .errors import ConfigError, NumericsError
 from .kernels import scattering_kernel
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds the block's
-# `condition`, LAPACK's 1-norm estimate for A_r times that for I + iM; on
-# the circle and the 2:1 ellipse at lam in {0.5, 1, 2} (N = 256 and 1024)
-# the product reads 2.1-4.7 times the 2-norm condition number of
+# `condition`, the 1-norm condition for A_r times that for I + iM (LAPACK's
+# estimates, exact on the circle); on the circle and the 2:1 ellipse at
+# lam in {0.5, 1, 2} (N = 256 and 1024, alpha = -0.5) the product reads 2.1-4.7 times the 2-norm condition number of
 # B(lam + i0) - alpha, and 0.98-1.36 times the 1-norm estimate of that
 # complex system, well within the decade this limit allows.
 CONDITION_LIMIT = 1e12
@@ -103,11 +114,13 @@ class ScatteringBlock:
     unitarity_defect: float       # || S'* S' - I ||_2 on the retained space,
                                   # below UNITARITY_TOL
     channel_eigenvalues: np.ndarray  # the p eigenvalues of H^T H above eps
-                                     # theta_1, nonincreasing (none at lam = 0)
+                                     # theta_1, nonincreasing (none at lam = 0);
+                                     # the modes c_m on a circle grid
     min_channel_eigenvalue: float  # 0: Im N = H H^T is positive semidefinite
-    condition: float              # LAPACK 1-norm condition estimates of
-                                  # A_r and I + iM, multiplied; that of
-                                  # A_r + i H H^T where it is factored (0 if g = 0)
+    condition: float              # 1-norm conditions of A_r and I + iM,
+                                  # multiplied; that of A_r + i H H^T where
+                                  # it is factored (0 if g = 0).  LAPACK's
+                                  # estimates, exact on a circle grid
 
 
 def _degree(x: float, bound: float) -> int:
@@ -208,76 +221,189 @@ def _compression(factors: np.ndarray, pivots: np.ndarray, half: np.ndarray) -> n
     return gemm(1.0, half, _solve(factors, pivots, half), trans_a=1)
 
 
-def scattering_block(grid: ArcGrid, lam: float, alpha: float,
-                     rank_tol: float = RANK_TOL) -> ScatteringBlock:
-    """Assemble S'(lam) at energy lam >= 0 and coupling alpha.
+class _DenseSystem:
+    """B(lam + i0) - alpha on any grid: the N x N table A_r, factored by
+    LDL^T, and the channels of the factor H of Im N (module docstring)."""
 
-    S' on all p channels of `_channel_space` comes from one real LDL^T of
-    A_r = Re B(lam + i0) - alpha and the p x p Cayley solve of the module
-    docstring.  The retained block is its leading g x g part: g starts at
-    the count of channel eigenvalues above rank_tol times the top one and
-    grows along them until the block's unitarity defect is below
-    UNITARITY_TOL, or the block is refused.  Where A_r or I + iM is singular
-    or the product of their condition estimates is past CONDITION_LIMIT (at
-    a pole of M, say), A_r + i H H^T is factored instead, and refused if
-    past that limit itself.
-    """
-    if not lam >= 0:
-        raise ConfigError(f"scattering block is defined for lam >= 0, got lam={lam:g}")
-    # at lam = 0 Im N vanishes and no channel is open: no table is built
-    factor = _layer_factor(grid, lam) if lam > 0 else None
-    vals, half = _channel_space(factor) if lam > 0 else (np.zeros(0), None)
-    retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) else 0
-    if retained == 0:
-        return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=0,
-                               matrix=np.zeros((0, 0), dtype=complex), unitarity_defect=0.0,
-                               channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
-                               condition=0.0)
+    def __init__(self, grid: ArcGrid, lam: float, alpha: float):
+        self.grid, self.lam, self.alpha = grid, lam, alpha
+        self.factor = _layer_factor(grid, lam)
+        self.channel_eigenvalues, self.half = _channel_space(self.factor)
 
-    p = len(vals)
-    system = scattering_layer_matrix(grid, lam)     # A_r, in place
-    system[np.diag_indices(grid.n)] -= alpha
-    # symmetric, so its transpose is the same matrix in Fortran order
-    factors, pivots, condition = _factor(system.T)
-    if condition <= CONDITION_LIMIT:
-        core = _compression(factors, pivots, half)
+    def _table(self) -> np.ndarray:
+        system = scattering_layer_matrix(self.grid, self.lam)     # A_r, in place
+        system[np.diag_indices(self.grid.n)] -= self.alpha
+        return system
+
+    def real(self) -> float:
+        """The condition estimate of A_r, factored."""
+        # symmetric, so its transpose is the same matrix in Fortran order
+        self.factors, self.pivots, condition = _factor(self._table().T)
+        return condition
+
+    def cayley(self):
+        """The condition estimate of I + iM, factored, and M (I + iM)^{-1}."""
+        core = _compression(self.factors, self.pivots, self.half)
         core += core.T
         core *= 0.5                 # M, exactly symmetric
         cayley = 1j * core
-        cayley[np.diag_indices(p)] += 1.0
-        cayley_factors, cayley_pivots, cayley_condition = _factor(cayley)
+        cayley[np.diag_indices(len(core))] += 1.0
+        factors, pivots, condition = _factor(cayley)
+        return condition, lambda: _solve(factors, pivots, core)
+
+    def whole(self):
+        """The condition estimate of A_r + i H H^T, factored in place of A_r,
+        and H^T (A_r + i H H^T)^{-1} H."""
+        self.factors = None
+        system = 1j * scipy.linalg.blas.dgemm(1.0, self.factor, self.factor, trans_b=1)
+        system += scattering_layer_matrix(self.grid, self.lam)
+        system[np.diag_indices(self.grid.n)] -= self.alpha
+        factors, pivots, condition = _factor(system.T)
+        return condition, lambda: _compression(factors, pivots, self.half)
+
+
+class _CircleSystem:
+    """B(lam + i0) - alpha on a circle grid, where A_r and Im N are
+    symmetric circulants with the real Fourier modes as eigenvectors: by
+    wavenumber m their eigenvalues are a_m and c_m (`_circle_modes_at`), so
+    S' is diagonal, s_m = (a_m - i c_m)/(a_m + i c_m), each wavenumber
+    1 <= m < N/2 a cos/sin pair of channels.  The channels are sorted by
+    c_m, nonincreasing, and cut at eps c_max as `_channel_space` cuts, and
+    each condition is the exact 1-norm one, read from the modes."""
+
+    def __init__(self, grid: ArcGrid, lam: float, alpha: float):
+        self.n = grid.n
+        real, self.im = _circle_modes_at(grid, lam)
+        self.re = real - alpha
+        waves = _circle_waves(grid.n)
+        # stable, so the two entries of a pair stay adjacent
+        waves = waves[np.argsort(-self.im[waves], kind="stable")]
+        values = self.im[waves]
+        self.waves = waves[:int(np.sum(values > np.finfo(float).eps * values[0]))]
+        self.channel_eigenvalues = self.im[self.waves]
+
+    def real(self) -> float:
+        """The condition of A_r."""
+        return _circulant_condition(self.re, self.n)
+
+    def cayley(self):
+        """The condition of the diagonal I + iM, M = diag(c_m/a_m) on the
+        channels, and the channels' c/(a + ic)."""
+        shifted = np.abs(1.0 + 1j * (self.channel_eigenvalues / self.re[self.waves]))
+        return float(shifted.max() / shifted.min()), self._coupled
+
+    def whole(self):
+        """The condition of the circulant A_r + i Im N, modes a_m + i c_m,
+        and the channels' c/(a + ic)."""
+        return _circulant_condition(self.re + 1j * self.im, self.n), self._coupled
+
+    def _coupled(self) -> np.ndarray:
+        c = self.channel_eigenvalues
+        return np.diag(c / (self.re[self.waves] + 1j * c))
+
+
+def _circle_modes_at(grid: ArcGrid, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of Re B(lam + i0) and of Im N on a circle grid at
+    lam > 0, by wavenumber 0, 1, ..., N/2, from two real FFTs: the
+    energy-zero modes minus those of `_outgoing_smoothing_row`, refused
+    where not finite as the table is, and the modes of the trapezoid row of
+    w sin(k rho)/(4 pi rho) on the circle chords, w k/(4 pi) at rho = 0,
+    which, even in rho, needs no kink correction."""
+    real = _finite(_circle_modes(grid) - np.fft.rfft(_outgoing_smoothing_row(lam, grid)).real,
+                   f"scattering lam={lam:g}")
+    k, rho = math.sqrt(lam), grid.circle_chord_row[1:]
+    row = np.empty(grid.n)
+    row[0] = k
+    row[1:] = np.sin(k * rho) / rho
+    row *= grid.weight / (4.0 * np.pi)
+    return real, np.fft.rfft(row).real
+
+
+def _circulant_condition(modes: np.ndarray, n: int) -> float:
+    """The 1-norm condition number of the N x N symmetric circulant with
+    these eigenvalues, real or complex, by wavenumber 0, 1, ..., N/2: the
+    1-norm of a circulant is the sum of its first row's magnitudes, and
+    its inverse is the circulant of the reciprocal modes (inf at an exact
+    zero mode)."""
+    if not np.all(modes):
+        return np.inf
+
+    def norm(values):
+        return np.sum(np.abs(np.fft.irfft(values.real, n) + 1j * np.fft.irfft(values.imag, n)))
+
+    return float(norm(modes) * norm(1.0 / modes))
+
+
+def _scattering_matrix(system, lam: float) -> tuple[np.ndarray, float]:
+    """S' on all p channels of `system` and its condition.  The real path
+    takes the condition of A_r and, where it is within CONDITION_LIMIT,
+    multiplies in that of I + iM.  Where that product is past the limit
+    (or not a number: at a pole of M, say), A_r + i H H^T is factored
+    instead, and refused if past the limit itself."""
+    condition = system.real()
+    if condition <= CONDITION_LIMIT:
+        cayley_condition, coupled = system.cayley()
         condition *= cayley_condition
-        if condition <= CONDITION_LIMIT:
-            coupled = _solve(cayley_factors, cayley_pivots, core)   # M (I + iM)^{-1}
     if not condition <= CONDITION_LIMIT:
         # the real path cannot vouch for the system: factor it whole
-        del system, factors
-        system = 1j * scipy.linalg.blas.dgemm(1.0, factor, factor, trans_b=1)
-        system += scattering_layer_matrix(grid, lam)
-        system[np.diag_indices(grid.n)] -= alpha
-        factors, pivots, condition = _factor(system.T)
+        condition, coupled = system.whole()
         if not condition <= CONDITION_LIMIT:
             kind = "exactly" if condition == np.inf else "numerically"
             raise NumericsError(
                 f"system B(lam + i0) - alpha is {kind} singular at lam={lam:g} "
                 f"(condition {condition:.2e}); energy near the exceptional set")
-        coupled = _compression(factors, pivots, half)
+    block = -2j * coupled()
+    block[np.diag_indices(len(block))] += 1.0
+    return block, condition
 
-    block = -2j * coupled           # S' on all p channels
-    block[np.diag_indices(p)] += 1.0
+
+def _widened(block: np.ndarray, retained: int, lam: float,
+             condition: float) -> tuple[np.ndarray, float]:
+    """The leading g x g part of S' and its unitarity defect, for the first
+    g from `retained` on with a defect below UNITARITY_TOL; refused where
+    even all p channels leave a larger one."""
+    p = len(block)
     zgemm = scipy.linalg.get_blas_funcs("gemm", (block,))
     for g in range(retained, p + 1):
         gram = zgemm(1.0, block[:g, :g], block[:g, :g], trans_a=2)
         gram[np.diag_indices(g)] -= 1.0
         defect = float(scipy.linalg.svdvals(gram, check_finite=False)[0])
         if defect < UNITARITY_TOL:
-            break
-    else:
-        raise NumericsError(
-            f"scattering block at lam={lam:g} not unitary even on all {p} "
-            f"channels (defect {defect:.2e}, condition {condition:.2e}); it cannot "
-            "be widened until unitary")
-    return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=g,
-                           matrix=block[:g, :g].copy(), unitarity_defect=defect,
-                           channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
-                           condition=condition)
+            return block[:g, :g].copy(), defect
+    raise NumericsError(
+        f"scattering block at lam={lam:g} not unitary even on all {p} "
+        f"channels (defect {defect:.2e}, condition {condition:.2e}); it cannot "
+        "be widened until unitary")
+
+
+def scattering_block(grid: ArcGrid, lam: float, alpha: float,
+                     rank_tol: float = RANK_TOL) -> ScatteringBlock:
+    """Assemble S'(lam) at energy lam >= 0 and coupling alpha.
+
+    On a circle grid S' is diagonal on the Fourier channels
+    (`_CircleSystem`); elsewhere it comes, on all p channels of
+    `_channel_space`, from one real LDL^T of A_r = Re B(lam + i0) - alpha
+    and the p x p Cayley solve of the module docstring (`_DenseSystem`).
+    Both follow one condition rule (`_scattering_matrix`).  The retained
+    block is its leading g x g part: g starts at the count of channel
+    eigenvalues above rank_tol times the top one and grows along them
+    until the block's unitarity defect is below UNITARITY_TOL, or the
+    block is refused (`_widened`).
+    """
+    if not lam >= 0:
+        raise ConfigError(f"scattering block is defined for lam >= 0, got lam={lam:g}")
+    # at lam = 0 Im N vanishes and no channel is open: no table is built
+    system = ((_CircleSystem if grid.curve.is_circle else _DenseSystem)(grid, lam, alpha)
+              if lam > 0 else None)
+    vals = system.channel_eigenvalues if lam > 0 else np.zeros(0)
+    retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) else 0
+    if retained == 0:
+        return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=0,
+                               matrix=np.zeros((0, 0), dtype=complex), unitarity_defect=0.0,
+                               channel_eigenvalues=vals, min_channel_eigenvalue=0.0,
+                               condition=0.0)
+    block, condition = _scattering_matrix(system, lam)
+    matrix, defect = _widened(block, retained, lam, condition)
+    return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=len(matrix), matrix=matrix,
+                           unitarity_defect=defect, channel_eigenvalues=vals,
+                           min_channel_eigenvalue=0.0, condition=condition)

@@ -54,8 +54,9 @@ import weakref
 import numpy as np
 import scipy.linalg
 
-from .assembly import (_comparison_block, _green, boundary_derivative, boundary_matrix,
-                       circle_boundary_modes, circle_derivative_modes, circle_mode_eigenvalues)
+from .assembly import (_circle_waves, _comparison_block, _green, boundary_derivative,
+                       boundary_matrix, circle_boundary_modes, circle_derivative_modes,
+                       circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks, make_circle, make_grid
 from .errors import ConfigError, InvariantError, NumericsError
 
@@ -464,7 +465,7 @@ class _CircleOperator(_Operator):
                  work: _Workspace | None = None):
         super().__init__(lam, grid, guess, work)
         modes = circle_boundary_modes(lam, grid)
-        waves = np.concatenate([[0], np.repeat(np.arange(1, grid.n // 2), 2), [grid.n // 2]])
+        waves = _circle_waves(grid.n)
         # stable, so the two entries of a pair stay adjacent, cos first
         self._waves = waves[np.argsort(-modes[waves], kind="stable")]
         self._values = modes[self._waves]

@@ -10,7 +10,11 @@ references repeat the dense linear algebra the library's factor of Im N
 and its factorizations replace: a full eigendecomposition of the
 tabulated Im N, a full SVD for the condition number, and a separate
 solve of the complex system N + B_eta - alpha with all of Im N, where
-the library factors its real part.  Both sides of the chord-average inequality are the library's
+the library factors its real part.  `dense_scattering_block` is the
+library's dense path taken on any grid, the circle's included, where the
+library reads the circle's Fourier modes instead, and
+`ring_channel_eigenvalues` the continuum values of those modes from the
+addition theorem.  Both sides of the chord-average inequality are the library's
 earlier helper, which only the tests called.  The correction reference is the library's earlier
 Cholesky, symmetric-solve and gemm route to the probe's correction
 spectrum, which one generalized eigensolve replaces.  The box probe is
@@ -49,6 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq
+from scipy.special import spherical_jn, sph_harm_y
 from scipy.spatial.distance import cdist
 
 from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
@@ -61,7 +66,8 @@ from curvedelta.assembly import (boundary_derivative, circle_boundary_modes,
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances, _panel_count
 from curvedelta.kernels import _SERIES_CUTOFF, green_derivative_kernel
 from curvedelta.resolvent import BoxGrid, _resolvent_system
-from curvedelta.scattering import CONDITION_LIMIT, RANK_TOL
+from curvedelta.scattering import (CONDITION_LIMIT, RANK_TOL, _DenseSystem,
+                                   _scattering_matrix, _widened)
 from curvedelta.spectral import eigenvalue_at
 
 PAIRING_TOL = 1e-9
@@ -333,6 +339,37 @@ def scattering_block_reference(grid: ArcGrid, lam: float, alpha: float, eta: flo
                            matrix=block, unitarity_defect=defect,
                            channel_eigenvalues=vals.copy(),
                            min_channel_eigenvalue=float(vals[-1]), condition=condition)
+
+
+def dense_scattering_block(grid: ArcGrid, lam: float, alpha: float,
+                           rank_tol: float = RANK_TOL) -> ScatteringBlock:
+    """The scattering block at lam > 0 by the library's dense path on any
+    grid: the N x N table A_r and its LDL^T, the factor H of Im N and the
+    channels of H^T H, under the library's condition and widening rules."""
+    system = _DenseSystem(grid, lam, alpha)
+    vals = system.channel_eigenvalues
+    block, condition = _scattering_matrix(system, lam)
+    matrix, defect = _widened(block, int(np.sum(vals > rank_tol * vals[0])), lam, condition)
+    return ScatteringBlock(lam=lam, alpha=alpha, retained_dim=len(matrix), matrix=matrix,
+                           unitarity_defect=defect, channel_eigenvalues=vals,
+                           min_channel_eigenvalue=0.0, condition=condition)
+
+
+def ring_channel_eigenvalues(radius: float, lam: float, waves) -> np.ndarray:
+    """The eigenvalues of the continuum operator of sin(k r)/(4 pi r) on the
+    circle of radius R, k = sqrt(lam), on e^{i m phi} for each m in
+    `waves`: by the addition theorem sin(k|x - y|)/(4 pi |x - y|) =
+    k sum_lm j_l(k|x|) j_l(k|y|) Y_lm(x^) conj(Y_lm(y^)), so on the
+    equator 2 pi R k sum_{l >= |m|} |Y_lm(pi/2, 0)|^2 j_l(kR)^2, summed to
+    l = |m| + kR + 60, where j_l(kR)^2 is far below eps."""
+    k = math.sqrt(lam)
+    values = []
+    for m in np.abs(np.asarray(waves)):
+        degrees = np.arange(m, m + int(k * radius) + 61)
+        harmonics = np.abs(sph_harm_y(degrees, m, 0.5 * np.pi, 0.0)) ** 2
+        values.append(2.0 * np.pi * radius * k
+                      * math.fsum(harmonics * spherical_jn(degrees, k * radius) ** 2))
+    return np.array(values)
 
 
 def scattering_system_reference(grid: ArcGrid, lam: float, alpha: float,

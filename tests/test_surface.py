@@ -112,6 +112,19 @@ def test_no_representation_branch_in_the_operator():
     assert spectral._CircleOperator.__bases__ == (spectral._Operator,)
 
 
+def test_one_circle_branch_in_scattering():
+    # scattering_block picks the system, the circle's Fourier modes or the
+    # dense table, and nothing else in the module asks whether the grid is
+    # a circle
+    tree = ast.parse((SRC / "scattering.py").read_text())
+    block = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "scattering_block")
+    inside = {id(node) for node in ast.walk(block)}
+    reads = [(node.lineno, id(node) in inside) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "is_circle"]
+    assert len(reads) == 1 and reads[0][1], reads
+
+
 def test_operators_come_from_the_factory():
     # spectral._operator picks the class of B(lam) for the grid, so no
     # module constructs either class itself
