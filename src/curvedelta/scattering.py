@@ -53,9 +53,10 @@ RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds the block's
 # `condition`, the 1-norm condition for A_r times that for I + iM (LAPACK's
 # estimates, exact on the circle); on the circle and the 2:1 ellipse at
-# lam in {0.5, 1, 2} (N = 256 and 1024, alpha = -0.5) the product reads 2.1-4.7 times the 2-norm condition number of
-# B(lam + i0) - alpha, and 0.98-1.36 times the 1-norm estimate of that
-# complex system, well within the decade this limit allows.
+# lam in {0.5, 1, 2} (N = 256 and 1024, alpha = -0.5) the product reads
+# 2.1-4.7 times the 2-norm condition number of B(lam + i0) - alpha, and
+# 0.98-1.36 times the 1-norm estimate of that complex system, well within
+# the decade this limit allows.
 CONDITION_LIMIT = 1e12
 UNITARITY_TOL = 1e-6      # largest unitarity defect of a returned block
 
@@ -323,9 +324,10 @@ def _circulant_condition(modes: np.ndarray, n: int) -> float:
     """The 1-norm condition number of the N x N symmetric circulant with
     these eigenvalues, real or complex, by wavenumber 0, 1, ..., N/2: the
     1-norm of a circulant is the sum of its first row's magnitudes, and
-    its inverse is the circulant of the reciprocal modes (inf at an exact
-    zero mode)."""
-    if not np.all(modes):
+    its inverse is the circulant of the reciprocal modes.  inf at an exact
+    zero mode, and at a mode that is not finite (a nan alpha), as LAPACK's
+    factorization reports for the dense table."""
+    if not np.all(np.isfinite(modes) & (modes != 0)):
         return np.inf
 
     def norm(values):

@@ -555,6 +555,15 @@ class TestCircleBlock:
         with pytest.raises(NumericsError, match="cannot be widened until unitary"):
             scattering_block(circle_grid, 1.0, -0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_coupling_refused_on_both_paths(self, circle_grid, ellipse_grid, alpha):
+        # LAPACK's factorization of the dense table reports the non-finite
+        # pivot as a singular one, and the circle reads such modes as an
+        # infinite condition: one refusal, with no RuntimeWarning
+        for grid in (circle_grid, ellipse_grid):
+            with pytest.raises(NumericsError, match="exactly singular"):
+                scattering_block(grid, 1.0, alpha)
+
     def test_refuses_non_finite_modes(self, circle_grid, monkeypatch):
         # the table's finiteness refusal, read on the modes
         monkeypatch.setattr(scattering_mod, "_outgoing_smoothing_row",
