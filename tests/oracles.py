@@ -53,7 +53,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq
-from scipy.special import spherical_jn, sph_harm_y
 from scipy.spatial.distance import cdist
 
 from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
@@ -361,7 +360,10 @@ def ring_channel_eigenvalues(radius: float, lam: float, waves) -> np.ndarray:
     `waves`: by the addition theorem sin(k|x - y|)/(4 pi |x - y|) =
     k sum_lm j_l(k|x|) j_l(k|y|) Y_lm(x^) conj(Y_lm(y^)), so on the
     equator 2 pi R k sum_{l >= |m|} |Y_lm(pi/2, 0)|^2 j_l(kR)^2, summed to
-    l = |m| + kR + 60, where j_l(kR)^2 is far below eps."""
+    l = |m| + kR + 60, where j_l(kR)^2 is far below eps.  Imported here:
+    `sph_harm_y` is new in scipy 1.15, and no other oracle needs it."""
+    from scipy.special import spherical_jn, sph_harm_y
+
     k = math.sqrt(lam)
     values = []
     for m in np.abs(np.asarray(waves)):
