@@ -172,9 +172,6 @@ class Curve:
     def velocity(self, t):
         return self._velocity(*self._harmonics(t))
 
-    def acceleration(self, t):
-        return self._acceleration(*self._harmonics(t))
-
     def _velocity(self, cos, sin):
         om = 2.0 * np.pi * self._modes / self.period
         return (sin * -om) @ self.cos_coeff + (cos * om) @ self.sin_coeff

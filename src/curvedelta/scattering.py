@@ -128,7 +128,10 @@ def _degree(x: float, bound: float) -> int:
     """Smallest L with sum_{l > L} (2l + 1) x^{2l} / ((2l + 1)!!)^2 <= bound,
     which bounds sum_{l > L} (2l + 1) j_l(y)^2 for y <= x.  Summed in logs,
     past l = x (where each term is below a quarter of the one before) until
-    the terms fall below eps times the bound."""
+    the terms fall below eps times the bound, which no term of an infinite
+    x does: a non-finite x is refused."""
+    if not math.isfinite(x):
+        raise ConfigError(f"harmonic degree needs a finite argument, got {x:g}")
     logs = [0.0]
     while len(logs) <= x + 1 or logs[-1] > math.log(np.finfo(float).eps * bound):
         l = len(logs) - 1
@@ -380,7 +383,7 @@ def _widened(block: np.ndarray, retained: int, lam: float,
 
 def scattering_block(grid: ArcGrid, lam: float, alpha: float,
                      rank_tol: float = RANK_TOL) -> ScatteringBlock:
-    """Assemble S'(lam) at energy lam >= 0 and coupling alpha.
+    """Assemble S'(lam) at a finite energy lam >= 0 and coupling alpha.
 
     On a circle grid S' is diagonal on the Fourier channels
     (`_CircleSystem`); elsewhere it comes, on all p channels of
@@ -392,8 +395,8 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float,
     until the block's unitarity defect is below UNITARITY_TOL, or the
     block is refused (`_widened`).
     """
-    if not lam >= 0:
-        raise ConfigError(f"scattering block is defined for lam >= 0, got lam={lam:g}")
+    if not 0 <= lam < math.inf:
+        raise ConfigError(f"scattering block is defined for finite lam >= 0, got lam={lam:g}")
     # at lam = 0 Im N vanishes and no channel is open: no table is built
     system = ((_CircleSystem if grid.curve.is_circle else _DenseSystem)(grid, lam, alpha)
               if lam > 0 else None)

@@ -537,11 +537,57 @@ def _refuse_side(k: int, gap: float, above: bool) -> None:
                             f"nu - alpha = {gap:.3e} against the inertia")
 
 
-def _energy_floor(grid: ArcGrid, alpha: float, work: _Workspace) -> _Point:
-    """The top branch at the first of the energies -1, -2, -4, ... where B
-    has no eigenvalue above alpha and that branch is below alpha."""
+def _predicted_floor(grid: ArcGrid, alpha: float, zero_value: float) -> float:
+    """The energy at which the equal-length circle's top branch nu_1°,
+    shifted to the grid's nu_1(0) = zero_value at energy zero, reaches
+    alpha: the root of nu_1°(lam) + s = alpha, s = zero_value - nu_1°(0),
+    or nan where none is found.
+
+    nu_1° is the largest of `circle_boundary_modes` and its slope the
+    matching entry of `circle_derivative_modes`, two FFTs per energy and no
+    N x N work.  The root is found by safeguarded Newton steps in kappa =
+    sqrt(-lam) from kappa = 1, inside the bracket of the samples on either
+    side of it: a step that leaves the bracket doubles kappa while no
+    sample lies past the root, and bisects the bracket after.
+    """
+    target = alpha - zero_value + float(np.max(circle_boundary_modes(0.0, grid)))
+    lo, hi, kappa = 0.0, math.inf, 1.0
+    for _ in range(MAX_ROOT_STEPS):
+        lam = -kappa * kappa
+        modes = circle_boundary_modes(lam, grid)
+        top = int(np.argmax(modes))
+        gap = float(modes[top]) - target
+        if gap > 0:
+            lo = kappa
+        else:
+            hi = kappa
+        # dnu/dkappa = -2 kappa dnu/dlam
+        step = kappa + gap / (2.0 * kappa * circle_derivative_modes(lam, grid)[top])
+        tol = ROOT_XTOL + ROOT_RTOL * kappa
+        if abs(step - kappa) < tol or hi - lo < tol:
+            return lam
+        if not lo < step < hi:
+            step = 2.0 * kappa if hi == math.inf else 0.5 * (lo + hi)
+        kappa = step
+    return math.nan
+
+
+def _energy_floor(grid: ArcGrid, alpha: float, zero_value: float,
+                  work: _Workspace) -> _Point:
+    """The top branch at the first of the energies lam^, 2 lam^, 4 lam^, ...
+    where B has no eigenvalue above alpha and that branch is below alpha.
+
+    lam^ is `_predicted_floor`, the shifted equal-length circle's root,
+    where that is a finite negative energy, and -1 elsewhere.  Where lam^
+    already lies at or below the root, as it mostly does, the floor is its
+    one operator; elsewhere the doubling finds it, so the floor does not
+    depend on the prediction being right.
+    """
+    start = _predicted_floor(grid, alpha, zero_value)
+    if not -math.inf < start < 0:
+        start = -1.0
     for doubling in range(MAX_FLOOR_DOUBLINGS):
-        op = _operator(-(2.0 ** doubling), grid, work=work)
+        op = _operator(start * 2.0 ** doubling, grid, work=work)
         if op.above(alpha) == 0:
             point = _point(op, 1)
             _refuse_side(1, point.value - alpha, above=False)
@@ -665,7 +711,8 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     For each k with nu_k(0) > alpha the unique root of nu_k(lam) = alpha is
     found by `_branch_root`, from the energy floor for k = 1 and from the
     previous root for later k: nu_k <= nu_{k-1} = alpha there, so the
-    roots increase with k.  Every root is re-verified by an eigensolve at
+    roots increase with k.  The floor search starts at the equal-length
+    circle's root, shifted to the grid's nu_1(0) (`_energy_floor`).  Every root is re-verified by an eigensolve at
     the root.  A branch whose value at the previous root equals the
     previous branch's exactly, as the two branches of a circle's degenerate
     pair do, has that root too (each branch is strictly increasing), so a
@@ -683,7 +730,7 @@ def find_bound_states(grid: ArcGrid, alpha: float,
         return []
 
     work = _Workspace(grid.n)
-    lower = _energy_floor(grid, alpha, work)
+    lower = _energy_floor(grid, alpha, zero_spec[0], work)
     states = []
     at_root = None
     for k in range(1, n_roots + 1):

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import mpmath
@@ -22,6 +26,27 @@ from oracles import (dense_scattering_block, reference_scattering_system,
                      seeded_fourier_curve)
 
 SEEDS = (1, 7, 23, 101, 202)
+
+# refuses an infinite energy on the N = 64 circle or 2:1 ellipse named by
+# argv[1], first in `scattering_block`, then in `_degree` itself; its
+# address space is capped at 1 GiB, since the unbounded loop this guards
+# against grows a list by about 90 MB/s
+INFINITE_ENERGY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from curvedelta import ConfigError, make_circle, make_ellipse, make_grid, reparametrize_arclength
+from curvedelta.scattering import _degree, scattering_block
+curve = make_circle(1.0) if sys.argv[1] == "circle" else reparametrize_arclength(make_ellipse(2.0, 1.0))
+grid = make_grid(curve, 64)
+for refuse in (lambda: scattering_block(grid, float("inf"), -0.5),
+               lambda: _degree(float("inf"), 1e-18)):
+    try:
+        refuse()
+    except ConfigError as exc:
+        print(exc)
+    else:
+        sys.exit("not refused")
+"""
 
 
 @pytest.fixture
@@ -241,6 +266,22 @@ class TestScatteringBlock:
         # refuses it, where a plain lam < 0 test once let it through
         with pytest.raises(ConfigError, match="lam >= 0"):
             scattering_block(circle_grid, float("nan"), -0.5)
+
+    @pytest.mark.parametrize("curve", ["ellipse", "circle"])
+    def test_infinite_energy_refused(self, curve):
+        # `_degree` once looped without end at an infinite argument, so an
+        # infinite energy hung every non-circle grid; a separate process
+        # with a timeout fails instead of hanging the suite
+        paths = [str(pathlib.Path(curvedelta.__file__).parents[1])]
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       paths + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", INFINITE_ENERGY_CHILD, curve], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "scattering block is defined for finite lam >= 0, got lam=inf",
+            "harmonic degree needs a finite argument, got inf"]
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_unitarity(self, circle_grid, lam):

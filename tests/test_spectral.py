@@ -25,6 +25,12 @@ SANDWICH_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
                              database=None)
 
 
+def predicted_floor(grid, alpha):
+    """The floor search's first energy: the shifted equal-length circle's
+    root, from the grid's kept energy-zero spectrum."""
+    return spectral._predicted_floor(grid, alpha, spectral._zero_energy_count(grid, alpha)[0][0])
+
+
 class TestEigen:
     def test_ordering_contract(self):
         spec = eigen(np.diag([3.0, 1.0, 2.0]))
@@ -155,7 +161,8 @@ class TestBoundStates:
     def test_no_energy_assembled_twice(self, ellipse, monkeypatch):
         # within one coupling, counting and root finding share the grid's
         # energy-zero spectrum and every search starts from its previous
-        # root's matrix; B(0) is assembled once for all couplings
+        # root's matrix; B(0) is assembled once for all couplings, and each
+        # coupling's first negative energy is its predicted floor
         grid = make_grid(ellipse, 128)
         energies = []
         real_matrix = spectral.boundary_matrix
@@ -171,7 +178,8 @@ class TestBoundStates:
             states = find_bound_states(grid, alpha)
             assert len(states) == report.count > 0
             assert len(energies[-1]) == len(set(energies[-1]))
-            assert energies[-1].count(-1.0) == 1
+            negative = [lam for lam in energies[-1] if lam < 0]
+            assert negative[0] == predicted_floor(grid, alpha)
         assert sum(lams.count(0.0) for lams in energies) == 1
 
     @pytest.mark.parametrize("curve", ["circle", "ellipse", 7, 101])
@@ -221,6 +229,73 @@ class TestBoundStates:
         for st in states:
             assert st.residual < ROOT_TOL
             assert st.coefficients.shape == (ellipse_grid.n,)
+
+
+class TestPredictedFloor:
+    """The floor search starts at the root of the equal-length circle's top
+    branch, shifted to the grid's nu_1(0): one operator where that lies at
+    or below the root, and the doubling from it, or from -1, elsewhere."""
+
+    @staticmethod
+    def record_assemblies(monkeypatch) -> list:
+        assembled = []
+        real_matrix = spectral.boundary_matrix
+
+        def matrix(lam, grid, out=None):
+            assembled.append(lam)
+            return real_matrix(lam, grid, out)
+
+        monkeypatch.setattr(spectral, "boundary_matrix", matrix)
+        return assembled
+
+    @pytest.mark.parametrize("alpha", [0.1, -0.05, -0.15, -0.23, -0.3])
+    def test_circle_prediction_is_the_root(self, circle_grid, alpha):
+        # on a circle grid the shift is zero and the branch is the grid's own
+        root = find_bound_states(circle_grid, alpha, max_states=1)[0].energy
+        assert abs(predicted_floor(circle_grid, alpha) - root) <= 1e-10 * abs(root)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("curve", ["ellipse", 7, 101])
+    def test_one_operator_at_or_below_the_root(self, curve, n, request, monkeypatch):
+        curve = (seeded_fourier_curve(curve) if isinstance(curve, int)
+                 else request.getfixturevalue(curve))
+        grid = make_grid(curve, n)
+        assembled = self.record_assemblies(monkeypatch)
+        floors = []
+        real_floor = spectral._energy_floor
+
+        def floor(*args):
+            start = len(assembled)
+            point = real_floor(*args)
+            floors.append(assembled[start:])
+            return point
+
+        monkeypatch.setattr(spectral, "_energy_floor", floor)
+        for alpha in (0.1, -0.05, -0.15, -0.23):
+            predicted = predicted_floor(grid, alpha)
+            root = find_bound_states(grid, alpha, max_states=1)[0].energy
+            assert predicted <= root
+            assert floors[-1] == [predicted]
+
+    @pytest.mark.parametrize("alpha", [-0.15, -0.23])
+    @pytest.mark.parametrize("prediction", ["above the root", "nan"])
+    def test_doubling_where_the_prediction_is_no_floor(self, ellipse, alpha, prediction,
+                                                        monkeypatch):
+        # the doubling loop finds the floor from a start above the root, and
+        # from -1, as it did before the prediction, where the prediction is
+        # not a negative energy; the roots do not depend on where it starts
+        grid = make_grid(ellipse, 128)
+        predicted = predicted_floor(grid, alpha)
+        reference = [st.energy for st in find_bound_states(grid, alpha)]
+        start = predicted / 4 if prediction == "above the root" else math.nan
+        monkeypatch.setattr(spectral, "_predicted_floor", lambda *args: start)
+        assembled = self.record_assemblies(monkeypatch)
+        energies = [st.energy for st in find_bound_states(grid, alpha)]
+        assert len(energies) == len(reference) == count_bound_states(grid, alpha).count
+        for energy, expected in zip(energies, reference):
+            assert abs(energy - expected) <= 1e-12 * abs(expected)
+        first = start if prediction == "above the root" else -1.0
+        assert assembled[:2] == [first, 2.0 * first]
 
 
 class TestNewtonRoots:
