@@ -538,19 +538,20 @@ def _refuse_side(k: int, gap: float, above: bool) -> None:
 
 
 def _predicted_floor(grid: ArcGrid, alpha: float, zero_value: float) -> float:
-    """The energy at which the equal-length circle's top branch nu_1°,
+    """The energy at which the equal-length circle's top branch mu_1,
     shifted to the grid's nu_1(0) = zero_value at energy zero, reaches
-    alpha: the root of nu_1°(lam) + s = alpha, s = zero_value - nu_1°(0),
+    alpha: the root of mu_1(lam) + s = alpha, s = zero_value - mu_1(0),
     or nan where none is found.
 
-    nu_1° is the largest of `circle_boundary_modes` and its slope the
+    mu_1 is the largest of `circle_boundary_modes` and its slope the
     matching entry of `circle_derivative_modes`, two FFTs per energy and no
     N x N work.  The root is found by safeguarded Newton steps in kappa =
     sqrt(-lam) from kappa = 1, inside the bracket of the samples on either
     side of it: a step that leaves the bracket doubles kappa while no
     sample lies past the root, and bisects the bracket after.
     """
-    target = alpha - zero_value + float(np.max(circle_boundary_modes(0.0, grid)))
+    # s = 0 on a circle grid, whose nu_1(0) is mu_1(0)
+    target = alpha - (zero_value - float(np.max(circle_boundary_modes(0.0, grid))))
     lo, hi, kappa = 0.0, math.inf, 1.0
     for _ in range(MAX_ROOT_STEPS):
         lam = -kappa * kappa
@@ -712,8 +713,8 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     found by `_branch_root`, from the energy floor for k = 1 and from the
     previous root for later k: nu_k <= nu_{k-1} = alpha there, so the
     roots increase with k.  The floor search starts at the equal-length
-    circle's root, shifted to the grid's nu_1(0) (`_energy_floor`).  Every root is re-verified by an eigensolve at
-    the root.  A branch whose value at the previous root equals the
+    circle's root, shifted to the grid's nu_1(0) (`_energy_floor`).  Every
+    root is re-verified by an eigensolve at the root.  A branch whose value at the previous root equals the
     previous branch's exactly, as the two branches of a circle's degenerate
     pair do, has that root too (each branch is strictly increasing), so a
     pair is solved once and its two states share one energy.  The
