@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import circle_mode_eigenvalues
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
-from .errors import ConfigError, CurveError, InvariantError, NumericsError
+from .errors import ConfigError, CurveError, InvariantError, NumericsError, check_tolerance
 from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
                         layer_singular_values)
 from .scattering import RANK_TOL, UNITARITY_TOL, scattering_block
@@ -114,9 +114,7 @@ def _tolerances(args) -> dict:
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
-        # nan and inf would switch the check they set off
-        if not 0.0 < out[key] < np.inf:
-            raise ConfigError(f"tolerance {key} must be finite and positive, got {val!r}")
+        check_tolerance(key, out[key])
     return out
 
 

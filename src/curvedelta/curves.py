@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, CurveError
+from .errors import ConfigError, CurveError, check_tolerance
 
 # Threshold for the self-intersection guard: points at least L/64 apart in
 # arc length must stay more than this fraction of L apart in space.
@@ -286,6 +286,7 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     temporary of a load is large enough to be mapped afresh by the
     allocator; the maximum over the chunks is the stencil's maximum.
     """
+    check_tolerance("reparam_tol", tol)
     tfine = np.linspace(0.0, curve.period, 4096, endpoint=False)
     speeds = curve.speed(tfine)
     if speeds.min() <= 1e-10 * speeds.max():

@@ -46,7 +46,7 @@ import scipy.linalg
 from .assembly import (_circle_modes, _circle_waves, _circulant_plus_comparison, _finite,
                        kink_correction)
 from .curves import ArcGrid
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, check_tolerance
 from .kernels import scattering_kernel
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
@@ -397,6 +397,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float,
     """
     if not 0 <= lam < math.inf:
         raise ConfigError(f"scattering block is defined for finite lam >= 0, got lam={lam:g}")
+    check_tolerance("rank_tol", rank_tol)
     # at lam = 0 Im N vanishes and no channel is open: no table is built
     system = ((_CircleSystem if grid.curve.is_circle else _DenseSystem)(grid, lam, alpha)
               if lam > 0 else None)

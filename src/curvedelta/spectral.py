@@ -58,7 +58,7 @@ from .assembly import (_circle_waves, _comparison_block, _green, boundary_deriva
                        boundary_matrix, circle_boundary_modes, circle_derivative_modes,
                        circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks, make_circle, make_grid
-from .errors import ConfigError, InvariantError, NumericsError
+from .errors import ConfigError, InvariantError, NumericsError, check_tolerance
 
 EPS = np.finfo(float).eps
 ROOT_TOL = 1e-10
@@ -72,7 +72,6 @@ MAX_ROOT_STEPS = 100
 INVERSE_TOL = 1e-9
 INVERSE_STEPS = 32
 ENDPOINT_TOL = 1e-12
-MAX_FLOOR_DOUBLINGS = 60
 MAX_CIRCLE_LEVELS = 10 ** 7
 # the largest certified bound a compressed spectrum is returned with; above
 # it, or without a gap, the next block or the dense eigensolve decides.  At
@@ -430,7 +429,7 @@ class _Operator:
 
     def branch_value(self, k: int) -> float:
         """nu_k(lam), the k-th largest eigenvalue: the one evaluation point of
-        the eigenvalue branches that the floor and the root search sample."""
+        the eigenvalue branches that the root search samples."""
         return self._pair(k)[0]
 
     def vector(self, k: int) -> np.ndarray:
@@ -541,61 +540,14 @@ def _predicted_floor(grid: ArcGrid, alpha: float, zero_value: float) -> float:
     """The energy at which the equal-length circle's top branch mu_1,
     shifted to the grid's nu_1(0) = zero_value at energy zero, reaches
     alpha: the root of mu_1(lam) + s = alpha, s = zero_value - mu_1(0),
-    or nan where none is found.
-
-    mu_1 is the largest of `circle_boundary_modes` and its slope the
-    matching entry of `circle_derivative_modes`, two FFTs per energy and no
-    N x N work.  The root is found by safeguarded Newton steps in kappa =
-    sqrt(-lam) from kappa = 1, inside the bracket of the samples on either
-    side of it: a step that leaves the bracket doubles kappa while no
-    sample lies past the root, and bisects the bracket after.
+    that `_branch_root` finds on the equal-length circle's grid, open below
+    from lam = -1.  The circle grid's operators read their known Fourier
+    modes, so the search does no N x N work.
     """
+    top = float(np.max(circle_boundary_modes(0.0, grid)))
+    circle = make_grid(make_circle(grid.length / (2.0 * np.pi)), grid.n)
     # s = 0 on a circle grid, whose nu_1(0) is mu_1(0)
-    target = alpha - (zero_value - float(np.max(circle_boundary_modes(0.0, grid))))
-    lo, hi, kappa = 0.0, math.inf, 1.0
-    for _ in range(MAX_ROOT_STEPS):
-        lam = -kappa * kappa
-        modes = circle_boundary_modes(lam, grid)
-        top = int(np.argmax(modes))
-        gap = float(modes[top]) - target
-        if gap > 0:
-            lo = kappa
-        else:
-            hi = kappa
-        # dnu/dkappa = -2 kappa dnu/dlam
-        step = kappa + gap / (2.0 * kappa * circle_derivative_modes(lam, grid)[top])
-        tol = ROOT_XTOL + ROOT_RTOL * kappa
-        if abs(step - kappa) < tol or hi - lo < tol:
-            return lam
-        if not lo < step < hi:
-            step = 2.0 * kappa if hi == math.inf else 0.5 * (lo + hi)
-        kappa = step
-    return math.nan
-
-
-def _energy_floor(grid: ArcGrid, alpha: float, zero_value: float,
-                  work: _Workspace) -> _Point:
-    """The top branch at the first of the energies lam^, 2 lam^, 4 lam^, ...
-    where B has no eigenvalue above alpha and that branch is below alpha.
-
-    lam^ is `_predicted_floor`, the shifted equal-length circle's root,
-    where that is a finite negative energy, and -1 elsewhere.  Where lam^
-    already lies at or below the root, as it mostly does, the floor is its
-    one operator; elsewhere the doubling finds it, so the floor does not
-    depend on the prediction being right.
-    """
-    start = _predicted_floor(grid, alpha, zero_value)
-    if not -math.inf < start < 0:
-        start = -1.0
-    for doubling in range(MAX_FLOOR_DOUBLINGS):
-        op = _operator(start * 2.0 ** doubling, grid, work=work)
-        if op.above(alpha) == 0:
-            point = _point(op, 1)
-            _refuse_side(1, point.value - alpha, above=False)
-            if point.value < alpha:
-                return point
-    raise NumericsError("could not find an energy floor below alpha "
-                        f"after {MAX_FLOOR_DOUBLINGS} doublings")
+    return _branch_root(circle, alpha - (zero_value - top), 1, None, top, None).lam
 
 
 def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int, float]:
@@ -644,10 +596,12 @@ def _bisect(lo: float, hi: float) -> float:
     return -(0.5 * (math.sqrt(-lo) + math.sqrt(-hi))) ** 2
 
 
-def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
-                 zero_value: float, work: _Workspace) -> _Operator:
+def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point | None,
+                 zero_value: float, work: _Workspace | None,
+                 start: float = -1.0) -> _Operator:
     """B at the root of nu_k(lam) = alpha in (lower.lam, 0], by safeguarded
-    Newton steps in kappa from the lower point.
+    Newton steps in kappa from the lower point; without one, as for the top
+    branch, in (-inf, 0] from the energy `start`.
 
     Each step assembles B, counts its eigenvalues above alpha, which puts
     the energy on one side of the root, and reads nu_k and v_k: by inverse
@@ -658,18 +612,22 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
     reads the subset eigensolve the root needs anyway.  Every branch value
     is checked against the count and against the bracket's ends, the
     nearest samples on both sides.  A step that leaves the bracket bisects
-    it instead.  The search stops once the step is below ROOT_XTOL +
+    it instead; open below, it has none to bisect until a sample lies
+    below the root, and needs none: from a sample above it the Newton step
+    moves down.  The search stops once the step is below ROOT_XTOL +
     ROOT_RTOL |lam|, or once nu_k is within eps ||B||_1 of alpha, at the
-    operator of its last energy.  Every operator is built on `work`, so
-    each step supersedes the last.
+    operator of its last energy, which can be the first.  Every operator
+    is built on `work`, so each step supersedes the last.
     """
-    lo, hi = lower.lam, 0.0
-    lo_gap, hi_gap = lower.value - alpha, zero_value - alpha
+    lo, hi = -math.inf, 0.0
+    lo_gap, hi_gap = -math.inf, zero_value - alpha
     if hi_gap <= 0:
         raise NumericsError(f"root bracket invalid for mode {k}")
-    _refuse_side(k, lo_gap, above=False)
-    target = _newton_target(lower, alpha)
-    guess = lower.vector
+    target, guess = start, None
+    if lower is not None:
+        lo, lo_gap = lower.lam, lower.value - alpha
+        _refuse_side(k, lo_gap, above=False)
+        target, guess = _newton_target(lower, alpha), lower.vector
     previous, last = lo_gap, False
     for _ in range(MAX_ROOT_STEPS):
         if not lo < target < hi:
@@ -698,7 +656,8 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point,
         if abs(step - target) < tol or hi - lo < tol or abs(gap) <= EPS * op._scale:
             op.settle(k)
             return op
-        previous, last = gap, abs(gap) ** 3 <= op._rounding * previous ** 2
+        last = math.isfinite(previous) and abs(gap) ** 3 <= op._rounding * previous ** 2
+        previous = gap
         target = step
     raise NumericsError(f"root search did not converge for mode {k} "
                         f"in {MAX_ROOT_STEPS} steps")
@@ -710,20 +669,21 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     """All bound states at coupling alpha, sorted by energy.
 
     For each k with nu_k(0) > alpha the unique root of nu_k(lam) = alpha is
-    found by `_branch_root`, from the energy floor for k = 1 and from the
-    previous root for later k: nu_k <= nu_{k-1} = alpha there, so the
-    roots increase with k.  The floor search starts at the equal-length
-    circle's root, shifted to the grid's nu_1(0) (`_energy_floor`).  Every
-    root is re-verified by an eigensolve at the root.  A branch whose value at the previous root equals the
-    previous branch's exactly, as the two branches of a circle's degenerate
-    pair do, has that root too (each branch is strictly increasing), so a
-    pair is solved once and its two states share one energy.  The
-    operators of the floor and of every root search are built on one
-    `_Workspace`, and the root's operator is read only until the next
-    search starts.
+    found by `_branch_root`: for k = 1 open below, from the equal-length
+    circle's root shifted to the grid's nu_1(0) (`_predicted_floor`), and
+    for later k from the previous root: nu_k <= nu_{k-1} = alpha there, so
+    the roots increase with k.  Every root is re-verified by an eigensolve
+    at the root, to a residual below root_tol.  A branch whose value at
+    the previous root equals the previous branch's exactly, as the two
+    branches of a circle's degenerate pair do, has that root too (each
+    branch is strictly increasing), so a pair is solved once and its two
+    states share one energy.  The operators of every root search are built
+    on one `_Workspace`, and the root's operator is read only until the
+    next search starts.
     """
     if max_states is not None and max_states < 0:
         raise ConfigError(f"max_states must be nonnegative, got {max_states}")
+    check_tolerance("root_tol", root_tol)
     zero_spec, n_roots, _ = _zero_energy_count(grid, alpha)
     if max_states is not None:
         n_roots = min(n_roots, max_states)
@@ -731,14 +691,14 @@ def find_bound_states(grid: ArcGrid, alpha: float,
         return []
 
     work = _Workspace(grid.n)
-    lower = _energy_floor(grid, alpha, zero_spec[0], work)
+    start = _predicted_floor(grid, alpha, zero_spec[0])
     states = []
-    at_root = None
+    at_root = lower = None
     for k in range(1, n_roots + 1):
         if at_root is None or at_root.branch_value(k) != value:
             if at_root is not None:
                 lower = _point(at_root, k)
-            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1], work)
+            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1], work, start)
         at_root.settle(k)
         value, vector = at_root.branch_value(k), at_root.vector(k)
         residual = float(abs(value - alpha))

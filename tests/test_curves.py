@@ -80,6 +80,16 @@ def test_reparametrize_circle_is_identity():
     assert out is c
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_reparametrize_refuses_a_tolerance_not_finite_and_positive(tol):
+    # as the command line refuses it: with tol = nan the unit-speed check
+    # passed every curve, and a circle was accepted at tol = 0
+    for curve in (make_circle(1.0), seeded_fourier_curve(7)):
+        with pytest.raises(curvedelta.ConfigError,
+                           match="tolerance reparam_tol must be finite and positive"):
+            reparametrize_arclength(curve, tol=tol)
+
+
 def test_reparametrize_ellipse_unit_speed(ellipse):
     L = ellipse.total_length
     s = np.linspace(0.0, L, 512, endpoint=False)

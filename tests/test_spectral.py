@@ -154,6 +154,13 @@ class TestBoundStates:
             find_bound_states(circle_grid, -0.2, max_states=-1)
         assert find_bound_states(circle_grid, -0.2, max_states=0) == []
 
+    @pytest.mark.parametrize("root_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_not_finite_and_positive_refused(self, circle_grid, root_tol):
+        # as the command line refuses it: root_tol = nan switched the
+        # residual check off, and -1 refused every root as a NumericsError
+        with pytest.raises(ConfigError, match="tolerance root_tol must be finite and positive"):
+            find_bound_states(circle_grid, -0.2, root_tol=root_tol)
+
     def test_zero_coupling_rejected(self, circle_grid):
         with pytest.raises(ConfigError):
             find_bound_states(circle_grid, 0.0)
@@ -232,9 +239,9 @@ class TestBoundStates:
 
 
 class TestPredictedFloor:
-    """The floor search starts at the root of the equal-length circle's top
-    branch, shifted to the grid's nu_1(0): one operator where that lies at
-    or below the root, and the doubling from it, or from -1, elsewhere."""
+    """The principal search starts at the root of the equal-length circle's
+    top branch, shifted to the grid's nu_1(0), found by the same search on
+    the circle's grid, and runs open below from there."""
 
     @staticmethod
     def record_assemblies(monkeypatch) -> list:
@@ -254,48 +261,57 @@ class TestPredictedFloor:
         root = find_bound_states(circle_grid, alpha, max_states=1)[0].energy
         assert abs(predicted_floor(circle_grid, alpha) - root) <= 1e-10 * abs(root)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_circle_principal_search_builds_one_operator(self, circle, n, monkeypatch):
+        # the prediction is the root the circle grid's own search stops at,
+        # so the principal search stops at its first sample
+        grid = make_grid(circle, n)
+        built = []
+        real_operator = spectral._operator
+
+        def operator(lam, on, *args):
+            if on is grid:
+                built.append(lam)
+            return real_operator(lam, on, *args)
+
+        monkeypatch.setattr(spectral, "_operator", operator)
+        for alpha in (0.1, -0.05, -0.15, -0.23, -0.3):
+            # the kept energy-zero spectrum builds B(0) once
+            predicted = predicted_floor(grid, alpha)
+            built.clear()
+            root = find_bound_states(grid, alpha, max_states=1)[0].energy
+            assert built == [predicted] == [root], alpha
+
     @pytest.mark.parametrize("n", [128, 256])
     @pytest.mark.parametrize("curve", ["ellipse", 7, 101])
     def test_one_operator_at_or_below_the_root(self, curve, n, request, monkeypatch):
+        # the search's first operator, and so its first assembly, is the
+        # prediction, at or below the root
         curve = (seeded_fourier_curve(curve) if isinstance(curve, int)
                  else request.getfixturevalue(curve))
         grid = make_grid(curve, n)
         assembled = self.record_assemblies(monkeypatch)
-        floors = []
-        real_floor = spectral._energy_floor
-
-        def floor(*args):
-            start = len(assembled)
-            point = real_floor(*args)
-            floors.append(assembled[start:])
-            return point
-
-        monkeypatch.setattr(spectral, "_energy_floor", floor)
         for alpha in (0.1, -0.05, -0.15, -0.23):
             predicted = predicted_floor(grid, alpha)
+            assembled.clear()
             root = find_bound_states(grid, alpha, max_states=1)[0].energy
-            assert predicted <= root
-            assert floors[-1] == [predicted]
+            assert assembled[0] == predicted <= root
 
     @pytest.mark.parametrize("alpha", [-0.15, -0.23])
-    @pytest.mark.parametrize("prediction", ["above the root", "nan"])
-    def test_doubling_where_the_prediction_is_no_floor(self, ellipse, alpha, prediction,
-                                                        monkeypatch):
-        # the doubling loop finds the floor from a start above the root, and
-        # from -1, as it did before the prediction, where the prediction is
-        # not a negative energy; the roots do not depend on where it starts
+    def test_start_above_the_root(self, ellipse, alpha, monkeypatch):
+        # from a start above the root the Newton step moves down, so the
+        # search needs no doubling; the roots do not depend on the start
         grid = make_grid(ellipse, 128)
-        predicted = predicted_floor(grid, alpha)
+        start = predicted_floor(grid, alpha) / 4
         reference = [st.energy for st in find_bound_states(grid, alpha)]
-        start = predicted / 4 if prediction == "above the root" else math.nan
+        assert reference[0] < start
         monkeypatch.setattr(spectral, "_predicted_floor", lambda *args: start)
         assembled = self.record_assemblies(monkeypatch)
         energies = [st.energy for st in find_bound_states(grid, alpha)]
         assert len(energies) == len(reference) == count_bound_states(grid, alpha).count
         for energy, expected in zip(energies, reference):
             assert abs(energy - expected) <= 1e-12 * abs(expected)
-        first = start if prediction == "above the root" else -1.0
-        assert assembled[:2] == [first, 2.0 * first]
+        assert assembled[0] == start and 2.0 * start not in assembled
 
 
 class TestNewtonRoots:
@@ -378,7 +394,10 @@ class TestCircleFFT:
         real_root = spectral._branch_root
 
         def branch_root(grid, alpha, k, *args):
-            searches.append(k)
+            # the prediction's search on the equal-length circle's grid is
+            # not one of the query grid's
+            if grid is circle_grid:
+                searches.append(k)
             return real_root(grid, alpha, k, *args)
 
         monkeypatch.setattr(spectral, "_branch_root", branch_root)
