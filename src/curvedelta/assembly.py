@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .curves import ArcGrid, _block_diagonal, _blockwise, _toeplitz_block
+from .curves import ArcGrid, _block_diagonal, _blockwise, _kept, _toeplitz_block
 from .errors import ConfigError
 from .kernels import green_derivative_kernel, green_kernel, smoothing_kernel
 
@@ -114,12 +114,11 @@ def circle_operator_matrix(grid: ArcGrid) -> np.ndarray:
 def _circle_modes(grid: ArcGrid) -> np.ndarray:
     """Eigenvalues of the equal-length circle's operator at energy zero on
     the grid, by wavenumber 0, 1, ..., N/2 (wavenumbers k and N - k share
-    one value)."""
-    n = grid.n
-    if n % 2 != 0:
+    one value), computed once per grid and kept on it."""
+    if grid.n % 2 != 0:
         raise ConfigError("circle operator needs an even grid size")
-    nu0, nu_pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), n // 2)
-    return np.concatenate([[nu0], nu_pairs])
+    return _kept(grid, "circle_modes", None, lambda: np.hstack(
+        circle_mode_eigenvalues(grid.length / (2.0 * np.pi), grid.n // 2)))
 
 
 def _circle_waves(n: int) -> np.ndarray:

@@ -494,10 +494,10 @@ def _kept(owner, name: str, key, build):
     one entry: a call with the key of that entry returns the kept result, a
     call with another key builds and replaces it.  Keys compare with ==,
     and grids by identity.  An array result is kept read-only, since every
-    later caller shares it.  A kept result is arrays and numbers, never an
-    object that refers back to its owner: that would make a cycle, and the
-    owner's arrays would outlive their last user until the cyclic garbage
-    collector ran.
+    later caller shares it.  A kept result is arrays and numbers, or a grid
+    of another curve, never an object that refers back to its owner: that
+    would make a cycle, and the owner's arrays would outlive their last
+    user until the cyclic garbage collector ran.
     """
     # kept where cached_property keeps its values; the dataclasses are frozen
     entry = owner.__dict__.get(name)
@@ -523,9 +523,9 @@ class ArcGrid:
     assembly on this grid, and the curve chords are handed out a row block
     at a time (`chord_block`), so an assembly on a grid larger than one
     block never holds a second N x N table beside its output.  It holds
-    only geometry: the operator results computed once per grid are kept on
-    it through `_kept` by the modules that compute them.  Grids compare
-    and hash by identity.
+    only geometry, the equal-length circle's grid included: the operator
+    results computed once per grid are kept on it through `_kept` by the
+    modules that compute them.  Grids compare and hash by identity.
     """
 
     curve: Curve
@@ -555,6 +555,13 @@ class ArcGrid:
         min(k, N - k) h: the first row of the circulant circle chord matrix."""
         k = np.arange(self.n)
         return _read_only(circle_chord(self.length, np.minimum(k, self.n - k) * self.weight))
+
+    def equal_length_circle(self) -> ArcGrid:
+        """The N-node grid of the equal-length circle: this one on a circle, else kept."""
+        if self.curve.is_circle:
+            return self
+        return _kept(self, "circle_grid", None,
+                     lambda: make_grid(make_circle(self.length / (2.0 * np.pi)), self.n))
 
     def chord_block(self, rows: slice, cols: slice,
                     out: np.ndarray | None = None) -> np.ndarray:

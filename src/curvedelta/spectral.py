@@ -57,7 +57,7 @@ import scipy.linalg
 from .assembly import (_circle_waves, _comparison_block, _green, boundary_derivative,
                        boundary_matrix, circle_boundary_modes, circle_derivative_modes,
                        circle_mode_eigenvalues)
-from .curves import ArcGrid, _kept, _read_only, _row_blocks, make_circle, make_grid
+from .curves import ArcGrid, _kept, _read_only, _row_blocks
 from .errors import ConfigError, InvariantError, NumericsError, check_tolerance
 
 EPS = np.finfo(float).eps
@@ -480,11 +480,10 @@ class _CircleOperator(_Operator):
     def _inertia(self, x: float) -> tuple[int, bool, None]:
         return int(np.count_nonzero(self._values > x)), bool(np.any(self._values == x)), None
 
-    def _exact(self, k: int) -> bool:
-        return True
-
-    def _pair(self, k: int) -> tuple[float, np.ndarray, bool]:
-        """The k-th mode value and its Fourier vector."""
+    def settle(self, k: int) -> None:
+        """Keep the k-th mode value and its Fourier vector, which `_pair` reads."""
+        if k in self._pairs:
+            return
         n = self.grid.n
         m = self._waves[k - 1]
         phase = 2.0 * np.pi * m * np.arange(n) / n
@@ -494,7 +493,7 @@ class _CircleOperator(_Operator):
             vector = np.cos(phase) * math.sqrt(2.0 / n)
         else:
             vector = np.sin(phase) * math.sqrt(2.0 / n)
-        return float(self._values[k - 1]), vector, True
+        self._pairs[k] = (float(self._values[k - 1]), vector, True)
 
     def _slope(self, k: int) -> float:
         """The FFT of the circulant B' row at the branch's wavenumber."""
@@ -540,14 +539,14 @@ def _predicted_floor(grid: ArcGrid, alpha: float, zero_value: float) -> float:
     """The energy at which the equal-length circle's top branch mu_1,
     shifted to the grid's nu_1(0) = zero_value at energy zero, reaches
     alpha: the root of mu_1(lam) + s = alpha, s = zero_value - mu_1(0),
-    that `_branch_root` finds on the equal-length circle's grid, open below
-    from lam = -1.  The circle grid's operators read their known Fourier
-    modes, so the search does no N x N work.
+    that `_branch_root` finds on `grid.equal_length_circle()`, kept on the
+    grid, open below from lam = -1.  The circle grid's operators read its
+    kept Fourier modes, so the search does no N x N work.
     """
     top = float(np.max(circle_boundary_modes(0.0, grid)))
-    circle = make_grid(make_circle(grid.length / (2.0 * np.pi)), grid.n)
     # s = 0 on a circle grid, whose nu_1(0) is mu_1(0)
-    return _branch_root(circle, alpha - (zero_value - top), 1, None, top, None).lam
+    return _branch_root(grid.equal_length_circle(), alpha - (zero_value - top), 1, None, top,
+                        None).lam
 
 
 def _zero_energy_count(grid: ArcGrid, alpha: float) -> tuple[np.ndarray, int, float]:
@@ -841,21 +840,16 @@ def isoperimetric_compare(grid: ArcGrid, alpha: float) -> tuple[float, float, fl
     Returns (energy_curve, energy_circle, gap) with gap = circle - curve;
     the circle uniquely maximizes the principal eigenvalue among closed
     curves of fixed length, so a positive gap is expected for any
-    non-circular input.  A circle grid is its own equal-length circle: its
-    principal state is computed once and the gap is exactly zero (a circle
-    rebuilt from the length L = N h can differ from the input by an ulp).
+    non-circular input.  The circle is `grid.equal_length_circle()`, so a
+    circle grid's gap is exactly zero.  Refused where the circle has no
+    bound state, alpha >= ln(4R)/(2 pi), though the curve can have one.
     """
-    radius = grid.length / (2.0 * np.pi)
-    if alpha >= circle_mode_eigenvalues(radius, 0)[0]:
-        raise ConfigError("alpha too large: neither operator has bound states")
-    curve_states = find_bound_states(grid, alpha, max_states=1)
-    if grid.curve.is_circle:
-        circle_states = curve_states
-    else:
-        circle_grid = make_grid(make_circle(radius), grid.n)
-        circle_states = find_bound_states(circle_grid, alpha, max_states=1)
-    if not curve_states or not circle_states:
+    circle = grid.equal_length_circle()
+    circle_states = find_bound_states(circle, alpha, max_states=1)
+    if not circle_states:
+        raise ConfigError("alpha too large: the equal-length circle has no bound state")
+    states = circle_states if circle is grid else find_bound_states(grid, alpha, max_states=1)
+    if not states:
         raise NumericsError("no bound state found for the comparison")
-    lam_curve = curve_states[0].energy
-    lam_circle = circle_states[0].energy
+    lam_curve, lam_circle = states[0].energy, circle_states[0].energy
     return lam_curve, lam_circle, lam_circle - lam_curve

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,13 +9,13 @@ import scipy.linalg
 from hypothesis import given, reject, settings
 from hypothesis import strategies
 
-from curvedelta import assembly, spectral
+from curvedelta import assembly, curves, spectral
 from curvedelta import (ConfigError, CurveError, InvariantError, NumericsError,
                         asymptotic_count_bounds, boundary_matrix,
                         circle_mode_eigenvalues, count_bound_states, eigen,
                         find_bound_states,
                         isoperimetric_compare, make_circle,
-                        make_grid, reparametrize_arclength)
+                        make_grid, reparametrize_arclength, scattering_layer_matrix)
 from curvedelta.assembly import comparison_matrix
 from curvedelta.spectral import (ROOT_TOL, _circle_levels, _interval_index,
                                  boundary_spectrum, eigenvalue_at)
@@ -264,15 +266,17 @@ class TestPredictedFloor:
     @pytest.mark.parametrize("n", [256, 1024])
     def test_circle_principal_search_builds_one_operator(self, circle, n, monkeypatch):
         # the prediction is the root the circle grid's own search stops at,
-        # so the principal search stops at its first sample
+        # so the principal search stops at its first sample.  The
+        # prediction's search runs on the grid too, a circle grid being its
+        # own equal-length circle, but without a workspace
         grid = make_grid(circle, n)
         built = []
         real_operator = spectral._operator
 
-        def operator(lam, on, *args):
-            if on is grid:
+        def operator(lam, on, guess=None, work=None):
+            if on is grid and work is not None:
                 built.append(lam)
-            return real_operator(lam, on, *args)
+            return real_operator(lam, on, guess, work)
 
         monkeypatch.setattr(spectral, "_operator", operator)
         for alpha in (0.1, -0.05, -0.15, -0.23, -0.3):
@@ -393,12 +397,13 @@ class TestCircleFFT:
         searches = []
         real_root = spectral._branch_root
 
-        def branch_root(grid, alpha, k, *args):
-            # the prediction's search on the equal-length circle's grid is
-            # not one of the query grid's
-            if grid is circle_grid:
+        def branch_root(grid, alpha, k, lower, zero_value, work, *args):
+            # the prediction's search, on the grid itself (its own
+            # equal-length circle) but without a workspace, is not one of the
+            # query's root searches
+            if grid is circle_grid and work is not None:
                 searches.append(k)
-            return real_root(grid, alpha, k, *args)
+            return real_root(grid, alpha, k, lower, zero_value, work, *args)
 
         monkeypatch.setattr(spectral, "_branch_root", branch_root)
         states = find_bound_states(circle_grid, -0.23)
@@ -860,12 +865,87 @@ class TestIsoperimetric:
         assert gap > 0.0
 
     def test_circle_against_itself(self, circle_grid):
+        # a circle grid is its own equal-length circle
         _, _, gap = isoperimetric_compare(circle_grid, -0.5)
-        assert abs(gap) < 2e-10
+        assert gap == 0.0
 
     def test_supercritical_coupling_rejected(self, ellipse_grid):
         with pytest.raises(ConfigError):
             isoperimetric_compare(ellipse_grid, LN4_OVER_2PI + 0.1)
+
+    def test_refusal_names_the_circle(self, ellipse_grid):
+        # between the circle's nu_1(0) = ln(4R)/(2 pi) = 0.22064 and the
+        # ellipse's 0.23881 the curve has one shallow state and the circle
+        # none, so the refusal is the circle's alone
+        alpha = 0.2297
+        assert LN4_OVER_2PI < alpha < spectral._zero_energy_count(ellipse_grid, alpha)[0][0]
+        with pytest.raises(ConfigError, match="^alpha too large: the equal-length circle has "
+                                              "no bound state$"):
+            isoperimetric_compare(ellipse_grid, alpha)
+        (state,) = find_bound_states(ellipse_grid, alpha)
+        assert -1e-3 < state.energy < 0.0 and state.residual < ROOT_TOL
+
+
+class TestEqualLengthCircle:
+    """A grid's equal-length circle is built once and kept on it, a circle
+    grid being its own, and each grid computes its energy-zero circle modes
+    once."""
+
+    ALPHAS = (0.1, -0.05, -0.15, -0.23)
+
+    def queries(self, grid):
+        for alpha in self.ALPHAS:
+            find_bound_states(grid, alpha)
+            isoperimetric_compare(grid, alpha)
+
+    @pytest.mark.parametrize("curve_name, circles", [("ellipse", 1), ("circle", 0)])
+    def test_one_circle_grid_per_grid(self, curve_name, circles, request, monkeypatch):
+        grid = make_grid(request.getfixturevalue(curve_name), 128)
+        built = []
+        real_grid = curves.ArcGrid
+
+        def arc_grid(**fields):
+            made = real_grid(**fields)
+            built.append(made.curve.is_circle)
+            return made
+
+        monkeypatch.setattr(curves, "ArcGrid", arc_grid)
+        self.queries(grid)
+        assert built == [True] * circles
+        assert (grid.equal_length_circle() is grid) == (circles == 0)
+
+    @pytest.mark.parametrize("curve_name, grids", [("ellipse", 2), ("circle", 1)])
+    def test_circle_modes_once_per_grid(self, curve_name, grids, request, monkeypatch):
+        # over every energy of the root searches, the prediction's and the
+        # comparison's, and of the scattering table
+        grid = make_grid(request.getfixturevalue(curve_name), 128)
+        calls = []
+        real_modes = assembly.circle_mode_eigenvalues
+
+        def modes(radius, pair_count):
+            calls.append(radius)
+            return real_modes(radius, pair_count)
+
+        monkeypatch.setattr(assembly, "circle_mode_eigenvalues", modes)
+        self.queries(grid)
+        for lam in (0.5, 1.0, 2.0):
+            scattering_layer_matrix(grid, lam)
+        assert len(calls) == grids
+
+    @pytest.mark.parametrize("curve_name", ["ellipse", "circle"])
+    def test_kept_circle_grid_makes_no_cycle(self, curve_name, request):
+        # the circle grid kept on a grid refers to nothing of it, and a
+        # circle grid is not kept on itself, so a deleted grid dies with its
+        # last reference, the kept circle grid with it
+        grid = make_grid(request.getfixturevalue(curve_name), 64)
+        isoperimetric_compare(grid, -0.15)
+        refs = [weakref.ref(grid), weakref.ref(grid.equal_length_circle())]
+        gc.disable()
+        try:
+            del grid
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 def test_resolvent_correction_surrogate_decay(circle_grid):

@@ -98,8 +98,9 @@ def test_no_representation_branch_in_the_operator():
     # a circle grid's known eigenpairs live in spectral._CircleOperator, and
     # spectral._operator picks the class: no method of the dense _Operator
     # reads the circle's wavenumbers or asks whether the grid is a circle,
-    # and besides the factory only the two functions that compare a curve
-    # with its equal-length circle ask that
+    # and besides the factory only the count, which cross-checks a circle
+    # against its closed form, asks that; the equal-length circle is the
+    # grid's (`ArcGrid.equal_length_circle`)
     tree = ast.parse((SRC / "spectral.py").read_text())
     dense = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "_Operator")
@@ -108,8 +109,23 @@ def test_no_representation_branch_in_the_operator():
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Attribute) and node.attr == "is_circle"
                        for node in ast.walk(fn))}
-    assert readers == {"_operator", "count_bound_states", "isoperimetric_compare"}
+    assert readers == {"_operator", "count_bound_states"}
     assert spectral._CircleOperator.__bases__ == (spectral._Operator,)
+
+
+def test_one_builder_of_the_equal_length_circle():
+    # ArcGrid.equal_length_circle decides the equal-length circle's grid,
+    # so besides it only a curve file's circle is built
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the innermost function around each node, which ast.walk reaches last
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if _called(node) == "make_circle"]
+    assert sorted(found) == [("curves.py", "curve_from_json_dict"),
+                             ("curves.py", "equal_length_circle")]
 
 
 def test_one_circle_branch_in_scattering():

@@ -5,8 +5,9 @@ A rigid motion leaves every chord, hence every eigenvalue, unchanged; a
 homothety sigma -> c sigma maps the operator at energy lam to the one at
 c^2 lam, shifted by ln c / (2 pi) through the log-singular circle part.
 Both laws hold exactly for the discretization, so the bound is roundoff.
-The laws are checked on the dense eigensolve at N = 64, and the rigid-motion
-and orientation laws also on the compressed spectrum at N = 1024.
+The laws are checked on the dense eigensolve at N = 64, the rigid-motion
+and orientation laws also on the compressed spectrum at N = 1024, and the
+homothety law also on the isoperimetric comparison at N = 256.
 """
 
 import math
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from curvedelta import (Curve, CurveError, boundary_matrix, eigen, make_grid,
-                        reparametrize_arclength, spectral)
+from curvedelta import (Curve, CurveError, boundary_matrix, eigen, isoperimetric_compare,
+                        make_circle, make_grid, reparametrize_arclength, spectral)
 from oracles import fourier_mode_curve
 
 N = 64
@@ -144,3 +145,25 @@ def test_orientation_reversal_of_the_compressed_spectrum(coefficients):
     for lam in LAMS:
         assert np.max(np.abs(_production_values(reversed_, lam)
                              - _production_values(curve, lam))) <= TOL
+
+
+@pytest.mark.parametrize("c", [1.7, 0.6])
+def test_scaling_law_of_the_isoperimetric_comparison(c):
+    # the equal-length circle scales with the curve, so at the coupling
+    # alpha + ln c/(2 pi) both principal energies of the scaled curve are
+    # 1/c^2 times the curve's.  Measured at N = 256: both energies within
+    # 4.7e-14 relative, the gap within 3.1e-14 of |energy_curve|; the bar
+    # TOL leaves a 20x margin.  A circle is its own comparison: gap 0
+    raw = fourier_mode_curve(FIXED_COEFFICIENTS[0])
+    scaled = Curve(a0=c * raw.a0, cos_coeff=c * raw.cos_coeff, sin_coeff=c * raw.sin_coeff,
+                   period=c * raw.period)
+    grid, scaled_grid = (make_grid(reparametrize_arclength(curve), 256) for curve in (raw, scaled))
+    circle_grid = make_grid(make_circle(c), 256)
+    shift = math.log(c) / (2.0 * math.pi)
+    for alpha in (-0.3, -0.15, -0.05, 0.1):
+        curve, circle, gap = isoperimetric_compare(grid, alpha)
+        scaled_curve, scaled_circle, scaled_gap = isoperimetric_compare(scaled_grid, alpha + shift)
+        assert abs(c * c * scaled_curve - curve) <= TOL * abs(curve)
+        assert abs(c * c * scaled_circle - circle) <= TOL * abs(circle)
+        assert abs(c * c * scaled_gap - gap) <= TOL * abs(curve)
+        assert isoperimetric_compare(circle_grid, alpha + shift)[2] == 0.0
