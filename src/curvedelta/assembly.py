@@ -240,7 +240,7 @@ def _comparison_block(kernel, grid: ArcGrid, rows: slice, cols: slice,
     where `chord_difference` can: zeros on a circle grid, which is its own
     equal-length circle.  The diagonal is the curvature kink, the same for
     every kernel 1/(4 pi r) + c_0 + c_1 r + O(r^2) of the chords."""
-    if grid.curve.is_circle:
+    if grid.is_circle:
         return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     w = grid.weight
     block = grid.chord_difference(kernel, rows, cols, out)

@@ -129,7 +129,7 @@ def cmd_spectrum(args, grid, tols) -> None:
         path = os.path.join(args.out, f"spectrum_{i}.csv")
         entry = {"lam": lam, "file": os.path.basename(path)}
         header, columns = ["k", "nu"], [range(1, trusted + 1), spec]
-        if grid.curve.is_circle and lam == 0.0:
+        if grid.is_circle and lam == 0.0:
             # nu_0, nu_1, nu_1, nu_2, nu_2, ...: each pair's level twice
             nu0, pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), trusted // 2)
             closed = np.concatenate([[nu0], pairs])[np.arange(1, trusted + 1) // 2]
@@ -203,7 +203,7 @@ def cmd_isoperimetric(args, grid, tols) -> None:
                 f"isoperimetric alpha={_fmt(alpha)} n={grid.n}",
                 ["alpha", "energy_curve", "energy_circle", "gap"],
                 [[alpha, lam_curve, lam_circle, gap]])
-    if grid.curve.is_circle:
+    if grid.is_circle:
         if gap != 0:
             raise InvariantError(f"circle compared with itself: gap {gap:.3e} not zero")
     elif gap <= 0:

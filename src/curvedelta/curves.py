@@ -113,8 +113,7 @@ def _arc(curve: "Curve", t: np.ndarray, step: np.ndarray, rule) -> np.ndarray:
 class Curve:
     """Closed C^infinity curve given by truncated Fourier coefficients."""
 
-    def __init__(self, a0, cos_coeff, sin_coeff, period,
-                 is_circle: bool = False, radius: float | None = None):
+    def __init__(self, a0, cos_coeff, sin_coeff, period, radius: float | None = None):
         self.a0 = np.asarray(a0, dtype=float).reshape(3)
         self.cos_coeff = np.atleast_2d(np.asarray(cos_coeff, dtype=float))
         self.sin_coeff = np.atleast_2d(np.asarray(sin_coeff, dtype=float))
@@ -143,11 +142,10 @@ class Curve:
         if not 16.0 * size * size < np.finfo(float).max:
             raise CurveError("curve chords overflow: coefficients too large")
         self._modes = np.arange(1, modes + 1, dtype=float)
-        self.is_circle = bool(is_circle)
         self.radius = radius
         self._table: _ArcTable | None = None
-        # a circle built by make_circle is unit-speed natively
-        self.unit_speed = bool(is_circle)
+        # make_circle's circle, the one curve with a radius, is unit-speed natively
+        self.unit_speed = radius is not None
 
     # -- evaluation in the native parameter -------------------------------
 
@@ -226,7 +224,6 @@ def make_circle(radius: float) -> Curve:
         cos_coeff=[[radius, 0.0, 0.0]],
         sin_coeff=[[0.0, radius, 0.0]],
         period=2.0 * np.pi * radius,
-        is_circle=True,
         radius=float(radius),
     )
 
@@ -258,7 +255,6 @@ def scale_to_length(curve: Curve, target_length: float) -> Curve:
         cos_coeff=curve.cos_coeff * factor,
         sin_coeff=curve.sin_coeff * factor,
         period=curve.period * factor,
-        is_circle=curve.is_circle,
         radius=None if curve.radius is None else curve.radius * factor,
     )
 
@@ -297,8 +293,7 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
         _check_self_intersection(curve.point_at_arclength(_guard_arclengths(L)), L)
         return curve
 
-    out = Curve(curve.a0, curve.cos_coeff, curve.sin_coeff, curve.period,
-                is_circle=curve.is_circle, radius=curve.radius)
+    out = Curve(curve.a0, curve.cos_coeff, curve.sin_coeff, curve.period, radius=curve.radius)
     table = out._table = _ArcTable(out, panels=_panel_count(out))
     out.unit_speed = True
 
@@ -423,6 +418,10 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     return cdist(a, a if b is None else b)
 
 
+# Largest chord deviation from the equal-length circle, in eps L, of a circle
+# grid (`ArcGrid.is_circle`): circles read <= 1.93, the nearest non-circle 6e7.
+CIRCLE_TOL = 64.0
+
 # Bytes of one row block of a kernel table: 1 MB, so that a block and the
 # few block-sized temporaries of a kernel evaluation stay within a core's
 # L2 cache.
@@ -499,13 +498,14 @@ def _kept(owner, name: str, key, build):
     would make a cycle, and the owner's arrays would outlive their last
     user until the cyclic garbage collector ran.
     """
-    # kept where cached_property keeps its values; the dataclasses are frozen
-    entry = owner.__dict__.get(name)
+    # kept where cached_property keeps its values (the dataclasses are frozen),
+    # under a key that no attribute name equals, so it hides no method
+    entry = owner.__dict__.get(("_kept", name))
     if entry is None or entry[0] != key:
         value = build()
         if isinstance(value, np.ndarray):
             _read_only(value)
-        entry = owner.__dict__[name] = (key, value)
+        entry = owner.__dict__[("_kept", name)] = (key, value)
     return entry[1]
 
 
@@ -556,9 +556,19 @@ class ArcGrid:
         k = np.arange(self.n)
         return _read_only(circle_chord(self.length, np.minimum(k, self.n - k) * self.weight))
 
+    @property
+    def is_circle(self) -> bool:
+        """Whether every chord is within CIRCLE_TOL eps L of the equal-length
+        circle's, the identity every circle path assumes: decided once per
+        grid, a row block at a time, so a grid off the circle reads one block."""
+        bound = CIRCLE_TOL * np.finfo(float).eps * self.length
+        return _kept(self, "is_circle", None, lambda: all(
+            np.max(np.abs(d := self.chord_difference(lambda r: r, rows), out=d)) <= bound
+            for rows in _row_blocks(self.n, 8 * self.n)))
+
     def equal_length_circle(self) -> ArcGrid:
         """The N-node grid of the equal-length circle: this one on a circle, else kept."""
-        if self.curve.is_circle:
+        if self.is_circle:
             return self
         return _kept(self, "circle_grid", None,
                      lambda: make_grid(make_circle(self.length / (2.0 * np.pi)), self.n))
@@ -674,7 +684,7 @@ def circle_deviation(grid: ArcGrid) -> float:
 
 def curve_to_json_dict(curve: Curve) -> dict:
     """Serializable description matching the CLI curve schema."""
-    if curve.is_circle:
+    if curve.radius is not None:
         return {"kind": "circle", "radius": curve.radius}
     return {
         "kind": "fourier",

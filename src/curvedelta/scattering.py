@@ -399,7 +399,7 @@ def scattering_block(grid: ArcGrid, lam: float, alpha: float,
         raise ConfigError(f"scattering block is defined for finite lam >= 0, got lam={lam:g}")
     check_tolerance("rank_tol", rank_tol)
     # at lam = 0 Im N vanishes and no channel is open: no table is built
-    system = ((_CircleSystem if grid.curve.is_circle else _DenseSystem)(grid, lam, alpha)
+    system = ((_CircleSystem if grid.is_circle else _DenseSystem)(grid, lam, alpha)
               if lam > 0 else None)
     vals = system.channel_eigenvalues if lam > 0 else np.zeros(0)
     retained = int(np.sum(vals > rank_tol * vals[0])) if len(vals) else 0

@@ -54,9 +54,9 @@ import weakref
 import numpy as np
 import scipy.linalg
 
-from .assembly import (_circle_waves, _comparison_block, _green, boundary_derivative,
-                       boundary_matrix, circle_boundary_modes, circle_derivative_modes,
-                       circle_mode_eigenvalues)
+from .assembly import (_circle_modes, _circle_waves, _comparison_block, _green,
+                       boundary_derivative, boundary_matrix, circle_boundary_modes,
+                       circle_derivative_modes, circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks
 from .errors import ConfigError, InvariantError, NumericsError, check_tolerance
 
@@ -503,7 +503,7 @@ class _CircleOperator(_Operator):
 def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
               work: _Workspace | None = None) -> _Operator:
     """B(lam): the circle's known eigenpairs on a circle grid, else dense."""
-    return (_CircleOperator if grid.curve.is_circle else _Operator)(lam, grid, guess, work)
+    return (_CircleOperator if grid.is_circle else _Operator)(lam, grid, guess, work)
 
 
 def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -543,8 +543,8 @@ def _predicted_floor(grid: ArcGrid, alpha: float, zero_value: float) -> float:
     grid, open below from lam = -1.  The circle grid's operators read its
     kept Fourier modes, so the search does no N x N work.
     """
-    top = float(np.max(circle_boundary_modes(0.0, grid)))
-    # s = 0 on a circle grid, whose nu_1(0) is mu_1(0)
+    # mu_1(0), a kept mode since B(0) has no smoothing; s = 0 on a circle grid
+    top = float(np.max(_circle_modes(grid)))
     return _branch_root(grid.equal_length_circle(), alpha - (zero_value - top), 1, None, top,
                         None).lam
 
@@ -810,7 +810,7 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
                 f"count {count} escapes the sandwich [{lower}, {upper}] "
                 f"(deviation {deviation:.3e})")
 
-    if grid.curve.is_circle:
+    if grid.is_circle:
         expected = max(0, 2 * _interval_index(alpha, levels) + 1)
         if count != expected:
             raise InvariantError(

@@ -463,7 +463,7 @@ def green_square_integral(lam: float, d: float) -> float:
 def comparison_matrix_full(lam: float, grid: ArcGrid, kernel=None) -> np.ndarray:
     """The comparison matrix of `kernel`, G_lam by default, from the whole
     chord table in one pass."""
-    if grid.curve.is_circle:
+    if grid.is_circle:
         return np.zeros((grid.n, grid.n))
     w = grid.weight
     kernel = kernel or (lambda r: green_kernel(lam, r))
@@ -478,7 +478,7 @@ def boundary_matrix_full(lam: float, grid: ArcGrid) -> np.ndarray:
     """B(lam) as the difference of the full circle operator and smoothing
     matrices, plus the full comparison matrix."""
     mat = circle_operator_matrix(grid) - smoothing_matrix(lam, grid)
-    if not grid.curve.is_circle:
+    if not grid.is_circle:
         mat += comparison_matrix_full(lam, grid)
     return mat
 

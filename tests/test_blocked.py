@@ -98,7 +98,7 @@ def _scattering_layer_one_pass(grid, lam):
     entries of the full chord tables."""
     circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - _outgoing_smoothing_row(lam, grid)
     table = toeplitz(circle_row)
-    if not grid.curve.is_circle:
+    if not grid.is_circle:
         table += comparison_matrix_full(lam, grid, lambda r: scattering_kernel(lam, r))
     return table
 

@@ -33,6 +33,16 @@ def circle_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def fourier_circle_file(tmp_path_factory):
+    """The unit circle written as a Fourier curve, which its grid's chords
+    recognize as a circle."""
+    path = tmp_path_factory.mktemp("curves") / "fcircle.json"
+    path.write_text(json.dumps({"kind": "fourier", "cos": [[1.0, 0.0, 0.0]],
+                                "sin": [[0.0, 1.0, 0.0]]}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def ellipse_file(tmp_path_factory, ellipse):
     path = tmp_path_factory.mktemp("curves") / "ellipse.json"
     path.write_text(json.dumps(curve_to_json_dict(ellipse)))
@@ -65,6 +75,15 @@ class TestSpectrum:
                      "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
         assert summary["0"]["max_closed_form_deviation"] == 0
+
+    def test_fourier_circle_closed_form_column(self, fourier_circle_file, tmp_path):
+        # the closed form follows the grid's geometry, not the file's kind
+        assert main(["spectrum", "--curve", fourier_circle_file, "--n", "256",
+                     "--lambda", "0,-1", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+        assert summary["0"]["max_closed_form_deviation"] == 0
+        assert "max_closed_form_deviation" not in summary["1"]
+        assert _read_rows(tmp_path / "spectrum_0.csv")[0] == ["k", "nu", "nu_closed_form"]
 
     def test_missing_curve_file(self, tmp_path):
         assert main(["spectrum", "--curve", str(tmp_path / "nope.json"),
@@ -272,6 +291,17 @@ class TestIsoperimetric:
         header, rows = _read_rows(tmp_path / "isoperimetric.csv")
         assert float(rows[0][header.index("gap")]) == 0.0
         assert rows[0][header.index("energy_curve")] == rows[0][header.index("energy_circle")]
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_fourier_circle_against_itself_exits_0(self, fourier_circle_file, tmp_path, n):
+        # the unit circle of a Fourier file is recognized by its grid, so it
+        # too is its own equal-length circle; on the dense path its gap was
+        # rounding, not positive in 20 of these 24 cases, and exited 4
+        for alpha in (-0.3, -0.25, -0.2, -0.15, -0.1, -0.05, 0.05, 0.1):
+            assert main(["isoperimetric", "--curve", fourier_circle_file, "--n", str(n),
+                         f"--alpha={alpha}", "--out", str(tmp_path)]) == 0
+            header, rows = _read_rows(tmp_path / "isoperimetric.csv")
+            assert float(rows[0][header.index("gap")]) == 0.0, alpha
 
 
 class TestProbe:
@@ -485,6 +515,19 @@ class TestCircleFFTPath:
                      "--out", str(tmp_path)]) == 0
         assert calls == {"eigh": 0, "boundary_matrix": 0}
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--lambda", "0,-1,-16"],
+        ["bound-states", "--alpha", "0.1,-0.23"],
+        ["isoperimetric", "--alpha=-0.15"],
+        ["scattering", "--alpha=-0.3", "--lambda", "0.5,1"],
+    ], ids=lambda argv: argv[0])
+    def test_fourier_circle_takes_the_circle_paths(self, fourier_circle_file, tmp_path,
+                                                   calls, argv):
+        # the circle paths follow the grid's chords, not the file's kind
+        assert main([argv[0], "--curve", fourier_circle_file, "--n", "256", *argv[1:],
+                     "--out", str(tmp_path)]) == 0
+        assert calls == {"eigh": 0, "boundary_matrix": 0}
+
     def test_isoperimetric_circle_half(self, ellipse_file, tmp_path, calls, monkeypatch):
         # the ellipse half assembles its own grid only; the circle half of
         # the comparison, run on its own, makes no call at all
@@ -498,7 +541,7 @@ class TestCircleFFTPath:
         monkeypatch.setattr(curvedelta.spectral, "boundary_matrix", matrix)
         assert main(["isoperimetric", "--curve", ellipse_file, "--n", "128",
                      "--alpha", "-0.15", "--out", str(tmp_path)]) == 0
-        assert grids and not any(grid.curve.is_circle for grid in grids)
+        assert grids and not any(grid.is_circle for grid in grids)
         circle_grid = curvedelta.make_grid(curvedelta.make_circle(1.0), 256)
         calls.update(eigh=0, boundary_matrix=0)
         assert curvedelta.isoperimetric_compare(circle_grid, -0.15)[2] == 0.0

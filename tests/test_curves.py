@@ -513,7 +513,8 @@ def test_scale_to_length(ellipse):
 
 def test_scale_circle_stays_unit_speed():
     doubled = scale_to_length(make_circle(1.0), 4.0 * math.pi)
-    assert doubled.is_circle and doubled.radius == pytest.approx(2.0, rel=1e-13)
+    assert doubled.radius == pytest.approx(2.0, rel=1e-13) and doubled.unit_speed
+    assert make_grid(doubled, 64).is_circle
     assert doubled.total_length == pytest.approx(4.0 * math.pi, rel=1e-13)
     assert chord(doubled, 0.0, 2.0 * math.pi) == pytest.approx(4.0, abs=1e-12)
 
@@ -587,3 +588,87 @@ def test_grid_invariants(ellipse, ellipse_grid):
     assert g.n % 2 == 0 and g.n >= 16
     assert np.all(np.diff(g.nodes) > 0)
     assert g.n * g.weight == pytest.approx(ellipse.total_length, rel=1e-14)
+
+
+def circle_chord_deviation(grid):
+    """max |chords - circulant(circle_chord_row)| over the whole table, in eps L."""
+    table = _pairwise_distances(grid.points)
+    return (np.max(np.abs(table - toeplitz(grid.circle_chord_row)))
+            / (np.finfo(float).eps * grid.length))
+
+
+def fourier_circle(a0=(0.0, 0.0, 0.0), frame=np.eye(3)):
+    """The unit circle as a Fourier curve file gives it, centred at a0 in
+    the plane of the first two columns of `frame`."""
+    return curvedelta.curve_from_json_dict({
+        "kind": "fourier", "a0": list(a0),
+        "cos": [frame[:, 0].tolist()], "sin": [frame[:, 1].tolist()]})
+
+
+class TestCircleRule:
+    """A grid is a circle when its chords are its equal-length circle's
+    within CIRCLE_TOL eps L, whatever its curve's file says."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_fourier_unit_circle_is_a_circle(self, n):
+        grid = make_grid(fourier_circle(), n)
+        assert grid.is_circle and grid.equal_length_circle() is grid
+        assert curvedelta.curve_to_json_dict(grid.curve)["kind"] == "fourier"
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_near_circle_is_not(self, n):
+        # mode-2 amplitude 1e-7: its chords deviate by 6.2e7 eps L, about
+        # 1e6 times CIRCLE_TOL
+        grid = make_grid(reparametrize_arclength(fourier_mode_curve([1e-7] + [0.0] * 11)), n)
+        assert not grid.is_circle
+        assert circle_chord_deviation(grid) > 5e5 * curves_mod.CIRCLE_TOL
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048])
+    def test_every_made_circle_is_a_circle(self, n):
+        # 0.64 to 1.93 eps L measured, a margin of 33x under CIRCLE_TOL = 64;
+        # the tables of a curve file's circle keep their circle paths
+        exponents = range(-100, 154) if n == 16 else (-100, -3, 0, 6, 153)
+        for exponent in exponents:
+            grid = make_grid(make_circle(10.0 ** exponent), n)
+            assert grid.is_circle, exponent
+            if n <= 1024:
+                assert circle_chord_deviation(grid) <= curves_mod.CIRCLE_TOL / 16, exponent
+        assert make_grid(make_circle(0.7), n).is_circle
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 10.0, 100.0])
+    def test_moved_fourier_circle_is_a_circle(self, offset):
+        # tilted, and translated by up to 100 radii: chords are differences
+        # of points of size |a0|, so the deviation grows with it, to 13-18
+        # eps L at 100 radii (52 at 300, 128-172 at 1000, no longer a circle)
+        frame = np.linalg.qr(np.array([[1.0, 0.3, -0.5], [0.2, -1.0, 0.4],
+                                       [0.7, 0.6, 1.0]]))[0]
+        curve = fourier_circle(offset * np.array([0.6, -0.48, 0.64]), frame)
+        for n in (64, 256):
+            grid = make_grid(curve, n)
+            assert grid.is_circle
+            assert circle_chord_deviation(grid) <= curves_mod.CIRCLE_TOL / 2
+
+    @staticmethod
+    def count_blocks(monkeypatch) -> list:
+        blocks = []
+        real_block = curves_mod.ArcGrid.chord_block
+
+        def block(grid, rows, cols, out=None):
+            blocks.append((rows.start, rows.stop))
+            return real_block(grid, rows, cols, out)
+
+        monkeypatch.setattr(curves_mod.ArcGrid, "chord_block", block)
+        return blocks
+
+    def test_decided_once_per_grid(self, monkeypatch):
+        # a circle reads every row block once, then the kept decision
+        blocks = self.count_blocks(monkeypatch)
+        grid = make_grid(make_circle(1.0), 1024)
+        assert grid.is_circle and grid.is_circle and grid.equal_length_circle() is grid
+        assert blocks == [(128 * i, 128 * (i + 1)) for i in range(8)]
+
+    def test_non_circle_reads_one_block(self, ellipse, monkeypatch):
+        blocks = self.count_blocks(monkeypatch)
+        grid = make_grid(ellipse, 2048)
+        assert not grid.is_circle and not grid.is_circle
+        assert blocks == [(0, 64)]

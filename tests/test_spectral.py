@@ -263,6 +263,30 @@ class TestPredictedFloor:
         root = find_bound_states(circle_grid, alpha, max_states=1)[0].energy
         assert abs(predicted_floor(circle_grid, alpha) - root) <= 1e-10 * abs(root)
 
+    @pytest.mark.parametrize("grid_name", ["ellipse_grid", "defect_grid", "circle_grid"])
+    def test_prediction_reads_the_kept_modes(self, grid_name, request, monkeypatch):
+        # mu_1(0) is the top kept energy-zero circle mode, bitwise the top of
+        # circle_boundary_modes(0), since B(0) has no smoothing: the
+        # prediction is the one computed from that top, and it evaluates no
+        # mode of its own grid afresh (a circle grid's search reads its own)
+        grid = request.getfixturevalue(grid_name)
+        real_modes = spectral.circle_boundary_modes
+        fresh = []
+
+        def modes(lam, on):
+            fresh.append(on is grid)
+            return real_modes(lam, on)
+
+        for alpha in (0.1, -0.05, -0.15, -0.23, -0.3):
+            zero = spectral._zero_energy_count(grid, alpha)[0][0]
+            top = float(np.max(real_modes(0.0, grid)))
+            expected = spectral._branch_root(grid.equal_length_circle(), alpha - (zero - top),
+                                             1, None, top, None).lam
+            monkeypatch.setattr(spectral, "circle_boundary_modes", modes)
+            assert spectral._predicted_floor(grid, alpha, zero) == expected
+            monkeypatch.setattr(spectral, "circle_boundary_modes", real_modes)
+        assert not any(fresh) or grid.is_circle
+
     @pytest.mark.parametrize("n", [256, 1024])
     def test_circle_principal_search_builds_one_operator(self, circle, n, monkeypatch):
         # the prediction is the root the circle grid's own search stops at,
@@ -906,7 +930,7 @@ class TestEqualLengthCircle:
 
         def arc_grid(**fields):
             made = real_grid(**fields)
-            built.append(made.curve.is_circle)
+            built.append(made.is_circle)
             return made
 
         monkeypatch.setattr(curves, "ArcGrid", arc_grid)

@@ -97,10 +97,10 @@ def test_one_reader_of_the_boundary_operator():
 def test_no_representation_branch_in_the_operator():
     # a circle grid's known eigenpairs live in spectral._CircleOperator, and
     # spectral._operator picks the class: no method of the dense _Operator
-    # reads the circle's wavenumbers or asks whether the grid is a circle,
-    # and besides the factory only the count, which cross-checks a circle
-    # against its closed form, asks that; the equal-length circle is the
-    # grid's (`ArcGrid.equal_length_circle`)
+    # reads the circle's wavenumbers or asks whether the grid is a circle
+    # (`ArcGrid.is_circle`), and besides the factory only the count, which
+    # cross-checks a circle against its closed form, asks that; the
+    # equal-length circle is the grid's (`ArcGrid.equal_length_circle`)
     tree = ast.parse((SRC / "spectral.py").read_text())
     dense = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "_Operator")
@@ -131,7 +131,7 @@ def test_one_builder_of_the_equal_length_circle():
 def test_one_circle_branch_in_scattering():
     # scattering_block picks the system, the circle's Fourier modes or the
     # dense table, and nothing else in the module asks whether the grid is
-    # a circle
+    # a circle (`ArcGrid.is_circle`)
     tree = ast.parse((SRC / "scattering.py").read_text())
     block = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "scattering_block")
@@ -139,6 +139,41 @@ def test_one_circle_branch_in_scattering():
     reads = [(node.lineno, id(node) in inside) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "is_circle"]
     assert len(reads) == 1 and reads[0][1], reads
+
+
+def _circle_reads(path: pathlib.Path) -> list[tuple[str | None, str]]:
+    """(innermost function, object asked) of each `.is_circle` read in a
+    source file."""
+    tree = ast.parse(path.read_text())
+    # the innermost function around each node, which ast.walk reaches last
+    owner = {id(node): fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+    return [(owner.get(id(node)), ast.unparse(node.value)) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "is_circle"]
+
+
+def test_circle_is_the_grids_decision():
+    # a grid is a circle by its chords (ArcGrid.is_circle), decided once, so
+    # no curve carries a circle flag, no call passes one, and every circle
+    # path asks the grid, never its curve
+    reads, flags = [], []
+    for path in sorted(SRC.glob("*.py")):
+        reads += [(path.name, *read) for read in _circle_reads(path)]
+        flags += [(path.name, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.keyword) and node.arg == "is_circle"]
+    assert flags == []
+    assert sorted(reads) == [
+        ("assembly.py", "_comparison_block", "grid"),
+        ("cli.py", "cmd_isoperimetric", "grid"),
+        ("cli.py", "cmd_spectrum", "grid"),
+        ("curves.py", "equal_length_circle", "self"),
+        ("scattering.py", "scattering_block", "grid"),
+        ("spectral.py", "_operator", "grid"),
+        ("spectral.py", "count_bound_states", "grid"),
+    ]
+    assert isinstance(inspect.getattr_static(curvedelta.ArcGrid, "is_circle"), property)
+    assert not hasattr(curvedelta.make_circle(1.0), "is_circle")
+    assert "is_circle" not in inspect.signature(curvedelta.Curve).parameters
 
 
 def test_operators_come_from_the_factory():
@@ -255,6 +290,16 @@ def test_kept_holds_one_entry_per_name(ellipse):
     curves._kept(grid, "table", 1.0, lambda: build(1.0))
     assert built == [1.0, 2.0, 1.0]
     assert curves._kept(grid, "norm", 1.0, lambda: 0.5) == 0.5
+
+
+def test_kept_name_hides_no_method(ellipse):
+    # a result kept under the name of a method leaves the method callable
+    grid = curvedelta.make_grid(ellipse, 64)
+    assert curves._kept(grid, "equal_length_circle", None, lambda: 1.0) == 1.0
+    circle = grid.equal_length_circle()
+    assert isinstance(circle, curvedelta.ArcGrid) and circle.is_circle
+    assert grid.equal_length_circle() is circle
+    assert curves._kept(grid, "equal_length_circle", None, lambda: 2.0) == 1.0
 
 
 def test_readme_library_example():
