@@ -559,12 +559,12 @@ class ArcGrid:
     @property
     def is_circle(self) -> bool:
         """Whether every chord is within CIRCLE_TOL eps L of the equal-length
-        circle's, the identity every circle path assumes: decided once per
-        grid, a row block at a time, so a grid off the circle reads one block."""
+        circle's, the identity every circle path assumes: decided once per grid
+        from the first row, where a non-circle stops, then a row block at a time."""
         bound = CIRCLE_TOL * np.finfo(float).eps * self.length
         return _kept(self, "is_circle", None, lambda: all(
             np.max(np.abs(d := self.chord_difference(lambda r: r, rows), out=d)) <= bound
-            for rows in _row_blocks(self.n, 8 * self.n)))
+            for rows in [slice(0, 1), *_row_blocks(self.n, 8 * self.n)]))
 
     def equal_length_circle(self) -> ArcGrid:
         """The N-node grid of the equal-length circle: this one on a circle, else kept."""

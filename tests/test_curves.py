@@ -661,14 +661,16 @@ class TestCircleRule:
         return blocks
 
     def test_decided_once_per_grid(self, monkeypatch):
-        # a circle reads every row block once, then the kept decision
+        # a circle reads its first row and every row block once, then the
+        # kept decision
         blocks = self.count_blocks(monkeypatch)
         grid = make_grid(make_circle(1.0), 1024)
         assert grid.is_circle and grid.is_circle and grid.equal_length_circle() is grid
-        assert blocks == [(128 * i, 128 * (i + 1)) for i in range(8)]
+        assert blocks == [(0, 1)] + [(128 * i, 128 * (i + 1)) for i in range(8)]
 
-    def test_non_circle_reads_one_block(self, ellipse, monkeypatch):
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_non_circle_reads_one_row(self, ellipse, n, monkeypatch):
         blocks = self.count_blocks(monkeypatch)
-        grid = make_grid(ellipse, 2048)
+        grid = make_grid(ellipse, n)
         assert not grid.is_circle and not grid.is_circle
-        assert blocks == [(0, 64)]
+        assert blocks == [(0, 1)]
