@@ -121,11 +121,17 @@ def _circle_modes(grid: ArcGrid) -> np.ndarray:
         circle_mode_eigenvalues(grid.length / (2.0 * np.pi), grid.n // 2)))
 
 
-def _circle_waves(n: int) -> np.ndarray:
+def _circle_waves(n: int, values: np.ndarray | None = None):
     """The wavenumber of each real Fourier mode of an N-node grid, in the
     order 0, 1, 1, 2, 2, ..., N/2 - 1, N/2 - 1, N/2: each wavenumber
-    1 <= m < N/2 is a cos/sin pair."""
-    return np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
+    1 <= m < N/2 is a cos/sin pair, cos first.  Given `values` by
+    wavenumber, the modes stably sorted by value, nonincreasing, so a pair
+    stays adjacent and cos first, and their values."""
+    waves = np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
+    if values is None:
+        return waves
+    waves = waves[np.argsort(-values[waves], kind="stable")]
+    return waves, values[waves]
 
 
 def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:

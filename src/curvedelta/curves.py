@@ -15,7 +15,6 @@ circle of equal length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -418,8 +417,9 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     return cdist(a, a if b is None else b)
 
 
-# Largest chord deviation from the equal-length circle, in eps L, of a circle
-# grid (`ArcGrid.is_circle`): circles read <= 1.93, a 1e-7 mode-2 bump 6.2e7.
+# Largest chord deviation from the equal-length circle, in eps (L + max
+# |coordinate|), of a circle grid (`ArcGrid.is_circle`): circles centred 0 to
+# 1e5 radii from the origin read <= 1.86, a 1e-7 mode-2 bump >= 4.8e3.
 CIRCLE_TOL = 64.0
 
 # Bytes of one row block of a kernel table: 1 MB, so that a block and the
@@ -498,8 +498,8 @@ def _kept(owner, name: str, key, build):
     would make a cycle, and the owner's arrays would outlive their last
     user until the cyclic garbage collector ran.
     """
-    # kept where cached_property keeps its values (the dataclasses are frozen),
-    # under a key that no attribute name equals, so it hides no method
+    # kept in the instance __dict__ (the dataclasses are frozen), under a key
+    # that no attribute name equals, so it hides no method
     entry = owner.__dict__.get(("_kept", name))
     if entry is None or entry[0] != key:
         value = build()
@@ -542,26 +542,27 @@ class ArcGrid:
     def length(self) -> float:
         return self.n * self.weight
 
-    @cached_property
+    @property
     def chords(self) -> np.ndarray:
         """(N, N) curve chords |sigma(s_i) - sigma(s_j)|, zero on the
         diagonal, kept read-only after the first call.  The assemblies read
         it through `chord_block`, and only when it fits in one block."""
-        return _read_only(_pairwise_distances(self.points))
+        return _kept(self, "chords", None, lambda: _pairwise_distances(self.points))
 
-    @cached_property
+    @property
     def circle_chord_row(self) -> np.ndarray:
         """(N,) chords of the equal-length circle at arc separations
-        min(k, N - k) h: the first row of the circulant circle chord matrix."""
-        k = np.arange(self.n)
-        return _read_only(circle_chord(self.length, np.minimum(k, self.n - k) * self.weight))
+        min(k, N - k) h, kept read-only: the first row of the circle chord circulant."""
+        return _kept(self, "circle_chord_row", None, lambda: circle_chord(
+            self.length, np.minimum(k := np.arange(self.n), self.n - k) * self.weight))
 
     @property
     def is_circle(self) -> bool:
-        """Whether every chord is within CIRCLE_TOL eps L of the equal-length
-        circle's, the identity every circle path assumes: decided once per grid
-        from the first row, where a non-circle stops, then a row block at a time."""
-        bound = CIRCLE_TOL * np.finfo(float).eps * self.length
+        """Whether every chord is within CIRCLE_TOL eps (L + max |coordinate|)
+        of the equal-length circle's, the identity every circle path assumes
+        (chords round with their points' size): decided once per grid from
+        the first row, where a non-circle stops, then a row block at a time."""
+        bound = CIRCLE_TOL * np.finfo(float).eps * (self.length + np.max(np.abs(self.points)))
         return _kept(self, "is_circle", None, lambda: all(
             np.max(np.abs(d := self.chord_difference(lambda r: r, rows), out=d)) <= bound
             for rows in [slice(0, 1), *_row_blocks(self.n, 8 * self.n)]))

@@ -279,12 +279,9 @@ class _CircleSystem:
         self.n = grid.n
         real, self.im = _circle_modes_at(grid, lam)
         self.re = real - alpha
-        waves = _circle_waves(grid.n)
-        # stable, so the two entries of a pair stay adjacent
-        waves = waves[np.argsort(-self.im[waves], kind="stable")]
-        values = self.im[waves]
-        self.waves = waves[:int(np.sum(values > np.finfo(float).eps * values[0]))]
-        self.channel_eigenvalues = self.im[self.waves]
+        waves, values = _circle_waves(grid.n, self.im)
+        kept = int(np.sum(values > np.finfo(float).eps * values[0]))
+        self.waves, self.channel_eigenvalues = waves[:kept], values[:kept]
 
     def real(self) -> float:
         """The condition of A_r."""

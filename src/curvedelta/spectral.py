@@ -18,8 +18,9 @@ Only the top n/4 eigenvalues of B(lam) on an n-node grid are trusted, and
 `boundary_spectrum` returns just those.  On a grid other than a circle
 they come from a compression of B into the grid's orthonormal real Fourier
 basis, in which the circle part of B is diagonal, with the values
-Lambda of `circle_boundary_modes`: on the constant and cos ks, sin ks for
-k <= K = n // 4 (size 2K + 1), T = F_K^T B F_K = Lambda_K + F_K^T D_lam F_K,
+Lambda of `circle_boundary_modes`: on the constant and cos ks, -sin ks
+(`_fourier_coefficients`' basis) for k <= K = n // 4 (size 2K + 1),
+T = F_K^T B F_K = Lambda_K + F_K^T D_lam F_K,
 and the coupling C = F_perp^T B F_K = F_perp^T D_lam F_K to the discarded
 modes.  Both come from two real FFT passes over full rows of the
 comparison part D_lam, evaluated a row block at a time, so B itself is not
@@ -54,7 +55,7 @@ import weakref
 import numpy as np
 import scipy.linalg
 
-from .assembly import (_circle_modes, _circle_waves, _comparison_block, _green,
+from .assembly import (_circle_modes, _circle_waves, _comparison_block, _finite, _green,
                        boundary_derivative, boundary_matrix, circle_boundary_modes,
                        circle_derivative_modes, circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks
@@ -135,12 +136,6 @@ def _fourier_coefficients(rows: np.ndarray, kept: int,
     return out
 
 
-def _kept_waves(kept: int) -> np.ndarray:
-    """The wavenumber of each basis vector on the wavenumbers k <= kept, in
-    `_fourier_coefficients`' order: 0, 1, 1, 2, 2, ..., kept, kept."""
-    return np.concatenate([[0], np.repeat(np.arange(1, kept + 1), 2)])
-
-
 def _fourier_compression(lam: float, grid: ArcGrid,
                          kept: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """T = Lambda_K + F_K^T D F_K on the wavenumbers k <= kept, the sums of
@@ -167,15 +162,15 @@ def _fourier_compression(lam: float, grid: ArcGrid,
         d = _comparison_block(_green(lam), grid, rows, slice(0, n))
         square = float(np.einsum("ij,ij->", d, d))
         # a sum of finite squares is finite unless it overflows
-        if not math.isfinite(square) and not np.all(np.isfinite(d)):
-            raise ConfigError(f"boundary lam={lam:g}: non-finite matrix entries")
+        if not math.isfinite(square):
+            _finite(d, f"boundary lam={lam:g}")
         comparison_sq += square
         half[:, rows] = _fourier_coefficients(d, kept).T
     block = np.empty((size, size))
     rests = np.empty(size)
     for rows in _row_blocks(size, row_bytes):
         block[rows] = _fourier_coefficients(half[rows], kept, rests[rows])
-    block[np.diag_indices(size)] += modes[_kept_waves(kept)]
+    block[np.diag_indices(size)] += modes[_circle_waves(n)[:size]]
     return block, rests, math.sqrt(comparison_sq), modes
 
 
@@ -307,7 +302,7 @@ class _Operator:
             # F_K diagonalizes the circle part, and ||F_K^T D F_K|| <= ||D||_F,
             # so eta is at most the (n/4)-th kept circle mode less the largest
             # discarded one: where that cannot pass, the block is not solved
-            reach = np.sort(modes[_kept_waves(kept)])[-trusted] - discarded
+            reach = np.sort(modes[_circle_waves(n)[:size]])[-trusted] - discarded
             if reach > 0 and coupling_sq <= COMPRESSION_TOL * reach:
                 values = eigen(block[:size, :size])[:trusted]
                 gap = values[-1] - (discarded + comparison)
@@ -463,11 +458,7 @@ class _CircleOperator(_Operator):
     def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
                  work: _Workspace | None = None):
         super().__init__(lam, grid, guess, work)
-        modes = circle_boundary_modes(lam, grid)
-        waves = _circle_waves(grid.n)
-        # stable, so the two entries of a pair stay adjacent, cos first
-        self._waves = waves[np.argsort(-modes[waves], kind="stable")]
-        self._values = modes[self._waves]
+        self._waves, self._values = _circle_waves(grid.n, circle_boundary_modes(lam, grid))
 
     @cached_property
     def _scale(self) -> float:

@@ -222,8 +222,8 @@ def test_chord_table_kept_only_when_it_fits_one_block(ellipse):
     boundary_matrix(-1.0, small)
     scattering_layer_matrix(large, 1.0)
     boundary_matrix(-1.0, large)
-    assert "chords" in small.__dict__
-    assert "chords" not in large.__dict__
+    assert ("_kept", "chords") in small.__dict__
+    assert ("_kept", "chords") not in large.__dict__
 
 
 # -- refusals survive blocking ----------------------------------------------

@@ -303,6 +303,23 @@ class TestIsoperimetric:
             header, rows = _read_rows(tmp_path / "isoperimetric.csv")
             assert float(rows[0][header.index("gap")]) == 0.0, alpha
 
+    @pytest.mark.parametrize("offset", [1e3, 1e4])
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_translated_circle_against_itself_exits_0(self, tmp_path, n, offset):
+        # a tilted unit circle `offset` radii from the origin: its chords
+        # round with its coordinates, and the circle rule scales with them,
+        # so it too is its own equal-length circle; on the dense path its gap
+        # was rounding, negative in 12 of these 18 cases, and exited 4
+        curve = tmp_path / "tcircle.json"
+        curve.write_text(json.dumps({
+            "kind": "fourier", "a0": [offset * c / math.sqrt(14.0) for c in (1.0, 2.0, 3.0)],
+            "cos": [[1.0, 0.0, 0.0]], "sin": [[0.0, 0.6, 0.8]]}))
+        for alpha in (-0.3, -0.15, 0.1):
+            assert main(["isoperimetric", "--curve", str(curve), "--n", str(n),
+                         f"--alpha={alpha}", "--out", str(tmp_path)]) == 0, alpha
+            header, rows = _read_rows(tmp_path / "isoperimetric.csv")
+            assert float(rows[0][header.index("gap")]) == 0.0, alpha
+
 
 class TestProbe:
     def test_slopes_populated(self, circle_file, tmp_path):

@@ -591,10 +591,11 @@ def test_grid_invariants(ellipse, ellipse_grid):
 
 
 def circle_chord_deviation(grid):
-    """max |chords - circulant(circle_chord_row)| over the whole table, in eps L."""
+    """max |chords - circulant(circle_chord_row)| over the whole table, in
+    eps (L + max |coordinate|), the unit of `ArcGrid.is_circle`."""
     table = _pairwise_distances(grid.points)
     return (np.max(np.abs(table - toeplitz(grid.circle_chord_row)))
-            / (np.finfo(float).eps * grid.length))
+            / (np.finfo(float).eps * (grid.length + np.max(np.abs(grid.points)))))
 
 
 def fourier_circle(a0=(0.0, 0.0, 0.0), frame=np.eye(3)):
@@ -607,7 +608,8 @@ def fourier_circle(a0=(0.0, 0.0, 0.0), frame=np.eye(3)):
 
 class TestCircleRule:
     """A grid is a circle when its chords are its equal-length circle's
-    within CIRCLE_TOL eps L, whatever its curve's file says."""
+    within CIRCLE_TOL eps (L + max |coordinate|), whatever its curve's file
+    says and wherever the circle sits."""
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_fourier_unit_circle_is_a_circle(self, n):
@@ -617,16 +619,17 @@ class TestCircleRule:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_near_circle_is_not(self, n):
-        # mode-2 amplitude 1e-7: its chords deviate by 6.2e7 eps L, about
-        # 1e6 times CIRCLE_TOL
+        # mode-2 amplitude 1e-7: its chords deviate by 5.4e7 eps (L + max
+        # |coordinate|), about 1e6 times CIRCLE_TOL
         grid = make_grid(reparametrize_arclength(fourier_mode_curve([1e-7] + [0.0] * 11)), n)
         assert not grid.is_circle
         assert circle_chord_deviation(grid) > 5e5 * curves_mod.CIRCLE_TOL
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048])
     def test_every_made_circle_is_a_circle(self, n):
-        # 0.64 to 1.93 eps L measured, a margin of 33x under CIRCLE_TOL = 64;
-        # the tables of a curve file's circle keep their circle paths
+        # 0.30 to 1.67 eps (L + max |coordinate|) measured, a margin of 38x
+        # under CIRCLE_TOL = 64; the tables of a curve file's circle keep
+        # their circle paths
         exponents = range(-100, 154) if n == 16 else (-100, -3, 0, 6, 153)
         for exponent in exponents:
             grid = make_grid(make_circle(10.0 ** exponent), n)
@@ -635,11 +638,11 @@ class TestCircleRule:
                 assert circle_chord_deviation(grid) <= curves_mod.CIRCLE_TOL / 16, exponent
         assert make_grid(make_circle(0.7), n).is_circle
 
-    @pytest.mark.parametrize("offset", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
     def test_moved_fourier_circle_is_a_circle(self, offset):
-        # tilted, and translated by up to 100 radii: chords are differences
-        # of points of size |a0|, so the deviation grows with it, to 13-18
-        # eps L at 100 radii (52 at 300, 128-172 at 1000, no longer a circle)
+        # tilted, and translated by up to 1e5 radii: chords are differences
+        # of points of size |a0|, so their rounding grows with it, to 1.2e4
+        # eps L at 1e5 radii, and stays within 1.9 eps (L + max |coordinate|)
         frame = np.linalg.qr(np.array([[1.0, 0.3, -0.5], [0.2, -1.0, 0.4],
                                        [0.7, 0.6, 1.0]]))[0]
         curve = fourier_circle(offset * np.array([0.6, -0.48, 0.64]), frame)

@@ -647,6 +647,31 @@ class TestFourierCompression:
         with pytest.raises(ConfigError, match="lam <= 0, got lam=nan"):
             boundary_spectrum(math.nan, ellipse_grid)
 
+    def test_non_finite_comparison_refuses_as_boundary_matrix_does(self, ellipse,
+                                                                   monkeypatch):
+        # a nan comparison entry makes the sweep's sum of squares non-finite,
+        # and the sweep refuses through assembly._finite, with the error of
+        # boundary_matrix on the same entries
+        grid = make_grid(ellipse, 1024)
+        real_green = spectral._green
+
+        def green_with_nan(lam):
+            def kernel(r):
+                values = real_green(lam)(r)
+                values.flat[1] = math.nan
+                return values
+            return kernel
+
+        monkeypatch.setattr(spectral, "_green", green_with_nan)
+        monkeypatch.setattr(assembly, "_green", green_with_nan)
+        monkeypatch.setattr(spectral, "boundary_matrix", None)
+        with pytest.raises(ConfigError) as swept:
+            boundary_spectrum(-1.0, grid)
+        with pytest.raises(ConfigError) as assembled:
+            boundary_matrix(-1.0, grid)
+        assert str(swept.value) == str(assembled.value)
+        assert str(swept.value) == "boundary lam=-1: non-finite matrix entries"
+
 
 class TestCompressedCounts:
     """A count read from a compressed energy-zero spectrum is the dense

@@ -113,15 +113,20 @@ def test_no_representation_branch_in_the_operator():
     assert spectral._CircleOperator.__bases__ == (spectral._Operator,)
 
 
+def _owners(tree) -> dict[int, str]:
+    """The innermost function around each node of a module, by node id:
+    ast.walk reaches the innermost function last."""
+    return {id(node): fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+
+
 def test_one_builder_of_the_equal_length_circle():
     # ArcGrid.equal_length_circle decides the equal-length circle's grid,
     # so besides it only a curve file's circle is built
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        # the innermost function around each node, which ast.walk reaches last
-        owner = {id(node): fn.name for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        owner = _owners(tree)
         found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
                   if _called(node) == "make_circle"]
     assert sorted(found) == [("curves.py", "curve_from_json_dict"),
@@ -145,9 +150,7 @@ def _circle_reads(path: pathlib.Path) -> list[tuple[str | None, str]]:
     """(innermost function, object asked) of each `.is_circle` read in a
     source file."""
     tree = ast.parse(path.read_text())
-    # the innermost function around each node, which ast.walk reaches last
-    owner = {id(node): fn.name for fn in ast.walk(tree)
-             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+    owner = _owners(tree)
     return [(owner.get(id(node)), ast.unparse(node.value)) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "is_circle"]
 
@@ -174,6 +177,33 @@ def test_circle_is_the_grids_decision():
     assert isinstance(inspect.getattr_static(curvedelta.ArcGrid, "is_circle"), property)
     assert not hasattr(curvedelta.make_circle(1.0), "is_circle")
     assert "is_circle" not in inspect.signature(curvedelta.Curve).parameters
+
+
+def test_one_builder_of_the_wave_order():
+    # assembly._circle_waves lists the real Fourier modes by wavenumber, each
+    # pair twice, and sorts them stably by value, so that a pair stays
+    # adjacent, cos first: no other function repeats the wavenumbers or
+    # sorts the modes itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(id(node)), _called(node)) for node in ast.walk(tree)
+                  if _called(node) == "repeat" or _called(node) == "argsort"
+                  and any(getattr(arg, "value", None) == "stable" for arg in ast.walk(node))]
+    assert sorted(found) == [("assembly.py", "_circle_waves", "argsort"),
+                             ("assembly.py", "_circle_waves", "repeat")]
+
+
+def test_one_non_finite_refusal():
+    # assembly._finite refuses every table, circle mode set and compression
+    # sweep with a non-finite entry: its message is written nowhere else
+    lines, start = inspect.getsourcelines(assembly._finite)
+    found = [(path.name, number) for path in sorted(SRC.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "non-finite matrix entries" in line]
+    assert len(found) == 1 and found[0][0] == "assembly.py", found
+    assert start <= found[0][1] < start + len(lines)
 
 
 def test_operators_come_from_the_factory():
@@ -259,7 +289,11 @@ def test_grids_compare_by_identity(ellipse, make):
 
 def test_one_keeping_rule():
     # results are kept on a grid through curves._kept alone: any
-    # other use of an instance __dict__ or setattr would be a second memo
+    # other use of an instance __dict__ or setattr would be a second memo,
+    # and so would a cached_property of a grid, which _kept cannot see
+    cached = [node.lineno for node in ast.walk(ast.parse((SRC / "curves.py").read_text()))
+              if "cached_property" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert cached == []
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
