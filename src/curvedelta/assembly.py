@@ -121,7 +121,8 @@ def _circle_modes(grid: ArcGrid) -> np.ndarray:
         circle_mode_eigenvalues(grid.length / (2.0 * np.pi), grid.n // 2)))
 
 
-def _circle_waves(n: int, values: np.ndarray | None = None):
+def _circle_waves(n: int, values: np.ndarray | None = None
+                  ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The wavenumber of each real Fourier mode of an N-node grid, in the
     order 0, 1, 1, 2, 2, ..., N/2 - 1, N/2 - 1, N/2: each wavenumber
     1 <= m < N/2 is a cos/sin pair, cos first.  Given `values` by

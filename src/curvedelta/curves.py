@@ -562,10 +562,12 @@ class ArcGrid:
         of the equal-length circle's, the identity every circle path assumes
         (chords round with their points' size): decided once per grid from
         the first row, where a non-circle stops, then a row block at a time."""
-        bound = CIRCLE_TOL * np.finfo(float).eps * (self.length + np.max(np.abs(self.points)))
-        return _kept(self, "is_circle", None, lambda: all(
-            np.max(np.abs(d := self.chord_difference(lambda r: r, rows), out=d)) <= bound
-            for rows in [slice(0, 1), *_row_blocks(self.n, 8 * self.n)]))
+        def decide() -> bool:
+            bound = CIRCLE_TOL * np.finfo(float).eps * (self.length + np.max(np.abs(self.points)))
+            return all(np.max(np.abs(d := self.chord_difference(lambda r: r, rows), out=d)) <= bound
+                       for rows in [slice(0, 1), *_row_blocks(self.n, 8 * self.n)])
+
+        return _kept(self, "is_circle", None, decide)
 
     def equal_length_circle(self) -> ArcGrid:
         """The N-node grid of the equal-length circle: this one on a circle, else kept."""

@@ -189,8 +189,8 @@ def test_one_builder_of_the_wave_order():
         tree = ast.parse(path.read_text())
         owner = _owners(tree)
         found += [(path.name, owner.get(id(node)), _called(node)) for node in ast.walk(tree)
-                  if _called(node) == "repeat" or _called(node) == "argsort"
-                  and any(getattr(arg, "value", None) == "stable" for arg in ast.walk(node))]
+                  if _called(node) == "repeat" or (_called(node) == "argsort" and any(
+                      getattr(arg, "value", None) == "stable" for arg in ast.walk(node)))]
     assert sorted(found) == [("assembly.py", "_circle_waves", "argsort"),
                              ("assembly.py", "_circle_waves", "repeat")]
 
