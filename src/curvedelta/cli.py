@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .assembly import circle_mode_eigenvalues
+from .assembly import _circle_modes
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
 from .errors import ConfigError, CurveError, InvariantError, NumericsError, check_tolerance
 from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
@@ -131,8 +131,7 @@ def cmd_spectrum(args, grid, tols) -> None:
         header, columns = ["k", "nu"], [range(1, trusted + 1), spec]
         if grid.is_circle and lam == 0.0:
             # nu_0, nu_1, nu_1, nu_2, nu_2, ...: each pair's level twice
-            nu0, pairs = circle_mode_eigenvalues(grid.length / (2.0 * np.pi), trusted // 2)
-            closed = np.concatenate([[nu0], pairs])[np.arange(1, trusted + 1) // 2]
+            closed = _circle_modes(grid)[np.arange(1, trusted + 1) // 2]
             header.append("nu_closed_form")
             columns.append(closed)
             entry["max_closed_form_deviation"] = float(np.max(np.abs(spec - closed)))
@@ -325,6 +324,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT
+    except MemoryError:
+        sys.stderr.write(f"configuration error: a grid of {args.n} nodes does not fit in memory\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .assembly import boundary_derivative
 from .curves import ArcGrid, _kept, _pairwise_distances, _row_blocks
 from .errors import ConfigError, NumericsError
 from .kernels import green_kernel
-from .spectral import _operator
+from .spectral import _ldl, _ldl_solve, _operator
 
 SPECTRUM_MARGIN = 1e-8  # required distance of alpha from the spectrum of B(lam)
 FIT_WINDOW = (8, 48)    # first and last index k of the singular-value decay fit
@@ -111,11 +111,12 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
         raise ConfigError("perturbed_green needs lam < 0")
     x = np.asarray(x, dtype=float).reshape(3)
     y = np.asarray(y, dtype=float).reshape(3)
-    if np.array_equal(x, y):
-        raise ConfigError("x and y must differ")
-    system = _resolvent_system(grid, lam, alpha)
+    if not np.all(np.isfinite([x, y])) or np.array_equal(x, y):
+        raise ConfigError("x and y must be two distinct finite points")
+    # alpha - B is exactly symmetric: its transpose is itself, Fortran-ordered
+    factors, pivots, _ = _ldl(_resolvent_system(grid, lam, alpha).T)
     gx, gy = green_kernel(lam, _pairwise_distances(np.stack([x, y]), grid.points))
-    correction = grid.weight * float(gx @ scipy.linalg.solve(system, gy, assume_a="sym"))
+    correction = grid.weight * float(gx @ _ldl_solve(factors, pivots, gy))
     return float(green_kernel(lam, np.linalg.norm(x - y))) + correction
 
 

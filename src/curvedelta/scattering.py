@@ -18,8 +18,9 @@ the Woodbury identity gives
 
     H^T (A_r + i H H^T)^{-1} H = M (I + iM)^{-1},   M = H^T A_r^{-1} H,
 
-so one real LDL^T of A_r and one p x p complex symmetric solve give S' on
-the p channels of H (`_channel_space`), a Cayley transform of the real
+so one real LDL^T of A_r and one p x p complex symmetric solve, both by
+the package's one Bunch-Kaufman routine (`spectral._ldl`), give S' on the
+p channels of H (`_channel_space`), a Cayley transform of the real
 symmetric M.  The retained block is its leading part, widened along the
 channels until it is unitary to UNITARITY_TOL: its defect is the flux it
 loses to the channels left out.
@@ -48,6 +49,7 @@ from .assembly import (_circle_modes, _circle_waves, _circulant_plus_comparison,
 from .curves import ArcGrid
 from .errors import ConfigError, NumericsError, check_tolerance
 from .kernels import scattering_kernel
+from .spectral import _ldl, _ldl_solve
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
 # Flags lam at or near the exceptional set.  It bounds the block's
@@ -198,31 +200,22 @@ def _channel_space(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bunch-Kaufman LDL^T factors and pivots of a real or complex symmetric
-    system, Fortran-ordered and factored in place, and LAPACK's 1-norm
-    estimate of its condition number (inf at an exact zero pivot)."""
-    sytrf, sytrf_lwork, sycon, lange = scipy.linalg.get_lapack_funcs(
-        ("sytrf", "sytrf_lwork", "sycon", "lange"), (system,))
-    lwork = int(sytrf_lwork(len(system))[0].real)
+    """`_ldl` of a symmetric system, in place, and LAPACK's 1-norm estimate
+    of its condition number (inf at an exact zero pivot)."""
+    sycon, lange = scipy.linalg.get_lapack_funcs(("sycon", "lange"), (system,))
     anorm = lange("1", system)      # without the N x N temporary of np.abs
-    factors, pivots, info = sytrf(system, lwork=lwork, overwrite_a=True)
+    factors, pivots, info = _ldl(system)
     if info > 0:
         return factors, pivots, np.inf
     rcond, _ = sycon(factors, pivots, anorm)
     return factors, pivots, 1.0 / float(rcond) if rcond > 0 else np.inf
 
 
-def _solve(factors: np.ndarray, pivots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution of the `_factor`ed system for the columns of rhs."""
-    sytrs = scipy.linalg.get_lapack_funcs("sytrs", (factors,))
-    return sytrs(factors, pivots, rhs.astype(factors.dtype, copy=False))[0]
-
-
 def _compression(factors: np.ndarray, pivots: np.ndarray, half: np.ndarray) -> np.ndarray:
     """half^T A^{-1} half for the `_factor`ed system A."""
     half = half.astype(factors.dtype, copy=False)
     gemm = scipy.linalg.get_blas_funcs("gemm", (half,))
-    return gemm(1.0, half, _solve(factors, pivots, half), trans_a=1)
+    return gemm(1.0, half, _ldl_solve(factors, pivots, half), trans_a=1)
 
 
 class _DenseSystem:
@@ -253,15 +246,14 @@ class _DenseSystem:
         cayley = 1j * core
         cayley[np.diag_indices(len(core))] += 1.0
         factors, pivots, condition = _factor(cayley)
-        return condition, lambda: _solve(factors, pivots, core)
+        return condition, lambda: _ldl_solve(factors, pivots, core)
 
     def whole(self):
         """The condition estimate of A_r + i H H^T, factored in place of A_r,
         and H^T (A_r + i H H^T)^{-1} H."""
         self.factors = None
         system = 1j * scipy.linalg.blas.dgemm(1.0, self.factor, self.factor, trans_b=1)
-        system += scattering_layer_matrix(self.grid, self.lam)
-        system[np.diag_indices(self.grid.n)] -= self.alpha
+        system += self._table()
         factors, pivots, condition = _factor(system.T)
         return condition, lambda: _compression(factors, pivots, self.half)
 

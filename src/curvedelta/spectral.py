@@ -111,6 +111,22 @@ def eigenvalue_at(mat: np.ndarray, k: int) -> float:
     return float(vals[0])
 
 
+def _ldl(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bunch-Kaufman LDL^T factors, pivots and info of a real or complex
+    symmetric system (LAPACK ?sytrf), in place where Fortran-ordered, at the
+    queried workspace: scipy's default of one column runs the unblocked code,
+    70 ms against 18 ms at N = 1024 (1 thread).  The package's one ?sytrf."""
+    sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), (system,))
+    lwork = int(sytrf_lwork(len(system))[0].real)
+    return sytrf(system, lwork=lwork, overwrite_a=True)
+
+
+def _ldl_solve(factors: np.ndarray, pivots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of the `_ldl`-factored system for rhs or its columns."""
+    sytrs = scipy.linalg.get_lapack_funcs("sytrs", (factors,))
+    return sytrs(factors, pivots, rhs.astype(factors.dtype, copy=False))[0]
+
+
 def _fourier_coefficients(rows: np.ndarray, kept: int,
                           rest: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of each row in the grid's orthonormal real Fourier
@@ -219,7 +235,7 @@ class _Operator:
     the certified real-Fourier compression of the module docstring, which
     reads full rows of the comparison part and never B, or from the dense
     eigensolve where the certificate fails.  Its inertia comes from one
-    Bunch-Kaufman LDL^T factorization of B - x (LAPACK ?sytrf), whose
+    Bunch-Kaufman LDL^T factorization of B - x (`_ldl`), whose
     factors are kept for inverse iteration, started from `guess`; an
     eigenpair it cannot certify comes from the one subset eigensolve of
     `settle`, and the eigenpairs found are kept.  B, B' and the copy
@@ -323,7 +339,6 @@ class _Operator:
         the positive 1 x 1 pivots plus one per 2 x 2 block.  Factors that
         `above` kept are dropped first: on a workspace these are overwritten.
         """
-        n = self.grid.n
         self._factors = None
         copy = self._buffer("factor")
         if copy is None:
@@ -332,10 +347,8 @@ class _Operator:
             np.copyto(copy, self.matrix)
         # B is exactly symmetric, so the transpose of its copy is B in Fortran order
         shifted = copy.T
-        shifted[np.diag_indices(n)] -= x
-        sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), (shifted,))
-        lwork = int(sytrf_lwork(n)[0])
-        ldu, ipiv, info = sytrf(shifted, lwork=lwork, overwrite_a=True)
+        shifted[np.diag_indices(self.grid.n)] -= x
+        ldu, ipiv, info = _ldl(shifted)
         single = ipiv > 0
         count = int(np.count_nonzero(np.diagonal(ldu)[single] > 0))
         count += int(np.count_nonzero(~single)) // 2
@@ -376,12 +389,11 @@ class _Operator:
                 self._factors[1] not in (k - 1, k):
             return None
         x, count, (ldu, ipiv) = self._factors
-        sytrs = scipy.linalg.get_lapack_funcs("sytrs", (ldu,))
         v = np.ones(self.grid.n) if self._guess is None else self._guess
         v = v / np.linalg.norm(v)
         tol = INVERSE_TOL * self._scale
         for _ in range(INVERSE_STEPS):
-            y, _ = sytrs(ldu, ipiv, v)
+            y = _ldl_solve(ldu, ipiv, v)
             size = np.linalg.norm(y)
             y /= size
             c = float(y @ v)
@@ -771,16 +783,15 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
 
     The count equals the number of eigenvalues of the energy-zero boundary
     operator above alpha (within the trusted range n/4; the call refuses
-    rather than undercounting when the count reaches that range).  For a
-    circle the result is cross-checked against the closed-form 2r + 1.
+    rather than undercounting when the count reaches that range).
 
     The sandwich shifts alpha by s = ||D_0||_F of the energy-zero comparison
     matrix: B(0) is the circle's operator plus D_0, so by Weyl's inequality
     each eigenvalue of B(0) is within ||D_0||_2 <= s of the circle's.  s
     is summed by the sweep of the energy-zero spectrum, kept with it on the
-    grid, and is 0 on a circle.  The intervals, the endpoint flag, the
-    circle check and the asymptotic precondition all read one table of the
-    circle's levels.
+    grid; on a circle it is 0 and the sandwich is the closed form 2r + 1.
+    The intervals, the endpoint flag and the asymptotic precondition all
+    read one table of the circle's levels.
     """
     _, count, deviation = _zero_energy_count(grid, alpha)
     radius = grid.length / (2.0 * np.pi)
@@ -800,12 +811,6 @@ def count_bound_states(grid: ArcGrid, alpha: float) -> CountReport:
             raise InvariantError(
                 f"count {count} escapes the sandwich [{lower}, {upper}] "
                 f"(deviation {deviation:.3e})")
-
-    if grid.is_circle:
-        expected = max(0, 2 * _interval_index(alpha, levels) + 1)
-        if count != expected:
-            raise InvariantError(
-                f"circle count {count} differs from closed form {expected}")
 
     endpoint_flag = False
     for x, r in ((alpha + deviation, r_index), (alpha - deviation, l_index)):

@@ -779,6 +779,22 @@ def test_huge_circle_exits_0(tmp_path, radius):
     assert main(["spectrum", "--curve", str(path), "--n", "16", "--out", str(out)]) == 0
 
 
+def test_grid_too_large_for_memory_exits_2(ellipse_file, tmp_path, capsys, monkeypatch):
+    # `spectrum --n 2000000` asks the compression for a (1000001, 2000000)
+    # table, whose np.empty raises MemoryError: a configuration error naming
+    # the grid size, not a traceback and exit 1.  Raised here by a stand-in,
+    # since a real allocation of that size can succeed under overcommit and
+    # then exhaust the memory.
+    def oversized(lam, grid):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000001, 2000000) and data type float64")
+
+    monkeypatch.setattr(cli_mod, "boundary_spectrum", oversized)
+    assert main(["spectrum", "--curve", ellipse_file, "--n", "64", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("configuration error: a grid of 64 nodes does not fit "
+                                       "in memory\n")
+
+
 @pytest.mark.parametrize("case", ["curve a directory", "curve not UTF-8", "out under a file"])
 def test_unreadable_path_exits_2(tmp_path, capsys, case):
     # each raised out of main with a traceback (IsADirectoryError,

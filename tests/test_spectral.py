@@ -808,6 +808,25 @@ class TestCounting:
         assert not report.vanishes and report.count == 0
         assert report.lower <= 0 <= report.upper
 
+    @pytest.mark.parametrize("alpha, message", [
+        (0.1, r"count 3 escapes the sandwich \[1, 1\]"),
+        (0.3, "count 2 nonzero although"),
+    ])
+    def test_wrong_circle_count_escapes_the_sandwich(self, circle_grid, monkeypatch,
+                                                      alpha, message):
+        # on a circle grid the deviation is exactly 0, so the sandwich is the
+        # closed form 2r + 1 (or a vanishing count) and refuses a wrong count
+        # by itself
+        real_count = spectral._zero_energy_count
+
+        def miscount(grid, alpha):
+            spec, count, deviation = real_count(grid, alpha)
+            return spec, count + 2, deviation
+
+        monkeypatch.setattr(spectral, "_zero_energy_count", miscount)
+        with pytest.raises(InvariantError, match=message):
+            count_bound_states(circle_grid, alpha)
+
     @pytest.mark.parametrize("grid_name", ["ellipse_grid", "defect_grid"])
     def test_sandwich_holds_where_it_once_escaped(self, request, grid_name):
         # shifted by the squared HS distance d, both counts escaped [3, 3]

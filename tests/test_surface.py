@@ -97,10 +97,10 @@ def test_one_reader_of_the_boundary_operator():
 def test_no_representation_branch_in_the_operator():
     # a circle grid's known eigenpairs live in spectral._CircleOperator, and
     # spectral._operator picks the class: no method of the dense _Operator
-    # reads the circle's wavenumbers or asks whether the grid is a circle
-    # (`ArcGrid.is_circle`), and besides the factory only the count, which
-    # cross-checks a circle against its closed form, asks that; the
-    # equal-length circle is the grid's (`ArcGrid.equal_length_circle`)
+    # reads the circle's wavenumbers, and no function but the factory asks
+    # whether the grid is a circle (`ArcGrid.is_circle`), the count
+    # included, whose sandwich is a circle's closed form; the equal-length
+    # circle is the grid's (`ArcGrid.equal_length_circle`)
     tree = ast.parse((SRC / "spectral.py").read_text())
     dense = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "_Operator")
@@ -109,7 +109,7 @@ def test_no_representation_branch_in_the_operator():
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Attribute) and node.attr == "is_circle"
                        for node in ast.walk(fn))}
-    assert readers == {"_operator", "count_bound_states"}
+    assert readers == {"_operator"}
     assert spectral._CircleOperator.__bases__ == (spectral._Operator,)
 
 
@@ -172,7 +172,6 @@ def test_circle_is_the_grids_decision():
         ("curves.py", "equal_length_circle", "self"),
         ("scattering.py", "scattering_block", "grid"),
         ("spectral.py", "_operator", "grid"),
-        ("spectral.py", "count_bound_states", "grid"),
     ]
     assert isinstance(inspect.getattr_static(curvedelta.ArcGrid, "is_circle"), property)
     assert not hasattr(curvedelta.make_circle(1.0), "is_circle")
@@ -249,29 +248,32 @@ def _called(node) -> str | None:
     return getattr(func, "id", getattr(func, "attr", None))
 
 
-def test_every_sytrf_sizes_its_workspace():
-    # scipy's default ?sytrf workspace is one column, so LAPACK falls back
-    # to its unblocked code: 70 ms against 18 ms with the queried size at
-    # N = 1024, 1.02 ms against 0.73 ms at N = 256 (1 thread).  Every call
-    # passes an lwork computed, in the same function, from ?sytrf_lwork.
+def test_one_symmetric_factorization():
+    # spectral._ldl is the package's one Bunch-Kaufman LDL^T factorization
+    # and spectral._ldl_solve its one solve, for the root search's inertias
+    # and inverse iteration, the scattering system and the Green function
+    # alike: ?sytrf and ?sytrs are fetched and called nowhere else, and no
+    # module calls scipy.linalg.solve
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            queried = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                       and any(_called(call) == "sytrf_lwork" for call in ast.walk(node.value))
-                       for target in node.targets if isinstance(target, ast.Name)}
-            for call in ast.walk(fn):
-                if _called(call) != "sytrf":
-                    continue
-                lwork = [kw.value for kw in call.keywords if kw.arg == "lwork"]
-                sized = bool(lwork) and (
-                    isinstance(lwork[0], ast.Name) and lwork[0].id in queried
-                    or any(_called(node) == "sytrf_lwork" for node in ast.walk(lwork[0])))
-                found.append((path.name, call.lineno, sized))
-    assert {name for name, _, _ in found} == {"scattering.py", "spectral.py"}
-    assert all(sized for _, _, sized in found), found
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(id(node)), name) for node in ast.walk(tree)
+                  for name in (_called(node), isinstance(node, ast.Constant) and node.value)
+                  if name in ("sytrf", "sytrs", "solve")]
+    assert sorted(set(found)) == [("spectral.py", "_ldl", "sytrf"),
+                                  ("spectral.py", "_ldl_solve", "sytrs")], found
+    # scipy's default ?sytrf workspace is one column, so LAPACK falls back
+    # to its unblocked code: 70 ms against 18 ms with the queried size at
+    # N = 1024, 1.02 ms against 0.73 ms at N = 256 (1 thread).  _ldl passes
+    # an lwork it computes from ?sytrf_lwork.
+    ldl = ast.parse(inspect.getsource(spectral._ldl))
+    queried = {target.id for node in ast.walk(ldl) if isinstance(node, ast.Assign)
+               and any(_called(call) == "sytrf_lwork" for call in ast.walk(node.value))
+               for target in node.targets if isinstance(target, ast.Name)}
+    [call] = [node for node in ast.walk(ldl) if _called(node) == "sytrf"]
+    [lwork] = [kw.value for kw in call.keywords if kw.arg == "lwork"]
+    assert isinstance(lwork, ast.Name) and lwork.id in queried
 
 
 @pytest.mark.parametrize("make", [
