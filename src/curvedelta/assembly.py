@@ -10,7 +10,7 @@ circle term, and discretized with the periodic trapezoid rule.  Every part
 is exactly symmetric by construction.  The same circulant-plus-comparison
 build, with the kernel as an argument, gives B(lam) at lam <= 0 and the
 scattering table Re B(lam + i0) at lam >= 0.  `boundary_matrix`,
-`comparison_matrix` and `kernel_matrix` (the probe kernel's matrix) fill
+`comparison_matrix` and `boundary_derivative` (the probe kernel's matrix) fill
 their output a row block of about 1 MB at a time
 (`curves._blockwise`), each block evaluated from the diagonal on and
 completed from the transposed rows above, so no second N x N array is
@@ -20,9 +20,10 @@ assembly itself does not form.
 
 Chord functions of a smooth closed curve behave like |u| near the diagonal,
 so a plain trapezoid rule on those kernels carries an O(h^2) Euler-Maclaurin
-defect from the derivative jump across the diagonal.  Each assembled matrix
-therefore adds h^2 * (kink slope)/6 to its diagonal, which removes the h^2
-term identically and leaves O(h^4) errors.
+defect from the derivative jump across the diagonal.  Every table's
+diagonal is w times its kernel's limit at chord 0 plus h^2 * (kink slope)/6
+(`_trapezoid_diagonal`, the one rule), which removes the h^2 term
+identically and leaves O(h^4) errors.
 """
 
 from __future__ import annotations
@@ -37,36 +38,17 @@ from .errors import ConfigError
 from .kernels import green_derivative_kernel, green_kernel, smoothing_kernel
 
 
-def kink_correction(slope, weight: float):
-    """Diagonal increment cancelling the O(h^2) trapezoid defect.
+def _trapezoid_diagonal(w: float, limit, slope):
+    """Diagonal of the trapezoid table w * kernel(chord) of a kernel with
+    the value `limit` and a symmetric corner of one-sided slope `slope` at
+    chord 0 (scalars, or arrays by node): w * limit plus w^2 * slope / 6.
 
-    For a periodic integrand with a symmetric corner of one-sided slope
-    `slope` at the diagonal, the trapezoid sum underestimates the integral
-    by h^2 * slope / 6; adding that amount to the diagonal entry restores
-    O(h^4) accuracy for every Fourier mode at once.
+    The trapezoid sum of a periodic integrand with such a corner
+    underestimates the integral by h^2 * slope / 6; adding that amount to
+    the diagonal entry restores O(h^4) accuracy for every Fourier mode at
+    once.  The one statement of the increment.
     """
-    return weight * weight * slope / 6.0
-
-
-def kernel_matrix(grid: ArcGrid, kernel, slope, out: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid matrix w * kernel(chord) of a kernel of the curve chords,
-    with the kink correction of one-sided slope `slope` on its diagonal,
-    built in `out` when given.
-
-    `kernel` maps an array of chords elementwise, may return its result in
-    that array, and takes its analytic limit at chord 0.  Built a row block
-    at a time, exactly symmetric.
-    """
-    w = grid.weight
-    corr = kink_correction(slope, w)
-
-    def block(rows, cols, dest):
-        values = kernel(grid.chord_block(rows, cols, dest))
-        values *= w
-        values[_block_diagonal(rows, cols)] += corr
-        return values
-
-    return _blockwise(grid.n, block, out)
+    return limit * w + w * w * slope / 6.0
 
 
 def odd_harmonic_sums(count: int) -> np.ndarray:
@@ -139,39 +121,59 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     """First row of the smoothing matrix, the symmetric circulant of the
     smoothing kernel on the chords of the circle of radius R = L/(2 pi).
 
-    Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal takes
-    the analytic limit w sqrt(-lam)/(4 pi) plus the capped kink correction
-    of `_smoothing_kink`.  Every path to B(lam), dense or circulant, reads
-    this row, and refuses here.
+    Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal is
+    `_smoothing_diagonal`'s.  Every path to B(lam), dense or circulant,
+    reads this row, and refuses here.
     """
     if not lam <= 0:
         raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
     w = grid.weight
     row = w * smoothing_kernel(lam, grid.circle_chord_row)
-    row[0] += max(*_smoothing_kink(lam, w))
+    row[0] = _smoothing_diagonal(lam, w)[0]
     return row
 
 
-def _smoothing_kink(lam: float, w: float) -> tuple[float, float]:
-    """The kink correction of the smoothing row's diagonal and its cap.
+def _smoothing_diagonal(lam: float, w: float) -> tuple[float, bool]:
+    """The smoothing row's diagonal entry, and whether its cap is active.
 
-    The correction has slope -lam/(8 pi) (the kernel's radial derivative at
-    zero chord).  It must stay subordinate to the analytic diagonal
+    The kernel's limit at chord 0 is sqrt(-lam)/(4 pi), its slope lam/(8 pi).
+    The increment must stay subordinate to the analytic diagonal
     w sqrt(-lam)/(4 pi): beyond sqrt(-lam) ~ 1/h the kernel's boundary layer
-    is unresolved and an uncapped correction would flip the diagonal's
-    sign, so the row adds the larger of the two, and the cap is active
-    where w sqrt(-lam) > 6.
+    is unresolved and an uncapped increment would flip the diagonal's sign,
+    so the entry adds at least minus half that diagonal, the cap, which is
+    active where w sqrt(-lam) > 6.  The one statement of the cap.
     """
-    slope = lam / (8.0 * np.pi)        # m'(0) = -a^2/(8 pi), a^2 = -lam
-    diag_limit = w * math.sqrt(-lam) / (4.0 * np.pi)
-    return kink_correction(slope, w), -0.5 * diag_limit
+    a = math.sqrt(-lam)
+    limit, slope = a / (4.0 * np.pi), lam / (8.0 * np.pi)
+    cap = -0.5 * (w * a / (4.0 * np.pi))
+    if _trapezoid_diagonal(w, 0.0, slope) < cap:
+        return limit * w + cap, True
+    return _trapezoid_diagonal(w, limit, slope), False
 
 
-def _capped_derivative_diagonal(lam: float, w: float) -> float | None:
-    """The diagonal of B'(lam) where the smoothing row's cap is active, the
-    derivative w/(16 pi sqrt(-lam)) of the capped entry; None elsewhere."""
-    corr, cap = _smoothing_kink(lam, w)
-    return w / (16.0 * np.pi * math.sqrt(-lam)) if corr < cap else None
+def _outgoing_smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
+    """First row of the circulant of the smoothing kernel continued to
+    lam + i0, in its real part: w Re (1 - e^{ik rho})/(4 pi rho) =
+    w 2 sin^2(k rho/2)/(4 pi rho) on the equal-length circle's chords rho,
+    k = sqrt(lam), for Re B(lam + i0) at lam >= 0.  The kernel's limit at
+    chord 0 is 0 and its slope k^2/(8 pi)."""
+    w = grid.weight
+    rho = grid.circle_chord_row[1:]
+    half = np.sin(0.5 * math.sqrt(lam) * rho)
+    row = np.empty(grid.n)
+    row[0] = _trapezoid_diagonal(w, 0.0, lam / (8.0 * np.pi))
+    row[1:] = (2.0 * w) * half * half / (4.0 * np.pi * rho)
+    return row
+
+
+def _derivative_diagonal(lam: float, w: float, capped: bool = True) -> float:
+    """The diagonal of B'(lam), a = sqrt(-lam): `green_derivative_kernel`'s
+    limit 1/(8 pi a) at chord 0 and slope -1/(8 pi), or with `capped`, where
+    the smoothing row's cap is active, the capped entry's derivative w/(16 pi a)."""
+    a = math.sqrt(-lam)
+    if capped and _smoothing_diagonal(lam, w)[1]:
+        return w / (16.0 * np.pi * a)
+    return _trapezoid_diagonal(w, 1.0 / (8.0 * np.pi * a), -1.0 / (8.0 * np.pi))
 
 
 def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
@@ -179,20 +181,24 @@ def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
     """B'(lam) = dB/dlam at lam < 0, in closed form.
 
     Off the diagonal w e^{-kappa r}/(8 pi kappa) on the curve chords r,
-    kappa = sqrt(-lam); on it w/(8 pi kappa) - w^2/(48 pi), the analytic
-    limit plus the kink correction of the kernel's slope -1/(8 pi).  This
-    is the Gram matrix X = Gamma^T Gamma of the layer map, which the probe
-    reads with `capped=False`.  Where the smoothing row's cap is active
-    (w kappa > 6) B(lam)'s diagonal is the capped entry, and with `capped`
-    the diagonal is its derivative w/(16 pi kappa).  A Gram matrix, so
-    positive definite: every eigenvalue branch of B increases in lam.
-    Built in `out` when given.
+    kappa = sqrt(-lam); on it `_derivative_diagonal`, the analytic limit
+    plus the kink correction.  This is the Gram matrix X = Gamma^T Gamma
+    of the layer map, which the probe reads with `capped=False`.  Where the
+    smoothing row's cap is active (w kappa > 6) B(lam)'s diagonal is the
+    capped entry, and with `capped` the diagonal is its derivative.  A Gram
+    matrix, so positive definite: every eigenvalue branch of B increases in
+    lam.  Built in `out` when given, a row block at a time.
     """
-    mat = kernel_matrix(grid, lambda r: green_derivative_kernel(lam, r, out=r),
-                        -1.0 / (8.0 * np.pi), out)
-    diag = _capped_derivative_diagonal(lam, grid.weight) if capped else None
-    if diag is not None:
-        mat[np.diag_indices(grid.n)] = diag
+    w = grid.weight
+
+    def block(rows, cols, dest):
+        chords = grid.chord_block(rows, cols, dest)
+        values = green_derivative_kernel(lam, chords, out=chords)
+        values *= w
+        return values
+
+    mat = _blockwise(grid.n, block, out)
+    mat[np.diag_indices(grid.n)] = _derivative_diagonal(lam, w, capped)
     return mat
 
 
@@ -205,8 +211,7 @@ def circle_derivative_modes(lam: float, grid: ArcGrid) -> np.ndarray:
     """
     w = grid.weight
     row = w * green_derivative_kernel(lam, grid.circle_chord_row)
-    diag = _capped_derivative_diagonal(lam, w)
-    row[0] = diag if diag is not None else row[0] + kink_correction(-1.0 / (8.0 * np.pi), w)
+    row[0] = _derivative_diagonal(lam, w)
     return np.fft.rfft(row).real
 
 
@@ -245,8 +250,8 @@ def _comparison_block(kernel, grid: ArcGrid, rows: slice, cols: slice,
     """Rows `rows` and columns `cols` of the comparison matrix of `kernel`,
     a kernel of the chords as `chord_difference` takes it, built in `out`
     where `chord_difference` can: zeros on a circle grid, which is its own
-    equal-length circle.  The diagonal is the curvature kink, the same for
-    every kernel 1/(4 pi r) + c_0 + c_1 r + O(r^2) of the chords."""
+    equal-length circle.  The diagonal is the curvature kink, limit 0, the
+    same for every kernel 1/(4 pi r) + c_0 + c_1 r + O(r^2) of the chords."""
     if grid.is_circle:
         return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     w = grid.weight
@@ -255,7 +260,7 @@ def _comparison_block(kernel, grid: ArcGrid, rows: slice, cols: slice,
     kappa_circle = 2.0 * np.pi / grid.length
     diag = _block_diagonal(rows, cols)
     slopes = (grid.curvatures[rows][diag[0]] ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
-    block[diag] = kink_correction(slopes, w)
+    block[diag] = _trapezoid_diagonal(w, 0.0, slopes)
     return block
 
 

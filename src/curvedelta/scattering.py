@@ -12,9 +12,9 @@ range as
 
 unitary on that subspace away from exceptional energies.  No reference
 energy enters: the real part Re B(lam + i0) is tabulated as B(lam) is
-(`scattering_layer_matrix`), and Im N = H H^T for the map H of the grid
-onto spherical waves.  With A_r = Re B(lam + i0) - alpha real symmetric,
-the Woodbury identity gives
+(`scattering_layer_matrix`, each diagonal by `assembly`'s one rule), and
+Im N = H H^T for the map H of the grid onto spherical waves.  With A_r =
+Re B(lam + i0) - alpha real symmetric, the Woodbury identity gives
 
     H^T (A_r + i H H^T)^{-1} H = M (I + iM)^{-1},   M = H^T A_r^{-1} H,
 
@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import (_circle_modes, _circle_waves, _circulant_plus_comparison, _finite,
-                       kink_correction)
+                       _outgoing_smoothing_row)
 from .curves import ArcGrid
 from .errors import ConfigError, NumericsError, check_tolerance
 from .kernels import scattering_kernel
@@ -67,7 +67,7 @@ def scattering_layer_matrix(grid: ArcGrid, lam) -> np.ndarray:
     """Re B(lam + i0) at lam >= 0, real symmetric, built as B(lam) is and a
     row block at a time (`assembly._circulant_plus_comparison`): the
     equal-length circle's energy-zero circulant, minus the circulant of
-    `_outgoing_smoothing_row`, plus the comparison matrix of
+    `assembly._outgoing_smoothing_row`, plus the comparison matrix of
     `scattering_kernel` with the curvature kink on its diagonal.  The
     imaginary part Im N, the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r),
     is never tabulated: the block reads it through its factor."""
@@ -76,20 +76,6 @@ def scattering_layer_matrix(grid: ArcGrid, lam) -> np.ndarray:
     circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - _outgoing_smoothing_row(lam, grid)
     return _circulant_plus_comparison(grid, circle_row, lambda r: scattering_kernel(lam, r, out=r),
                                       f"scattering lam={lam:g}")
-
-
-def _outgoing_smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
-    """First row of the circulant of the smoothing kernel continued to
-    lam + i0, in its real part: w Re (1 - e^{ik rho})/(4 pi rho) =
-    w 2 sin^2(k rho/2)/(4 pi rho) on the equal-length circle's chords rho,
-    k = sqrt(lam).  The diagonal is the limit 0 plus the kink correction of
-    the kernel's slope k^2/(8 pi), w^2 lam/(48 pi)."""
-    rho = grid.circle_chord_row[1:]
-    half = np.sin(0.5 * math.sqrt(lam) * rho)
-    row = np.empty(grid.n)
-    row[0] = kink_correction(lam / (8.0 * np.pi), grid.weight)
-    row[1:] = (2.0 * grid.weight) * half * half / (4.0 * np.pi * rho)
-    return row
 
 
 def choose_reference_energy(candidates) -> float:

@@ -61,7 +61,7 @@ from curvedelta import (ArcGrid, ConfigError, Curve, CurveError,
                         reparametrize_arclength, scale_to_length)
 from curvedelta.assembly import (boundary_derivative, circle_boundary_modes,
                                  circle_derivative_modes, circle_operator_matrix,
-                                 kernel_matrix, kink_correction, smoothing_matrix)
+                                 smoothing_matrix)
 from curvedelta.curves import SELF_INTERSECTION_TOL, _pairwise_distances, _panel_count
 from curvedelta.kernels import _SERIES_CUTOFF, green_derivative_kernel
 from curvedelta.resolvent import BoxGrid, _resolvent_system
@@ -460,6 +460,13 @@ def green_square_integral(lam: float, d: float) -> float:
     return 4.0 * math.pi * sum(halves)
 
 
+def kink_increment(slope, w: float):
+    """The Euler-Maclaurin increment w^2 slope / 6 a trapezoid table adds
+    to its diagonal for a kernel with a symmetric corner of one-sided slope
+    `slope` at chord 0, in the library's order of operations."""
+    return w * w * slope / 6.0
+
+
 def comparison_matrix_full(lam: float, grid: ArcGrid, kernel=None) -> np.ndarray:
     """The comparison matrix of `kernel`, G_lam by default, from the whole
     chord table in one pass."""
@@ -470,7 +477,7 @@ def comparison_matrix_full(lam: float, grid: ArcGrid, kernel=None) -> np.ndarray
     mat = w * chord_difference_reference(grid, kernel)
     kappa_circle = 2.0 * np.pi / grid.length
     slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
-    mat[np.diag_indices_from(mat)] = kink_correction(slopes, w)
+    mat[np.diag_indices_from(mat)] = kink_increment(slopes, w)
     return mat
 
 
@@ -520,11 +527,12 @@ def reference_scattering_kernel(lam, eta: float, r):
 
 def reference_scattering_system(grid: ArcGrid, lam: float, eta: float) -> np.ndarray:
     """The library's earlier scattering table Re N + B(eta) = A_r + alpha:
-    the row-blocked trapezoid matrix of `reference_scattering_kernel`, with
-    the kink correction of slope (eta - lam)/(8 pi) on its diagonal, plus
-    B(eta)."""
-    table = kernel_matrix(grid, lambda r: reference_scattering_kernel(lam, eta, r),
-                          (eta - lam) / (8.0 * np.pi))
+    the trapezoid matrix of `reference_scattering_kernel` on the whole chord
+    table, with the kink correction of slope (eta - lam)/(8 pi) on its
+    diagonal, plus B(eta)."""
+    w = grid.weight
+    table = w * reference_scattering_kernel(lam, eta, _pairwise_distances(grid.points))
+    table[np.diag_indices(grid.n)] += kink_increment((eta - lam) / (8.0 * np.pi), w)
     table += boundary_matrix(eta, grid)
     return table
 
@@ -553,7 +561,7 @@ def scattering_layer_matrix_full(grid: ArcGrid, lam, eta: float) -> np.ndarray:
     w = grid.weight
     mat = w * scattering_kernel_full(lam, eta, grid.chords)
     slope = (eta - complex(lam).real) / (8.0 * np.pi)
-    mat[np.diag_indices_from(mat)] += kink_correction(slope, w)
+    mat[np.diag_indices_from(mat)] += kink_increment(slope, w)
     return mat
 
 
@@ -569,7 +577,7 @@ def gram_matrix_full(grid: ArcGrid, lam: float) -> np.ndarray:
     w = grid.weight
     mat = green_derivative_kernel(lam, grid.chords)
     mat *= w
-    mat[np.diag_indices_from(mat)] += kink_correction(-1.0 / (8.0 * np.pi), w)
+    mat[np.diag_indices_from(mat)] += kink_increment(-1.0 / (8.0 * np.pi), w)
     return mat
 
 

@@ -6,11 +6,14 @@ import pytest
 from curvedelta import (ConfigError, boundary_matrix, circle_deviation,
                         circle_mode_eigenvalues, eigen, make_circle,
                         make_grid, scattering_layer_matrix)
-from curvedelta.assembly import (_capped_derivative_diagonal, boundary_derivative,
+from curvedelta.assembly import (_circle_modes, boundary_derivative,
                                  circle_derivative_modes, circle_operator_matrix,
-                                 comparison_matrix, odd_harmonic_sums, smoothing_matrix)
+                                 comparison_matrix, odd_harmonic_sums, smoothing_matrix,
+                                 smoothing_row)
+from curvedelta.kernels import green_derivative_kernel
 from curvedelta.spectral import eigenvalue_at
-from oracles import circle_operator_reference, circle_top_eigenvalue, odd_harmonic_sums_full
+from oracles import (circle_operator_reference, circle_top_eigenvalue, kink_increment,
+                     odd_harmonic_sums_full)
 
 LN4_OVER_2PI = math.log(4.0) / (2.0 * math.pi)
 
@@ -163,7 +166,7 @@ class TestBoundaryDerivative:
         # the fourth-order central difference of B in lam, step 1e-3 |lam|
         # (measured: 1.0e-11 and 7.3e-14 of max |B'|); w kappa = 7.7 > 6 at
         # lam = -1e5 puts the cap in force on the diagonal
-        assert (_capped_derivative_diagonal(lam, ellipse_grid.weight) is not None) == capped
+        assert (ellipse_grid.weight * math.sqrt(-lam) > 6.0) == capped
         step = 1e-3 * abs(lam)
 
         def b(d):
@@ -190,6 +193,54 @@ class TestBoundaryDerivative:
         listed = np.sort(np.concatenate([modes, modes[1:n // 2]]))[::-1]
         assert np.max(np.abs(listed - dense)) <= 1e-14 * dense[0]
         assert dense[-1] > 0
+
+
+class TestDiagonalRule:
+    """Each table's diagonal, bit for bit, against its closed form written
+    in the order of operations the library has always used: w times the
+    kernel's limit at chord 0 plus the increment w^2 slope / 6, or the
+    smoothing row's cap, and the capped entry's derivative in B'."""
+
+    @pytest.fixture(params=["ellipse", "circle"])
+    def grid(self, request):
+        return make_grid(request.getfixturevalue(request.param), 64)
+
+    @staticmethod
+    def _comparison(grid):
+        """The comparison kernel's diagonal: limit 0, per-node slope."""
+        if grid.is_circle:
+            return np.zeros(grid.n)
+        kappa_circle = 2.0 * np.pi / grid.length
+        slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
+        return kink_increment(slopes, grid.weight)
+
+    @pytest.mark.parametrize("lam, capped", [(-3.0, False), (-1e5, True)])
+    def test_below_zero(self, grid, lam, capped):
+        w, a = grid.weight, math.sqrt(-lam)
+        kink, cap = kink_increment(lam / (8.0 * np.pi), w), -0.5 * (w * a / (4.0 * np.pi))
+        assert (kink < cap) == capped
+        smoothing = w * (a / (4.0 * np.pi)) + max(kink, cap)
+        assert smoothing_row(lam, grid)[0] == smoothing
+        assert np.array_equal(np.diag(comparison_matrix(lam, grid)), self._comparison(grid))
+        circle = np.fft.irfft(_circle_modes(grid), grid.n)[0] - smoothing
+        assert np.array_equal(np.diag(boundary_matrix(lam, grid)), self._comparison(grid) + circle)
+        gram = w * (1.0 / (8.0 * np.pi * a)) + kink_increment(-1.0 / (8.0 * np.pi), w)
+        derivative = w / (16.0 * np.pi * a) if capped else gram
+        assert np.all(np.diag(boundary_derivative(lam, grid)) == derivative)
+        assert np.all(np.diag(boundary_derivative(lam, grid, capped=False)) == gram)
+        if grid.is_circle:
+            row = w * green_derivative_kernel(lam, grid.circle_chord_row)
+            row[0] = derivative
+            assert np.array_equal(circle_derivative_modes(lam, grid), np.fft.rfft(row).real)
+
+    def test_outgoing_row(self, grid):
+        # Re B(lam + i0): the outgoing smoothing row's limit is 0, its slope
+        # lam/(8 pi)
+        lam = 0.5
+        outgoing = kink_increment(lam / (8.0 * np.pi), grid.weight)
+        circle = np.fft.irfft(_circle_modes(grid), grid.n)[0] - outgoing
+        assert np.array_equal(np.diag(scattering_layer_matrix(grid, lam)),
+                              self._comparison(grid) + circle)
 
 
 def test_operator_matrix_finite_guard(circle_grid):

@@ -50,6 +50,16 @@ for refuse in (lambda: scattering_block(grid, float("inf"), -0.5),
 """
 
 
+def _pole_coupling(grid, lam):
+    """alpha on the eigenvalue of Re B(lam + i0) whose eigenvector couples
+    most to the open channels: a pole of M, where A_r is singular to
+    rounding and B(lam + i0) - alpha is not."""
+    im = scattering_layer_matrix_full(grid, lam, -1.0).imag
+    vals, vecs = scipy.linalg.eigh(scattering_layer_matrix(grid, lam))
+    coupling = np.einsum("ij,ik,kj->j", vecs, im, vecs)
+    return float(vals[np.argmax(coupling)])
+
+
 @pytest.fixture
 def factored(monkeypatch):
     """Copies of the matrices every ?sytrf obtained from
@@ -493,10 +503,7 @@ class TestScatteringBlock:
         # and B(lam + i0) - alpha is not, so the block factors the complex
         # system and matches the reference
         lam = 1.0
-        im = scattering_layer_matrix_full(ellipse_grid, lam, -1.0).imag
-        vals, vecs = scipy.linalg.eigh(scattering_layer_matrix(ellipse_grid, lam))
-        coupling = np.einsum("ij,ik,kj->j", vecs, im, vecs)
-        alpha = float(vals[np.argmax(coupling)])
+        alpha = _pole_coupling(ellipse_grid, lam)
         blk = scattering_block(ellipse_grid, lam, alpha)
         ref = scattering_block_reference(ellipse_grid, lam, alpha, -1.0)
         assert [a.dtype for a in factored] == [np.float64, np.complex128]

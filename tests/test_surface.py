@@ -178,6 +178,39 @@ def test_circle_is_the_grids_decision():
     assert "is_circle" not in inspect.signature(curvedelta.Curve).parameters
 
 
+def _divides_by_six(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.Constant) and node.right.value == 6)
+
+
+def test_one_diagonal_rule():
+    # every trapezoid table's diagonal is w times its kernel's limit at chord
+    # 0 plus the Euler-Maclaurin increment w^2 slope / 6, written once, in
+    # assembly._trapezoid_diagonal: nothing else divides by 6 but the
+    # smoothing kernel's Taylor series, each table's diagonal calls the
+    # rule, and no other module imports a function that applies it
+    found, imported = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if _divides_by_six(node)]
+        imported += [alias.name for node in ast.walk(tree) if path.name != "assembly.py"
+                     and isinstance(node, ast.ImportFrom) and node.module == "assembly"
+                     for alias in node.names]
+    assert sorted(found) == [("assembly.py", "_trapezoid_diagonal"),
+                             ("kernels.py", "smoothing_kernel")]
+    applying = [name for name in set(imported) if inspect.isfunction(fn := getattr(assembly, name))
+                and any(map(_divides_by_six, ast.walk(ast.parse(inspect.getsource(fn)))))]
+    assert applying == []
+    tree = ast.parse((SRC / "assembly.py").read_text())
+    owner = _owners(tree)
+    assert sorted(owner.get(id(node)) for node in ast.walk(tree)
+                  if _called(node) == "_trapezoid_diagonal") == [
+        "_comparison_block", "_derivative_diagonal", "_outgoing_smoothing_row",
+        "_smoothing_diagonal", "_smoothing_diagonal"]
+
+
 def test_one_builder_of_the_wave_order():
     # assembly._circle_waves lists the real Fourier modes by wavenumber, each
     # pair twice, and sorts them stably by value, so that a pair stays
