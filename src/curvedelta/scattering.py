@@ -238,7 +238,9 @@ class _DenseSystem:
         """The condition estimate of A_r + i H H^T, factored in place of A_r,
         and H^T (A_r + i H H^T)^{-1} H."""
         self.factors = None
-        system = 1j * scipy.linalg.blas.dgemm(1.0, self.factor, self.factor, trans_b=1)
+        # C-ordered, so that ?sytrf factors its transpose in place
+        system = np.multiply(1j, scipy.linalg.blas.dgemm(1.0, self.factor, self.factor, trans_b=1),
+                             out=np.empty((self.grid.n,) * 2, dtype=complex))
         system += self._table()
         factors, pivots, condition = _factor(system.T)
         return condition, lambda: _compression(factors, pivots, self.half)

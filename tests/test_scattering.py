@@ -526,6 +526,38 @@ class TestScatteringBlock:
                  for shift in range(len(phases[1]))]
         assert min(apart) <= 1e-12
 
+    def test_complex_fallback_factors_in_place(self, ellipse_grid, monkeypatch):
+        # at the pole above, the complex system reaches ?sytrf
+        # Fortran-ordered, so it is factored in its own storage and not in
+        # an N x N copy, and S' is bit for bit the one of the system built
+        # Fortran-ordered, as 1j times dgemm's product is, and factored
+        # through its transpose: the same triangle is factored
+        lam = 1.0
+        alpha = _pole_coupling(ellipse_grid, lam)
+        calls = []
+
+        def ldl(system):
+            factors, pivots, info = spectral_mod._ldl(system)
+            calls.append((system.dtype, system.flags.f_contiguous,
+                          np.shares_memory(factors, system)))
+            return factors, pivots, info
+
+        monkeypatch.setattr(scattering_mod, "_ldl", ldl)
+        blk = scattering_block(ellipse_grid, lam, alpha)
+        assert calls == [(np.float64, True, True), (np.complex128, True, True)]
+
+        def whole_fortran_ordered(self):
+            self.factors = None
+            system = 1j * scipy.linalg.blas.dgemm(1.0, self.factor, self.factor, trans_b=1)
+            system += self._table()
+            factors, pivots, condition = scattering_mod._factor(system.T)
+            return condition, lambda: scattering_mod._compression(factors, pivots, self.half)
+
+        monkeypatch.setattr(scattering_mod._DenseSystem, "whole", whole_fortran_ordered)
+        ref = scattering_block(ellipse_grid, lam, alpha)
+        assert blk.condition == ref.condition
+        assert np.array_equal(blk.matrix, ref.matrix)
+
     def test_widens_until_unitary(self, seed10_curve):
         # at lam = 0.5 on this curve the 17 channels above rank_tol leak
         # 2.7e-6 of the flux; the block grows along the channel eigenvalues until
