@@ -82,9 +82,6 @@ MAX_CIRCLE_LEVELS = 10 ** 7
 # spectra agree within 5e-15.
 COMPRESSION_TOL = 1e-9
 
-# paper-precision Euler-Mascheroni constant used in the asymptotic count
-EULER_GAMMA = 0.577216
-
 
 def trusted_count(n: int) -> int:
     """Number of leading eigenvalues trusted on an n-node grid, n // 4."""
@@ -754,7 +751,7 @@ def asymptotic_count_bounds(radius: float, alpha: float,
         raise ConfigError("asymptotic bounds need alpha + deviation below "
                           "ln(4R)/(2 pi) - 1/pi")
     c = math.exp(2.0 * np.pi * deviation)
-    base = 2.0 * radius * math.exp(-2.0 * np.pi * alpha - EULER_GAMMA)
+    base = 2.0 * radius * math.exp(-2.0 * np.pi * alpha - np.euler_gamma)
     lower = base / c - 1.0 - 4.0 * (math.exp(1.0 / 92.0) - 1.0)
     upper = base * c + 1.0
     return lower, upper

@@ -767,7 +767,7 @@ class TestIntervalIndex:
 class TestAsymptoticBounds:
     def test_circle_instantiation(self):
         lower, upper = asymptotic_count_bounds(1.0, -0.5)
-        base = 2.0 * math.exp(math.pi - 0.577216)
+        base = 2.0 * math.exp(math.pi - np.euler_gamma)
         assert lower == pytest.approx(base - 1.0 - 4.0 * (math.exp(1.0 / 92.0) - 1.0), abs=1e-12)
         assert upper == pytest.approx(base + 1.0, abs=1e-12)
 
