@@ -7,9 +7,11 @@ circulant, as is the smoothing matrix, so each is built from one length-N
 row and expanded by index (Toeplitz) gather.  The remaining comparison
 kernel is bounded; it is evaluated on the curve chords, minus the circulant
 circle term, and discretized with the periodic trapezoid rule.  Every part
-is exactly symmetric by construction.  The same circulant-plus-comparison
-build, with the kernel as an argument, gives B(lam) at lam <= 0 and the
-scattering table Re B(lam + i0) at lam >= 0.  `boundary_matrix`,
+is exactly symmetric by construction.  This module alone knows how the
+parts depend on the energy: the smoothing row and comparison kernel decay
+at lam <= 0 and are the real parts of the outgoing ones above, so one
+build gives Re B(lam + i0) at every real lam, B(lam) at lam <= 0 and the
+scattering table above zero (`_circulant_plus_comparison`).  `boundary_matrix`,
 `comparison_matrix` and `boundary_derivative` (the probe kernel's matrix) fill
 their output a row block of about 1 MB at a time
 (`curves._blockwise`), each block evaluated from the diagonal on and
@@ -35,7 +37,8 @@ from scipy.linalg import toeplitz
 
 from .curves import ArcGrid, _block_diagonal, _blockwise, _kept, _toeplitz_block
 from .errors import ConfigError
-from .kernels import green_derivative_kernel, green_kernel, smoothing_kernel
+from .kernels import (green_derivative_kernel, green_kernel, scattering_kernel,
+                      smoothing_kernel)
 
 
 def _trapezoid_diagonal(w: float, limit, slope):
@@ -119,16 +122,21 @@ def _circle_waves(n: int, values: np.ndarray | None = None
 
 def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     """First row of the smoothing matrix, the symmetric circulant of the
-    smoothing kernel on the chords of the circle of radius R = L/(2 pi).
+    smoothing kernel on the chords rho of the circle of radius R = L/(2 pi).
 
-    Entries w * (1 - e^{-sqrt(-lam) chord})/(4 pi chord); the diagonal is
-    `_smoothing_diagonal`'s.  Every path to B(lam), dense or circulant,
-    reads this row, and refuses here.
+    At lam <= 0 entries w * (1 - e^{-sqrt(-lam) rho})/(4 pi rho); above zero
+    the real part of their outgoing continuation, (2w) sin^2(k rho/2)/(4 pi
+    rho), k = sqrt(lam).  The diagonal is `_smoothing_diagonal`'s.  Every
+    path to Re B(lam + i0), dense or circulant, reads this row.
     """
-    if not lam <= 0:
-        raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
     w = grid.weight
-    row = w * smoothing_kernel(lam, grid.circle_chord_row)
+    if lam > 0:
+        rho = grid.circle_chord_row[1:]
+        half = np.sin(0.5 * math.sqrt(lam) * rho)
+        row = np.empty(grid.n)
+        row[1:] = (2.0 * w) * half * half / (4.0 * np.pi * rho)
+    else:
+        row = w * smoothing_kernel(lam, grid.circle_chord_row)
     row[0] = _smoothing_diagonal(lam, w)[0]
     return row
 
@@ -136,34 +144,19 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
 def _smoothing_diagonal(lam: float, w: float) -> tuple[float, bool]:
     """The smoothing row's diagonal entry, and whether its cap is active.
 
-    The kernel's limit at chord 0 is sqrt(-lam)/(4 pi), its slope lam/(8 pi).
-    The increment must stay subordinate to the analytic diagonal
+    The kernel's limit at chord 0 is sqrt(max(-lam, 0))/(4 pi), its slope
+    lam/(8 pi).  The increment must stay subordinate to the analytic diagonal
     w sqrt(-lam)/(4 pi): beyond sqrt(-lam) ~ 1/h the kernel's boundary layer
     is unresolved and an uncapped increment would flip the diagonal's sign,
     so the entry adds at least minus half that diagonal, the cap, which is
     active where w sqrt(-lam) > 6.  The one statement of the cap.
     """
-    a = math.sqrt(-lam)
+    a = math.sqrt(max(-lam, 0.0))
     limit, slope = a / (4.0 * np.pi), lam / (8.0 * np.pi)
     cap = -0.5 * (w * a / (4.0 * np.pi))
     if _trapezoid_diagonal(w, 0.0, slope) < cap:
         return limit * w + cap, True
     return _trapezoid_diagonal(w, limit, slope), False
-
-
-def _outgoing_smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
-    """First row of the circulant of the smoothing kernel continued to
-    lam + i0, in its real part: w Re (1 - e^{ik rho})/(4 pi rho) =
-    w 2 sin^2(k rho/2)/(4 pi rho) on the equal-length circle's chords rho,
-    k = sqrt(lam), for Re B(lam + i0) at lam >= 0.  The kernel's limit at
-    chord 0 is 0 and its slope k^2/(8 pi)."""
-    w = grid.weight
-    rho = grid.circle_chord_row[1:]
-    half = np.sin(0.5 * math.sqrt(lam) * rho)
-    row = np.empty(grid.n)
-    row[0] = _trapezoid_diagonal(w, 0.0, lam / (8.0 * np.pi))
-    row[1:] = (2.0 * w) * half * half / (4.0 * np.pi * rho)
-    return row
 
 
 def _derivative_diagonal(lam: float, w: float, capped: bool = True) -> float:
@@ -221,41 +214,39 @@ def smoothing_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     return toeplitz(smoothing_row(lam, grid))
 
 
-def circle_boundary_modes(lam: float, grid: ArcGrid) -> np.ndarray:
-    """Eigenvalues of B(lam) on a circle grid, by wavenumber 0, 1, ..., N/2.
+def circle_boundary_modes(lam: float, grid: ArcGrid, what: str = "boundary") -> np.ndarray:
+    """Eigenvalues of Re B(lam + i0) on a circle grid, by wavenumber 0, 1,
+    ..., N/2, refused as the `what` table where not finite.
 
-    On the circle B(lam) is the symmetric circulant of the energy-zero mode
+    On the circle it is the symmetric circulant of the energy-zero mode
     values minus the smoothing row, so its eigenvalues are those mode values
     minus the real FFT of that row, and no N x N matrix is formed.
     Wavenumbers 1 to N/2 - 1 are the doubly degenerate cos/sin pairs.
     """
     return _finite(_circle_modes(grid) - np.fft.rfft(smoothing_row(lam, grid)).real,
-                   f"boundary lam={lam:g}")
+                   f"{what} lam={lam:g}")
 
 
 def circle_boundary_row(lam: float, grid: ArcGrid) -> np.ndarray:
-    """First row of the circle part of B(lam), the symmetric circulant of
-    the equal-length circle's operator: the inverse real FFT of the
-    energy-zero mode values minus the smoothing row."""
+    """First row of the circle part of Re B(lam + i0), the symmetric
+    circulant of the equal-length circle's operator: the inverse real FFT
+    of the energy-zero mode values minus the smoothing row."""
     return np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
 
 
-def _green(lam: float):
-    """The comparison kernel of B(lam), G_lam, evaluated in its chord array."""
-    return lambda r: green_kernel(lam, r, out=r)
-
-
-def _comparison_block(kernel, grid: ArcGrid, rows: slice, cols: slice,
+def _comparison_block(lam: float, grid: ArcGrid, rows: slice, cols: slice,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Rows `rows` and columns `cols` of the comparison matrix of `kernel`,
-    a kernel of the chords as `chord_difference` takes it, built in `out`
-    where `chord_difference` can: zeros on a circle grid, which is its own
-    equal-length circle.  The diagonal is the curvature kink, limit 0, the
-    same for every kernel 1/(4 pi r) + c_0 + c_1 r + O(r^2) of the chords."""
+    """Rows `rows` and columns `cols` of the comparison matrix of
+    Re B(lam + i0), built in `out` where `chord_difference` can: zeros on a
+    circle grid, which is its own equal-length circle.  The kernel is
+    `green_kernel` at lam <= 0 and `scattering_kernel` above, bitwise equal
+    at 0.  The diagonal is the curvature kink, limit 0, the same for every
+    kernel 1/(4 pi r) + c_0 + c_1 r + O(r^2) of the chords."""
     if grid.is_circle:
         return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+    kernel = green_kernel if lam <= 0 else scattering_kernel
     w = grid.weight
-    block = grid.chord_difference(kernel, rows, cols, out)
+    block = grid.chord_difference(lambda r: kernel(lam, r, out=r), rows, cols, out)
     block *= w
     kappa_circle = 2.0 * np.pi / grid.length
     diag = _block_diagonal(rows, cols)
@@ -275,15 +266,14 @@ def comparison_matrix(lam: float, grid: ArcGrid) -> np.ndarray:
     """
     if not lam <= 0:
         raise ConfigError(f"comparison_matrix requires lam <= 0, got lam={lam:g}")
-    kernel = _green(lam)
-    return _blockwise(grid.n, lambda rows, cols, dest: _comparison_block(kernel, grid, rows,
+    return _blockwise(grid.n, lambda rows, cols, dest: _comparison_block(lam, grid, rows,
                                                                           cols, dest))
 
 
-def _circulant_plus_comparison(grid: ArcGrid, circle_row: np.ndarray, kernel, what: str,
+def _circulant_plus_comparison(lam: float, grid: ArcGrid, what: str,
                                out: np.ndarray | None = None) -> np.ndarray:
-    """The symmetric Toeplitz matrix of `circle_row` plus the comparison
-    matrix of `kernel`, refused as `what` where an entry is not finite.
+    """Re B(lam + i0): the symmetric Toeplitz matrix of `circle_boundary_row`
+    plus the comparison matrix, refused as the `what` table where not finite.
 
     Each block of the output is the block of comparison entries, zeros on
     a circle grid, plus that row gathered; every entry is the sum the
@@ -291,13 +281,14 @@ def _circulant_plus_comparison(grid: ArcGrid, circle_row: np.ndarray, kernel, wh
     exactly symmetric as that build.  Built in `out` when given, each block
     in its place.
     """
+    circle_row = circle_boundary_row(lam, grid)
 
     def block(rows, cols, dest):
-        values = _comparison_block(kernel, grid, rows, cols, dest)
+        values = _comparison_block(lam, grid, rows, cols, dest)
         values += _toeplitz_block(circle_row, rows, cols)
         return values
 
-    return _finite(_blockwise(grid.n, block, out), what)
+    return _finite(_blockwise(grid.n, block, out), f"{what} lam={lam:g}")
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -319,5 +310,6 @@ def boundary_matrix(lam: float, grid: ArcGrid, out: np.ndarray | None = None) ->
     circulant of one row, `circle_boundary_row`, and the sum is built a
     row block at a time (`_circulant_plus_comparison`), in `out` when given.
     """
-    return _circulant_plus_comparison(grid, circle_boundary_row(lam, grid), _green(lam),
-                                      f"boundary lam={lam:g}", out)
+    if not lam <= 0:
+        raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
+    return _circulant_plus_comparison(lam, grid, "boundary", out)

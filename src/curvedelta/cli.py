@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .assembly import _circle_modes
+from .assembly import _circle_modes, _circle_waves
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
 from .errors import ConfigError, CurveError, InvariantError, NumericsError, check_tolerance
 from .resolvent import (FIT_WINDOW, correction_singular_values, fit_decay_slope,
@@ -131,7 +131,7 @@ def cmd_spectrum(args, grid, tols) -> None:
         header, columns = ["k", "nu"], [range(1, trusted + 1), spec]
         if grid.is_circle and lam == 0.0:
             # nu_0, nu_1, nu_1, nu_2, nu_2, ...: each pair's level twice
-            closed = _circle_modes(grid)[np.arange(1, trusted + 1) // 2]
+            closed = _circle_modes(grid)[_circle_waves(grid.n)[:trusted]]
             header.append("nu_closed_form")
             columns.append(closed)
             entry["max_closed_form_deviation"] = float(np.max(np.abs(spec - closed)))

@@ -11,9 +11,10 @@ range as
     S' = I - 2i sqrt(Im N) (B(lam + i0) - alpha)^{-1} sqrt(Im N),
 
 unitary on that subspace away from exceptional energies.  No reference
-energy enters: the real part Re B(lam + i0) is tabulated as B(lam) is
-(`scattering_layer_matrix`, each diagonal by `assembly`'s one rule), and
-Im N = H H^T for the map H of the grid onto spherical waves.  With A_r =
+energy enters: the real part Re B(lam + i0) is tabulated by B(lam)'s own
+builder in `assembly` (`scattering_layer_matrix`), which picks the
+smoothing row and the comparison kernel by the energy, and Im N = H H^T
+for the map H of the grid onto spherical waves.  With A_r =
 Re B(lam + i0) - alpha real symmetric, the Woodbury identity gives
 
     H^T (A_r + i H H^T)^{-1} H = M (I + iM)^{-1},   M = H^T A_r^{-1} H,
@@ -27,13 +28,14 @@ loses to the channels left out.
 
 On a circle grid the paper's explicit S' is a scalar per Fourier mode.
 A_r and Im N are symmetric circulants there, with eigenvalues a_m and c_m
-by wavenumber m from two real FFTs, so the channels are the real Fourier
-modes (each 1 <= m < N/2 a cos/sin pair) with eigenvalues c_m, and
-S' = diag((a_m - i c_m)/(a_m + i c_m)) on them (`_CircleSystem`): no
-N x N array is formed or factored.  Its `condition` is then the exact
-1-norm condition, read from the modes, where elsewhere it is LAPACK's
-estimate.  Both paths keep one condition rule (`_scattering_matrix`) and
-one widening rule (`_widened`).
+by wavenumber m from two real FFTs (those of A_r + alpha by
+`assembly.circle_boundary_modes`, as B(lam)'s are), so the channels are
+the real Fourier modes (each 1 <= m < N/2 a cos/sin pair) with
+eigenvalues c_m, and S' = diag((a_m - i c_m)/(a_m + i c_m)) on them
+(`_CircleSystem`): no N x N array is formed or factored.  Its `condition`
+is then the exact 1-norm condition, read from the modes, where elsewhere
+it is LAPACK's estimate.  Both paths keep one condition rule
+(`_scattering_matrix`) and one widening rule (`_widened`).
 """
 
 from __future__ import annotations
@@ -44,11 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import (_circle_modes, _circle_waves, _circulant_plus_comparison, _finite,
-                       _outgoing_smoothing_row)
+from .assembly import _circle_waves, _circulant_plus_comparison, circle_boundary_modes
 from .curves import ArcGrid
 from .errors import ConfigError, NumericsError, check_tolerance
-from .kernels import scattering_kernel
 from .spectral import _ldl, _ldl_solve
 
 RANK_TOL = 1e-10          # relative cutoff defining the retained channel space
@@ -64,18 +64,15 @@ UNITARITY_TOL = 1e-6      # largest unitarity defect of a returned block
 
 
 def scattering_layer_matrix(grid: ArcGrid, lam) -> np.ndarray:
-    """Re B(lam + i0) at lam >= 0, real symmetric, built as B(lam) is and a
-    row block at a time (`assembly._circulant_plus_comparison`): the
-    equal-length circle's energy-zero circulant, minus the circulant of
-    `assembly._outgoing_smoothing_row`, plus the comparison matrix of
-    `scattering_kernel` with the curvature kink on its diagonal.  The
-    imaginary part Im N, the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r),
-    is never tabulated: the block reads it through its factor."""
+    """Re B(lam + i0) at lam >= 0, real symmetric, built by B(lam)'s own
+    builder, `assembly._circulant_plus_comparison`, a row block at a time:
+    `assembly` picks the smoothing row and the comparison kernel by the
+    energy, so at lam = 0 this is B(0) bit for bit.  The imaginary part
+    Im N, the trapezoid matrix of sin(sqrt(lam) r)/(4 pi r), is never
+    tabulated: the block reads it through its factor."""
     if not lam >= 0:
         raise ConfigError(f"scattering table requires lam >= 0, got lam={lam:g}")
-    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - _outgoing_smoothing_row(lam, grid)
-    return _circulant_plus_comparison(grid, circle_row, lambda r: scattering_kernel(lam, r, out=r),
-                                      f"scattering lam={lam:g}")
+    return _circulant_plus_comparison(lam, grid, "scattering")
 
 
 def choose_reference_energy(candidates) -> float:
@@ -285,13 +282,12 @@ class _CircleSystem:
 
 def _circle_modes_at(grid: ArcGrid, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of Re B(lam + i0) and of Im N on a circle grid at
-    lam > 0, by wavenumber 0, 1, ..., N/2, from two real FFTs: the
-    energy-zero modes minus those of `_outgoing_smoothing_row`, refused
-    where not finite as the table is, and the modes of the trapezoid row of
-    w sin(k rho)/(4 pi rho) on the circle chords, w k/(4 pi) at rho = 0,
-    which, even in rho, needs no kink correction."""
-    real = _finite(_circle_modes(grid) - np.fft.rfft(_outgoing_smoothing_row(lam, grid)).real,
-                   f"scattering lam={lam:g}")
+    lam > 0, by wavenumber 0, 1, ..., N/2, from two real FFTs: those of
+    `assembly.circle_boundary_modes`, refused where not finite as the table
+    is, and the modes of the trapezoid row of w sin(k rho)/(4 pi rho) on
+    the circle chords, w k/(4 pi) at rho = 0, which, even in rho, needs no
+    kink correction."""
+    real = circle_boundary_modes(lam, grid, "scattering")
     k, rho = math.sqrt(lam), grid.circle_chord_row[1:]
     row = np.empty(grid.n)
     row[0] = k

@@ -55,7 +55,7 @@ import weakref
 import numpy as np
 import scipy.linalg
 
-from .assembly import (_circle_modes, _circle_waves, _comparison_block, _finite, _green,
+from .assembly import (_circle_modes, _circle_waves, _comparison_block, _finite,
                        boundary_derivative, boundary_matrix, circle_boundary_modes,
                        circle_derivative_modes, circle_mode_eigenvalues)
 from .curves import ArcGrid, _kept, _read_only, _row_blocks
@@ -164,7 +164,7 @@ def _fourier_compression(lam: float, grid: ArcGrid,
     the rows of that table into F_K^T D F_K and the sums of squares of
     C's columns.  No complex table larger than one block is formed.
     """
-    # refuses lam > 0 as every path to B(lam) does
+    # `_operator` refused lam > 0, where these would be Re B(lam + i0)'s
     modes = circle_boundary_modes(lam, grid)
     n = grid.n
     size = 2 * kept + 1
@@ -172,7 +172,7 @@ def _fourier_compression(lam: float, grid: ArcGrid,
     half = np.empty((size, n))
     comparison_sq = 0.0
     for rows in _row_blocks(n, row_bytes):
-        d = _comparison_block(_green(lam), grid, rows, slice(0, n))
+        d = _comparison_block(lam, grid, rows, slice(0, n))
         square = float(np.einsum("ij,ij->", d, d))
         # a sum of finite squares is finite unless it overflows
         if not math.isfinite(square):
@@ -502,7 +502,10 @@ class _CircleOperator(_Operator):
 
 def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
               work: _Workspace | None = None) -> _Operator:
-    """B(lam): the circle's known eigenpairs on a circle grid, else dense."""
+    """B(lam) at lam <= 0, refused elsewhere as `boundary_matrix` refuses:
+    the circle's known eigenpairs on a circle grid, else dense."""
+    if not lam <= 0:
+        raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
     return (_CircleOperator if grid.is_circle else _Operator)(lam, grid, guess, work)
 
 

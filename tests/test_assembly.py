@@ -235,9 +235,16 @@ class TestDiagonalRule:
 
     def test_outgoing_row(self, grid):
         # Re B(lam + i0): the outgoing smoothing row's limit is 0, its slope
-        # lam/(8 pi)
-        lam = 0.5
-        outgoing = kink_increment(lam / (8.0 * np.pi), grid.weight)
+        # lam/(8 pi), and off the diagonal it is the real part of the
+        # outgoing continuation, (2w) sin^2(k rho/2)/(4 pi rho), k = sqrt(lam)
+        lam, w = 0.5, grid.weight
+        outgoing = kink_increment(lam / (8.0 * np.pi), w)
+        rho = grid.circle_chord_row[1:]
+        half = np.sin(0.5 * math.sqrt(lam) * rho)
+        row = np.empty(grid.n)
+        row[0] = outgoing
+        row[1:] = (2.0 * w) * half * half / (4.0 * np.pi * rho)
+        assert np.array_equal(smoothing_row(lam, grid), row)
         circle = np.fft.irfft(_circle_modes(grid), grid.n)[0] - outgoing
         assert np.array_equal(np.diag(scattering_layer_matrix(grid, lam)),
                               self._comparison(grid) + circle)

@@ -25,8 +25,8 @@ from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         make_grid, reparametrize_arclength,
                         scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
-from curvedelta.assembly import (_circle_modes, _outgoing_smoothing_row, boundary_derivative,
-                                 comparison_matrix)
+from curvedelta.assembly import (_circle_modes, boundary_derivative, comparison_matrix,
+                                 smoothing_row)
 from curvedelta.curves import _ArcTable, _row_blocks
 from curvedelta.resolvent import make_box
 from curvedelta.spectral import _circle_levels
@@ -96,7 +96,7 @@ def _scattering_layer_one_pass(grid, lam):
     """Re B(lam + i0) from the library's kernel on the whole chord table in
     one pass: the circle circulant gathered whole, plus the comparison
     entries of the full chord tables."""
-    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - _outgoing_smoothing_row(lam, grid)
+    circle_row = np.fft.irfft(_circle_modes(grid), grid.n) - smoothing_row(lam, grid)
     table = toeplitz(circle_row)
     if not grid.is_circle:
         table += comparison_matrix_full(lam, grid, lambda r: scattering_kernel(lam, r))

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import curvedelta
+import curvedelta.assembly as assembly_mod
 import curvedelta.cli as cli_mod
 import curvedelta.scattering as scattering_mod
 import curvedelta.spectral as spectral_mod
@@ -673,7 +674,7 @@ class TestCircleBlock:
 
     def test_refuses_non_finite_modes(self, circle_grid, monkeypatch):
         # the table's finiteness refusal, read on the modes
-        monkeypatch.setattr(scattering_mod, "_outgoing_smoothing_row",
+        monkeypatch.setattr(assembly_mod, "smoothing_row",
                             lambda lam, grid: np.full(grid.n, np.nan))
         with pytest.raises(ConfigError, match="scattering lam=1: non-finite"):
             scattering_block(circle_grid, 1.0, -0.5)

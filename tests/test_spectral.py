@@ -653,17 +653,14 @@ class TestFourierCompression:
         # and the sweep refuses through assembly._finite, with the error of
         # boundary_matrix on the same entries
         grid = make_grid(ellipse, 1024)
-        real_green = spectral._green
+        real_green = assembly.green_kernel
 
-        def green_with_nan(lam):
-            def kernel(r):
-                values = real_green(lam)(r)
-                values.flat[1] = math.nan
-                return values
-            return kernel
+        def green_with_nan(lam, r, out=None):
+            values = real_green(lam, r, out=out)
+            values.flat[1] = math.nan
+            return values
 
-        monkeypatch.setattr(spectral, "_green", green_with_nan)
-        monkeypatch.setattr(assembly, "_green", green_with_nan)
+        monkeypatch.setattr(assembly, "green_kernel", green_with_nan)
         monkeypatch.setattr(spectral, "boundary_matrix", None)
         with pytest.raises(ConfigError) as swept:
             boundary_spectrum(-1.0, grid)

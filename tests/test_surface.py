@@ -207,8 +207,36 @@ def test_one_diagonal_rule():
     owner = _owners(tree)
     assert sorted(owner.get(id(node)) for node in ast.walk(tree)
                   if _called(node) == "_trapezoid_diagonal") == [
-        "_comparison_block", "_derivative_diagonal", "_outgoing_smoothing_row",
-        "_smoothing_diagonal", "_smoothing_diagonal"]
+        "_comparison_block", "_derivative_diagonal", "_smoothing_diagonal",
+        "_smoothing_diagonal"]
+
+
+def test_one_builder_of_the_real_boundary_operator():
+    # assembly alone knows how the parts of Re B(lam + i0), B(lam) at
+    # lam <= 0, depend on lam: the energy picks the smoothing row and the
+    # comparison kernel there.  So neither scattering nor spectral imports
+    # from kernels, no other module calls the smoothing row, no second row
+    # or kernel closure is left, and scattering reads assembly only through
+    # the wave order, the circle modes and the one table builder
+    found, names = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(id(node)), "kernels") for node in ast.walk(tree)
+                  if path.name in ("scattering.py", "spectral.py")
+                  and isinstance(node, ast.ImportFrom)
+                  and (node.module == "kernels"
+                       or any(alias.name == "kernels" for alias in node.names))]
+        found += [(path.name, owner.get(id(node)), "smoothing_row") for node in ast.walk(tree)
+                  if path.name != "assembly.py" and _called(node) == "smoothing_row"]
+        names |= {getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+                  for node in ast.walk(tree)}
+    assert found == []
+    assert names & {"_outgoing_smoothing_row", "_green"} == set()
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "scattering.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "assembly"
+                for alias in node.names}
+    assert imported == {"_circle_waves", "_circulant_plus_comparison", "circle_boundary_modes"}
 
 
 def test_one_builder_of_the_wave_order():

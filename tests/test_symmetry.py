@@ -7,7 +7,9 @@ c^2 lam, shifted by ln c / (2 pi) through the log-singular circle part.
 Both laws hold exactly for the discretization, so the bound is roundoff.
 The laws are checked on the dense eigensolve at N = 64, the rigid-motion
 and orientation laws also on the compressed spectrum at N = 1024, and the
-homothety law also on the isoperimetric comparison at N = 256.
+homothety law also on the isoperimetric comparison at N = 256 and on the
+table of Re B(lam + i0) at lam > 0, entry by entry at N = 64.  That table
+is B(0) bit for bit at lam = 0.
 """
 
 import math
@@ -18,11 +20,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from curvedelta import (Curve, CurveError, boundary_matrix, eigen, isoperimetric_compare,
-                        make_circle, make_grid, reparametrize_arclength, spectral)
-from oracles import fourier_mode_curve
+                        make_circle, make_ellipse, make_grid, reparametrize_arclength,
+                        scattering_layer_matrix, spectral)
+from oracles import fourier_mode_curve, seeded_fourier_curve
 
 N = 64
 LAMS = (0.0, -1.0)
+SCATTERING_LAMS = (0.5, 2.0)
 TOL = 1e-12
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -76,6 +80,33 @@ def test_scaling_law(coefficients, c):
     for lam in LAMS:
         expected = _top_values(curve, c * c * lam) + math.log(c) / (2.0 * math.pi)
         assert np.max(np.abs(_top_values(scaled, lam) - expected)) <= TOL
+
+
+@SETTINGS
+@given(mode_coefficients, st.floats(0.5, 2.0))
+def test_scaling_law_above_zero(coefficients, c):
+    # the same law for Re B(lam + i0), compared entry by entry: the scaled
+    # curve's table at lam is the original's at c^2 lam plus ln c / (2 pi)
+    # on the diagonal, where the circle part's modes all shift by it
+    raw = fourier_mode_curve(coefficients)
+    scaled = Curve(a0=c * raw.a0, cos_coeff=c * raw.cos_coeff, sin_coeff=c * raw.sin_coeff,
+                   period=c * raw.period)
+    grid, scaled = make_grid(_arclength(raw), N), make_grid(_arclength(scaled), N)
+    for lam in SCATTERING_LAMS:
+        expected = scattering_layer_matrix(grid, c * c * lam)
+        expected[np.diag_indices(N)] += math.log(c) / (2.0 * math.pi)
+        assert np.max(np.abs(scattering_layer_matrix(scaled, lam) - expected)) <= TOL
+
+
+@pytest.mark.parametrize("make", [lambda: reparametrize_arclength(make_ellipse(2.0, 1.0)),
+                                  lambda: seeded_fourier_curve(7),
+                                  lambda: make_circle(1.0)],
+                         ids=["ellipse", "seed7", "circle"])
+def test_real_part_continuous_at_zero(make):
+    # Re B(lam + i0) at lam = 0 is B(0) bit for bit: one builder, whose
+    # smoothing row and comparison kernel meet there
+    grid = make_grid(make(), N)
+    assert np.array_equal(scattering_layer_matrix(grid, 0.0), boundary_matrix(0.0, grid))
 
 
 @SETTINGS
