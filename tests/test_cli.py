@@ -887,3 +887,24 @@ def test_table_diff_scattering(tmp_path, summary, entry, exit_code):
     _write_scattering(tmp_path / "a", "1,15,3.08e-12,0,1.78e+03", "0.6")
     _write_scattering(tmp_path / "b", summary, entry)
     assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == exit_code
+
+
+def _write_probe(root, correction, layer):
+    root.mkdir(parents=True, exist_ok=True)
+    for name, head, value in (("probe_correction.csv", "correction", correction),
+                              ("probe_layer.csv", "layer", layer)):
+        (root / name).write_text(f"# {head} singular values lam=-1\nk,s\n1,0.8\n2,{value}\n")
+
+
+@pytest.mark.parametrize("correction, layer, exit_code", [
+    # a correction singular value may move by 6e-12 of its column's scale,
+    # not by 1e-9; the layer table is held to RTOL
+    ("0.5", "0.2", 0),
+    ("0.500000000005", "0.2", 0),
+    ("0.5000000005", "0.2", 1),
+    ("0.5", "0.200000000005", 1),
+])
+def test_table_diff_probe(tmp_path, correction, layer, exit_code):
+    _write_probe(tmp_path / "a", "0.5", "0.2")
+    _write_probe(tmp_path / "b", correction, layer)
+    assert table_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == exit_code
