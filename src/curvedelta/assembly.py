@@ -127,8 +127,11 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     At lam <= 0 entries w * (1 - e^{-sqrt(-lam) rho})/(4 pi rho); above zero
     the real part of their outgoing continuation, (2w) sin^2(k rho/2)/(4 pi
     rho), k = sqrt(lam).  The diagonal is `_smoothing_diagonal`'s.  Every
-    path to Re B(lam + i0), dense or circulant, reads this row.
+    path to Re B(lam + i0), dense or circulant, reads this row, so it
+    refuses a non-finite lam before any kernel runs.
     """
+    if not math.isfinite(lam):
+        raise ConfigError(f"smoothing row: non-finite energy lam={lam:g}")
     w = grid.weight
     if lam > 0:
         rho = grid.circle_chord_row[1:]
@@ -180,8 +183,11 @@ def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
     smoothing row's cap is active (w kappa > 6) B(lam)'s diagonal is the
     capped entry, and with `capped` the diagonal is its derivative.  A Gram
     matrix, so positive definite: every eigenvalue branch of B increases in
-    lam.  Built in `out` when given, a row block at a time.
+    lam.  Built in `out` when given, a row block at a time; a non-finite
+    lam is refused before the kernel runs.
     """
+    if not math.isfinite(lam):
+        raise ConfigError(f"B'(lam): non-finite energy lam={lam:g}")
     w = grid.weight
 
     def block(rows, cols, dest):

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from functools import cached_property
 import math
 from typing import NamedTuple
-import weakref
 
 import numpy as np
 import scipy.linalg
@@ -203,26 +202,6 @@ class BoundState:
     residual: float
 
 
-class _Workspace:
-    """The N x N buffers of one bound-state search: B(lam), B'(lam) and the
-    copy of B that ?sytrf overwrites, three views of one allocation.
-
-    The search builds an operator at each energy it visits, and each one
-    assembles and factors in these buffers, so a search allocates them
-    once.  Arrays of that size allocated and freed at every energy are
-    handed back to the system whenever the allocator trims its heap, and
-    each is faulted in afresh.  An operator built on the workspace takes
-    it over; the one before must not be read again, and refuses to be.
-    The workspace refers to its owner weakly: an operator holds its
-    workspace, and a reference back would make a cycle that keeps the
-    buffers until the cyclic garbage collector runs.
-    """
-
-    def __init__(self, n: int):
-        self.matrix, self.derivative, self.factor = np.empty((3, n, n))
-        self.owner = None         # weak reference to the operator that took it over
-
-
 class _Operator:
     """B(lam) on one grid, the one place that assembles or reads it.
 
@@ -235,35 +214,39 @@ class _Operator:
     Bunch-Kaufman LDL^T factorization of B - x (`_ldl`), whose
     factors are kept for inverse iteration, started from `guess`; an
     eigenpair it cannot certify comes from the one subset eigensolve of
-    `settle`, and the eigenpairs found are kept.  B, B' and the copy
-    that ?sytrf factors are new arrays, or the buffers of the `work` it
-    takes over.  `_CircleOperator` supplies what a circle grid knows;
-    `_operator` picks the class.
+    `settle`, and the eigenpairs found are kept.  B, B' and the copy of
+    B that ?sytrf factors are its own N x N buffers, allocated on first
+    use or taken over from `previous`, which then refuses every read: a
+    root search allocates them once, where arrays freed at every energy
+    go back to the system whenever the allocator trims its heap and are
+    faulted in afresh.  `_CircleOperator` supplies what a circle grid
+    knows; `_operator` picks the class.
     """
 
     def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
-                 work: _Workspace | None = None):
+                 previous: _Operator | None = None):
         self.lam = lam
         self.grid = grid
         self._guess = guess
         self._factors = None      # (x, above(x), LDL^T factors) of the latest shift
         self._pairs = {}          # k -> (nu_k, v_k, whether from an eigensolve)
-        self._work = work
-        if work is not None:
-            work.owner = weakref.ref(self)
+        self._buffers = {}        # name -> N x N buffer; None once taken over
+        if previous is not None:
+            previous._current()
+            self._buffers, previous._buffers = previous._buffers, None
 
     def _current(self) -> None:
-        """Refuse an operator whose workspace a later one took over."""
-        if self._work is not None and self._work.owner() is not self:
+        """Refuse an operator whose buffers a later one took over."""
+        if self._buffers is None:
             raise InvariantError(f"operator at lam={self.lam:g} read after a later one "
-                                 "took over its workspace")
+                                 "took over its buffers")
 
-    def _buffer(self, name: str) -> np.ndarray | None:
-        """The workspace's `name` buffer, writable, or None without one."""
+    def _buffer(self, name: str) -> np.ndarray:
+        """The N x N buffer `name`, writable, allocated here alone."""
         self._current()
-        if self._work is None:
-            return None
-        buffer = getattr(self._work, name)
+        if name not in self._buffers:
+            self._buffers[name] = np.empty((self.grid.n, self.grid.n))
+        buffer = self._buffers[name]
         buffer.flags.writeable = True
         return buffer
 
@@ -334,14 +317,11 @@ class _Operator:
         Bunch-Kaufman's 2 x 2 pivot blocks each hold one positive and one
         negative eigenvalue, so by Sylvester's law of inertia the count is
         the positive 1 x 1 pivots plus one per 2 x 2 block.  Factors that
-        `above` kept are dropped first: on a workspace these are overwritten.
+        `above` kept are dropped first: their buffer is overwritten.
         """
         self._factors = None
         copy = self._buffer("factor")
-        if copy is None:
-            copy = self.matrix.copy()
-        else:
-            np.copyto(copy, self.matrix)
+        np.copyto(copy, self.matrix)
         # B is exactly symmetric, so the transpose of its copy is B in Fortran order
         shifted = copy.T
         shifted[np.diag_indices(self.grid.n)] -= x
@@ -465,8 +445,8 @@ class _CircleOperator(_Operator):
     Fourier modes, cos before sin within a pair.  No pair is solved for."""
 
     def __init__(self, lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
-                 work: _Workspace | None = None):
-        super().__init__(lam, grid, guess, work)
+                 previous: _Operator | None = None):
+        super().__init__(lam, grid, guess, previous)
         self._waves, self._values = _circle_waves(grid.n, circle_boundary_modes(lam, grid))
 
     @cached_property
@@ -501,12 +481,13 @@ class _CircleOperator(_Operator):
 
 
 def _operator(lam: float, grid: ArcGrid, guess: np.ndarray | None = None,
-              work: _Workspace | None = None) -> _Operator:
+              previous: _Operator | None = None) -> _Operator:
     """B(lam) at lam <= 0, refused elsewhere as `boundary_matrix` refuses:
-    the circle's known eigenpairs on a circle grid, else dense."""
+    the circle's known eigenpairs on a circle grid, else dense; in the
+    buffers of `previous` when given."""
     if not lam <= 0:
         raise ConfigError(f"B(lam) requires lam <= 0, got lam={lam:g}")
-    return (_CircleOperator if grid.is_circle else _Operator)(lam, grid, guess, work)
+    return (_CircleOperator if grid.is_circle else _Operator)(lam, grid, guess, previous)
 
 
 def boundary_spectrum(lam: float, grid: ArcGrid) -> np.ndarray:
@@ -599,7 +580,7 @@ def _bisect(lo: float, hi: float) -> float:
 
 
 def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point | None,
-                 zero_value: float, work: _Workspace | None,
+                 zero_value: float, op: _Operator | None,
                  start: float = -1.0) -> _Operator:
     """B at the root of nu_k(lam) = alpha in (lower.lam, 0], by safeguarded
     Newton steps in kappa from the lower point; without one, as for the top
@@ -618,8 +599,10 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point | None,
     below the root, and needs none: from a sample above it the Newton step
     moves down.  The search stops once the step is below ROOT_XTOL +
     ROOT_RTOL |lam|, or once nu_k is within eps ||B||_1 of alpha, at the
-    operator of its last energy, which can be the first.  Every operator
-    is built on `work`, so each step supersedes the last.
+    operator of its last energy, which can be the first.  Each step's
+    operator takes over the buffers of the one before, the first those of
+    `op`, the previous root's operator where given, so the search allocates
+    none after its first step, and only the last operator can be read.
     """
     lo, hi = -math.inf, 0.0
     lo_gap, hi_gap = -math.inf, zero_value - alpha
@@ -634,7 +617,7 @@ def _branch_root(grid: ArcGrid, alpha: float, k: int, lower: _Point | None,
     for _ in range(MAX_ROOT_STEPS):
         if not lo < target < hi:
             target = _bisect(lo, hi)
-        op = _operator(target, grid, guess, work)
+        op = _operator(target, grid, guess, op)
         if last:
             op.settle(k)
         else:
@@ -679,9 +662,10 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     the previous root equals the previous branch's exactly, as the two
     branches of a circle's degenerate pair do, has that root too (each
     branch is strictly increasing), so a pair is solved once and its two
-    states share one energy.  The operators of every root search are built
-    on one `_Workspace`, and the root's operator is read only until the
-    next search starts.
+    states share one energy.  Each search takes over the buffers of the
+    previous root's operator, so the root searches of a call allocate B,
+    B' and the factored copy once, and a root's operator is read only until
+    the next search starts.
     """
     if max_states is not None and max_states < 0:
         raise ConfigError(f"max_states must be nonnegative, got {max_states}")
@@ -692,7 +676,6 @@ def find_bound_states(grid: ArcGrid, alpha: float,
     if n_roots == 0:
         return []
 
-    work = _Workspace(grid.n)
     start = _predicted_floor(grid, alpha, zero_spec[0])
     states = []
     at_root = lower = None
@@ -700,7 +683,7 @@ def find_bound_states(grid: ArcGrid, alpha: float,
         if at_root is None or at_root.branch_value(k) != value:
             if at_root is not None:
                 lower = _point(at_root, k)
-            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1], work, start)
+            at_root = _branch_root(grid, alpha, k, lower, zero_spec[k - 1], at_root, start)
         at_root.settle(k)
         value, vector = at_root.branch_value(k), at_root.vector(k)
         residual = float(abs(value - alpha))

@@ -7,10 +7,12 @@ handed back to the system whenever the C allocator trims its heap, and
 faulted in afresh at the next energy: 5.3k minor faults per
 `find_bound_states` call, and 22k while the kernels also allocated their
 temporaries, unless some earlier larger temporary happened to raise the
-allocator's thresholds.  The search owns its buffers instead,
-and the curve checks evaluate their 1024 nodes in chunks, so neither
-depends on what ran before it.  A child process counts the faults with
-`resource.getrusage`, so that this process's history does not enter.
+allocator's thresholds.  Instead each operator owns its buffers and the
+search hands them from each energy's operator to the next, so one call
+allocates them once, and the curve checks evaluate their 1024 nodes in
+chunks, so neither depends on what ran before it.  A child process
+counts the faults with `resource.getrusage`, so that this process's
+history does not enter.
 """
 import functools
 import json
@@ -67,8 +69,9 @@ def _child(curves_before: int) -> dict:
 
 @pytest.mark.parametrize("curves_before", [0, 10], ids=["no curve before", "10 curves before"])
 def test_root_search_faults_in_its_buffers_once(curves_before):
-    # one search takes its three 512 KB buffers, 384 pages, and no page per
-    # energy; with new N x N arrays at every energy it takes 5.3k
+    # one search faults in its three 512 KB buffers, 384 pages, and a few
+    # temporaries (about 480 in all), and no page per energy; with new
+    # N x N arrays at every energy it takes 5.3k
     assert max(_child(curves_before)["searches"]) < 1000
 
 

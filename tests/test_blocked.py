@@ -12,6 +12,7 @@ blocking: the peak traced allocation of a build stays near the size of its
 output.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,9 +22,9 @@ from scipy.linalg import toeplitz
 import curvedelta.curves as curves_mod
 from curvedelta import spectral
 from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
-                        circle_deviation, green_kernel,
-                        make_grid, reparametrize_arclength,
-                        scale_to_length, scattering_kernel,
+                        circle_deviation, correction_singular_values, green_kernel,
+                        layer_singular_values, make_grid, perturbed_green,
+                        reparametrize_arclength, scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
 from curvedelta.assembly import (_circle_modes, boundary_derivative, comparison_matrix,
                                  smoothing_row)
@@ -252,8 +253,26 @@ def test_non_finite_energy_refused(ellipse, small_blocks):
         scattering_layer_matrix(grid, float("nan"))
     with pytest.raises(ConfigError, match="lam <= 0"):
         boundary_matrix(float("nan"), grid)
-    with pytest.raises(ConfigError, match="non-finite"), np.errstate(invalid="ignore"):
+    with pytest.raises(ConfigError, match="non-finite"):
         scattering_layer_matrix(grid, float("inf"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda grid: boundary_matrix(-math.inf, grid),
+    lambda grid: scattering_layer_matrix(grid, math.inf),
+    lambda grid: spectral.boundary_spectrum(-math.inf, grid),
+    lambda grid: layer_singular_values(grid, -math.inf),
+    lambda grid: correction_singular_values(grid, -math.inf, -0.5),
+    lambda grid: perturbed_green(grid, -math.inf, -0.5, [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]),
+], ids=["boundary_matrix", "scattering_layer_matrix", "boundary_spectrum",
+        "layer_singular_values", "correction_singular_values", "perturbed_green"])
+@pytest.mark.parametrize("name", ["ellipse", "circle"])
+def test_infinite_energy_refused_before_any_kernel(curves, name, call):
+    # the smoothing row, which every path to Re B(lam + i0) reads, and
+    # B'(lam) refuse an infinite energy before a kernel meets inf * 0
+    with pytest.raises(ConfigError, match="non-finite energy"):
+        call(make_grid(curves[name], 64))
 
 
 def test_green_kernel_refuses_nonpositive_chords():

@@ -33,6 +33,22 @@ def predicted_floor(grid, alpha):
     return spectral._predicted_floor(grid, alpha, spectral._zero_energy_count(grid, alpha)[0][0])
 
 
+def mark_predictions(monkeypatch) -> list:
+    """Patch `spectral._predicted_floor` to mark its calls: the list it
+    returns is nonempty exactly while a prediction's search runs."""
+    inside, real = [], spectral._predicted_floor
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(spectral, "_predicted_floor", marked)
+    return inside
+
+
 class TestEigen:
     def test_ordering_contract(self):
         spec = eigen(np.diag([3.0, 1.0, 2.0]))
@@ -120,14 +136,15 @@ class TestBoundStates:
                    for st in states)
 
     def test_workspace_changes_no_bit(self, monkeypatch):
-        # the search assembles and factors every energy in one set of
-        # buffers; with new arrays at every energy each bit is the same
+        # the search hands one set of buffers from each operator to the
+        # next; with new arrays at every energy each bit is the same
         grid = make_grid(seeded_fourier_curve(7), 128)
         shared = [(st.energy, st.residual, st.coefficients)
                   for alpha in (-0.05, -0.23) for st in find_bound_states(grid, alpha)]
         real_operator = spectral._operator
         monkeypatch.setattr(spectral, "_operator",
-                            lambda lam, grid, guess=None, work=None: real_operator(lam, grid, guess))
+                            lambda lam, grid, guess=None, previous=None:
+                            real_operator(lam, grid, guess))
         fresh = [(st.energy, st.residual, st.coefficients)
                  for alpha in (-0.05, -0.23) for st in find_bound_states(grid, alpha)]
         assert len(shared) == len(fresh) > 3
@@ -136,18 +153,22 @@ class TestBoundStates:
             assert np.array_equal(vector, vector_f)
 
     def test_superseded_operator_refuses(self, ellipse_grid):
-        # an operator built on a workspace takes over its buffers, so the
-        # one before cannot read its matrix, factors or B' any more, nor
-        # the dense spectrum of the matrix it assembled
-        work = spectral._Workspace(ellipse_grid.n)
-        first = spectral._operator(-1.0, ellipse_grid, work=work)
+        # an operator built from a previous one takes over its buffers, so
+        # the one before cannot read its matrix, factors or B' any more,
+        # nor the dense spectrum of the matrix it assembled, nor hand its
+        # buffers over a second time
+        first = spectral._operator(-1.0, ellipse_grid)
         first.above(0.0)
         first.slope(1)
-        spectral._operator(-2.0, ellipse_grid, work=work).above(0.0)
+        matrix = first.matrix
+        second = spectral._operator(-2.0, ellipse_grid, previous=first)
+        second.above(0.0)
+        assert np.shares_memory(second.matrix, matrix)
         for read in (lambda: first.slope(1), lambda: first.above(0.0),
                      lambda: first.branch_value(7), lambda: first.settle(5),
-                     lambda: first.matrix, lambda: first._dense_top()):
-            with pytest.raises(InvariantError, match="took over its workspace"):
+                     lambda: first.matrix, lambda: first._dense_top(),
+                     lambda: spectral._operator(-3.0, ellipse_grid, previous=first)):
+            with pytest.raises(InvariantError, match="took over its buffers"):
                 read()
 
     def test_negative_max_states_rejected(self, circle_grid):
@@ -292,15 +313,16 @@ class TestPredictedFloor:
         # the prediction is the root the circle grid's own search stops at,
         # so the principal search stops at its first sample.  The
         # prediction's search runs on the grid too, a circle grid being its
-        # own equal-length circle, but without a workspace
+        # own equal-length circle, and is not counted
         grid = make_grid(circle, n)
         built = []
         real_operator = spectral._operator
+        predicting = mark_predictions(monkeypatch)
 
-        def operator(lam, on, guess=None, work=None):
-            if on is grid and work is not None:
+        def operator(lam, on, guess=None, previous=None):
+            if on is grid and not predicting:
                 built.append(lam)
-            return real_operator(lam, on, guess, work)
+            return real_operator(lam, on, guess, previous)
 
         monkeypatch.setattr(spectral, "_operator", operator)
         for alpha in (0.1, -0.05, -0.15, -0.23, -0.3):
@@ -420,14 +442,14 @@ class TestCircleFFT:
     def test_pairs_solved_once(self, circle_grid, monkeypatch):
         searches = []
         real_root = spectral._branch_root
+        predicting = mark_predictions(monkeypatch)
 
-        def branch_root(grid, alpha, k, lower, zero_value, work, *args):
+        def branch_root(grid, alpha, k, *args):
             # the prediction's search, on the grid itself (its own
-            # equal-length circle) but without a workspace, is not one of the
-            # query's root searches
-            if grid is circle_grid and work is not None:
+            # equal-length circle), is not one of the query's root searches
+            if grid is circle_grid and not predicting:
                 searches.append(k)
-            return real_root(grid, alpha, k, lower, zero_value, work, *args)
+            return real_root(grid, alpha, k, *args)
 
         monkeypatch.setattr(spectral, "_branch_root", branch_root)
         states = find_bound_states(circle_grid, -0.23)

@@ -275,6 +275,35 @@ def test_operators_come_from_the_factory():
     assert found == []
 
 
+def test_operators_own_their_buffers():
+    # each spectral._Operator owns its N x N buffers, B, B' and the copy
+    # ?sytrf factors, and a root search hands them from each operator to
+    # the next: no workspace object or weak reference stands beside them,
+    # _Operator._buffer alone allocates one, every build and copy of B or
+    # B' fills one, and the factory takes the previous operator
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if any(name in path.read_text() for name in ("_Workspace", "weakref"))]
+    assert found == []
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    owner = _owners(tree)
+    operators = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 and cls.name in ("_Operator", "_CircleOperator") for node in ast.walk(cls)]
+    allocations = [(owner.get(id(node)), _called(node)) for node in operators
+                   if _called(node) in ("empty", "zeros", "ones", "full") and node.args
+                   and isinstance(node.args[0], ast.Tuple) or _called(node) == "copy"]
+    assert allocations == [("_buffer", "empty")]
+    buffers = sorted((owner.get(id(node)), node.args[0].value) for node in ast.walk(tree)
+                     if _called(node) == "_buffer")
+    assert buffers == [("_assembly", "matrix"), ("_derivative", "derivative"),
+                       ("_inertia", "factor")]
+    builds = [(owner.get(id(node)), [_called(kw.value) for kw in node.keywords
+                                     if kw.arg == "out"]) for node in ast.walk(tree)
+              if _called(node) in ("boundary_matrix", "boundary_derivative")]
+    assert sorted(builds) == [("_assembly", ["_buffer"]), ("_derivative", ["_buffer"])]
+    assert list(inspect.signature(spectral._operator).parameters) == [
+        "lam", "grid", "guess", "previous"]
+
+
 def _numpy_linalg_calls(path: pathlib.Path) -> set[str]:
     """Names of the `<alias>.linalg.<name>(...)` calls in a module's source,
     where the alias is any name the module binds to numpy, and of the names
