@@ -165,7 +165,13 @@ def _smoothing_diagonal(lam: float, w: float) -> tuple[float, bool]:
 def _derivative_diagonal(lam: float, w: float, capped: bool = True) -> float:
     """The diagonal of B'(lam), a = sqrt(-lam): `green_derivative_kernel`'s
     limit 1/(8 pi a) at chord 0 and slope -1/(8 pi), or with `capped`, where
-    the smoothing row's cap is active, the capped entry's derivative w/(16 pi a)."""
+    the smoothing row's cap is active, the capped entry's derivative w/(16 pi a).
+    Both builders of B'(lam) compute it before the kernel, so it refuses
+    for them a lam that is not finite and negative."""
+    if not math.isfinite(lam):
+        raise ConfigError(f"B'(lam): non-finite energy lam={lam:g}")
+    if not lam < 0:
+        raise ConfigError(f"B'(lam) requires lam < 0, got lam={lam:g}")
     a = math.sqrt(-lam)
     if capped and _smoothing_diagonal(lam, w)[1]:
         return w / (16.0 * np.pi * a)
@@ -186,9 +192,8 @@ def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
     lam.  Built in `out` when given, a row block at a time; a non-finite
     lam is refused before the kernel runs.
     """
-    if not math.isfinite(lam):
-        raise ConfigError(f"B'(lam): non-finite energy lam={lam:g}")
     w = grid.weight
+    diagonal = _derivative_diagonal(lam, w, capped)
 
     def block(rows, cols, dest):
         chords = grid.chord_block(rows, cols, dest)
@@ -197,7 +202,7 @@ def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
         return values
 
     mat = _blockwise(grid.n, block, out)
-    mat[np.diag_indices(grid.n)] = _derivative_diagonal(lam, w, capped)
+    mat[np.diag_indices(grid.n)] = diagonal
     return mat
 
 
@@ -206,11 +211,13 @@ def circle_derivative_modes(lam: float, grid: ArcGrid) -> np.ndarray:
 
     B'(lam) of the circle is the symmetric circulant of the `boundary_derivative`
     entries on the circle chord row, so its eigenvalues are the real FFT of
-    that row, exactly the slopes of the circle's branches.
+    that row, exactly the slopes of the circle's branches.  A non-finite
+    lam is refused before the kernel runs.
     """
     w = grid.weight
+    diagonal = _derivative_diagonal(lam, w)
     row = w * green_derivative_kernel(lam, grid.circle_chord_row)
-    row[0] = _derivative_diagonal(lam, w)
+    row[0] = diagonal
     return np.fft.rfft(row).real
 
 

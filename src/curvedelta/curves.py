@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.chebyshev import chebint, chebval, chebvander
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -29,84 +29,71 @@ from .errors import ConfigError, CurveError, check_tolerance
 SELF_INTERSECTION_TOL = 1e-9
 # Nodes of the self-intersection guard, equispaced in arc length.
 _GUARD_NODES = 1024
-# Gauss-Legendre rules of table panels and short arcs (2 points for the
-# second step of `_params_past`), and the largest relative error of the
-# series start that `_params_past` takes: on the 400 draws of the first 40 of
-# seeds 1-10 of the benchmark's curves, two Newton steps from a start within
-# it left at most 5.4e-14 relative error, from starts off by 1e-4 to 1e-3 up
-# to 6.6e-12.
-_PANEL_GAUSS = leggauss(10)
-_SHORT_GAUSS = leggauss(4)
-_PAIR_GAUSS = leggauss(2)
-_SHORT_START_TOL = 1e-4
 # Largest accepted deviation of the reparametrized speed from 1.
 REPARAM_TOL = 1e-8
-# Nodes per chunk of the curve checks: the arc table and the stencil are
-# evaluated on this many nodes at a time, so that the largest temporary of
-# a three-mode curve (16 points per node in `_params_past`) stays below
-# 128 KB, the size above which glibc's allocator maps fresh pages by default.
-_CHECK_NODES = 256
+# Chebyshev nodes per arc-table panel, the roots x_k = cos(pi (k + 1/2) / K)
+# of T_K, and the matrix that takes a panel's speeds there to the
+# coefficients of its Chebyshev series (T_0 .. T_{K-1} are orthogonal on
+# these nodes).
+_CHEB_NODES = 12
+_CHEB_X = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+_CHEB_COEFFS = chebvander(_CHEB_X, _CHEB_NODES - 1) * (2.0 / _CHEB_NODES)
+_CHEB_COEFFS[:, 0] *= 0.5
+# Newton steps of an inversion from the linear start within its panel.
+_NEWTON_STEPS = 4
 
 
 class _ArcTable:
     """Monotone map between arc length s in [0, L] and curve parameter t.
 
-    Cumulative lengths are accumulated with composite Gauss quadrature of
-    |sigma'| on fine panels; inversion starts from the linear interpolant
-    of the table (np.interp, which clamps to [0, T]) and takes four Newton
-    steps on the exact quadrature, so parameter values are recovered
-    essentially to machine precision.  The first step measures the arc from
-    the panel's edge, each later one adds the arc just moved on the short
-    rule: 26 speed evaluations per point.  So the curve checks of
-    `reparametrize_arclength` invert their nodes once and reach points a
-    short arc away by `_params_past`, and keep the parameters of the
-    guard's nodes as `guard_params`, which `make_grid` reads.  The table is
-    arrays and numbers: its curve, which holds it, is passed to each lookup.
+    The parameter period is cut into equal panels, and on each the speed
+    |sigma'| is sampled once, at the _CHEB_NODES Chebyshev nodes, and
+    replaced by its Chebyshev series in the panel variable x in [-1, 1]
+    (`speed_series`).  The series' exact antiderivative from the panel's
+    left edge is the arc length within the panel (`length_series`), and its
+    values at the right edges sum to the cumulative lengths `cum`.
+    `param_at` inverts that arc length on whole arrays: the one inversion of
+    the package, for the curve checks' nodes and stencil points and for
+    every grid's nodes.  The table is arrays and numbers, and holds no curve.
     """
 
     def __init__(self, curve: "Curve", panels: int):
-        self._edges = np.linspace(0.0, curve.period, panels + 1)
-        x, w = _PANEL_GAUSS
-        mid = 0.5 * (self._edges[1:] + self._edges[:-1])
-        half = 0.5 * np.diff(self._edges)
-        tq = mid[:, None] + half[:, None] * x[None, :]
-        speeds = curve.speed(tq.ravel()).reshape(tq.shape)
-        panel_len = half * (speeds @ w)
-        self.cum = np.concatenate([[0.0], np.cumsum(panel_len)])
+        self.width = curve.period / panels
+        t = (np.arange(panels)[:, None] + 0.5 * (1.0 + _CHEB_X)) * self.width
+        coeffs = curve.speed(t) @ _CHEB_COEFFS
+        # t = edge + (1 + x) width / 2, so ds/dx = speed * width / 2
+        lengths = chebint(coeffs, lbnd=-1.0, scl=0.5 * self.width, axis=1)
+        panel_len = lengths.sum(axis=1)     # T_k(1) = 1
+        # summed in extended precision, so each cumulative length is
+        # rounded once: a double sum drifts by a few eps L over 256 panels
+        self.cum = np.zeros(panels + 1)
+        self.cum[1:] = np.cumsum(panel_len, dtype=np.longdouble)
         # a length that overflows, or a speed that vanishes on a whole panel,
         # leaves no table to invert
         if not (np.all(np.isfinite(self.cum)) and np.all(panel_len > 0)):
             raise CurveError("arc-length table is not finite and increasing")
         self.total_length = float(self.cum[-1])
-        # parameters of the nodes `_guard_arclengths(L)`, once inverted
-        self.guard_params: np.ndarray | None = None
+        # one row per coefficient, each gathered whole by `param_at`
+        self.speed_series = np.ascontiguousarray(coeffs.T)
+        self.length_series = np.ascontiguousarray(lengths.T)
 
-    def length_at(self, curve: "Curve", t: np.ndarray) -> np.ndarray:
-        """Arc length along `curve` from parameter 0 to t (t in [0, T])."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0,
-                      len(self._edges) - 2)
-        lo = self._edges[idx]
-        return self.cum[idx] + _arc(curve, lo, t - lo, _PANEL_GAUSS)
+    def param_at(self, s: np.ndarray) -> np.ndarray:
+        """Parameter t with arc length s on the table, for s in [0, L] (any shape).
 
-    def param_at(self, curve: "Curve", s: np.ndarray) -> np.ndarray:
-        """Parameter t of `curve` with arc length s, for s in [0, L] (vectorized)."""
+        From the linear start within the panel of s, _NEWTON_STEPS Newton
+        steps on the panel's series, each kept in the panel, leave the
+        table's arc length at t within a few eps L of s.
+        """
         s = np.asarray(s, dtype=float)
-        t = np.interp(s, self.cum, self._edges)
-        length = self.length_at(curve, t)
-        for _ in range(3):
-            new = np.clip(t + (s - length) / curve.speed(t), 0.0, curve.period)
-            length = length + _arc(curve, t, new - t, _SHORT_GAUSS)
-            t = new
-        return np.clip(t + (s - length) / curve.speed(t), 0.0, curve.period)
-
-
-def _arc(curve: "Curve", t: np.ndarray, step: np.ndarray, rule) -> np.ndarray:
-    """Arc length of `curve` from t to t + step on one Gauss `rule` panel."""
-    x, w = rule
-    half = 0.5 * step
-    tq = (t + half)[..., None] + half[..., None] * x
-    return half * (curve.speed(tq.reshape(-1)).reshape(tq.shape) @ w)
+        i = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.cum) - 2)
+        rest = s - self.cum[i]
+        x = 2.0 * rest / (self.cum[i + 1] - self.cum[i]) - 1.0
+        speed, length = self.speed_series[:, i], self.length_series[:, i]
+        for _ in range(_NEWTON_STEPS):
+            step = (chebval(x, length, tensor=False) - rest) / (
+                (0.5 * self.width) * chebval(x, speed, tensor=False))
+            x = np.clip(x - step, -1.0, 1.0)
+        return (i + 0.5 * (1.0 + x)) * self.width
 
 
 class Curve:
@@ -205,7 +192,7 @@ class Curve:
         s = np.mod(np.asarray(s, dtype=float), self.total_length)
         if self.unit_speed and self._table is None:
             return s
-        return self._table.param_at(self, s)
+        return self._table.param_at(s)
 
     def point_at_arclength(self, s):
         return self.point(self.param_at_arclength(s))
@@ -269,17 +256,14 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
     input.  The returned curve answers point_at_arclength queries through the
     table; for a natively unit-speed curve the input is returned unchanged.
 
-    The checks invert the arc-length table once, at the 1024 nodes
-    s_i = i L / 1024.  The self-intersection guard reads the points there
-    (`_check_self_intersection`, a k-d tree query), and the unit-speed
-    stencil takes them as its centres: its four points s_i +- h, s_i +- 2h
-    are short Newton solves from each node (`_params_past`), not four more
-    inversions; only near a point where the speed almost vanishes does the
-    table invert them.  A curve with more than 16 modes has more stencil
-    centres (4 per arc-table panel), inverted separately.  The inversion,
-    the points and the stencil run on _CHECK_NODES nodes at a time, so no
-    temporary of a load is large enough to be mapped afresh by the
-    allocator; the maximum over the chunks is the stencil's maximum.
+    The self-intersection guard reads the points at the 1024 nodes
+    s_i = i L / 1024 (`_check_self_intersection`, a k-d tree query), and
+    the unit-speed check is a fourth-order stencil at s_i +- h, s_i +- 2h
+    on 4 nodes per arc-table panel (the same 1024 nodes up to 16 modes).
+    The table inverts every one of these points: the guard's nodes in one
+    call, and each of the stencil's four offsets in one call, so that no
+    temporary of a three-mode load is large enough for the allocator to
+    map fresh pages for it.
     """
     check_tolerance("reparam_tol", tol)
     tfine = np.linspace(0.0, curve.period, 4096, endpoint=False)
@@ -293,37 +277,15 @@ def reparametrize_arclength(curve: Curve, tol: float = REPARAM_TOL) -> Curve:
         return curve
 
     out = Curve(curve.a0, curve.cos_coeff, curve.sin_coeff, curve.period, radius=curve.radius)
-    table = out._table = _ArcTable(out, panels=_panel_count(out))
+    out._table = _ArcTable(out, panels=_panel_count(out))
     out.unit_speed = True
 
-    L = table.total_length
-    s_check = _guard_arclengths(L)
-    t_check = table.guard_params = _by_chunks(out.param_at_arclength, s_check)
-    _check_self_intersection(_by_chunks(out.point, t_check), L)
-
-    n_check = 4 * _panel_count(out)
-    if n_check != _GUARD_NODES:
-        s_check = np.arange(n_check) * L / n_check
-        t_check = _by_chunks(out.param_at_arclength, s_check)
-    dev = max(_unit_speed_deviation(out, s, t)
-              for s, t in zip(_chunks(s_check), _chunks(t_check)))
+    L = out.total_length
+    _check_self_intersection(out.point_at_arclength(_guard_arclengths(L)), L)
+    dev = _unit_speed_deviation(out, 4 * _panel_count(out))
     if dev >= tol:
         raise CurveError(f"unit-speed check failed: max | |sigma'| - 1 | = {dev:.3e}")
     return out
-
-
-def _chunks(x: np.ndarray) -> list[np.ndarray]:
-    """Consecutive slices of `x` of _CHECK_NODES entries (the last may be
-    shorter)."""
-    return [x[i:i + _CHECK_NODES] for i in range(0, len(x), _CHECK_NODES)]
-
-
-def _by_chunks(evaluate, x: np.ndarray) -> np.ndarray:
-    """`evaluate(x)` for a pointwise `evaluate`, computed on `_chunks(x)`
-    and concatenated.  Each value takes the operations of the one call;
-    only a BLAS product (`@`) could round differently in a batch of another
-    size, and on 560 seeded curves none did."""
-    return np.concatenate([evaluate(part) for part in _chunks(x)])
 
 
 def _guard_arclengths(length: float) -> np.ndarray:
@@ -331,46 +293,15 @@ def _guard_arclengths(length: float) -> np.ndarray:
     return np.arange(_GUARD_NODES) * length / _GUARD_NODES
 
 
-def _params_past(curve: Curve, s: np.ndarray, t: np.ndarray, offsets) -> np.ndarray:
-    """(len(offsets), len(s)) parameters at arc lengths s + ds, one row per
-    offset ds (small, either sign), given the parameters t of the arc
-    lengths s on a curve with an arc-length table.
-
-    Each starts from the second-order inverse of the arc-length series at t,
-
-        t + ds / |sigma'| - ds^2 (sigma' . sigma'') / (2 |sigma'|^4),
-
-    and takes two Newton steps: the first measures the arc from t on one
-    4-point Gauss panel, the second adds the arc the first moved on a 2-point
-    one.  sigma is periodic, so a parameter outside [0, T]
-    needs no wrap.  Where the start was off by more than _SHORT_START_TOL
-    relative, near a point where the speed almost vanishes, the two steps
-    may stop short, and the table inverts s + ds instead.
-    """
-    harmonics = curve._harmonics(t)
-    v = curve._velocity(*harmonics)
-    speed = np.sqrt(np.add.reduce(v * v, axis=-1))
-    slope = np.add.reduce(v * curve._acceleration(*harmonics), axis=-1)
-    ds = np.asarray(offsets, dtype=float)[:, None]
-    start = ds / speed - ds * ds * slope / (2.0 * speed ** 4)
-    length = _arc(curve, t, start, _SHORT_GAUSS)
-    step = start + (ds - length) / curve.speed((t + start).reshape(-1)).reshape(start.shape)
-    length += _arc(curve, t + start, step - start, _PAIR_GAUSS)
-    step += (ds - length) / curve.speed((t + step).reshape(-1)).reshape(step.shape)
-    out = t + step
-    rough = np.abs(step - start) > _SHORT_START_TOL * np.abs(step)
-    if rough.any():
-        out[rough] = curve.param_at_arclength((s + ds)[rough])
-    return out
-
-
-def _unit_speed_deviation(curve: Curve, s: np.ndarray, t: np.ndarray) -> float:
-    """max | |sigma'| - 1 | over the arc lengths s at parameters t, from the
+def _unit_speed_deviation(curve: Curve, n: int) -> float:
+    """max | |sigma'| - 1 | at the n arc lengths s_i = i L / n, from the
     4th-order central difference of the position at s +- h and s +- 2h,
-    h = 1e-3 L / (2 pi).  The four points are solved to about 1e-16
-    relative, so the stencil noise stays near 1e-12."""
-    hs = 1e-3 * curve.total_length / (2.0 * np.pi)
-    p1, m1, p2, m2 = curve.point(_params_past(curve, s, t, (hs, -hs, 2 * hs, -2 * hs)))
+    h = 1e-3 L / (2 pi).  The table inverts the points to a few eps L on
+    its series, so the stencil noise stays near 1e-12."""
+    L = curve.total_length
+    hs = 1e-3 * L / (2.0 * np.pi)
+    s = np.arange(n) * L / n
+    p1, m1, p2, m2 = (curve.point_at_arclength(s + ds) for ds in (hs, -hs, 2 * hs, -2 * hs))
     tangent = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * hs)
     return float(np.abs(np.linalg.norm(tangent, axis=-1) - 1.0).max())
 
@@ -624,29 +555,14 @@ class ArcGrid:
 
 
 def make_grid(curve: Curve, n: int) -> ArcGrid:
-    """Build the N-node discretization backbone (N even, N >= 16).
-
-    A node whose arc length equals one of the guard's nodes bit for bit
-    takes the parameter `reparametrize_arclength` inverted there (every
-    node when N divides 1024, every other one at N = 2048); the table
-    inverts only the others.
-    """
+    """Build the N-node discretization backbone (N even, N >= 16)."""
     if n % 2 != 0 or n < 16:
         raise ConfigError("grid size must be even and at least 16")
     if not curve.unit_speed:
         raise CurveError("grid requires a unit-speed curve; call reparametrize_arclength")
     L = curve.total_length
     s = np.arange(n) * (L / n)
-    table = curve._table
-    if table is None or table.guard_params is None:
-        t = curve.param_at_arclength(s)
-    else:
-        guard = _guard_arclengths(L)
-        i = np.minimum(np.searchsorted(guard, s), _GUARD_NODES - 1)
-        hit = guard[i] == s
-        t = table.guard_params[i]
-        if not hit.all():
-            t[~hit] = curve.param_at_arclength(s[~hit])
+    t = curve.param_at_arclength(s)
     return ArcGrid(
         curve=curve,
         nodes=s,

@@ -158,6 +158,9 @@ def correction_singular_values(grid: ArcGrid, lam: float, alpha: float) -> np.nd
 def fit_decay_slope(values: np.ndarray) -> float:
     """Least-squares slope of log s_k against log k over k in FIT_WINDOW.
 
+    The two-parameter line is fitted in closed form,
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, with no BLAS or
+    LAPACK call.
     The window is not scale-free: with kappa L and alpha it sets the slope.
     """
     k_lo, k_hi = FIT_WINDOW
@@ -168,5 +171,6 @@ def fit_decay_slope(values: np.ndarray) -> float:
     vals = values[k - 1]
     if np.any(vals <= 0):
         raise NumericsError("nonpositive singular values inside the fit window")
-    slope = np.polyfit(np.log(k), np.log(vals), 1)[0]
-    return float(slope)
+    x, y = np.log(k), np.log(vals)
+    x -= np.mean(x)
+    return float(np.sum(x * (y - np.mean(y))) / np.sum(x * x))

@@ -36,9 +36,12 @@ Brent steps on each eigenvalue branch, every sample an assembly and a
 subset eigensolve, which the Newton search on the closed-form B'(lam)
 replaces.  The shifted-table guard is the self-intersection guard's
 earlier full table of the far pairs, whose decision the k-d tree guard
-must repeat.  The unit-speed reference is the curve check's earlier stencil,
-which inverted each of its four points from scratch, and
-`NormFormulaCurve` keeps the earlier velocity and speed formulas.  None of
+must repeat.  The unit-speed reference is the curve check's stencil on
+nodes from `np.linspace`, its four points inverted by four separate
+calls, and `NormFormulaCurve` keeps the earlier velocity and speed
+formulas.  `arc_table_length` evaluates the arc-length table's own series
+at a parameter, by numpy's Chebyshev evaluation, so the table's
+inversion can be checked against the series it inverts.  None of
 them is
 used by the library itself; neither is the eigenvalue-clustering helper
 nor the seeded-curve draw, which repeats the benchmark's.
@@ -50,6 +53,7 @@ import math
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq
@@ -241,10 +245,10 @@ def shifted_table_guard(points: np.ndarray, length: float) -> None:
 
 def unit_speed_deviation_reference(curve: Curve) -> float:
     """The unit-speed check's max | |sigma'| - 1 |, with each of its four
-    stencil points inverted from scratch: the 4th-order central difference
-    of `point_at_arclength` at s +- h and s +- 2h, h = 1e-3 L / (2 pi), on
-    4 * panels equispaced nodes s.  The library inverts the nodes once and
-    reaches the four points by short Newton solves from them."""
+    stencil points inverted by its own call: the 4th-order central
+    difference of `point_at_arclength` at s +- h and s +- 2h,
+    h = 1e-3 L / (2 pi), on 4 * panels nodes s from `np.linspace`.  The
+    library inverts the four points in one call, at nodes i L / n."""
     L = curve.total_length
     n_check = 4 * _panel_count(curve)
     s = np.linspace(0.0, L, n_check, endpoint=False)
@@ -255,6 +259,15 @@ def unit_speed_deviation_reference(curve: Curve) -> float:
     m2 = curve.point_at_arclength(s - 2 * hs)
     tangent = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * hs)
     return float(np.abs(np.linalg.norm(tangent, axis=-1) - 1.0).max())
+
+
+def arc_table_length(table, t: np.ndarray) -> np.ndarray:
+    """Arc length from parameter 0 to t in [0, T] on an arc-length table's
+    own series: the cumulative length at the left edge of t's panel plus
+    the panel's length series at t, evaluated by `chebval`."""
+    u = np.asarray(t, dtype=float) / table.width
+    i = np.clip(np.floor(u).astype(int), 0, len(table.cum) - 2)
+    return table.cum[i] + chebval(2.0 * (u - i) - 1.0, table.length_series[:, i], tensor=False)
 
 
 class NormFormulaCurve(Curve):

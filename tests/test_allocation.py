@@ -9,10 +9,11 @@ faulted in afresh at the next energy: 5.3k minor faults per
 temporaries, unless some earlier larger temporary happened to raise the
 allocator's thresholds.  Instead each operator owns its buffers and the
 search hands them from each energy's operator to the next, so one call
-allocates them once, and the curve checks evaluate their 1024 nodes in
-chunks, so neither depends on what ran before it.  A child process
-counts the faults with `resource.getrusage`, so that this process's
-history does not enter.
+allocates them once, and the curve checks invert the stencil's four
+offsets one at a time, so no temporary of a load is larger than the
+allocator's mapping threshold, and neither depends on what ran before
+it.  A child process counts the faults with `resource.getrusage`, so
+that this process's history does not enter.
 """
 import functools
 import json
@@ -77,6 +78,8 @@ def test_root_search_faults_in_its_buffers_once(curves_before):
 
 def test_curve_load_faults():
     # after the first load, which touches the allocator's heap first, a load
-    # evaluates its checks in chunks below the allocator's mapping
-    # threshold; on all 1024 nodes at once it took about 2.4k
+    # keeps its temporaries below the allocator's mapping threshold (0-1
+    # faults); inverting the stencil's four offsets in one call took about
+    # 232, and the checks' earlier Gauss panels on all 1024 nodes at once
+    # about 2.4k
     assert max(_child(10)["loads"][1:]) < 500

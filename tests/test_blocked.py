@@ -26,8 +26,8 @@ from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
                         layer_singular_values, make_grid, perturbed_green,
                         reparametrize_arclength, scale_to_length, scattering_kernel,
                         scattering_layer_matrix)
-from curvedelta.assembly import (_circle_modes, boundary_derivative, comparison_matrix,
-                                 smoothing_row)
+from curvedelta.assembly import (_circle_modes, boundary_derivative, circle_derivative_modes,
+                                 comparison_matrix, smoothing_row)
 from curvedelta.curves import _ArcTable, _row_blocks
 from curvedelta.resolvent import make_box
 from curvedelta.spectral import _circle_levels
@@ -265,12 +265,17 @@ def test_non_finite_energy_refused(ellipse, small_blocks):
     lambda grid: layer_singular_values(grid, -math.inf),
     lambda grid: correction_singular_values(grid, -math.inf, -0.5),
     lambda grid: perturbed_green(grid, -math.inf, -0.5, [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]),
+    lambda grid: boundary_derivative(-math.inf, grid),
+    lambda grid: circle_derivative_modes(-math.inf, grid),
+    lambda grid: circle_derivative_modes(math.nan, grid),
 ], ids=["boundary_matrix", "scattering_layer_matrix", "boundary_spectrum",
-        "layer_singular_values", "correction_singular_values", "perturbed_green"])
+        "layer_singular_values", "correction_singular_values", "perturbed_green",
+        "boundary_derivative", "circle_derivative_modes", "circle_derivative_modes nan"])
 @pytest.mark.parametrize("name", ["ellipse", "circle"])
 def test_infinite_energy_refused_before_any_kernel(curves, name, call):
     # the smoothing row, which every path to Re B(lam + i0) reads, and
-    # B'(lam) refuse an infinite energy before a kernel meets inf * 0
+    # B'(lam)'s diagonal, which its dense build and the circle's modes
+    # compute first, refuse an infinite energy before a kernel meets inf * 0
     with pytest.raises(ConfigError, match="non-finite energy"):
         call(make_grid(curves[name], 64))
 
@@ -348,18 +353,17 @@ def test_circle_level_table_peak_memory():
 
 
 def test_make_grid_reads_the_arc_table_once(ellipse, monkeypatch):
-    # the load inverted the guard's 1024 nodes: a grid of 128 reads them
-    # all, one of 2048 inverts only the 1024 nodes between them
+    # each grid inverts its own nodes in one call of the table
     calls = []
     real = _ArcTable.param_at
 
-    def param_at(table, curve, s):
+    def param_at(table, s):
         calls.append(len(s))
-        return real(table, curve, s)
+        return real(table, s)
 
     monkeypatch.setattr(_ArcTable, "param_at", param_at)
     grids = [make_grid(ellipse, n) for n in (128, 2048)]
-    assert calls == [1024]
+    assert calls == [128, 2048]
     monkeypatch.undo()
     for grid in grids:
         t = ellipse.param_at_arclength(grid.nodes)

@@ -257,6 +257,17 @@ class TestSingularValues:
         monkeypatch.setattr(resolvent_mod, "FIT_WINDOW", (2, 4))
         assert fit_decay_slope(values) == pytest.approx(-2.0, abs=1e-12)
 
+    def test_fit_is_the_least_squares_slope(self, circle_grid):
+        # the closed-form line against numpy's least squares, which the
+        # library no longer calls: 6.6e-16 relative at most on the probe
+        # spectra of the ellipse, seed 7, the circle and a 24-mode curve
+        k = np.arange(resolvent_mod.FIT_WINDOW[0], resolvent_mod.FIT_WINDOW[1] + 1)
+        for values in (correction_singular_values(circle_grid, -1.0, -0.5),
+                       layer_singular_values(circle_grid, -1.0),
+                       np.sort(np.random.default_rng(3).uniform(1e-6, 1.0, 60))[::-1]):
+            expected = np.polyfit(np.log(k), np.log(values[k - 1]), 1)[0]
+            assert fit_decay_slope(values) == pytest.approx(expected, rel=4e-15)
+
 
 class TestEqualLengthCircle:
     """The probe's singular values against the closed form of the

@@ -324,13 +324,72 @@ def _numpy_linalg_calls(path: pathlib.Path) -> set[str]:
     return names
 
 
+def _names(tree) -> set[str]:
+    """Every name a module's source reads, binds, imports or defines, and
+    every attribute it reads."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
 def test_one_blas_pool_per_query():
     # numpy and scipy each load their own OpenBLAS with its own thread pool,
     # and every dense factorization, solve and spectrum of the package goes
-    # through scipy's: no module calls numpy.linalg for more than a norm
+    # through scipy's: no module calls numpy.linalg for more than a norm,
+    # nor a numpy routine that calls it (np.polyfit solves by lstsq,
+    # leggauss by eigvalsh)
     found = {path.name: _numpy_linalg_calls(path) for path in sorted(SRC.glob("*.py"))}
     assert {"resolvent.py", "scattering.py", "spectral.py"} <= set(found)
     assert {name: calls - {"norm"} for name, calls in found.items()} == dict.fromkeys(found, set())
+    indirect = {path.name: _names(ast.parse(path.read_text())) & {"polyfit", "lstsq", "leggauss"}
+                for path in sorted(SRC.glob("*.py"))}
+    assert indirect == dict.fromkeys(indirect, set())
+
+
+def _top_level_owners(tree) -> dict[int, str]:
+    """The module-level function or `Class.method` around each node of a
+    module, by node id."""
+    owners = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            owners.update(dict.fromkeys(map(id, ast.walk(top)), top.name))
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef):
+                    owners.update(dict.fromkeys(map(id, ast.walk(fn)), f"{top.name}.{fn.name}"))
+    return owners
+
+
+def test_one_arc_length_inversion():
+    # _ArcTable.param_at is the one inversion of the arc-length function,
+    # for the guard's nodes, the stencil's points and every grid's nodes
+    # alike, through Curve.param_at_arclength; the curve's speed is
+    # evaluated only by the table's build, the regularity check and Curve
+    # itself, and no earlier inversion path, its chunking or its Gauss
+    # rules is left
+    tree = ast.parse((SRC / "curves.py").read_text())
+    owner = _top_level_owners(tree)
+    callers = {name: {owner.get(id(node)) for node in ast.walk(tree) if _called(node) == name}
+               for name in ("speed", "param_at", "param_at_arclength", "point_at_arclength")}
+    assert {c for c in callers["speed"] if not c.startswith("Curve.")} == {
+        "_ArcTable.__init__", "reparametrize_arclength"}
+    assert callers["param_at"] == {"Curve.param_at_arclength"}
+    assert callers["param_at_arclength"] | callers["point_at_arclength"] == {
+        "Curve.point_at_arclength", "reparametrize_arclength", "_unit_speed_deviation",
+        "make_grid"}
+    assert {name for name in set(owner.values()) if name.split(".")[-1] == "param_at"} == {
+        "_ArcTable.param_at"}
+    retired = {"_params_past", "_arc", "guard_params", "_CHECK_NODES", "_chunks",
+               "_by_chunks", "leggauss", "length_at"}
+    assert _names(tree) & retired == set()
 
 
 def _called(node) -> str | None:
