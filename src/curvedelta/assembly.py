@@ -25,7 +25,8 @@ so a plain trapezoid rule on those kernels carries an O(h^2) Euler-Maclaurin
 defect from the derivative jump across the diagonal.  Every table's
 diagonal is w times its kernel's limit at chord 0 plus h^2 * (kink slope)/6
 (`_trapezoid_diagonal`, the one rule), which removes the h^2 term
-identically and leaves O(h^4) errors.
+identically and leaves O(h^4) errors.  An energy past the one resolution
+rule, sqrt(-lam) h > 6, is refused (`_resolved`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .curves import ArcGrid, _block_diagonal, _blockwise, _kept, _toeplitz_block
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .kernels import (green_derivative_kernel, green_kernel, scattering_kernel,
                       smoothing_kernel)
 
@@ -120,19 +121,34 @@ def _circle_waves(n: int, values: np.ndarray | None = None
     return waves, values[waves]
 
 
+def _resolved(lam: float, w: float) -> None:
+    """Refuse an energy the grid of spacing w = h cannot resolve, where the
+    smoothing row's increment w^2 (lam/(8 pi))/6 falls below minus half its
+    diagonal's analytic part w sqrt(-lam)/(4 pi), i.e. sqrt(-lam) h > 6:
+    the one resolution rule, which every path to B(lam) and B'(lam) reads
+    before any kernel runs.  (The N = 256 circle's top eigenvalue is off
+    quadrature by 2.0e-5 at sqrt(-lam) h = 0.78, 4.6e-2 at 5.96.)"""
+    a = math.sqrt(max(-lam, 0.0))
+    if _trapezoid_diagonal(w, 0.0, lam / (8.0 * np.pi)) < -0.5 * (w * a / (4.0 * np.pi)):
+        raise NumericsError(f"lam={lam:g} is unresolved on the grid: sqrt(-lam) h = "
+                            f"{w * a:.3g} > 6 - refine the grid")
+
+
 def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
     """First row of the smoothing matrix, the symmetric circulant of the
     smoothing kernel on the chords rho of the circle of radius R = L/(2 pi).
 
     At lam <= 0 entries w * (1 - e^{-sqrt(-lam) rho})/(4 pi rho); above zero
     the real part of their outgoing continuation, (2w) sin^2(k rho/2)/(4 pi
-    rho), k = sqrt(lam).  The diagonal is `_smoothing_diagonal`'s.  Every
-    path to Re B(lam + i0), dense or circulant, reads this row, so it
-    refuses a non-finite lam before any kernel runs.
+    rho), k = sqrt(lam); on the diagonal the limit sqrt(max(-lam, 0))/(4 pi)
+    and slope lam/(8 pi).  Every path to Re B(lam + i0), dense or circulant,
+    reads this row, so it refuses a non-finite or unresolved lam before any
+    kernel runs.
     """
     if not math.isfinite(lam):
         raise ConfigError(f"smoothing row: non-finite energy lam={lam:g}")
     w = grid.weight
+    _resolved(lam, w)
     if lam > 0:
         rho = grid.circle_chord_row[1:]
         half = np.sin(0.5 * math.sqrt(lam) * rho)
@@ -140,60 +156,39 @@ def smoothing_row(lam: float, grid: ArcGrid) -> np.ndarray:
         row[1:] = (2.0 * w) * half * half / (4.0 * np.pi * rho)
     else:
         row = w * smoothing_kernel(lam, grid.circle_chord_row)
-    row[0] = _smoothing_diagonal(lam, w)[0]
+    row[0] = _trapezoid_diagonal(w, math.sqrt(max(-lam, 0.0)) / (4.0 * np.pi),
+                                 lam / (8.0 * np.pi))
     return row
 
 
-def _smoothing_diagonal(lam: float, w: float) -> tuple[float, bool]:
-    """The smoothing row's diagonal entry, and whether its cap is active.
-
-    The kernel's limit at chord 0 is sqrt(max(-lam, 0))/(4 pi), its slope
-    lam/(8 pi).  The increment must stay subordinate to the analytic diagonal
-    w sqrt(-lam)/(4 pi): beyond sqrt(-lam) ~ 1/h the kernel's boundary layer
-    is unresolved and an uncapped increment would flip the diagonal's sign,
-    so the entry adds at least minus half that diagonal, the cap, which is
-    active where w sqrt(-lam) > 6.  The one statement of the cap.
-    """
-    a = math.sqrt(max(-lam, 0.0))
-    limit, slope = a / (4.0 * np.pi), lam / (8.0 * np.pi)
-    cap = -0.5 * (w * a / (4.0 * np.pi))
-    if _trapezoid_diagonal(w, 0.0, slope) < cap:
-        return limit * w + cap, True
-    return _trapezoid_diagonal(w, limit, slope), False
-
-
-def _derivative_diagonal(lam: float, w: float, capped: bool = True) -> float:
+def _derivative_diagonal(lam: float, w: float) -> float:
     """The diagonal of B'(lam), a = sqrt(-lam): `green_derivative_kernel`'s
-    limit 1/(8 pi a) at chord 0 and slope -1/(8 pi), or with `capped`, where
-    the smoothing row's cap is active, the capped entry's derivative w/(16 pi a).
-    Both builders of B'(lam) compute it before the kernel, so it refuses
-    for them a lam that is not finite and negative."""
+    limit 1/(8 pi a) at chord 0 and slope -1/(8 pi).  Both builders of
+    B'(lam) compute it before the kernel, so it refuses for them a lam that
+    is not finite and negative, or that the grid cannot resolve."""
     if not math.isfinite(lam):
         raise ConfigError(f"B'(lam): non-finite energy lam={lam:g}")
     if not lam < 0:
         raise ConfigError(f"B'(lam) requires lam < 0, got lam={lam:g}")
-    a = math.sqrt(-lam)
-    if capped and _smoothing_diagonal(lam, w)[1]:
-        return w / (16.0 * np.pi * a)
-    return _trapezoid_diagonal(w, 1.0 / (8.0 * np.pi * a), -1.0 / (8.0 * np.pi))
+    _resolved(lam, w)
+    return _trapezoid_diagonal(w, 1.0 / (8.0 * np.pi * math.sqrt(-lam)), -1.0 / (8.0 * np.pi))
 
 
-def boundary_derivative(lam: float, grid: ArcGrid, capped: bool = True,
+def boundary_derivative(lam: float, grid: ArcGrid,
                         out: np.ndarray | None = None) -> np.ndarray:
     """B'(lam) = dB/dlam at lam < 0, in closed form.
 
     Off the diagonal w e^{-kappa r}/(8 pi kappa) on the curve chords r,
     kappa = sqrt(-lam); on it `_derivative_diagonal`, the analytic limit
     plus the kink correction.  This is the Gram matrix X = Gamma^T Gamma
-    of the layer map, which the probe reads with `capped=False`.  Where the
-    smoothing row's cap is active (w kappa > 6) B(lam)'s diagonal is the
-    capped entry, and with `capped` the diagonal is its derivative.  A Gram
-    matrix, so positive definite: every eigenvalue branch of B increases in
-    lam.  Built in `out` when given, a row block at a time; a non-finite
-    lam is refused before the kernel runs.
+    of the layer map, which the probe reads too.  A Gram matrix, so
+    positive definite (the table up to sqrt(-lam) h = 5.97, where its
+    diagonal nears 0): every eigenvalue branch of B increases in lam.
+    Built in `out` when given, a row block at a time; a non-finite or
+    unresolved lam is refused before the kernel runs.
     """
     w = grid.weight
-    diagonal = _derivative_diagonal(lam, w, capped)
+    diagonal = _derivative_diagonal(lam, w)
 
     def block(rows, cols, dest):
         chords = grid.chord_block(rows, cols, dest)
@@ -212,7 +207,7 @@ def circle_derivative_modes(lam: float, grid: ArcGrid) -> np.ndarray:
     B'(lam) of the circle is the symmetric circulant of the `boundary_derivative`
     entries on the circle chord row, so its eigenvalues are the real FFT of
     that row, exactly the slopes of the circle's branches.  A non-finite
-    lam is refused before the kernel runs.
+    or unresolved lam is refused before the kernel runs.
     """
     w = grid.weight
     diagonal = _derivative_diagonal(lam, w)

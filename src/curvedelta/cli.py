@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Commands: spectrum | bound-states | scattering | isoperimetric | probe | d-sigma.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 invariant violation.  Numbers are written with 15 significant digits and
-no time-dependent fields, so identical configurations produce
-byte-identical output files at a fixed BLAS thread count; across thread
-counts the last digits can differ.  The one exception is scattering's
-`condition`, an estimate written to 3 significant digits: LAPACK's ?sycon
-can return it with different last digits in different processes from
-bitwise identical factors.  Each command declares only the options and the
---tol-override keys it reads; any other exits 2.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+refusal, an energy the grid cannot resolve among them, or a solver's
+LinAlgError), 4 invariant violation.  Numbers are written with 15
+significant digits and no time-dependent fields, so identical
+configurations produce byte-identical output files at a fixed BLAS thread
+count; across thread counts the last digits can differ.  The one exception
+is scattering's `condition`, an estimate written to 3 significant digits:
+LAPACK's ?sycon can return it with different last digits in different
+processes from bitwise identical factors.  Each command declares only the
+options and the --tol-override keys it reads; any other exits 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from .assembly import _circle_modes, _circle_waves
 from .curves import REPARAM_TOL, circle_deviation, curve_from_json_dict, make_grid
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
     except (ConfigError, CurveError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except NumericsError as exc:
+    except (NumericsError, LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICS
     except InvariantError as exc:

@@ -121,16 +121,15 @@ def perturbed_green(grid: ArcGrid, lam: float, alpha: float, x, y) -> float:
 
 
 def _gram_matrix(grid: ArcGrid, lam: float) -> np.ndarray:
-    """X = Gamma^T Gamma, the uncapped `boundary_derivative`, kept on the
-    grid under lam and read-only: both singular-value probes of one energy
-    read one build.  The eigensolves copy it (no overwrite_b)."""
-    return _kept(grid, "layer_gram", lam,
-                 lambda: boundary_derivative(lam, grid, capped=False))
+    """X = Gamma^T Gamma, the search's B'(lam) (`boundary_derivative`),
+    kept on the grid under lam and read-only: both singular-value probes of
+    one energy read one build.  The eigensolves copy it (no overwrite_b)."""
+    return _kept(grid, "layer_gram", lam, lambda: boundary_derivative(lam, grid))
 
 
 def layer_singular_values(grid: ArcGrid, lam: float) -> np.ndarray:
     """Singular values of the layer map, nonincreasing: sqrt(eig X), with
-    X = Gamma^T Gamma the uncapped `boundary_derivative`."""
+    X = Gamma^T Gamma, `boundary_derivative`."""
     gram = _gram_matrix(grid, lam)
     vals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd")[::-1]
     if vals[-1] <= 0:

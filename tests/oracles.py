@@ -447,7 +447,7 @@ def correction_singular_values_reference(grid: ArcGrid, lam: float,
     """The correction's singular values by the library's earlier route:
     X = L L^T (Cholesky), one symmetric solve of (alpha - B) Y = L, the core
     L^T Y by BLAS gemm, and the |eigenvalues| of the core, nonincreasing."""
-    low = scipy.linalg.cholesky(boundary_derivative(lam, grid, capped=False), lower=True)
+    low = scipy.linalg.cholesky(boundary_derivative(lam, grid), lower=True)
     solved = scipy.linalg.solve(_resolvent_system(grid, lam, alpha), low, assume_a="sym")
     core = scipy.linalg.get_blas_funcs("gemm", (low,))(1.0, low, solved, trans_a=1)
     return np.sort(np.abs(scipy.linalg.eigh(core, eigvals_only=True, driver="evd")))[::-1]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from curvedelta import (ConfigError, boundary_matrix, circle_deviation,
+from curvedelta import (ConfigError, NumericsError, boundary_matrix, circle_deviation,
                         circle_mode_eigenvalues, eigen, make_circle,
-                        make_grid, scattering_layer_matrix)
+                        make_grid, resolvent, scattering_layer_matrix, spectral)
 from curvedelta.assembly import (_circle_modes, boundary_derivative,
                                  circle_derivative_modes, circle_operator_matrix,
                                  comparison_matrix, odd_harmonic_sums, smoothing_matrix,
@@ -86,11 +86,16 @@ class TestSmoothingMatrix:
         assert abs(sums[0] - sums[1]) < 1e-8
 
     def test_deep_energy_diagonal_stays_nonnegative(self, circle_grid):
-        # the diagonal correction must not flip the sign of the diagonal
-        # when the kernel's boundary layer falls below the grid resolution
+        # the diagonal correction must not flip the sign of the diagonal:
+        # up to sqrt(-lam) h = 6 it keeps at least half the analytic
+        # diagonal, and where the kernel's boundary layer falls below the
+        # grid resolution the matrix is refused
+        lam = -(5.99 / circle_grid.weight) ** 2
+        diagonal = smoothing_matrix(lam, circle_grid).diagonal()
+        assert diagonal.min() >= 0.5 * circle_grid.weight * math.sqrt(-lam) / (4.0 * math.pi)
         for lam in (-1e6, -1e12):
-            mat = smoothing_matrix(lam, circle_grid)
-            assert mat.diagonal().min() >= 0.0
+            with pytest.raises(NumericsError, match="refine the grid"):
+                smoothing_matrix(lam, circle_grid)
 
 
 class TestComparisonMatrix:
@@ -158,15 +163,20 @@ class TestBoundaryMatrix:
 
 
 class TestBoundaryDerivative:
-    """B'(lam) in closed form: the probe's Gram matrix, with the derivative
-    of the smoothing row's capped diagonal where the cap is active."""
+    """B'(lam) in closed form: the probe's Gram matrix and the root search's
+    B', refused with B(lam) where the grid cannot resolve lam."""
 
-    @pytest.mark.parametrize("lam, capped", [(-3.0, False), (-1e5, True)])
-    def test_matches_central_differences(self, ellipse_grid, lam, capped):
+    @pytest.mark.parametrize("lam, unresolved", [(-3.0, False), (-1e5, True)])
+    def test_matches_central_differences(self, ellipse_grid, lam, unresolved):
         # the fourth-order central difference of B in lam, step 1e-3 |lam|
-        # (measured: 1.0e-11 and 7.3e-14 of max |B'|); w kappa = 7.7 > 6 at
-        # lam = -1e5 puts the cap in force on the diagonal
-        assert (ellipse_grid.weight * math.sqrt(-lam) > 6.0) == capped
+        # (measured: 1.0e-11 of max |B'|); w kappa = 7.8 > 6 at lam = -1e5
+        # is past the resolution rule, where B and B' both refuse
+        assert (ellipse_grid.weight * math.sqrt(-lam) > 6.0) == unresolved
+        if unresolved:
+            for build in (boundary_matrix, boundary_derivative):
+                with pytest.raises(NumericsError, match="refine the grid"):
+                    build(lam, ellipse_grid)
+            return
         step = 1e-3 * abs(lam)
 
         def b(d):
@@ -177,19 +187,21 @@ class TestBoundaryDerivative:
         assert np.max(np.abs(diff - exact)) <= 1e-10 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("lam", [-3.0, -1e5])
-    def test_gram_matrix_is_the_uncapped_build(self, ellipse_grid, lam):
-        gram = boundary_derivative(lam, ellipse_grid, capped=False)
-        exact = boundary_derivative(lam, ellipse_grid)
-        off = ~np.eye(ellipse_grid.n, dtype=bool)
-        assert np.array_equal(exact[off], gram[off])
-        assert np.array_equal(np.diag(exact), np.diag(gram)) == (lam == -3.0)
+    def test_gram_matrix_is_the_search_derivative(self, ellipse, lam):
+        # B' has one form: the probe's Gram matrix X is, bit for bit, the B'
+        # a root search reads (N = 1024 resolves lam = -1e5: w kappa = 1.9)
+        grid = make_grid(ellipse, 1024)
+        search = spectral._operator(lam, grid)._derivative
+        assert np.array_equal(resolvent._gram_matrix(grid, lam), search)
 
     @pytest.mark.parametrize("lam", [-3.0, -1e5])
-    def test_circle_modes_are_the_dense_spectrum(self, circle_grid, lam):
-        # wavenumbers 1 to N/2 - 1 carry the cos/sin pairs
-        n = circle_grid.n
-        modes = circle_derivative_modes(lam, circle_grid)
-        dense = eigen(boundary_derivative(lam, circle_grid))
+    def test_circle_modes_are_the_dense_spectrum(self, circle, lam):
+        # wavenumbers 1 to N/2 - 1 carry the cos/sin pairs (N = 1024
+        # resolves lam = -1e5: w kappa = 1.9)
+        grid = make_grid(circle, 1024)
+        n = grid.n
+        modes = circle_derivative_modes(lam, grid)
+        dense = eigen(boundary_derivative(lam, grid))
         listed = np.sort(np.concatenate([modes, modes[1:n // 2]]))[::-1]
         assert np.max(np.abs(listed - dense)) <= 1e-14 * dense[0]
         assert dense[-1] > 0
@@ -198,8 +210,10 @@ class TestBoundaryDerivative:
 class TestDiagonalRule:
     """Each table's diagonal, bit for bit, against its closed form written
     in the order of operations the library has always used: w times the
-    kernel's limit at chord 0 plus the increment w^2 slope / 6, or the
-    smoothing row's cap, and the capped entry's derivative in B'."""
+    kernel's limit at chord 0 plus the increment w^2 slope / 6.  Where the
+    increment falls below minus half the smoothing row's analytic diagonal,
+    the grid does not resolve lam, and every table that reads the row or
+    B''s diagonal refuses."""
 
     @pytest.fixture(params=["ellipse", "circle"])
     def grid(self, request):
@@ -214,20 +228,25 @@ class TestDiagonalRule:
         slopes = (grid.curvatures ** 2 - kappa_circle ** 2) / (96.0 * np.pi)
         return kink_increment(slopes, grid.weight)
 
-    @pytest.mark.parametrize("lam, capped", [(-3.0, False), (-1e5, True)])
-    def test_below_zero(self, grid, lam, capped):
+    @pytest.mark.parametrize("lam, unresolved", [(-3.0, False), (-1e5, True)])
+    def test_below_zero(self, grid, lam, unresolved):
         w, a = grid.weight, math.sqrt(-lam)
-        kink, cap = kink_increment(lam / (8.0 * np.pi), w), -0.5 * (w * a / (4.0 * np.pi))
-        assert (kink < cap) == capped
-        smoothing = w * (a / (4.0 * np.pi)) + max(kink, cap)
-        assert smoothing_row(lam, grid)[0] == smoothing
+        kink = kink_increment(lam / (8.0 * np.pi), w)
+        assert (kink < -0.5 * (w * a / (4.0 * np.pi))) == unresolved
+        # the comparison kernel reads neither the row nor B''s diagonal
         assert np.array_equal(np.diag(comparison_matrix(lam, grid)), self._comparison(grid))
+        if unresolved:
+            for build in (smoothing_row, boundary_matrix, boundary_derivative,
+                          circle_derivative_modes):
+                with pytest.raises(NumericsError, match="refine the grid"):
+                    build(lam, grid)
+            return
+        smoothing = w * (a / (4.0 * np.pi)) + kink
+        assert smoothing_row(lam, grid)[0] == smoothing
         circle = np.fft.irfft(_circle_modes(grid), grid.n)[0] - smoothing
         assert np.array_equal(np.diag(boundary_matrix(lam, grid)), self._comparison(grid) + circle)
-        gram = w * (1.0 / (8.0 * np.pi * a)) + kink_increment(-1.0 / (8.0 * np.pi), w)
-        derivative = w / (16.0 * np.pi * a) if capped else gram
+        derivative = w * (1.0 / (8.0 * np.pi * a)) + kink_increment(-1.0 / (8.0 * np.pi), w)
         assert np.all(np.diag(boundary_derivative(lam, grid)) == derivative)
-        assert np.all(np.diag(boundary_derivative(lam, grid, capped=False)) == gram)
         if grid.is_circle:
             row = w * green_derivative_kernel(lam, grid.circle_chord_row)
             row[0] = derivative

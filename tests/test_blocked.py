@@ -21,7 +21,7 @@ from scipy.linalg import toeplitz
 
 import curvedelta.curves as curves_mod
 from curvedelta import spectral
-from curvedelta import (ArcGrid, ConfigError, Curve, boundary_matrix,
+from curvedelta import (ArcGrid, ConfigError, Curve, NumericsError, boundary_matrix,
                         circle_deviation, correction_singular_values, green_kernel,
                         layer_singular_values, make_grid, perturbed_green,
                         reparametrize_arclength, scale_to_length, scattering_kernel,
@@ -40,6 +40,10 @@ from oracles import (box_points_full, boundary_matrix_full,
 # so both grids end in a ragged block; N = 16 stays within one block
 SMALL_BLOCK_BYTES = 24 * 1024
 LAMBDAS = (0.0, -1.0, -4.0, -16.0, -600.0)
+# sqrt(600) h = 9.6 > 6 on a 16-node grid of length 2 pi: past the
+# resolution rule, so B(lam) and B'(lam) refuse it (1.5 and 0.62 at N = 100
+# and 250)
+UNRESOLVED = (16, -600.0)
 SCATTERING_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
 EPS = np.finfo(float).eps
 
@@ -82,8 +86,12 @@ def test_row_blocks_cover_rows_with_a_ragged_tail():
 def test_boundary_and_comparison_bitwise_small_grids(curves, name, n, small_blocks):
     grid = make_grid(curves[name], n)
     for lam in LAMBDAS:
-        assert np.array_equal(boundary_matrix(lam, grid), boundary_matrix_full(lam, grid))
         assert np.array_equal(comparison_matrix(lam, grid), comparison_matrix_full(lam, grid))
+        if (n, lam) == UNRESOLVED:
+            with pytest.raises(NumericsError, match="refine the grid"):
+                boundary_matrix(lam, grid)
+            continue
+        assert np.array_equal(boundary_matrix(lam, grid), boundary_matrix_full(lam, grid))
 
 
 @pytest.mark.parametrize("n", [256, 1024, 2048])
@@ -204,7 +212,11 @@ def test_box_and_layer_map_bitwise(ellipse, n, small_blocks):
     points, excluded = box_points_full(grid, box)
     assert np.array_equal(box.points, points) and box.n_excluded == excluded
     for lam in (-1.0, -4.0, -600.0):
-        assert np.array_equal(boundary_derivative(lam, grid, capped=False),
+        if (n, lam) == UNRESOLVED:
+            with pytest.raises(NumericsError, match="refine the grid"):
+                boundary_derivative(lam, grid)
+            continue
+        assert np.array_equal(boundary_derivative(lam, grid),
                               gram_matrix_full(grid, lam))
 
 
@@ -212,7 +224,7 @@ def test_box_and_layer_map_bitwise_default_blocks(ellipse_grid):
     box = make_box(ellipse_grid, n=24, lam=-1.0)
     points, excluded = box_points_full(ellipse_grid, box)
     assert np.array_equal(box.points, points) and box.n_excluded == excluded
-    assert np.array_equal(boundary_derivative(-1.0, ellipse_grid, capped=False),
+    assert np.array_equal(boundary_derivative(-1.0, ellipse_grid),
                           gram_matrix_full(ellipse_grid, -1.0))
 
 
@@ -331,7 +343,7 @@ def test_scattering_layer_matrix_peak_memory(ellipse):
 def test_layer_map_peak_memory(ellipse):
     # the layer map's Gram matrix X on a grid larger than one block
     grid = make_grid(ellipse, 1024)
-    gram, peak = _peak_bytes(lambda: boundary_derivative(-1.0, grid, capped=False))
+    gram, peak = _peak_bytes(lambda: boundary_derivative(-1.0, grid))
     assert peak <= 1.5 * gram.nbytes
 
 

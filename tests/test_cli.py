@@ -425,14 +425,14 @@ class TestProbe:
         built = []
         real = resolvent_mod.boundary_derivative
 
-        def derivative(lam, grid, capped=True, out=None):
-            built.append(capped)
-            return real(lam, grid, capped, out)
+        def derivative(lam, grid, out=None):
+            built.append(lam)
+            return real(lam, grid, out)
 
         monkeypatch.setattr(resolvent_mod, "boundary_derivative", derivative)
         assert main(["probe", "--curve", ellipse_file, "--n", "64",
                      "--out", str(tmp_path)]) == 0
-        assert built == [False]
+        assert built == [-1.0]
 
 
 class TestInProcess:
@@ -793,6 +793,30 @@ def test_grid_too_large_for_memory_exits_2(ellipse_file, tmp_path, capsys, monke
     assert main(["spectrum", "--curve", ellipse_file, "--n", "64", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == ("configuration error: a grid of 64 nodes does not fit "
                                        "in memory\n")
+
+
+@pytest.mark.parametrize("command, solver, driver", [
+    (["probe"], "eigh", "evd"),                                   # layer_singular_values
+    (["bound-states", "--alpha=-0.23"], "eigh", "evr"),           # _Operator.settle
+    (["scattering", "--alpha=-0.3", "--lambda=1"], "svdvals", None),   # _widened
+])
+def test_solver_breakdown_exits_3(ellipse_file, tmp_path, capsys, monkeypatch, command, solver,
+                                  driver):
+    # a solver's LinAlgError is a numerical failure, which main maps to
+    # exit 3 in one place: each of these escaped as a traceback
+    real = getattr(scipy.linalg, solver)
+
+    def breaking(*args, **kwargs):
+        if driver is None or kwargs.get("driver") == driver:
+            raise scipy.linalg.LinAlgError(f"{solver} did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, solver, breaking)
+    assert main([command[0], "--curve", ellipse_file, "--n", "64", *command[1:],
+                 "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {solver} did not converge\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("case", ["curve a directory", "curve not UTF-8", "out under a file"])

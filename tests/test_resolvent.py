@@ -169,13 +169,13 @@ class TestSingularValues:
 
     def test_gram_matrix_is_the_energy_derivative(self, ellipse):
         # X = Gamma^T Gamma is dB/dlam: off the diagonal w dG/dlam on the
-        # curve chords, on it w/(8 pi kappa) - w^2/(48 pi) (the smoothing
-        # row's cap is inactive here); central differences of B in lam
+        # curve chords, on it w/(8 pi kappa) - w^2/(48 pi); central
+        # differences of B in lam
         # (measured: 2.0e-13 off the diagonal, 5.2e-13 on it)
         grid = make_grid(ellipse, 256)
         step = 1e-4
         diff = (boundary_matrix(-3.0 + step, grid) - boundary_matrix(-3.0 - step, grid)) / (2 * step)
-        gap = np.abs(diff - boundary_derivative(-3.0, grid, capped=False))
+        gap = np.abs(diff - boundary_derivative(-3.0, grid))
         off = ~np.eye(grid.n, dtype=bool)
         assert np.max(gap[off]) <= 1e-12
         assert np.max(np.diag(gap)) <= 2e-12
@@ -205,7 +205,7 @@ class TestSingularValues:
         # numpy's eigvalsh of X bit for bit (a mismatch names a differing
         # LAPACK build in the numpy and scipy wheels)
         for grid in (circle_grid, ellipse_grid):
-            gram = boundary_derivative(-1.0, grid, capped=False)
+            gram = boundary_derivative(-1.0, grid)
             assert np.array_equal(layer_singular_values(grid, -1.0),
                                   np.sqrt(np.linalg.eigvalsh(gram)[::-1]))
 
@@ -228,8 +228,8 @@ class TestSingularValues:
             assert np.all(box_corr[:200] < correction_singular_values(grid, lam, -0.5)[:200])
 
     def test_indefinite_gram_refused(self, circle_grid, monkeypatch):
-        def shifted(lam, grid, capped=True):
-            gram = boundary_derivative(lam, grid, capped)
+        def shifted(lam, grid):
+            gram = boundary_derivative(lam, grid)
             return gram - 2.0 * np.linalg.eigvalsh(gram)[0] * np.eye(grid.n)
 
         monkeypatch.setattr(resolvent_mod, "boundary_derivative", shifted)

@@ -408,8 +408,8 @@ class TestScatteringBlock:
     def test_system_independent_of_reference_energy(self, request, name, lam):
         # N(lam) + B(eta) is B(lam + i0): the table Re B(lam + i0) agrees
         # with the earlier Re N + B(eta) at every eta within 4 ulps of its
-        # largest entry, since the smoothing row's cap is off for every eta
-        # here (w sqrt(16) <= 6); 1 ulp was seen
+        # largest entry, since every eta here is resolved (w sqrt(16) <= 6);
+        # 1 ulp was seen
         curve = seeded_fourier_curve(7) if name == "seed7" else request.getfixturevalue(name)
         for n in (256, 1024):
             grid = make_grid(curve, n)

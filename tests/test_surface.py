@@ -207,8 +207,27 @@ def test_one_diagonal_rule():
     owner = _owners(tree)
     assert sorted(owner.get(id(node)) for node in ast.walk(tree)
                   if _called(node) == "_trapezoid_diagonal") == [
-        "_comparison_block", "_derivative_diagonal", "_smoothing_diagonal",
-        "_smoothing_diagonal"]
+        "_comparison_block", "_derivative_diagonal", "_resolved", "smoothing_row"]
+
+
+def test_one_resolution_rule():
+    # assembly._resolved alone decides that the grid cannot resolve lam, and
+    # only the smoothing row and B''s diagonal, which every path to B(lam)
+    # and B'(lam) reads, call it: its message is written nowhere else, and
+    # no second diagonal or `capped` switch for that regime is left in src/
+    lines, start = inspect.getsourcelines(assembly._resolved)
+    found = [(path.name, number) for path in sorted(SRC.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "is unresolved" in line]
+    assert len(found) == 1 and found[0][0] == "assembly.py", found
+    assert start <= found[0][1] < start + len(lines)
+    assert [(path.name, number) for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "capped" in line] == []
+    tree = ast.parse((SRC / "assembly.py").read_text())
+    owner = _owners(tree)
+    assert sorted(owner.get(id(node)) for node in ast.walk(tree)
+                  if _called(node) == "_resolved") == ["_derivative_diagonal", "smoothing_row"]
 
 
 def test_one_builder_of_the_real_boundary_operator():
